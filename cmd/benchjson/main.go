@@ -59,29 +59,38 @@ type report struct {
 }
 
 // hotPathReport records best-of-N throughput for the three ingest-path
-// microbenchmarks. Values are the benchmarks' own ReportMetric outputs, so
-// a CI re-run of the identical benchmark is directly comparable.
+// microbenchmarks and the projection kernel. Values are the benchmarks' own
+// ReportMetric outputs, so a CI re-run of the identical benchmark is
+// directly comparable.
 type hotPathReport struct {
 	IngestBatchPtsPerSec  float64 `json:"ingest_batch_pts_per_sec"`
 	DecodeBatchPtsPerSec  float64 `json:"decode_batch_pts_per_sec"`
 	GroupCommitRecsPerSec float64 `json:"group_commit_recs_per_sec"`
+	// MulProjectionPtsPerSec is linalg.Mul at the ingest chunk shape. The
+	// scalar loop runs at well under half of it, so a build or CPU that
+	// silently falls back from the AVX2 kernel fails the guard.
+	MulProjectionPtsPerSec float64 `json:"mul_projection_pts_per_sec"`
 }
 
-// measureHotPath runs the three ingest microbenchmarks through the real
-// `go test -bench` harness with the exact flags CI's bench-guard job
-// replays (-benchtime=1x, best of reps counts), so the recorded baseline
-// and the guard measurement share both code path and methodology —
-// single cold-ish iterations compared against single cold-ish iterations.
+// measureHotPath runs the microbenchmarks through the real `go test -bench`
+// harness with the exact flags CI's bench-guard job replays (-benchtime=1x,
+// best of reps counts; 2000x for the 20 µs projection kernel, which one
+// iteration cannot time), so the recorded baseline and the guard
+// measurement share both code path and methodology — single cold-ish
+// iterations compared against single cold-ish iterations.
 func measureHotPath(reps int) (*hotPathReport, error) {
 	h := &hotPathReport{}
 	var err error
-	if h.IngestBatchPtsPerSec, err = benchBest("./internal/core", "BenchmarkIngestBatch", reps, "pts/s"); err != nil {
+	if h.IngestBatchPtsPerSec, err = benchBest("./internal/core", "BenchmarkIngestBatch", "1x", reps, "pts/s"); err != nil {
 		return nil, err
 	}
-	if h.DecodeBatchPtsPerSec, err = benchBest("./internal/server", "BenchmarkDecodeBatchZeroCopy", reps, "pts/s"); err != nil {
+	if h.DecodeBatchPtsPerSec, err = benchBest("./internal/server", "BenchmarkDecodeBatchZeroCopy", "1x", reps, "pts/s"); err != nil {
 		return nil, err
 	}
-	if h.GroupCommitRecsPerSec, err = benchBest("./internal/server", "BenchmarkGroupCommit", reps, "recs/s"); err != nil {
+	if h.GroupCommitRecsPerSec, err = benchBest("./internal/server", "BenchmarkGroupCommit", "1x", reps, "recs/s"); err != nil {
+		return nil, err
+	}
+	if h.MulProjectionPtsPerSec, err = benchBest("./internal/linalg", "BenchmarkMulProjection", "2000x", reps, "pts/s"); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -89,9 +98,9 @@ func measureHotPath(reps int) (*hotPathReport, error) {
 
 // benchBest runs one benchmark for reps counts and returns the best value
 // it reported with the given ReportMetric unit.
-func benchBest(pkg, name string, reps int, unit string) (float64, error) {
+func benchBest(pkg, name, benchtime string, reps int, unit string) (float64, error) {
 	out, err := exec.Command("go", "test", "-run", "^$",
-		"-bench", "^"+name+"$", "-benchtime", "1x",
+		"-bench", "^"+name+"$", "-benchtime", benchtime,
 		"-count", strconv.Itoa(reps), pkg).CombinedOutput()
 	if err != nil {
 		return 0, fmt.Errorf("%s: %v\n%s", name, err, out)
@@ -212,8 +221,8 @@ func main() {
 			rep.ServerWALInterval.IngestPointsPerSec, rep.ServerWALNever.IngestPointsPerSec)
 	}
 	if rep.HotPath != nil {
-		fmt.Printf("hotpath: ingest-batch %.0f pts/s, decode %.0f pts/s, group-commit %.0f recs/s\n",
-			rep.HotPath.IngestBatchPtsPerSec, rep.HotPath.DecodeBatchPtsPerSec, rep.HotPath.GroupCommitRecsPerSec)
+		fmt.Printf("hotpath: ingest-batch %.0f pts/s, decode %.0f pts/s, group-commit %.0f recs/s, mul-projection %.0f pts/s\n",
+			rep.HotPath.IngestBatchPtsPerSec, rep.HotPath.DecodeBatchPtsPerSec, rep.HotPath.GroupCommitRecsPerSec, rep.HotPath.MulProjectionPtsPerSec)
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		repeats   = flag.Int("repeats", 0, "override repeats per design point")
 		points    = flag.Int("points", 0, "override points per process")
-		workers   = flag.Int("workers", 0, "worker goroutines per algorithm (0 = all CPUs)")
+		workers   = flag.Int("workers", 0, "worker goroutines per algorithm (0 = GOMAXPROCS)")
 		dbscanAll = flag.Bool("dbscan-all", false, "run distributed PDSDBSCAN at every process count (paper left these cells empty)")
 		csvDir    = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		verify    = flag.Bool("verify", false, "re-check the paper's qualitative shape claims and exit nonzero on violation")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"keybin2/internal/core"
 	"keybin2/internal/linalg"
@@ -130,12 +131,20 @@ func TestIngestTraceJoinsDaemon(t *testing.T) {
 		t.Fatal("ack carries no trace id")
 	}
 
-	resp, err := http.Get(ts.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
+	// The ack is sent once the batch is queued; the daemon's trace is
+	// published when its writer has applied it. Wait for that.
+	var traces []obs.TraceJSON
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = decodeTraces(t, resp.Body)
+		resp.Body.Close()
+		if len(traces) > 0 || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	traces := decodeTraces(t, resp.Body)
 	found := false
 	for _, tr := range traces {
 		if tr.TraceID == ack.TraceID {

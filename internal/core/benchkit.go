@@ -53,27 +53,26 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 	kt.FitNsPerPoint = float64(fitBest.Nanoseconds()) / float64(data.Rows)
 
 	// Project once so the kernel timings isolate labeling, not projection.
-	proj := data
-	if model.Projection != nil {
-		var err error
-		proj, err = linalg.ParallelMul(nil, data, model.Projection, cfg.Workers)
-		if err != nil {
-			return kt, err
-		}
+	proj, err := project(data, model.Projection, cfg.Workers)
+	if err != nil {
+		return kt, err
 	}
+	defer proj.release()
 
 	// Per-point key assignment + label lookup (the in-situ hot path).
 	assignBest := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		for i := 0; i < proj.Rows; i++ {
-			model.AssignProjected(proj.Row(i))
+		for _, rows := range proj.blocks {
+			for off := 0; off < len(rows); off += proj.cols {
+				model.AssignProjected(rows[off : off+proj.cols])
+			}
 		}
 		if d := time.Since(start); d < assignBest {
 			assignBest = d
 		}
 	}
-	kt.KeyAssignNsPerPoint = float64(assignBest.Nanoseconds()) / float64(proj.Rows)
+	kt.KeyAssignNsPerPoint = float64(assignBest.Nanoseconds()) / float64(proj.rows)
 
 	// Full tuple-counting pass over the winning trial's columns.
 	codec := newTupleCodec(model.Parts, model.Collapsed)
@@ -85,6 +84,6 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 			countBest = d
 		}
 	}
-	kt.TupleCountNsPerPoint = float64(countBest.Nanoseconds()) / float64(proj.Rows)
+	kt.TupleCountNsPerPoint = float64(countBest.Nanoseconds()) / float64(proj.rows)
 	return kt, nil
 }

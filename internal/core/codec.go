@@ -233,18 +233,15 @@ func DecodeModel(b []byte) (*Model, error) {
 }
 
 // AssignBatch labels every row of data under the model, using workers
-// goroutines (0 = all CPUs). It is the bulk form of Assign.
+// goroutines (0 = GOMAXPROCS). It is the bulk form of Assign.
 func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
-	proj := data
-	loCol := 0
-	if m.Projection != nil {
-		var err error
-		proj, err = linalg.ParallelMul(nil, data, m.Projection, workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: assign batch: %w", err)
-		}
-	} else if data.Cols != len(m.Set.Dims) {
+	if m.Projection == nil && data.Cols != len(m.Set.Dims) {
 		return nil, fmt.Errorf("core: assign batch: %d cols for %d model dims", data.Cols, len(m.Set.Dims))
 	}
-	return assignAll(proj, loCol, m, workers), nil
+	proj, err := project(data, m.Projection, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: assign batch: %w", err)
+	}
+	defer proj.release()
+	return assignAll(proj, 0, m, workers), nil
 }

@@ -44,7 +44,7 @@ type Config struct {
 	// retaining the most massive (0 = 256).
 	MaxClusters int
 	// Workers bounds the goroutines used for projection and binning
-	// (0 = all CPUs).
+	// (0 = GOMAXPROCS).
 	Workers int
 	// Seed drives every random choice; fits with equal seeds and inputs
 	// are identical. Distributed ranks must share the seed — the

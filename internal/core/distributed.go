@@ -56,15 +56,16 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	if err != nil {
 		return nil, nil, err
 	}
+	defer proj.release()
 
 	// Agree on global per-dimension ranges for all trials at once:
-	// interleaved (min, max) pairs over Trials·TargetDims dimensions,
-	// established in one parallel pass over the local shard.
+	// interleaved (min, max) pairs over Trials·TargetDims dimensions, the
+	// local ones established by the projection pass. A rank with no rows
+	// contributes (+Inf, −Inf), which leaves every other rank's range as is.
 	totalDims := cfg.Trials * cfg.TargetDims
-	lmins, lmaxs := columnRanges(proj, 0, totalDims, cfg.Workers)
 	mm := make([]float64, 2*totalDims)
 	for d := 0; d < totalDims; d++ {
-		mm[2*d], mm[2*d+1] = lmins[d], lmaxs[d]
+		mm[2*d], mm[2*d+1] = proj.mins[d], proj.maxs[d]
 	}
 	mmRaw, err := consolidate(comm, cfg, mpi.EncodeFloat64s(mm), mpi.MinMaxFloat64s)
 	if err != nil {

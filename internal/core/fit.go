@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"keybin2/internal/cluster"
@@ -32,14 +31,13 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, []int, error) {
 		depth = keys.DefaultDepth(m)
 	}
 
+	// The projection pass also establishes every trial's per-dimension
+	// ranges, block by block while each is in cache.
 	proj, batch, err := projectAll(data, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// One fused parallel pass over the projected matrix establishes every
-	// trial's per-dimension ranges, instead of t serial full-matrix scans.
-	allMins, allMaxs := columnRanges(proj, 0, cfg.Trials*cfg.TargetDims, cfg.Workers)
+	defer proj.release()
 
 	// The t bootstrap trials are independent until SelectBest, so they run
 	// concurrently, splitting the worker budget between them (each trial's
@@ -54,8 +52,8 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, []int, error) {
 		go func(t int) {
 			defer wg.Done()
 			loCol := t * cfg.TargetDims
-			mins := allMins[loCol : loCol+cfg.TargetDims]
-			maxs := allMaxs[loCol : loCol+cfg.TargetDims]
+			mins := proj.mins[loCol : loCol+cfg.TargetDims]
+			maxs := proj.maxs[loCol : loCol+cfg.TargetDims]
 			set, err := buildSet(proj, loCol, mins, maxs, depth, perTrial)
 			if err != nil {
 				errs[t] = fmt.Errorf("trial %d: %w", t, err)
@@ -85,180 +83,57 @@ func Fit(data *linalg.Matrix, cfg Config) (*Model, []int, error) {
 }
 
 // projectAll applies the batched multi-trial projection (§3.4's
-// optimization: one pass over the data covers all t trials). For
-// NoProjection the data itself is the "projected" matrix.
-func projectAll(data *linalg.Matrix, cfg Config) (*linalg.Matrix, *projection.Batch, error) {
+// optimization: one pass over the data covers all t trials) into a pooled
+// block store the caller must release. For NoProjection the store is a view
+// of the data itself.
+func projectAll(data *linalg.Matrix, cfg Config) (*projected, *projection.Batch, error) {
 	if cfg.NoProjection {
-		return data, nil, nil
+		proj, err := project(data, nil, cfg.Workers)
+		return proj, nil, err
 	}
 	rng := xrand.New(cfg.Seed)
 	batch, err := projection.NewBatch(cfg.ProjectionKind, data.Cols, cfg.TargetDims, cfg.Trials, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	proj, err := batch.Apply(data, cfg.Workers)
+	proj, err := project(data, batch.Joined, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
 	return proj, batch, nil
 }
 
-// trialWorkers splits a worker budget (0 = all CPUs) across concurrent
+// trialWorkers splits a worker budget (0 = GOMAXPROCS) across concurrent
 // trials, at least one worker each.
 func trialWorkers(workers, trials int) int {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if trials < 1 {
-		trials = 1
-	}
-	per := workers / trials
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// columnRanges returns per-dimension min/max over columns
-// [loCol, loCol+nrp) of the projected matrix, fanning row blocks across
-// workers with the same chunk pattern as buildSet. A zero-row matrix (an
-// empty distributed shard) yields zero ranges — the neutral element of the
-// min/max consolidation.
-func columnRanges(proj *linalg.Matrix, loCol, nrp, workers int) (mins, maxs []float64) {
-	mins = make([]float64, nrp)
-	maxs = make([]float64, nrp)
-	if proj.Rows == 0 {
-		return mins, maxs
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > proj.Rows {
-		workers = 1
-	}
-	locMins := make([][]float64, workers)
-	locMaxs := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (proj.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > proj.Rows {
-			hi = proj.Rows
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			lmin := make([]float64, nrp)
-			lmax := make([]float64, nrp)
-			row := proj.Row(lo)
-			for j := 0; j < nrp; j++ {
-				lmin[j], lmax[j] = row[loCol+j], row[loCol+j]
-			}
-			for i := lo + 1; i < hi; i++ {
-				row := proj.Row(i)
-				for j := 0; j < nrp; j++ {
-					v := row[loCol+j]
-					if v < lmin[j] {
-						lmin[j] = v
-					}
-					if v > lmax[j] {
-						lmax[j] = v
-					}
-				}
-			}
-			locMins[w], locMaxs[w] = lmin, lmax
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	first := true
-	for w := range locMins {
-		if locMins[w] == nil {
-			continue
-		}
-		if first {
-			copy(mins, locMins[w])
-			copy(maxs, locMaxs[w])
-			first = false
-			continue
-		}
-		for j := 0; j < nrp; j++ {
-			if locMins[w][j] < mins[j] {
-				mins[j] = locMins[w][j]
-			}
-			if locMaxs[w][j] > maxs[j] {
-				maxs[j] = locMaxs[w][j]
-			}
-		}
-	}
-	return mins, maxs
+	return max(linalg.Workers(workers)/max(trials, 1), 1)
 }
 
 // buildSet bins all rows of the trial's columns into a fresh histogram set,
 // fanning row blocks across workers with per-worker local sets merged at
 // the end — the same per-point/per-dimension parallel decomposition the
 // paper offloads to the GPU.
-func buildSet(proj *linalg.Matrix, loCol int, mins, maxs []float64, depth, workers int) (*histogram.Set, error) {
+func buildSet(proj *projected, loCol int, mins, maxs []float64, depth, workers int) (*histogram.Set, error) {
+	global, err := histogram.NewSet(mins, maxs, depth)
+	if err != nil {
+		return nil, err
+	}
 	nrp := len(mins)
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > proj.Rows {
-		workers = 1
-	}
-	locals := make([]*histogram.Set, workers)
-	var wg sync.WaitGroup
-	chunk := (proj.Rows + workers - 1) / workers
-	var firstErr error
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > proj.Rows {
-			hi = proj.Rows
+	locals := forBlocks(proj, workers, func(local **histogram.Set, _ int, rows []float64) {
+		if *local == nil {
+			*local = global.Clone() // still empty: merged into only below
 		}
-		if lo >= hi {
+		for off := loCol; off < len(rows); off += proj.cols {
+			(*local).AddPoint(rows[off : off+nrp])
+		}
+	})
+	for _, local := range locals {
+		if local == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			set, err := histogram.NewSet(mins, maxs, depth)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for i := lo; i < hi; i++ {
-				row := proj.Row(i)
-				set.AddPoint(row[loCol : loCol+nrp])
-			}
-			locals[w] = set
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var global *histogram.Set
-	for _, s := range locals {
-		if s == nil {
-			continue
-		}
-		if global == nil {
-			global = s
-			continue
-		}
-		if err := global.Merge(s); err != nil {
+		if err := global.Merge(local); err != nil {
 			return nil, err
 		}
-	}
-	if global == nil {
-		return histogram.NewSet(mins, maxs, depth)
 	}
 	return global, nil
 }
@@ -301,7 +176,7 @@ func partitionSet(set *histogram.Set, cfg Config) (parts []partition.Result, col
 // countTuples maps every row to its primary-cluster tuple and counts
 // occupancy, dispatching to the packed-uint64 kernel or the string fallback
 // depending on whether the trial's tuple fits in 64 bits.
-func countTuples(proj *linalg.Matrix, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, codec tupleCodec, workers int) tupleCounts {
+func countTuples(proj *projected, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, codec tupleCodec, workers int) tupleCounts {
 	if codec.fits {
 		lab := newLabeler(set, parts, collapsed, codec)
 		return tupleCounts{u: countTuplesPacked(proj, loCol, lab, workers)}
@@ -311,84 +186,41 @@ func countTuples(proj *linalg.Matrix, loCol int, set *histogram.Set, parts []par
 
 // countTuplesPacked is the allocation-free counting kernel: per point, one
 // multiply and one table lookup per dimension, one map increment.
-func countTuplesPacked(proj *linalg.Matrix, loCol int, lab *labeler, workers int) map[uint64]uint64 {
+func countTuplesPacked(proj *projected, loCol int, lab *labeler, workers int) map[uint64]uint64 {
 	nrp := len(lab.luts)
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > proj.Rows {
-		workers = 1
-	}
-	maps := make([]map[uint64]uint64, workers)
-	var wg sync.WaitGroup
-	chunk := (proj.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > proj.Rows {
-			hi = proj.Rows
+	locals := forBlocks(proj, workers, func(local *map[uint64]uint64, _ int, rows []float64) {
+		if *local == nil {
+			*local = make(map[uint64]uint64)
 		}
-		if lo >= hi {
-			continue
+		for off := loCol; off < len(rows); off += proj.cols {
+			(*local)[lab.key(rows[off:off+nrp])]++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := make(map[uint64]uint64)
-			for i := lo; i < hi; i++ {
-				row := proj.Row(i)
-				local[lab.key(row[loCol:loCol+nrp])]++
-			}
-			maps[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := make(map[uint64]uint64)
-	for _, m := range maps {
-		for k, n := range m {
-			out[k] += n
-		}
-	}
-	return out
+	})
+	return sumCounts(locals)
 }
 
 // countTuplesString is the legacy string-keyed pass, kept as the documented
 // fallback for tuples wider than 64 bits (and as the baseline the
 // equivalence tests and benchmarks compare against).
-func countTuplesString(proj *linalg.Matrix, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, workers int) map[string]uint64 {
+func countTuplesString(proj *projected, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, workers int) map[string]uint64 {
 	nrp := len(set.Dims)
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > proj.Rows {
-		workers = 1
-	}
-	maps := make([]map[string]uint64, workers)
-	var wg sync.WaitGroup
-	chunk := (proj.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > proj.Rows {
-			hi = proj.Rows
+	locals := forBlocks(proj, workers, func(local *map[string]uint64, _ int, rows []float64) {
+		if *local == nil {
+			*local = make(map[string]uint64)
 		}
-		if lo >= hi {
-			continue
+		segs := make([]int, nrp)
+		for off := loCol; off < len(rows); off += proj.cols {
+			segmentsOfRow(rows[off:off+nrp], set, parts, collapsed, segs)
+			(*local)[packSegments(segs)]++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := make(map[string]uint64)
-			segs := make([]int, nrp)
-			for i := lo; i < hi; i++ {
-				row := proj.Row(i)
-				segmentsOfRow(row[loCol:loCol+nrp], set, parts, collapsed, segs)
-				local[packSegments(segs)]++
-			}
-			maps[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := make(map[string]uint64)
-	for _, m := range maps {
+	})
+	return sumCounts(locals)
+}
+
+// sumCounts adds the workers' occupancy maps into one.
+func sumCounts[K comparable](locals []map[K]uint64) map[K]uint64 {
+	out := make(map[K]uint64)
+	for _, m := range locals {
 		for k, n := range m {
 			out[k] += n
 		}
@@ -408,7 +240,7 @@ func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Re
 
 // finishTrial partitions, counts tuples, builds labels, and assesses one
 // trial, producing its Model.
-func finishTrial(set *histogram.Set, proj *linalg.Matrix, loCol int, cfg Config, trial int, batch *projection.Batch, workers int) (*Model, error) {
+func finishTrial(set *histogram.Set, proj *projected, loCol int, cfg Config, trial int, batch *projection.Batch, workers int) (*Model, error) {
 	parts, collapsed := partitionSet(set, cfg)
 	codec := newTupleCodec(parts, collapsed)
 	tuples := countTuples(proj, loCol, set, parts, collapsed, codec, workers)
@@ -454,55 +286,36 @@ func assembleModel(set *histogram.Set, parts []partition.Result, collapsed []boo
 	return model, nil
 }
 
-// assignAll labels every row of the projected matrix under the model.
-func assignAll(proj *linalg.Matrix, loCol int, model *Model, workers int) []int {
+// assignAll labels every row of the projected store under the model.
+func assignAll(proj *projected, loCol int, model *Model, workers int) []int {
 	nrp := len(model.Set.Dims)
-	labels := make([]int, proj.Rows)
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > proj.Rows {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (proj.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > proj.Rows {
-			hi = proj.Rows
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if model.codec.fits {
-				// Allocation-free fast path: one multiply + one LUT load
-				// per dimension, one map probe per point.
-				lab, labelOf := model.lab, model.labelOf
-				for i := lo; i < hi; i++ {
-					row := proj.Row(i)
-					if l, ok := labelOf[lab.key(row[loCol:loCol+nrp])]; ok {
-						labels[i] = l
-					} else {
-						labels[i] = cluster.Noise
-					}
-				}
-				return
-			}
-			segs := make([]int, nrp)
-			for i := lo; i < hi; i++ {
-				row := proj.Row(i)
-				segmentsOfRow(row[loCol:loCol+nrp], model.Set, model.Parts, model.Collapsed, segs)
-				if l, ok := model.labelOfStr[packSegments(segs)]; ok {
-					labels[i] = l
+	labels := make([]int, proj.rows)
+	forBlocks(proj, workers, func(_ *struct{}, lo int, rows []float64) {
+		out := labels[lo : lo+len(rows)/proj.cols]
+		if model.codec.fits {
+			// Allocation-free fast path: one multiply + one LUT load per
+			// dimension, one map probe per point.
+			lab, labelOf := model.lab, model.labelOf
+			for i := range out {
+				off := i*proj.cols + loCol
+				if l, ok := labelOf[lab.key(rows[off:off+nrp])]; ok {
+					out[i] = l
 				} else {
-					labels[i] = cluster.Noise
+					out[i] = cluster.Noise
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			return
+		}
+		segs := make([]int, nrp)
+		for i := range out {
+			off := i*proj.cols + loCol
+			segmentsOfRow(rows[off:off+nrp], model.Set, model.Parts, model.Collapsed, segs)
+			if l, ok := model.labelOfStr[packSegments(segs)]; ok {
+				out[i] = l
+			} else {
+				out[i] = cluster.Noise
+			}
+		}
+	})
 	return labels
 }

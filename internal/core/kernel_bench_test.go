@@ -24,8 +24,8 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	b.Helper()
 	spec := synth.AutoMixture(4, benchDims, 5, 1, xrand.New(41))
 	data, _ := spec.Sample(benchRows, xrand.New(42))
-	mins, maxs := columnRanges(data, 0, benchDims, 0)
-	set, err := buildSet(data, 0, mins, maxs, 8, 0)
+	view := viewOf(data)
+	set, err := buildSet(view, 0, view.mins, view.maxs, 8, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	if !codec.fits {
 		b.Fatal("bench fixture overflowed 64 bits")
 	}
-	tuples := countTuples(data, 0, set, parts, collapsed, codec, 0)
+	tuples := countTuples(view, 0, set, parts, collapsed, codec, 0)
 	model, err := assembleModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -44,11 +44,12 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 
 func BenchmarkTupleCount(b *testing.B) {
 	data, model := benchKernelFixture(b)
+	view := viewOf(data)
 	for _, workers := range []int{1, 4} {
 		b.Run(name("string", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				countTuplesString(data, 0, model.Set, model.Parts, model.Collapsed, workers)
+				countTuplesString(view, 0, model.Set, model.Parts, model.Collapsed, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
@@ -57,7 +58,7 @@ func BenchmarkTupleCount(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				countTuplesPacked(data, 0, lab, workers)
+				countTuplesPacked(view, 0, lab, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
@@ -66,19 +67,20 @@ func BenchmarkTupleCount(b *testing.B) {
 
 func BenchmarkAssignAll(b *testing.B) {
 	data, model := benchKernelFixture(b)
+	view := viewOf(data)
 	strModel := forceStringBenchModel(model)
 	for _, workers := range []int{1, 4} {
 		b.Run(name("string", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignAll(data, 0, strModel, workers)
+				assignAll(view, 0, strModel, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
 		b.Run(name("packed", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignAll(data, 0, model, workers)
+				assignAll(view, 0, model, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})

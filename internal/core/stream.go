@@ -256,20 +256,21 @@ func (s *Stream) initSetsFromRawRanges() error {
 // the buffered points into the histograms.
 func (s *Stream) initSetsFromBuffer() error {
 	data := &linalg.Matrix{Rows: s.bufUsed, Cols: s.cfg.Dims, Data: s.buffer.Data[:s.bufUsed*s.cfg.Dims]}
-	proj := data
+	var joined *linalg.Matrix
 	if s.batch != nil {
-		var err error
-		proj, err = s.batch.Apply(data, s.cfg.Workers)
-		if err != nil {
-			return err
-		}
+		joined = s.batch.Joined
 	}
+	proj, err := project(data, joined, s.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	defer proj.release()
 	trials := s.cfg.Trials
 	nrp := s.cfg.TargetDims
 	s.sets = make([]*histogram.Set, trials)
 	s.sketch = make([]*trialSketch, trials)
 	for t := 0; t < trials; t++ {
-		mins, maxs := columnRanges(proj, t*nrp, nrp, s.cfg.Workers)
+		mins, maxs := proj.mins[t*nrp:(t+1)*nrp], proj.maxs[t*nrp:(t+1)*nrp]
 		// Widen by 10% per side: the warmup sample underestimates the
 		// stream's true extent, and out-of-range points clamp into edge
 		// bins.
@@ -288,8 +289,10 @@ func (s *Stream) initSetsFromBuffer() error {
 		s.sets[t] = set
 		s.sketch[t] = newTrialSketch(nrp)
 	}
-	for i := 0; i < proj.Rows; i++ {
-		s.binProjected(proj.Row(i))
+	for _, rows := range proj.blocks {
+		for off := 0; off < len(rows); off += proj.cols {
+			s.binProjected(rows[off : off+proj.cols])
+		}
 	}
 	s.buffer = nil
 	return nil

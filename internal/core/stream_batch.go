@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,15 +206,12 @@ func (s *Stream) chunkTrial(t int) {
 }
 
 // runTasks executes fn(0..n-1) across the stream's worker budget
-// (cfg.Workers, 0 = all CPUs). Tasks must touch disjoint state. Serial
+// (cfg.Workers, 0 = GOMAXPROCS). Tasks must touch disjoint state. Serial
 // when the budget or the task count is 1 — on a single-CPU host the
 // fan-out would only add scheduling overhead — and the serial path is
 // allocation-free.
 func (s *Stream) runTasks(n int, fn func(int)) {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
+	w := linalg.Workers(s.cfg.Workers)
 	if w > n {
 		w = n
 	}

@@ -117,8 +117,8 @@ func labelFixture(t *testing.T, seed int64, rows, dims int, collapseRelax float6
 	t.Helper()
 	spec := synth.AutoMixture(3, dims, 5, 1, xrand.New(seed))
 	data, _ := spec.Sample(rows, xrand.New(seed+1))
-	mins, maxs := columnRanges(data, 0, dims, 0)
-	set, err := buildSet(data, 0, mins, maxs, 6, 0)
+	view := viewOf(data)
+	set, err := buildSet(view, 0, view.mins, view.maxs, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestPackedVsStringTupleCounts(t *testing.T) {
 		if !codec.fits {
 			t.Fatalf("seed %d: fixture unexpectedly overflowed", seed)
 		}
-		packed := countTuplesPacked(data, 0, newLabeler(set, parts, collapsed, codec), 4)
-		str := countTuplesString(data, 0, set, parts, collapsed, 4)
+		packed := countTuplesPacked(viewOf(data), 0, newLabeler(set, parts, collapsed, codec), 4)
+		str := countTuplesString(viewOf(data), 0, set, parts, collapsed, 4)
 		if len(packed) != len(str) {
 			t.Fatalf("seed %d: %d packed tuples vs %d string tuples", seed, len(packed), len(str))
 		}
@@ -163,7 +163,7 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 	for _, seed := range []int64{3, 21, 77} {
 		data, set, parts, collapsed := labelFixture(t, seed, 2500, 3, 1)
 		codec := newTupleCodec(parts, collapsed)
-		tuples := countTuples(data, 0, set, parts, collapsed, codec, 0)
+		tuples := countTuples(viewOf(data), 0, set, parts, collapsed, codec, 0)
 		model, err := assembleModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -172,8 +172,8 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 			t.Fatalf("seed %d: expected packed model", seed)
 		}
 		strModel := forceStringModel(model)
-		fast := assignAll(data, 0, model, 4)
-		slow := assignAll(data, 0, strModel, 4)
+		fast := assignAll(viewOf(data), 0, model, 4)
+		slow := assignAll(viewOf(data), 0, strModel, 4)
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Fatalf("seed %d row %d: packed label %d vs string label %d", seed, i, fast[i], slow[i])
@@ -217,8 +217,8 @@ func TestCollapsedDimensionsEquivalence(t *testing.T) {
 	if codec.bits[1] != 0 || codec.bits[3] != 0 {
 		t.Fatalf("collapsed dims got bits %v", codec.bits)
 	}
-	packed := countTuplesPacked(data, 0, newLabeler(set, parts, collapsed, codec), 0)
-	str := countTuplesString(data, 0, set, parts, collapsed, 0)
+	packed := countTuplesPacked(viewOf(data), 0, newLabeler(set, parts, collapsed, codec), 0)
+	str := countTuplesString(viewOf(data), 0, set, parts, collapsed, 0)
 	if len(packed) != len(str) {
 		t.Fatalf("%d packed vs %d string tuples", len(packed), len(str))
 	}
@@ -245,8 +245,8 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	for i := range data.Data {
 		data.Data[i] = rng.Float64() * 100
 	}
-	mins, maxs := columnRanges(data, 0, dims, 0)
-	set, err := buildSet(data, 0, mins, maxs, 6, 0)
+	view := viewOf(data)
+	set, err := buildSet(view, 0, view.mins, view.maxs, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	if codec.fits {
 		t.Fatal("expected fallback codec")
 	}
-	tuples := countTuples(data, 0, set, parts, collapsed, codec, 0)
+	tuples := countTuples(viewOf(data), 0, set, parts, collapsed, codec, 0)
 	if tuples.s == nil || tuples.u != nil {
 		t.Fatal("fallback should produce string-keyed counts")
 	}
@@ -274,7 +274,7 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	if model.codec.fits || model.labelOfStr == nil {
 		t.Fatal("model should be on the string fallback")
 	}
-	labels := assignAll(data, 0, model, 0)
+	labels := assignAll(viewOf(data), 0, model, 0)
 	var mass uint64
 	for _, cl := range model.Clusters {
 		mass += cl.Mass
@@ -373,4 +373,14 @@ func TestModelCodecPreservesLabeling(t *testing.T) {
 			t.Fatalf("row %d: packed %d vs string %d", i, got[i], slow[i])
 		}
 	}
+}
+
+// viewOf wraps a matrix as an unprojected store (column ranges included) for
+// tests that drive the fit passes directly.
+func viewOf(data *linalg.Matrix) *projected {
+	p, err := project(data, nil, 0)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

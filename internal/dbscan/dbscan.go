@@ -14,7 +14,6 @@ package dbscan
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"keybin2/internal/cluster"
@@ -29,7 +28,7 @@ type Config struct {
 	// MinPts is the core-point density threshold (required, >= 1),
 	// counting the point itself as in the original formulation.
 	MinPts int
-	// Workers bounds goroutines in the parallel variant (0 = all CPUs).
+	// Workers bounds goroutines in the parallel variant (0 = GOMAXPROCS).
 	Workers int
 	// MaxGridDims caps the dimensionality for which the grid index is
 	// used (0 = 6). Above it, brute force.
@@ -224,10 +223,7 @@ func FitParallel(data *linalg.Matrix, cfg Config) ([]int, error) {
 		return nil, err
 	}
 	m := data.Rows
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := linalg.Workers(cfg.Workers)
 	if workers > m {
 		workers = 1
 	}

@@ -219,15 +219,19 @@ func AblationC(s Scale) []AblationCRow {
 				}
 			}
 			_, _, row.F1 = eval.PrecisionRecallF1(pred, truth)
-			// Paper claim: 2·K·N_rp·B histogram entries (8 bytes each),
-			// per bootstrap trial (default 5).
-			nrp := projection.TargetDims(dims)
-			b := histogramBins(m)
-			row.PredictedBytes = 2 * float64(ranks) * float64(nrp) * float64(b) * 8 * 5 / float64(ranks)
+			row.PredictedBytes = histogramTraffic(dims, m)
 			rows = append(rows, row)
 		}
 	}
 	return rows
+}
+
+// histogramTraffic is the paper's communication-volume claim per rank:
+// 2·K·N_rp·B histogram entries (8 bytes each) over K ranks, per bootstrap
+// trial (default 5). It depends on the point count only through the bin
+// count B.
+func histogramTraffic(dims, m int) float64 {
+	return 2 * float64(projection.TargetDims(dims)) * float64(histogramBins(m)) * 8 * 5
 }
 
 // histogramBins mirrors keys.DefaultDepth's bin count for the claim check.

@@ -89,6 +89,10 @@ type Row struct {
 	// Skipped marks rows reported as "—" with the reason in Note.
 	Skipped bool
 	Note    string
+	// BytesPerRank and MsgsPerRank are the mean payload bytes and messages
+	// one rank sent during one fit (mpi.Stats). Set on Table 2's KeyBin2
+	// rows only; zero on one rank, which talks to nobody.
+	BytesPerRank, MsgsPerRank float64
 }
 
 // noiseFrac is the uniform background-noise share mixed into the Tables

@@ -25,7 +25,7 @@ func RenderTable(title string, rows []Row) string {
 			continue
 		}
 		a := r.Agg
-		fmt.Fprintf(&b, "%-18s %-16s %-14s %-14s %-14s %-16s\n",
+		fmt.Fprintf(&b, "%-18s %-16s %-14s %-14s %-14s %-16s",
 			r.Method,
 			pm(a.Clusters, a.ClustersCI, 2),
 			pm(a.Recall, a.RecCI, 3),
@@ -33,6 +33,10 @@ func RenderTable(title string, rows []Row) string {
 			pm(a.F1, a.F1CI, 3),
 			pm(a.Seconds, a.SecondsCI, 2),
 		)
+		if r.BytesPerRank > 0 {
+			fmt.Fprintf(&b, " %.0f B in %.1f msgs sent per rank", r.BytesPerRank, r.MsgsPerRank)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -25,7 +25,7 @@ func Table1(s Scale) []Row {
 			seed := s.Seed + int64(1000*run)
 			spec := mixtureFor(dims, seed)
 			shards, truth := sampleShards(spec, m, s.Procs, seed+1)
-			labels, secs := runKeyBin2Distributed(shards, s.Procs, core.Config{Seed: seed + 2, Workers: s.Workers})
+			labels, secs, _ := runKeyBin2Distributed(shards, s.Procs, core.Config{Seed: seed + 2, Workers: s.Workers})
 			return eval.Evaluate(labels, truth, secs)
 		})
 		rows = append(rows, Row{Group: group, Method: "KeyBin2", Agg: keybin})
@@ -83,7 +83,7 @@ func Table1(s Scale) []Row {
 			seed := s.Seed + int64(1000*run)
 			spec := mixtureFor(dims, seed)
 			shards, truth := sampleShards(spec, m, s.Procs, seed+1)
-			labels, secs := runKeyBin2Distributed(shards, s.Procs, core.Config{
+			labels, secs, _ := runKeyBin2Distributed(shards, s.Procs, core.Config{
 				Seed: seed + 2, Workers: s.Workers, NoProjection: true,
 			})
 			return eval.Evaluate(labels, truth, secs)
@@ -120,13 +120,18 @@ func mafiaRow(group string, dims, m int, s Scale) Row {
 	return Row{Group: group, Method: "mafia", Agg: eval.AggregateRuns([]eval.RunResult{run})}
 }
 
+// rankTraffic is what one rank sent during a fit, averaged over the ranks.
+type rankTraffic struct{ bytes, msgs float64 }
+
 // runKeyBin2Distributed executes a distributed KeyBin2 fit over in-process
-// ranks and returns the stitched global labels and the slowest rank's wall
-// time (the completion time of the collective fit).
-func runKeyBin2Distributed(shards []*linalg.Matrix, ranks int, cfg core.Config) ([]int, float64) {
+// ranks and returns the stitched global labels, the slowest rank's wall
+// time (the completion time of the collective fit), and the mean traffic
+// per rank.
+func runKeyBin2Distributed(shards []*linalg.Matrix, ranks int, cfg core.Config) ([]int, float64, rankTraffic) {
 	type out struct {
-		labels []int
-		secs   float64
+		labels      []int
+		secs        float64
+		bytes, msgs int64
 	}
 	results, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (out, error) {
 		var labels []int
@@ -135,20 +140,23 @@ func runKeyBin2Distributed(shards []*linalg.Matrix, ranks int, cfg core.Config) 
 			_, labels, err = core.FitDistributed(c, shards[c.Rank()], cfg)
 			return err
 		})
-		return out{labels: labels, secs: secs}, err
+		return out{labels: labels, secs: secs, bytes: c.Stats().Bytes(), msgs: c.Stats().Messages()}, err
 	})
 	if err != nil {
-		return nil, 0
+		return nil, 0, rankTraffic{}
 	}
 	var labels []int
 	var secs float64
+	var sent rankTraffic
 	for _, r := range results {
 		labels = append(labels, r.labels...)
 		if r.secs > secs {
 			secs = r.secs
 		}
+		sent.bytes += float64(r.bytes) / float64(ranks)
+		sent.msgs += float64(r.msgs) / float64(ranks)
 	}
-	return labels, secs
+	return labels, secs, sent
 }
 
 // runParallelKMeans is the distributed-Lloyd analogue of

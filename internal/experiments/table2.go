@@ -28,14 +28,17 @@ func Table2(s Scale) []Row {
 		m := s.PointsPerProc * procs
 		group := fmt.Sprintf("%d processes (%d points)", procs, m)
 
+		var sent rankTraffic // mean over the repeats
 		keybin := eval.Repeat(s.Repeats, func(run int) eval.RunResult {
 			seed := s.Seed + int64(1000*run)
 			spec := mixtureFor(dims, seed)
 			shards, truth := sampleShards(spec, m, procs, seed+1)
-			labels, secs := runKeyBin2Distributed(shards, procs, core.Config{Seed: seed + 2, Workers: s.Workers})
+			labels, secs, t := runKeyBin2Distributed(shards, procs, core.Config{Seed: seed + 2, Workers: s.Workers})
+			sent.bytes += t.bytes / float64(s.Repeats)
+			sent.msgs += t.msgs / float64(s.Repeats)
 			return eval.Evaluate(labels, truth, secs)
 		})
-		rows = append(rows, Row{Group: group, Method: "KeyBin2", Agg: keybin})
+		rows = append(rows, Row{Group: group, Method: "KeyBin2", Agg: keybin, BytesPerRank: sent.bytes, MsgsPerRank: sent.msgs})
 
 		pk := eval.Repeat(s.Repeats, func(run int) eval.RunResult {
 			seed := s.Seed + int64(1000*run)

@@ -11,7 +11,6 @@ package kmeans
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"keybin2/internal/linalg"
@@ -29,7 +28,7 @@ type Config struct {
 	Tol float64
 	// Seed drives k-means++ seeding.
 	Seed int64
-	// Workers bounds assignment-phase goroutines (0 = all CPUs).
+	// Workers bounds assignment-phase goroutines (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -117,9 +116,7 @@ func seedPlusPlus(data *linalg.Matrix, k int, rng *xrand.Stream) *linalg.Matrix 
 // assign labels every point with its nearest centroid and returns the
 // inertia. The scan is parallel over row blocks.
 func assign(data, centroids *linalg.Matrix, labels []int, workers int) float64 {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = linalg.Workers(workers)
 	if workers > data.Rows {
 		workers = 1
 	}

@@ -21,7 +21,7 @@ type XConfig struct {
 	MaxIter int
 	// Seed drives seeding and split attempts.
 	Seed int64
-	// Workers bounds assignment goroutines (0 = all CPUs).
+	// Workers bounds assignment goroutines (0 = GOMAXPROCS).
 	Workers int
 }
 

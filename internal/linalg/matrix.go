@@ -122,9 +122,12 @@ func Mul(dst, a, b *Matrix) (*Matrix, error) {
 	return dst, nil
 }
 
-// mulRange computes rows [lo,hi) of dst = a×b using an ikj loop order that
-// streams over b's rows, which is cache-friendly for row-major storage.
-func mulRange(dst, a, b *Matrix, lo, hi int) {
+// mulRangeGeneric computes rows [lo,hi) of dst = a×b using an ikj loop order
+// that streams over b's rows, which is cache-friendly for row-major storage.
+// It is the portable form of mulRange and the arithmetic contract the amd64
+// kernel reproduces bit for bit: per k pair di[j] += (a0·b0[j]) + (a1·b1[j]),
+// each product and sum rounded separately, then the odd k alone.
+func mulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	n, c := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		di := dst.Data[i*c : (i+1)*c]

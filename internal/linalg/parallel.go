@@ -5,15 +5,24 @@ import (
 	"sync"
 )
 
+// Workers resolves a worker-count option: n when positive, otherwise
+// runtime.GOMAXPROCS(0), the parallelism the process may actually use (a
+// GOMAXPROCS=1 run or a CPU quota is not oversubscribed the way
+// runtime.NumCPU would).
+func Workers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // ParallelMul computes a×b using up to workers goroutines, splitting the
-// output rows into contiguous blocks. workers <= 0 selects runtime.NumCPU().
+// output rows into contiguous blocks. workers <= 0 selects GOMAXPROCS.
 // This is the kernel used to project large point blocks through a
 // projection matrix; the row split mirrors the per-point data parallelism
 // that the paper offloads to the GPU.
 func ParallelMul(dst, a, b *Matrix, workers int) (*Matrix, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = Workers(workers)
 	if a.Rows < 2*workers || workers == 1 {
 		// Serial fast path. Kept free of the goroutine machinery below:
 		// the fan-out closures capture dst, which would force it to the

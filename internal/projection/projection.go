@@ -135,7 +135,7 @@ func New(kind Kind, n, nrp int, rng *xrand.Stream) (*linalg.Matrix, error) {
 }
 
 // Apply projects the row-major points matrix (m×n) through a (n×nrp),
-// returning the m×nrp projected points. workers <= 0 uses all CPUs.
+// returning the m×nrp projected points. workers <= 0 uses GOMAXPROCS.
 func Apply(points, a *linalg.Matrix, workers int) (*linalg.Matrix, error) {
 	return linalg.ParallelMul(nil, points, a, workers)
 }
