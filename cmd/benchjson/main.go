@@ -1,36 +1,29 @@
-// Command benchjson measures the labeling-pipeline kernels plus the
-// keybin2d serving path and writes the results as JSON, seeding the repo's
-// performance trajectory. It tracks ns/point for per-point key assignment,
-// the tuple-counting pass, the end-to-end serial Fit at the Table-1 medium
-// scale, and — via an in-process daemon driven by the client load
-// generator — concurrent ingest throughput and /label query latency.
+// Command benchjson measures the labeling-pipeline kernels and the ingest
+// hot-path microbenchmarks and writes the results as JSON. It tracks
+// ns/point for per-point key assignment, the tuple-counting pass and the
+// end-to-end serial Fit at the Table-1 medium scale, plus the baselines
+// CI's bench-guard job compares against. The serving path is measured by
+// bench/ (see BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	benchjson                          # writes BENCH_keybin2.json
 //	benchjson -points 50000 -dims 64   # custom fixture
 //	benchjson -o - -reps 5             # print to stdout, 5 repetitions
-//	benchjson -server-points 200000    # heavier service measurement
-//	benchjson -no-server               # kernels only
+//	benchjson -no-hotpath              # kernels only
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
-	"keybin2/internal/client"
 	"keybin2/internal/core"
-	"keybin2/internal/server"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
@@ -41,17 +34,6 @@ type report struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Seed       int64              `json:"seed"`
 	Kernels    core.KernelTimings `json:"kernels"`
-	// Server is the keybin2d serving-path measurement: an in-process
-	// daemon under the client load generator (concurrent batched ingest +
-	// live /label queries), with the write-ahead log disabled.
-	Server *client.LoadReport `json:"server,omitempty"`
-	// ServerWALInterval / ServerWALNever repeat the measurement with a WAL
-	// in front of the ack under fsync=interval and fsync=never — the cost
-	// of the durability layer at its two batched settings. (fsync=always
-	// serializes on device flushes and is deliberately not part of the
-	// throughput trajectory; its cost is the device's, not the code's.)
-	ServerWALInterval *client.LoadReport `json:"server_wal_interval,omitempty"`
-	ServerWALNever    *client.LoadReport `json:"server_wal_never,omitempty"`
 	// HotPath holds the ingest microbenchmark baselines that CI's
 	// bench-guard job replays (same `go test -bench` harness) and compares
 	// against.
@@ -144,11 +126,7 @@ func main() {
 		reps      = flag.Int("reps", 3, "repetitions per measurement (fastest kept)")
 		seed      = flag.Int64("seed", 1, "fixture + fit seed")
 		out       = flag.String("o", "BENCH_keybin2.json", "output path ('-' for stdout)")
-		noServer  = flag.Bool("no-server", false, "skip the keybin2d serving-path measurement")
-		noWAL     = flag.Bool("no-wal", false, "skip the WAL-enabled serving-path measurements")
 		noHotPath = flag.Bool("no-hotpath", false, "skip the ingest microbenchmark baselines (needs the go toolchain)")
-		srvPts    = flag.Int("server-points", 100000, "points driven through the in-process daemon")
-		srvDims   = flag.Int("server-dims", 16, "serving-path dimensionality")
 	)
 	flag.Parse()
 
@@ -164,28 +142,6 @@ func main() {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Seed:       *seed,
 		Kernels:    kt,
-	}
-	if !*noServer {
-		lr, err := measureServer(*srvPts, *srvDims, *seed, "")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: server:", err)
-			os.Exit(1)
-		}
-		rep.Server = &lr
-		if !*noWAL {
-			wi, err := measureServer(*srvPts, *srvDims, *seed, "interval")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: server wal=interval:", err)
-				os.Exit(1)
-			}
-			rep.ServerWALInterval = &wi
-			wn, err := measureServer(*srvPts, *srvDims, *seed, "never")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: server wal=never:", err)
-				os.Exit(1)
-			}
-			rep.ServerWALNever = &wn
-		}
 	}
 	if !*noHotPath {
 		hp, err := measureHotPath(*reps)
@@ -211,72 +167,8 @@ func main() {
 	}
 	fmt.Printf("wrote %s: key-assign %.1f ns/pt, tuple-count %.1f ns/pt, fit %.1f ns/pt (%d×%d)\n",
 		*out, kt.KeyAssignNsPerPoint, kt.TupleCountNsPerPoint, kt.FitNsPerPoint, kt.Points, kt.Dims)
-	if rep.Server != nil {
-		fmt.Printf("server: %.0f pts/s ingest, /label p50 %.2f ms p99 %.2f ms (%d pts, %d refits, %d clusters)\n",
-			rep.Server.IngestPointsPerSec, rep.Server.QueryP50Ms, rep.Server.QueryP99Ms,
-			rep.Server.Points, rep.Server.FinalRefits, rep.Server.FinalClusters)
-	}
-	if rep.ServerWALInterval != nil && rep.ServerWALNever != nil {
-		fmt.Printf("server+wal: %.0f pts/s (fsync=interval), %.0f pts/s (fsync=never)\n",
-			rep.ServerWALInterval.IngestPointsPerSec, rep.ServerWALNever.IngestPointsPerSec)
-	}
 	if rep.HotPath != nil {
 		fmt.Printf("hotpath: ingest-batch %.0f pts/s, decode %.0f pts/s, group-commit %.0f recs/s, mul-projection %.0f pts/s\n",
 			rep.HotPath.IngestBatchPtsPerSec, rep.HotPath.DecodeBatchPtsPerSec, rep.HotPath.GroupCommitRecsPerSec, rep.HotPath.MulProjectionPtsPerSec)
 	}
-}
-
-// measureServer boots an in-process keybin2d serving core on a loopback
-// socket and drives the client load generator through real HTTP — the
-// same path cmd/keybin2d serves, minus process startup. A non-empty
-// fsync policy puts a write-ahead log in front of the ack.
-func measureServer(points, dims int, seed int64, fsync string) (client.LoadReport, error) {
-	ranges := make([][2]float64, dims)
-	for i := range ranges {
-		ranges[i] = [2]float64{-12, 12}
-	}
-	cfg := server.Config{
-		Stream: core.StreamConfig{
-			Config:    core.Config{Seed: seed + 3, Trials: 3},
-			Dims:      dims,
-			RawRanges: ranges,
-			Period:    5000,
-		},
-		QueueDepth: 256,
-		RetryAfter: 20 * time.Millisecond,
-	}
-	if fsync != "" {
-		dir, err := os.MkdirTemp("", "benchwal-*")
-		if err != nil {
-			return client.LoadReport{}, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.WALDir = dir
-		cfg.Fsync = fsync
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		return client.LoadReport{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return client.LoadReport{}, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	srv.Start()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	rep, err := client.RunLoad(ctx, client.New("http://"+ln.Addr().String()), client.LoadConfig{
-		Points: points, Dims: dims, BatchSize: 1024,
-		Ingesters: 4, QueryWorkers: 2, Seed: seed + 4,
-	})
-	if err != nil {
-		return rep, err
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return rep, err
-	}
-	return rep, srv.Stop(ctx)
 }

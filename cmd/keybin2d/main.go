@@ -17,11 +17,13 @@
 //	         [-follow http://primary:7420] [-follow-poll 2s]
 //	         [-node-id id] [-shard name] [-epoch 0]
 //
-// API (binary batches are "KB2B" | dims u32 | count u32 | float64s, LE):
+// API (binary batches are "KB2B" | dims u32 | count u32 | float64s, LE;
+// read endpoints answer GET and HEAD only, write endpoints POST only,
+// anything else is 405 with an Allow header):
 //
-//	POST /ingest  → 202 accepted | 429 queue full (Retry-After)
+//	POST /ingest  → 202 {"queued":n,"seq":s} | 429 queue full (Retry-After)
 //	POST /label   → {"labels":[...],"model_gen":g,"clusters":k}
-//	GET  /model   → encoded model (keybin2.DecodeModel)
+//	GET  /model   → encoded model (keybin2.DecodeModel) | 404 before first refit
 //	GET  /stats   → ingest/refit/queue counters (+ WAL lag, run_id)
 //	GET  /metrics → Prometheus text exposition
 //	GET  /trace   → recent pipeline traces as JSON
@@ -36,6 +38,8 @@
 //	               ?primary=<url>, a primary is fenced off the write
 //	               path (and demoted in place when ?primary is given)
 //	POST /epoch   → primary-only epoch adoption (supervisor bootstrap)
+//	GET  /hist    → cumulative shard histogram state (merge collective)
+//	POST /hist/install?epoch=N → install the router's merged global model
 //	GET  /debug/pprof/* → runtime profiles (only with -pprof)
 //
 // Logs are leveled key=value lines; every line carries a run_id unique to
@@ -72,86 +76,57 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 )
 
+// daemonOpts is the command line: most flags bind straight into the
+// server.Config they configure; the rest need validating or parsing first.
 type daemonOpts struct {
-	addr       string
-	dims       int
-	trials     int
-	seed       int64
-	warmup     int
-	period     int
-	decay      float64
-	depth      int
+	daemon.Flags
+	cfg        server.Config
 	rawRange   string
-	queueDepth int
-	maxBatch   int
-	retryAfter time.Duration
-	ckptPath   string
-	ckptEvery  time.Duration
 	drainAfter time.Duration
-	walDir     string
-	fsync      string
-	fsyncEvery time.Duration
-	walSegment int64
-	logLevel   string
 	traceLog   string
-	slowSpan   time.Duration
-	pprof      bool
-	follow     string
-	followPoll time.Duration
-	nodeID     string
-	shard      string
-	epoch      int64
 }
 
 func main() {
 	var o daemonOpts
-	flag.StringVar(&o.addr, "addr", ":7420", "HTTP listen address")
-	flag.IntVar(&o.dims, "dims", 0, "raw input dimensionality (required)")
-	flag.IntVar(&o.trials, "trials", 5, "bootstrap projection trials")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed (must match across restarts of the same checkpoint)")
-	flag.IntVar(&o.warmup, "warmup", 0, "points buffered to establish ranges (0 = default 500; ignored with -range)")
-	flag.IntVar(&o.period, "period", 0, "points between refits (0 = default 1000)")
-	flag.Float64Var(&o.decay, "decay", 0, "exponential forgetting factor in (0,1); 0 disables")
-	flag.IntVar(&o.depth, "depth", 0, "binning tree depth (0 = stream default)")
+	cfg, sc := &o.cfg, &o.cfg.Stream
+	o.Register(flag.CommandLine, ":7420")
+	flag.IntVar(&sc.Dims, "dims", 0, "raw input dimensionality (required)")
+	flag.IntVar(&sc.Trials, "trials", 5, "bootstrap projection trials")
+	flag.Int64Var(&sc.Seed, "seed", 1, "random seed (must match across restarts of the same checkpoint)")
+	flag.IntVar(&sc.Warmup, "warmup", 0, "points buffered to establish ranges (0 = default 500; ignored with -range)")
+	flag.IntVar(&sc.Period, "period", 0, "points between refits (0 = default 1000)")
+	flag.Float64Var(&sc.DecayFactor, "decay", 0, "exponential forgetting factor in (0,1); 0 disables")
+	flag.IntVar(&sc.Depth, "depth", 0, "binning tree depth (0 = stream default)")
 	flag.StringVar(&o.rawRange, "range", "", "predetermined per-dimension bounds 'lo,hi' applied to every raw dim (skips warmup)")
-	flag.IntVar(&o.queueDepth, "queue-depth", 64, "pending ingest batches before backpressure")
-	flag.IntVar(&o.maxBatch, "max-batch", 65536, "max points per batch")
-	flag.DurationVar(&o.retryAfter, "retry-after", 250*time.Millisecond, "backoff hint on backpressure rejections")
-	flag.StringVar(&o.ckptPath, "checkpoint", "", "checkpoint file (enables periodic save + restore-on-start)")
-	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 30*time.Second, "checkpoint cadence")
+	flag.IntVar(&cfg.QueueDepth, "queue-depth", 64, "pending ingest batches before backpressure")
+	flag.IntVar(&cfg.MaxBatchPoints, "max-batch", 65536, "max points per batch")
+	flag.DurationVar(&cfg.RetryAfter, "retry-after", 250*time.Millisecond, "backoff hint on backpressure rejections")
+	flag.StringVar(&cfg.CheckpointPath, "checkpoint", "", "checkpoint file (enables periodic save + restore-on-start)")
+	flag.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 30*time.Second, "checkpoint cadence")
 	flag.DurationVar(&o.drainAfter, "drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (enables crash-safe acks + replay-on-start)")
-	flag.StringVar(&o.fsync, "fsync", "always", "WAL flush policy: always | interval | never")
-	flag.DurationVar(&o.fsyncEvery, "fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
-	flag.Int64Var(&o.walSegment, "wal-segment-bytes", 4<<20, "WAL segment rotation threshold")
-	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug | info | warn | error")
+	flag.StringVar(&cfg.WALDir, "wal-dir", "", "write-ahead-log directory (enables crash-safe acks + replay-on-start)")
+	flag.StringVar(&cfg.Fsync, "fsync", "always", "WAL flush policy: always | interval | never")
+	flag.DurationVar(&cfg.FsyncInterval, "fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
+	flag.Int64Var(&cfg.WALSegmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation threshold")
 	flag.StringVar(&o.traceLog, "trace-log", "", "append finished pipeline traces as JSON lines to this file")
-	flag.DurationVar(&o.slowSpan, "slow-span", 0, "log trace IDs of pipeline spans slower than this (0 = off)")
-	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	flag.StringVar(&o.follow, "follow", "", "run as a follower replica of the primary at this base URL (e.g. http://127.0.0.1:7420)")
-	flag.DurationVar(&o.followPoll, "follow-poll", 2*time.Second, "long-poll wait against the primary's WAL tail when caught up")
-	flag.StringVar(&o.nodeID, "node-id", "", "stable node identity for logs and /stats (default: the run_id, fresh per start)")
-	flag.StringVar(&o.shard, "shard", "", "shard label this node serves under a cluster router (informational)")
-	flag.Int64Var(&o.epoch, "epoch", 0, "initial fencing epoch (0 = unmanaged; a failover supervisor raises it)")
+	flag.StringVar(&cfg.FollowURL, "follow", "", "run as a follower replica of the primary at this base URL (e.g. http://127.0.0.1:7420)")
+	flag.DurationVar(&cfg.FollowPoll, "follow-poll", 2*time.Second, "long-poll wait against the primary's WAL tail when caught up")
+	flag.StringVar(&cfg.NodeID, "node-id", "", "stable node identity for logs and /stats (default: the run_id, fresh per start)")
+	flag.StringVar(&cfg.Shard, "shard", "", "shard label this node serves under a cluster router (informational)")
+	flag.Int64Var(&cfg.Epoch, "epoch", 0, "initial fencing epoch (0 = unmanaged; a failover supervisor raises it)")
 	flag.Parse()
 
 	if err := run(o, nil, nil); err != nil {
@@ -165,86 +140,47 @@ func main() {
 // period shorter than the warmup (core's typed StreamConfigError) and a
 // malformed -range.
 func buildConfig(o daemonOpts) (server.Config, error) {
-	var cfg server.Config
-	if o.dims <= 0 {
-		return cfg, fmt.Errorf("-dims is required (got %d)", o.dims)
-	}
-	sc := core.StreamConfig{
-		Config:      core.Config{Trials: o.trials, Seed: o.seed, Depth: o.depth},
-		Dims:        o.dims,
-		Warmup:      o.warmup,
-		Period:      o.period,
-		DecayFactor: o.decay,
+	cfg := o.cfg
+	if cfg.Stream.Dims <= 0 {
+		return cfg, fmt.Errorf("-dims is required (got %d)", cfg.Stream.Dims)
 	}
 	if o.rawRange != "" {
-		lohi := strings.SplitN(o.rawRange, ",", 2)
-		if len(lohi) != 2 {
-			return cfg, fmt.Errorf("-range wants 'lo,hi', got %q", o.rawRange)
+		var err error
+		if cfg.Stream.RawRanges, err = daemon.ParseRange(o.rawRange, cfg.Stream.Dims); err != nil {
+			return cfg, err
 		}
-		lo, err1 := strconv.ParseFloat(strings.TrimSpace(lohi[0]), 64)
-		hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
-		if err1 != nil || err2 != nil || lo >= hi {
-			return cfg, fmt.Errorf("-range wants numeric lo < hi, got %q", o.rawRange)
-		}
-		ranges := make([][2]float64, o.dims)
-		for i := range ranges {
-			ranges[i] = [2]float64{lo, hi}
-		}
-		sc.RawRanges = ranges
 	}
-	if err := sc.Validate(); err != nil {
+	if err := cfg.Stream.Validate(); err != nil {
 		var sce *core.StreamConfigError
 		if errors.As(err, &sce) {
 			return cfg, fmt.Errorf("bad flags: %w", err)
 		}
 		return cfg, err
 	}
-	if _, err := server.ParseFsyncPolicy(o.fsync); err != nil {
+	if _, err := server.ParseFsyncPolicy(cfg.Fsync); err != nil {
 		return cfg, fmt.Errorf("bad flags: %w", err)
 	}
-	if o.epoch < 0 {
-		return cfg, fmt.Errorf("-epoch must be ≥ 0 (got %d)", o.epoch)
+	if cfg.Epoch < 0 {
+		return cfg, fmt.Errorf("-epoch must be ≥ 0 (got %d)", cfg.Epoch)
 	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
-	}
-	cfg = server.Config{
-		Stream:          sc,
-		QueueDepth:      o.queueDepth,
-		MaxBatchPoints:  o.maxBatch,
-		RetryAfter:      o.retryAfter,
-		CheckpointPath:  o.ckptPath,
-		CheckpointEvery: o.ckptEvery,
-		WALDir:          o.walDir,
-		Fsync:           o.fsync,
-		FsyncInterval:   o.fsyncEvery,
-		WALSegmentBytes: o.walSegment,
-		RunID:           obs.NewRunID(),
-		EnablePprof:     o.pprof,
-		Logf:            log.Printf,
-		FollowURL:       o.follow,
-		FollowPoll:      o.followPoll,
-		NodeID:          o.nodeID,
-		Shard:           o.shard,
-		Epoch:           o.epoch,
-	}
+	cfg.EnablePprof = o.Pprof
 	return cfg, nil
 }
 
 // run starts the daemon and blocks until a signal (or a close of stop,
-// which tests use) triggers the graceful drain. When ready is non-nil it
-// receives the bound listen address once serving.
+// which tests use) triggers the graceful drain: the listener stops, every
+// accepted batch is applied, and a final checkpoint is written. When
+// ready is non-nil it receives the bound listen address once serving.
 func run(o daemonOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	cfg, err := buildConfig(o)
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
+	var logger *obs.Logger
+	if cfg.RunID, logger, cfg.Tracer, err = o.Open(256); err != nil {
+		return err
+	}
 	cfg.Logf = logger.Logf
-
-	cfg.Tracer = obs.NewTracer(256)
-	cfg.Tracer.SetRunID(cfg.RunID)
 	if o.traceLog != "" {
 		f, err := os.OpenFile(o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -253,61 +189,25 @@ func run(o daemonOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 		defer f.Close()
 		cfg.Tracer.SetLogSink(func(line []byte) { f.Write(line) })
 	}
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
-	}
 
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
+	err = daemon.Run(o.Addr, daemon.Service{
+		Handler: srv.Handler(),
+		Start:   srv.Start,
+		Stop:    srv.Stop,
+		Logger:  logger,
+		Banner: []obs.Attr{
+			obs.KV("node_id", srv.Stats().NodeID), obs.KV("shard", cfg.Shard),
+			obs.KV("dims", cfg.Stream.Dims), obs.KV("queue", cfg.QueueDepth),
+			obs.KV("checkpoint", cfg.CheckpointPath), obs.KV("wal_dir", cfg.WALDir), obs.KV("pprof", o.Pprof)},
+	}, o.drainAfter, stop, ready)
+	if err == nil {
+		st := srv.Stats()
+		logger.Info("drained",
+			obs.KV("seen", st.Seen), obs.KV("refits", st.Refits), obs.KV("checkpoints", st.Checkpoints))
 	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	srv.Start()
-	nodeID := o.nodeID
-	if nodeID == "" {
-		nodeID = cfg.RunID // the server's own fallback
-	}
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("node_id", nodeID), obs.KV("shard", o.shard),
-		obs.KV("dims", o.dims), obs.KV("queue", o.queueDepth),
-		obs.KV("checkpoint", o.ckptPath), obs.KV("wal_dir", o.walDir), obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("draining", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("draining", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		srv.Stop(context.Background())
-		return err
-	}
-
-	// Graceful order: stop the listener first so no handler can enqueue
-	// behind the drain, then drain the queue and write the final
-	// checkpoint.
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainAfter)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := srv.Stop(ctx); err != nil {
-		return err
-	}
-	st := srv.Stats()
-	logger.Info("drained",
-		obs.KV("seen", st.Seen), obs.KV("refits", st.Refits), obs.KV("checkpoints", st.Checkpoints))
-	return nil
+	return err
 }

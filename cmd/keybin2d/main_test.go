@@ -11,18 +11,20 @@ import (
 
 	"keybin2/internal/client"
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
 
 func baseOpts() daemonOpts {
-	return daemonOpts{
-		addr: "127.0.0.1:0", dims: 4, trials: 2, seed: 9,
-		rawRange: "-12,12", period: 250,
-		queueDepth: 32, maxBatch: 65536,
-		retryAfter: 50 * time.Millisecond,
-		ckptEvery:  time.Hour, drainAfter: 30 * time.Second,
+	o := daemonOpts{
+		Flags:    daemon.Flags{Addr: "127.0.0.1:0"},
+		rawRange: "-12,12", drainAfter: 30 * time.Second,
 	}
+	o.cfg.Stream.Dims, o.cfg.Stream.Trials, o.cfg.Stream.Seed, o.cfg.Stream.Period = 4, 2, 9, 250
+	o.cfg.QueueDepth, o.cfg.MaxBatchPoints = 32, 65536
+	o.cfg.RetryAfter, o.cfg.CheckpointEvery = 50*time.Millisecond, time.Hour
+	return o
 }
 
 // TestBuildConfigValidation pins the CLI-level rejections: missing dims,
@@ -40,14 +42,14 @@ func TestBuildConfigValidation(t *testing.T) {
 		want string // error substring ("" = valid)
 	}{
 		{"valid", baseOpts(), ""},
-		{"missing dims", mut(func(o *daemonOpts) { o.dims = 0 }), "-dims"},
+		{"missing dims", mut(func(o *daemonOpts) { o.cfg.Stream.Dims = 0 }), "-dims"},
 		{"bad range", mut(func(o *daemonOpts) { o.rawRange = "low,high" }), "-range"},
 		{"reversed range", mut(func(o *daemonOpts) { o.rawRange = "5,-5" }), "-range"},
-		{"decay too big", mut(func(o *daemonOpts) { o.decay = 1.5 }), "DecayFactor"},
+		{"decay too big", mut(func(o *daemonOpts) { o.cfg.Stream.DecayFactor = 1.5 }), "DecayFactor"},
 		{"period under warmup", mut(func(o *daemonOpts) {
 			o.rawRange = ""
-			o.warmup = 1000
-			o.period = 200
+			o.cfg.Stream.Warmup = 1000
+			o.cfg.Stream.Period = 200
 		}), "warmup"},
 	}
 	for _, tc := range cases {
@@ -66,7 +68,7 @@ func TestBuildConfigValidation(t *testing.T) {
 	}
 	// The period/warmup case must be core's typed error.
 	o := baseOpts()
-	o.rawRange, o.warmup, o.period = "", 1000, 200
+	o.rawRange, o.cfg.Stream.Warmup, o.cfg.Stream.Period = "", 1000, 200
 	_, err := buildConfig(o)
 	var sce *core.StreamConfigError
 	if !errors.As(err, &sce) {
@@ -80,7 +82,7 @@ func TestBuildConfigValidation(t *testing.T) {
 func TestDaemonLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	o := baseOpts()
-	o.ckptPath = filepath.Join(dir, "state.kb2s")
+	o.cfg.CheckpointPath = filepath.Join(dir, "state.kb2s")
 
 	boot := func() (*client.Client, chan struct{}, chan error) {
 		stop := make(chan struct{})

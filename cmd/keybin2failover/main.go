@@ -38,44 +38,34 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"keybin2/internal/daemon"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
 )
 
+// supervisorOpts is the command line: every flag but -nodes binds
+// straight into the failover.Config it configures.
 type supervisorOpts struct {
-	addr         string
-	nodes        string
-	probeEvery   time.Duration
-	probeTimeout time.Duration
-	failAfter    int
-	recoverAfter int
-	jitter       float64
-	seed         int64
-	logLevel     string
-	pprof        bool
-	slowSpan     time.Duration
+	daemon.Flags
+	cfg   failover.Config
+	nodes string
 }
 
 func main() {
 	var o supervisorOpts
-	flag.StringVar(&o.addr, "addr", ":7430", "HTTP listen address for /status, /metrics, /healthz")
+	cfg := &o.cfg
+	o.Register(flag.CommandLine, ":7430")
 	flag.StringVar(&o.nodes, "nodes", "", "comma-separated keybin2d base URLs of the replica set (required, ≥ 1)")
-	flag.DurationVar(&o.probeEvery, "probe-every", 500*time.Millisecond, "probe-round cadence")
-	flag.DurationVar(&o.probeTimeout, "probe-timeout", 2*time.Second, "per-node probe deadline (control calls get 5x)")
-	flag.IntVar(&o.failAfter, "fail-after", 3, "consecutive missed probes before a node is declared down")
-	flag.IntVar(&o.recoverAfter, "recover-after", 2, "consecutive successful probes before a down node is readmitted")
-	flag.Float64Var(&o.jitter, "jitter", 0.2, "per-node probe jitter as a fraction of -probe-every")
-	flag.Int64Var(&o.seed, "seed", 1, "probe-jitter random seed")
-	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug | info | warn | error")
-	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&o.slowSpan, "slow-span", 0, "log trace IDs of probe rounds slower than this (0 = off)")
+	flag.DurationVar(&cfg.ProbeEvery, "probe-every", 500*time.Millisecond, "probe-round cadence")
+	flag.DurationVar(&cfg.ProbeTimeout, "probe-timeout", 2*time.Second, "per-node probe deadline (control calls get 5x)")
+	flag.IntVar(&cfg.FailAfter, "fail-after", 3, "consecutive missed probes before a node is declared down")
+	flag.IntVar(&cfg.RecoverAfter, "recover-after", 2, "consecutive successful probes before a down node is readmitted")
+	flag.Float64Var(&cfg.Jitter, "jitter", 0.2, "per-node probe jitter as a fraction of -probe-every")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "probe-jitter random seed")
 	flag.Parse()
 
 	if err := run(o, nil, nil); err != nil {
@@ -85,40 +75,22 @@ func main() {
 }
 
 func buildConfig(o supervisorOpts) (failover.Config, error) {
-	var cfg failover.Config
-	if o.nodes == "" {
-		return cfg, fmt.Errorf("-nodes is required")
-	}
-	var nodes []string
+	cfg := o.cfg
 	for _, n := range strings.Split(o.nodes, ",") {
 		if n = strings.TrimSpace(n); n != "" {
-			nodes = append(nodes, n)
+			cfg.Nodes = append(cfg.Nodes, n)
 		}
 	}
-	if len(nodes) == 0 {
+	if len(cfg.Nodes) == 0 {
 		return cfg, fmt.Errorf("-nodes is required")
 	}
-	if o.failAfter < 1 || o.recoverAfter < 1 {
-		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", o.failAfter, o.recoverAfter)
+	if cfg.FailAfter < 1 || cfg.RecoverAfter < 1 {
+		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", cfg.FailAfter, cfg.RecoverAfter)
 	}
-	if o.jitter < 0 || o.jitter >= 1 {
-		return cfg, fmt.Errorf("-jitter wants a fraction in [0,1), got %g", o.jitter)
+	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
+		return cfg, fmt.Errorf("-jitter wants a fraction in [0,1), got %g", cfg.Jitter)
 	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
-	}
-	cfg = failover.Config{
-		Nodes:        nodes,
-		ProbeEvery:   o.probeEvery,
-		ProbeTimeout: o.probeTimeout,
-		FailAfter:    o.failAfter,
-		RecoverAfter: o.recoverAfter,
-		Jitter:       o.jitter,
-		Seed:         o.seed,
-		Registry:     obs.NewRegistry(),
-		RunID:        obs.NewRunID(),
-		EnablePprof:  o.pprof,
-	}
+	cfg.EnablePprof = o.Pprof
 	return cfg, nil
 }
 
@@ -130,58 +102,35 @@ func run(o supervisorOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
-	cfg.Logf = logger.Logf
-	cfg.Tracer = obs.NewTracer(128)
-	cfg.Tracer.SetRunID(cfg.RunID)
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
+	var logger *obs.Logger
+	if cfg.RunID, logger, cfg.Tracer, err = o.Open(128); err != nil {
+		return err
 	}
+	cfg.Logf = logger.Logf
 
 	sup, err := failover.New(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
+	err = daemon.Run(o.Addr, daemon.Service{
+		Handler: sup.Handler(),
+		Start:   sup.Start,
+		Stop:    func(context.Context) error { sup.Stop(); return nil },
+		Logger:  logger,
+		Banner: []obs.Attr{
+			obs.KV("role", "failover-supervisor"),
+			obs.KV("nodes", len(cfg.Nodes)), obs.KV("probe_every", cfg.ProbeEvery),
+			obs.KV("fail_after", cfg.FailAfter), obs.KV("recover_after", cfg.RecoverAfter),
+			obs.KV("pprof", o.Pprof)},
+	}, shutdownDeadline, stop, ready)
+	if err == nil {
+		st := sup.Status()
+		logger.Info("stopped",
+			obs.KV("cluster_epoch", st.ClusterEpoch), obs.KV("primary", st.Primary),
+			obs.KV("elections", st.Elections), obs.KV("fences", st.Fences))
 	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: sup.Handler()}
-	sup.Start()
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("role", "failover-supervisor"),
-		obs.KV("nodes", len(cfg.Nodes)), obs.KV("probe_every", o.probeEvery),
-		obs.KV("fail_after", o.failAfter), obs.KV("recover_after", o.recoverAfter),
-		obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("stopping", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("stopping", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		sup.Stop()
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	sup.Stop()
-	st := sup.Status()
-	logger.Info("stopped",
-		obs.KV("cluster_epoch", st.ClusterEpoch), obs.KV("primary", st.Primary),
-		obs.KV("elections", st.Elections), obs.KV("fences", st.Fences))
-	return nil
+	return err
 }
+
+// shutdownDeadline bounds the HTTP shutdown and the supervisor's stop.
+const shutdownDeadline = 10 * time.Second

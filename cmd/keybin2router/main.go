@@ -53,60 +53,43 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
-	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/shardcluster"
 )
 
+// routerOpts is the command line: most flags bind straight into the
+// shardcluster.Config they configure; the rest need parsing first.
 type routerOpts struct {
-	addr         string
-	shards       string
-	dims         int
-	trials       int
-	seed         int64
-	depth        int
-	rawRange     string
-	vnodes       int
-	mergeEvery   time.Duration
-	healthEvery  time.Duration
-	shardTimeout time.Duration
-	failAfter    int
-	recoverAfter int
-	probeJitter  float64
-	nodeID       string
-	logLevel     string
-	pprof        bool
-	slowSpan     time.Duration
+	daemon.Flags
+	cfg      shardcluster.Config
+	shards   string
+	rawRange string
+	nodeID   string
 }
 
 func main() {
 	var o routerOpts
-	flag.StringVar(&o.addr, "addr", ":7410", "HTTP listen address")
+	cfg, sc := &o.cfg, &o.cfg.Stream
+	o.Register(flag.CommandLine, ":7410")
 	flag.StringVar(&o.shards, "shards", "", "comma-separated keybin2d base URLs (required, ≥ 1)")
-	flag.IntVar(&o.dims, "dims", 0, "raw input dimensionality — must match the shards (required)")
-	flag.IntVar(&o.trials, "trials", 5, "bootstrap projection trials — must match the shards")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed — must match the shards")
-	flag.IntVar(&o.depth, "depth", 0, "binning tree depth — must match the shards")
+	flag.IntVar(&sc.Dims, "dims", 0, "raw input dimensionality — must match the shards (required)")
+	flag.IntVar(&sc.Trials, "trials", 5, "bootstrap projection trials — must match the shards")
+	flag.Int64Var(&sc.Seed, "seed", 1, "random seed — must match the shards")
+	flag.IntVar(&sc.Depth, "depth", 0, "binning tree depth — must match the shards")
 	flag.StringVar(&o.rawRange, "range", "", "per-dimension bounds 'lo,hi' — required, must match the shards")
-	flag.IntVar(&o.vnodes, "vnodes", 64, "virtual ring points per shard")
-	flag.DurationVar(&o.mergeEvery, "merge-every", 10*time.Second, "merge-epoch cadence (0 = manual via POST /merge)")
-	flag.DurationVar(&o.healthEvery, "health-every", 500*time.Millisecond, "shard health-probe cadence")
-	flag.DurationVar(&o.shardTimeout, "shard-timeout", 10*time.Second, "per-shard request deadline")
-	flag.IntVar(&o.failAfter, "fail-after", 2, "consecutive missed health probes before a shard is marked down")
-	flag.IntVar(&o.recoverAfter, "recover-after", 2, "consecutive successful probes before a down shard is readmitted")
-	flag.Float64Var(&o.probeJitter, "probe-jitter", 0.2, "per-shard probe jitter as a fraction of -health-every")
+	flag.IntVar(&cfg.VNodes, "vnodes", 64, "virtual ring points per shard")
+	flag.DurationVar(&cfg.MergeEvery, "merge-every", 10*time.Second, "merge-epoch cadence (0 = manual via POST /merge)")
+	flag.DurationVar(&cfg.HealthEvery, "health-every", 500*time.Millisecond, "shard health-probe cadence")
+	flag.DurationVar(&cfg.ShardTimeout, "shard-timeout", 10*time.Second, "per-shard request deadline")
+	flag.IntVar(&cfg.FailThreshold, "fail-after", 2, "consecutive missed health probes before a shard is marked down")
+	flag.IntVar(&cfg.RecoverThreshold, "recover-after", 2, "consecutive successful probes before a down shard is readmitted")
+	flag.Float64Var(&cfg.ProbeJitter, "probe-jitter", 0.2, "per-shard probe jitter as a fraction of -health-every")
 	flag.StringVar(&o.nodeID, "node-id", "", "stable router identity for logs (default: the run_id)")
-	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug | info | warn | error")
-	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&o.slowSpan, "slow-span", 0, "log trace IDs of spans slower than this (0 = off)")
 	flag.Parse()
 
 	if err := run(o, nil, nil); err != nil {
@@ -116,62 +99,33 @@ func main() {
 }
 
 func buildConfig(o routerOpts) (shardcluster.Config, error) {
-	var cfg shardcluster.Config
+	cfg := o.cfg
 	if o.shards == "" {
 		return cfg, fmt.Errorf("-shards is required")
 	}
-	if o.dims <= 0 {
-		return cfg, fmt.Errorf("-dims is required (got %d)", o.dims)
+	if cfg.Stream.Dims <= 0 {
+		return cfg, fmt.Errorf("-dims is required (got %d)", cfg.Stream.Dims)
 	}
 	if o.rawRange == "" {
 		return cfg, fmt.Errorf("-range is required: predetermined bounds are what make shard histograms congruent and the merge exact")
 	}
-	lohi := strings.SplitN(o.rawRange, ",", 2)
-	if len(lohi) != 2 {
-		return cfg, fmt.Errorf("-range wants 'lo,hi', got %q", o.rawRange)
+	var err error
+	if cfg.Stream.RawRanges, err = daemon.ParseRange(o.rawRange, cfg.Stream.Dims); err != nil {
+		return cfg, err
 	}
-	lo, err1 := strconv.ParseFloat(strings.TrimSpace(lohi[0]), 64)
-	hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
-	if err1 != nil || err2 != nil || lo >= hi {
-		return cfg, fmt.Errorf("-range wants numeric lo < hi, got %q", o.rawRange)
+	if cfg.FailThreshold < 1 || cfg.RecoverThreshold < 1 {
+		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", cfg.FailThreshold, cfg.RecoverThreshold)
 	}
-	ranges := make([][2]float64, o.dims)
-	for i := range ranges {
-		ranges[i] = [2]float64{lo, hi}
+	if cfg.ProbeJitter < 0 || cfg.ProbeJitter >= 1 {
+		return cfg, fmt.Errorf("-probe-jitter wants a fraction in [0,1), got %g", cfg.ProbeJitter)
 	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
-	}
-	if o.failAfter < 1 || o.recoverAfter < 1 {
-		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", o.failAfter, o.recoverAfter)
-	}
-	if o.probeJitter < 0 || o.probeJitter >= 1 {
-		return cfg, fmt.Errorf("-probe-jitter wants a fraction in [0,1), got %g", o.probeJitter)
-	}
-	var shards []string
 	for _, s := range strings.Split(o.shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
-			shards = append(shards, s)
+			cfg.Shards = append(cfg.Shards, s)
 		}
 	}
-	cfg = shardcluster.Config{
-		Shards: shards,
-		Stream: core.StreamConfig{
-			Config:    core.Config{Trials: o.trials, Seed: o.seed, Depth: o.depth},
-			Dims:      o.dims,
-			RawRanges: ranges,
-			Period:    1 << 30, // the router refits on merge epochs, never on a point cadence
-		},
-		VNodes:           o.vnodes,
-		MergeEvery:       o.mergeEvery,
-		HealthEvery:      o.healthEvery,
-		FailThreshold:    o.failAfter,
-		RecoverThreshold: o.recoverAfter,
-		ProbeJitter:      o.probeJitter,
-		ShardTimeout:     o.shardTimeout,
-		RunID:            obs.NewRunID(),
-		EnablePprof:      o.pprof,
-	}
+	cfg.Stream.Period = 1 << 30 // the router refits on merge epochs, never on a point cadence
+	cfg.EnablePprof = o.Pprof
 	return cfg, nil
 }
 
@@ -182,58 +136,35 @@ func run(o routerOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
+	var logger *obs.Logger
+	if cfg.RunID, logger, cfg.Tracer, err = o.Open(256); err != nil {
+		return err
+	}
+	cfg.Logf = logger.Logf
 	nodeID := o.nodeID
 	if nodeID == "" {
 		nodeID = cfg.RunID
-	}
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
-	cfg.Logf = logger.Logf
-	cfg.Tracer = obs.NewTracer(256)
-	cfg.Tracer.SetRunID(cfg.RunID)
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
 	}
 
 	r, err := shardcluster.New(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
+	err = daemon.Run(o.Addr, daemon.Service{
+		Handler: r.Handler(),
+		Start:   r.Start,
+		Stop:    func(context.Context) error { r.Stop(); return nil },
+		Logger:  logger,
+		Banner: []obs.Attr{
+			obs.KV("node_id", nodeID), obs.KV("role", "router"),
+			obs.KV("shards", len(cfg.Shards)), obs.KV("vnodes", cfg.VNodes),
+			obs.KV("merge_every", cfg.MergeEvery), obs.KV("pprof", o.Pprof)},
+	}, shutdownDeadline, stop, ready)
+	if err == nil {
+		logger.Info("stopped", obs.KV("merge_epoch", r.Epoch()))
 	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: r.Handler()}
-	r.Start()
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("node_id", nodeID), obs.KV("role", "router"),
-		obs.KV("shards", len(cfg.Shards)), obs.KV("vnodes", cfg.VNodes),
-		obs.KV("merge_every", o.mergeEvery), obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("stopping", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("stopping", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		r.Stop()
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	r.Stop()
-	logger.Info("stopped", obs.KV("merge_epoch", r.Epoch()))
-	return nil
+	return err
 }
+
+// shutdownDeadline bounds the HTTP shutdown and the router's stop.
+const shutdownDeadline = 10 * time.Second

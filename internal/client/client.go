@@ -144,18 +144,19 @@ type IngestAck struct {
 // errors, follower redirects, and stale-epoch rejections until it finds
 // the live primary, re-discovering it across automatic failovers.
 type Client struct {
-	base     string
+	base     string // where reads and control calls go; the pool of one
 	hc       *http.Client
 	retry    RetryPolicy
 	producer string
 	pseq     atomic.Uint64
 	rng      atomic.Pointer[xrand.Stream] // jitter source (nil → seeded lazily)
 
-	// Replica-set state: pool is the endpoint list (nil = single-node
-	// mode), poolIdx the current cursor into it, epoch the newest fencing
-	// epoch learned from acks/rejections — sent as the X-KB2-Epoch token
-	// on every ingest so a zombie ex-primary answers 412 instead of
-	// silently accepting the write.
+	// Ingest targets: pool is the endpoint list (never empty — a client
+	// for one daemon has a pool of one, which never rotates), poolIdx the
+	// current cursor into it, epoch the newest fencing epoch learned from
+	// acks/rejections — sent as the X-KB2-Epoch token on every ingest so a
+	// zombie ex-primary answers 412 instead of silently accepting the
+	// write.
 	pool    atomic.Pointer[[]string]
 	poolIdx atomic.Int64
 	epoch   atomic.Int64
@@ -167,19 +168,21 @@ type Client struct {
 // copied and flushed in 4 KB slices, which shows up as measurable CPU at
 // millions of points per second.
 func New(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{
+	return NewWithHTTPClient(base, &http.Client{
 		Transport: &http.Transport{
 			Proxy:               http.ProxyFromEnvironment,
 			MaxIdleConnsPerHost: 16,
 			WriteBufferSize:     128 << 10,
 			ReadBufferSize:      64 << 10,
 		},
-	}}
+	})
 }
 
 // NewWithHTTPClient injects a custom http.Client (tests, timeouts).
 func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	c := &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	c.SetEndpoints()
+	return c
 }
 
 // SetRetryPolicy replaces the backpressure retry policy used by Ingest
@@ -199,17 +202,16 @@ func (c *Client) Producer() string { return c.producer }
 // IngestTracked call it implicitly; use it directly only with IngestSeq.
 func (c *Client) NextBatchSeq() uint64 { return c.pseq.Add(1) }
 
-// SetEndpoints switches the client into replica-set mode: ingest targets
-// rotate through the given base URLs on transport errors, unredeemable
-// follower redirects, and stale-epoch rejections (backpressure still
-// backs off against the same endpoint — the primary is alive, just
-// busy). A 421 hint naming a pool member jumps the cursor straight to
-// it. Call before issuing requests; an empty list restores single-node
-// mode.
+// SetEndpoints points ingest at a replica set: targets rotate through the
+// given base URLs on transport errors, unredeemable follower redirects,
+// and stale-epoch rejections (backpressure still backs off against the
+// same endpoint — the primary is alive, just busy). A 421 hint naming a
+// pool member jumps the cursor straight to it. Call before issuing
+// requests; an empty list restores the pool of one the client was built
+// with.
 func (c *Client) SetEndpoints(urls ...string) {
 	if len(urls) == 0 {
-		c.pool.Store(nil)
-		return
+		urls = []string{c.base}
 	}
 	eps := make([]string, len(urls))
 	for i, u := range urls {
@@ -238,21 +240,16 @@ func (c *Client) learnEpoch(e int64) {
 	}
 }
 
-// currentBase is the ingest target: the pool cursor in replica-set mode,
-// the fixed base otherwise.
+// currentBase is the ingest target: the endpoint under the pool cursor.
 func (c *Client) currentBase() string {
-	p := c.pool.Load()
-	if p == nil || len(*p) == 0 {
-		return c.base
-	}
-	eps := *p
+	eps := *c.pool.Load()
 	return eps[int(c.poolIdx.Load())%len(eps)]
 }
 
 // rotateEndpoint advances the pool cursor past a failed endpoint, unless
 // another goroutine already moved it.
 func (c *Client) rotateEndpoint(from string) {
-	if p := c.pool.Load(); p != nil && len(*p) > 0 && c.currentBase() == from {
+	if c.currentBase() == from {
 		c.poolIdx.Add(1)
 	}
 }
@@ -260,20 +257,12 @@ func (c *Client) rotateEndpoint(from string) {
 // adoptEndpoint points the pool cursor at a hinted primary when the hint
 // is a pool member — the next ingest goes straight there.
 func (c *Client) adoptEndpoint(hint string) {
-	p := c.pool.Load()
-	if p == nil {
-		return
-	}
-	for i, u := range *p {
+	for i, u := range *c.pool.Load() {
 		if u == hint {
 			c.poolIdx.Store(int64(i))
 			return
 		}
 	}
-}
-
-func (c *Client) post(ctx context.Context, path string, body []byte, pseq uint64) (*http.Response, error) {
-	return c.postTraced(ctx, c.base, path, body, pseq, obs.NewSpanContext())
 }
 
 // postTraced issues one POST stamped with the given span context as a
@@ -458,19 +447,14 @@ func (c *Client) IngestTracked(ctx context.Context, batch *linalg.Matrix) (Inges
 	if c.producer != "" {
 		pseq = c.NextBatchSeq()
 	}
-	return c.ingestRetry(ctx, batch, pseq, c.retry.withDefaults())
+	return c.ingestRawRetry(ctx, server.EncodeBatch(batch), batch.Rows, pseq, c.retry.withDefaults())
 }
 
-// ingestRetry is the bounded-backoff send loop shared by IngestTracked
-// and the load generator. p must already have defaults applied. The
-// batch is encoded once; retries resend the same bytes.
-func (c *Client) ingestRetry(ctx context.Context, batch *linalg.Matrix, pseq uint64, p RetryPolicy) (IngestAck, error) {
-	return c.ingestRawRetry(ctx, server.EncodeBatch(batch), batch.Rows, pseq, p)
-}
-
-// ingestRawRetry is ingestRetry over pre-encoded wire bytes. In
-// single-node mode only backpressure is retried, as ever. In replica-set
-// mode (SetEndpoints) the loop additionally rotates to the next pool
+// ingestRawRetry is the bounded-backoff send loop shared by IngestTracked
+// and the load generator, over wire bytes encoded once: retries resend
+// the same bytes. p must already have defaults applied. With a pool of
+// one only backpressure is retried, as ever. With a replica set
+// (SetEndpoints) the loop additionally rotates to the next pool
 // endpoint on transport errors, unredeemed follower redirects, and
 // stale-epoch rejections — the primary re-discovery that rides out an
 // automatic failover — under the same bounded, jittered backoff.
@@ -526,14 +510,15 @@ func (c *Client) ingestRawRetry(ctx context.Context, raw []byte, rows int, pseq 
 // rotatableError reports whether an ingest failure should move a
 // replica-set client to the next pool endpoint: the node is down
 // (transport error), not the primary (unredeemed 421), or fenced behind
-// the cluster epoch (412). Only meaningful in pool mode. Transport
-// timeouts rotate too — a black-holed endpoint looks exactly like one —
+// the cluster epoch (412). Never with fewer than two endpoints: there is
+// nowhere to rotate to, and a lone daemon's errors go to the caller as
+// they always have. Transport timeouts rotate too — a black-holed endpoint looks exactly like one —
 // so the only excluded case is the caller's own context expiring, which
 // is checked against ctx itself (net/http timeout errors also match
 // errors.Is(err, context.DeadlineExceeded), so matching on the error
 // would misread a dead endpoint as a caller cancellation).
 func (c *Client) rotatableError(ctx context.Context, err error) bool {
-	if p := c.pool.Load(); p == nil || len(*p) < 2 {
+	if len(*c.pool.Load()) < 2 {
 		return false
 	}
 	var np *ErrNotPrimary
@@ -555,7 +540,7 @@ type LabelResult struct {
 // model snapshot.
 func (c *Client) Label(ctx context.Context, batch *linalg.Matrix) (LabelResult, error) {
 	var out LabelResult
-	resp, err := c.post(ctx, "/label", server.EncodeBatch(batch), 0)
+	resp, err := c.postTraced(ctx, c.base, "/label", server.EncodeBatch(batch), 0, obs.NewSpanContext())
 	if err != nil {
 		return out, err
 	}
@@ -572,20 +557,36 @@ func (c *Client) Label(ctx context.Context, batch *linalg.Matrix) (LabelResult, 
 	return out, nil
 }
 
-// Model fetches and decodes the daemon's current model snapshot.
-func (c *Client) Model(ctx context.Context) (*core.Model, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/model", nil)
+// do issues one body-less request against the daemon — a read (GET) or a
+// replica-set control call (POST, stamped with a fresh trace) — and
+// returns its 200 response, whose body the caller closes; any other
+// status is a *StatusError.
+func (c *Client) do(ctx context.Context, method, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
 		return nil, err
+	}
+	if method == http.MethodPost {
+		obs.NewSpanContext().Inject(req.Header)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		return nil, httpError(resp)
 	}
+	return resp, nil
+}
+
+// Model fetches and decodes the daemon's current model snapshot.
+func (c *Client) Model(ctx context.Context) (*core.Model, error) {
+	resp, err := c.do(ctx, http.MethodGet, "/model")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
 	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
@@ -596,18 +597,11 @@ func (c *Client) Model(ctx context.Context) (*core.Model, error) {
 // Stats fetches the daemon's counters.
 func (c *Client) Stats(ctx context.Context) (server.Stats, error) {
 	var out server.Stats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/stats")
 	if err != nil {
 		return out, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, httpError(resp)
-	}
 	return out, json.NewDecoder(resp.Body).Decode(&out)
 }
 
@@ -617,36 +611,22 @@ func (c *Client) Stats(ctx context.Context) (server.Stats, error) {
 // `keybin2d_ingest_batches_total{result="accepted"}`. Histograms appear
 // expanded as their _bucket/_sum/_count series.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
 	return obs.ParseExposition(resp.Body)
 }
 
 // Ready reports the daemon's /readyz verdict: nil when ready, an error
 // describing why not (draining, wedged WAL) otherwise.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/readyz")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(resp)
-	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
 }
@@ -671,19 +651,11 @@ func (c *Client) PromoteEpoch(ctx context.Context, epoch int64) (uint64, int64, 
 	if epoch > 0 {
 		path += "?epoch=" + strconv.FormatInt(epoch, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	obs.NewSpanContext().Inject(req.Header)
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodPost, path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, httpError(resp)
-	}
 	var out struct {
 		AppliedSeq uint64 `json:"applied_seq"`
 		Epoch      int64  `json:"epoch"`
@@ -705,42 +677,24 @@ func (c *Client) Fence(ctx context.Context, epoch int64, primary string) error {
 	if primary != "" {
 		q += "&primary=" + url.QueryEscape(strings.TrimRight(primary, "/"))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+q, nil)
-	if err != nil {
-		return err
-	}
-	obs.NewSpanContext().Inject(req.Header)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	c.learnEpoch(epoch)
-	return nil
+	return c.raiseEpoch(ctx, q, epoch)
 }
 
 // AdoptEpoch raises the epoch of a CURRENT primary (POST /epoch) — the
 // supervisor's adoption path when it first manages an unmanaged group or
 // re-learns a restarted primary. A follower answers 409.
 func (c *Client) AdoptEpoch(ctx context.Context, epoch int64) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/epoch?epoch="+strconv.FormatInt(epoch, 10), nil)
-	if err != nil {
-		return err
-	}
-	obs.NewSpanContext().Inject(req.Header)
-	resp, err := c.hc.Do(req)
+	return c.raiseEpoch(ctx, "/epoch?epoch="+strconv.FormatInt(epoch, 10), epoch)
+}
+
+// raiseEpoch issues a control call that moves the node to epoch and, once
+// the node has agreed, adopts the epoch as this client's own token.
+func (c *Client) raiseEpoch(ctx context.Context, path string, epoch int64) error {
+	resp, err := c.do(ctx, http.MethodPost, path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(resp)
-	}
 	io.Copy(io.Discard, resp.Body)
 	c.learnEpoch(epoch)
 	return nil

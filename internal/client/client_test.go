@@ -79,6 +79,31 @@ func TestIngestRetriesBackpressure(t *testing.T) {
 	}
 }
 
+// TestLoadPerWorkerProducers covers the router-facing load mode: every
+// ingest worker is its own producer (own identity, own sequence), built
+// from the caller's client, and the daemon dedupes each independently.
+func TestLoadPerWorkerProducers(t *testing.T) {
+	srv, c := startDaemon(t, 4, 16)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	rep, err := client.RunLoad(ctx, c, client.LoadConfig{
+		Points: 1200, Dims: 4, BatchSize: 100,
+		Ingesters: 3, Seed: 5, ProducerPrefix: "w",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FinalSeen != 1200 {
+		t.Fatalf("daemon saw %d of 1200 points", rep.FinalSeen)
+	}
+	got := srv.Stats().Producers
+	for _, p := range []string{"w-0", "w-1", "w-2"} {
+		if got[p] != 4 {
+			t.Fatalf("producer %s acked through seq %d, want 4 (producers: %v)", p, got[p], got)
+		}
+	}
+}
+
 // TestConcurrentLoad is the -race proof of the whole service: concurrent
 // ingesters and label queriers against a live daemon, then model fetch and
 // label agreement between daemon-side and client-side assignment.

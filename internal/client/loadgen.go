@@ -226,8 +226,9 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 		if cfg.ProducerPrefix != "" {
 			// Per-worker producer: own identity, own sequence counter,
 			// shared transport (the connection pool is per-host anyway).
-			sender = &Client{base: c.base, hc: c.hc, retry: c.retry,
-				producer: fmt.Sprintf("%s-%d", cfg.ProducerPrefix, w)}
+			sender = NewWithHTTPClient(c.base, c.hc)
+			sender.retry = c.retry
+			sender.producer = fmt.Sprintf("%s-%d", cfg.ProducerPrefix, w)
 		}
 		iwg.Add(1)
 		go func(w int, sender *Client) {

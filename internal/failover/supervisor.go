@@ -2,18 +2,16 @@ package failover
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"keybin2/internal/client"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 	"keybin2/internal/xrand"
@@ -113,16 +111,7 @@ func (c Config) withDefaults() Config {
 	if c.Jitter <= 0 {
 		c.Jitter = 0.2
 	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.RunID == "" {
-		c.RunID = obs.NewRunID()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(128)
-		c.Tracer.SetRunID(c.RunID)
-	}
+	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 128)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -546,44 +535,16 @@ func (s *Supervisor) Status() Status {
 	return st
 }
 
-// Handler serves the supervisor's control-plane API:
+// Handler serves the supervisor's control-plane API: the daemon chassis
+// routes (daemon.Mux) plus
 //
-//	GET /status  → Status JSON (fleet view, epoch, election count)
-//	GET /healthz → 200 "ok"
-//	GET /metrics → Prometheus text exposition
-//	GET /trace   → recent probe-round traces
-//	GET /debug/pprof/* → net/http/pprof (only with Config.EnablePprof)
+//	GET /status → Status JSON (fleet view, epoch, election count)
 func (s *Supervisor) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.Status())
+	mux := daemon.Mux(s.cfg.Registry, s.tracer, s.cfg.EnablePprof)
+	mux.HandleFunc("/status", daemon.GET(func(w http.ResponseWriter, r *http.Request) {
+		daemon.WriteJSON(w, http.StatusOK, s.Status())
 	}))
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	}))
-	mux.Handle("/metrics", s.cfg.Registry.Handler())
-	mux.Handle("/trace", s.tracer.Handler())
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
-	}
 	return mux
-}
-
-// getOnly rejects anything but GET/HEAD with a 405 carrying Allow.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
 }
 
 // supTelemetry bundles the supervisor's instruments. Event counters are

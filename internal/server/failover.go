@@ -1,13 +1,14 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"keybin2/internal/daemon"
 )
 
 // Fencing epochs: split-brain prevention for replica sets.
@@ -22,14 +23,17 @@ import (
 //
 // The invariants:
 //
-//   - The epoch only moves forward on a node (raiseEpoch is a CAS max).
+//   - The epoch only moves forward on a node (no edge of role.apply
+//     lowers it, and transition publishes each edge atomically).
 //   - /promote?epoch=N requires N > the node's epoch (absent N mints
 //     current+1); the new primary therefore always outranks every node
 //     that was alive at the old epoch.
-//   - /fence?epoch=N requires N >= the node's epoch. Fencing a primary
-//     sets the fenced flag BEFORE the writer drains, and the ingest path
-//     re-checks it under ingestMu and again after the durability wait,
-//     so no batch can be accepted (or late-acked) behind a fence.
+//   - /fence?epoch=N requires N >= the node's epoch, and N > it on the
+//     unfenced primary, which owns its epoch. Fencing a primary turns
+//     its role fenced BEFORE the writer drains, and the ingest path
+//     re-checks the role under ingestMu and again after the durability
+//     wait, so no batch can be accepted (or late-acked) behind a fence.
+//   - A fenced node becomes a follower only with a primary to rejoin.
 //   - A request whose X-KB2-Epoch token is NEWER than the node's epoch
 //     is answered 412: the node is the stale party. An OLDER token is
 //     accepted — a lagging client writing to the true primary is fine,
@@ -40,88 +44,21 @@ import (
 // by comparing against the fleet; client epoch tokens fence a zombie
 // even before the supervisor reaches it.
 
-// roleReq asks the serving loop to change role: a promote (follower →
-// primary, minting or adopting epoch) or a demote (fenced primary →
-// follower of primary). done receives exactly one result.
-type roleReq struct {
-	epoch   int64  // promote: 0 = mint current+1; demote: the fencing epoch
-	primary string // demote: base URL of the new primary to follow
-	done    chan roleResult
-}
-
-type roleResult struct {
-	err        error
-	epoch      int64
-	appliedSeq uint64
-}
-
-var (
-	errAlreadyPrimary = errors.New("already a primary")
-	errNotPrimary     = errors.New("not a primary")
-)
-
-// staleEpochError is the typed form of a fencing rejection inside the
-// server; over HTTP it becomes a 412 with both epochs in the body.
-type staleEpochError struct {
-	NodeEpoch    int64
-	RequestEpoch int64
-}
-
-func (e *staleEpochError) Error() string {
-	return fmt.Sprintf("stale epoch: node is at %d, request carried %d", e.NodeEpoch, e.RequestEpoch)
-}
-
-// raiseEpoch moves the cluster epoch forward to at least epoch. Returns
-// whether this call raised it. Concurrency-safe (CAS max).
-func (s *Server) raiseEpoch(epoch int64) bool {
-	for {
-		cur := s.clusterEpoch.Load()
-		if epoch <= cur {
-			return false
-		}
-		if s.clusterEpoch.CompareAndSwap(cur, epoch) {
-			s.logf("epoch: %d -> %d", cur, epoch)
-			return true
-		}
-	}
-}
-
-// primaryHint is the best-known primary base URL: the followed upstream
-// on a follower, the fence's re-point target on a fenced node, empty on
-// a healthy standalone primary.
-func (s *Server) primaryHint() string {
-	if p := s.primaryURL.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-func (s *Server) setPrimaryURL(u string) {
-	u = strings.TrimRight(u, "/")
-	if u == "" {
-		return
-	}
-	s.primaryURL.Store(&u)
-}
-
 // writeStaleEpoch answers a request rejected by epoch fencing: 412
 // Precondition Failed with the node's epoch in X-KB2-Epoch, plus both
 // epochs and the best-known primary in the JSON body so the caller can
 // re-discover the leader without a second round trip.
 func (s *Server) writeStaleEpoch(w http.ResponseWriter, reqEpoch int64) {
-	node := s.clusterEpoch.Load()
-	primary := s.primaryHint()
-	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(node, 10))
-	if primary != "" {
-		w.Header().Set("X-KB2-Primary", primary)
+	node := s.role.Load()
+	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(node.epoch, 10))
+	if node.primary != "" {
+		w.Header().Set("X-KB2-Primary", node.primary)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusPreconditionFailed)
-	json.NewEncoder(w).Encode(map[string]any{
+	daemon.WriteJSON(w, http.StatusPreconditionFailed, map[string]any{
 		"error":         "stale epoch",
-		"node_epoch":    node,
+		"node_epoch":    node.epoch,
 		"request_epoch": reqEpoch,
-		"primary":       primary,
+		"primary":       node.primary,
 	})
 	s.tel.staleEpochRejects.Inc()
 }
@@ -139,34 +76,37 @@ func requestEpoch(r *http.Request) (int64, error) {
 	return e, nil
 }
 
-// checkIngestEpoch applies the fencing checks every ingest must pass
-// before touching the body: a token newer than the node's epoch means
-// the node is stale (a zombie behind a partition), and a fenced node
-// takes no writes at all. Returns false with the 412 already written.
-func (s *Server) checkIngestEpoch(w http.ResponseWriter, r *http.Request) (reqEpoch int64, ok bool) {
-	reqEpoch, err := requestEpoch(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return 0, false
-	}
-	if reqEpoch > s.clusterEpoch.Load() {
-		s.writeStaleEpoch(w, reqEpoch)
-		return reqEpoch, false
-	}
-	if s.fenced.Load() {
-		s.writeStaleEpoch(w, reqEpoch)
-		return reqEpoch, false
-	}
-	return reqEpoch, true
+// admits is the fencing check an ingest passes three times — before
+// touching the body, under ingestMu, and after the durability wait — each
+// on one load of the role: only an unfenced primary takes writes, and not
+// from a client whose token is newer than its epoch.
+func (r *role) admits(reqEpoch int64) bool {
+	return r.kind == rolePrimary && reqEpoch <= r.epoch
 }
 
-// roleRequest round-trips one roleReq through the serving loop, nudging
-// a parked tail first so a long poll never delays the switch. Returns
-// the loop's result or an error when the request could not be delivered.
-func (s *Server) roleRequest(ch chan *roleReq, req *roleReq, r *http.Request) (roleResult, error) {
+// refuseWrite answers an ingest that r does not admit. A token newer than
+// the node's epoch means the node is stale (a zombie behind a partition),
+// and a fenced node takes no writes at all: 412, before any other answer
+// (even the follower redirect would mislead — this node's idea of the
+// primary is as stale as its epoch). A replica never takes writes either:
+// a typed redirect to the primary.
+func (s *Server) refuseWrite(w http.ResponseWriter, r *role, reqEpoch int64) {
+	if r.kind == roleFollower && reqEpoch <= r.epoch {
+		s.rejectFollowerIngest(w, r)
+		return
+	}
+	s.writeStaleEpoch(w, reqEpoch)
+}
+
+// roleRequest round-trips one role change through the serving loop,
+// nudging a parked tail first so a long poll never delays the switch.
+// Returns the loop's result or an error when the request could not be
+// delivered.
+func (s *Server) roleRequest(c roleChange, r *http.Request) (roleResult, error) {
+	req := &roleReq{change: c, done: make(chan roleResult, 1)}
 	s.nudgeFollower()
 	select {
-	case ch <- req:
+	case s.roleCh <- req:
 	case <-s.done:
 		return roleResult{}, errors.New("server is shutting down")
 	case <-r.Context().Done():
@@ -181,6 +121,18 @@ func (s *Server) roleRequest(ch chan *roleReq, req *roleReq, r *http.Request) (r
 	}
 }
 
+// writeRoleError answers a control request the role refused: a stale
+// epoch is the 412 every fenced request gets, anything else is a
+// conflict with the node's current role.
+func (s *Server) writeRoleError(w http.ResponseWriter, err error, reqEpoch int64) {
+	var stale *staleEpochError
+	if errors.As(err, &stale) {
+		s.writeStaleEpoch(w, reqEpoch)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusConflict)
+}
+
 // handleFence is POST /fence?epoch=N[&primary=URL]: fence this node at
 // epoch N (which must be >= its current epoch). On a follower it adopts
 // the epoch and re-points the tail at the given primary. On a primary it
@@ -190,52 +142,32 @@ func (s *Server) roleRequest(ch chan *roleReq, req *roleReq, r *http.Request) (r
 // primary. Fencing the unfenced primary at its OWN epoch is refused
 // (409): that node is the epoch's legitimate owner.
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch < 1 {
 		http.Error(w, "fence requires epoch=N (N >= 1)", http.StatusBadRequest)
 		return
 	}
 	primary := strings.TrimRight(r.URL.Query().Get("primary"), "/")
-	if cur := s.clusterEpoch.Load(); epoch < cur {
-		s.writeStaleEpoch(w, epoch) // the fence itself is stale
+	prev, now, err := s.transition(roleChange{op: opFence, epoch: epoch, target: primary})
+	if err != nil {
+		s.writeRoleError(w, err, epoch)
 		return
 	}
-	if s.follower.Load() {
-		// A follower adopts the epoch and, when told, re-points its tail.
-		s.raiseEpoch(epoch)
-		if primary != "" && primary != s.primaryHint() {
-			s.setPrimaryURL(primary)
-			s.logf("fence: now following %s (epoch %d)", primary, epoch)
-			s.nudgeFollower()
+	switch {
+	case now.kind == roleFollower:
+		if now.primary != prev.primary {
+			s.nudgeFollower() // re-pointed: break the tail parked on the old primary
 		}
-		s.writeRoleStatus(w)
-		return
-	}
-	if epoch == s.clusterEpoch.Load() && !s.fenced.Load() {
-		http.Error(w, fmt.Sprintf("node is the primary at epoch %d; fencing it requires a newer epoch", epoch),
-			http.StatusConflict)
-		return
-	}
-	s.raiseEpoch(epoch)
-	if !s.fenced.Swap(true) {
-		s.tel.fences.Inc()
-		s.logf("fenced at epoch %d (primary hint %q)", epoch, primary)
-	}
-	if primary != "" {
-		s.setPrimaryURL(primary)
-		req := &roleReq{epoch: epoch, primary: primary, done: make(chan roleResult, 1)}
-		res, rerr := s.roleRequest(s.demoteCh, req, r)
+	case primary != "":
+		res, rerr := s.roleRequest(roleChange{op: opRejoin, target: primary}, r)
 		if rerr != nil {
 			return // caller gone or shutting down; the fence itself is in place
 		}
-		// errNotPrimary means a concurrent demote won the race — the node
-		// is already a follower, which is the state this fence wanted.
-		if res.err != nil && !errors.Is(res.err, errNotPrimary) {
+		// errNotFenced means the role moved on while the request waited for
+		// the serving loop: a concurrent demote won the race — the node is
+		// already a follower, the state this fence wanted — or a promotion
+		// at a newer epoch superseded this fence.
+		if res.err != nil && !errors.Is(res.err, errNotFenced) {
 			http.Error(w, "demote: "+res.err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -249,42 +181,27 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // its recorded epoch). A follower refuses — its epoch arrives through
 // /fence, /promote, or the WAL tail.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch < 1 {
 		http.Error(w, "epoch requires epoch=N (N >= 1)", http.StatusBadRequest)
 		return
 	}
-	if s.follower.Load() {
-		http.Error(w, "follower: epoch is adopted via /fence, /promote, or the tail", http.StatusConflict)
+	if _, _, err := s.transition(roleChange{op: opAdopt, epoch: epoch}); err != nil {
+		s.writeRoleError(w, err, epoch)
 		return
 	}
-	if cur := s.clusterEpoch.Load(); epoch < cur {
-		s.writeStaleEpoch(w, epoch)
-		return
-	}
-	s.raiseEpoch(epoch)
 	s.writeRoleStatus(w)
 }
 
 // writeRoleStatus answers a control request with the node's role view.
 func (s *Server) writeRoleStatus(w http.ResponseWriter) {
-	role := "primary"
-	if s.follower.Load() {
-		role = "follower"
-	}
-	epoch := s.clusterEpoch.Load()
-	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(epoch, 10))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"role":        role,
-		"epoch":       epoch,
-		"fenced":      s.fenced.Load(),
-		"primary":     s.primaryHint(),
+	r := s.role.Load()
+	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(r.epoch, 10))
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
+		"role":        r.wireName(),
+		"epoch":       r.epoch,
+		"fenced":      r.kind == roleFenced,
+		"primary":     r.primary,
 		"applied_seq": s.appliedSeqA.Load(),
 	})
 }
@@ -300,15 +217,15 @@ func (s *Server) nudgeFollower() {
 }
 
 // demote is the writer-side half of fencing a primary into a follower.
-// It runs on the serving-loop goroutine. The fenced flag is already set
-// (and the ingest path re-checks it under ingestMu), so taking ingestMu
-// once is a barrier: afterwards no handler can add to the queue. The
-// drain applies everything accepted before the fence line, a durability
-// wait satisfies any in-flight group-commit waiters, and the WAL closes
-// before the follower flag flips — the tail will re-open nothing.
-func (s *Server) demote(primary string, epoch int64) error {
-	if primary == "" {
-		return errors.New("demote requires a primary to follow")
+// It runs on the serving-loop goroutine. The role is already fenced (and
+// the ingest path re-checks it under ingestMu), so taking ingestMu once
+// is a barrier: afterwards no handler can add to the queue. The drain
+// applies everything accepted before the fence line, a durability wait
+// satisfies any in-flight group-commit waiters, and the WAL closes before
+// the role turns follower — the tail will re-open nothing.
+func (s *Server) demote(primary string) error {
+	if _, err := s.role.Load().apply(roleChange{op: opRejoin, target: primary}); err != nil {
+		return err // refused before the writer is touched
 	}
 	s.ingestMu.Lock()
 	s.ingestMu.Unlock() //nolint:staticcheck // barrier: in-flight accepts have enqueued
@@ -331,12 +248,8 @@ drain:
 		}
 		s.wal.Store(nil)
 	}
-	s.setPrimaryURL(primary)
 	s.primaryLastSeq.Store(0)
 	s.behindSince.Store(time.Now().UnixNano())
-	s.follower.Store(true)
-	s.fenced.Store(false) // a follower is not fenced; it simply has no write path
-	s.tel.demotions.Inc()
-	s.logf("demoted to follower of %s at epoch %d (applied seq %d)", primary, epoch, s.appliedSeq)
-	return nil
+	_, _, err := s.transition(roleChange{op: opRejoin, target: primary})
+	return err
 }

@@ -240,6 +240,11 @@ func TestFenceDemotesPrimaryInPlace(t *testing.T) {
 	if err := a.c.WaitSeen(ctx, 4*perBatch); err != nil {
 		t.Fatalf("demoted ex-primary never caught the new primary: %v", err)
 	}
+	// The tail reads the record at WAL-append time, so the follower can
+	// apply it before the primary's own writer has: wait for both.
+	if err := b.c.WaitSeen(ctx, 4*perBatch); err != nil {
+		t.Fatal(err)
+	}
 	probeM, _ := spec.Sample(64, xrand.New(73))
 	probe := server.EncodeBatch(probeM)
 	sameLabels(t, rawLabel(t, b.ts.URL, probe), rawLabel(t, a.ts.URL, probe))

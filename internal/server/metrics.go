@@ -205,8 +205,9 @@ func (t *telemetry) installCollect(s *Server) {
 			t.replicaPrimarySeq.SetInt(int64(s.primaryLastSeq.Load()))
 			t.replicaLagSec.Set(s.replicaLagSeconds())
 		}
-		t.clusterEpochG.SetInt(s.clusterEpoch.Load())
-		if s.fenced.Load() {
+		r := s.role.Load()
+		t.clusterEpochG.SetInt(r.epoch)
+		if r.kind == roleFenced {
 			t.fencedG.Set(1)
 		} else {
 			t.fencedG.Set(0)

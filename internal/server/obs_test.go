@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"keybin2/internal/client"
+	"keybin2/internal/failover"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
+	"keybin2/internal/shardcluster"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
@@ -206,9 +208,10 @@ func hasAll(got, want []string) bool {
 	return true
 }
 
-// TestMethodNotAllowed pins the 405 contract for every endpoint: read
-// endpoints refuse writes (Allow: GET), write endpoints refuse reads
-// (Allow: POST), and pprof — when enabled — is GET-only too.
+// TestMethodNotAllowed pins the 405 contract for every endpoint of all
+// three daemons: read endpoints refuse writes (Allow: GET), write
+// endpoints refuse reads (Allow: POST), and pprof — when enabled — is
+// GET-only too.
 func TestMethodNotAllowed(t *testing.T) {
 	srv, err := server.New(server.Config{
 		Stream:      testStreamConfig(3),
@@ -219,24 +222,66 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// The router and the supervisor are built over the daemon but never
+	// started: a 405 is answered before either would reach for it.
+	router, err := shardcluster.New(shardcluster.Config{
+		Shards: []string{ts.URL}, Stream: testStreamConfig(3), EnablePprof: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
+	sup, err := failover.New(failover.Config{Nodes: []string{ts.URL}, EnablePprof: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts := httptest.NewServer(sup.Handler())
+	defer sts.Close()
+	base := map[string]string{"daemon": ts.URL, "router": rts.URL, "supervisor": sts.URL}
 
 	cases := []struct {
-		method, path, allow string
+		on, method, path, allow string
 	}{
-		{http.MethodPost, "/stats", "GET"},
-		{http.MethodPost, "/metrics", "GET"},
-		{http.MethodPost, "/trace", "GET"},
-		{http.MethodPost, "/model", "GET"},
-		{http.MethodPost, "/healthz", "GET"},
-		{http.MethodPost, "/readyz", "GET"},
-		{http.MethodPost, "/debug/pprof/", "GET"},
-		{http.MethodDelete, "/metrics", "GET"},
-		{http.MethodGet, "/ingest", "POST"},
-		{http.MethodGet, "/label", "POST"},
+		{"daemon", http.MethodPost, "/stats", "GET"},
+		{"daemon", http.MethodPost, "/metrics", "GET"},
+		{"daemon", http.MethodPost, "/trace", "GET"},
+		{"daemon", http.MethodPost, "/model", "GET"},
+		{"daemon", http.MethodPost, "/healthz", "GET"},
+		{"daemon", http.MethodPost, "/readyz", "GET"},
+		{"daemon", http.MethodPost, "/debug/pprof/", "GET"},
+		{"daemon", http.MethodDelete, "/metrics", "GET"},
+		{"daemon", http.MethodGet, "/ingest", "POST"},
+		{"daemon", http.MethodGet, "/label", "POST"},
+		{"daemon", http.MethodPost, "/wal", "GET"},
+		{"daemon", http.MethodPost, "/snapshot", "GET"},
+		{"daemon", http.MethodPost, "/hist", "GET"},
+		{"daemon", http.MethodGet, "/promote", "POST"},
+		{"daemon", http.MethodGet, "/fence", "POST"},
+		{"daemon", http.MethodGet, "/epoch", "POST"},
+		{"daemon", http.MethodGet, "/hist/install", "POST"},
+		{"daemon", http.MethodPut, "/fence", "POST"},
+
+		{"router", http.MethodPost, "/stats", "GET"},
+		{"router", http.MethodPost, "/ring", "GET"},
+		{"router", http.MethodPost, "/metrics", "GET"},
+		{"router", http.MethodPost, "/trace", "GET"},
+		{"router", http.MethodPost, "/healthz", "GET"},
+		{"router", http.MethodPost, "/readyz", "GET"},
+		{"router", http.MethodPost, "/debug/pprof/", "GET"},
+		{"router", http.MethodGet, "/ingest", "POST"},
+		{"router", http.MethodGet, "/label", "POST"},
+		{"router", http.MethodGet, "/merge", "POST"},
+
+		{"supervisor", http.MethodPost, "/status", "GET"},
+		{"supervisor", http.MethodPost, "/metrics", "GET"},
+		{"supervisor", http.MethodPost, "/trace", "GET"},
+		{"supervisor", http.MethodPost, "/healthz", "GET"},
+		{"supervisor", http.MethodPost, "/debug/pprof/", "GET"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(""))
+		t.Run(tc.on+" "+tc.method+" "+tc.path, func(t *testing.T) {
+			req, _ := http.NewRequest(tc.method, base[tc.on]+tc.path, strings.NewReader(""))
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
@@ -249,6 +294,18 @@ func TestMethodNotAllowed(t *testing.T) {
 				t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
 			}
 		})
+	}
+
+	// HEAD rides on GET everywhere.
+	for on, u := range base {
+		resp, err := http.Head(u + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HEAD %s /healthz: status %d, want 200", on, resp.StatusCode)
+		}
 	}
 
 	// The happy path still answers: pprof index on GET.

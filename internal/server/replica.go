@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 )
 
 // Follower replica: the serving loop runs followLoop instead of the
@@ -76,19 +76,21 @@ func (s *Server) followLoop() bool {
 		case <-s.done:
 			s.checkpoint()
 			return false
-		case req := <-s.promoteCh:
-			if err := s.promote(req.epoch); err != nil {
-				s.logf("promote: %v", err)
-				req.done <- roleResult{err: err, epoch: s.clusterEpoch.Load(), appliedSeq: s.appliedSeqA.Load()}
-				continue // stay a follower, keep tailing
+		case req := <-s.roleCh:
+			// A rejoin finds a follower already: the fence handler has
+			// adopted the epoch and re-pointed the tail; there is no writer
+			// to demote.
+			err := errNotFenced
+			if req.change.op == opPromote {
+				if err = s.promote(req.change.epoch); err != nil {
+					s.logf("promote: %v", err)
+				}
 			}
-			req.done <- roleResult{epoch: s.clusterEpoch.Load(), appliedSeq: s.appliedSeqA.Load()}
-			return true // now a primary; serve() switches loops
-		case req := <-s.demoteCh:
-			// Already a follower: the fence handler has adopted the epoch
-			// and re-pointed the tail; there is no writer to demote.
-			req.done <- roleResult{err: errNotPrimary, epoch: s.clusterEpoch.Load(), appliedSeq: s.appliedSeqA.Load()}
-			continue
+			req.done <- roleResult{err: err, role: *s.role.Load(), appliedSeq: s.appliedSeqA.Load()}
+			if err == nil {
+				return true // now a primary; serve() switches loops
+			}
+			continue // stay a follower, keep tailing
 		case <-ckptC:
 			s.checkpoint()
 			continue
@@ -109,7 +111,7 @@ func (s *Server) followLoop() bool {
 		if errors.Is(err, errTailInterrupted) {
 			continue // a role change or shutdown nudged us; resolve above
 		}
-		s.logf("follow %s: %v", s.primaryHint(), err)
+		s.logf("follow %s: %v", s.role.Load().primary, err)
 		reconnecting = true
 		select {
 		case <-time.After(backoff):
@@ -157,14 +159,15 @@ func (s *Server) tailRound(client *http.Client) error {
 // response carrying a newer epoch is adopted — fencing news travels
 // through the tail as well as the control plane.
 func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
-	base := s.primaryHint()
+	me := s.role.Load()
+	base := me.primary
 	if base == "" {
 		return errors.New("tail: no primary to follow")
 	}
 	url := fmt.Sprintf("%s/wal?from=%d&wait=%s&max_bytes=%d",
 		base, s.appliedSeq, s.cfg.FollowPoll, 4<<20)
-	if e := s.clusterEpoch.Load(); e > 0 {
-		url += "&epoch=" + strconv.FormatInt(e, 10)
+	if me.epoch > 0 {
+		url += "&epoch=" + strconv.FormatInt(me.epoch, 10)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -177,13 +180,13 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 	defer resp.Body.Close()
 	if v := resp.Header.Get("X-KB2-Epoch"); v != "" {
 		if respEpoch, perr := strconv.ParseInt(v, 10, 64); perr == nil {
-			if respEpoch < s.clusterEpoch.Load() {
-				// A primary behind our epoch is a zombie; applying its
-				// records could replay a fenced-off history.
+			// A newer epoch is adopted the way a target-less fence would be.
+			// A primary behind our epoch is a zombie; applying its records
+			// could replay a fenced-off history.
+			if _, now, err := s.transition(roleChange{op: opFence, epoch: respEpoch}); err != nil {
 				return fmt.Errorf("tail: primary %s is at stale epoch %d (we are at %d)",
-					base, respEpoch, s.clusterEpoch.Load())
+					base, respEpoch, now.epoch)
 			}
-			s.raiseEpoch(respEpoch)
 		}
 	}
 	switch resp.StatusCode {
@@ -292,32 +295,16 @@ func (s *Server) bootstrapFromSnapshot(ctx context.Context, client *http.Client,
 // minting (epoch 0) or adopting (epoch > current) a fencing epoch. Runs
 // on the serving-loop goroutine, so the stream and the applied-state
 // maps are stable while it works. Ordering matters: the WAL pointer and
-// the accept path's numbering are installed BEFORE the follower flag
-// flips, so any handler that observes "primary" sees a fully writable
+// the accept path's numbering are installed BEFORE the role turns
+// primary, so any handler that observes "primary" sees a fully writable
 // node.
 func (s *Server) promote(epoch int64) error {
-	cur := s.clusterEpoch.Load()
-	switch {
-	case epoch == 0:
-		epoch = cur + 1
-	case epoch <= cur:
-		return &staleEpochError{NodeEpoch: cur, RequestEpoch: epoch}
+	change := roleChange{op: opPromote, epoch: epoch}
+	if _, err := s.role.Load().apply(change); err != nil {
+		return err // refused before the WAL is touched
 	}
 	if s.cfg.WALDir != "" {
-		wcfg := WALConfig{
-			Dir:          s.cfg.WALDir,
-			FS:           s.cfg.FS,
-			Fsync:        s.fsync,
-			FsyncEvery:   s.cfg.FsyncInterval,
-			SegmentBytes: s.cfg.WALSegmentBytes,
-			Logf:         s.cfg.Logf,
-			OnFsync: func(d time.Duration) {
-				s.tel.walFsyncs.Inc()
-				s.tel.walFsyncSec.Observe(d.Seconds())
-			},
-			OnRotate: func() { s.tel.walRotations.Inc() },
-		}
-		wal, err := OpenWAL(wcfg)
+		wal, err := OpenWAL(s.walConfig())
 		if err != nil {
 			return fmt.Errorf("promote: %w", err)
 		}
@@ -344,13 +331,17 @@ func (s *Server) promote(epoch int64) error {
 		}
 	}
 	s.ingestMu.Unlock()
-	s.raiseEpoch(epoch)
-	s.fenced.Store(false)
 	s.behindSince.Store(0)
-	s.follower.Store(false) // last: readers now see a writable primary
-	s.tel.promotions.Inc()
-	s.logf("promoted to primary at seq %d epoch %d (was following %s)", s.nextSeq, epoch, s.primaryHint())
-	return nil
+	_, _, err := s.transition(change) // last: readers now see a writable primary
+	if err != nil {
+		// A fence raised the epoch past this promotion while the WAL was
+		// opening: stay the follower that fence asked for.
+		if wal := s.wal.Swap(nil); wal != nil {
+			wal.Close()
+		}
+		s.behindSince.Store(time.Now().UnixNano())
+	}
+	return err
 }
 
 // handlePromote triggers promotion on a follower (POST /promote) and
@@ -359,11 +350,6 @@ func (s *Server) promote(epoch int64) error {
 // current+1. A node that is already a primary answers 409, as does a
 // stale epoch — both leave the node untouched.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var epoch int64
 	if v := r.URL.Query().Get("epoch"); v != "" {
 		var err error
@@ -373,35 +359,30 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.follower.Load() {
-		http.Error(w, "already a primary", http.StatusConflict)
-		return
-	}
-	req := &roleReq{epoch: epoch, done: make(chan roleResult, 1)}
-	res, err := s.roleRequest(s.promoteCh, req, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+	res := roleResult{err: errAlreadyPrimary}
+	if s.role.Load().kind == roleFollower {
+		var err error
+		if res, err = s.roleRequest(roleChange{op: opPromote, epoch: epoch}, r); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 	}
 	var stale *staleEpochError
 	switch {
 	case res.err == nil:
-	case errors.Is(res.err, errAlreadyPrimary):
-		http.Error(w, "already a primary", http.StatusConflict)
-		return
-	case errors.As(res.err, &stale):
+	case errors.Is(res.err, errAlreadyPrimary), errors.As(res.err, &stale):
+		// Both leave the node untouched.
 		http.Error(w, res.err.Error(), http.StatusConflict)
 		return
 	default:
 		http.Error(w, res.err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(res.epoch, 10))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	w.Header().Set("X-KB2-Epoch", strconv.FormatInt(res.role.epoch, 10))
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"promoted":    true,
 		"applied_seq": res.appliedSeq,
-		"epoch":       res.epoch,
+		"epoch":       res.role.epoch,
 	})
 }
 
@@ -411,21 +392,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // clients transparently re-POST redirects, which would hide the
 // misdirection from the producer instead of surfacing it as a typed
 // error.
-func (s *Server) rejectFollowerIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+func (s *Server) rejectFollowerIngest(w http.ResponseWriter, r *role) {
+	w.Header().Set("X-KB2-Primary", r.primary)
+	if r.epoch > 0 {
+		w.Header().Set("X-KB2-Epoch", strconv.FormatInt(r.epoch, 10))
 	}
-	primary := s.primaryHint()
-	w.Header().Set("X-KB2-Primary", primary)
-	if e := s.clusterEpoch.Load(); e > 0 {
-		w.Header().Set("X-KB2-Epoch", strconv.FormatInt(e, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusMisdirectedRequest)
-	json.NewEncoder(w).Encode(map[string]any{
+	daemon.WriteJSON(w, http.StatusMisdirectedRequest, map[string]any{
 		"error":   "follower replica: ingest must go to the primary",
-		"primary": primary,
+		"primary": r.primary,
 	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 )
 
@@ -49,7 +49,7 @@ func (s *Server) exportHist(resp chan<- histResult) {
 // before warmup, or with decay on; 503 while draining or when the writer
 // cannot answer in time.
 func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
-	if s.follower.Load() {
+	if s.role.Load().kind == roleFollower {
 		http.Error(w, "follower replicas do not export shard state", http.StatusConflict)
 		return
 	}
@@ -107,11 +107,6 @@ func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
 // 409 so the newest model always wins. ?seen=N is the merged point count
 // behind the model, reported in /stats.
 func (s *Server) handleHistInstall(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch <= 0 {
 		http.Error(w, "install needs ?epoch=N (N ≥ 1)", http.StatusBadRequest)
@@ -166,8 +161,7 @@ func (s *Server) handleHistInstall(w http.ResponseWriter, r *http.Request) {
 	s.tel.histInstalls.Inc()
 	s.tel.histInstallSec.Observe(time.Since(start).Seconds())
 	s.logf("merge: installed global model epoch %d (%d clusters, %d points merged)", epoch, m.K(), seen)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"epoch": epoch, "clusters": m.K(), "node_id": s.cfg.NodeID,
 	})
 }

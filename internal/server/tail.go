@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +11,8 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"keybin2/internal/daemon"
 )
 
 // The replication wire protocol (GET /wal?from=<seq>): one response is a
@@ -83,7 +84,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad epoch", http.StatusBadRequest)
 			return
 		}
-		if reqEpoch > s.clusterEpoch.Load() {
+		if reqEpoch > s.role.Load().epoch {
 			s.writeStaleEpoch(w, reqEpoch)
 			return
 		}
@@ -126,7 +127,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if e := s.clusterEpoch.Load(); e > 0 {
+	if e := s.role.Load().epoch; e > 0 {
 		// Fencing news travels with the tail: the follower adopts a newer
 		// epoch from this header without waiting for the control plane.
 		w.Header().Set("X-KB2-Epoch", strconv.FormatInt(e, 10))
@@ -168,9 +169,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 func writeTailError(w http.ResponseWriter, err error) {
 	var trunc *TailTruncatedError
 	if errors.As(err, &trunc) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusGone)
-		json.NewEncoder(w).Encode(map[string]any{
+		daemon.WriteJSON(w, http.StatusGone, map[string]any{
 			"error":      "wal history truncated",
 			"oldest_seq": trunc.OldestSeq,
 		})

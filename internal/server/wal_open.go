@@ -1,0 +1,230 @@
+package server
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+)
+
+// Recovery: opening a log directory, validating and repairing what a
+// previous incarnation left in it, and replaying it. The format and the
+// torn-write rules are described at the top of wal.go.
+
+func walSegmentName(firstSeq uint64) string {
+	return fmt.Sprintf("wal-%016x.seg", firstSeq)
+}
+
+func parseWALSegmentName(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
+	return seq, err == nil
+}
+
+// OpenWAL opens (or creates) the log in cfg.Dir, scans and validates
+// every existing segment, repairs a torn final record, and leaves the
+// log ready to append after the newest valid sequence. Mid-log damage
+// returns *WALCorruptError.
+func OpenWAL(cfg WALConfig) (*WAL, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("wal: Dir is required")
+	}
+	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, &WALWriteError{Op: "mkdir " + cfg.Dir, Err: err}
+	}
+	w := &WAL{cfg: cfg}
+	w.syncCond = sync.NewCond(&w.mu)
+
+	names, err := cfg.FS.ReadDirNames(cfg.Dir)
+	if err != nil {
+		return nil, &WALWriteError{Op: "scan " + cfg.Dir, Err: err}
+	}
+	var firsts []uint64
+	for _, n := range names {
+		if seq, ok := parseWALSegmentName(n); ok {
+			firsts = append(firsts, seq)
+		}
+	}
+	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
+	w.wasEmpty = len(firsts) == 0
+
+	expect := uint64(0) // last validated seq so far
+	for i, first := range firsts {
+		if i == 0 {
+			// Truncation deletes covered prefixes, so the oldest
+			// surviving segment may start anywhere; continuity is only
+			// enforced between consecutive segments.
+			expect = first - 1
+		}
+		last := i == len(firsts)-1
+		seg := walSegment{name: walSegmentName(first), firstSeq: first}
+		size, lastSeq, err := w.scanSegment(seg, expect, last)
+		if err != nil {
+			return nil, err
+		}
+		if size < 0 {
+			// Unsalvageable final segment (torn header): drop it; its
+			// first record never completed, so nothing acked is inside.
+			w.cfg.FS.Remove(filepath.Join(cfg.Dir, seg.name))
+			w.cfg.FS.SyncDir(cfg.Dir)
+			continue
+		}
+		seg.lastSeq = lastSeq
+		w.segments = append(w.segments, seg)
+		w.totalSize += size
+		if lastSeq > expect {
+			expect = lastSeq
+		}
+	}
+	w.lastSeq = expect
+	w.synced = expect // recovered records were read back from disk
+
+	// Open (or create) the active segment for appends.
+	if len(w.segments) > 0 {
+		act := w.segments[len(w.segments)-1]
+		path := filepath.Join(cfg.Dir, act.name)
+		f, err := cfg.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, &WALWriteError{Op: "open " + act.name, Err: err}
+		}
+		w.cur = f
+		// scanSegment accounted the active segment's size into totalSize;
+		// track it separately for rotation.
+		blob, _ := cfg.FS.ReadFile(path)
+		w.curSize = int64(len(blob))
+	} else {
+		if err := w.rotateLocked(w.lastSeq + 1); err != nil {
+			return nil, err
+		}
+	}
+
+	if cfg.Fsync == FsyncInterval {
+		w.flushStop = make(chan struct{})
+		w.flushDone = make(chan struct{})
+		go w.flushLoop()
+	}
+	return w, nil
+}
+
+// scanSegment validates one segment, repairing a torn tail when last is
+// true. Returns the post-repair byte size and the segment's last seq, or
+// size -1 when the final segment should be discarded entirely.
+func (w *WAL) scanSegment(seg walSegment, prevSeq uint64, last bool) (int64, uint64, error) {
+	path := filepath.Join(w.cfg.Dir, seg.name)
+	blob, err := w.cfg.FS.ReadFile(path)
+	if err != nil {
+		return 0, 0, &WALWriteError{Op: "read " + seg.name, Err: err}
+	}
+	corrupt := func(off int64, reason string) error {
+		return &WALCorruptError{Segment: seg.name, Offset: off, Reason: reason}
+	}
+	if len(blob) < walHeaderSize {
+		if last {
+			return -1, 0, nil // crash during rotation: header never landed
+		}
+		return 0, 0, corrupt(0, "truncated header in non-final segment")
+	}
+	if string(blob[:4]) != walMagic {
+		return 0, 0, corrupt(0, "bad magic")
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != walVersion {
+		return 0, 0, corrupt(4, fmt.Sprintf("unsupported version %d", v))
+	}
+	if hdrFirst := binary.LittleEndian.Uint64(blob[8:]); hdrFirst != seg.firstSeq {
+		return 0, 0, corrupt(8, fmt.Sprintf("header firstSeq %d != name %d", hdrFirst, seg.firstSeq))
+	}
+	if seg.firstSeq != prevSeq+1 {
+		return 0, 0, corrupt(0, fmt.Sprintf("segment starts at seq %d, previous ended at %d", seg.firstSeq, prevSeq))
+	}
+
+	off := int64(walHeaderSize)
+	seq := prevSeq
+	torn := func(reason string) (int64, uint64, error) {
+		if !last {
+			return 0, 0, corrupt(off, reason+" in non-final segment")
+		}
+		// Expected crash signature: truncate back to the clean prefix.
+		if err := w.cfg.FS.Truncate(path, off); err != nil {
+			return 0, 0, &WALWriteError{Op: "truncate " + seg.name, Err: err}
+		}
+		w.logf("wal: %s: %s at offset %d, truncated torn tail (%d bytes dropped)",
+			seg.name, reason, off, int64(len(blob))-off)
+		return off, seq, nil
+	}
+	for off < int64(len(blob)) {
+		rest := blob[off:]
+		if len(rest) < walRecHdrSize {
+			return torn("partial record header")
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if n == 0 || n > walMaxRecord {
+			return torn(fmt.Sprintf("implausible record length %d", n))
+		}
+		if int64(len(rest)) < walRecHdrSize+int64(n) {
+			return torn("record extends past end of file")
+		}
+		payload := rest[walRecHdrSize : walRecHdrSize+int64(n)]
+		if crc := binary.LittleEndian.Uint32(rest[4:]); crc != crc32.Checksum(payload, walCRCTable) {
+			return torn("checksum mismatch")
+		}
+		if n < 8 {
+			return 0, 0, corrupt(off, "record too short for sequence")
+		}
+		recSeq := binary.LittleEndian.Uint64(payload)
+		if recSeq != seq+1 {
+			return 0, 0, corrupt(off, fmt.Sprintf("sequence %d after %d", recSeq, seq))
+		}
+		seq = recSeq
+		off += walRecHdrSize + int64(n)
+	}
+	return off, seq, nil
+}
+
+// Replay streams every record with seq > fromSeq, oldest first, to fn.
+// Called once at recovery, after OpenWAL validated (and repaired) the
+// log; fn receives the entry bytes exactly as Append stored them.
+func (w *WAL) Replay(fromSeq uint64, fn func(seq uint64, entry []byte) error) error {
+	w.mu.Lock()
+	segs := append([]walSegment(nil), w.segments...)
+	w.mu.Unlock()
+	for _, seg := range segs {
+		if seg.lastSeq <= fromSeq || seg.lastSeq < seg.firstSeq {
+			continue
+		}
+		blob, err := w.cfg.FS.ReadFile(filepath.Join(w.cfg.Dir, seg.name))
+		if err != nil {
+			return &WALWriteError{Op: "replay read " + seg.name, Err: err}
+		}
+		off := int64(walHeaderSize)
+		for off < int64(len(blob)) {
+			rest := blob[off:]
+			if len(rest) < walRecHdrSize {
+				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: partial record header"}
+			}
+			n := binary.LittleEndian.Uint32(rest)
+			if int64(len(rest)) < walRecHdrSize+int64(n) || n < 8 {
+				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: truncated record"}
+			}
+			payload := rest[walRecHdrSize : walRecHdrSize+int64(n)]
+			if crc := binary.LittleEndian.Uint32(rest[4:]); crc != crc32.Checksum(payload, walCRCTable) {
+				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: checksum mismatch"}
+			}
+			seq := binary.LittleEndian.Uint64(payload)
+			if seq > fromSeq {
+				if err := fn(seq, payload[8:]); err != nil {
+					return err
+				}
+			}
+			off += walRecHdrSize + int64(n)
+		}
+	}
+	return nil
+}

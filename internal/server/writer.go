@@ -1,0 +1,231 @@
+package server
+
+import (
+	"fmt"
+	"time"
+
+	"keybin2/internal/obs"
+)
+
+// The writer side: the single goroutine that owns the stream. It applies
+// accepted batches in WAL order, replays WAL records (startup recovery and
+// the follower tail share one path), and checkpoints.
+
+// serve is the node's role loop: the single goroutine that owns the
+// stream runs the writer loop while primary and the tail loop while
+// following, switching in place on promote/demote — ownership of the
+// stream never has a gap or a second owner.
+func (s *Server) serve() {
+	defer s.wg.Done()
+	for {
+		var again bool
+		if s.role.Load().kind == roleFollower {
+			again = s.followLoop()
+		} else {
+			again = s.runLoop()
+		}
+		if !again {
+			return
+		}
+	}
+}
+
+// runLoop is the writer loop body: serve() runs it while the node is a
+// primary. Returns false on shutdown, true after a demotion switched the
+// node's role (serve() re-enters as followLoop on this same goroutine).
+func (s *Server) runLoop() bool {
+	var ckptC <-chan time.Time
+	if s.cfg.CheckpointPath != "" {
+		t := time.NewTicker(s.cfg.CheckpointEvery)
+		defer t.Stop()
+		ckptC = t.C
+	}
+	for {
+		select {
+		case it := <-s.queue:
+			s.apply(it)
+		case resp := <-s.histC:
+			s.exportHist(resp)
+		case req := <-s.roleCh:
+			err := errAlreadyPrimary
+			if req.change.op == opRejoin {
+				err = s.demote(req.change.target)
+			}
+			req.done <- roleResult{err: err, role: *s.role.Load(), appliedSeq: s.appliedSeqA.Load()}
+			if err == nil {
+				return true // now a follower; serve() switches loops
+			}
+		case <-ckptC:
+			s.checkpoint()
+		case <-s.done:
+			// Drain: Stop flipped draining under the write lock first, so
+			// nothing is added behind this loop.
+			for {
+				select {
+				case it := <-s.queue:
+					s.apply(it)
+				default:
+					s.checkpoint()
+					return false
+				}
+			}
+		}
+	}
+}
+
+// apply feeds one batch into the stream and refreshes the mirrored
+// counters the read path serves. It closes out the writer's share of the
+// batch's trace: an "apply" span around the batch ingest, plus whatever
+// stage spans the stream reported through RecordStage (a periodic refit
+// lands here). The pooled batch is released once the stream has consumed
+// it — the stream bins out of the aliased wire buffer and retains
+// nothing from it.
+func (s *Server) apply(it ingestItem) {
+	b := it.batch
+	var applySpan *obs.Span
+	if it.trace != nil {
+		s.curTrace = it.trace
+		applySpan = it.trace.Span("apply", obs.KV("points", b.M.Rows))
+	}
+	st := s.stream.Load()
+	if _, err := st.IngestBatch(&b.M); err != nil {
+		// Dimensionality was validated at the HTTP edge, so an error
+		// here is a refit failure — record it; the daemon keeps
+		// serving the previous model.
+		e := fmt.Errorf("server: ingest: %w", err)
+		s.writerErr.Store(&e)
+		s.logf("ingest error: %v", err)
+	}
+	s.appliedSeq = it.seq
+	s.appliedSeqA.Store(it.seq)
+	if it.producer != "" && it.pseq > 0 {
+		s.appliedProducers[it.producer] = it.pseq
+	}
+	s.batches.Add(1)
+	s.seen.Store(int64(st.Seen()))
+	s.refits.Store(s.refitBase + int64(st.Refits()))
+	if it.trace != nil {
+		applySpan.End()
+		s.curTrace = nil
+		it.trace.Finish()
+	}
+	b.Release()
+}
+
+// checkpoint writes the stream state durably (tmp + fsync + rename +
+// parent-dir fsync) with the covered WAL position in its metadata, then
+// truncates WAL segments the checkpoint covers. Before warmup there is
+// no state worth saving; that case is skipped silently.
+func (s *Server) checkpoint() {
+	if s.cfg.CheckpointPath == "" {
+		return
+	}
+	ckptStart := time.Now()
+	wal := s.wal.Load()
+	if wal != nil {
+		// The checkpoint claims coverage through appliedSeq, and with the
+		// pipelined writer apply can outrun the group-commit fsync. Sync
+		// first, or a crash could leave a durable checkpoint covering WAL
+		// records that never reached the disk — a false WALStaleError on
+		// the next start.
+		if err := wal.Sync(); err != nil {
+			s.logf("checkpoint: wal sync: %v", err)
+			return
+		}
+	}
+	var meta []byte
+	if wal != nil || len(s.appliedProducers) > 0 || s.role.Load().kind == roleFollower {
+		meta = encodeWALCkptMeta(s.appliedSeq, s.appliedProducers)
+	}
+	blob, err := s.stream.Load().EncodeWithMeta(meta)
+	if err != nil {
+		return // pre-warmup: nothing to save yet
+	}
+	if err := writeFileDurable(s.fs, s.cfg.CheckpointPath, blob, 0o644); err != nil {
+		s.logf("checkpoint: %v", err)
+		return
+	}
+	s.coveredSeq.Store(s.appliedSeq)
+	if wal != nil {
+		if err := wal.TruncateThrough(s.appliedSeq); err != nil {
+			s.logf("checkpoint: wal truncation: %v", err)
+		}
+	}
+	s.checkpoints.Add(1)
+	s.lastCkpt.Store(time.Now().Unix())
+	s.tel.ckpts.Inc()
+	s.tel.ckptSec.Observe(time.Since(ckptStart).Seconds())
+	s.logf("checkpoint: %d points, %d bytes, covers wal seq %d", s.stream.Load().Seen(), len(blob), s.appliedSeq)
+}
+
+// replayWAL applies every WAL record past the checkpoint's covered
+// sequence to the freshly-restored stream, skipping producer-sequence
+// duplicates (a batch can appear twice when a client retried after a
+// lost ack). Runs before Start, so the stream is still single-owner.
+func (s *Server) replayWAL(wal *WAL) error {
+	from := s.appliedSeq
+	err := wal.Replay(from, func(seq uint64, entry []byte) error {
+		rows, applied, aerr := s.applyWALEntry(seq, entry)
+		if aerr != nil {
+			return fmt.Errorf("server: wal replay seq %d: %w", seq, aerr)
+		}
+		if applied {
+			s.replayedB++
+			s.replayedP += int64(rows)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if s.replayedB > 0 {
+		s.logf("wal: replayed %d batches (%d points) past checkpoint seq %d",
+			s.replayedB, s.replayedP, from)
+	}
+	return nil
+}
+
+// applyWALEntry decodes one WAL entry and feeds its batch into the
+// stream, advancing the applied horizon and the producer idempotency
+// maps. It is the single replay path shared by startup recovery and the
+// follower tail loop — one code path is what makes a replica
+// byte-identical to a primary that replayed the same log. The caller
+// must be the goroutine owning the stream. Returns the batch's row count
+// and whether it was applied (false = producer-sequence duplicate).
+func (s *Server) applyWALEntry(seq uint64, entry []byte) (rows int, applied bool, err error) {
+	producer, pseq, raw, err := decodeWALEntry(entry)
+	if err != nil {
+		return 0, false, err
+	}
+	s.appliedSeq = seq
+	s.appliedSeqA.Store(seq)
+	if producer != "" && pseq > 0 {
+		if last, ok := s.appliedProducers[producer]; ok && pseq <= last {
+			return 0, false, nil // duplicate append; first copy already applied
+		}
+	}
+	b, err := DecodeBatchAlias(raw, 0)
+	if err != nil {
+		return 0, false, err
+	}
+	rows = b.M.Rows
+	if b.M.Cols != s.cfg.Stream.Dims {
+		cols := b.M.Cols
+		b.Release()
+		return 0, false, fmt.Errorf("batch has %d dims, stream expects %d", cols, s.cfg.Stream.Dims)
+	}
+	if _, err := s.stream.Load().IngestBatch(&b.M); err != nil {
+		b.Release()
+		return 0, false, err
+	}
+	b.Release()
+	if producer != "" && pseq > 0 {
+		s.appliedProducers[producer] = pseq
+		s.ingestMu.Lock()
+		if s.lastSeen[producer] < pseq {
+			s.lastSeen[producer] = pseq
+		}
+		s.ingestMu.Unlock()
+	}
+	return rows, true, nil
+}

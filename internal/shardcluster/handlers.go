@@ -4,67 +4,33 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 
+	"keybin2/internal/client"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 )
 
-// Handler returns the router's HTTP API:
-//
-//	POST /ingest  → proxied to the producer's hash-ring shard
-//	POST /label   → proxied round-robin to any live shard
-//	GET  /stats   → ClusterStats: aggregate + per-shard breakdown
-//	GET  /ring    → hash-ring ownership and shard liveness
-//	POST /merge   → run one merge epoch now; returns MergeResult
-//	GET  /metrics → Prometheus text exposition (router's own series)
-//	GET  /trace   → recent distributed traces (proxy hops, merge epochs)
-//	GET  /healthz → 200 (router liveness)
-//	GET  /readyz  → 200 when ≥ 1 shard is up, else 503
-//	GET  /debug/pprof/* → net/http/pprof (only with Config.EnablePprof)
+// Handler returns the router's HTTP API: the daemon chassis routes
+// (daemon.Mux) plus the table below; what each route answers is
+// documented once, in cmd/keybin2router's package doc.
 //
 // Ingest routing: the X-Producer header (the same idempotency identity
 // the daemon dedupes on) hashes onto the ring, so one producer's batches
 // always land on one shard — which is what keeps the daemon's per-producer
 // sequence dedupe exact under retries. Untagged batches round-robin.
 func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", r.handleIngest)
-	mux.HandleFunc("/label", r.handleLabel)
-	mux.HandleFunc("/stats", r.handleStats)
-	mux.HandleFunc("/ring", r.handleRing)
-	mux.HandleFunc("/merge", r.handleMerge)
-	mux.Handle("/metrics", r.cfg.Registry.Handler())
-	mux.Handle("/trace", r.tracer.Handler())
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, req *http.Request) {
-		io.WriteString(w, "ok\n")
-	}))
-	mux.HandleFunc("/readyz", getOnly(r.handleReady))
-	if r.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
-	}
+	mux := daemon.Mux(r.cfg.Registry, r.tracer, r.cfg.EnablePprof)
+	mux.HandleFunc("/ingest", daemon.POST(r.handleIngest))
+	mux.HandleFunc("/label", daemon.POST(r.handleLabel))
+	mux.HandleFunc("/stats", daemon.GET(r.handleStats))
+	mux.HandleFunc("/ring", daemon.GET(r.handleRing))
+	mux.HandleFunc("/merge", daemon.POST(r.handleMerge))
+	mux.HandleFunc("/readyz", daemon.GET(r.handleReady))
 	return mux
-}
-
-// getOnly rejects anything but GET/HEAD with a 405 carrying Allow —
-// read-only endpoints must say so instead of silently accepting writes.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, req)
-	}
 }
 
 // batchPoints parses the point count out of a KB2B batch header (count
@@ -126,26 +92,31 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 	return true
 }
 
-func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
+// readBody reads a proxied request's body, bounded by MaxBodyBytes. A
+// nil return means the error response was already written.
+func (r *Router) readBody(w http.ResponseWriter, req *http.Request) []byte {
 	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
 	if int64(len(body)) > r.cfg.MaxBodyBytes {
 		http.Error(w, "batch exceeds router body limit", http.StatusRequestEntityTooLarge)
+		return nil
+	}
+	return body
+}
+
+func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
+	body := r.readBody(w, req)
+	if body == nil {
 		return
 	}
 	producer := req.Header.Get("X-Producer")
 	// Join the producer's trace when it sent one — the router hop becomes a
 	// child of the client's root span, and the shard's ingest trace in turn
 	// joins this one: one trace ID, reconstructable across all three.
-	tr := r.startLinked(req, "router_ingest",
+	tr := daemon.StartTrace(r.tracer, req.Header, "router_ingest",
 		obs.KV("producer", producer), obs.KV("points", batchPoints(body)))
 	defer tr.Finish()
 	// Bounded failover: at most one attempt per cluster member. Each
@@ -174,31 +145,12 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	http.Error(w, "no shards available", http.StatusServiceUnavailable)
 }
 
-// startLinked begins a router-side trace, joined to the caller's
-// traceparent when the request carries a valid one.
-func (r *Router) startLinked(req *http.Request, name string, attrs ...obs.Attr) *obs.Trace {
-	if pc, ok := obs.ExtractTraceparent(req.Header); ok {
-		return r.tracer.StartLinked(name, pc, attrs...)
-	}
-	return r.tracer.Start(name, attrs...)
-}
-
 func (r *Router) handleLabel(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+	body := r.readBody(w, req)
+	if body == nil {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBodyBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > r.cfg.MaxBodyBytes {
-		http.Error(w, "batch exceeds router body limit", http.StatusRequestEntityTooLarge)
-		return
-	}
-	tr := r.startLinked(req, "router_label", obs.KV("bytes", len(body)))
+	tr := daemon.StartTrace(r.tracer, req.Header, "router_label", obs.KV("bytes", len(body)))
 	defer tr.Finish()
 	// Post-merge every shard serves the identical global model, so ANY
 	// live shard answers correctly — that indifference is the point of the
@@ -285,19 +237,8 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 			defer wg.Done()
 			cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(cctx, http.MethodGet, sh.url+"/stats", nil)
+			st, err := client.NewWithHTTPClient(sh.url, r.hc).Stats(cctx)
 			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			resp, err := r.hc.Do(req)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			defer resp.Body.Close()
-			var st server.Stats
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				rows[i].Error = err.Error()
 				return
 			}
@@ -323,13 +264,7 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet && req.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(r.Stats(req.Context()))
+	daemon.WriteJSON(w, http.StatusOK, r.Stats(req.Context()))
 }
 
 // ringInfo is the GET /ring payload.
@@ -341,11 +276,6 @@ type ringInfo struct {
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet && req.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	info := ringInfo{
 		VNodes:    r.cfg.VNodes,
 		Ownership: r.ring.Ownership(r.isUp),
@@ -355,32 +285,25 @@ func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 	for _, n := range r.order {
 		info.Up[n] = r.shards[n].up.Load()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(info)
+	daemon.WriteJSON(w, http.StatusOK, info)
 }
 
 func (r *Router) handleMerge(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	res, err := r.MergeOnce(req.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
+	daemon.WriteJSON(w, http.StatusOK, res)
 }
 
 func (r *Router) handleReady(w http.ResponseWriter, req *http.Request) {
 	up := len(r.upShards())
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if up == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	json.NewEncoder(w).Encode(map[string]any{
+	daemon.WriteJSON(w, status, map[string]any{
 		"ready": up > 0, "shards_up": up, "shards": len(r.order),
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
 	"keybin2/internal/xrand"
@@ -93,16 +94,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.RunID == "" {
-		c.RunID = obs.NewRunID()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(256)
-		c.Tracer.SetRunID(c.RunID)
-	}
+	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 256)
 	return c
 }
 
