@@ -182,7 +182,7 @@ func BenchmarkProjection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := batch.Apply(data, 0); err != nil {
+		if _, err := linalg.ParallelMul(nil, data, batch.Joined, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,9 +235,18 @@ func BenchmarkHistogramMerge(b *testing.B) {
 	enc := c.Encode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := histogram.CombineEncoded(a.Encode(), enc); err != nil {
+		acc, err := histogram.DecodeSet(a.Encode())
+		if err != nil {
 			b.Fatal(err)
 		}
+		in, err := histogram.DecodeSet(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := acc.Merge(in); err != nil {
+			b.Fatal(err)
+		}
+		acc.Encode()
 	}
 }
 

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
-	"keybin2/internal/histogram"
 	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
@@ -78,9 +75,8 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 
 	// Bin local points per trial and consolidate histograms. Trials are
 	// independent, so local binning runs concurrently over a shared worker
-	// budget; all trials' sets then travel in one payload (length-prefixed
-	// frames, appended in trial order so the bytes stay deterministic).
-	sets := make([]*histogram.Set, cfg.Trials)
+	// budget; all trials' sets then travel as one fold value.
+	contrib := &foldState{seen: uint64(local.Rows), trials: make([]foldTrial, cfg.Trials)}
 	binErrs := make([]error, cfg.Trials)
 	perTrial := trialWorkers(cfg.Workers, cfg.Trials)
 	var binWG sync.WaitGroup
@@ -102,7 +98,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 			if cfg.SuppressBelow >= 2 {
 				set.Suppress(uint64(cfg.SuppressBelow))
 			}
-			sets[t] = set
+			contrib.trials[t].set = set
 		}(t)
 	}
 	binWG.Wait()
@@ -111,26 +107,9 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 			return nil, nil, err
 		}
 	}
-	var packed []byte
-	for _, set := range sets {
-		packed = mpi.AppendBytesFrame(packed, set.Encode())
-	}
-	globalRaw, err := consolidate(comm, cfg, packed, combineFramedSets)
+	hists, err := exchange(comm, cfg, contrib)
 	if err != nil {
 		return nil, nil, commError("histogram consolidation", err)
-	}
-	frames, err := mpi.SplitBytesFrames(globalRaw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(frames) != cfg.Trials {
-		return nil, nil, fmt.Errorf("core: %d histogram frames for %d trials", len(frames), cfg.Trials)
-	}
-	globalSets := make([]*histogram.Set, cfg.Trials)
-	for t, f := range frames {
-		if globalSets[t], err = histogram.DecodeSet(f); err != nil {
-			return nil, nil, err
-		}
 	}
 
 	// Every rank partitions the identical global histograms — the
@@ -141,44 +120,30 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	models := make([]*Model, cfg.Trials)
 	assessments := make([]quality.Assessment, cfg.Trials)
 	partResults := make([]trialPartitions, cfg.Trials)
-	localTuples := make([]tupleCounts, cfg.Trials)
 	var cntWG sync.WaitGroup
 	for t := 0; t < cfg.Trials; t++ {
 		cntWG.Add(1)
 		go func(t int) {
 			defer cntWG.Done()
-			parts, collapsed := partitionSet(globalSets[t], cfg)
+			set := hists.trials[t].set
+			parts, collapsed := partitionSet(set, cfg)
 			partResults[t] = trialPartitions{parts: parts, collapsed: collapsed}
 			codec := newTupleCodec(parts, collapsed)
-			local := countTuples(proj, t*cfg.TargetDims, globalSets[t], parts, collapsed, codec, perTrial)
+			counts := countTuples(proj, t*cfg.TargetDims, set, parts, collapsed, codec, perTrial)
 			if cfg.SuppressBelow >= 2 {
-				local.dropBelow(uint64(cfg.SuppressBelow))
+				counts.dropBelow(uint64(cfg.SuppressBelow))
 			}
-			localTuples[t] = local
+			// The second round carries key masses only.
+			contrib.trials[t] = foldTrial{tuples: counts}
 		}(t)
 	}
 	cntWG.Wait()
-	var tuplePacked []byte
-	for t := 0; t < cfg.Trials; t++ {
-		tuplePacked = mpi.AppendBytesFrame(tuplePacked, encodeTupleCounts(localTuples[t]))
-	}
-	globalTuplesRaw, err := consolidate(comm, cfg, tuplePacked, combineFramedTuples)
+	tuples, err := exchange(comm, cfg, contrib)
 	if err != nil {
 		return nil, nil, commError("tuple-count consolidation", err)
 	}
-	tupleFrames, err := mpi.SplitBytesFrames(globalTuplesRaw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(tupleFrames) != cfg.Trials {
-		return nil, nil, fmt.Errorf("core: %d tuple frames for %d trials", len(tupleFrames), cfg.Trials)
-	}
 	for t := 0; t < cfg.Trials; t++ {
-		tuples, err := decodeTupleCounts(tupleFrames[t])
-		if err != nil {
-			return nil, nil, err
-		}
-		model, err := assembleModel(globalSets[t], partResults[t].parts, partResults[t].collapsed, tuples, cfg, t, batch)
+		model, err := assembleModel(hists.trials[t].set, partResults[t].parts, partResults[t].collapsed, tuples.trials[t].tuples, cfg, t, batch)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trial %d: %w", t, err)
 		}
@@ -218,120 +183,3 @@ func commError(stage string, err error) error {
 	}
 	return fmt.Errorf("core: %s: %w", stage, err)
 }
-
-// combineFramedSets merges two frame sequences of encoded histogram sets
-// element-wise.
-func combineFramedSets(acc, in []byte) ([]byte, error) {
-	a, err := mpi.SplitBytesFrames(acc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mpi.SplitBytesFrames(in)
-	if err != nil {
-		return nil, err
-	}
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("core: frame count mismatch %d vs %d", len(a), len(b))
-	}
-	var out []byte
-	for i := range a {
-		merged, err := histogram.CombineEncoded(a[i], b[i])
-		if err != nil {
-			return nil, err
-		}
-		out = mpi.AppendBytesFrame(out, merged)
-	}
-	return out, nil
-}
-
-// combineFramedTuples merges two frame sequences of encoded tuple-count
-// maps element-wise. Every rank derives the same codec from the same global
-// partitions, so paired frames always carry the same key tag.
-func combineFramedTuples(acc, in []byte) ([]byte, error) {
-	a, err := mpi.SplitBytesFrames(acc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mpi.SplitBytesFrames(in)
-	if err != nil {
-		return nil, err
-	}
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("core: tuple frame count mismatch %d vs %d", len(a), len(b))
-	}
-	var out []byte
-	for i := range a {
-		ta, err := decodeTupleCounts(a[i])
-		if err != nil {
-			return nil, err
-		}
-		tb, err := decodeTupleCounts(b[i])
-		if err != nil {
-			return nil, err
-		}
-		merged, err := mergeTupleCounts(ta, tb)
-		if err != nil {
-			return nil, err
-		}
-		out = mpi.AppendBytesFrame(out, encodeTupleCounts(merged))
-	}
-	return out, nil
-}
-
-// String-keyed tuple map wire format: [nentries:u32] then per entry
-// [keylen:u32][key bytes][mass:u64]. Entries are written in sorted key
-// order so equal maps encode identically. The distributed fit wraps this
-// (or the packed-uint64 form) behind a tag byte via encodeTupleCounts; the
-// streaming sync path uses it directly for its packed-keys.Key sketches.
-func encodeTuples(m map[string]uint64) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	size := 4
-	for _, k := range keys {
-		size += 4 + len(k) + 8
-	}
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(keys)))
-	off := 4
-	for _, k := range keys {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(k)))
-		off += 4
-		copy(buf[off:], k)
-		off += len(k)
-		binary.LittleEndian.PutUint64(buf[off:], m[k])
-		off += 8
-	}
-	return buf
-}
-
-func decodeTuples(b []byte) (map[string]uint64, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("core: truncated tuple map")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	out := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("core: truncated tuple entry header")
-		}
-		kl := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < kl+8 {
-			return nil, fmt.Errorf("core: truncated tuple entry")
-		}
-		key := string(b[:kl])
-		b = b[kl:]
-		out[key] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in tuple map", len(b))
-	}
-	return out, nil
-}
-
-func sortStrings(s []string) { sort.Strings(s) }

@@ -222,25 +222,25 @@ func TestCommunicationIsHistogramSized(t *testing.T) {
 
 func TestEncodeDecodeTuples(t *testing.T) {
 	m := map[string]uint64{"ab": 3, "": 1, "xyz": 9}
-	got, err := decodeTuples(encodeTuples(m))
+	got, err := readTupleSection(tupleSection(tupleCounts{s: m}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("got %v", got)
+	if !reflect.DeepEqual(m, got.s) {
+		t.Fatalf("got %v", got.s)
 	}
-	if _, err := decodeTuples([]byte{1}); err == nil {
+	if _, err := readTupleSection([]byte{tupleTagString, 1}); err == nil {
 		t.Fatal("short payload must fail")
 	}
-	enc := encodeTuples(m)
-	if _, err := decodeTuples(enc[:len(enc)-2]); err == nil {
+	enc := tupleSection(tupleCounts{s: m})
+	if _, err := readTupleSection(enc[:len(enc)-2]); err == nil {
 		t.Fatal("truncated payload must fail")
 	}
-	if _, err := decodeTuples(append(enc, 0)); err == nil {
+	if _, err := readTupleSection(append(enc, 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
 	// deterministic encoding
-	if string(encodeTuples(m)) != string(encodeTuples(map[string]uint64{"xyz": 9, "ab": 3, "": 1})) {
+	if string(enc) != string(tupleSection(tupleCounts{s: map[string]uint64{"xyz": 9, "ab": 3, "": 1}})) {
 		t.Fatal("encoding must be order-independent")
 	}
 }

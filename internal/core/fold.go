@@ -1,0 +1,346 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"keybin2/internal/histogram"
+	"keybin2/internal/mpi"
+)
+
+// The consolidation fold (§3): the one thing ranks and shards exchange is,
+// per projection trial, the per-dimension binning histograms and the
+// key-tuple masses that define the clusters, and consolidating it is an
+// integer sum. foldState is that value; FitDistributed's two rounds,
+// SyncDistributed and the shard merge are adapters that fill one in, move
+// its bytes over their transport, and read the sum back.
+//
+// Invariants the adapters (and the tests) rely on:
+//   - merge is commutative and associative: integer additions per bin and
+//     per key, so any order or grouping of the same states gives one sum;
+//   - the encoding is canonical: sets encode positionally, keys in strictly
+//     ascending order with no zero mass, and the decoder accepts nothing
+//     else — equal states have equal bytes, and encode∘decode is identity;
+//   - every count read off the wire is bounded by the bytes that remain
+//     before anything is allocated for it.
+//
+// Wire format (little endian), version 2:
+//
+//	magic "KB2H" | version u32 | trials u32 | seen u64
+//	per trial:
+//	  setLen u32 | histogram.Set.Encode bytes   (setLen 0: no histograms
+//	                                             travel in this round)
+//	  tag u8 | nentries u32 | entries           (the key masses)
+//	    'U': key u64 | mass u64                 packed keys, 16 B per cell
+//	    'S': keylen u32 | key bytes | mass u64  keys too wide to pack
+//
+// What a key means is the adapter's business — a segment tuple under the
+// trial's tupleCodec in FitDistributed, a coarse sketch cell in the stream
+// paths — and every party to one exchange derives the same keying from the
+// same configuration, so paired trials always carry the same tag.
+
+const (
+	foldMagic   = "KB2H"
+	foldVersion = 2
+
+	tupleTagPacked = 'U'
+	tupleTagString = 'S'
+)
+
+type foldTrial struct {
+	set    *histogram.Set // nil: this round carries no histograms
+	tuples tupleCounts
+}
+
+type foldState struct {
+	seen   uint64 // points behind this contribution
+	trials []foldTrial
+}
+
+func (f *foldState) encode() []byte {
+	w := &wireWriter{}
+	w.buf = append(w.buf, foldMagic...)
+	w.u32(foldVersion)
+	w.u32(uint32(len(f.trials)))
+	w.u64(f.seen)
+	for _, tr := range f.trials {
+		if tr.set == nil {
+			w.u32(0)
+		} else {
+			enc := tr.set.Encode()
+			w.u32(uint32(len(enc)))
+			w.buf = append(w.buf, enc...)
+		}
+		if tr.tuples.u != nil {
+			writeEntries(w, tupleTagPacked, tr.tuples.u, w.u64)
+		} else {
+			writeEntries(w, tupleTagString, tr.tuples.s, w.str)
+		}
+	}
+	return w.buf
+}
+
+// writeEntries writes the keys of m that hold mass, ascending — the
+// canonical entry order, a zero-mass key being the same as an absent one.
+func writeEntries[K cmp.Ordered](w *wireWriter, tag uint8, m map[K]uint64, key func(K)) {
+	keys := make([]K, 0, len(m))
+	for k, n := range m {
+		if n > 0 {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	w.u8(tag)
+	w.u32(uint32(len(keys)))
+	for _, k := range keys {
+		key(k)
+		w.u64(m[k])
+	}
+}
+
+// str writes a length-prefixed string.
+func (w *wireWriter) str(s string) {
+	w.u32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+// decodeFold is the only place a consolidation payload is parsed. Its input
+// comes from MPI peers and from /hist bodies, so it trusts no length.
+func decodeFold(b []byte) (*foldState, error) {
+	if len(b) < 8 || string(b[:4]) != foldMagic {
+		return nil, fmt.Errorf("core: not a fold state (missing %q header)", foldMagic)
+	}
+	r := &wireReader{buf: b, off: 4}
+	if v := r.u32(); v != foldVersion {
+		return nil, fmt.Errorf("core: fold state version %d unsupported", v)
+	}
+	trials := int(r.u32())
+	const minTrialBytes = 4 + 1 + 4 // setLen, tag, nentries
+	if trials <= 0 || trials > 1<<16 || trials > len(b)/minTrialBytes {
+		return nil, fmt.Errorf("core: absurd fold state trial count %d in %d bytes", trials, len(b))
+	}
+	f := &foldState{seen: r.u64(), trials: make([]foldTrial, trials)}
+	for t := range f.trials {
+		if slen := int(r.u32()); slen > 0 {
+			if !r.need(slen) {
+				return nil, fmt.Errorf("core: truncated fold state (trial %d set)", t)
+			}
+			set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+			if err != nil {
+				return nil, fmt.Errorf("core: fold state trial %d: %w", t, err)
+			}
+			if len(set.Dims) == 0 {
+				return nil, fmt.Errorf("core: fold state trial %d: histogram set without dimensions", t)
+			}
+			// A range that is empty, inverted or NaN merges with nothing,
+			// not even itself; histogram.New never produces one.
+			for j, h := range set.Dims {
+				if !(h.Max > h.Min) {
+					return nil, fmt.Errorf("core: fold state trial %d dim %d: range [%g, %g]", t, j, h.Min, h.Max)
+				}
+			}
+			r.off += slen
+			f.trials[t].set = set
+		}
+		var err error
+		if f.trials[t].tuples, err = r.tupleCounts(); err != nil {
+			return nil, fmt.Errorf("core: fold state trial %d: %w", t, err)
+		}
+	}
+	if r.off != len(b) {
+		return nil, fmt.Errorf("core: %d trailing bytes in fold state", len(b)-r.off)
+	}
+	return f, nil
+}
+
+// tupleCounts reads one trial's key masses.
+func (r *wireReader) tupleCounts() (tc tupleCounts, err error) {
+	switch tag, n := r.u8(), int(r.u32()); {
+	case r.err != nil:
+		err = r.err
+	case tag == tupleTagPacked:
+		tc.u, err = readEntries(r, n, 16, r.u64)
+	case tag == tupleTagString:
+		tc.s, err = readEntries(r, n, 12, r.str)
+	default:
+		err = fmt.Errorf("core: unknown tuple-count tag %q", tag)
+	}
+	return tc, err
+}
+
+// str reads a length-prefixed string.
+func (r *wireReader) str() string {
+	n := int(r.u32())
+	if n < 0 || !r.need(n) {
+		return ""
+	}
+	r.off += n
+	return string(r.buf[r.off-n : r.off])
+}
+
+// readEntries reads n key | mass entries of at least minBytes each. The
+// count is checked against the bytes left before the map is sized from it,
+// and only the canonical form is accepted: keys strictly ascending, no
+// zero mass.
+func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K) (map[K]uint64, error) {
+	if left := len(r.buf) - r.off; n > left/minBytes {
+		return nil, fmt.Errorf("core: %d tuple entries in %d bytes", n, left)
+	}
+	out := make(map[K]uint64, n)
+	var prev K
+	for i := 0; i < n; i++ {
+		k, mass := key(), r.u64()
+		if r.err != nil {
+			return nil, r.err
+		}
+		if i > 0 && k <= prev || mass == 0 {
+			return nil, fmt.Errorf("core: tuple entry %d not canonical (key order or zero mass)", i)
+		}
+		out[k], prev = mass, k
+	}
+	return out, nil
+}
+
+// sameShape reports whether o can be summed with f: the same number of
+// trials, histograms present on both sides or on neither.
+func (f *foldState) sameShape(o *foldState) error {
+	if len(o.trials) != len(f.trials) {
+		return fmt.Errorf("core: fold of %d trials with %d", len(f.trials), len(o.trials))
+	}
+	for t := range f.trials {
+		if (f.trials[t].set == nil) != (o.trials[t].set == nil) {
+			return fmt.Errorf("core: fold trial %d carries histograms on one side only", t)
+		}
+	}
+	return nil
+}
+
+// merge adds in into f. Histogram congruence (dimensions, depth, ranges) is
+// validated by Set.Merge; a failed merge leaves f partly summed, so callers
+// drop it.
+func (f *foldState) merge(in *foldState) error {
+	if err := f.sameShape(in); err != nil {
+		return err
+	}
+	for t := range f.trials {
+		a, b := &f.trials[t], &in.trials[t]
+		if a.set != nil {
+			if err := a.set.Merge(b.set); err != nil {
+				return fmt.Errorf("core: fold trial %d: %w", t, err)
+			}
+		}
+		var err error
+		if a.tuples, err = mergeTupleCounts(a.tuples, b.tuples); err != nil {
+			return fmt.Errorf("core: fold trial %d: %w", t, err)
+		}
+	}
+	f.seen += in.seen
+	return nil
+}
+
+// minus returns f − prev, the delta protocol's subtraction. prev is a state
+// f grew from, so no bin and no key goes negative; keys that did not grow
+// are left out.
+func (f *foldState) minus(prev *foldState) *foldState {
+	out := &foldState{seen: f.seen - prev.seen, trials: make([]foldTrial, len(f.trials))}
+	for t, tr := range f.trials {
+		p := prev.trials[t]
+		set := tr.set.Clone()
+		for j, h := range set.Dims {
+			for b, c := range p.set.Dims[j].Counts {
+				h.Counts[b] -= c
+			}
+			h.Total -= p.set.Dims[j].Total
+		}
+		out.trials[t].set = set
+		if tr.tuples.u != nil {
+			out.trials[t].tuples.u = grownBy(tr.tuples.u, p.tuples.u)
+		} else {
+			out.trials[t].tuples.s = grownBy(tr.tuples.s, p.tuples.s)
+		}
+	}
+	return out
+}
+
+func grownBy[K comparable](cur, prev map[K]uint64) map[K]uint64 {
+	out := make(map[K]uint64)
+	for k, n := range cur {
+		if n > prev[k] {
+			out[k] = n - prev[k]
+		}
+	}
+	return out
+}
+
+// combineFold is the fold as an mpi.Combine: every collective that
+// consolidates exchanged state reduces with it.
+func combineFold(acc, in []byte) ([]byte, error) {
+	a, err := decodeFold(acc)
+	if err != nil {
+		return nil, err
+	}
+	b, err := decodeFold(in)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.merge(b); err != nil {
+		return nil, err
+	}
+	return a.encode(), nil
+}
+
+// exchange sums local across the ranks of comm over the configured
+// collective and returns the global state, which every rank receives
+// identically.
+func exchange(comm *mpi.Comm, cfg Config, local *foldState) (*foldState, error) {
+	raw, err := consolidate(comm, cfg, local.encode(), combineFold)
+	if err != nil {
+		return nil, err
+	}
+	global, err := decodeFold(raw)
+	if err != nil {
+		return nil, err
+	}
+	return global, local.sameShape(global)
+}
+
+// fold reads the stream's cumulative contribution: its live histograms and
+// its sketches rounded to integer masses (exact without decay, where every
+// ingested point adds mass 1). The sets alias the live ones, so the value
+// is encoded or subtracted from before the next Ingest.
+func (s *Stream) fold() *foldState {
+	f := &foldState{seen: uint64(s.seen), trials: make([]foldTrial, len(s.sets))}
+	for t, set := range s.sets {
+		f.trials[t] = foldTrial{set: set, tuples: s.sketch[t].counts()}
+	}
+	return f
+}
+
+// adopt makes st the stream's state — histograms, sketches rebuilt from the
+// key masses, point count — and refits on it. Everything is checked against
+// the stream's own shape before anything is replaced, so a state that does
+// not fit leaves the stream as it was. The sets are copied: st stays the
+// caller's.
+func (s *Stream) adopt(st *foldState) error {
+	if len(st.trials) != len(s.sets) {
+		return fmt.Errorf("core: merged state has %d trials, config %d", len(st.trials), len(s.sets))
+	}
+	sketches := make([]*trialSketch, len(s.sets))
+	for t, tr := range st.trials {
+		width := len(s.sets[t].Dims)
+		if tr.set == nil || len(tr.set.Dims) != width || tr.set.Dims[0].Depth != s.depth {
+			return fmt.Errorf("core: merged state trial %d does not carry %d histograms of depth %d", t, width, s.depth)
+		}
+		var err error
+		if sketches[t], err = sketchFromCounts(width, uint32(1)<<(uint(s.depth)-s.sketchShift), tr.tuples); err != nil {
+			return fmt.Errorf("core: merged state trial %d: %w", t, err)
+		}
+	}
+	for t, tr := range st.trials {
+		s.sets[t] = tr.set.Clone()
+	}
+	s.sketch = sketches
+	s.seen = int(st.seen)
+	return s.Refit()
+}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -90,5 +94,198 @@ func TestFitGolden(t *testing.T) {
 		if got[c.name] != want[c.name] {
 			t.Errorf("%s: digest %s, golden %s", c.name, got[c.name], want[c.name])
 		}
+	}
+}
+
+const streamGoldenPath = "testdata/stream_golden.txt"
+
+// canonicalKB2S returns a stream checkpoint with each trial's key records
+// sorted. Encode walks the sketch maps in Go's randomized order, so two
+// checkpoints of one state differ only there; everything else — header,
+// model, histogram frames, every record's bytes — is kept as written.
+func canonicalKB2S(t *testing.T, b []byte) []byte {
+	t.Helper()
+	r := &wireReader{buf: b, off: 4}
+	skip := func(n int) {
+		if !r.need(n) {
+			t.Fatalf("checkpoint: %v", r.err)
+		}
+		r.off += n
+	}
+	version := r.u32()
+	skip(8 + 4) // seen, nextID
+	if version >= 2 {
+		skip(int(r.u32()))
+	}
+	if r.u8() == 1 {
+		skip(int(r.u32()))
+	}
+	trials := int(r.u32())
+	out := append([]byte(nil), b[:r.off]...)
+	for i := 0; i < trials; i++ {
+		start := r.off
+		skip(int(r.u32()))
+		nkeys := int(r.u32())
+		out = append(out, b[start:r.off]...)
+		recs := make([]string, nkeys)
+		for k := range recs {
+			recStart := r.off
+			skip(4*int(r.u32()) + 8)
+			recs[k] = string(b[recStart:r.off])
+		}
+		sort.Strings(recs)
+		out = append(out, strings.Join(recs, "")...)
+	}
+	if r.err != nil || r.off != len(b) || len(out) != len(b) {
+		t.Fatalf("checkpoint: walked %d of %d bytes (%v)", r.off, len(b), r.err)
+	}
+	return out
+}
+
+// TestStreamGolden pins what the consolidation fold must not move, as
+// digests taken before the fold existed: a stream's KB2S checkpoint bytes
+// and its label sequence across refit boundaries (warmup ranges; fixed
+// ranges with decay, whose masses are fractional), the model bytes two
+// Install epochs produce from three shard states, and the model bytes of
+// three ranks across two SyncDistributed calls (the delta path).
+func TestStreamGolden(t *testing.T) {
+	spec := synth.AutoMixture(4, 8, 6, 1, xrand.New(300))
+	digest := func(parts ...[]byte) string {
+		h := sha256.New()
+		for _, p := range parts {
+			h.Write(p)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	feed := func(st *Stream, src *synth.MixtureStream, n int) ([]byte, error) {
+		var labels []byte
+		for i := 0; i < n; i++ {
+			x, _, _ := src.Next()
+			l, err := st.Ingest(x)
+			if err != nil {
+				return nil, err
+			}
+			labels = binary.LittleEndian.AppendUint64(labels, uint64(int64(l)))
+		}
+		return labels, nil
+	}
+	checkpointed := func(cfg StreamConfig, n int) func() (string, error) {
+		return func() (string, error) {
+			st, err := NewStream(cfg)
+			if err != nil {
+				return "", err
+			}
+			labels, err := feed(st, spec.Stream(0, xrand.New(301)), n)
+			if err != nil {
+				return "", err
+			}
+			if st.Refits() < 2 {
+				return "", fmt.Errorf("%d refits, want at least two boundaries crossed", st.Refits())
+			}
+			blob, err := st.Encode()
+			if err != nil {
+				return "", err
+			}
+			return digest(labels) + "+" + digest(canonicalKB2S(t, blob)), nil
+		}
+	}
+	shardCfg := StreamConfig{Config: Config{Seed: 7, Trials: 3}, Dims: 8,
+		RawRanges: fixedRanges(8, -12, 12), Period: 1 << 30}
+	cases := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"stream/warmup", checkpointed(StreamConfig{Config: Config{Seed: 5, Trials: 3}, Dims: 8,
+			Warmup: 500, Period: 1000}, 2700)},
+		{"stream/decay", checkpointed(StreamConfig{Config: Config{Seed: 6, Trials: 3}, Dims: 8,
+			RawRanges: fixedRanges(8, -12, 12), Period: 700, DecayFactor: 0.9}, 2500)},
+		{"install/3shards", func() (string, error) {
+			global, err := NewGlobalModelState(shardCfg)
+			if err != nil {
+				return "", err
+			}
+			shards := make([]*Stream, 3)
+			for i := range shards {
+				if shards[i], err = NewStream(shardCfg); err != nil {
+					return "", err
+				}
+			}
+			src := spec.Stream(0, xrand.New(302))
+			var epochs []string
+			for _, n := range []int{3000, 1500} {
+				states := make([][]byte, len(shards))
+				for i := 0; i < n; i++ {
+					x, _, _ := src.Next()
+					if _, err := shards[i%len(shards)].Ingest(x); err != nil {
+						return "", err
+					}
+				}
+				for i, sh := range shards {
+					if states[i], err = sh.EncodeShardState(); err != nil {
+						return "", err
+					}
+				}
+				merged, err := MergeShardStates(states...)
+				if err != nil {
+					return "", err
+				}
+				model, err := global.Install(merged)
+				if err != nil {
+					return "", err
+				}
+				epochs = append(epochs, digest(model.Encode(), []byte(fmt.Sprint(global.Seen()))))
+			}
+			return strings.Join(epochs, "+"), nil
+		}},
+		{"sync/3ranks", func() (string, error) {
+			digests, err := mpi.RunCollect(3, func(c *mpi.Comm) (string, error) {
+				st, err := NewStream(shardCfg)
+				if err != nil {
+					return "", err
+				}
+				src := spec.Stream(0, xrand.New(int64(303+c.Rank())))
+				var syncs []string
+				for _, n := range []int{1200, 600} {
+					if _, err := feed(st, src, n); err != nil {
+						return "", err
+					}
+					if err := st.SyncDistributed(c); err != nil {
+						return "", err
+					}
+					syncs = append(syncs, digest(st.Model().Encode(), []byte(fmt.Sprint(st.Seen()))))
+				}
+				return strings.Join(syncs, "+"), nil
+			})
+			if err != nil {
+				return "", err
+			}
+			for _, d := range digests[1:] {
+				if d != digests[0] {
+					return "", fmt.Errorf("ranks disagree: %v", digests)
+				}
+			}
+			return digests[0], nil
+		}},
+	}
+	var sb strings.Builder
+	for _, c := range cases {
+		d, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&sb, "%s %s\n", c.name, d)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(streamGoldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(streamGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("stream digests moved:\n got:\n%swant:\n%s", sb.String(), want)
 	}
 }

@@ -1,19 +1,14 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
-)
+import "fmt"
 
 // Shard-state exchange: the serving-layer form of the paper's
 // histogram-only communication. Each keybin2d shard ingests a partition of
 // the producer stream into its own histograms and key sketches; what
-// shards exchange is never raw points but an encoded ShardState — the
-// cumulative per-trial histogram sets and coarse tuple-mass sketches. A
-// merge coordinator (the shard router) folds K shard states with
+// shards exchange is never raw points but an encoded consolidation fold
+// (fold.go: the cumulative per-trial histogram sets and coarse sketch
+// masses, the same value and bytes the MPI collectives reduce). A merge
+// coordinator (the shard router) folds K shard states with
 // MergeShardStates and derives one global model from the sum with
 // GlobalModelState; the encoded model (which carries its stabilized
 // labels on the wire) is then installed on every shard, so the whole
@@ -26,17 +21,6 @@ import (
 // epoch, died, or restarted from its checkpoint simply publishes its
 // cumulative state at the next epoch and the merged total is correct
 // again, with no per-peer delta bookkeeping to repair.
-//
-// ShardState wire format (little endian):
-//
-//	magic "KB2H" | version u32 | trials u32 | seen u64
-//	per trial:
-//	  setLen u32 | histogram.Set.Encode bytes
-//	  tupLen u32 | encodeTuples bytes (packed keys.Key → integer mass,
-//	               sorted by key so equal states encode identically)
-
-const shardStateMagic = "KB2H"
-const shardStateVersion = 1
 
 // EncodeShardState packages this stream's cumulative local contribution
 // for the cross-shard merge: per trial, the full histogram set and the
@@ -56,157 +40,37 @@ func (s *Stream) EncodeShardState() ([]byte, error) {
 	if f := s.cfg.DecayFactor; f > 0 && f < 1 {
 		return nil, fmt.Errorf("core: shard state is incompatible with DecayFactor")
 	}
-	if s.syncedSets != nil {
+	if s.synced != nil {
 		return nil, fmt.Errorf("core: shard state on a SyncDistributed stream is not supported")
 	}
-	w := &wireWriter{}
-	w.buf = append(w.buf, shardStateMagic...)
-	w.u32(shardStateVersion)
-	w.u32(uint32(len(s.sets)))
-	w.u64(uint64(s.seen))
-	for t, set := range s.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
-		fmass := make(map[string]float64)
-		s.sketch[t].each(func(k keys.Key, n float64) {
-			fmass[k.Pack()] += n
-		})
-		tuples := make(map[string]uint64, len(fmass))
-		for k, n := range fmass {
-			if r := uint64(math.Round(n)); r > 0 {
-				tuples[k] = r
-			}
-		}
-		tenc := encodeTuples(tuples)
-		w.u32(uint32(len(tenc)))
-		w.buf = append(w.buf, tenc...)
-	}
-	return w.buf, nil
-}
-
-// shardState is a decoded ShardState payload.
-type shardState struct {
-	seen   uint64
-	sets   []*histogram.Set
-	tuples []map[string]uint64
-}
-
-func decodeShardState(b []byte) (*shardState, error) {
-	if len(b) < 8 || string(b[:4]) != shardStateMagic {
-		return nil, fmt.Errorf("core: not a shard state (missing %q header)", shardStateMagic)
-	}
-	r := &wireReader{buf: b, off: 4}
-	if v := r.u32(); v != shardStateVersion {
-		return nil, fmt.Errorf("core: shard state version %d unsupported", v)
-	}
-	trials := int(r.u32())
-	if trials <= 0 || trials > 1<<16 {
-		return nil, fmt.Errorf("core: absurd shard state trial count %d", trials)
-	}
-	st := &shardState{
-		seen:   r.u64(),
-		sets:   make([]*histogram.Set, trials),
-		tuples: make([]map[string]uint64, trials),
-	}
-	for t := 0; t < trials; t++ {
-		slen := int(r.u32())
-		if !r.need(slen) {
-			return nil, fmt.Errorf("core: truncated shard state (trial %d set)", t)
-		}
-		set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
-		if err != nil {
-			return nil, fmt.Errorf("core: shard state trial %d: %w", t, err)
-		}
-		r.off += slen
-		st.sets[t] = set
-		tlen := int(r.u32())
-		if !r.need(tlen) {
-			return nil, fmt.Errorf("core: truncated shard state (trial %d tuples)", t)
-		}
-		tuples, err := decodeTuples(r.buf[r.off : r.off+tlen])
-		if err != nil {
-			return nil, fmt.Errorf("core: shard state trial %d: %w", t, err)
-		}
-		r.off += tlen
-		st.tuples[t] = tuples
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("core: %d trailing bytes in shard state", len(b)-r.off)
-	}
-	return st, nil
-}
-
-// encodeShardState re-serializes a decoded (or merged) state. Because
-// histogram sets encode positionally and tuple maps encode in sorted key
-// order, equal states produce identical bytes — which is what makes the
-// merge's output independent of shard order.
-func encodeShardState(st *shardState) []byte {
-	w := &wireWriter{}
-	w.buf = append(w.buf, shardStateMagic...)
-	w.u32(shardStateVersion)
-	w.u32(uint32(len(st.sets)))
-	w.u64(st.seen)
-	for t, set := range st.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
-		tenc := encodeTuples(st.tuples[t])
-		w.u32(uint32(len(tenc)))
-		w.buf = append(w.buf, tenc...)
-	}
-	return w.buf
+	return s.fold().encode(), nil
 }
 
 // MergeShardStates folds K encoded shard states into one: per trial,
-// bin-wise histogram sums and tuple-mass sums. The merge is commutative
-// and associative — integer additions in any grouping — and the encoding
-// is canonical (sorted tuples), so any permutation or parenthesization of
-// the same states yields byte-identical output. Congruence (same trial
-// count, dimensions, depth, and ranges — guaranteed when every shard runs
-// the identical StreamConfig) is validated and mismatches are errors.
+// bin-wise histogram sums and key-mass sums. The fold is commutative and
+// associative and its encoding canonical, so any permutation or
+// parenthesization of the same states yields byte-identical output.
+// Congruence (same trial count, dimensions, depth, and ranges — guaranteed
+// when every shard runs the identical StreamConfig) is validated and
+// mismatches are errors.
 func MergeShardStates(states ...[]byte) ([]byte, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shard states")
 	}
-	acc, err := decodeShardState(states[0])
+	acc, err := decodeFold(states[0])
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range states[1:] {
-		st, err := decodeShardState(b)
+		st, err := decodeFold(b)
+		if err == nil {
+			err = acc.merge(st)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: shard state %d: %w", i+1, err)
 		}
-		if len(st.sets) != len(acc.sets) {
-			return nil, fmt.Errorf("core: shard state %d has %d trials, expected %d", i+1, len(st.sets), len(acc.sets))
-		}
-		for t := range acc.sets {
-			if err := acc.sets[t].Merge(st.sets[t]); err != nil {
-				return nil, fmt.Errorf("core: shard state %d trial %d: %w", i+1, t, err)
-			}
-			for k, n := range st.tuples[t] {
-				acc.tuples[t][k] += n
-			}
-		}
-		acc.seen += st.seen
 	}
-	return encodeShardState(acc), nil
-}
-
-// ShardStateSeen reports the point count carried in an encoded shard
-// state without decoding the histogram payload — coordinator logging and
-// metrics.
-func ShardStateSeen(b []byte) (uint64, error) {
-	if len(b) < 20 || string(b[:4]) != shardStateMagic {
-		return 0, fmt.Errorf("core: not a shard state (missing %q header)", shardStateMagic)
-	}
-	r := &wireReader{buf: b, off: 8} // past magic + version
-	r.u32()                          // trials
-	return r.u64(), r.err
+	return acc.encode(), nil
 }
 
 // GlobalModelState is the cross-shard label-stabilization authority: one
@@ -251,35 +115,11 @@ func NewGlobalModelState(cfg StreamConfig) (*GlobalModelState, error) {
 // deterministic and label stabilization is a pure function of the
 // previous install's model.
 func (g *GlobalModelState) Install(merged []byte) (*Model, error) {
-	st, err := decodeShardState(merged)
+	st, err := decodeFold(merged)
 	if err != nil {
 		return nil, err
 	}
-	if len(st.sets) != len(g.s.sets) {
-		return nil, fmt.Errorf("core: merged state has %d trials, config %d", len(st.sets), len(g.s.sets))
-	}
-	for t := range st.sets {
-		if len(st.sets[t].Dims) != len(g.s.sets[t].Dims) {
-			return nil, fmt.Errorf("core: merged state trial %d has %d dims, config %d",
-				t, len(st.sets[t].Dims), len(g.s.sets[t].Dims))
-		}
-		sk := newTrialSketch(len(st.sets[t].Dims))
-		for ks, n := range st.tuples[t] {
-			k, err := keys.Unpack(ks)
-			if err != nil {
-				return nil, fmt.Errorf("core: merged state trial %d: %w", t, err)
-			}
-			if len(k) != len(st.sets[t].Dims) {
-				return nil, fmt.Errorf("core: merged state trial %d key width %d for %d dims",
-					t, len(k), len(st.sets[t].Dims))
-			}
-			sk.add(k, float64(n))
-		}
-		g.s.sets[t] = st.sets[t]
-		g.s.sketch[t] = sk
-	}
-	g.s.seen = int(g.s.sets[0].Total())
-	if err := g.s.Refit(); err != nil {
+	if err := g.s.adopt(st); err != nil {
 		return nil, err
 	}
 	return g.s.Snapshot(), nil

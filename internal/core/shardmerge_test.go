@@ -11,7 +11,7 @@ import (
 // shardFixture builds K streams with the identical shard config plus one
 // "union" stream, partitions n synthetic points across the shards, and
 // feeds every point to the union stream too.
-func shardFixture(t *testing.T, k, n int) (shards []*Stream, union *Stream) {
+func shardFixture(t testing.TB, k, n int) (shards []*Stream, union *Stream) {
 	t.Helper()
 	cfg := StreamConfig{
 		Config: Config{Seed: 7, Trials: 3}, Dims: 4,
@@ -42,7 +42,7 @@ func shardFixture(t *testing.T, k, n int) (shards []*Stream, union *Stream) {
 	return shards, union
 }
 
-func encodeAll(t *testing.T, shards []*Stream) [][]byte {
+func encodeAll(t testing.TB, shards []*Stream) [][]byte {
 	t.Helper()
 	var states [][]byte
 	for i, s := range shards {
@@ -142,12 +142,12 @@ func TestMergeShardStatesEqualsUnionStream(t *testing.T) {
 	if !bytes.Equal(merged, unionState) {
 		t.Fatal("merged shard states differ from the single-node state")
 	}
-	seen, err := ShardStateSeen(merged)
+	st, err := decodeFold(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 3000 {
-		t.Fatalf("merged seen = %d, want 3000", seen)
+	if st.seen != 3000 {
+		t.Fatalf("merged seen = %d, want 3000", st.seen)
 	}
 }
 
@@ -339,6 +339,43 @@ func TestMergeShardStatesErrors(t *testing.T) {
 	// Truncation is detected, not silently accepted.
 	if _, err := MergeShardStates(sa[:len(sa)-3]); err == nil {
 		t.Fatal("want error on truncated state")
+	}
+	// Hostile bytes: a count read off the wire sizes nothing before it is
+	// checked against the bytes that remain. The first two rows killed the
+	// process ("fatal error: out of memory") through the v1 decoder.
+	header := func(version, trials uint32) []byte {
+		w := &wireWriter{buf: []byte(foldMagic)}
+		w.u32(version)
+		w.u32(trials)
+		w.u64(0)
+		return w.buf
+	}
+	hostile := []struct {
+		name string
+		body []byte
+	}{
+		{"a bare 2^31-1 entry count (4 B)", []byte{0xff, 0xff, 0xff, 0x7f}},
+		{"a v1 /hist body whose tuple map claims 2^31-1 entries (40 B)", append(header(1, 1),
+			8, 0, 0, 0 /* setLen */, 0, 0, 0, 0, 1, 0, 0, 0, /* a 0-dim set */
+			4, 0, 0, 0 /* tupLen */, 0xff, 0xff, 0xff, 0x7f)},
+		{"the same count in a v2 string-keyed section", append(header(2, 1),
+			0, 0, 0, 0 /* setLen */, tupleTagString, 0xff, 0xff, 0xff, 0x7f)},
+		{"2^32-1 packed entries", append(header(2, 1),
+			0, 0, 0, 0, tupleTagPacked, 0xff, 0xff, 0xff, 0xff)},
+		{"2^16 trials in 20 bytes", header(2, 1<<16)},
+		{"a string key longer than the input", append(header(2, 1),
+			0, 0, 0, 0, tupleTagString, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0)},
+	}
+	for _, h := range hostile {
+		if _, err := decodeBounded(t, h.body); err == nil {
+			t.Errorf("%s: decoded", h.name)
+		}
+		if _, err := MergeShardStates(h.body); err == nil {
+			t.Errorf("%s: merged", h.name)
+		}
+		if _, err := MergeShardStates(sa, h.body); err == nil {
+			t.Errorf("%s: merged into a good state", h.name)
+		}
 	}
 }
 

@@ -154,10 +154,9 @@ type Stream struct {
 	// goroutine owns Ingest/Refit, any number may call Snapshot.
 	model atomic.Pointer[Model]
 
-	// State snapshot at the last SyncDistributed, so subsequent syncs ship
+	// Global state as of the last SyncDistributed, so subsequent syncs ship
 	// only the delta (nil before the first sync).
-	syncedSets []*histogram.Set
-	syncedCtr  []map[string]float64
+	synced *foldState
 }
 
 // NewStream creates a streaming clusterer. cfg.Dims must be set; all other
@@ -393,9 +392,7 @@ func (s *Stream) Refit() error {
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
-		// Accumulate tuple mass in float and round once per tuple: after
-		// decay the individual key masses are fractional, and rounding
-		// them before summing would zero the sketch. Keys follow the
+		// Tuple mass accumulates in float (see roundMasses). Keys follow the
 		// trial's codec — packed uint64 when the tuple fits, string
 		// fallback otherwise — matching what assembleModel expects.
 		codec := newTupleCodec(parts, collapsed)
@@ -434,19 +431,9 @@ func (s *Stream) Refit() error {
 		})
 		var tuples tupleCounts
 		if codec.fits {
-			tuples.u = make(map[uint64]uint64, len(fmassU))
-			for k, n := range fmassU {
-				if r := uint64(math.Round(n)); r > 0 {
-					tuples.u[k] = r
-				}
-			}
+			tuples.u = roundMasses(fmassU)
 		} else {
-			tuples.s = make(map[string]uint64, len(fmassS))
-			for k, n := range fmassS {
-				if r := uint64(math.Round(n)); r > 0 {
-					tuples.s[k] = r
-				}
-			}
+			tuples.s = roundMasses(fmassS)
 		}
 		model, err := assembleModel(set, parts, collapsed, tuples, cfg, t, s.batch)
 		if err != nil {
@@ -613,10 +600,11 @@ func (s *Stream) SketchSize() (bins, distinctKeys int) {
 // exchange for distributed streams. Ranks must call it collectively and at
 // the same point in their control flow.
 //
-// Only the *delta* since the previous sync is exchanged, so repeated syncs
-// neither double-count mass nor grow the payload with stream length.
-// Distributed sync is incompatible with DecayFactor: forgetting would have
-// to be coordinated across ranks, which this engine does not attempt.
+// Only the *delta* since the previous sync is exchanged (as one
+// consolidation fold, see fold.go), so repeated syncs neither double-count
+// mass nor grow the payload with stream length. Distributed sync is
+// incompatible with DecayFactor: forgetting would have to be coordinated
+// across ranks, which this engine does not attempt.
 func (s *Stream) SyncDistributed(comm *mpi.Comm) error {
 	if s.sets == nil {
 		return fmt.Errorf("core: SyncDistributed before warmup completed")
@@ -624,133 +612,23 @@ func (s *Stream) SyncDistributed(comm *mpi.Comm) error {
 	if f := s.cfg.DecayFactor; f > 0 && f < 1 {
 		return fmt.Errorf("core: SyncDistributed is incompatible with DecayFactor")
 	}
-
-	// Package this rank's delta since the last sync.
-	var packed []byte
-	deltaCtrs := make([]map[string]float64, len(s.sets))
-	for t, set := range s.sets {
-		deltaSet := set.Clone()
-		fmass := make(map[string]float64)
-		s.sketch[t].each(func(k keys.Key, n float64) {
-			fmass[k.Pack()] += n
-		})
-		if s.syncedSets != nil {
-			for j, h := range deltaSet.Dims {
-				prev := s.syncedSets[t].Dims[j]
-				for b := range h.Counts {
-					h.Counts[b] -= prev.Counts[b]
-				}
-				h.Total -= prev.Total
-			}
-			for k, n := range s.syncedCtr[t] {
-				fmass[k] -= n
-				if fmass[k] <= 1e-9 {
-					delete(fmass, k)
-				}
-			}
-		}
-		deltaCtrs[t] = fmass
-		tuples := make(map[string]uint64, len(fmass))
-		for k, n := range fmass {
-			if r := uint64(math.Round(n)); r > 0 {
-				tuples[k] = r
-			}
-		}
-		packed = mpi.AppendBytesFrame(packed, deltaSet.Encode())
-		packed = mpi.AppendBytesFrame(packed, encodeTuples(tuples))
+	// The live state is the last synced global state plus what this rank
+	// ingested since; before the first sync it is all this rank's own.
+	delta := s.fold()
+	if s.synced != nil {
+		delta = delta.minus(s.synced)
 	}
-
-	merged, err := comm.Allreduce(packed, combineStreamState)
+	global, err := exchange(comm, s.cfg.Config, delta)
 	if err != nil {
 		return err
 	}
-	frames, err := mpi.SplitBytesFrames(merged)
-	if err != nil {
+	// New global state = previous global state + summed deltas.
+	if s.synced == nil {
+		s.synced = global
+	} else if err := s.synced.merge(global); err != nil {
 		return err
 	}
-	if len(frames) != 2*len(s.sets) {
-		return fmt.Errorf("core: %d sync frames for %d trials", len(frames), len(s.sets))
-	}
-
-	// New global state = previous global state + summed deltas. (Before
-	// the first sync the previous global state is this rank's own history
-	// minus its delta, i.e. empty — handled by starting from the synced
-	// snapshot when present, else from zero.)
-	if s.syncedSets == nil {
-		s.syncedSets = make([]*histogram.Set, len(s.sets))
-		s.syncedCtr = make([]map[string]float64, len(s.sets))
-	}
-	for t := range s.sets {
-		deltaGlobal, err := histogram.DecodeSet(frames[2*t])
-		if err != nil {
-			return err
-		}
-		tuples, err := decodeTuples(frames[2*t+1])
-		if err != nil {
-			return err
-		}
-		if s.syncedSets[t] == nil {
-			s.syncedSets[t] = deltaGlobal
-		} else if err := s.syncedSets[t].Merge(deltaGlobal); err != nil {
-			return err
-		}
-		if s.syncedCtr[t] == nil {
-			s.syncedCtr[t] = make(map[string]float64)
-		}
-		for k, n := range tuples {
-			s.syncedCtr[t][k] += float64(n)
-		}
-
-		// Adopt the new global state as the live view.
-		s.sets[t] = s.syncedSets[t].Clone()
-		sk := newTrialSketch(len(s.sets[t].Dims))
-		for ks, n := range s.syncedCtr[t] {
-			k, err := keys.Unpack(ks)
-			if err != nil {
-				return err
-			}
-			sk.add(k, n)
-		}
-		s.sketch[t] = sk
-	}
-	// Every rank now has identical state; the deterministic refit yields
-	// identical models.
-	s.seen = int(s.sets[0].Total())
-	return s.Refit()
-}
-
-// combineStreamState merges interleaved (set, tuple) frame pairs.
-func combineStreamState(acc, in []byte) ([]byte, error) {
-	a, err := mpi.SplitBytesFrames(acc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mpi.SplitBytesFrames(in)
-	if err != nil {
-		return nil, err
-	}
-	if len(a) != len(b) || len(a)%2 != 0 {
-		return nil, fmt.Errorf("core: sync frame mismatch %d vs %d", len(a), len(b))
-	}
-	var out []byte
-	for i := 0; i < len(a); i += 2 {
-		set, err := histogram.CombineEncoded(a[i], b[i])
-		if err != nil {
-			return nil, err
-		}
-		out = mpi.AppendBytesFrame(out, set)
-		ma, err := decodeTuples(a[i+1])
-		if err != nil {
-			return nil, err
-		}
-		mb, err := decodeTuples(b[i+1])
-		if err != nil {
-			return nil, err
-		}
-		for k, n := range mb {
-			ma[k] += n
-		}
-		out = mpi.AppendBytesFrame(out, encodeTuples(ma))
-	}
-	return out, nil
+	// Every rank now adopts identical state; the deterministic refit
+	// yields identical models.
+	return s.adopt(s.synced)
 }

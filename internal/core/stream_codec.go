@@ -49,7 +49,7 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 	if s.sets == nil {
 		return nil, fmt.Errorf("core: checkpoint before warmup completed")
 	}
-	if s.syncedSets != nil {
+	if s.synced != nil {
 		return nil, fmt.Errorf("core: checkpointing a distributed-synced stream is not supported")
 	}
 	w := &wireWriter{}

@@ -1,6 +1,11 @@
 package core
 
-import "keybin2/internal/keys"
+import (
+	"fmt"
+	"math"
+
+	"keybin2/internal/keys"
+)
 
 // trialSketch is one trial's coarse key-mass accumulator — the structure
 // the ingest hot loop hits once per point per trial. The stream only ever
@@ -128,4 +133,74 @@ func (s *trialSketch) decay(factor float64) {
 			s.packed[pk] = nn
 		}
 	}
+}
+
+// roundMasses turns float masses into the integer counts a model is built
+// from and the fold ships, leaving out what rounds to nothing. Masses are
+// summed in float first and rounded once: after decay they are fractional,
+// and rounding each before summing would zero the sketch.
+func roundMasses[K comparable](m map[K]float64) map[K]uint64 {
+	out := make(map[K]uint64, len(m))
+	for k, n := range m {
+		if r := uint64(math.Round(n)); r > 0 {
+			out[k] = r
+		}
+	}
+	return out
+}
+
+// counts is the sketch as the consolidation fold ships it: integer masses
+// keyed by the packed cell when the sketch packs, by Key.Pack() otherwise.
+func (s *trialSketch) counts() tupleCounts {
+	if s.packed != nil {
+		return tupleCounts{u: roundMasses(s.packed)}
+	}
+	m := make(map[string]float64, s.ctr.Len())
+	s.ctr.Each(func(k keys.Key, n float64) { m[k.Pack()] = n })
+	return tupleCounts{s: roundMasses(m)}
+}
+
+// sketchFromCounts is the inverse of counts for masses that arrived from
+// elsewhere. Every component must address one of the stream's bins coarse
+// sketch cells per dimension: Refit indexes a bins-wide table with it.
+func sketchFromCounts(width int, bins uint32, tc tupleCounts) (*trialSketch, error) {
+	sk := newTrialSketch(width)
+	add := func(k keys.Key, n uint64) error {
+		for j, b := range k {
+			if b >= bins {
+				return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, bins)
+			}
+		}
+		sk.add(k, float64(n))
+		return nil
+	}
+	if tc.u != nil {
+		if sk.packed == nil {
+			return nil, fmt.Errorf("core: packed sketch keys for %d dimensions, which do not pack", width)
+		}
+		k := make(keys.Key, width)
+		for pk, n := range tc.u {
+			if pk>>uint(width*sketchBitsPerDim) != 0 {
+				return nil, fmt.Errorf("core: packed sketch key %#x wider than %d dimensions", pk, width)
+			}
+			sk.unpackInto(k, pk)
+			if err := add(k, n); err != nil {
+				return nil, err
+			}
+		}
+		return sk, nil
+	}
+	for ks, n := range tc.s {
+		k, err := keys.Unpack(ks)
+		if err == nil && len(k) != width {
+			err = fmt.Errorf("core: sketch key width %d for %d dimensions", len(k), width)
+		}
+		if err == nil {
+			err = add(k, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sk, nil
 }

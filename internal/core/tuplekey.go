@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/partition"
@@ -130,8 +128,10 @@ func (l *labeler) key(x []float64) uint64 {
 	return key
 }
 
-// tupleCounts holds one trial's tuple occupancy: packed uint64 keys on the
-// fast path, legacy string keys when the codec does not fit.
+// tupleCounts holds one trial's key→mass occupancy: packed uint64 keys on
+// the fast path, string keys when the keying does not fit 64 bits. It is
+// the only key→mass map that crosses a process boundary (fold.go has its
+// wire form).
 type tupleCounts struct {
 	u map[uint64]uint64
 	s map[string]uint64
@@ -156,69 +156,6 @@ func (tc tupleCounts) dropBelow(k uint64) {
 		if n < k {
 			delete(tc.s, key)
 		}
-	}
-}
-
-// Tuple-count wire format (distributed reduce): a tag byte 'U' or 'S'
-// selecting the key codec, then [nentries:u32] and per entry either
-// [key:u64][mass:u64] (packed) or [keylen:u32][key bytes][mass:u64]
-// (string fallback). Entries are sorted by key so equal maps encode
-// identically on every rank — all ranks derive the same codec from the same
-// global partitions, so frames always carry matching tags.
-
-const (
-	tupleTagPacked = 'U'
-	tupleTagString = 'S'
-)
-
-func encodeTupleCounts(tc tupleCounts) []byte {
-	if tc.u != nil {
-		keys := make([]uint64, 0, len(tc.u))
-		for k := range tc.u {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		buf := make([]byte, 5, 5+16*len(keys))
-		buf[0] = tupleTagPacked
-		binary.LittleEndian.PutUint32(buf[1:], uint32(len(keys)))
-		for _, k := range keys {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-			buf = binary.LittleEndian.AppendUint64(buf, tc.u[k])
-		}
-		return buf
-	}
-	return append([]byte{tupleTagString}, encodeTuples(tc.s)...)
-}
-
-func decodeTupleCounts(b []byte) (tupleCounts, error) {
-	if len(b) < 1 {
-		return tupleCounts{}, fmt.Errorf("core: empty tuple-count frame")
-	}
-	switch b[0] {
-	case tupleTagPacked:
-		b = b[1:]
-		if len(b) < 4 {
-			return tupleCounts{}, fmt.Errorf("core: truncated packed tuple map")
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) != 16*n {
-			return tupleCounts{}, fmt.Errorf("core: packed tuple map %d bytes for %d entries", len(b), n)
-		}
-		out := make(map[uint64]uint64, n)
-		for i := 0; i < n; i++ {
-			out[binary.LittleEndian.Uint64(b)] = binary.LittleEndian.Uint64(b[8:])
-			b = b[16:]
-		}
-		return tupleCounts{u: out}, nil
-	case tupleTagString:
-		m, err := decodeTuples(b[1:])
-		if err != nil {
-			return tupleCounts{}, err
-		}
-		return tupleCounts{s: m}, nil
-	default:
-		return tupleCounts{}, fmt.Errorf("core: unknown tuple-count tag %q", b[0])
 	}
 }
 

@@ -295,7 +295,7 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 // mixed merges and corrupt frames.
 func TestTupleCountsWire(t *testing.T) {
 	u := tupleCounts{u: map[uint64]uint64{3: 5, 9: 2, 0: 1}}
-	got, err := decodeTupleCounts(encodeTupleCounts(u))
+	got, err := readTupleSection(tupleSection(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestTupleCountsWire(t *testing.T) {
 		}
 	}
 	s := tupleCounts{s: map[string]uint64{"ab": 3, "": 1}}
-	got, err = decodeTupleCounts(encodeTupleCounts(s))
+	got, err = readTupleSection(tupleSection(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,19 +315,19 @@ func TestTupleCountsWire(t *testing.T) {
 	if _, err := mergeTupleCounts(u, got); err == nil {
 		t.Fatal("merging packed with string should fail")
 	}
-	if _, err := decodeTupleCounts(nil); err == nil {
+	if _, err := readTupleSection(nil); err == nil {
 		t.Fatal("empty frame should fail")
 	}
-	if _, err := decodeTupleCounts([]byte{'X', 0}); err == nil {
+	if _, err := readTupleSection([]byte{'X', 0}); err == nil {
 		t.Fatal("unknown tag should fail")
 	}
-	enc := encodeTupleCounts(u)
-	if _, err := decodeTupleCounts(enc[:len(enc)-3]); err == nil {
+	enc := tupleSection(u)
+	if _, err := readTupleSection(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated packed frame should fail")
 	}
 	// Determinism: equal maps encode to identical bytes.
 	u2 := tupleCounts{u: map[uint64]uint64{9: 2, 0: 1, 3: 5}}
-	if !bytes.Equal(encodeTupleCounts(u), encodeTupleCounts(u2)) {
+	if !bytes.Equal(tupleSection(u), tupleSection(u2)) {
 		t.Fatal("encoding is not canonical")
 	}
 }

@@ -163,21 +163,3 @@ func DecodeSet(b []byte) (*Set, error) {
 	}
 	return s, nil
 }
-
-// CombineEncoded is an mpi.Combine-compatible reducer: it decodes two
-// encoded sets, merges them, and re-encodes. Histogram reduction across
-// ranks is exactly this fold.
-func CombineEncoded(acc, in []byte) ([]byte, error) {
-	a, err := DecodeSet(acc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := DecodeSet(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Merge(b); err != nil {
-		return nil, err
-	}
-	return a.Encode(), nil
-}

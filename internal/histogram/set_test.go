@@ -126,23 +126,3 @@ func TestDecodeCorrupt(t *testing.T) {
 		t.Fatal("absurd depth must fail")
 	}
 }
-
-func TestCombineEncoded(t *testing.T) {
-	a, b := makeSet(t), makeSet(t)
-	a.AddPoint([]float64{1, 0})
-	b.AddPoint([]float64{9, 0})
-	out, err := CombineEncoded(a.Encode(), b.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := DecodeSet(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Total() != 2 {
-		t.Fatalf("combined total %d", merged.Total())
-	}
-	if _, err := CombineEncoded(a.Encode(), []byte{0}); err == nil {
-		t.Fatal("corrupt input must fail")
-	}
-}

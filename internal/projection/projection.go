@@ -174,20 +174,3 @@ func NewBatch(kind Kind, n, nrp, trials int, rng *xrand.Stream) (*Batch, error) 
 	}
 	return &Batch{Trials: trials, Nrp: nrp, Joined: joined}, nil
 }
-
-// Apply projects points through all trials at once, returning the
-// m×(Trials·Nrp) joined result.
-func (b *Batch) Apply(points *linalg.Matrix, workers int) (*linalg.Matrix, error) {
-	return linalg.ParallelMul(nil, points, b.Joined, workers)
-}
-
-// TrialColumns returns the half-open column range [lo, hi) of trial t in
-// the joined result.
-func (b *Batch) TrialColumns(t int) (lo, hi int) { return t * b.Nrp, (t + 1) * b.Nrp }
-
-// TrialRow extracts trial t's coordinates from a row of the joined result.
-// The returned slice aliases row.
-func (b *Batch) TrialRow(row []float64, t int) []float64 {
-	lo, hi := b.TrialColumns(t)
-	return row[lo:hi]
-}

@@ -182,11 +182,13 @@ func TestBatchEquivalentToIndividualTrials(t *testing.T) {
 	for i := range pts.Data {
 		pts.Data[i] = prng.Norm()
 	}
-	joined, err := b.Apply(pts, 2)
+	joined, err := linalg.ParallelMul(nil, pts, b.Joined, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct trial 1's matrix and compare column ranges.
+	// Joined's layout: trial t's matrix is columns [t·Nrp, (t+1)·Nrp).
+	// Reconstruct trial 1's matrix and compare that column range, in the
+	// joined matrix itself and in what it projects.
 	m1, err := New(Gaussian, 25, 4, rng.SplitN("projection", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -195,12 +197,18 @@ func TestBatchEquivalentToIndividualTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := b.TrialColumns(1)
-	if lo != 4 || hi != 8 {
-		t.Fatalf("trial columns [%d,%d)", lo, hi)
+	if b.Trials != 3 || b.Nrp != 4 {
+		t.Fatalf("batch shape %d trials × %d", b.Trials, b.Nrp)
+	}
+	for j := 0; j < b.Nrp; j++ {
+		for i := 0; i < m1.Rows; i++ {
+			if b.Joined.At(i, b.Nrp+j) != m1.At(i, j) {
+				t.Fatalf("joined column %d is not trial 1's column %d", b.Nrp+j, j)
+			}
+		}
 	}
 	for i := 0; i < pts.Rows; i++ {
-		tr := b.TrialRow(joined.Row(i), 1)
+		tr := joined.Row(i)[b.Nrp : 2*b.Nrp]
 		for j := 0; j < 4; j++ {
 			if math.Abs(tr[j]-solo.At(i, j)) > 1e-9 {
 				t.Fatalf("batch and solo trial differ at (%d,%d)", i, j)

@@ -82,10 +82,6 @@ func TestHistExportInstallServe(t *testing.T) {
 	if got := resp.Header.Get("X-KB2-Seen"); got != "2000" {
 		t.Fatalf("X-KB2-Seen = %q", got)
 	}
-	seen, err := core.ShardStateSeen(state)
-	if err != nil || seen != 2000 {
-		t.Fatalf("state seen = %d, %v", seen, err)
-	}
 
 	// Merge (of one) + global model, as the router would.
 	merged, err := core.MergeShardStates(state)
@@ -99,6 +95,9 @@ func TestHistExportInstallServe(t *testing.T) {
 	gm, err := global.Install(merged)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if global.Seen() != 2000 {
+		t.Fatalf("state seen = %d", global.Seen())
 	}
 
 	// Install epoch 1 on the shard.

@@ -373,6 +373,12 @@ func TestClusterShardDeathAndRejoin(t *testing.T) {
 		t.Fatalf("orphan producer owned by %q after death of %q", owner, victimURL)
 	}
 
+	// An ack is an enqueue; the epoch below must see the orphan's batches
+	// applied (the writer serves /hist and its queue in either order).
+	if err := client.New(rt.URL).WaitSeen(context.Background(), 3600-vst.Seen+400); err != nil {
+		t.Fatal(err)
+	}
+
 	// The next epoch completes with the survivors. The dead shard's
 	// histograms die with it (state exchange is cumulative from live
 	// shards), so the merged count drops — degraded, not stuck.

@@ -103,10 +103,13 @@ func TestIngestTraceSpansRouterAndShard(t *testing.T) {
 
 	// Shard hop: the owning shard's ingest pipeline trace shares the ID
 	// and is parented under the router's root span.
-	str := traceByID(fetchTraces(t, owner), ack.TraceID, "ingest_batch")
-	if str == nil {
-		t.Fatalf("trace %s not on owning shard %s /trace", ack.TraceID, owner)
-	}
+	// The ack is the enqueue; the shard publishes the trace once its writer
+	// has applied the batch.
+	var str *obs.TraceJSON
+	waitFor(t, "trace "+ack.TraceID+" on owning shard "+owner+" /trace", func() bool {
+		str = traceByID(fetchTraces(t, owner), ack.TraceID, "ingest_batch")
+		return str != nil
+	})
 	if str.ParentID != rtr.SpanID {
 		t.Errorf("shard trace parent %q != router span %q", str.ParentID, rtr.SpanID)
 	}
