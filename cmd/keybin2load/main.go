@@ -1,14 +1,14 @@
-// Command keybin2load drives a running keybin2d daemon: it pushes
-// synthetic mixture traffic through concurrent ingesters while hammering
-// /label, then reports ingest throughput and query latency as JSON (the
-// measurement cmd/benchjson folds into BENCH_keybin2.json).
+// Command keybin2load drives the keybin2 serving tier from outside, in two
+// modes.
 //
-// Usage:
+// Load: it pushes synthetic mixture traffic at a RUNNING keybin2d (or
+// keybin2router) through concurrent ingesters while hammering /label,
+// and reports ingest throughput and query latency as JSON.
 //
 //	keybin2load -addr http://127.0.0.1:7420 [-points 100000] [-dims 16]
 //	            [-batch 512] [-ingesters 4] [-query-workers 2] [-seed 1]
 //	            [-o -] [-probe labels.json] [-no-load]
-//	            [-cluster] [-producer-prefix load]
+//	            [-read-addrs URL,URL] [-cluster] [-producer-prefix load]
 //
 // -cluster points the run at a keybin2router instead of a daemon: each
 // ingest worker gets its own producer identity (so the router's hash
@@ -23,22 +23,26 @@
 // -no-load) after restarting from its checkpoint to assert the restored
 // model labels identically.
 //
-// -crash-cycles N switches to chaos mode: the tool spawns its own
-// keybin2d process (-daemon path) with a WAL, kill -9s it mid-ingest N
-// times, and fails loudly if any acknowledged batch is lost across the
-// restarts or if a traffic-free restart changes probe labels:
+// Chaos: -scenario NAME runs one row of the internal/chaos scenario table
+// — the same table `go test ./internal/chaos` runs at its smallest size —
+// over daemons the tool spawns itself from the binaries in -bin, and
+// fails loudly at the first broken invariant, with the tail of the fleet
+// log. It prints the scenario's report as JSON.
 //
-//	keybin2load -crash-cycles 20 -daemon ./keybin2d [-fsync interval]
-//	            [-crash-dir dir] [-crash-batches 6]
+//	keybin2load -scenario crash -cycles 20 -bin /tmp [-fsync interval]
+//	            [-dims 8] [-batch 256] [-cycle-batches 6] [-replicas 2]
+//	            [-points 20000] [-seed 1] [-dir workdir]
 //
-// -promote additionally builds a 1-primary/N-follower replica set each
-// cycle and promotes a follower by hand after the kill; -failover goes
-// the last step: an embedded failover supervisor watches the replica
-// set, the harness kill -9s the primary and touches NOTHING — writes
-// must resume through a pool-mode client via election alone, no acked
-// batch may be lost, and the ex-primary revived on its original address
-// must be rejected with the typed stale-epoch error and then demoted in
-// place into a follower by a fresh supervisor.
+// The scenarios (DESIGN.md "Chaos scenarios" has fleet shape, fault and
+// invariants for each): crash — kill -9 one WAL'd daemon mid-ingest
+// -cycles times, no acked batch lost; promote — kill -9 the primary of a
+// replica set, promote a follower by hand; failover — the same kill under
+// a keybin2failover supervisor, writes must resume by election alone and
+// the revived zombie is fenced and demoted; restart — graceful stop and
+// restore under real load with a follower; supervisor — the election
+// watched over the standalone supervisor's HTTP surface; shards — a
+// router over three shards loses one to kill -9, merges degraded and
+// takes it back.
 package main
 
 import (
@@ -50,9 +54,8 @@ import (
 	"strings"
 	"time"
 
+	"keybin2/internal/chaos"
 	"keybin2/internal/client"
-	"keybin2/internal/synth"
-	"keybin2/internal/xrand"
 )
 
 func main() {
@@ -70,14 +73,13 @@ func main() {
 		timeout = flag.Duration("timeout", 10*time.Minute, "overall deadline")
 		probeN  = flag.Int("probe-points", 256, "points in the consistency probe")
 
-		crashCycles  = flag.Int("crash-cycles", 0, "chaos mode: kill -9 the daemon this many times mid-ingest")
-		daemonPath   = flag.String("daemon", "./keybin2d", "keybin2d binary for -crash-cycles")
-		crashDir     = flag.String("crash-dir", "", "chaos workdir (default: fresh temp dir, removed after)")
-		crashBatches = flag.Int("crash-batches", 6, "batches acked per chaos cycle before the kill")
-		fsync        = flag.String("fsync", "always", "WAL fsync policy for the chaos daemon")
-		promote      = flag.Bool("promote", false, "with -crash-cycles: kill the PRIMARY of a replicated cluster and promote a follower instead of restarting")
-		failoverM    = flag.Bool("failover", false, "with -crash-cycles: kill the PRIMARY under a failover supervisor and assert writes resume via election alone, with the revived zombie fenced")
-		replicas     = flag.Int("replicas", 2, "follower replicas per cluster in -promote chaos mode")
+		scenario     = flag.String("scenario", "", "chaos mode: run this internal/chaos scenario ("+strings.Join(chaos.Names(), " | ")+") instead of a load")
+		cycles       = flag.Int("cycles", 1, "with -scenario crash | promote | failover: kill cycles")
+		binDir       = flag.String("bin", ".", "with -scenario: directory holding the keybin2d, keybin2router and keybin2failover binaries")
+		workDir      = flag.String("dir", "", "with -scenario: workdir for state and fleet.log (default: fresh temp dir, removed after)")
+		cycleBatches = flag.Int("cycle-batches", 6, "with -scenario: batches acked per cycle before the kill")
+		fsync        = flag.String("fsync", "always", "with -scenario: WAL fsync policy of the spawned daemons")
+		replicas     = flag.Int("replicas", 2, "with -scenario: follower replicas per replica set")
 		readAddrs    = flag.String("read-addrs", "", "comma-separated follower base URLs; label queries split across them and -addr")
 		clusterMode  = flag.Bool("cluster", false, "-addr is a keybin2router: tag each ingester as its own producer and report the per-shard distribution")
 		prodPrefix   = flag.String("producer-prefix", "", "per-worker producer id prefix (default with -cluster: \"load\"); spreads workers across a router's hash ring")
@@ -86,31 +88,20 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	if *crashCycles > 0 {
-		var err error
-		if *failoverM {
-			err = runFailoverChaos(ctx, failoverChaosConfig{
-				daemon: *daemonPath, cycles: *crashCycles, replicas: *replicas,
-				dims: *dims, batch: *batch, perCycle: *crashBatches, seed: *seed,
-				dir: *crashDir, fsync: *fsync,
-			})
-		} else if *promote {
-			err = runReplicaChaos(ctx, replicaChaosConfig{
-				daemon: *daemonPath, cycles: *crashCycles, replicas: *replicas,
-				dims: *dims, batch: *batch, perCycle: *crashBatches, seed: *seed,
-				dir: *crashDir, fsync: *fsync,
-			})
-		} else {
-			err = runCrashCycles(ctx, crashConfig{
-				daemon: *daemonPath, cycles: *crashCycles, dims: *dims,
-				batch: *batch, perCycle: *crashBatches, seed: *seed,
-				dir: *crashDir, fsync: *fsync,
-			})
-		}
+	if *scenario != "" {
+		rep, err := chaos.Run(ctx, *scenario, chaos.Config{
+			Bin: *binDir, Dir: *workDir, Cycles: *cycles, Replicas: *replicas,
+			Dims: *dims, Batch: *batch, PerCycle: *cycleBatches, Points: *points,
+			Seed: *seed, Fsync: *fsync,
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "keybin2load:", err)
+			fmt.Fprintf(os.Stderr, "keybin2load: %s: %v\n", *scenario, err)
 			os.Exit(1)
 		}
+		enc, _ := json.MarshalIndent(rep, "", "  ")
+		os.Stdout.Write(append(enc, '\n'))
+		fmt.Fprintf(os.Stderr, "%s: %d cycles, %d points acked, 0 lost; %d probe labels stable\n",
+			*scenario, rep.Cycles, rep.PointsAcked, rep.ProbeLabels)
 		return
 	}
 
@@ -176,11 +167,7 @@ type probeRecord struct {
 }
 
 func runProbe(ctx context.Context, c *client.Client, path string, dims, n int, seed int64) error {
-	// The probe batch is derived from the seed alone, so any invocation
-	// with equal flags regenerates identical points.
-	spec := synth.AutoMixture(4, dims, 6, 1, xrand.New(seed))
-	batch, _ := spec.Sample(n, xrand.New(seed+7))
-	res, err := c.Label(ctx, batch)
+	res, err := c.Label(ctx, chaos.Probe(dims, n, seed))
 	if err != nil {
 		return err
 	}

@@ -85,7 +85,7 @@ func main() {
 // run drives the scrape loop: one frame in one-shot mode, a frame per
 // -watch interval otherwise. All frames go to w.
 func run(ctx context.Context, o options, w io.Writer) error {
-	sc := &scraper{hc: &http.Client{}, timeout: o.timeout}
+	sc := &scraper{hc: &http.Client{Timeout: o.timeout}}
 	targets := o.nodes
 	if o.router != "" {
 		targets = append(append([]string{}, o.nodes...), o.router)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"keybin2/internal/client"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
@@ -27,16 +28,16 @@ type nodeScrape struct {
 	Err     string
 }
 
-// scraper pulls the fleet's observability endpoints.
+// scraper pulls the fleet's observability endpoints, each call under
+// the per-endpoint timeout its http.Client carries.
 type scraper struct {
-	hc      *http.Client
-	timeout time.Duration
+	hc *http.Client
 }
 
+// getJSON fetches the endpoints internal/client has no method for: /trace
+// and the supervisor's /status.
 func (s *scraper) getJSON(ctx context.Context, url string, v any) error {
-	cctx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
 	}
@@ -51,50 +52,26 @@ func (s *scraper) getJSON(ctx context.Context, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func (s *scraper) getMetrics(ctx context.Context, base string) (map[string]float64, error) {
-	cctx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
-	}
-	return obs.ParseExposition(resp.Body)
-}
-
-func (s *scraper) getTraces(ctx context.Context, base string) ([]obs.TraceJSON, error) {
-	var body struct {
-		Traces []obs.TraceJSON `json:"traces"`
-	}
-	if err := s.getJSON(ctx, base+"/trace", &body); err != nil {
-		return nil, err
-	}
-	return body.Traces, nil
-}
-
 // scrapeNode pulls one daemon's /stats, /metrics, and /trace. Stats
 // failing makes the node a down row; metrics/trace failures degrade to
 // partial data (an old daemon without /trace still renders).
 func (s *scraper) scrapeNode(ctx context.Context, base string) nodeScrape {
 	ns := nodeScrape{URL: base}
-	var st server.Stats
-	if err := s.getJSON(ctx, base+"/stats", &st); err != nil {
+	c := client.NewWithHTTPClient(base, s.hc)
+	st, err := c.Stats(ctx)
+	if err != nil {
 		ns.Err = err.Error()
 		return ns
 	}
 	ns.Stats = &st
-	if m, err := s.getMetrics(ctx, base); err == nil {
+	if m, err := c.Metrics(ctx); err == nil {
 		ns.Metrics = m
 	}
-	if tr, err := s.getTraces(ctx, base); err == nil {
-		ns.Traces = tr
+	var ring struct {
+		Traces []obs.TraceJSON `json:"traces"`
+	}
+	if err := s.getJSON(ctx, base+"/trace", &ring); err == nil {
+		ns.Traces = ring.Traces
 	}
 	return ns
 }
