@@ -9,10 +9,11 @@
 //
 // The input is a CSV of numeric features, one point per row (an optional
 // header row is skipped). With -truth, the last column is a ground-truth
-// integer label used only for evaluation. With -ranks > 1 the fit runs
-// distributed over in-process message-passing ranks, exercising exactly the
-// histogram-only communication path a multi-node deployment uses; -ring
-// consolidates histograms around a ring instead of a binomial tree.
+// integer label used only for evaluation. Every fit is the distributed one:
+// -ranks (default 1) in-process message-passing ranks each fit a shard of
+// the input, exercising exactly the histogram-only communication path a
+// multi-node deployment uses; -ring consolidates histograms around a ring
+// instead of a binomial tree.
 //
 // With -tcp-addrs the fit instead runs over the TCP transport: every
 // participating process is started with the same comma-separated address
@@ -78,7 +79,7 @@ func main() {
 	flag.IntVar(&o.depth, "depth", 0, "binning tree depth (0 = auto from data size)")
 	flag.IntVar(&o.minCluster, "min-cluster", 0, "minimum cluster size (0 = auto)")
 	flag.BoolVar(&o.describe, "describe", false, "print the fitted model's structure to stderr")
-	flag.BoolVar(&o.commStats, "comm-stats", false, "print per-rank communication counters (messages, bytes, collectives) to stderr")
+	flag.BoolVar(&o.commStats, "comm-stats", false, "print per-rank communication counters of the fit (messages, bytes, collectives; not the label gather) to stderr; -ranks 1 prints one zero-traffic line")
 	flag.DurationVar(&o.commTimeout, "comm-timeout", 0, "per-receive timeout in distributed runs (0 = block; backstop against dead peers)")
 	flag.StringVar(&o.tcpAddrs, "tcp-addrs", "", "comma-separated host:port per rank; run over the TCP transport")
 	flag.IntVar(&o.tcpRank, "tcp-rank", 0, "this process's rank within -tcp-addrs")
@@ -123,52 +124,16 @@ func run(o runOpts) error {
 	}
 
 	start := time.Now()
-	var model *core.Model
-	var labels []int
-	var commSnaps []mpi.StatsSnapshot // per rank; empty on single-process fits
-	switch {
-	case o.tcpAddrs != "":
-		var snap *mpi.StatsSnapshot
-		model, labels, snap, err = runTCPFit(o, data, cfg)
-		if err != nil {
-			return err
-		}
-		if snap != nil {
-			printCommStats(o, []mpi.StatsSnapshot{*snap}, o.tcpRank)
-		}
-		if model == nil {
-			return nil // non-root TCP rank: labels were gathered at rank 0
-		}
-	case o.ranks <= 1:
-		model, labels, err = core.Fit(data, cfg)
-		if err != nil {
-			return err
-		}
-	default:
-		type rankOut struct {
-			labels []int
-			model  *core.Model
-			stats  mpi.StatsSnapshot
-		}
-		results, rerr := mpi.RunCollect(o.ranks, func(c *mpi.Comm) (rankOut, error) {
-			c.SetRecvTimeout(o.commTimeout)
-			lo, hi := synth.Shard(data.Rows, o.ranks, c.Rank())
-			local := linalg.NewMatrix(hi-lo, data.Cols)
-			copy(local.Data, data.Data[lo*data.Cols:hi*data.Cols])
-			m, l, err := core.FitDistributed(c, local, cfg)
-			return rankOut{labels: l, model: m, stats: c.Stats().Snapshot()}, err
-		})
-		if rerr != nil {
-			return rerr
-		}
-		model = results[0].model
-		for _, r := range results {
-			labels = append(labels, r.labels...)
-			commSnaps = append(commSnaps, r.stats)
-		}
+	outs, firstRank, err := fit(o, data, cfg)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
-	printCommStats(o, commSnaps, 0)
+	printCommStats(o, outs, firstRank)
+	model, labels := outs[0].model, outs[0].labels
+	if model == nil {
+		return nil // non-root TCP rank: labels were gathered at rank 0
+	}
 
 	fmt.Fprintf(os.Stderr, "points=%d dims=%d clusters=%d trial=%d CH=%.2f time=%s\n",
 		data.Rows, data.Cols, model.K(), model.Trial, model.Assessment.CH, elapsed)
@@ -201,55 +166,71 @@ func run(o runOpts) error {
 	return dataio.WriteLabeled(w, data, labels, nil)
 }
 
-// runTCPFit runs the distributed fit over the TCP transport. Every process
-// shards the (identical) input by its rank, and rank 0 gathers the label
-// shards back. Non-root ranks return a nil model after contributing.
-func runTCPFit(o runOpts, data *linalg.Matrix, cfg core.Config) (*core.Model, []int, *mpi.StatsSnapshot, error) {
-	addrs := strings.Split(o.tcpAddrs, ",")
-	comm, cleanup, err := mpi.DialTCPOpts(addrs, o.tcpRank, o.dialTimeout, mpi.TCPOptions{
+// rankOut is one rank's result of fitRank.
+type rankOut struct {
+	model  *core.Model       // rank 0 only
+	labels []int             // every row's label, rank 0 only
+	stats  mpi.StatsSnapshot // the fit's traffic, without the label gather
+}
+
+// fit runs fitRank on every rank this process hosts: the whole in-process
+// world of -ranks (one rank by default), or its own rank of the -tcp-addrs
+// world. outs[0] belongs to rank firstRank.
+func fit(o runOpts, data *linalg.Matrix, cfg core.Config) (outs []rankOut, firstRank int, err error) {
+	if o.tcpAddrs == "" {
+		outs, err = mpi.RunCollect(max(o.ranks, 1), func(c *mpi.Comm) (rankOut, error) {
+			c.SetRecvTimeout(o.commTimeout)
+			return fitRank(c, data, cfg)
+		})
+		return outs, 0, err
+	}
+	comm, cleanup, err := mpi.DialTCPOpts(strings.Split(o.tcpAddrs, ","), o.tcpRank, o.dialTimeout, mpi.TCPOptions{
 		MaxFrame:    o.maxFrame,
 		RecvTimeout: o.commTimeout,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, err
 	}
 	defer cleanup()
+	out, err := fitRank(comm, data, cfg)
+	return []rankOut{out}, o.tcpRank, err
+}
 
-	size := comm.Size()
-	lo, hi := synth.Shard(data.Rows, size, comm.Rank())
-	local := linalg.NewMatrix(hi-lo, data.Cols)
-	copy(local.Data, data.Data[lo*data.Cols:hi*data.Cols])
+// fitRank is one rank's part of every fit, whatever the transport: it fits
+// its shard of the (identical) input with FitDistributed, snapshots the
+// fit's traffic, and gathers the label shards at rank 0.
+func fitRank(comm *mpi.Comm, data *linalg.Matrix, cfg core.Config) (rankOut, error) {
+	lo, hi := synth.Shard(data.Rows, comm.Size(), comm.Rank())
+	local := &linalg.Matrix{Rows: hi - lo, Cols: data.Cols, Data: data.Data[lo*data.Cols : hi*data.Cols]}
 	model, localLabels, err := core.FitDistributed(comm, local, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return rankOut{}, err
 	}
+	out := rankOut{stats: comm.Stats().Snapshot()}
 	parts, err := comm.Gather(0, encodeLabels(localLabels))
-	if err != nil {
-		return nil, nil, nil, err
+	if err != nil || comm.Rank() != 0 {
+		return out, err
 	}
-	snap := comm.Stats().Snapshot()
-	if comm.Rank() != 0 {
-		return nil, nil, &snap, nil
-	}
-	var labels []int
 	for _, p := range parts {
-		labels = append(labels, decodeLabels(p)...)
+		out.labels = append(out.labels, decodeLabels(p)...)
 	}
-	if len(labels) != data.Rows {
-		return nil, nil, nil, fmt.Errorf("gathered %d labels for %d rows", len(labels), data.Rows)
+	if len(out.labels) != data.Rows {
+		return out, fmt.Errorf("gathered %d labels for %d rows", len(out.labels), data.Rows)
 	}
-	return model, labels, &snap, nil
+	out.model = model
+	return out, nil
 }
 
 // printCommStats writes one JSON line per rank with the communication
 // counters (messages, bytes, per-collective calls/bytes) to stderr. The
 // per-peer breakdown is omitted — it grows with world size and the
 // per-collective view is what the paper's volume argument needs.
-func printCommStats(o runOpts, snaps []mpi.StatsSnapshot, firstRank int) {
+func printCommStats(o runOpts, outs []rankOut, firstRank int) {
 	if !o.commStats {
 		return
 	}
-	for i, snap := range snaps {
+	for i, out := range outs {
+		snap := out.stats
 		snap.Peers = nil
 		blob, err := json.Marshal(snap)
 		if err != nil {

@@ -58,7 +58,8 @@ type Config struct {
 	// a k-anonymity strengthening of KeyBin's privacy property: every
 	// value a rank ships aggregates at least this many of its points. The
 	// cost is that clusters whose per-rank share falls below the threshold
-	// may be lost (the privacy/utility trade-off). Distributed fits only.
+	// may be lost (the privacy/utility trade-off). A one-rank fit (Fit)
+	// applies the same threshold to the bins and tuples of its whole data.
 	SuppressBelow int
 }
 

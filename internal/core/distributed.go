@@ -23,10 +23,13 @@ import (
 // binomial reduce+broadcast tree.
 //
 // Every rank must call FitDistributed with the same cfg. The total point
-// count must be positive; a rank may hold zero rows.
+// count must be positive; a rank may hold zero rows but not zero columns.
 func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, []int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
+	}
+	if local.Cols == 0 {
+		return nil, nil, fmt.Errorf("core: data %dx%d has no columns", local.Rows, local.Cols)
 	}
 	n := local.Cols
 

@@ -73,27 +73,30 @@ func TestFitDistributedEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ranks = 3
-	results, err := mpi.RunCollect(ranks, func(c *mpi.Comm) ([]int, error) {
-		local, _ := shardData(data, make([]int, data.Rows), ranks, c.Rank())
-		_, labels, err := FitDistributed(c, local, Config{Seed: 25, Trials: 3})
-		return labels, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var distributed []int
-	for _, r := range results {
-		distributed = append(distributed, r...)
-	}
-	if !reflect.DeepEqual(serialLabels, distributed) {
-		diff := 0
-		for i := range serialLabels {
-			if serialLabels[i] != distributed[i] {
-				diff++
+	for _, ranks := range []int{2, 3, 5} {
+		for _, ring := range []bool{false, true} {
+			results, err := mpi.RunCollect(ranks, func(c *mpi.Comm) ([]int, error) {
+				local, _ := shardData(data, make([]int, data.Rows), ranks, c.Rank())
+				_, labels, err := FitDistributed(c, local, Config{Seed: 25, Trials: 3, Ring: ring})
+				return labels, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var distributed []int
+			for _, r := range results {
+				distributed = append(distributed, r...)
+			}
+			if !reflect.DeepEqual(serialLabels, distributed) {
+				diff := 0
+				for i := range serialLabels {
+					if serialLabels[i] != distributed[i] {
+						diff++
+					}
+				}
+				t.Errorf("ranks=%d ring=%v: serial and distributed labels differ at %d/%d points", ranks, ring, diff, len(serialLabels))
 			}
 		}
-		t.Fatalf("serial and distributed labels differ at %d/%d points", diff, len(serialLabels))
 	}
 }
 
@@ -117,28 +120,6 @@ func TestFitDistributedRingTopology(t *testing.T) {
 	t.Logf("ring: f1=%.3f", f1)
 	if f1 < 0.6 {
 		t.Fatalf("ring f1 %.3f", f1)
-	}
-}
-
-func TestFitDistributedSingleRankEqualsSerial(t *testing.T) {
-	spec := synth.AutoMixture(3, 10, 6, 1, xrand.New(29))
-	data, _ := spec.Sample(3000, xrand.New(30))
-	_, serialLabels, err := Fit(data, Config{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = mpi.Run(1, func(c *mpi.Comm) error {
-		_, labels, err := FitDistributed(c, data, Config{Seed: 31})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(labels, serialLabels) {
-			t.Error("single-rank distributed differs from serial")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -187,6 +168,44 @@ func TestFitDistributedAllEmpty(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFitZeroColumnsFails(t *testing.T) {
+	// A 5×0 input must be refused, not spin: without a column the
+	// projection store has no row stride to advance by.
+	data := linalg.NewMatrix(5, 0)
+	distributed := func(ranks int) func(Config) error {
+		return func(cfg Config) error {
+			return mpi.Run(ranks, func(c *mpi.Comm) error {
+				_, _, err := FitDistributed(c, data, cfg)
+				return err
+			})
+		}
+	}
+	fits := map[string]func(Config) error{
+		"Fit": func(cfg Config) error {
+			_, _, err := Fit(data, cfg)
+			return err
+		},
+		"FitDistributed/1": distributed(1),
+		"FitDistributed/3": distributed(3),
+	}
+	for name, fit := range fits {
+		for _, noProj := range []bool{false, true} {
+			done := make(chan error, 1)
+			go func() { done <- fit(Config{Seed: 1, NoProjection: noProj}) }()
+			timer := time.NewTimer(10 * time.Second)
+			select {
+			case err := <-done:
+				timer.Stop()
+				if err == nil || !strings.Contains(err.Error(), "5x0") {
+					t.Errorf("%s NoProjection=%v: got %v, want an error naming 5x0", name, noProj, err)
+				}
+			case <-timer.C:
+				t.Fatalf("%s NoProjection=%v: no return within 10s", name, noProj)
+			}
+		}
 	}
 }
 

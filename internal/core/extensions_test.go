@@ -41,8 +41,9 @@ func TestSuppressBelowKeepsAccuracy(t *testing.T) {
 
 func TestSuppressBelowDropsMicroClusters(t *testing.T) {
 	// A 6-point micro-cluster spread over 3 ranks (2 points each) falls
-	// below SuppressBelow=5 on every rank: it must disappear (its points
-	// become noise), while the main clusters survive.
+	// below SuppressBelow=5 on every rank, and all 6 of a one-rank Fit's
+	// points fall below 7: either way it must disappear (its points become
+	// noise), while the main clusters survive.
 	spec := &synth.MixtureSpec{Dims: 4, Components: []synth.Component{
 		{Mean: []float64{-6, -6, -6, -6}, Std: []float64{0.5, 0.5, 0.5, 0.5}, Weight: 1},
 		{Mean: []float64{6, 6, 6, 6}, Std: []float64{0.5, 0.5, 0.5, 0.5}, Weight: 1},
@@ -59,10 +60,10 @@ func TestSuppressBelowDropsMicroClusters(t *testing.T) {
 		}
 		truth = append(truth, 2)
 	}
-	const ranks = 3
-	run := func(suppress int) []int {
+	// roundRobin fits over 3 ranks sharded so each gets 2 micro points.
+	roundRobin := func(cfg Config) []int {
+		const ranks = 3
 		results, err := mpi.RunCollect(ranks, func(c *mpi.Comm) ([]int, error) {
-			// round-robin shard so each rank gets 2 micro points
 			var rows []int
 			for i := c.Rank(); i < data.Rows; i += ranks {
 				rows = append(rows, i)
@@ -71,9 +72,7 @@ func TestSuppressBelowDropsMicroClusters(t *testing.T) {
 			for k, i := range rows {
 				copy(local.Row(k), data.Row(i))
 			}
-			_, labels, err := FitDistributed(c, local, Config{
-				Seed: 54, SuppressBelow: suppress, MinClusterSize: 2, Trials: 1,
-			})
+			_, labels, err := FitDistributed(c, local, cfg)
 			return labels, err
 		})
 		if err != nil {
@@ -90,19 +89,46 @@ func TestSuppressBelowDropsMicroClusters(t *testing.T) {
 		}
 		return out
 	}
-	plain := run(0)
-	suppressed := run(5)
+	// oneRank is Fit: the threshold applies to the whole data's 6 points.
+	oneRank := func(cfg Config) []int {
+		_, labels, err := Fit(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labels
+	}
+	for _, tc := range []struct {
+		name     string
+		fit      func(Config) []int
+		suppress int
+	}{
+		{"3 ranks", roundRobin, 5},
+		{"Fit", oneRank, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(suppress int) []int {
+				return tc.fit(Config{Seed: 54, SuppressBelow: suppress, MinClusterSize: 2, Trials: 1})
+			}
+			checkMicroSuppressed(t, base.Rows, run(0), run(tc.suppress))
+		})
+	}
+}
 
+// checkMicroSuppressed asserts that the micro-cluster (rows from base on) is
+// its own cluster without suppression and not with it, and that the main
+// clusters (rows below base) survive suppression.
+func checkMicroSuppressed(t *testing.T, base int, plain, suppressed []int) {
+	t.Helper()
 	// exclusiveMicroLabels: labels held only by micro points — the
 	// signature of the micro-cluster being visible as its own cluster.
 	exclusive := func(labels []int) map[int]bool {
 		microLabels := map[int]bool{}
-		for i := base.Rows; i < data.Rows; i++ {
+		for i := base; i < len(labels); i++ {
 			if labels[i] != cluster.Noise {
 				microLabels[labels[i]] = true
 			}
 		}
-		for i := 0; i < base.Rows; i++ {
+		for i := 0; i < base; i++ {
 			delete(microLabels, labels[i])
 		}
 		return microLabels
@@ -118,13 +144,13 @@ func TestSuppressBelowDropsMicroClusters(t *testing.T) {
 	}
 	// Main clusters survive suppression.
 	mainLabeled := 0
-	for i := 0; i < base.Rows; i++ {
+	for i := 0; i < base; i++ {
 		if suppressed[i] != cluster.Noise {
 			mainLabeled++
 		}
 	}
-	if float64(mainLabeled)/float64(base.Rows) < 0.95 {
-		t.Fatalf("main clusters harmed: %d/%d labeled", mainLabeled, base.Rows)
+	if float64(mainLabeled)/float64(base) < 0.95 {
+		t.Fatalf("main clusters harmed: %d/%d labeled", mainLabeled, base)
 	}
 }
 

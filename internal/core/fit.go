@@ -2,12 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
+	"keybin2/internal/mpi"
 	"keybin2/internal/partition"
 	"keybin2/internal/projection"
 	"keybin2/internal/quality"
@@ -16,70 +15,13 @@ import (
 
 // Fit clusters the rows of data with KeyBin2 on a single process and
 // returns the fitted model and the per-row labels. Rows of data are points;
-// columns are features.
+// columns are features. It is a one-rank FitDistributed: over a world of
+// one every collective sends no message, so the serial and the distributed
+// fit are one pipeline.
 func Fit(data *linalg.Matrix, cfg Config) (*Model, []int, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	m, n := data.Rows, data.Cols
-	if m == 0 || n == 0 {
-		return nil, nil, fmt.Errorf("core: empty data %dx%d", m, n)
-	}
-	cfg = cfg.withDefaults(m, n)
-	depth := cfg.Depth
-	if depth == 0 {
-		depth = keys.DefaultDepth(m)
-	}
-
-	// The projection pass also establishes every trial's per-dimension
-	// ranges, block by block while each is in cache.
-	proj, batch, err := projectAll(data, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer proj.release()
-
-	// The t bootstrap trials are independent until SelectBest, so they run
-	// concurrently, splitting the worker budget between them (each trial's
-	// binning/counting passes parallelize internally over its share).
-	trials := make([]*Model, cfg.Trials)
-	assessments := make([]quality.Assessment, cfg.Trials)
-	errs := make([]error, cfg.Trials)
-	perTrial := trialWorkers(cfg.Workers, cfg.Trials)
-	var wg sync.WaitGroup
-	for t := 0; t < cfg.Trials; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			loCol := t * cfg.TargetDims
-			mins := proj.mins[loCol : loCol+cfg.TargetDims]
-			maxs := proj.maxs[loCol : loCol+cfg.TargetDims]
-			set, err := buildSet(proj, loCol, mins, maxs, depth, perTrial)
-			if err != nil {
-				errs[t] = fmt.Errorf("trial %d: %w", t, err)
-				return
-			}
-			model, err := finishTrial(set, proj, loCol, cfg, t, batch, perTrial)
-			if err != nil {
-				errs[t] = fmt.Errorf("trial %d: %w", t, err)
-				return
-			}
-			trials[t] = model
-			assessments[t] = model.Assessment
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	best := quality.SelectBest(assessments)
-	model := trials[best]
-	model.TrialAssessments = assessments
-
-	labels := assignAll(proj, best*cfg.TargetDims, model, cfg.Workers)
-	return model, labels, nil
+	comms, closeAll := mpi.NewWorld(1)
+	defer closeAll()
+	return FitDistributed(comms[0], data, cfg)
 }
 
 // projectAll applies the batched multi-trial projection (§3.4's
@@ -238,20 +180,10 @@ func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Re
 	}
 }
 
-// finishTrial partitions, counts tuples, builds labels, and assesses one
-// trial, producing its Model.
-func finishTrial(set *histogram.Set, proj *projected, loCol int, cfg Config, trial int, batch *projection.Batch, workers int) (*Model, error) {
-	parts, collapsed := partitionSet(set, cfg)
-	codec := newTupleCodec(parts, collapsed)
-	tuples := countTuples(proj, loCol, set, parts, collapsed, codec, workers)
-	return assembleModel(set, parts, collapsed, tuples, cfg, trial, batch)
-}
-
 // assembleModel finalizes a trial from its global histograms, partitions,
-// and global tuple counts. It is shared by the serial and distributed
-// drivers. The tuple counts must be keyed under the codec the partitions
-// imply (packed when it fits, string otherwise) — both drivers derive them
-// from the identical deterministic partition step.
+// and global tuple counts. The tuple counts must be keyed under the codec
+// the partitions imply (packed when it fits, string otherwise) — every rank
+// derives them from the identical deterministic partition step.
 func assembleModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples tupleCounts, cfg Config, trial int, batch *projection.Batch) (*Model, error) {
 	codec := newTupleCodec(parts, collapsed)
 	if codec.fits != (tuples.u != nil) {

@@ -72,7 +72,8 @@ type Config = core.Config
 // Model is a fitted clustering; it can label unseen points (Assign).
 type Model = core.Model
 
-// Fit clusters the rows of data on a single process.
+// Fit clusters the rows of data on a single process: a one-rank
+// FitDistributed.
 func Fit(data *Matrix, cfg Config) (*Model, []int, error) { return core.Fit(data, cfg) }
 
 // DecodeModel parses a payload produced by Model.Encode, restoring a model
