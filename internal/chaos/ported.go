@@ -118,7 +118,7 @@ func restart(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 		}
 		m, err := scrape(ctx, pc, "primary", map[string]float64{"keybin2d_ingest_queue_capacity": 256},
 			"keybin2d_wal_last_seq", "keybin2d_wal_group_commit_batches_count",
-			"keybin2d_wal_fsyncs_coalesced_total", "keybin2d_apply_pool_utilization")
+			"keybin2d_wal_fsyncs_coalesced_total")
 		if err != nil {
 			return err
 		}

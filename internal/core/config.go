@@ -43,8 +43,10 @@ type Config struct {
 	// MaxClusters caps the clusters kept for assessment/assignment,
 	// retaining the most massive (0 = 256).
 	MaxClusters int
-	// Workers bounds the goroutines used for projection and binning
-	// (0 = GOMAXPROCS).
+	// Workers bounds the goroutines of a fit's projection, binning and
+	// labelling passes and of a stream's warm-up projection
+	// (0 = GOMAXPROCS). A stream's batch apply is serial whatever it says:
+	// it runs on the caller's goroutine.
 	Workers int
 	// Seed drives every random choice; fits with equal seeds and inputs
 	// are identical. Distributed ranks must share the seed — the

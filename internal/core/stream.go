@@ -128,23 +128,13 @@ type Stream struct {
 	rec         obs.Recorder // stage-timing sink (nil = off); writer-only
 
 	// Batch-apply scratch (stream_batch.go), reused across chunks so the
-	// steady-state ingest path allocates nothing: the projected block, the
-	// per-point bin indices feeding the sketch pass, the single-point
-	// wrapper's one-row header, and the pre-bound task functions (bound
-	// once so dispatch does not allocate a method value per chunk).
-	projScratch linalg.Matrix
-	binScratch  []uint32
-	chunk       chunkState
-	colFn       func(int)
-	trialFn     func(int)
-	ptHdr       linalg.Matrix
-	chunkHdr    linalg.Matrix
-	ptLabel     [1]int
-
-	// Worker-pool utilization over parallel dispatches (busy vs. worker ×
-	// wall nanoseconds). Atomics: scrape-time readers race the writer.
-	poolBusyNs atomic.Int64
-	poolWallNs atomic.Int64
+	// steady-state ingest path allocates nothing: one projected block of
+	// blockRows rows, the coarse key of the row being binned, and the
+	// single-point wrapper's one-row header and label.
+	projBlock []float64
+	sketchKey keys.Key
+	ptHdr     linalg.Matrix
+	ptLabel   [1]int
 
 	// model is the published model. Refit builds each model fully —
 	// including a detached clone of its histograms — before storing it, and
@@ -175,7 +165,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		depth = keys.DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
 	}
 
-	s := &Stream{cfg: cfg, depth: depth}
+	s := &Stream{cfg: cfg, depth: depth, sketchKey: make(keys.Key, cfg.TargetDims)}
 	// Sketch cells at ≤ 32 per dimension: coarse enough that the occupied
 	// cell count tracks the cluster structure, fine enough to re-segment
 	// under moving cuts.
@@ -289,28 +279,10 @@ func (s *Stream) initSetsFromBuffer() error {
 		s.sketch[t] = newTrialSketch(nrp)
 	}
 	for _, rows := range proj.blocks {
-		for off := 0; off < len(rows); off += proj.cols {
-			s.binProjected(rows[off : off+proj.cols])
-		}
+		s.binBlock(rows, proj.cols)
 	}
 	s.buffer = nil
 	return nil
-}
-
-// binProjected adds one joined projected row to every trial's histograms
-// and (coarse) key counter.
-func (s *Stream) binProjected(row []float64) {
-	nrp := s.cfg.TargetDims
-	for t, set := range s.sets {
-		sub := row[t*nrp : (t+1)*nrp]
-		set.AddPoint(sub)
-		k := make(keys.Key, nrp)
-		keys.ComputeInto(k, sub, set)
-		for j := range k {
-			k[j] >>= s.sketchShift
-		}
-		s.sketch[t].add(k, 1)
-	}
 }
 
 // sketchBinCenter maps a coarse sketch bin back to the finest-level bin at
@@ -456,7 +428,7 @@ func (s *Stream) Refit() error {
 	next := models[best]
 	// Detach the new model from the live histograms before publication:
 	// assembleModel aliased the trial's Set, which this stream keeps
-	// mutating (binProjected, Decay) after the refit. Snapshot readers may
+	// mutating (binBlock, Decay) after the refit. Snapshot readers may
 	// Encode or Describe the model concurrently, so the published model
 	// must own an immutable copy. The clone is bins-bounded (N_rp
 	// histograms of ≤ 2^depth cells), independent of stream length.

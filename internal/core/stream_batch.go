@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"keybin2/internal/cluster"
-	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 )
 
@@ -15,25 +12,18 @@ import (
 // split into chunks that never cross a warmup or refit boundary, so the
 // stream passes through exactly the same (histogram, sketch, model)
 // states as point-at-a-time ingestion — Ingest is literally a one-row
-// IngestBatch. Within a chunk the work is column-oriented:
+// IngestBatch. Each chunk is one serial pass over blockRows-row blocks:
 //
-//	project chunk → per-(trial,dim) histogram pass → per-trial sketch pass
+//	project a block → per trial, per row: bin its N_rp values, bump the
+//	counts, shift-or the coarse sketch key → add the key to the sketch
 //
-// Each pass runs over a bounded worker pool whose tasks own disjoint
-// state (a histogram, a sketch), so there are no locks anywhere on the
-// per-point path; the refit at a Period boundary remains the one
-// serialized stage. All scratch (projection block, bin indices) lives on
-// the Stream and is reused, so steady-state chunks allocate nothing.
-
-// chunkState is the in-flight chunk the pre-bound task functions read.
-// Written by applyChunk before dispatch, read-only during it.
-type chunkState struct {
-	proj *linalg.Matrix
-	bins []uint32
-	rows int
-	cols int
-	nrp  int
-}
+// The block is binned while it sits in L2 and no bin index is written
+// back; the one scratch is a blockRows × cols projection buffer on the
+// Stream, so steady-state chunks allocate nothing. The pass is serial on
+// purpose, whatever Config.Workers says: splitting it across workers by
+// column makes them write neighbouring bin indices of one cache line
+// (false sharing), and in the daemon the second core belongs to the HTTP
+// handlers. The refit at a Period boundary is the writer's other stage.
 
 // IngestBatch feeds every row of b into the stream — projection, binning,
 // sketch update, and any refits whose Period boundaries the batch
@@ -94,16 +84,11 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 		if rem := s.cfg.Period - s.seen%s.cfg.Period; n > rem {
 			n = rem
 		}
-		// The chunk header lives on the Stream so taking its address does
-		// not allocate per chunk.
-		s.chunkHdr = linalg.Matrix{Rows: n, Cols: b.Cols, Data: b.Data[applied*b.Cols : (applied+n)*b.Cols]}
 		var chunkLabels []int
 		if labels != nil {
 			chunkLabels = labels[applied : applied+n]
 		}
-		if err := s.applyChunk(&s.chunkHdr, chunkLabels); err != nil {
-			return applied, err
-		}
+		s.applyChunk(b, applied, n, chunkLabels)
 		s.seen += n
 		applied += n
 		if s.seen%s.cfg.Period == 0 {
@@ -115,149 +100,71 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 	return applied, nil
 }
 
-// applyChunk projects, bins, and sketches one refit-boundary-free chunk.
-func (s *Stream) applyChunk(data *linalg.Matrix, labels []int) error {
-	rows := data.Rows
-	proj := data
-	if s.batch != nil {
-		need := rows * s.batch.Joined.Cols
-		if cap(s.projScratch.Data) < need {
-			s.projScratch.Data = make([]float64, need)
-		}
-		s.projScratch = linalg.Matrix{Rows: rows, Cols: s.batch.Joined.Cols, Data: s.projScratch.Data[:need]}
-		if _, err := linalg.ParallelMul(&s.projScratch, data, s.batch.Joined, s.cfg.Workers); err != nil {
-			return err
-		}
-		proj = &s.projScratch
-	}
+// applyChunk projects, bins and sketches rows [lo, lo+n) of b, a chunk
+// that crosses no refit boundary, one blockRows-row block at a time, and
+// labels them into labels[:n] when labels is not nil.
+func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 	nrp := s.cfg.TargetDims
-	cols := proj.Cols
-	if cap(s.binScratch) < rows*cols {
-		s.binScratch = make([]uint32, rows*cols)
-	}
-	s.chunk = chunkState{proj: proj, bins: s.binScratch[:rows*cols], rows: rows, cols: cols, nrp: nrp}
-	if s.colFn == nil {
-		s.colFn, s.trialFn = s.chunkColumn, s.chunkTrial
-	}
-	s.runTasks(len(s.sets)*nrp, s.colFn)
-	s.runTasks(len(s.sets), s.trialFn)
-
-	if labels != nil {
-		m := s.model.Load()
-		if m == nil {
-			for i := 0; i < rows; i++ {
-				labels[i] = cluster.Noise
+	m := s.model.Load() // no refit runs inside a chunk
+	for off := 0; off < n; off += blockRows {
+		rows := min(blockRows, n-off)
+		first := (lo + off) * b.Cols
+		raw := linalg.Matrix{Rows: rows, Cols: b.Cols, Data: b.Data[first : first+rows*b.Cols]}
+		proj := raw
+		if s.batch != nil {
+			cols := s.batch.Joined.Cols
+			if s.projBlock == nil {
+				s.projBlock = make([]float64, blockRows*cols)
 			}
-		} else {
-			lo := m.Trial * nrp
-			for i := 0; i < rows; i++ {
-				prow := proj.Row(i)
-				labels[i] = m.AssignProjected(prow[lo : lo+nrp])
+			proj = linalg.Matrix{Rows: rows, Cols: cols, Data: s.projBlock[:rows*cols]}
+			// Mul only fails on a shape mismatch: b.Cols is the stream's
+			// Dims (checked by IngestBatchLabels), the rows of Joined.
+			_, _ = linalg.Mul(&proj, &raw, s.batch.Joined)
+		}
+		s.binBlock(proj.Data, proj.Cols)
+		if labels == nil {
+			continue
+		}
+		for i := range rows {
+			if m == nil {
+				labels[off+i] = cluster.Noise
+				continue
 			}
+			at := i*proj.Cols + m.Trial*nrp
+			labels[off+i] = m.AssignProjected(proj.Data[at : at+nrp])
 		}
 	}
-	return nil
 }
 
-// chunkColumn is one column pass task: histogram updates for a single
-// (trial, dimension) column, recording each row's bin index for the
-// sketch pass. Columns own disjoint histograms and disjoint bin-scratch
-// strides — no sharing, no locks.
-func (s *Stream) chunkColumn(col int) {
-	c := &s.chunk
-	h := s.sets[col/c.nrp].Dims[col%c.nrp]
-	counts := h.Counts
-	for i := 0; i < c.rows; i++ {
-		bin := h.Bin(c.proj.Data[i*c.cols+col])
-		counts[bin]++
-		c.bins[i*c.cols+col] = uint32(bin)
-	}
-	h.Total += uint64(c.rows)
-}
-
-// chunkTrial is one sketch pass task: coarse key accumulation for a
-// single trial from the recorded bin indices. The packed fast path is a
-// shift-and-or chain plus one map add per point — the same map operation
-// the per-point path performs, so masses stay bit-identical.
-func (s *Stream) chunkTrial(t int) {
-	c := &s.chunk
-	sk := s.sketch[t]
+// binBlock adds every row of a block of joined projected rows (row-major,
+// cols wide) to each trial's histograms and coarse sketch. The trials run
+// one after another, each over the rows in order, so every sketch cell
+// receives its unit masses in the order point-at-a-time ingestion gives
+// them and the float masses match to the last bit.
+func (s *Stream) binBlock(rows []float64, cols int) {
+	nrp := s.cfg.TargetDims
 	shift := s.sketchShift
-	base := t * c.nrp
-	if sk.packed != nil {
-		for i := 0; i < c.rows; i++ {
-			row := c.bins[i*c.cols+base : i*c.cols+base+c.nrp]
+	key := s.sketchKey
+	points := uint64(len(rows) / cols)
+	for t, set := range s.sets {
+		sk := s.sketch[t]
+		for off := t * nrp; off < len(rows); off += cols {
+			x := rows[off : off+nrp]
 			var pk uint64
-			for _, b := range row {
-				pk = pk<<sketchBitsPerDim | uint64(b>>shift)
+			for j, h := range set.Dims {
+				bin := h.Bin(x[j])
+				h.Counts[bin]++
+				key[j] = uint32(bin) >> shift
+				pk = pk<<sketchBitsPerDim | uint64(key[j])
 			}
-			sk.addPacked(pk, 1)
-		}
-		return
-	}
-	k := make(keys.Key, c.nrp)
-	for i := 0; i < c.rows; i++ {
-		row := c.bins[i*c.cols+base : i*c.cols+base+c.nrp]
-		for j, b := range row {
-			k[j] = b >> shift
-		}
-		sk.add(k, 1)
-	}
-}
-
-// runTasks executes fn(0..n-1) across the stream's worker budget
-// (cfg.Workers, 0 = GOMAXPROCS). Tasks must touch disjoint state. Serial
-// when the budget or the task count is 1 — on a single-CPU host the
-// fan-out would only add scheduling overhead — and the serial path is
-// allocation-free.
-func (s *Stream) runTasks(n int, fn func(int)) {
-	w := linalg.Workers(s.cfg.Workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	start := time.Now()
-	var busy atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				fn(i)
+			if sk.packed != nil {
+				sk.addPacked(pk, 1)
+			} else {
+				sk.add(key, 1)
 			}
-			busy.Add(int64(time.Since(t0)))
-		}()
+		}
+		for _, h := range set.Dims {
+			h.Total += points
+		}
 	}
-	wg.Wait()
-	s.poolBusyNs.Add(busy.Load())
-	s.poolWallNs.Add(int64(time.Since(start)) * int64(w))
-}
-
-// PoolUtilization reports the busy fraction of the batch-apply worker
-// pool across its parallel dispatches, in [0, 1]. With no parallel
-// dispatch yet (single-CPU hosts run every pass serially) it reports 1:
-// a lone worker is trivially fully utilized. Safe from any goroutine;
-// the serving layer mirrors it into a gauge at scrape time.
-func (s *Stream) PoolUtilization() float64 {
-	wall := s.poolWallNs.Load()
-	if wall <= 0 {
-		return 1
-	}
-	u := float64(s.poolBusyNs.Load()) / float64(wall)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }

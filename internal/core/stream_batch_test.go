@@ -68,6 +68,8 @@ func TestIngestBatchMatchesPointwise(t *testing.T) {
 		"ranges":        {Config: Config{Seed: 8, Trials: 2}, Dims: dims, RawRanges: ranges, Period: 450},
 		"decay":         {Config: Config{Seed: 9, Trials: 2}, DecayFactor: 0.9, Dims: dims, Warmup: 400, Period: 450},
 		"parallel-pool": {Config: Config{Seed: 10, Trials: 2, Workers: 4}, Dims: dims, Warmup: 400, Period: 500},
+		// A Period longer than blockRows: one chunk spans several blocks.
+		"blocks": {Config: Config{Seed: 11, Trials: 2}, Dims: dims, RawRanges: ranges, Period: 2500},
 	}
 	sizes := []int{1, 7, 64, 997, total}
 	spec := synth.AutoMixture(3, dims, 6, 1, xrand.New(50))
@@ -176,41 +178,45 @@ func TestIngestBatchCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestIngestBatchSteadyStateAllocs pins the hot-path allocation budget:
-// once past warmup, a serial-worker IngestBatch that stays inside a refit
-// period allocates nothing — the projection scratch, bin scratch, and
-// packed sketch are all reused.
+// once past warmup, an IngestBatch that stays inside a refit period
+// allocates nothing — the projection block and the packed sketch are
+// reused — whatever the stream's worker budget.
 func TestIngestBatchSteadyStateAllocs(t *testing.T) {
 	const dims = 16
 	ranges := make([][2]float64, dims)
 	for j := range ranges {
 		ranges[j] = [2]float64{-12, 12}
 	}
-	cfg := StreamConfig{
-		Config:    Config{Seed: 31, Trials: 3, Workers: 1},
-		Dims:      dims,
-		RawRanges: ranges,
-		Period:    1 << 30, // no refit during the measured runs
-	}
-	st, err := NewStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := synth.AutoMixture(3, dims, 6, 1, xrand.New(70))
-	batch, _ := spec.Sample(1024, xrand.New(71))
-	// Warm the scratch buffers and let the packed sketch maps grow to
-	// their working size.
-	for i := 0; i < 8; i++ {
-		if _, err := st.IngestBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := st.IngestBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state IngestBatch allocates %.1f times per batch, want 0", allocs)
+	// Larger than blockRows, so a batch is projected in several blocks.
+	batch, _ := spec.Sample(blockRows+500, xrand.New(71))
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			st, err := NewStream(StreamConfig{
+				Config:    Config{Seed: 31, Trials: 3, Workers: workers},
+				Dims:      dims,
+				RawRanges: ranges,
+				Period:    1 << 30, // no refit during the measured runs
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm the scratch block and let the packed sketch maps grow
+			// to their working size.
+			for i := 0; i < 8; i++ {
+				if _, err := st.IngestBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := st.IngestBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state IngestBatch allocates %.1f times per batch, want 0", allocs)
+			}
+		})
 	}
 }
 

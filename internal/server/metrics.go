@@ -39,7 +39,6 @@ type telemetry struct {
 	walReplayedP   *obs.Counter
 	walGroupSize   *obs.Histogram
 	walCoalesced   *obs.Counter
-	applyPoolUtil  *obs.Gauge
 
 	ckpts    *obs.Counter
 	ckptSec  *obs.Histogram
@@ -127,8 +126,6 @@ func newTelemetry(reg *obs.Registry, runID string, fsync FsyncPolicy, follower b
 			[]float64{1, 2, 4, 8, 16, 32, 64}),
 		walCoalesced: reg.Counter("keybin2d_wal_fsyncs_coalesced_total",
 			"Durability waits satisfied by an fsync another waiter led."),
-		applyPoolUtil: reg.Gauge("keybin2d_apply_pool_utilization",
-			"Busy fraction of the batch-apply worker pool (1 = fully busy or serial)."),
 		ckpts: reg.Counter("keybin2d_checkpoints_total",
 			"Completed checkpoint writes."),
 		ckptSec: reg.Histogram("keybin2d_checkpoint_seconds",
@@ -186,13 +183,11 @@ func (t *telemetry) installCollect(s *Server) {
 		t.pointsSeen.SetInt(s.seen.Load())
 		t.modelVersion.SetInt(s.refits.Load())
 		t.mergeEpoch.SetInt(s.mergeEpoch.Load())
-		st := s.stream.Load()
 		if m, _ := s.servingModel(); m != nil {
 			t.modelClusters.SetInt(int64(m.K()))
 		} else {
 			t.modelClusters.Set(0)
 		}
-		t.applyPoolUtil.Set(st.PoolUtilization())
 		if wal := s.wal.Load(); wal != nil {
 			ws := wal.Stats()
 			t.walLastSeq.SetInt(int64(ws.LastSeq))

@@ -73,7 +73,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// Group commit: every ack either led an fsync (observed into the
 		// batch-size histogram) or coalesced onto one.
 		"keybin2d_wal_group_commit_batches_count":                1,
-		"keybin2d_apply_pool_utilization":                        0.01,
 		"keybin2d_ingest_queue_capacity":                         1,
 		"keybin2d_model_version":                                 1, // Period 250 < 300 ingested
 		`keybin2d_stage_seconds_count{stage="refit"}`:            1,

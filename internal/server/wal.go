@@ -158,12 +158,15 @@ func (c WALConfig) withDefaults() WALConfig {
 	return c
 }
 
-// walSegment is one on-disk segment: its file name and the sequence range
-// it holds. lastSeq is firstSeq-1 for a segment with no records yet.
+// walSegment is one on-disk segment: its file name, the sequence range it
+// holds, and its byte size. lastSeq is firstSeq-1 for a segment with no
+// records yet. size is exact for closed segments (set by the open scan or
+// at rotation); the active segment's live size is WAL.curSize.
 type walSegment struct {
 	name     string
 	firstSeq uint64
 	lastSeq  uint64
+	size     int64
 }
 
 // WALStats is the log's health snapshot, served under /stats.
@@ -465,11 +468,13 @@ func (w *WAL) rotateLocked(firstSeq uint64) error {
 		w.synced = w.lastSeq
 		w.dirty = false
 		w.cur = nil
+		act := &w.segments[len(w.segments)-1]
+		act.size = w.curSize
 		// An empty active segment (rotation crash leftover / ForwardTo
 		// skip) would break the continuity scan; drop it.
-		if act := &w.segments[len(w.segments)-1]; act.lastSeq < act.firstSeq {
+		if act.lastSeq < act.firstSeq {
 			w.cfg.FS.Remove(filepath.Join(w.cfg.Dir, act.name))
-			w.totalSize -= int64(walHeaderSize)
+			w.totalSize -= act.size
 			w.segments = w.segments[:len(w.segments)-1]
 		}
 	}
@@ -569,12 +574,10 @@ func (w *WAL) TruncateThrough(throughSeq uint64) error {
 	removed := 0
 	for len(w.segments) > 1 && w.segments[0].lastSeq <= throughSeq {
 		seg := w.segments[0]
-		path := filepath.Join(w.cfg.Dir, seg.name)
-		blob, _ := w.cfg.FS.ReadFile(path)
-		if err := w.cfg.FS.Remove(path); err != nil {
+		if err := w.cfg.FS.Remove(filepath.Join(w.cfg.Dir, seg.name)); err != nil {
 			return &WALWriteError{Op: "remove " + seg.name, Err: err}
 		}
-		w.totalSize -= int64(len(blob))
+		w.totalSize -= seg.size
 		w.segments = w.segments[1:]
 		removed++
 	}

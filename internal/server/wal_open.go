@@ -77,7 +77,7 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 			w.cfg.FS.SyncDir(cfg.Dir)
 			continue
 		}
-		seg.lastSeq = lastSeq
+		seg.lastSeq, seg.size = lastSeq, size
 		w.segments = append(w.segments, seg)
 		w.totalSize += size
 		if lastSeq > expect {
@@ -90,16 +90,14 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	// Open (or create) the active segment for appends.
 	if len(w.segments) > 0 {
 		act := w.segments[len(w.segments)-1]
-		path := filepath.Join(cfg.Dir, act.name)
-		f, err := cfg.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := cfg.FS.OpenFile(filepath.Join(cfg.Dir, act.name), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, &WALWriteError{Op: "open " + act.name, Err: err}
 		}
 		w.cur = f
-		// scanSegment accounted the active segment's size into totalSize;
-		// track it separately for rotation.
-		blob, _ := cfg.FS.ReadFile(path)
-		w.curSize = int64(len(blob))
+		// scanSegment sized the active segment (after any torn-tail
+		// repair); appends grow it from there.
+		w.curSize = act.size
 	} else {
 		if err := w.rotateLocked(w.lastSeq + 1); err != nil {
 			return nil, err

@@ -119,6 +119,98 @@ func TestWALRotationAndTruncation(t *testing.T) {
 	}
 }
 
+// readCountingFS counts ReadFile calls on the way to the FS it wraps.
+type readCountingFS struct {
+	FS
+	reads int
+}
+
+func (c *readCountingFS) ReadFile(name string) ([]byte, error) {
+	c.reads++
+	return c.FS.ReadFile(name)
+}
+
+// walDiskBytes sums the on-disk sizes of the segment files in dir.
+func walDiskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := OSFS.ReadDirNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, n := range names {
+		if _, ok := parseWALSegmentName(n); !ok {
+			continue
+		}
+		fi, err := os.Stat(filepath.Join(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
+}
+
+// TestWALBytesMatchDisk pins the size accounting behind WALStats.Bytes:
+// it equals the segment files' summed size across rotations, truncation,
+// a reopen over a torn tail, and further appends — and truncation learns
+// the sizes it subtracts from its own bookkeeping, never by reading the
+// segments it is about to delete.
+func TestWALBytesMatchDisk(t *testing.T) {
+	dir := t.TempDir()
+	fs := &readCountingFS{FS: OSFS}
+	cfg := func(c *WALConfig) { c.FS, c.SegmentBytes = fs, 256 }
+	check := func(w *WAL, when string) {
+		t.Helper()
+		if got, want := w.Stats().Bytes, walDiskBytes(t, dir); got != want {
+			t.Fatalf("%s: WALStats.Bytes %d, segment files hold %d", when, got, want)
+		}
+	}
+
+	w := openTestWAL(t, dir, cfg)
+	appendN(t, w, 40, "size")
+	if w.Stats().Segments < 3 {
+		t.Fatalf("only %d segments after 40 appends with 256-byte segments", w.Stats().Segments)
+	}
+	check(w, "after rotations")
+	fs.reads = 0
+	if err := w.TruncateThrough(20); err != nil {
+		t.Fatal(err)
+	}
+	if fs.reads != 0 {
+		t.Fatalf("TruncateThrough read %d segment files", fs.reads)
+	}
+	check(w, "after truncation")
+	appendN(t, w, 15, "more")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the final record so the reopen has a tail to repair.
+	names, _ := OSFS.ReadDirNames(dir)
+	path := filepath.Join(dir, names[len(names)-1])
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openTestWAL(t, dir, cfg)
+	defer w2.Close()
+	check(w2, "after reopen")
+	appendN(t, w2, 30, "reopened")
+	check(w2, "after appends past the reopen")
+	fs.reads = 0
+	if err := w2.TruncateThrough(w2.LastSeq() - 5); err != nil {
+		t.Fatal(err)
+	}
+	if fs.reads != 0 {
+		t.Fatalf("TruncateThrough after reopen read %d segment files", fs.reads)
+	}
+	check(w2, "after truncation past the reopen")
+}
+
 // TestWALTornTailTruncated simulates a crash mid-append: bytes missing
 // from the final record must be repaired by truncation, keeping every
 // complete record and accepting new appends.
