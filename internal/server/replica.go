@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"keybin2/internal/core"
 	"keybin2/internal/daemon"
 )
 
@@ -212,6 +211,9 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 		case tailFrameSegment:
 			// Segment boundary metadata; nothing to do on apply.
 		case tailFrameRecord:
+			if f.Seq != s.appliedSeq+1 {
+				return fmt.Errorf("tail: record seq %d does not follow applied seq %d", f.Seq, s.appliedSeq)
+			}
 			_, applied, err := s.applyWALEntry(f.Seq, f.Entry)
 			if err != nil {
 				return fmt.Errorf("tail: apply seq %d: %w", f.Seq, err)
@@ -222,8 +224,8 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 				s.refits.Store(s.refitBase + int64(st.Refits()))
 			}
 		case tailFrameEnd:
-			s.primaryLastSeq.Store(f.LastSeq)
-			if s.appliedSeq >= f.LastSeq {
+			s.primaryLastSeq.Store(f.Seq)
+			if s.appliedSeq >= f.Seq {
 				s.behindSince.Store(0)
 			} else if s.behindSince.Load() == 0 {
 				s.behindSince.Store(time.Now().UnixNano())
@@ -255,39 +257,11 @@ func (s *Server) bootstrapFromSnapshot(ctx context.Context, client *http.Client,
 	if err != nil {
 		return err
 	}
-	st, metaBytes, err := core.DecodeStreamMeta(s.cfg.Stream, blob)
-	if err != nil {
+	if err := s.installCheckpoint(blob); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
-	meta, err := decodeWALCkptMeta(metaBytes)
-	if err != nil {
-		return fmt.Errorf("bootstrap: %w", err)
-	}
-	st.SetRecorder(s)
-	s.appliedSeq = meta.coveredSeq
-	s.appliedSeqA.Store(meta.coveredSeq)
-	s.appliedProducers = make(map[string]uint64, len(meta.producers))
-	s.ingestMu.Lock()
-	for p, q := range meta.producers {
-		s.appliedProducers[p] = q
-		if s.lastSeen[p] < q {
-			s.lastSeen[p] = q
-		}
-	}
-	s.ingestMu.Unlock()
-	// A snapshot that carries a model counts as generation 1, exactly as a
-	// local checkpoint restore would — keeping model_gen aligned with a
-	// primary restarted from the same snapshot.
-	if st.Snapshot() != nil {
-		s.refitBase = 1
-	} else {
-		s.refitBase = 0
-	}
-	s.refits.Store(s.refitBase + int64(st.Refits()))
-	s.seen.Store(int64(st.Seen()))
-	s.stream.Store(st)
 	s.logf("bootstrap: restored %d points from primary snapshot, resuming tail at seq %d",
-		st.Seen(), meta.coveredSeq)
+		s.stream.Load().Seen(), s.appliedSeq)
 	return nil
 }
 
@@ -304,32 +278,19 @@ func (s *Server) promote(epoch int64) error {
 		return err // refused before the WAL is touched
 	}
 	if s.cfg.WALDir != "" {
-		wal, err := OpenWAL(s.walConfig())
-		if err != nil {
+		if err := s.attachWAL(false); err != nil {
 			return fmt.Errorf("promote: %w", err)
 		}
-		if wal.LastSeq() < s.appliedSeq {
-			// Fresh (or behind) local log: continue the replicated
-			// numbering so the first accepted write is appliedSeq+1.
-			wal.ForwardTo(s.appliedSeq)
-		} else if err := s.replayWAL(wal); err != nil {
-			// A previous primary incarnation left records past the
-			// replicated horizon; apply them rather than shadow them.
-			wal.Close()
-			return fmt.Errorf("promote: %w", err)
-		}
-		s.wal.Store(wal)
+		// The replicated prefix lives only in memory until a checkpoint
+		// covers it: write one now, so a crash before the first periodic
+		// checkpoint restores it, and its truncation drops any segments
+		// ForwardTo left behind.
+		s.checkpoint()
 	}
+	// The WAL (if any) now ends at appliedSeq, and every record replication
+	// or replay applied already raised the idempotency map.
 	s.ingestMu.Lock()
 	s.nextSeq = s.appliedSeq
-	if wal := s.wal.Load(); wal != nil && wal.LastSeq() > s.nextSeq {
-		s.nextSeq = wal.LastSeq()
-	}
-	for p, q := range s.appliedProducers {
-		if s.lastSeen[p] < q {
-			s.lastSeen[p] = q
-		}
-	}
 	s.ingestMu.Unlock()
 	s.behindSince.Store(0)
 	_, _, err := s.transition(change) // last: readers now see a writable primary

@@ -342,8 +342,9 @@ type Server struct {
 // New builds a server around a fresh stream, or — when cfg.CheckpointPath
 // names an existing file — around the stream restored from it, replaying
 // the WAL tail past the checkpoint when cfg.WALDir is set. A corrupt or
-// config-mismatched checkpoint, a corrupt WAL body, or a WAL that lost
-// acknowledged history (WALStaleError) is an error rather than a silent
+// config-mismatched checkpoint, a corrupt WAL body, or a WAL that does not
+// continue the checkpoint (WALStaleError: it ends before the covered seq;
+// TailTruncatedError: it starts past it) is an error rather than a silent
 // fresh start: the operator must decide whether to delete state.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -353,32 +354,6 @@ func New(cfg Config) (*Server, error) {
 	fsyncPolicy, err := ParseFsyncPolicy(cfg.Fsync)
 	if err != nil {
 		return nil, err
-	}
-
-	var st *core.Stream
-	var ckptMeta walCkptMeta
-	restored := false
-	if cfg.CheckpointPath != "" {
-		if blob, rerr := cfg.FS.ReadFile(cfg.CheckpointPath); rerr == nil {
-			var metaBytes []byte
-			st, metaBytes, err = core.DecodeStreamMeta(cfg.Stream, blob)
-			if err != nil {
-				return nil, fmt.Errorf("server: restore %s: %w", cfg.CheckpointPath, err)
-			}
-			ckptMeta, err = decodeWALCkptMeta(metaBytes)
-			if err != nil {
-				return nil, fmt.Errorf("server: restore %s: %w", cfg.CheckpointPath, err)
-			}
-			restored = true
-		} else if !errors.Is(rerr, os.ErrNotExist) {
-			return nil, fmt.Errorf("server: restore %s: %w", cfg.CheckpointPath, rerr)
-		}
-	}
-	if st == nil {
-		st, err = core.NewStream(cfg.Stream)
-		if err != nil {
-			return nil, err
-		}
 	}
 	s := &Server{
 		cfg:              cfg,
@@ -395,22 +370,27 @@ func New(cfg Config) (*Server, error) {
 		lastSeen:         make(map[string]uint64),
 		appliedProducers: make(map[string]uint64),
 	}
-	s.stream.Store(st)
 	if _, _, err := s.transition(roleChange{op: opBoot, epoch: cfg.Epoch, target: cfg.FollowURL}); err != nil {
 		return nil, err
 	}
-	// The stream reports refit/warmup timings into the stage histogram
-	// (and, during apply, onto the active batch trace) from here on —
-	// including the refits WAL replay triggers below.
-	st.SetRecorder(s)
-	s.appliedSeq = ckptMeta.coveredSeq
-	s.appliedSeqA.Store(ckptMeta.coveredSeq)
-	s.nextSeq = ckptMeta.coveredSeq
-	s.coveredSeq.Store(ckptMeta.coveredSeq)
-	for p, q := range ckptMeta.producers {
-		s.appliedProducers[p] = q
-		s.lastSeen[p] = q
+	if cfg.CheckpointPath != "" {
+		if blob, rerr := cfg.FS.ReadFile(cfg.CheckpointPath); rerr == nil {
+			if err := s.installCheckpoint(blob); err != nil {
+				return nil, fmt.Errorf("server: restore %s: %w", cfg.CheckpointPath, err)
+			}
+		} else if !errors.Is(rerr, os.ErrNotExist) {
+			return nil, fmt.Errorf("server: restore %s: %w", cfg.CheckpointPath, rerr)
+		}
 	}
+	st := s.stream.Load()
+	if st == nil {
+		if st, err = core.NewStream(cfg.Stream); err != nil {
+			return nil, err
+		}
+		st.SetRecorder(s)
+		s.stream.Store(st)
+	}
+	s.coveredSeq.Store(s.appliedSeq)
 
 	if cfg.FollowURL != "" {
 		// Follower: no WAL of its own until promotion (cfg.WALDir is held
@@ -418,44 +398,84 @@ func New(cfg Config) (*Server, error) {
 		// the resume point — the tail restarts at its covered sequence.
 		s.behindSince.Store(time.Now().UnixNano())
 	} else if cfg.WALDir != "" {
-		wal, werr := OpenWAL(s.walConfig())
-		if werr != nil {
-			return nil, werr
-		}
-		if !wal.WasEmpty() && wal.LastSeq() < s.appliedSeq {
-			// The checkpoint is newer than the log: the WAL lost
-			// acknowledged history. Refuse — replaying a hole is silent
-			// data loss.
-			wal.Close()
-			return nil, &WALStaleError{LastSeq: wal.LastSeq(), CoveredSeq: s.appliedSeq}
-		}
-		if wal.WasEmpty() && s.appliedSeq > 0 {
-			// Fresh log attached to an existing checkpoint (WAL enabled
-			// after the fact, or truncation removed everything): continue
-			// the checkpoint's numbering.
-			wal.ForwardTo(s.appliedSeq)
-		}
-		if err := s.replayWAL(wal); err != nil {
-			wal.Close()
+		if err := s.attachWAL(true); err != nil {
 			return nil, err
 		}
-		s.wal.Store(wal)
-		s.nextSeq = wal.LastSeq()
+		s.nextSeq = s.appliedSeq
 		s.tel.walReplayedB.Add(s.replayedB)
 		s.tel.walReplayedP.Add(s.replayedP)
 	}
 
 	s.seen.Store(int64(st.Seen()))
-	if restored && st.Snapshot() != nil {
-		// A restored model counts as generation 1: /label answers from it
-		// immediately, and clients comparing generations across a restart
-		// see a live model, not warmup.
-		s.refitBase = 1
+	if s.refitBase == 1 {
 		s.logf("restored %d points from %s", st.Seen(), cfg.CheckpointPath)
 	}
 	s.refits.Store(s.refitBase + int64(st.Refits()))
 	s.tel.installCollect(s)
 	return s, nil
+}
+
+// installCheckpoint makes a KB2S checkpoint blob the node's state: the
+// stream, the WAL horizon it covers, and the producer idempotency horizon
+// — the one restore path behind startup and follower snapshot bootstrap.
+// A checkpoint that carries a model counts as generation 1, so /label
+// answers from it at once and model_gen matches a primary restarted from
+// the same state. Runs on the goroutine that owns the stream.
+func (s *Server) installCheckpoint(blob []byte) error {
+	st, metaBytes, err := core.DecodeStreamMeta(s.cfg.Stream, blob)
+	if err != nil {
+		return err
+	}
+	meta, err := decodeWALCkptMeta(metaBytes)
+	if err != nil {
+		return err
+	}
+	st.SetRecorder(s) // refit timings, including replay's, reach telemetry
+	s.appliedSeq = meta.coveredSeq
+	s.appliedSeqA.Store(meta.coveredSeq)
+	s.appliedProducers = make(map[string]uint64, len(meta.producers))
+	s.ingestMu.Lock()
+	s.nextSeq = meta.coveredSeq
+	for p, q := range meta.producers {
+		s.appliedProducers[p] = q
+		if s.lastSeen[p] < q {
+			s.lastSeen[p] = q
+		}
+	}
+	s.ingestMu.Unlock()
+	s.refitBase = 0
+	if st.Snapshot() != nil {
+		s.refitBase = 1
+	}
+	s.refits.Store(s.refitBase + int64(st.Refits()))
+	s.seen.Store(int64(st.Seen()))
+	s.stream.Store(st)
+	return nil
+}
+
+// attachWAL opens this node's log, levels it with the applied horizon
+// and installs it: ForwardTo continues the numbering of a log that ends
+// before the horizon, and replay applies what the log holds past it. At
+// boot, a log that holds records yet ends before the checkpoint's covered
+// seq lost acknowledged history and is refused (WALStaleError): replaying
+// over that hole would be silent data loss. A promoted replica's own
+// older log is not stale: replication carried the node past it.
+func (s *Server) attachWAL(boot bool) error {
+	wal, err := OpenWAL(s.walConfig())
+	if err != nil {
+		return err
+	}
+	if boot && wal.LastSeq() < s.appliedSeq && !wal.WasEmpty() {
+		err = &WALStaleError{LastSeq: wal.LastSeq(), CoveredSeq: s.appliedSeq}
+	} else if err = wal.ForwardTo(s.appliedSeq); err == nil {
+		err = s.replayWAL(wal)
+	}
+	if err != nil {
+		wal.Close()
+		return err
+	}
+	s.wal.Store(wal)
+	return nil
 }
 
 // walConfig is the one description of this node's write-ahead log, so a

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,35 +96,30 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		writeTailError(w, err)
 		return
 	}
-	// Long-poll ordering: the append notification channel is grabbed
-	// BEFORE the read, so an append that lands between the read and the
-	// park still wakes the poll — no missed-wakeup window.
-	notify := wal.AppendNotify()
-	recs, cur, lastSeq, err := wal.ReadTail(cur, maxBytes)
-	if err != nil {
-		writeTailError(w, err)
-		return
-	}
-	if len(recs) == 0 && wait > 0 {
-		deadline := time.NewTimer(wait)
-		defer deadline.Stop()
-	poll:
-		for len(recs) == 0 {
-			select {
-			case <-notify:
-			case <-deadline.C:
-				break poll
-			case <-r.Context().Done():
-				return
-			case <-s.done:
-				break poll
-			}
-			notify = wal.AppendNotify()
-			recs, cur, lastSeq, err = wal.ReadTail(cur, maxBytes)
-			if err != nil {
-				writeTailError(w, err)
-				return
-			}
+	deadline := time.NewTimer(wait)
+	defer deadline.Stop()
+	var recs []TailRecord
+	var lastSeq uint64
+	for polling := wait > 0; ; {
+		// Long-poll ordering: the append notification channel is grabbed
+		// BEFORE the read, so an append that lands between the read and
+		// the park still wakes the poll — no missed-wakeup window.
+		notify := wal.AppendNotify()
+		if recs, cur, lastSeq, err = wal.ReadTail(cur, maxBytes); err != nil {
+			writeTailError(w, err)
+			return
+		}
+		if len(recs) > 0 || !polling {
+			break
+		}
+		select {
+		case <-notify:
+		case <-deadline.C:
+			polling = false
+		case <-r.Context().Done():
+			return
+		case <-s.done:
+			polling = false
 		}
 	}
 
@@ -152,9 +148,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		binary.LittleEndian.PutUint32(scratch[9:13], uint32(len(rec.Entry)))
 		bw.Write(scratch[:13])
 		bw.Write(rec.Entry)
-		crc := crc32.Checksum(scratch[1:9], walCRCTable)
-		crc = crc32.Update(crc, walCRCTable, rec.Entry)
-		binary.LittleEndian.PutUint32(scratch[:4], crc)
+		binary.LittleEndian.PutUint32(scratch[:4], rec.CRC) // the stored crc32c(seq‖entry)
 		bw.Write(scratch[:4])
 	}
 	scratch[0] = tailFrameEnd
@@ -203,20 +197,23 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // tailFrame is one decoded frame from a tail response.
 type tailFrame struct {
-	Kind     byte
-	Seq      uint64 // 'R'
-	SegFirst uint64 // 'S'
-	LastSeq  uint64 // 'E'
-	Entry    []byte // 'R'; aliases the reader's buffer until the next Next
+	Kind byte
+	// Seq is the record's sequence ('R'), the segment's first sequence
+	// ('S'), or the primary's newest sequence ('E').
+	Seq   uint64
+	Entry []byte // 'R'; aliases the reader's buffer until the next Next
 }
 
-// tailFrameReader decodes a tail response body. Next returns io.EOF after
-// the 'E' frame's underlying stream ends; a response that ends without an
-// 'E' frame (connection cut mid-stream) surfaces io.ErrUnexpectedEOF, and
-// the follower resumes from its last applied sequence.
+// tailFrameReader decodes a tail response body — bytes from another
+// process, so a length prefix is a claim, not an allocation request: the
+// entry buffer grows with the bytes that actually arrive. Next returns
+// io.EOF after the 'E' frame's underlying stream ends; a response that
+// ends without an 'E' frame (connection cut mid-stream) surfaces
+// io.ErrUnexpectedEOF, and the follower resumes from its last applied
+// sequence. Every 'R' frame it returns passed its CRC check.
 type tailFrameReader struct {
 	br    *bufio.Reader
-	buf   []byte
+	buf   bytes.Buffer
 	began bool
 }
 
@@ -242,44 +239,35 @@ func (t *tailFrameReader) Next() (tailFrame, error) {
 	if err != nil {
 		return tailFrame{}, err
 	}
-	switch kind {
-	case tailFrameSegment, tailFrameEnd:
-		var u [8]byte
-		if _, err := io.ReadFull(t.br, u[:]); err != nil {
-			return tailFrame{}, err
-		}
-		v := binary.LittleEndian.Uint64(u[:])
-		if kind == tailFrameSegment {
-			return tailFrame{Kind: kind, SegFirst: v}, nil
-		}
-		return tailFrame{Kind: kind, LastSeq: v}, nil
-	case tailFrameRecord:
-		var hdr [12]byte
-		if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
-			return tailFrame{}, err
-		}
-		n := binary.LittleEndian.Uint32(hdr[8:])
-		if n > walMaxRecord {
-			return tailFrame{}, fmt.Errorf("tail: record of %d bytes exceeds limit", n)
-		}
-		if cap(t.buf) < int(n) {
-			t.buf = make([]byte, n)
-		}
-		t.buf = t.buf[:n]
-		if _, err := io.ReadFull(t.br, t.buf); err != nil {
-			return tailFrame{}, err
-		}
-		var crcB [4]byte
-		if _, err := io.ReadFull(t.br, crcB[:]); err != nil {
-			return tailFrame{}, err
-		}
-		crc := crc32.Checksum(hdr[:8], walCRCTable)
-		crc = crc32.Update(crc, walCRCTable, t.buf)
-		if crc != binary.LittleEndian.Uint32(crcB[:]) {
-			return tailFrame{}, fmt.Errorf("tail: record crc mismatch at seq %d", binary.LittleEndian.Uint64(hdr[:8]))
-		}
-		return tailFrame{Kind: kind, Seq: binary.LittleEndian.Uint64(hdr[:8]), Entry: t.buf}, nil
-	default:
-		return tailFrame{}, fmt.Errorf("tail: unknown frame kind %q", kind)
+	f := tailFrame{Kind: kind}
+	var hdr [12]byte // u64, then the u32 entry length of an 'R' frame
+	n := 8
+	if kind == tailFrameRecord {
+		n = 12
+	} else if kind != tailFrameSegment && kind != tailFrameEnd {
+		return f, fmt.Errorf("tail: unknown frame kind %q", kind)
 	}
+	if _, err := io.ReadFull(t.br, hdr[:n]); err != nil {
+		return f, err
+	}
+	if f.Seq = binary.LittleEndian.Uint64(hdr[:8]); kind != tailFrameRecord {
+		return f, nil
+	}
+	size := binary.LittleEndian.Uint32(hdr[8:])
+	if size > walMaxRecord {
+		return f, fmt.Errorf("tail: record of %d bytes exceeds limit", size)
+	}
+	t.buf.Reset()
+	if _, err := io.CopyN(&t.buf, t.br, int64(size)+4); err != nil { // entry | crc
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return f, err
+	}
+	b := t.buf.Bytes()
+	f.Entry = b[:size]
+	if crc32.Update(crc32.Checksum(hdr[:8], walCRCTable), walCRCTable, f.Entry) != binary.LittleEndian.Uint32(b[size:]) {
+		return f, fmt.Errorf("tail: record crc mismatch at seq %d", f.Seq)
+	}
+	return f, nil
 }

@@ -35,6 +35,8 @@ import (
 // decode failure anywhere else (an earlier segment, or a non-final
 // record) means the log was damaged at rest; recovery refuses with a
 // typed *WALCorruptError* instead of guessing which records to keep.
+// Every reader parses through parseWALRecord and walkSegment
+// (wal_open.go), so the open scan, replay and GET /wal share one rule.
 //
 // Checkpoint-coordinated truncation: a successful checkpoint records the
 // WAL sequence it covers; TruncateThrough then deletes every segment
@@ -228,20 +230,27 @@ func (w *WAL) LastSeq() uint64 {
 	return w.lastSeq
 }
 
-// ForwardTo advances the sequence counter without writing, so a fresh WAL
-// attached to an existing checkpoint continues the checkpoint's numbering
-// instead of reissuing covered sequences.
-func (w *WAL) ForwardTo(seq uint64) {
+// ForwardTo advances the sequence counter without writing a record, so a
+// log attached to a checkpoint or a replicated horizon continues that
+// numbering instead of reissuing covered sequences. It starts a fresh
+// segment named for seq+1: record seq+1 must never land behind older
+// records in one file, where the open scan would see a sequence break.
+// The checkpoint covering seq truncates the segments left behind.
+func (w *WAL) ForwardTo(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if seq > w.lastSeq {
-		w.lastSeq = seq
-		w.synced = seq // nothing was written; there is nothing to sync
-		// The active (empty) segment was named for the old next-seq;
-		// rotating on the next append would be wasteful, so rename lazily:
-		// the segment header's firstSeq only matters once a record lands,
-		// and appendLocked rotates if the header would lie.
+	if seq <= w.lastSeq {
+		return nil
 	}
+	for w.syncing {
+		w.syncCond.Wait()
+	}
+	w.lastSeq = seq // the rotation marks it synced: nothing was written
+	if err := w.rotateLocked(seq + 1); err != nil {
+		w.wedged = err
+		return err
+	}
+	return nil
 }
 
 // AppendResult reports one completed append: the assigned sequence (what
@@ -257,7 +266,7 @@ type AppendResult struct {
 // synced, whatever the policy. Callers whose ack implies stable storage
 // (FsyncAlways) follow up with WaitDurable, which batches concurrent
 // appends into one group-commit fsync. The multi-part form lets callers
-// frame a header and a payload without concatenating them first; Replay
+// frame a header and a payload without concatenating them first; ReadTail
 // hands back the joined bytes. After any write failure the WAL wedges:
 // the caller must stop acking.
 func (w *WAL) Append(entry ...[]byte) (AppendResult, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,86 +144,68 @@ func (w *WAL) scanSegment(seg walSegment, prevSeq uint64, last bool) (int64, uin
 		return 0, 0, corrupt(0, fmt.Sprintf("segment starts at seq %d, previous ended at %d", seg.firstSeq, prevSeq))
 	}
 
-	off := int64(walHeaderSize)
-	seq := prevSeq
-	torn := func(reason string) (int64, uint64, error) {
-		if !last {
-			return 0, 0, corrupt(off, reason+" in non-final segment")
-		}
-		// Expected crash signature: truncate back to the clean prefix.
-		if err := w.cfg.FS.Truncate(path, off); err != nil {
-			return 0, 0, &WALWriteError{Op: "truncate " + seg.name, Err: err}
-		}
-		w.logf("wal: %s: %s at offset %d, truncated torn tail (%d bytes dropped)",
-			seg.name, reason, off, int64(len(blob))-off)
+	off, seq, reason, torn := walkSegment(blob, walHeaderSize, prevSeq, math.MaxUint64, nil)
+	switch {
+	case reason == "":
 		return off, seq, nil
+	case !torn:
+		return 0, 0, corrupt(off, reason)
+	case !last:
+		return 0, 0, corrupt(off, reason+" in non-final segment")
 	}
-	for off < int64(len(blob)) {
-		rest := blob[off:]
-		if len(rest) < walRecHdrSize {
-			return torn("partial record header")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		if n == 0 || n > walMaxRecord {
-			return torn(fmt.Sprintf("implausible record length %d", n))
-		}
-		if int64(len(rest)) < walRecHdrSize+int64(n) {
-			return torn("record extends past end of file")
-		}
-		payload := rest[walRecHdrSize : walRecHdrSize+int64(n)]
-		if crc := binary.LittleEndian.Uint32(rest[4:]); crc != crc32.Checksum(payload, walCRCTable) {
-			return torn("checksum mismatch")
-		}
-		if n < 8 {
-			return 0, 0, corrupt(off, "record too short for sequence")
-		}
-		recSeq := binary.LittleEndian.Uint64(payload)
-		if recSeq != seq+1 {
-			return 0, 0, corrupt(off, fmt.Sprintf("sequence %d after %d", recSeq, seq))
-		}
-		seq = recSeq
-		off += walRecHdrSize + int64(n)
+	// Expected crash signature: truncate back to the clean prefix.
+	if err := w.cfg.FS.Truncate(path, off); err != nil {
+		return 0, 0, &WALWriteError{Op: "truncate " + seg.name, Err: err}
 	}
+	w.logf("wal: %s: %s at offset %d, truncated torn tail (%d bytes dropped)",
+		seg.name, reason, off, int64(len(blob))-off)
 	return off, seq, nil
 }
 
-// Replay streams every record with seq > fromSeq, oldest first, to fn.
-// Called once at recovery, after OpenWAL validated (and repaired) the
-// log; fn receives the entry bytes exactly as Append stored them.
-func (w *WAL) Replay(fromSeq uint64, fn func(seq uint64, entry []byte) error) error {
-	w.mu.Lock()
-	segs := append([]walSegment(nil), w.segments...)
-	w.mu.Unlock()
-	for _, seg := range segs {
-		if seg.lastSeq <= fromSeq || seg.lastSeq < seg.firstSeq {
-			continue
+// parseWALRecord is the one decoder of a stored record: it parses the
+// record at the head of b and returns it (Entry aliasing b; SegFirst is
+// the caller's to set) with its framed size. A non-empty reason means b
+// does not start with a whole, checksummed record.
+func parseWALRecord(b []byte) (TailRecord, int64, string) {
+	if len(b) < walRecHdrSize {
+		return TailRecord{}, 0, "partial record header"
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n < 8 || n > walMaxRecord {
+		return TailRecord{}, 0, fmt.Sprintf("implausible record length %d", n)
+	}
+	if int64(len(b)) < walRecHdrSize+int64(n) {
+		return TailRecord{}, 0, "record extends past end of file"
+	}
+	payload := b[walRecHdrSize : walRecHdrSize+int64(n)]
+	crc := binary.LittleEndian.Uint32(b[4:])
+	if crc != crc32.Checksum(payload, walCRCTable) {
+		return TailRecord{}, 0, "checksum mismatch"
+	}
+	return TailRecord{Seq: binary.LittleEndian.Uint64(payload), CRC: crc, Entry: payload[8:]}, walRecHdrSize + int64(n), ""
+}
+
+// walkSegment is the one loop over a segment image's records, shared by
+// the open scan and every read (startup and promotion replay, GET /wal).
+// From byte off, each record must parse and carry the sequence after
+// prev; visit (when set) sees each one with the offset just past it. The
+// walk ends at the end of blob, once prev reaches through, or when visit
+// returns false. It returns where it stopped (offset, last sequence) and,
+// when a record broke it, why; torn reports that the bytes at the offset
+// are not a whole record, as opposed to a whole record out of sequence.
+func walkSegment(blob []byte, off int64, prev, through uint64, visit func(TailRecord, int64) bool) (int64, uint64, string, bool) {
+	for off < int64(len(blob)) && prev < through {
+		rec, n, reason := parseWALRecord(blob[off:])
+		if reason != "" {
+			return off, prev, reason, true
 		}
-		blob, err := w.cfg.FS.ReadFile(filepath.Join(w.cfg.Dir, seg.name))
-		if err != nil {
-			return &WALWriteError{Op: "replay read " + seg.name, Err: err}
+		if rec.Seq != prev+1 {
+			return off, prev, fmt.Sprintf("sequence %d after %d", rec.Seq, prev), false
 		}
-		off := int64(walHeaderSize)
-		for off < int64(len(blob)) {
-			rest := blob[off:]
-			if len(rest) < walRecHdrSize {
-				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: partial record header"}
-			}
-			n := binary.LittleEndian.Uint32(rest)
-			if int64(len(rest)) < walRecHdrSize+int64(n) || n < 8 {
-				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: truncated record"}
-			}
-			payload := rest[walRecHdrSize : walRecHdrSize+int64(n)]
-			if crc := binary.LittleEndian.Uint32(rest[4:]); crc != crc32.Checksum(payload, walCRCTable) {
-				return &WALCorruptError{Segment: seg.name, Offset: off, Reason: "replay: checksum mismatch"}
-			}
-			seq := binary.LittleEndian.Uint64(payload)
-			if seq > fromSeq {
-				if err := fn(seq, payload[8:]); err != nil {
-					return err
-				}
-			}
-			off += walRecHdrSize + int64(n)
+		off, prev = off+n, rec.Seq
+		if visit != nil && !visit(rec, off) {
+			break
 		}
 	}
-	return nil
+	return off, prev, "", false
 }

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 )
 
@@ -16,8 +14,9 @@ import (
 // Concurrent-append safety: a record's bytes are fully written before
 // lastSeq advances under w.mu, so any record with seq <= the snapshot's
 // lastSeq is complete in a file read taken after the snapshot. Bytes past
-// the snapshot horizon may be a half-written append; the parser stops at
-// the horizon and never looks at them.
+// the snapshot horizon may be a half-written append; the walk stops at
+// the horizon and never looks at them. Below the horizon a record that
+// fails to parse or breaks continuity is damage, never a place to stop.
 
 // TailTruncatedError reports a tail read that asked for records the log
 // no longer holds: a checkpoint-coordinated truncation deleted them. The
@@ -43,12 +42,14 @@ type TailCursor struct {
 }
 
 // TailRecord is one replicated record: its sequence, the segment it came
-// from (boundary metadata for the wire protocol), and the entry bytes
-// exactly as Append stored them. Entry aliases a buffer owned by the
-// ReadTail call; it is valid only until the next ReadTail on the cursor.
+// from (boundary metadata for the wire protocol), its stored checksum, and
+// the entry bytes exactly as Append stored them. Entry aliases a buffer
+// owned by the ReadTail call; it is valid only until the next ReadTail on
+// the cursor.
 type TailRecord struct {
 	Seq      uint64
 	SegFirst uint64
+	CRC      uint32 // as stored: crc32c(seq‖entry), what a KB2T 'R' frame carries
 	Entry    []byte
 }
 
@@ -82,8 +83,17 @@ func (w *WAL) CursorAt(fromSeq uint64) (TailCursor, error) {
 // available), plus the advanced cursor and the log's lastSeq at the time
 // of the read. An empty result with err == nil means the cursor is caught
 // up to lastSeq. Returns *TailTruncatedError when the cursor's records
-// were truncated away since the last call.
+// were truncated away since the last call, and *WALCorruptError when a
+// record at or below the horizon fails to parse or breaks sequence
+// continuity — then no record is returned.
 func (w *WAL) ReadTail(cur TailCursor, maxBytes int) ([]TailRecord, TailCursor, uint64, error) {
+	return w.readTail(cur, maxBytes, false)
+}
+
+// readTail is ReadTail, optionally stopping at the end of the first
+// segment it reads: replay passes oneSegment with no byte budget, so it
+// reads each segment file once and holds at most two at a time.
+func (w *WAL) readTail(cur TailCursor, maxBytes int, oneSegment bool) ([]TailRecord, TailCursor, uint64, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
@@ -106,7 +116,7 @@ func (w *WAL) ReadTail(cur TailCursor, maxBytes int) ([]TailRecord, TailCursor, 
 	var out []TailRecord
 	budget := maxBytes
 	for _, seg := range segs {
-		if budget <= 0 || cur.NextSeq > lastSeq {
+		if budget <= 0 || cur.NextSeq > lastSeq || (oneSegment && out != nil) {
 			break
 		}
 		if seg.lastSeq < seg.firstSeq || seg.lastSeq < cur.NextSeq {
@@ -114,36 +124,28 @@ func (w *WAL) ReadTail(cur TailCursor, maxBytes int) ([]TailRecord, TailCursor, 
 		}
 		blob, err := w.cfg.FS.ReadFile(filepath.Join(w.cfg.Dir, seg.name))
 		if err != nil {
-			return out, cur, lastSeq, &WALWriteError{Op: "tail read " + seg.name, Err: err}
+			return nil, cur, lastSeq, &WALWriteError{Op: "tail read " + seg.name, Err: err}
 		}
-		off := int64(walHeaderSize)
+		off, prev := int64(walHeaderSize), seg.firstSeq-1
 		if cur.SegFirst == seg.firstSeq && cur.Offset >= off && cur.Offset <= int64(len(blob)) {
-			off = cur.Offset // resume where the last call stopped
+			off, prev = cur.Offset, cur.NextSeq-1 // resume where the last call stopped
 		}
-		for off < int64(len(blob)) && budget > 0 {
-			rest := blob[off:]
-			if len(rest) < walRecHdrSize {
-				break // in-flight append past the snapshot horizon
+		// Records past seg.lastSeq (<= the snapshot horizon) may be a
+		// half-written append; the walk stops before them.
+		end, last, reason, _ := walkSegment(blob, off, prev, seg.lastSeq, func(r TailRecord, end int64) bool {
+			if r.Seq >= cur.NextSeq {
+				r.SegFirst = seg.firstSeq
+				out = append(out, r)
+				budget -= 8 + len(r.Entry)
+				cur = TailCursor{NextSeq: r.Seq + 1, SegFirst: seg.firstSeq, Offset: end}
 			}
-			n := binary.LittleEndian.Uint32(rest)
-			if n < 8 || n > walMaxRecord || int64(len(rest)) < walRecHdrSize+int64(n) {
-				break
-			}
-			payload := rest[walRecHdrSize : walRecHdrSize+int64(n)]
-			if crc := binary.LittleEndian.Uint32(rest[4:]); crc != crc32.Checksum(payload, walCRCTable) {
-				break
-			}
-			seq := binary.LittleEndian.Uint64(payload)
-			if seq > lastSeq {
-				break // beyond the snapshot horizon
-			}
-			off += walRecHdrSize + int64(n)
-			if seq < cur.NextSeq {
-				continue // scanning up to the resume point
-			}
-			out = append(out, TailRecord{Seq: seq, SegFirst: seg.firstSeq, Entry: payload[8:]})
-			budget -= len(payload)
-			cur = TailCursor{NextSeq: seq + 1, SegFirst: seg.firstSeq, Offset: off}
+			return budget > 0
+		})
+		if reason == "" && budget > 0 && last < seg.lastSeq {
+			reason = fmt.Sprintf("segment ends at seq %d, log holds through %d", last, seg.lastSeq)
+		}
+		if reason != "" {
+			return nil, cur, lastSeq, &WALCorruptError{Segment: seg.name, Offset: end, Reason: reason}
 		}
 	}
 	return out, cur, lastSeq, nil

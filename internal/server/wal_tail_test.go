@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -114,5 +116,64 @@ func TestWALTailTruncatedHistory(t *testing.T) {
 	}
 	if last := recs[len(recs)-1].Seq; last != 40 {
 		t.Fatalf("read after truncation ends at %d, want 40", last)
+	}
+}
+
+// TestWALTailCorruptBelowHorizon: a record below the read horizon that no
+// longer parses is damage, not the end of a segment. ReadTail must refuse
+// with *WALCorruptError and hand back nothing from past the damage —
+// never skip to the next segment and serve a log with a hole in it.
+func TestWALTailCorruptBelowHorizon(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, func(c *WALConfig) { c.SegmentBytes = 256 })
+	defer w.Close()
+	appendN(t, w, 40, "dmg")
+	if w.Stats().Segments < 3 {
+		t.Fatal("need a multi-segment log")
+	}
+	names, _ := OSFS.ReadDirNames(dir)
+	path := filepath.Join(dir, names[0])
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[walHeaderSize+walRecHdrSize+8+2] ^= 0xff // an entry byte of seq 1
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cur, err := w.CursorAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := w.ReadTail(cur, 1<<20)
+	var ce *WALCorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want WALCorruptError, got %v with %d records", err, len(recs))
+	}
+	if ce.Segment != names[0] || ce.Offset != walHeaderSize {
+		t.Fatalf("damage attributed to %s@%d, want %s@%d", ce.Segment, ce.Offset, names[0], walHeaderSize)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("read past the damage: %d records from seq %d", len(recs), recs[0].Seq)
+	}
+	// The same rule holds for a reader resuming just below the damage in
+	// a later segment: truncate the second segment's tail, which is below
+	// the horizon because later segments exist.
+	path = filepath.Join(dir, names[1])
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := parseWALSegmentName(names[1])
+	if cur, err = w.CursorAt(first - 1); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err = w.ReadTail(cur, 1<<20)
+	if !errors.As(err, &ce) || ce.Segment != names[1] || len(recs) != 0 {
+		t.Fatalf("torn record below the horizon: err %v, %d records", err, len(recs))
 	}
 }

@@ -30,16 +30,28 @@ func appendN(t *testing.T, w *WAL, n int, tag string) {
 	}
 }
 
+// collectReplay reads every record past from the way replay does: a
+// cursor at from, then ReadTail until caught up.
 func collectReplay(t *testing.T, w *WAL, from uint64) map[uint64]string {
 	t.Helper()
 	got := map[uint64]string{}
-	if err := w.Replay(from, func(seq uint64, entry []byte) error {
-		got[seq] = string(entry)
-		return nil
-	}); err != nil {
+	cur, err := w.CursorAt(from)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	for {
+		recs, next, _, err := w.ReadTail(cur, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			return got
+		}
+		for _, r := range recs {
+			got[r.Seq] = string(r.Entry)
+		}
+		cur = next
+	}
 }
 
 func TestWALAppendReplayRoundtrip(t *testing.T) {

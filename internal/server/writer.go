@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"keybin2/internal/obs"
@@ -158,25 +159,33 @@ func (s *Server) checkpoint() {
 	s.logf("checkpoint: %d points, %d bytes, covers wal seq %d", s.stream.Load().Seen(), len(blob), s.appliedSeq)
 }
 
-// replayWAL applies every WAL record past the checkpoint's covered
-// sequence to the freshly-restored stream, skipping producer-sequence
-// duplicates (a batch can appear twice when a client retried after a
-// lost ack). Runs before Start, so the stream is still single-owner.
+// replayWAL applies every WAL record past the applied horizon to the
+// restored stream, skipping producer-sequence duplicates (a batch can
+// appear twice when a client retried after a lost ack). It reads the way
+// a follower does: a cursor at appliedSeq, then one segment per read. A
+// log whose oldest record lies past appliedSeq+1 is refused with
+// *TailTruncatedError — replaying over the hole would lose acked batches.
+// Runs on the goroutine that owns the stream (before Start, or promote).
 func (s *Server) replayWAL(wal *WAL) error {
 	from := s.appliedSeq
-	err := wal.Replay(from, func(seq uint64, entry []byte) error {
-		rows, applied, aerr := s.applyWALEntry(seq, entry)
-		if aerr != nil {
-			return fmt.Errorf("server: wal replay seq %d: %w", seq, aerr)
+	cur, err := wal.CursorAt(from)
+	for recs := []TailRecord(nil); err == nil; {
+		if recs, cur, _, err = wal.readTail(cur, math.MaxInt, true); len(recs) == 0 {
+			break
 		}
-		if applied {
-			s.replayedB++
-			s.replayedP += int64(rows)
+		for _, r := range recs {
+			rows, applied, aerr := s.applyWALEntry(r.Seq, r.Entry)
+			if aerr != nil {
+				return fmt.Errorf("server: wal replay seq %d: %w", r.Seq, aerr)
+			}
+			if applied {
+				s.replayedB++
+				s.replayedP += int64(rows)
+			}
 		}
-		return nil
-	})
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("server: wal replay past seq %d: %w", from, err)
 	}
 	if s.replayedB > 0 {
 		s.logf("wal: replayed %d batches (%d points) past checkpoint seq %d",
@@ -208,17 +217,14 @@ func (s *Server) applyWALEntry(seq uint64, entry []byte) (rows int, applied bool
 	if err != nil {
 		return 0, false, err
 	}
-	rows = b.M.Rows
+	defer b.Release()
 	if b.M.Cols != s.cfg.Stream.Dims {
-		cols := b.M.Cols
-		b.Release()
-		return 0, false, fmt.Errorf("batch has %d dims, stream expects %d", cols, s.cfg.Stream.Dims)
+		return 0, false, fmt.Errorf("batch has %d dims, stream expects %d", b.M.Cols, s.cfg.Stream.Dims)
 	}
 	if _, err := s.stream.Load().IngestBatch(&b.M); err != nil {
-		b.Release()
 		return 0, false, err
 	}
-	b.Release()
+	rows = b.M.Rows
 	if producer != "" && pseq > 0 {
 		s.appliedProducers[producer] = pseq
 		s.ingestMu.Lock()
