@@ -146,7 +146,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 		return nil, nil, commError("tuple-count consolidation", err)
 	}
 	for t := 0; t < cfg.Trials; t++ {
-		model, err := assembleModel(hists.trials[t].set, partResults[t].parts, partResults[t].collapsed, tuples.trials[t].tuples, cfg, t, batch)
+		model, err := trialModel(hists.trials[t].set, partResults[t].parts, partResults[t].collapsed, tuples.trials[t].tuples, cfg, t)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trial %d: %w", t, err)
 		}
@@ -156,6 +156,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 
 	best := quality.SelectBest(assessments)
 	model := models[best]
+	model.finish(batch)
 	model.TrialAssessments = assessments
 	labels := assignAll(proj, best*cfg.TargetDims, model, cfg.Workers)
 	return model, labels, nil

@@ -180,11 +180,14 @@ func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Re
 	}
 }
 
-// assembleModel finalizes a trial from its global histograms, partitions,
-// and global tuple counts. The tuple counts must be keyed under the codec
-// the partitions imply (packed when it fits, string otherwise) — every rank
-// derives them from the identical deterministic partition step.
-func assembleModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples tupleCounts, cfg Config, trial int, batch *projection.Batch) (*Model, error) {
+// trialModel is one trial's candidate model from its global histograms,
+// partitions, and global tuple counts: its clusters and their assessment,
+// which is all model selection (SelectBest, the stream's hysteresis)
+// reads. The tuple counts must be keyed under the codec the partitions
+// imply (packed when it fits, string otherwise) — every rank derives them
+// from the identical deterministic partition step. Only the selected
+// trial's model is finished for labelling (finish).
+func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples tupleCounts, cfg Config, trial int) (*Model, error) {
 	codec := newTupleCodec(parts, collapsed)
 	if codec.fits != (tuples.u != nil) {
 		return nil, fmt.Errorf("core: tuple counts keyed inconsistently with partition codec")
@@ -194,7 +197,7 @@ func assembleModel(set *histogram.Set, parts []partition.Result, collapsed []boo
 	if err != nil {
 		return nil, err
 	}
-	model := &Model{
+	return &Model{
 		Set:        set,
 		Parts:      parts,
 		Collapsed:  collapsed,
@@ -202,20 +205,25 @@ func assembleModel(set *histogram.Set, parts []partition.Result, collapsed []boo
 		Assessment: assessment,
 		Trial:      trial,
 		codec:      codec,
+	}, nil
+}
+
+// finish equips the selected trial's model to label points: the fused
+// labeling kernel, the identity tuple→label map, and the trial's
+// projection matrix (none when batch is nil, i.e. NoProjection).
+func (m *Model) finish(batch *projection.Batch) {
+	if m.codec.fits {
+		m.lab = newLabeler(m.Set, m.Parts, m.Collapsed, m.codec)
 	}
-	if codec.fits {
-		model.lab = newLabeler(set, parts, collapsed, codec)
-	}
-	model.installLabels(identityLabels(len(clusters)))
+	m.installLabels(identityLabels(len(m.Clusters)))
 	if batch != nil {
 		nrp := batch.Nrp
 		pm := linalg.NewMatrix(batch.Joined.Rows, nrp)
 		for j := 0; j < nrp; j++ {
-			pm.SetCol(j, batch.Joined.Col(trial*nrp+j))
+			pm.SetCol(j, batch.Joined.Col(m.Trial*nrp+j))
 		}
-		model.Projection = pm
+		m.Projection = pm
 	}
-	return model, nil
 }
 
 // assignAll labels every row of the projected store under the model.

@@ -35,10 +35,11 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 		b.Fatal("bench fixture overflowed 64 bits")
 	}
 	tuples := countTuples(view, 0, set, parts, collapsed, codec, 0)
-	model, err := assembleModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0, nil)
+	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	model.finish(nil)
 	return data, model
 }
 

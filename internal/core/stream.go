@@ -136,6 +136,9 @@ type Stream struct {
 	ptHdr     linalg.Matrix
 	ptLabel   [1]int
 
+	// tupleMass is sketchTuples' accumulator, reused across refits.
+	tupleMass flatTable
+
 	// model is the published model. Refit builds each model fully —
 	// including a detached clone of its histograms — before storing it, and
 	// never mutates a model after the store, so the pointer read by
@@ -364,50 +367,8 @@ func (s *Stream) Refit() error {
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
-		// Tuple mass accumulates in float (see roundMasses). Keys follow the
-		// trial's codec — packed uint64 when the tuple fits, string
-		// fallback otherwise — matching what assembleModel expects.
-		codec := newTupleCodec(parts, collapsed)
-		var fmassU map[uint64]float64
-		var fmassS map[string]float64
-		if codec.fits {
-			fmassU = make(map[uint64]float64)
-		} else {
-			fmassS = make(map[string]float64)
-		}
-		// The sketch's per-dimension alphabet is tiny (at most
-		// 2^maxSketchDepth coarse bins), so the bin→segment mapping is
-		// precomputed once per trial instead of binary-searching the cuts
-		// for every key in the sketch.
-		sketchBins := 1 << (uint(s.depth) - s.sketchShift)
-		segTable := make([]int, len(set.Dims)*sketchBins)
-		for j := range set.Dims {
-			if collapsed[j] {
-				continue
-			}
-			row := segTable[j*sketchBins : (j+1)*sketchBins]
-			for b := range row {
-				row[b] = parts[j].SegmentOf(s.sketchBinCenter(uint32(b)))
-			}
-		}
-		segs := make([]int, len(set.Dims))
-		s.sketch[t].each(func(k keys.Key, n float64) {
-			for j := range segs {
-				segs[j] = segTable[j*sketchBins+int(k[j])]
-			}
-			if codec.fits {
-				fmassU[codec.pack(segs)] += n
-			} else {
-				fmassS[packSegments(segs)] += n
-			}
-		})
-		var tuples tupleCounts
-		if codec.fits {
-			tuples.u = roundMasses(fmassU)
-		} else {
-			tuples.s = roundMasses(fmassS)
-		}
-		model, err := assembleModel(set, parts, collapsed, tuples, cfg, t, s.batch)
+		tuples := s.sketchTuples(s.sketch[t], parts, collapsed)
+		model, err := trialModel(set, parts, collapsed, tuples, cfg, t)
 		if err != nil {
 			return err
 		}
@@ -427,16 +388,84 @@ func (s *Stream) Refit() error {
 	}
 	next := models[best]
 	// Detach the new model from the live histograms before publication:
-	// assembleModel aliased the trial's Set, which this stream keeps
+	// trialModel aliased the trial's Set, which this stream keeps
 	// mutating (binBlock, Decay) after the refit. Snapshot readers may
 	// Encode or Describe the model concurrently, so the published model
 	// must own an immutable copy. The clone is bins-bounded (N_rp
 	// histograms of ≤ 2^depth cells), independent of stream length.
 	next.Set = next.Set.Clone()
+	next.finish(s.batch)
 	s.stabilizeLabels(prev, next)
 	s.model.Store(next)
 	s.refits++
 	return nil
+}
+
+// sketchTuples sums one trial's sketch masses per segment tuple, keyed
+// under the trial's tuple codec as trialModel expects: packed uint64 when
+// the tuple fits, string fallback otherwise. A coarse cell lies inside one
+// segment per dimension (snapCutsToSketch), so its whole mass goes to one
+// tuple. The common case — a packed sketch and a packed tuple — walks the
+// sketch's cells once and ORs each cell's tuple key together from its
+// 5-bit components, through per-dimension tables of segment fields already
+// shifted into place, summing into s.tupleMass, which every refit reuses.
+// Masses are summed in float, in the sketch's insertion order, and rounded
+// once (roundMass).
+func (s *Stream) sketchTuples(sk *trialSketch, parts []partition.Result, collapsed []bool) tupleCounts {
+	codec := newTupleCodec(parts, collapsed)
+	segOf := func(j int, coarse uint32) int {
+		if collapsed[j] {
+			return 0
+		}
+		return parts[j].SegmentOf(s.sketchBinCenter(coarse))
+	}
+	acc := &s.tupleMass
+	acc.reset()
+	if sk.packed != nil && codec.fits {
+		width := len(parts)
+		// One row per dimension for every 5-bit component, so a cell from
+		// any binning depth indexes in range.
+		fields := make([]uint64, width*sketchComponentMax)
+		for j := range parts {
+			for b := range sketchComponentMax {
+				fields[j*sketchComponentMax+b] = uint64(segOf(j, uint32(b))) << codec.shifts[j]
+			}
+		}
+		for _, c := range sk.packed.cells {
+			pk, tuple := c.key, uint64(0)
+			for j := width - 1; j >= 0; j-- {
+				tuple |= fields[j*sketchComponentMax+int(pk&(sketchComponentMax-1))]
+				pk >>= sketchBitsPerDim
+			}
+			acc.add(tuple, c.mass)
+		}
+		return tupleCounts{u: acc.rounded()}
+	}
+	segs := make([]int, len(parts))
+	var wide map[string]float64
+	if !codec.fits {
+		wide = make(map[string]float64)
+	}
+	sk.each(func(k keys.Key, n float64) {
+		for j := range segs {
+			segs[j] = segOf(j, k[j])
+		}
+		if codec.fits {
+			acc.add(codec.pack(segs), n)
+		} else {
+			wide[packSegments(segs)] += n
+		}
+	})
+	if codec.fits {
+		return tupleCounts{u: acc.rounded()}
+	}
+	out := make(map[string]uint64, len(wide))
+	for k, n := range wide {
+		if r := roundMass(n); r > 0 {
+			out[k] = r
+		}
+	}
+	return tupleCounts{s: out}
 }
 
 // stabilizeLabels renames next's cluster labels so clusters persist across

@@ -158,7 +158,7 @@ func (s *Stream) binBlock(rows []float64, cols int) {
 				pk = pk<<sketchBitsPerDim | uint64(key[j])
 			}
 			if sk.packed != nil {
-				sk.addPacked(pk, 1)
+				sk.packed.add(pk, 1)
 			} else {
 				sk.add(key, 1)
 			}

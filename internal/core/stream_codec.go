@@ -162,9 +162,12 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		}
 		r.off += slen
 		s.sets[t] = set
+		// Each key record is width u32 | key u32×width | mass f64. The
+		// count is checked against the bytes left, and nothing is sized
+		// from it: the sketch grows as records actually arrive.
 		nkeys := int(r.u32())
-		if nkeys < 0 || nkeys > 1<<26 {
-			return nil, nil, fmt.Errorf("core: absurd key count %d", nkeys)
+		if left := len(b) - r.off; nkeys < 0 || nkeys > left/(12+4*len(set.Dims)) {
+			return nil, nil, fmt.Errorf("core: %d sketch keys in %d bytes", nkeys, left)
 		}
 		sk := newTrialSketch(len(set.Dims))
 		k := make(keys.Key, len(set.Dims))

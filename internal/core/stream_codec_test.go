@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"keybin2/internal/synth"
@@ -222,5 +224,125 @@ func TestStreamCheckpointMeta(t *testing.T) {
 	cut := len("KB2S") + 4 + 8 + 4 + 4 + 2 // magic|ver|seen|nextID|metaLen|2 meta bytes
 	if _, _, err := DecodeStreamMeta(cfg, blob[:cut]); err == nil {
 		t.Fatal("truncated metadata accepted")
+	}
+}
+
+// TestStreamEncodeDeterministic pins that a checkpoint's bytes are a
+// function of the stream's state: the same stream encoded twice, two
+// streams fed the same points, and a decode→encode round trip all give one
+// byte string, with and without decay; so does a state installed from a
+// merged fold, whose sketch is rebuilt from a map of counts.
+func TestStreamEncodeDeterministic(t *testing.T) {
+	spec := synth.AutoMixture(4, 8, 6, 1, xrand.New(130))
+	encode := func(st *Stream) []byte {
+		t.Helper()
+		b, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, decay := range []float64{0, 0.9} {
+		cfg := StreamConfig{Config: Config{Seed: 131, Trials: 3}, Dims: 8,
+			RawRanges: fixedRanges(8, -12, 12), Period: 700, DecayFactor: decay}
+		fed := func() *Stream {
+			st, err := NewStream(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runStreamPoints(t, st, spec, 3000, 132)
+			return st
+		}
+		a, b := fed(), fed()
+		want := encode(a)
+		if !bytes.Equal(encode(a), want) {
+			t.Fatalf("decay %v: one stream encoded twice gives different bytes", decay)
+		}
+		if !bytes.Equal(encode(b), want) {
+			t.Fatalf("decay %v: two streams fed the same points encode differently", decay)
+		}
+		restored, err := DecodeStream(cfg, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(restored), want) {
+			t.Fatalf("decay %v: decode→encode changed the bytes", decay)
+		}
+	}
+
+	shardCfg := StreamConfig{Config: Config{Seed: 7, Trials: 3}, Dims: 8,
+		RawRanges: fixedRanges(8, -12, 12), Period: 1 << 30}
+	shards := make([][]byte, 2)
+	for i := range shards {
+		st, err := NewStream(shardCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runStreamPoints(t, st, spec, 2000, int64(133+i))
+		if shards[i], err = st.EncodeShardState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := MergeShardStates(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var installed [][]byte
+	for range 2 {
+		g, err := NewGlobalModelState(shardCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Install(merged); err != nil {
+			t.Fatal(err)
+		}
+		installed = append(installed, encode(g.s), encode(g.s))
+	}
+	for i, b := range installed[1:] {
+		if !bytes.Equal(b, installed[0]) {
+			t.Fatalf("installed state: encoding %d differs from the first", i+1)
+		}
+	}
+}
+
+// TestDecodeStreamKeyCountBounded feeds DecodeStreamMeta a checkpoint whose
+// first sketch claims 1<<26 keys in a body that holds a few: it must be
+// refused without sizing anything from the claim.
+func TestDecodeStreamKeyCountBounded(t *testing.T) {
+	cfg := StreamConfig{Config: Config{Seed: 5, Trials: 2}, Dims: 3,
+		RawRanges: fixedRanges(3, -2, 2), Period: 200}
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStreamPoints(t, st, synth.AutoMixture(2, 3, 6, 1, xrand.New(50)), 600, 51)
+	blob, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk to trial 0's key count: v1 header, model frame, trial count,
+	// set frame.
+	r := &wireReader{buf: blob, off: 4 + 4 + 8 + 4}
+	if r.u8() == 1 {
+		r.off += int(r.u32())
+	}
+	r.u32() // trials
+	r.off += int(r.u32())
+	if r.err != nil || r.off+4 > len(blob) {
+		t.Fatalf("walking the checkpoint: %v", r.err)
+	}
+	hostile := append([]byte(nil), blob[:r.off+4+64]...)
+	binary.LittleEndian.PutUint32(hostile[r.off:], 1<<26)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err = DecodeStreamMeta(cfg, hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a key count beyond the body was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("refusing the claim allocated %d bytes", grew)
 	}
 }

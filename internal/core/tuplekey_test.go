@@ -164,10 +164,11 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 		data, set, parts, collapsed := labelFixture(t, seed, 2500, 3, 1)
 		codec := newTupleCodec(parts, collapsed)
 		tuples := countTuples(viewOf(data), 0, set, parts, collapsed, codec, 0)
-		model, err := assembleModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0, nil)
+		model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		model.finish(nil)
 		if !model.codec.fits {
 			t.Fatalf("seed %d: expected packed model", seed)
 		}
@@ -267,10 +268,11 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	if tuples.s == nil || tuples.u != nil {
 		t.Fatal("fallback should produce string-keyed counts")
 	}
-	model, err := assembleModel(set, parts, collapsed, tuples, Config{MinClusterSize: 1, MaxClusters: 1 << 20}, 0, nil)
+	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 1, MaxClusters: 1 << 20}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	model.finish(nil)
 	if model.codec.fits || model.labelOfStr == nil {
 		t.Fatal("model should be on the string fallback")
 	}

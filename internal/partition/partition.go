@@ -208,7 +208,7 @@ func PartitionCounts(counts []uint64, cfg Config) Result {
 			}
 		}
 	default:
-		smoothed = stats.MovingAverage(density, cfg.Window)
+		smoothed = stats.MovingAverageCounts(counts, cfg.Window)
 	}
 
 	if cfg.Method == Threshold {

@@ -27,21 +27,26 @@ func KSNormalBinned(centers []float64, counts []uint64) (d float64, n uint64) {
 	var cum uint64
 	for i, c := range counts {
 		cum += c
-		var edge float64
-		if i+1 < len(centers) {
-			edge = (centers[i] + centers[i+1]) / 2
-		} else if len(centers) >= 2 {
-			edge = centers[i] + (centers[i]-centers[i-1])/2
-		} else {
-			edge = centers[i]
-		}
 		cur := float64(cum) / float64(total)
-		f := NormalCDF(edge, mean, std)
+		f := NormalCDF(upperEdge(centers, i), mean, std)
 		if diff := math.Abs(cur - f); diff > d {
 			d = diff
 		}
 	}
 	return d, total
+}
+
+// upperEdge is bin i's upper edge, halfway to the next center; the last
+// bin mirrors the previous half-width, and a lone bin is its own center.
+func upperEdge(centers []float64, i int) float64 {
+	switch {
+	case i+1 < len(centers):
+		return (centers[i] + centers[i+1]) / 2
+	case len(centers) >= 2:
+		return centers[i] + (centers[i]-centers[i-1])/2
+	default:
+		return centers[i]
+	}
 }
 
 // LillieforsCritical returns the approximate critical value of the
@@ -60,12 +65,30 @@ func LillieforsCritical(n uint64) float64 {
 // at the 5% level — i.e. the dimension looks like one Gaussian blob and is
 // a candidate for collapsing. The relax factor scales the critical value:
 // relax > 1 collapses more aggressively, < 1 more conservatively.
+//
+// The answer is KSNormalBinned's d <= LillieforsCritical(n)*relax, but the
+// scan stops at the first gap above the critical value: D is the largest
+// gap (or 0), so one such gap decides the test. Each gap is computed as
+// KSNormalBinned computes it, so the verdict is the same to the bit.
 func LooksNormal(centers []float64, counts []uint64, relax float64) bool {
-	d, n := KSNormalBinned(centers, counts)
-	if n == 0 {
+	mean, std, total := WeightedMeanStd(centers, counts)
+	if total == 0 {
 		return true // empty dimension carries no information
 	}
-	return d <= LillieforsCritical(n)*relax
+	crit := LillieforsCritical(total) * relax
+	if std == 0 {
+		return 1 <= crit // KSNormalBinned's D for a single occupied bin
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		cur := float64(cum) / float64(total)
+		f := NormalCDF(upperEdge(centers, i), mean, std)
+		if math.Abs(cur-f) > crit {
+			return false
+		}
+	}
+	return 0 <= crit
 }
 
 // KSTwoBinned returns the KS distance between two histograms defined over

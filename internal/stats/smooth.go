@@ -35,17 +35,130 @@ func MovingAverage(v []float64, width int) []float64 {
 	return out
 }
 
+// exactBelow is 2^53: every integer below it is a float64, and a float sum
+// of non-negative integers whose partial sums stay below it never rounds.
+const exactBelow = 1 << 53
+
+// MovingAverageCounts is MovingAverage over integer counts, bit for bit
+// equal to MovingAverage of the counts converted to float64. It slides one
+// integer window sum across the counts instead of re-adding every window.
+// The two agree exactly while the total stays below 2^53: then the
+// reference's float sums are exact integers, the integer sum converts
+// without rounding, and both divide the same two numbers. Beyond that it
+// runs the reference.
+func MovingAverageCounts(counts []uint64, width int) []float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+		if c >= exactBelow || total >= exactBelow {
+			v := make([]float64, len(counts))
+			for i, c := range counts {
+				v[i] = float64(c)
+			}
+			return MovingAverage(v, width)
+		}
+	}
+	if width < 1 {
+		width = 1
+	}
+	if width%2 == 0 {
+		width++
+	}
+	half := width / 2
+	out := make([]float64, len(counts))
+	var sum uint64
+	lo, hi := 0, -1 // the window summed so far, [lo, hi]
+	for i := range out {
+		for hi < len(counts)-1 && hi < i+half {
+			hi++
+			sum += counts[hi]
+		}
+		for lo < i-half {
+			sum -= counts[lo]
+			lo++
+		}
+		out[i] = float64(sum) / float64(hi-lo+1)
+	}
+	return out
+}
+
 // LocalSlopes estimates the first derivative of v at every index by fitting
 // an ordinary-least-squares line to a centered window of the given width
 // (odd; minimum 3). This is the "local regression" step of the §3.2
 // partitioner: the fitted slope is the tangent of the underlying density at
 // that bin, far more noise-tolerant than a two-point difference.
+//
+// Every slope is bit for bit LocalSlopeAt's. Windows cut short by either
+// end of v take LocalSlopeAt itself. Full windows run four at a time, one
+// pass over their shared span with four independent chains of Σy and Σxy,
+// each summed in LocalSlopeAt's order. Σx and Σx² are sums of small
+// integers, so LocalSlopeAt's float sums of them are exact and equal the
+// closed forms used here; 2^17 indices keep Σx² far below 2^53.
 func LocalSlopes(v []float64, width int) []float64 {
 	out := make([]float64, len(v))
-	for i := range v {
+	w := max(width, 3)
+	if w%2 == 0 {
+		w++
+	}
+	half := w / 2
+	first, end := half, len(v)-half // indices whose window is whole
+	if first >= end || len(v) > 1<<17 {
+		first, end = len(v), len(v)
+	}
+	for i := 0; i < first; i++ {
+		out[i] = LocalSlopeAt(v, width, i)
+	}
+	for i := end; i < len(v); i++ {
+		out[i] = LocalSlopeAt(v, width, i)
+	}
+	n := float64(w)
+	i := first
+	for ; i+4 <= end; i += 4 {
+		lo := i - half
+		var sy0, sy1, sy2, sy3, sxy0, sxy1, sxy2, sxy3 float64
+		for j := lo; j < lo+w; j++ {
+			y := v[j : j+4 : j+4]
+			x := float64(j)
+			sy0 += y[0]
+			sxy0 += x * y[0]
+			sy1 += y[1]
+			sxy1 += (x + 1) * y[1]
+			sy2 += y[2]
+			sxy2 += (x + 2) * y[2]
+			sy3 += y[3]
+			sxy3 += (x + 3) * y[3]
+		}
+		out[i] = windowSlope(n, lo, w, sy0, sxy0)
+		out[i+1] = windowSlope(n, lo+1, w, sy1, sxy1)
+		out[i+2] = windowSlope(n, lo+2, w, sy2, sxy2)
+		out[i+3] = windowSlope(n, lo+3, w, sy3, sxy3)
+	}
+	for ; i < end; i++ {
 		out[i] = LocalSlopeAt(v, width, i)
 	}
 	return out
+}
+
+// windowSlope finishes LocalSlopeAt's OLS fit over the w indices from lo,
+// given the window's Σy and Σxy; Σx and Σx² are the closed forms, in int64
+// so they hold on 32-bit platforms too.
+func windowSlope(n float64, lo, w int, sy, sxy float64) float64 {
+	hi := int64(lo + w - 1)
+	sx := float64((int64(lo) + hi) * int64(w) / 2)
+	sxx := float64(squareSum(hi) - squareSum(int64(lo)-1))
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return 0
+	}
+	return (n*sxy - sx*sy) / den
+}
+
+// squareSum is 0² + 1² + … + m² (0 for m < 1).
+func squareSum(m int64) int64 {
+	if m < 1 {
+		return 0
+	}
+	return m * (m + 1) * (2*m + 1) / 6
 }
 
 // LocalSlopeAt is LocalSlopes evaluated at a single index: the same OLS
