@@ -76,7 +76,7 @@ func main() {
 	flag.BoolVar(&o.ring, "ring", false, "ring histogram consolidation (distributed runs)")
 	flag.BoolVar(&o.truth, "truth", false, "treat last column as ground-truth label")
 	flag.BoolVar(&o.noProjection, "no-projection", false, "skip random projection (KeyBin1 ablation)")
-	flag.IntVar(&o.depth, "depth", 0, "binning tree depth (0 = auto from data size)")
+	flag.IntVar(&o.depth, "depth", 0, "binning tree depth, at most 16 (0 = auto from data size)")
 	flag.IntVar(&o.minCluster, "min-cluster", 0, "minimum cluster size (0 = auto)")
 	flag.BoolVar(&o.describe, "describe", false, "print the fitted model's structure to stderr")
 	flag.BoolVar(&o.commStats, "comm-stats", false, "print per-rank communication counters of the fit (messages, bytes, collectives; not the label gather) to stderr; -ranks 1 prints one zero-traffic line")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 )
 
@@ -15,7 +16,8 @@ type KernelTimings struct {
 	// KeyAssignNsPerPoint is the fused per-point labeling kernel
 	// (bin + segment LUT + packed tuple key + label lookup).
 	KeyAssignNsPerPoint float64 `json:"key_assign_ns_per_point"`
-	// TupleCountNsPerPoint is the full parallel tuple-counting pass.
+	// TupleCountNsPerPoint is the fit's parallel tuple-counting pass over
+	// stored bins (one trial's columns, binned beforehand).
 	TupleCountNsPerPoint float64 `json:"tuple_count_ns_per_point"`
 	// FitNsPerPoint is the end-to-end serial Fit, amortized per point.
 	FitNsPerPoint float64 `json:"fit_ns_per_point"`
@@ -74,12 +76,13 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 	}
 	kt.KeyAssignNsPerPoint = float64(assignBest.Nanoseconds()) / float64(proj.rows)
 
-	// Full tuple-counting pass over the winning trial's columns.
-	codec := newTupleCodec(model.Parts, model.Collapsed)
+	// The fit's count pass over the winning trial's columns, binned once.
+	binAll(proj, []*histogram.Set{model.Set.Clone()}, cfg.Workers)
+	keyings := []trialKeys{newTrialKeys(model.Set, model.Parts, model.Collapsed)}
 	countBest := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		countTuples(proj, 0, model.Set, model.Parts, model.Collapsed, codec, cfg.Workers)
+		countTuples(proj, keyings, cfg.Workers)
 		if d := time.Since(start); d < countBest {
 			countBest = d
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/partition"
@@ -243,5 +244,19 @@ func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
 		return nil, fmt.Errorf("core: assign batch: %w", err)
 	}
 	defer proj.release()
-	return assignAll(proj, 0, m, workers), nil
+	labels := make([]int, proj.rows)
+	forBlocks(proj, workers, func(_ *struct{}, lo int, rows []float64) {
+		lab, labelOf := m.lab, m.labelOf
+		for off := 0; off < len(rows); off += proj.cols {
+			i, x := lo+off/proj.cols, rows[off:off+proj.cols]
+			if !m.codec.fits {
+				labels[i] = m.AssignProjected(x)
+			} else if l, ok := labelOf[lab.key(x)]; ok {
+				labels[i] = l // the allocation-free fast path, loads hoisted
+			} else {
+				labels[i] = cluster.Noise
+			}
+		}
+	})
+	return labels, nil
 }

@@ -28,8 +28,8 @@ type Config struct {
 	NoProjection bool
 	// TargetDims overrides N_rp (0 = the paper's 1.5·log₂N rule).
 	TargetDims int
-	// Depth overrides the binning-tree depth (0 = keys.DefaultDepth(M),
-	// giving B ≈ log₂²M finest bins).
+	// Depth overrides the binning-tree depth, at most 16 for a fit, which
+	// stores bins as uint16 (0 = keys.DefaultDepth(M): B ≈ log₂²M bins).
 	Depth int
 	// Partition configures the histogram partitioner.
 	Partition partition.Config

@@ -2,12 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
+	"keybin2/internal/histogram"
 	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
-	"keybin2/internal/partition"
 	"keybin2/internal/quality"
 )
 
@@ -30,6 +29,9 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	}
 	if local.Cols == 0 {
 		return nil, nil, fmt.Errorf("core: data %dx%d has no columns", local.Rows, local.Cols)
+	}
+	if cfg.Depth > maxFitDepth {
+		return nil, nil, fmt.Errorf("core: depth %d is deeper than %d, the most a fit's uint16 bin indices hold", cfg.Depth, maxFitDepth)
 	}
 	n := local.Cols
 
@@ -76,39 +78,23 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 		return nil, nil, err
 	}
 
-	// Bin local points per trial and consolidate histograms. Trials are
-	// independent, so local binning runs concurrently over a shared worker
-	// budget; all trials' sets then travel as one fold value.
-	contrib := &foldState{seen: uint64(local.Rows), trials: make([]foldTrial, cfg.Trials)}
-	binErrs := make([]error, cfg.Trials)
-	perTrial := trialWorkers(cfg.Workers, cfg.Trials)
-	var binWG sync.WaitGroup
-	for t := 0; t < cfg.Trials; t++ {
-		binWG.Add(1)
-		go func(t int) {
-			defer binWG.Done()
-			mins := make([]float64, cfg.TargetDims)
-			maxs := make([]float64, cfg.TargetDims)
-			for j := 0; j < cfg.TargetDims; j++ {
-				d := t*cfg.TargetDims + j
-				mins[j], maxs[j] = gmm[2*d], gmm[2*d+1]
-			}
-			set, err := buildSet(proj, t*cfg.TargetDims, mins, maxs, depth, perTrial)
-			if err != nil {
-				binErrs[t] = fmt.Errorf("trial %d: %w", t, err)
-				return
-			}
-			if cfg.SuppressBelow >= 2 {
-				set.Suppress(uint64(cfg.SuppressBelow))
-			}
-			contrib.trials[t].set = set
-		}(t)
-	}
-	binWG.Wait()
-	for _, err := range binErrs {
-		if err != nil {
-			return nil, nil, err
+	// Bin every local point of every trial once, keeping the bins, and
+	// consolidate the histograms: all trials' sets travel as one value.
+	nrp := cfg.TargetDims
+	sets := make([]*histogram.Set, cfg.Trials)
+	for t := range sets {
+		sets[t] = &histogram.Set{}
+		for d := t * nrp; d < (t+1)*nrp; d++ {
+			sets[t].Dims = append(sets[t].Dims, histogram.New(gmm[2*d], gmm[2*d+1], depth))
 		}
+	}
+	binAll(proj, sets, cfg.Workers)
+	contrib := &foldState{seen: uint64(local.Rows), trials: make([]foldTrial, cfg.Trials)}
+	for t, set := range sets {
+		if cfg.SuppressBelow >= 2 {
+			set.Suppress(uint64(cfg.SuppressBelow))
+		}
+		contrib.trials[t].set = set
 	}
 	hists, err := exchange(comm, cfg, contrib)
 	if err != nil {
@@ -120,33 +106,27 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	// everywhere is equivalent to (and cheaper than) a root partition +
 	// cut broadcast. The same holds for label construction below, since
 	// buildLabels orders tuples deterministically.
-	models := make([]*Model, cfg.Trials)
-	assessments := make([]quality.Assessment, cfg.Trials)
-	partResults := make([]trialPartitions, cfg.Trials)
-	var cntWG sync.WaitGroup
-	for t := 0; t < cfg.Trials; t++ {
-		cntWG.Add(1)
-		go func(t int) {
-			defer cntWG.Done()
-			set := hists.trials[t].set
-			parts, collapsed := partitionSet(set, cfg)
-			partResults[t] = trialPartitions{parts: parts, collapsed: collapsed}
-			codec := newTupleCodec(parts, collapsed)
-			counts := countTuples(proj, t*cfg.TargetDims, set, parts, collapsed, codec, perTrial)
-			if cfg.SuppressBelow >= 2 {
-				counts.dropBelow(uint64(cfg.SuppressBelow))
-			}
-			// The second round carries key masses only.
-			contrib.trials[t] = foldTrial{tuples: counts}
-		}(t)
+	keyings := make([]trialKeys, cfg.Trials)
+	for t := range keyings {
+		set := hists.trials[t].set
+		parts, collapsed := partitionSet(set, cfg)
+		keyings[t] = newTrialKeys(set, parts, collapsed)
 	}
-	cntWG.Wait()
+	for t, counts := range countTuples(proj, keyings, cfg.Workers) {
+		if cfg.SuppressBelow >= 2 {
+			counts.dropBelow(uint64(cfg.SuppressBelow))
+		}
+		// The second round carries key masses only.
+		contrib.trials[t] = foldTrial{tuples: counts}
+	}
 	tuples, err := exchange(comm, cfg, contrib)
 	if err != nil {
 		return nil, nil, commError("tuple-count consolidation", err)
 	}
-	for t := 0; t < cfg.Trials; t++ {
-		model, err := trialModel(hists.trials[t].set, partResults[t].parts, partResults[t].collapsed, tuples.trials[t].tuples, cfg, t)
+	models := make([]*Model, cfg.Trials)
+	assessments := make([]quality.Assessment, cfg.Trials)
+	for t, k := range keyings {
+		model, err := trialModel(hists.trials[t].set, k.parts, k.collapsed, tuples.trials[t].tuples, cfg, t)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trial %d: %w", t, err)
 		}
@@ -158,13 +138,8 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	model := models[best]
 	model.finish(batch)
 	model.TrialAssessments = assessments
-	labels := assignAll(proj, best*cfg.TargetDims, model, cfg.Workers)
+	labels := labelBins(proj, best*nrp, model, cfg.Workers)
 	return model, labels, nil
-}
-
-type trialPartitions struct {
-	parts     []partition.Result
-	collapsed []bool
 }
 
 // consolidate runs the configured histogram-consolidation collective.

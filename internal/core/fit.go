@@ -45,39 +45,47 @@ func projectAll(data *linalg.Matrix, cfg Config) (*projected, *projection.Batch,
 	return proj, batch, nil
 }
 
-// trialWorkers splits a worker budget (0 = GOMAXPROCS) across concurrent
-// trials, at least one worker each.
-func trialWorkers(workers, trials int) int {
-	return max(linalg.Workers(workers)/max(trials, 1), 1)
-}
+// maxFitDepth is the deepest tree a fit takes: binAll stores bins as uint16.
+const maxFitDepth = 16
 
-// buildSet bins all rows of the trial's columns into a fresh histogram set,
-// fanning row blocks across workers with per-worker local sets merged at
-// the end — the same per-point/per-dimension parallel decomposition the
-// paper offloads to the GPU.
-func buildSet(proj *projected, loCol int, mins, maxs []float64, depth, workers int) (*histogram.Set, error) {
-	global, err := histogram.NewSet(mins, maxs, depth)
-	if err != nil {
-		return nil, err
-	}
-	nrp := len(mins)
-	locals := forBlocks(proj, workers, func(local **histogram.Set, _ int, rows []float64) {
+// binAll bins every row of proj into sets (set t takes columns
+// [t·N_rp, (t+1)·N_rp)) and keeps the bin indices in proj.bins for the
+// count and label passes. A worker bins all trials of a block while it is
+// in L2, trials outer and rows inner as Stream.binBlock does, into its own
+// clones of the sets, summed into sets at the end.
+func binAll(proj *projected, sets []*histogram.Set, workers int) {
+	proj.bins = make([][]uint16, len(proj.blocks))
+	proj.binBufs = make([]*[]uint16, len(proj.blocks))
+	locals := forBlocks(proj, workers, func(local *[]*histogram.Set, lo int, rows []float64) {
 		if *local == nil {
-			*local = global.Clone() // still empty: merged into only below
+			*local = make([]*histogram.Set, len(sets))
+			for t, set := range sets {
+				(*local)[t] = set.Clone() // still empty: merged into only below
+			}
 		}
-		for off := loCol; off < len(rows); off += proj.cols {
-			(*local).AddPoint(rows[off : off+nrp])
+		b := lo / blockRows
+		proj.binBufs[b] = pooledBuf[uint16](&binPool, blockRows*proj.cols)
+		out := (*proj.binBufs[b])[:len(rows)]
+		proj.bins[b] = out
+		points := uint64(len(rows) / proj.cols)
+		for t, set := range *local {
+			for off := t * len(set.Dims); off < len(rows); off += proj.cols {
+				for j, h := range set.Dims {
+					b := h.Bin(rows[off+j])
+					h.Counts[b]++
+					out[off+j] = uint16(b)
+				}
+			}
+			for _, h := range set.Dims {
+				h.Total += points
+			}
 		}
 	})
 	for _, local := range locals {
-		if local == nil {
-			continue
-		}
-		if err := global.Merge(local); err != nil {
-			return nil, err
+		for t, set := range local {
+			_ = sets[t].Merge(set) // a clone is always congruent
 		}
 	}
-	return global, nil
 }
 
 // partitionSet collapses uninformative dimensions and partitions the rest.
@@ -115,59 +123,86 @@ func partitionSet(set *histogram.Set, cfg Config) (parts []partition.Result, col
 	return parts, collapsed
 }
 
-// countTuples maps every row to its primary-cluster tuple and counts
-// occupancy, dispatching to the packed-uint64 kernel or the string fallback
-// depending on whether the trial's tuple fits in 64 bits.
-func countTuples(proj *projected, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, codec tupleCodec, workers int) tupleCounts {
-	if codec.fits {
-		lab := newLabeler(set, parts, collapsed, codec)
-		return tupleCounts{u: countTuplesPacked(proj, loCol, lab, workers)}
+// trialKeys turns one trial's stored bins into tuple keys: packed through
+// the labeler's bin→segment LUTs when they fit 64 bits, strings if lab is nil.
+type trialKeys struct {
+	parts     []partition.Result
+	collapsed []bool
+	lab       *labeler
+}
+
+func newTrialKeys(set *histogram.Set, parts []partition.Result, collapsed []bool) trialKeys {
+	k := trialKeys{parts: parts, collapsed: collapsed}
+	if codec := newTupleCodec(parts, collapsed); codec.fits {
+		k.lab = newLabeler(set, parts, collapsed, codec)
 	}
-	return tupleCounts{s: countTuplesString(proj, loCol, set, parts, collapsed, workers)}
+	return k
 }
 
-// countTuplesPacked is the allocation-free counting kernel: per point, one
-// multiply and one table lookup per dimension, one map increment.
-func countTuplesPacked(proj *projected, loCol int, lab *labeler, workers int) map[uint64]uint64 {
-	nrp := len(lab.luts)
-	locals := forBlocks(proj, workers, func(local *map[uint64]uint64, _ int, rows []float64) {
-		if *local == nil {
-			*local = make(map[uint64]uint64)
+// countTuples counts every trial's tuples from the stored bins in one pass,
+// into a flatTable per worker and trial (exact up to 2^53 points; string
+// keys into a map), summed into each trial's tupleCounts at the end.
+func countTuples(proj *projected, trials []trialKeys, workers int) []tupleCounts {
+	type tables struct {
+		u []flatTable
+		s []map[string]uint64
+	}
+	locals := forBlocks(proj, workers, func(acc *tables, lo int, rows []float64) {
+		if acc.u == nil {
+			acc.u = make([]flatTable, len(trials))
+			acc.s = make([]map[string]uint64, len(trials))
 		}
-		for off := loCol; off < len(rows); off += proj.cols {
-			(*local)[lab.key(rows[off:off+nrp])]++
+		blk := proj.bins[lo/blockRows]
+		for t, k := range trials {
+			nrp := len(k.parts)
+			if k.lab != nil {
+				tab := &acc.u[t]
+				for off := t * nrp; off < len(blk); off += proj.cols {
+					tab.add(k.lab.binKey(blk[off:off+nrp]), 1)
+				}
+				continue
+			}
+			if acc.s[t] == nil {
+				acc.s[t] = make(map[string]uint64)
+			}
+			segs := make([]int, nrp)
+			for off := t * nrp; off < len(blk); off += proj.cols {
+				segmentsOfBins(blk[off:off+nrp], k.parts, k.collapsed, segs)
+				acc.s[t][packSegments(segs)]++
+			}
 		}
 	})
-	return sumCounts(locals)
-}
-
-// countTuplesString is the legacy string-keyed pass, kept as the documented
-// fallback for tuples wider than 64 bits (and as the baseline the
-// equivalence tests and benchmarks compare against).
-func countTuplesString(proj *projected, loCol int, set *histogram.Set, parts []partition.Result, collapsed []bool, workers int) map[string]uint64 {
-	nrp := len(set.Dims)
-	locals := forBlocks(proj, workers, func(local *map[string]uint64, _ int, rows []float64) {
-		if *local == nil {
-			*local = make(map[string]uint64)
+	out := make([]tupleCounts, len(trials))
+	for t, k := range trials {
+		u, s := map[uint64]uint64{}, map[string]uint64{}
+		for _, acc := range locals {
+			if acc.u == nil {
+				continue // a worker that drew no block
+			}
+			for _, c := range acc.u[t].cells {
+				u[c.key] += uint64(c.mass)
+			}
+			for key, n := range acc.s[t] {
+				s[key] += n
+			}
 		}
-		segs := make([]int, nrp)
-		for off := loCol; off < len(rows); off += proj.cols {
-			segmentsOfRow(rows[off:off+nrp], set, parts, collapsed, segs)
-			(*local)[packSegments(segs)]++
-		}
-	})
-	return sumCounts(locals)
-}
-
-// sumCounts adds the workers' occupancy maps into one.
-func sumCounts[K comparable](locals []map[K]uint64) map[K]uint64 {
-	out := make(map[K]uint64)
-	for _, m := range locals {
-		for k, n := range m {
-			out[k] += n
+		out[t] = tupleCounts{u: u}
+		if k.lab == nil {
+			out[t] = tupleCounts{s: s}
 		}
 	}
 	return out
+}
+
+// segmentsOfBins maps a point's stored bins to its primary-cluster tuple.
+func segmentsOfBins(bins []uint16, parts []partition.Result, collapsed []bool, segs []int) {
+	for j := range segs {
+		if collapsed[j] {
+			segs[j] = 0
+			continue
+		}
+		segs[j] = parts[j].SegmentOf(int(bins[j]))
+	}
 }
 
 func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Result, collapsed []bool, segs []int) {
@@ -226,34 +261,24 @@ func (m *Model) finish(batch *projection.Batch) {
 	}
 }
 
-// assignAll labels every row of the projected store under the model.
-func assignAll(proj *projected, loCol int, model *Model, workers int) []int {
+// labelBins labels every row of the store under the model from its stored
+// bins in columns [loCol, loCol+N_rp).
+func labelBins(proj *projected, loCol int, model *Model, workers int) []int {
 	nrp := len(model.Set.Dims)
 	labels := make([]int, proj.rows)
-	forBlocks(proj, workers, func(_ *struct{}, lo int, rows []float64) {
-		out := labels[lo : lo+len(rows)/proj.cols]
-		if model.codec.fits {
-			// Allocation-free fast path: one multiply + one LUT load per
-			// dimension, one map probe per point.
-			lab, labelOf := model.lab, model.labelOf
-			for i := range out {
-				off := i*proj.cols + loCol
-				if l, ok := labelOf[lab.key(rows[off:off+nrp])]; ok {
-					out[i] = l
-				} else {
-					out[i] = cluster.Noise
-				}
-			}
-			return
-		}
+	forBlocks(proj, workers, func(_ *struct{}, lo int, _ []float64) {
+		blk := proj.bins[lo/blockRows]
 		segs := make([]int, nrp)
-		for i := range out {
-			off := i*proj.cols + loCol
-			segmentsOfRow(rows[off:off+nrp], model.Set, model.Parts, model.Collapsed, segs)
-			if l, ok := model.labelOfStr[packSegments(segs)]; ok {
-				out[i] = l
-			} else {
-				out[i] = cluster.Noise
+		for off := loCol; off < len(blk); off += proj.cols {
+			b, i := blk[off:off+nrp], lo+off/proj.cols
+			labels[i] = cluster.Noise
+			if !model.codec.fits {
+				segmentsOfBins(b, model.Parts, model.Collapsed, segs)
+				if l, ok := model.labelOfStr[packSegments(segs)]; ok {
+					labels[i] = l
+				}
+			} else if l, ok := model.labelOf[model.lab.binKey(b)]; ok {
+				labels[i] = l
 			}
 		}
 	})

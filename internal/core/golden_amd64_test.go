@@ -50,6 +50,31 @@ func TestFitGolden(t *testing.T) {
 		{"fit/700x64", serial(mixture(700, 64, 110), Config{Seed: 8})},
 		{"fit/3000x33/achlioptas", serial(mixture(3000, 33, 120), Config{Seed: 9, ProjectionKind: projection.Achlioptas})},
 		{"fit/2048x20/noprojection", serial(mixture(2048, 20, 130), Config{Seed: 10, NoProjection: true})},
+		{"fit/3000x64/strings", func() (string, error) {
+			// Sixty-four raw dimensions, most of them cut: the tuples are
+			// wider than 64 bits and take the string keys.
+			model, labels, err := Fit(mixture(3000, 64, 140), Config{Seed: 11, NoProjection: true})
+			if err != nil {
+				return "", err
+			}
+			if model.codec.fits {
+				return "", fmt.Errorf("tuples pack into 64 bits; the case wants the string keys")
+			}
+			return fitDigest(model, labels), nil
+		}},
+		{"fit/5000x64/suppress", serial(mixture(5000, 64, 100), Config{Seed: 7, SuppressBelow: 3})},
+		{"dist2/2500x12/noprojection", func() (string, error) {
+			data := mixture(2500, 12, 150)
+			digests, err := mpi.RunCollect(2, func(c *mpi.Comm) (string, error) {
+				local, _ := shardData(data, make([]int, data.Rows), 2, c.Rank())
+				model, labels, err := FitDistributed(c, local, Config{Seed: 12, NoProjection: true})
+				if err != nil {
+					return "", err
+				}
+				return fitDigest(model, labels), nil
+			})
+			return strings.Join(digests, "+"), err
+		}},
 		{"dist2/5000x64", func() (string, error) {
 			data := mixture(5000, 64, 100)
 			digests, err := mpi.RunCollect(2, func(c *mpi.Comm) (string, error) {

@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"keybin2/internal/linalg"
+	"keybin2/internal/mpi"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
 
 // Labeling-kernel microbenchmarks: the packed-uint64 fast path against the
-// legacy string-keyed baseline (kept as the >64-bit fallback). The issue's
-// acceptance bar is ≥3× throughput on tuple counting + assignAll with zero
-// allocations per point in the steady-state inner loop.
+// legacy string-keyed baseline (kept as the >64-bit fallback). The packed
+// path was held to ≥3× the throughput on tuple counting and batch labelling,
+// with zero allocations per point in the steady-state inner loop.
 //
 //	go test ./internal/core -bench 'TupleCount|AssignAll|LabelerKey' -benchmem
 
@@ -24,17 +25,13 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	b.Helper()
 	spec := synth.AutoMixture(4, benchDims, 5, 1, xrand.New(41))
 	data, _ := spec.Sample(benchRows, xrand.New(42))
-	view := viewOf(data)
-	set, err := buildSet(view, 0, view.mins, view.maxs, 8, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	view, set := binView(data, 8)
 	parts, collapsed := partitionSet(set, Config{CollapseRelax: 1})
-	codec := newTupleCodec(parts, collapsed)
-	if !codec.fits {
+	k := newTrialKeys(set, parts, collapsed)
+	if k.lab == nil {
 		b.Fatal("bench fixture overflowed 64 bits")
 	}
-	tuples := countTuples(view, 0, set, parts, collapsed, codec, 0)
+	tuples := countOne(view, k, 0)
 	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -43,45 +40,80 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	return data, model
 }
 
+// BenchmarkTupleCount times the fit's count pass: tuple keys read from
+// stored bins (binned once, outside the timing) into per-worker tables.
 func BenchmarkTupleCount(b *testing.B) {
 	data, model := benchKernelFixture(b)
-	view := viewOf(data)
+	view, _ := binView(data, 8)
+	packed := newTrialKeys(model.Set, model.Parts, model.Collapsed)
+	str := trialKeys{parts: model.Parts, collapsed: model.Collapsed}
 	for _, workers := range []int{1, 4} {
 		b.Run(name("string", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				countTuplesString(view, 0, model.Set, model.Parts, model.Collapsed, workers)
+				countOne(view, str, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
 		b.Run(name("packed", workers), func(b *testing.B) {
-			lab := model.lab
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				countTuplesPacked(view, 0, lab, workers)
+				countOne(view, packed, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
 	}
 }
 
+// BenchmarkFit is bench/'s fit_batch round at its exact shape, so the fit
+// can be profiled without the bench module: 250k × 64 points of
+// AutoMixture(8, 64, 6, 1), two one-rank fits and two two-rank fits with
+// seeds 11–14.
+//
+//	go test -run '^$' -bench '^BenchmarkFit$' -benchtime 3x -cpuprofile cpu.out ./internal/core
+func BenchmarkFit(b *testing.B) {
+	spec := synth.AutoMixture(8, 64, 6, 1, xrand.New(1))
+	data, _ := spec.Sample(250000, xrand.New(4).Split("fit"))
+	half := data.Rows / 2
+	halves := []*linalg.Matrix{
+		{Rows: half, Cols: data.Cols, Data: data.Data[:half*data.Cols]},
+		{Rows: data.Rows - half, Cols: data.Cols, Data: data.Data[half*data.Cols:]},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, seed := range []int64{11, 12} {
+			if _, _, err := Fit(data, Config{Seed: seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, seed := range []int64{13, 14} {
+			err := mpi.Run(2, func(c *mpi.Comm) error {
+				_, _, err := FitDistributed(c, halves[c.Rank()], Config{Seed: seed})
+				return err
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(4*data.Rows)*float64(b.N)/b.Elapsed().Seconds(), "pts/s")
+}
+
 func BenchmarkAssignAll(b *testing.B) {
 	data, model := benchKernelFixture(b)
-	view := viewOf(data)
 	strModel := forceStringBenchModel(model)
 	for _, workers := range []int{1, 4} {
 		b.Run(name("string", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignAll(view, 0, strModel, workers)
+				_, _ = strModel.AssignBatch(data, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
 		b.Run(name("packed", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignAll(view, 0, model, workers)
+				_, _ = model.AssignBatch(data, workers)
 			}
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})

@@ -100,17 +100,6 @@ func unpackSegments(s string) []int {
 	return out
 }
 
-// segmentsOf maps a projected point to its primary-cluster tuple.
-func (m *Model) segmentsOf(projected []float64, segs []int) {
-	for j, h := range m.Set.Dims {
-		if m.Collapsed[j] {
-			segs[j] = 0
-			continue
-		}
-		segs[j] = m.Parts[j].SegmentOf(h.Bin(projected[j]))
-	}
-}
-
 // AssignProjected labels a point already expressed in the projected
 // subspace. Unknown tuples return cluster.Noise. The packed-key path is
 // allocation-free.
@@ -122,7 +111,7 @@ func (m *Model) AssignProjected(projected []float64) int {
 		return cluster.Noise
 	}
 	segs := make([]int, len(m.Set.Dims))
-	m.segmentsOf(projected, segs)
+	segmentsOfRow(projected, m.Set, m.Parts, m.Collapsed, segs)
 	if l, ok := m.labelOfStr[packSegments(segs)]; ok {
 		return l
 	}

@@ -22,6 +22,18 @@ const blockRows = 1024
 // asking fit (a narrower projection used it last) is dropped.
 var blockPool sync.Pool // of *[]float64
 
+var binPool sync.Pool // of *[]uint16: blockPool's twin for binAll's bin blocks
+
+// pooledBuf takes a buffer of at least n elements from pool, or makes one.
+func pooledBuf[T any](pool *sync.Pool, n int) *[]T {
+	buf, _ := pool.Get().(*[]T)
+	if buf == nil || cap(*buf) < n {
+		fresh := make([]T, n)
+		buf = &fresh
+	}
+	return buf
+}
+
 // projected is what every pass of a fit reads: the rows×cols projected
 // points, cut into blocks of blockRows rows (the last one shorter), plus the
 // per-column range of all rows. A store made by project owns pooled blocks
@@ -34,6 +46,9 @@ type projected struct {
 	// mins/maxs are the exact per-column extrema; (+Inf, −Inf), the
 	// identities of min and max, when there are no rows.
 	mins, maxs []float64
+	// bins[b]: block b's bin indices in blocks[b]'s layout, set by binAll.
+	bins    [][]uint16
+	binBufs []*[]uint16
 }
 
 // project multiplies data through joined into a block store and records the
@@ -63,11 +78,7 @@ func project(data, joined *linalg.Matrix, workers int) (*projected, error) {
 	default:
 		p.pooled = make([]*[]float64, nb)
 		for b := range p.blocks {
-			buf, _ := blockPool.Get().(*[]float64)
-			if buf == nil || cap(*buf) < blockRows*p.cols {
-				fresh := make([]float64, blockRows*p.cols)
-				buf = &fresh
-			}
+			buf := pooledBuf[float64](&blockPool, blockRows*p.cols)
 			p.pooled[b] = buf
 			p.blocks[b] = (*buf)[:(min((b+1)*blockRows, p.rows)-b*blockRows)*p.cols]
 		}
@@ -141,7 +152,10 @@ func (p *projected) release() {
 	for _, buf := range p.pooled {
 		blockPool.Put(buf)
 	}
-	p.pooled, p.blocks = nil, nil
+	for _, buf := range p.binBufs {
+		binPool.Put(buf)
+	}
+	p.pooled, p.blocks, p.binBufs, p.bins = nil, nil, nil, nil
 }
 
 // forBlocks calls fn once for every row block of p, from up to workers

@@ -128,6 +128,16 @@ func (l *labeler) key(x []float64) uint64 {
 	return key
 }
 
+// binKey is key for a point binAll has already binned: the OR of its
+// dimensions' LUT entries at the stored bins.
+func (l *labeler) binKey(bins []uint16) uint64 {
+	var key uint64
+	for j, lut := range l.luts {
+		key |= lut[bins[j]]
+	}
+	return key
+}
+
 // tupleCounts holds one trial's key→mass occupancy: packed uint64 keys on
 // the fast path, string keys when the keying does not fit 64 bits. It is
 // the only key→mass map that crosses a process boundary (fold.go has its
@@ -135,14 +145,6 @@ func (l *labeler) key(x []float64) uint64 {
 type tupleCounts struct {
 	u map[uint64]uint64
 	s map[string]uint64
-}
-
-// len returns the number of distinct occupied tuples.
-func (tc tupleCounts) len() int {
-	if tc.u != nil {
-		return len(tc.u)
-	}
-	return len(tc.s)
 }
 
 // dropBelow removes tuples with mass under k (the SuppressBelow filter).

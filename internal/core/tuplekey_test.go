@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -111,31 +112,63 @@ func TestTupleCodecOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// labelFixture bins a random mixture and partitions it, returning everything
-// the labeling kernels need.
-func labelFixture(t *testing.T, seed int64, rows, dims int, collapseRelax float64) (*linalg.Matrix, *histogram.Set, []partition.Result, []bool) {
+// labelFix is a random mixture binned unprojected (its store holds the
+// stored bins) and its partitions: everything the labeling kernels need.
+type labelFix struct {
+	data      *linalg.Matrix
+	view      *projected
+	set       *histogram.Set
+	parts     []partition.Result
+	collapsed []bool
+}
+
+func labelFixture(t *testing.T, seed int64, rows, dims int, collapseRelax float64) labelFix {
 	t.Helper()
 	spec := synth.AutoMixture(3, dims, 5, 1, xrand.New(seed))
-	data, _ := spec.Sample(rows, xrand.New(seed+1))
+	f := labelFix{}
+	f.data, _ = spec.Sample(rows, xrand.New(seed+1))
+	f.view, f.set = binView(f.data, 6)
+	f.parts, f.collapsed = partitionSet(f.set, Config{CollapseRelax: collapseRelax})
+	return f
+}
+
+// binView bins every row of data, unprojected, into one fresh set of the
+// given depth over the data's own ranges; the store keeps the bins.
+func binView(data *linalg.Matrix, depth int) (*projected, *histogram.Set) {
 	view := viewOf(data)
-	set, err := buildSet(view, 0, view.mins, view.maxs, 6, 0)
+	set, err := histogram.NewSet(view.mins, view.maxs, depth)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	cfg := Config{CollapseRelax: collapseRelax}
-	parts, collapsed := partitionSet(set, cfg)
-	return data, set, parts, collapsed
+	binAll(view, []*histogram.Set{set}, 0)
+	return view, set
+}
+
+// countOne counts one trial's tuples from the stored bins of a store that
+// holds only that trial's columns.
+func countOne(view *projected, k trialKeys, workers int) tupleCounts {
+	return countTuples(view, []trialKeys{k}, workers)[0]
 }
 
 func TestPackedVsStringTupleCounts(t *testing.T) {
 	for _, seed := range []int64{1, 17, 42, 99} {
-		data, set, parts, collapsed := labelFixture(t, seed, 3000, 4, 1)
-		codec := newTupleCodec(parts, collapsed)
-		if !codec.fits {
+		f := labelFixture(t, seed, 3000, 4, 1)
+		set := f.set
+		k := newTrialKeys(f.set, f.parts, f.collapsed)
+		if k.lab == nil {
 			t.Fatalf("seed %d: fixture unexpectedly overflowed", seed)
 		}
-		packed := countTuplesPacked(viewOf(data), 0, newLabeler(set, parts, collapsed, codec), 4)
-		str := countTuplesString(viewOf(data), 0, set, parts, collapsed, 4)
+		codec := k.lab.codec
+		packed := countOne(f.view, k, 4).u
+		str := countOne(f.view, trialKeys{parts: f.parts, collapsed: f.collapsed}, 4).s
+		// The reference: labeler.key of every row's floats.
+		want := make(map[uint64]uint64)
+		for i := 0; i < f.data.Rows; i++ {
+			want[k.lab.key(f.data.Row(i))]++
+		}
+		if !reflect.DeepEqual(packed, want) {
+			t.Fatalf("seed %d: counts from stored bins differ from labeler.key's", seed)
+		}
 		if len(packed) != len(str) {
 			t.Fatalf("seed %d: %d packed tuples vs %d string tuples", seed, len(packed), len(str))
 		}
@@ -161,10 +194,10 @@ func forceStringModel(m *Model) *Model {
 
 func TestPackedVsStringAssignAll(t *testing.T) {
 	for _, seed := range []int64{3, 21, 77} {
-		data, set, parts, collapsed := labelFixture(t, seed, 2500, 3, 1)
-		codec := newTupleCodec(parts, collapsed)
-		tuples := countTuples(viewOf(data), 0, set, parts, collapsed, codec, 0)
-		model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
+		f := labelFixture(t, seed, 2500, 3, 1)
+		set := f.set
+		tuples := countOne(f.view, newTrialKeys(set, f.parts, f.collapsed), 0)
+		model, err := trialModel(set, f.parts, f.collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +206,16 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 			t.Fatalf("seed %d: expected packed model", seed)
 		}
 		strModel := forceStringModel(model)
-		fast := assignAll(viewOf(data), 0, model, 4)
-		slow := assignAll(viewOf(data), 0, strModel, 4)
+		fast, _ := model.AssignBatch(f.data, 4)
+		slow, _ := strModel.AssignBatch(f.data, 4)
+		fastBins := labelBins(f.view, 0, model, 4)
+		slowBins := labelBins(f.view, 0, strModel, 4)
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Fatalf("seed %d row %d: packed label %d vs string label %d", seed, i, fast[i], slow[i])
+			}
+			if fastBins[i] != fast[i] || slowBins[i] != fast[i] {
+				t.Fatalf("seed %d row %d: labels from stored bins %d (packed) %d (string) vs %d", seed, i, fastBins[i], slowBins[i], fast[i])
 			}
 		}
 		// Per-point assignment must agree too, including edge inputs: NaN,
@@ -209,17 +247,19 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 // TestCollapsedDimensionsEquivalence forces collapsing on and checks the
 // packed and string kernels agree when some dimensions contribute no bits.
 func TestCollapsedDimensionsEquivalence(t *testing.T) {
-	data, set, parts, _ := labelFixture(t, 5, 2000, 4, 1)
+	f := labelFixture(t, 5, 2000, 4, 1)
 	collapsed := []bool{false, true, false, true} // force two collapsed dims
-	codec := newTupleCodec(parts, collapsed)
-	if !codec.fits {
+	k := newTrialKeys(f.set, f.parts, collapsed)
+	if k.lab == nil {
 		t.Fatal("fixture overflowed")
 	}
+	codec := k.lab.codec
 	if codec.bits[1] != 0 || codec.bits[3] != 0 {
 		t.Fatalf("collapsed dims got bits %v", codec.bits)
 	}
-	packed := countTuplesPacked(viewOf(data), 0, newLabeler(set, parts, collapsed, codec), 0)
-	str := countTuplesString(viewOf(data), 0, set, parts, collapsed, 0)
+	packed := countOne(f.view, k, 0).u
+	str := countOne(f.view, trialKeys{parts: f.parts, collapsed: collapsed}, 0).s
+	set := f.set
 	if len(packed) != len(str) {
 		t.Fatalf("%d packed vs %d string tuples", len(packed), len(str))
 	}
@@ -246,11 +286,7 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	for i := range data.Data {
 		data.Data[i] = rng.Float64() * 100
 	}
-	view := viewOf(data)
-	set, err := buildSet(view, 0, view.mins, view.maxs, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view, set := binView(data, 6)
 	parts := make([]partition.Result, dims)
 	collapsed := make([]bool, dims)
 	for j := range parts {
@@ -264,7 +300,7 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	if codec.fits {
 		t.Fatal("expected fallback codec")
 	}
-	tuples := countTuples(viewOf(data), 0, set, parts, collapsed, codec, 0)
+	tuples := countOne(view, newTrialKeys(set, parts, collapsed), 0)
 	if tuples.s == nil || tuples.u != nil {
 		t.Fatal("fallback should produce string-keyed counts")
 	}
@@ -276,7 +312,10 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	if model.codec.fits || model.labelOfStr == nil {
 		t.Fatal("model should be on the string fallback")
 	}
-	labels := assignAll(viewOf(data), 0, model, 0)
+	labels, _ := model.AssignBatch(data, 0)
+	if !reflect.DeepEqual(labelBins(view, 0, model, 0), labels) {
+		t.Fatal("labels from stored bins differ from AssignBatch's")
+	}
 	var mass uint64
 	for _, cl := range model.Clusters {
 		mass += cl.Mass

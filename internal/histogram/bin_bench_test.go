@@ -22,7 +22,7 @@ func BenchmarkHistBin(b *testing.B) {
 	}
 }
 
-// BenchmarkHistAdd measures the full binning+count step used by buildSet.
+// BenchmarkHistAdd measures the binning+count step of the fit's bin pass.
 func BenchmarkHistAdd(b *testing.B) {
 	h := New(-3, 3, 9)
 	xs := make([]float64, 1024)
