@@ -55,7 +55,7 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 	kt.FitNsPerPoint = float64(fitBest.Nanoseconds()) / float64(data.Rows)
 
 	// Project once so the kernel timings isolate labeling, not projection.
-	proj, err := project(data, model.Projection, cfg.Workers)
+	proj, err := project(data, model.packed, cfg.Workers)
 	if err != nil {
 		return kt, err
 	}

@@ -162,6 +162,7 @@ func DecodeModel(b []byte) (*Model, error) {
 		for i := range m.Projection.Data {
 			m.Projection.Data[i] = r.f64()
 		}
+		m.packed = linalg.Pack(m.Projection)
 	}
 	setLen := int(r.u32())
 	if !r.need(setLen) {
@@ -239,7 +240,7 @@ func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
 	if m.Projection == nil && data.Cols != len(m.Set.Dims) {
 		return nil, fmt.Errorf("core: assign batch: %d cols for %d model dims", data.Cols, len(m.Set.Dims))
 	}
-	proj, err := project(data, m.Projection, workers)
+	proj, err := project(data, m.packed, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: assign batch: %w", err)
 	}

@@ -38,7 +38,7 @@ func projectAll(data *linalg.Matrix, cfg Config) (*projected, *projection.Batch,
 	if err != nil {
 		return nil, nil, err
 	}
-	proj, err := project(data, batch.Joined, cfg.Workers)
+	proj, err := project(data, batch.Packed, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -257,7 +257,7 @@ func (m *Model) finish(batch *projection.Batch) {
 		for j := 0; j < nrp; j++ {
 			pm.SetCol(j, batch.Joined.Col(m.Trial*nrp+j))
 		}
-		m.Projection = pm
+		m.Projection, m.packed = pm, linalg.Pack(pm)
 	}
 }
 

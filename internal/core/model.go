@@ -49,6 +49,9 @@ type Model struct {
 	lab        *labeler
 	labelOf    map[uint64]int
 	labelOfStr map[string]int
+
+	// packed is Projection laid out for linalg.MulPacked, set with it.
+	packed *linalg.Packed
 }
 
 // K returns the number of clusters the model found.

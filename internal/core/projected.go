@@ -52,15 +52,17 @@ type projected struct {
 }
 
 // project multiplies data through joined into a block store and records the
-// column ranges of each block while it is still in cache. A nil joined means
-// no projection: the store is a view of data.
-func project(data, joined *linalg.Matrix, workers int) (*projected, error) {
+// column ranges of each block: on AVX-512 hardware the kernel widens them
+// from its registers before it stores a row, elsewhere a scan follows each
+// block's product while the block is still in cache. A nil joined means no
+// projection: the store is a view of data.
+func project(data *linalg.Matrix, joined *linalg.Packed, workers int) (*projected, error) {
 	p := &projected{rows: data.Rows, cols: data.Cols}
 	if joined != nil {
-		if data.Cols != joined.Rows {
-			return nil, fmt.Errorf("core: project %dx%d through %dx%d: %w", data.Rows, data.Cols, joined.Rows, joined.Cols, linalg.ErrShape)
+		if data.Cols != joined.Rows() {
+			return nil, fmt.Errorf("core: project %dx%d through %dx%d: %w", data.Rows, data.Cols, joined.Rows(), joined.Cols(), linalg.ErrShape)
 		}
-		p.cols = joined.Cols
+		p.cols = joined.Cols()
 	}
 	nb := (p.rows + blockRows - 1) / blockRows
 	p.blocks = make([][]float64, nb)
@@ -89,14 +91,15 @@ func project(data, joined *linalg.Matrix, workers int) (*projected, error) {
 		if acc.mins == nil {
 			acc.mins, acc.maxs = emptyRanges(p.cols)
 		}
-		if joined != nil {
-			n := len(rows) / p.cols
-			src := linalg.Matrix{Rows: n, Cols: data.Cols, Data: data.Data[lo*data.Cols : (lo+n)*data.Cols]}
-			dst := linalg.Matrix{Rows: n, Cols: p.cols, Data: rows}
-			// Mul only fails on a shape mismatch, ruled out above.
-			_, _ = linalg.Mul(&dst, &src, joined)
+		if joined == nil {
+			linalg.WidenRanges(acc.mins, acc.maxs, rows)
+			return
 		}
-		widenRanges(acc.mins, acc.maxs, rows)
+		n := len(rows) / p.cols
+		src := linalg.Matrix{Rows: n, Cols: data.Cols, Data: data.Data[lo*data.Cols : (lo+n)*data.Cols]}
+		dst := linalg.Matrix{Rows: n, Cols: p.cols, Data: rows}
+		// MulPacked only fails on a shape mismatch, ruled out above.
+		_ = linalg.MulPacked(&dst, &src, joined, acc.mins, acc.maxs)
 	})
 	p.mins, p.maxs = emptyRanges(p.cols)
 	for _, acc := range accs {
@@ -127,23 +130,6 @@ func emptyRanges(cols int) (mins, maxs []float64) {
 		mins[j], maxs[j] = math.Inf(1), math.Inf(-1)
 	}
 	return mins, maxs
-}
-
-// widenRanges extends the per-column ranges to cover every row of the
-// row-major rows (len(mins) columns wide).
-func widenRanges(mins, maxs, rows []float64) {
-	cols := len(mins)
-	maxs = maxs[:cols]
-	for off := 0; off+cols <= len(rows); off += cols {
-		for j, v := range rows[off : off+cols] {
-			if v < mins[j] {
-				mins[j] = v
-			}
-			if v > maxs[j] {
-				maxs[j] = v
-			}
-		}
-	}
 }
 
 // release hands the store's blocks back to the pool. The store must not be

@@ -49,7 +49,7 @@ func TestProjectMatchesMul(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
-			proj, err := project(data, joined, workers)
+			proj, err := project(data, linalg.Pack(joined), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestProjectMatchesMul(t *testing.T) {
 						t.Fatalf("rows %d workers %d: block %d float %d is %v, product has %v", rows, workers, b, i, v, w)
 					}
 				}
-				widenRanges(mins, maxs, blk)
+				linalg.WidenRanges(mins, maxs, blk)
 				seen += len(blk) / 10
 			}
 			if seen != rows {
@@ -82,7 +82,7 @@ func TestProjectMatchesMul(t *testing.T) {
 			proj.release()
 		}
 	}
-	if _, err := project(linalg.NewMatrix(5, 11), joined, 1); err == nil {
+	if _, err := project(linalg.NewMatrix(5, 11), linalg.Pack(joined), 1); err == nil {
 		t.Fatal("shape mismatch must fail")
 	}
 }

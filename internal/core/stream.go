@@ -248,9 +248,9 @@ func (s *Stream) initSetsFromRawRanges() error {
 // the buffered points into the histograms.
 func (s *Stream) initSetsFromBuffer() error {
 	data := &linalg.Matrix{Rows: s.bufUsed, Cols: s.cfg.Dims, Data: s.buffer.Data[:s.bufUsed*s.cfg.Dims]}
-	var joined *linalg.Matrix
+	var joined *linalg.Packed
 	if s.batch != nil {
-		joined = s.batch.Joined
+		joined = s.batch.Packed
 	}
 	proj, err := project(data, joined, s.cfg.Workers)
 	if err != nil {

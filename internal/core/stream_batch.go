@@ -117,9 +117,10 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 				s.projBlock = make([]float64, blockRows*cols)
 			}
 			proj = linalg.Matrix{Rows: rows, Cols: cols, Data: s.projBlock[:rows*cols]}
-			// Mul only fails on a shape mismatch: b.Cols is the stream's
-			// Dims (checked by IngestBatchLabels), the rows of Joined.
-			_, _ = linalg.Mul(&proj, &raw, s.batch.Joined)
+			// MulPacked only fails on a shape mismatch: b.Cols is the
+			// stream's Dims (checked by IngestBatchLabels), the rows of
+			// Joined.
+			_ = linalg.MulPacked(&proj, &raw, s.batch.Packed, nil, nil)
 		}
 		s.binBlock(proj.Data, proj.Cols)
 		if labels == nil {

@@ -118,15 +118,18 @@ func Mul(dst, a, b *Matrix) (*Matrix, error) {
 	} else if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return nil, fmt.Errorf("%w: dst %dx%d, want %dx%d", ErrShape, dst.Rows, dst.Cols, a.Rows, b.Cols)
 	}
-	mulRange(dst, a, b, 0, a.Rows)
+	mulRangeWith(best, dst, a, b, 0, a.Rows)
 	return dst, nil
 }
 
 // mulRangeGeneric computes rows [lo,hi) of dst = a×b using an ikj loop order
 // that streams over b's rows, which is cache-friendly for row-major storage.
-// It is the portable form of mulRange and the arithmetic contract the amd64
-// kernel reproduces bit for bit: per k pair di[j] += (a0·b0[j]) + (a1·b1[j]),
-// each product and sum rounded separately, then the odd k alone.
+// It is the portable form of mulRangeWith and the arithmetic contract the amd64
+// kernels reproduce bit for bit: per k pair di[j] += (a0·b0[j]) + (a1·b1[j]),
+// each product and sum rounded separately, then the odd k alone. The
+// float64 conversions round each product as the Go spec defines, so no
+// compiler may fuse it into a multiply-add (arm64's would, and project other
+// bits than every amd64 kernel).
 func mulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	n, c := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
@@ -144,7 +147,7 @@ func mulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 			b0 := b.Data[k*c : (k+1)*c]
 			b1 := b.Data[(k+1)*c : (k+2)*c : (k+2)*c]
 			for j, bv := range b0 {
-				di[j] += a0*bv + a1*b1[j]
+				di[j] += float64(a0*bv) + float64(a1*b1[j])
 			}
 		}
 		for ; k < n; k++ {
@@ -154,7 +157,7 @@ func mulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 			}
 			bk := b.Data[k*c : (k+1)*c]
 			for j, bv := range bk {
-				di[j] += aik * bv
+				di[j] += float64(aik * bv)
 			}
 		}
 	}

@@ -166,3 +166,316 @@ rowdone:
 	JNZ  row
 	VZEROUPPER
 	RET
+
+// The packed projection kernel, AVX-512F only. b arrives cut into column
+// panels by Pack: up to 48 columns each, zero-padded to whole 8-lane
+// vectors, row-major inside the panel, 64-byte aligned. One output row at a
+// time and one panel at a time, the panel's V ≤ 6 vectors stay in ZMM
+// accumulators across the whole k loop, so a row of a is broadcast once per
+// panel (once per row at the fit's 45 columns). Per k pair and lane the
+// arithmetic is mulRowsAVX2's — VMULPD, VMULPD, VADDPD, VADDPD, no FMA — and
+// an odd last k is acc += a·b, VMULPD then VADDPD, which is the portable
+// loop's tail statement. (Its "a == 0" skip adds nothing here either: the
+// accumulator is never −0.) The pad lanes compute zeros, or NaN from an
+// infinite a, and are never stored: the store of a panel's last vector is
+// masked to the columns left (K1), so no float past column c is written.
+//
+// When mins is not nil, each stored row also widens mins[0:c]/maxs[0:c]:
+// VMINPD m, acc, t is "acc < m ? acc : m" lane by lane, which is
+// WidenRanges' "if v < mins[j] { mins[j] = v }" — a NaN acc compares false
+// and keeps m, and ±0 against ∓0 keeps m — and VMAXPD likewise. The range
+// of the last vector is loaded and stored under K1 too.
+//
+// Registers: DI dst row, SI a row, R12 the current panel of b, R13 columns
+// still to cover in this row, R10 byte offset of the panel's first column,
+// R9 panel row size in bytes (V·64), R8 k pairs, R15 n, BX/R11 mins and
+// maxs (BX nil: no ranges); AX/DX/CX walk a, the panel and the pair count.
+// Z0–Z5 accumulate, Z30/Z31 hold the broadcast a0/a1, Z16–Z29 are
+// temporaries. Only AVX512F instructions (and KMOVW) appear.
+
+#define ZPAIR_HEAD \
+	VBROADCASTSD (AX), Z30; \
+	VBROADCASTSD 8(AX), Z31
+
+// ZMAC's off1 is off plus the panel's row size, a constant in each block:
+// the k+1 row is reached by displacement alone, since an index register
+// would unlaminate the micro-fused load of every second VMULPD.
+#define ZMAC(off, off1, acc, t0, t1) \
+	VMULPD off(DX), Z30, t0; \
+	VMULPD off1(DX), Z31, t1; \
+	VADDPD t1, t0, t0; \
+	VADDPD t0, acc, acc
+
+#define ZPAIR_NEXT(loop, pair) \
+	ADDQ $16, AX; \
+	ADDQ $pair, DX; \
+	DECQ CX; \
+	JNZ  loop
+
+// ZPANEL_HEAD points AX at the row of a, DX at the panel and CX at the
+// pair count, and skips the k loop when there are no pairs (n = 1).
+#define ZPANEL_HEAD(stride, odd) \
+	MOVQ $stride, R9; \
+	MOVQ SI, AX; \
+	MOVQ R12, DX; \
+	MOVQ R8, CX; \
+	TESTQ CX, CX; \
+	JZ   odd
+
+#define ZODD_HEAD(store) \
+	TESTQ $1, R15; \
+	JZ    store; \
+	VBROADCASTSD (AX), Z30
+
+#define ZODD(off, acc, t) \
+	VMULPD off(DX), Z30, t; \
+	VADDPD t, acc, acc
+
+#define ZRANGE_HEAD(done) \
+	TESTQ BX, BX; \
+	JZ    done
+
+#define ZRANGE(off, acc) \
+	VMINPD off(BX)(R10*1), acc, Z28; \
+	VMOVUPD Z28, off(BX)(R10*1); \
+	VMAXPD off(R11)(R10*1), acc, Z29; \
+	VMOVUPD Z29, off(R11)(R10*1)
+
+#define ZRANGE_K1(off, acc) \
+	VMOVUPD off(BX)(R10*1), K1, Z28; \
+	VMINPD Z28, acc, Z28; \
+	VMOVUPD Z28, K1, off(BX)(R10*1); \
+	VMOVUPD off(R11)(R10*1), K1, Z29; \
+	VMAXPD Z29, acc, Z29; \
+	VMOVUPD Z29, K1, off(R11)(R10*1)
+
+// func mulRowsAVX512(dst, a, b *float64, rows, n, c int, mins, maxs *float64)
+TEXT ·mulRowsAVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ mins+48(FP), BX
+	MOVQ maxs+56(FP), R11
+	MOVQ n+32(FP), R15
+	MOVQ R15, R8
+	SHRQ $1, R8
+
+zrow:
+	MOVQ b+16(FP), R12
+	MOVQ c+40(FP), R13
+	XORQ R10, R10
+
+zpanel:
+	MOVL $0xFF, DX
+	CMPQ R13, $48
+	JGE  zfull
+	MOVQ R13, CX // the last panel: K1 keeps its c mod 8 lanes (all 8 if 0)
+	NEGQ CX
+	ANDQ $7, CX
+	SHRL CX, DX
+	KMOVW DX, K1
+	MOVQ R13, CX
+	ADDQ $7, CX
+	SHRQ $3, CX // vectors in the panel, 1..6
+	CMPQ CX, $3
+	JLT  zlow
+	JEQ  zp3
+	CMPQ CX, $5
+	JLT  zp4
+	JEQ  zp5
+	JMP  zp6
+
+zlow:
+	CMPQ CX, $1
+	JEQ  zp1
+	JMP  zp2
+
+zfull:
+	KMOVW DX, K1
+
+zp6:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	ZPANEL_HEAD(384, zo6)
+zk6:
+	ZPAIR_HEAD
+	ZMAC(0, 384, Z0, Z16, Z17)
+	ZMAC(64, 448, Z1, Z18, Z19)
+	ZMAC(128, 512, Z2, Z20, Z21)
+	ZMAC(192, 576, Z3, Z22, Z23)
+	ZMAC(256, 640, Z4, Z24, Z25)
+	ZMAC(320, 704, Z5, Z26, Z27)
+	ZPAIR_NEXT(zk6, 768)
+zo6:
+	ZODD_HEAD(zs6)
+	ZODD(0, Z0, Z16)
+	ZODD(64, Z1, Z17)
+	ZODD(128, Z2, Z18)
+	ZODD(192, Z3, Z19)
+	ZODD(256, Z4, Z20)
+	ZODD(320, Z5, Z21)
+zs6:
+	VMOVUPD Z0, (DI)(R10*1)
+	VMOVUPD Z1, 64(DI)(R10*1)
+	VMOVUPD Z2, 128(DI)(R10*1)
+	VMOVUPD Z3, 192(DI)(R10*1)
+	VMOVUPD Z4, 256(DI)(R10*1)
+	VMOVUPD Z5, K1, 320(DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE(0, Z0)
+	ZRANGE(64, Z1)
+	ZRANGE(128, Z2)
+	ZRANGE(192, Z3)
+	ZRANGE(256, Z4)
+	ZRANGE_K1(320, Z5)
+	JMP  znext
+
+zp5:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	ZPANEL_HEAD(320, zo5)
+zk5:
+	ZPAIR_HEAD
+	ZMAC(0, 320, Z0, Z16, Z17)
+	ZMAC(64, 384, Z1, Z18, Z19)
+	ZMAC(128, 448, Z2, Z20, Z21)
+	ZMAC(192, 512, Z3, Z22, Z23)
+	ZMAC(256, 576, Z4, Z24, Z25)
+	ZPAIR_NEXT(zk5, 640)
+zo5:
+	ZODD_HEAD(zs5)
+	ZODD(0, Z0, Z16)
+	ZODD(64, Z1, Z17)
+	ZODD(128, Z2, Z18)
+	ZODD(192, Z3, Z19)
+	ZODD(256, Z4, Z20)
+zs5:
+	VMOVUPD Z0, (DI)(R10*1)
+	VMOVUPD Z1, 64(DI)(R10*1)
+	VMOVUPD Z2, 128(DI)(R10*1)
+	VMOVUPD Z3, 192(DI)(R10*1)
+	VMOVUPD Z4, K1, 256(DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE(0, Z0)
+	ZRANGE(64, Z1)
+	ZRANGE(128, Z2)
+	ZRANGE(192, Z3)
+	ZRANGE_K1(256, Z4)
+	JMP  znext
+
+zp4:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	ZPANEL_HEAD(256, zo4)
+zk4:
+	ZPAIR_HEAD
+	ZMAC(0, 256, Z0, Z16, Z17)
+	ZMAC(64, 320, Z1, Z18, Z19)
+	ZMAC(128, 384, Z2, Z20, Z21)
+	ZMAC(192, 448, Z3, Z22, Z23)
+	ZPAIR_NEXT(zk4, 512)
+zo4:
+	ZODD_HEAD(zs4)
+	ZODD(0, Z0, Z16)
+	ZODD(64, Z1, Z17)
+	ZODD(128, Z2, Z18)
+	ZODD(192, Z3, Z19)
+zs4:
+	VMOVUPD Z0, (DI)(R10*1)
+	VMOVUPD Z1, 64(DI)(R10*1)
+	VMOVUPD Z2, 128(DI)(R10*1)
+	VMOVUPD Z3, K1, 192(DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE(0, Z0)
+	ZRANGE(64, Z1)
+	ZRANGE(128, Z2)
+	ZRANGE_K1(192, Z3)
+	JMP  znext
+
+zp3:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	ZPANEL_HEAD(192, zo3)
+zk3:
+	ZPAIR_HEAD
+	ZMAC(0, 192, Z0, Z16, Z17)
+	ZMAC(64, 256, Z1, Z18, Z19)
+	ZMAC(128, 320, Z2, Z20, Z21)
+	ZPAIR_NEXT(zk3, 384)
+zo3:
+	ZODD_HEAD(zs3)
+	ZODD(0, Z0, Z16)
+	ZODD(64, Z1, Z17)
+	ZODD(128, Z2, Z18)
+zs3:
+	VMOVUPD Z0, (DI)(R10*1)
+	VMOVUPD Z1, 64(DI)(R10*1)
+	VMOVUPD Z2, K1, 128(DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE(0, Z0)
+	ZRANGE(64, Z1)
+	ZRANGE_K1(128, Z2)
+	JMP  znext
+
+zp2:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	ZPANEL_HEAD(128, zo2)
+zk2:
+	ZPAIR_HEAD
+	ZMAC(0, 128, Z0, Z16, Z17)
+	ZMAC(64, 192, Z1, Z18, Z19)
+	ZPAIR_NEXT(zk2, 256)
+zo2:
+	ZODD_HEAD(zs2)
+	ZODD(0, Z0, Z16)
+	ZODD(64, Z1, Z17)
+zs2:
+	VMOVUPD Z0, (DI)(R10*1)
+	VMOVUPD Z1, K1, 64(DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE(0, Z0)
+	ZRANGE_K1(64, Z1)
+	JMP  znext
+
+zp1:
+	VPXORQ Z0, Z0, Z0
+	ZPANEL_HEAD(64, zo1)
+zk1:
+	ZPAIR_HEAD
+	ZMAC(0, 64, Z0, Z16, Z17)
+	ZPAIR_NEXT(zk1, 128)
+zo1:
+	ZODD_HEAD(zs1)
+	ZODD(0, Z0, Z16)
+zs1:
+	VMOVUPD Z0, K1, (DI)(R10*1)
+	ZRANGE_HEAD(znext)
+	ZRANGE_K1(0, Z0)
+
+znext: // the next panel starts n rows of this one's width further on
+	MOVQ R15, CX
+	IMULQ R9, CX
+	ADDQ CX, R12
+	ADDQ R9, R10
+	MOVQ R9, CX
+	SHRQ $3, CX
+	SUBQ CX, R13
+	JG   zpanel
+
+	MOVQ c+40(FP), CX
+	LEAQ (DI)(CX*8), DI
+	LEAQ (SI)(R15*8), SI
+	DECQ rows+24(FP)
+	JNZ  zrow
+	VZEROUPPER
+	RET

@@ -2,5 +2,12 @@
 
 package linalg
 
-// mulRange computes rows [lo,hi) of dst = a×b.
-func mulRange(dst, a, b *Matrix, lo, hi int) { mulRangeGeneric(dst, a, b, lo, hi) }
+const best = portable
+
+// mulRangeWith computes rows [lo,hi) of dst = a×b.
+func mulRangeWith(_ kernel, dst, a, b *Matrix, lo, hi int) { mulRangeGeneric(dst, a, b, lo, hi) }
+
+// mulRowsAVX512 is never called off amd64: best is portable.
+func mulRowsAVX512(dst, a, b *float64, rows, n, c int, mins, maxs *float64) {
+	panic("linalg: no AVX-512 kernel on this architecture")
+}

@@ -51,7 +51,7 @@ func parallelMul(dst, a, b *Matrix, workers int) (*Matrix, error) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			mulRange(dst, a, b, lo, hi)
+			mulRangeWith(best, dst, a, b, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -153,6 +153,7 @@ type Batch struct {
 	Trials int
 	Nrp    int
 	Joined *linalg.Matrix // n × (Trials·Nrp)
+	Packed *linalg.Packed // Joined laid out for linalg.MulPacked
 }
 
 // NewBatch draws t projection matrices of the given kind and joins them.
@@ -172,5 +173,5 @@ func NewBatch(kind Kind, n, nrp, trials int, rng *xrand.Stream) (*Batch, error) 
 			joined.SetCol(t*nrp+j, m.Col(j))
 		}
 	}
-	return &Batch{Trials: trials, Nrp: nrp, Joined: joined}, nil
+	return &Batch{Trials: trials, Nrp: nrp, Joined: joined, Packed: linalg.Pack(joined)}, nil
 }
