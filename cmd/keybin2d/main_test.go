@@ -46,6 +46,8 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"bad range", mut(func(o *daemonOpts) { o.rawRange = "low,high" }), "-range"},
 		{"reversed range", mut(func(o *daemonOpts) { o.rawRange = "5,-5" }), "-range"},
 		{"decay too big", mut(func(o *daemonOpts) { o.cfg.Stream.DecayFactor = 1.5 }), "DecayFactor"},
+		{"depth too deep", mut(func(o *daemonOpts) { o.cfg.Stream.Depth = 17 }), "Depth"},
+		{"deepest depth", mut(func(o *daemonOpts) { o.cfg.Stream.Depth = 16 }), ""},
 		{"period under warmup", mut(func(o *daemonOpts) {
 			o.rawRange = ""
 			o.cfg.Stream.Warmup = 1000

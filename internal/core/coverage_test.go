@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"keybin2/internal/histogram"
+	"keybin2/internal/linalg"
 	"keybin2/internal/partition"
 	"keybin2/internal/quality"
 	"keybin2/internal/synth"
@@ -108,6 +110,23 @@ func TestConfigValidateNegativeDepth(t *testing.T) {
 	}
 	if (Config{TargetDims: -2}).Validate() == nil {
 		t.Fatal("negative target dims must fail")
+	}
+}
+
+// TestFitRefusesDepthPastUint16 pins the one depth bound: a fit refuses a
+// tree deeper than its uint16 bins hold, and Validate takes the deepest
+// one they do.
+func TestFitRefusesDepthPastUint16(t *testing.T) {
+	data := linalg.NewMatrix(64, 3)
+	rng := xrand.New(5)
+	for i := range data.Data {
+		data.Data[i] = rng.Norm()
+	}
+	if _, _, err := Fit(data, Config{Seed: 1, Depth: maxDepth + 1}); err == nil || !strings.Contains(err.Error(), "deeper than 16") {
+		t.Fatalf("depth 17 fit: %v", err)
+	}
+	if err := (Config{Depth: maxDepth}).Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,9 +30,6 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	if local.Cols == 0 {
 		return nil, nil, fmt.Errorf("core: data %dx%d has no columns", local.Rows, local.Cols)
 	}
-	if cfg.Depth > maxFitDepth {
-		return nil, nil, fmt.Errorf("core: depth %d is deeper than %d, the most a fit's uint16 bin indices hold", cfg.Depth, maxFitDepth)
-	}
 	n := local.Cols
 
 	// Agree on the global point count (cfg defaults depend on it).

@@ -99,7 +99,10 @@ func (c StreamConfig) Validate() error {
 		return &StreamConfigError{Field: "Period",
 			Reason: fmt.Sprintf("refit period %d shorter than warmup %d: no refit can fire during warmup", c.Period, c.Warmup)}
 	}
-	return c.Config.Validate()
+	if field, reason := c.Config.invalid(); reason != "" {
+		return &StreamConfigError{Field: field, Reason: reason}
+	}
+	return nil
 }
 
 // Stream ingests points one at a time, maintaining per-trial hierarchical
@@ -129,12 +132,15 @@ type Stream struct {
 
 	// Batch-apply scratch (stream_batch.go), reused across chunks so the
 	// steady-state ingest path allocates nothing: one projected block of
-	// blockRows rows, the coarse key of the row being binned, and the
-	// single-point wrapper's one-row header and label.
-	projBlock []float64
-	sketchKey keys.Key
-	ptHdr     linalg.Matrix
-	ptLabel   [1]int
+	// blockRows rows and its bins, every projected column's bin range, the
+	// coarse key of the row being sketched, and the single-point wrapper's
+	// one-row header and label.
+	projBlock    []float64
+	bins         []uint16
+	binLo, binIW []float64
+	sketchKey    keys.Key
+	ptHdr        linalg.Matrix
+	ptLabel      [1]int
 
 	// tupleMass is sketchTuples' accumulator, reused across refits.
 	tupleMass flatTable
@@ -281,9 +287,7 @@ func (s *Stream) initSetsFromBuffer() error {
 		s.sets[t] = set
 		s.sketch[t] = newTrialSketch(nrp)
 	}
-	for _, rows := range proj.blocks {
-		s.binBlock(rows, proj.cols)
-	}
+	s.applyChunk(data, 0, s.bufUsed, nil)
 	s.buffer = nil
 	return nil
 }
@@ -389,7 +393,7 @@ func (s *Stream) Refit() error {
 	next := models[best]
 	// Detach the new model from the live histograms before publication:
 	// trialModel aliased the trial's Set, which this stream keeps
-	// mutating (binBlock, Decay) after the refit. Snapshot readers may
+	// mutating (applyChunk, Decay) after the refit. Snapshot readers may
 	// Encode or Describe the model concurrently, so the published model
 	// must own an immutable copy. The clone is bins-bounded (N_rp
 	// histograms of ≤ 2^depth cells), independent of stream length.

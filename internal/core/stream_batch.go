@@ -14,12 +14,13 @@ import (
 // states as point-at-a-time ingestion — Ingest is literally a one-row
 // IngestBatch. Each chunk is one serial pass over blockRows-row blocks:
 //
-//	project a block → per trial, per row: bin its N_rp values, bump the
-//	counts, shift-or the coarse sketch key → add the key to the sketch
+//	project a block → bin it (linalg.BinRows) → per trial, per row: bump
+//	the counts of its N_rp stored bins, shift-or the coarse sketch key →
+//	add the key to the sketch
 //
-// The block is binned while it sits in L2 and no bin index is written
-// back; the one scratch is a blockRows × cols projection buffer on the
-// Stream, so steady-state chunks allocate nothing. The pass is serial on
+// The block is binned while it sits in L2; the scratch is a blockRows ×
+// cols projection buffer and a bin buffer of the same shape on the Stream,
+// so steady-state chunks allocate nothing. The pass is serial on
 // purpose, whatever Config.Workers says: splitting it across workers by
 // column makes them write neighbouring bin indices of one cache line
 // (false sharing), and in the daemon the second core belongs to the HTTP
@@ -102,17 +103,36 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 
 // applyChunk projects, bins and sketches rows [lo, lo+n) of b, a chunk
 // that crosses no refit boundary, one blockRows-row block at a time, and
-// labels them into labels[:n] when labels is not nil.
+// labels them into labels[:n] when labels is not nil. A block is binned
+// whole by linalg.BinRows into the stream's bin scratch; then the trials
+// run one after another, each over the rows in order, bumping the counts
+// and adding each row's coarse sketch key (bin >> sketchShift) from the
+// stored bins, so every sketch cell receives its unit masses in the order
+// point-at-a-time ingestion gives them and the float masses match to the
+// last bit.
 func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 	nrp := s.cfg.TargetDims
+	shift := s.sketchShift
+	key := s.sketchKey
 	m := s.model.Load() // no refit runs inside a chunk
+	cols := nrp * len(s.sets)
+	if s.binLo == nil {
+		s.binLo, s.binIW = make([]float64, cols), make([]float64, cols)
+		s.bins = make([]uint16, blockRows*cols)
+	}
+	// The ranges are read afresh every chunk: adopt, decode and the warm-up
+	// replace s.sets wholesale.
+	for t, set := range s.sets {
+		for j, h := range set.Dims {
+			s.binLo[t*nrp+j], s.binIW[t*nrp+j] = h.Min, h.InvWidth()
+		}
+	}
 	for off := 0; off < n; off += blockRows {
 		rows := min(blockRows, n-off)
 		first := (lo + off) * b.Cols
 		raw := linalg.Matrix{Rows: rows, Cols: b.Cols, Data: b.Data[first : first+rows*b.Cols]}
 		proj := raw
 		if s.batch != nil {
-			cols := s.batch.Joined.Cols
 			if s.projBlock == nil {
 				s.projBlock = make([]float64, blockRows*cols)
 			}
@@ -122,7 +142,28 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 			// Joined.
 			_ = linalg.MulPacked(&proj, &raw, s.batch.Packed, nil, nil)
 		}
-		s.binBlock(proj.Data, proj.Cols)
+		bins := s.bins[:rows*cols]
+		linalg.BinRows(bins, proj.Data, cols, s.binLo, s.binIW, 1<<s.depth)
+		for t, set := range s.sets {
+			sk := s.sketch[t]
+			for at := t * nrp; at < len(bins); at += cols {
+				var pk uint64
+				for j, h := range set.Dims {
+					bin := bins[at+j]
+					h.Counts[bin]++
+					key[j] = uint32(bin) >> shift
+					pk = pk<<sketchBitsPerDim | uint64(key[j])
+				}
+				if sk.packed != nil {
+					sk.packed.add(pk, 1)
+				} else {
+					sk.add(key, 1)
+				}
+			}
+			for _, h := range set.Dims {
+				h.Total += uint64(rows)
+			}
+		}
 		if labels == nil {
 			continue
 		}
@@ -131,41 +172,8 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 				labels[off+i] = cluster.Noise
 				continue
 			}
-			at := i*proj.Cols + m.Trial*nrp
+			at := i*cols + m.Trial*nrp
 			labels[off+i] = m.AssignProjected(proj.Data[at : at+nrp])
-		}
-	}
-}
-
-// binBlock adds every row of a block of joined projected rows (row-major,
-// cols wide) to each trial's histograms and coarse sketch. The trials run
-// one after another, each over the rows in order, so every sketch cell
-// receives its unit masses in the order point-at-a-time ingestion gives
-// them and the float masses match to the last bit.
-func (s *Stream) binBlock(rows []float64, cols int) {
-	nrp := s.cfg.TargetDims
-	shift := s.sketchShift
-	key := s.sketchKey
-	points := uint64(len(rows) / cols)
-	for t, set := range s.sets {
-		sk := s.sketch[t]
-		for off := t * nrp; off < len(rows); off += cols {
-			x := rows[off : off+nrp]
-			var pk uint64
-			for j, h := range set.Dims {
-				bin := h.Bin(x[j])
-				h.Counts[bin]++
-				key[j] = uint32(bin) >> shift
-				pk = pk<<sketchBitsPerDim | uint64(key[j])
-			}
-			if sk.packed != nil {
-				sk.packed.add(pk, 1)
-			} else {
-				sk.add(key, 1)
-			}
-		}
-		for _, h := range set.Dims {
-			h.Total += points
 		}
 	}
 }

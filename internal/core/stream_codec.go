@@ -160,6 +160,9 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if err := s.fitsTrial(set); err != nil {
+			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
+		}
 		r.off += slen
 		s.sets[t] = set
 		// Each key record is width u32 | key u32×width | mass f64. The

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
@@ -168,6 +169,55 @@ func TestStreamCheckpointErrors(t *testing.T) {
 	}
 	if _, err := DecodeStream(good, append(snap, 1)); err == nil {
 		t.Fatal("trailing bytes must fail")
+	}
+}
+
+// TestStreamCheckpointShapeMismatch restores checkpoints into streams of
+// another depth or another projected width. Both used to decode: the first
+// then collapsed every sketch key (the shift is the config's, the
+// histograms the checkpoint's), the second panicked on the next ingest.
+// Decode now refuses them with the check a merged state gets.
+func TestStreamCheckpointShapeMismatch(t *testing.T) {
+	write := func(cfg StreamConfig) []byte {
+		t.Helper()
+		st, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := linalg.NewMatrix(64, cfg.Dims)
+		rng := xrand.New(3)
+		for i := range batch.Data {
+			batch.Data[i] = rng.Float64()*2 - 1
+		}
+		if _, err := st.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	base := StreamConfig{Config: Config{Seed: 1, Trials: 2, Depth: 6, TargetDims: 4}, Dims: 6,
+		RawRanges: fixedRanges(6, -1, 1), Period: 1 << 20}
+	for _, c := range []struct {
+		name   string
+		modify func(*StreamConfig)
+	}{
+		{"depth", func(c *StreamConfig) { c.Depth = 10 }},
+		{"target dims", func(c *StreamConfig) { c.TargetDims = 3 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap := write(base)
+			if _, err := DecodeStream(base, snap); err != nil {
+				t.Fatalf("same config: %v", err)
+			}
+			other := base
+			c.modify(&other)
+			if _, err := DecodeStream(other, snap); err == nil {
+				t.Fatal("checkpoint of another shape decoded")
+			}
+		})
 	}
 }
 

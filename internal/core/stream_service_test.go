@@ -30,6 +30,9 @@ func TestStreamConfigValidate(t *testing.T) {
 		{"decay one", ok(func(c *StreamConfig) { c.DecayFactor = 1 }), "DecayFactor"},
 		{"decay above one", ok(func(c *StreamConfig) { c.DecayFactor = 1.5 }), "DecayFactor"},
 		{"no dims", StreamConfig{}, "Dims"},
+		{"deepest depth", ok(func(c *StreamConfig) { c.Depth = 16 }), ""},
+		{"depth past uint16 bins", ok(func(c *StreamConfig) { c.Depth = 17 }), "Depth"},
+		{"negative trials", ok(func(c *StreamConfig) { c.Trials = -1 }), "Trials"},
 		{"period under warmup", ok(func(c *StreamConfig) { c.Warmup = 500; c.Period = 200 }), "Period"},
 		{"period only defaulted", ok(func(c *StreamConfig) { c.Period = 200 }), ""},
 		{"period under warmup but rawranges", ok(func(c *StreamConfig) {

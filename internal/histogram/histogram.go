@@ -59,15 +59,21 @@ func New(min, max float64, depth int) *Hist {
 // Bins returns the number of finest-level bins (2^Depth).
 func (h *Hist) Bins() int { return len(h.Counts) }
 
+// InvWidth returns the factor Bin multiplies by, 2^Depth over the range's
+// width. Vector bin kernels (linalg.BinRows) and the labeler take it from
+// here, so their bins cannot drift from Bin's.
+func (h *Hist) InvWidth() float64 {
+	if h.invW == 0 { // Hist built as a struct literal rather than via New
+		return float64(len(h.Counts)) / (h.Max - h.Min)
+	}
+	return h.invW
+}
+
 // Bin returns the finest-level bin index for x, clamped into range.
 // Out-of-range values land in the first or last bin; this matches streaming
 // settings where the global range was fixed from an earlier sample.
 func (h *Hist) Bin(x float64) int {
-	iw := h.invW
-	if iw == 0 { // Hist built as a struct literal rather than via New
-		iw = float64(len(h.Counts)) / (h.Max - h.Min)
-	}
-	v := (x - h.Min) * iw
+	v := (x - h.Min) * h.InvWidth()
 	if v >= float64(len(h.Counts)) {
 		return len(h.Counts) - 1
 	}

@@ -61,6 +61,13 @@ func mulRowsAVX2(dst, a, b *float64, rows, n, c int)
 //go:noescape
 func mulRowsAVX512(dst, a, b *float64, rows, n, c int, mins, maxs *float64)
 
+// binRowsAVX512 bins n rows of cols values from rows into dst as
+// binRowsGeneric does, with top = nbins−1. It needs n, cols ≥ 1 and writes
+// no uint16 of dst past n·cols.
+//
+//go:noescape
+func binRowsAVX512(dst *uint16, rows *float64, n, cols int, lo, iw *float64, top float64)
+
 // mulRangeWith computes rows [lo,hi) of dst = a×b: the AVX2 kernel when k
 // allows it and the shape fills a vector, mulRangeGeneric otherwise. Both
 // produce the same bits for finite b (see the kernel's header).
