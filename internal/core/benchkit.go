@@ -32,25 +32,28 @@ type KernelTimings struct {
 // cost. It is intentionally lightweight: a perf-tracking harness, not a
 // substitute for `go test -bench`.
 func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, error) {
-	if reps < 1 {
-		reps = 1
+	kt := KernelTimings{Points: data.Rows, Dims: data.Cols}
+	// fastest runs fn reps times (at least once) and keeps the shortest run.
+	fastest := func(fn func() error) (time.Duration, error) {
+		best := time.Duration(1<<63 - 1)
+		for r := 0; r < max(reps, 1); r++ {
+			start := time.Now()
+			if err := fn(); err != nil {
+				return 0, err
+			}
+			best = min(best, time.Since(start))
+		}
+		return best, nil
 	}
-	var kt KernelTimings
-	kt.Points, kt.Dims = data.Rows, data.Cols
 
 	// End-to-end fit (includes projection, binning, partitioning, trials).
-	fitBest := time.Duration(1<<63 - 1)
 	var model *Model
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		m, _, err := Fit(data, cfg)
-		if err != nil {
-			return kt, fmt.Errorf("core: measure fit: %w", err)
-		}
-		if d := time.Since(start); d < fitBest {
-			fitBest = d
-		}
-		model = m
+	fitBest, err := fastest(func() (err error) {
+		model, _, err = Fit(data, cfg)
+		return err
+	})
+	if err != nil {
+		return kt, fmt.Errorf("core: measure fit: %w", err)
 	}
 	kt.FitNsPerPoint = float64(fitBest.Nanoseconds()) / float64(data.Rows)
 
@@ -62,31 +65,23 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 	defer proj.release()
 
 	// Per-point key assignment + label lookup (the in-situ hot path).
-	assignBest := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
+	assignBest, _ := fastest(func() error {
 		for _, rows := range proj.blocks {
 			for off := 0; off < len(rows); off += proj.cols {
 				model.AssignProjected(rows[off : off+proj.cols])
 			}
 		}
-		if d := time.Since(start); d < assignBest {
-			assignBest = d
-		}
-	}
+		return nil
+	})
 	kt.KeyAssignNsPerPoint = float64(assignBest.Nanoseconds()) / float64(proj.rows)
 
 	// The fit's count pass over the winning trial's columns, binned once.
 	binAll(proj, []*histogram.Set{model.Set.Clone()}, cfg.Workers)
 	keyings := []trialKeys{newTrialKeys(model.Set, model.Parts, model.Collapsed)}
-	countBest := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
+	countBest, _ := fastest(func() error {
 		countTuples(proj, keyings, cfg.Workers)
-		if d := time.Since(start); d < countBest {
-			countBest = d
-		}
-	}
+		return nil
+	})
 	kt.TupleCountNsPerPoint = float64(countBest.Nanoseconds()) / float64(proj.rows)
 	return kt, nil
 }

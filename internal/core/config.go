@@ -80,10 +80,7 @@ func (c Config) withDefaults(m, n int) Config {
 		c.CollapseRelax = 1
 	}
 	if c.MinClusterSize <= 0 {
-		c.MinClusterSize = m / 1000
-		if c.MinClusterSize < 2 {
-			c.MinClusterSize = 2
-		}
+		c.MinClusterSize = max(2, m/1000)
 	}
 	if c.MaxClusters <= 0 {
 		c.MaxClusters = 256

@@ -7,7 +7,6 @@ import (
 	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
-	"keybin2/internal/quality"
 )
 
 // FitDistributed clusters data sharded across the ranks of comm. Each rank
@@ -120,21 +119,16 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	if err != nil {
 		return nil, nil, commError("tuple-count consolidation", err)
 	}
-	models := make([]*Model, cfg.Trials)
-	assessments := make([]quality.Assessment, cfg.Trials)
+	trials := make([]trialInput, cfg.Trials)
 	for t, k := range keyings {
-		model, err := trialModel(hists.trials[t].set, k.parts, k.collapsed, tuples.trials[t].tuples, cfg, t)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trial %d: %w", t, err)
-		}
-		models[t] = model
-		assessments[t] = model.Assessment
+		trials[t] = trialInput{hists.trials[t].set, k.parts, k.collapsed, tuples.trials[t].tuples}
 	}
-
-	best := quality.SelectBest(assessments)
+	models, best, err := selectModel(trials, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	model := models[best]
 	model.finish(batch)
-	model.TrialAssessments = assessments
 	labels := labelBins(proj, best*nrp, model, cfg.Workers)
 	return model, labels, nil
 }

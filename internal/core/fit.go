@@ -150,8 +150,8 @@ func newTrialKeys(set *histogram.Set, parts []partition.Result, collapsed []bool
 }
 
 // countTuples counts every trial's tuples from the stored bins in one pass,
-// into a flatTable per worker and trial (exact up to 2^53 points; string
-// keys into a map), summed into each trial's tupleCounts at the end.
+// into a count table per worker and trial (exact up to 2^53 points; string
+// keys into a map), added into one table per trial at the end.
 func countTuples(proj *projected, trials []trialKeys, workers int) []tupleCounts {
 	type tables struct {
 		u []flatTable
@@ -184,13 +184,13 @@ func countTuples(proj *projected, trials []trialKeys, workers int) []tupleCounts
 	})
 	out := make([]tupleCounts, len(trials))
 	for t, k := range trials {
-		u, s := map[uint64]uint64{}, map[string]uint64{}
+		u, s := &flatTable{}, map[string]uint64{}
 		for _, acc := range locals {
 			if acc.u == nil {
 				continue // a worker that drew no block
 			}
 			for _, c := range acc.u[t].cells {
-				u[c.key] += uint64(c.mass)
+				u.add(c.key, c.mass)
 			}
 			for key, n := range acc.s[t] {
 				s[key] += n
@@ -225,13 +225,39 @@ func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Re
 	}
 }
 
-// trialModel is one trial's candidate model from its global histograms,
-// partitions, and global tuple counts: its clusters and their assessment,
-// which is all model selection (SelectBest, the stream's hysteresis)
-// reads. The tuple counts must be keyed under the codec the partitions
-// imply (packed when it fits, string otherwise) — every rank derives them
-// from the identical deterministic partition step. Only the selected
-// trial's model is finished for labelling (finish).
+// trialInput is one trial as model selection reads it: its global
+// histograms, their partitions, and its global tuple counts. The counts
+// must be keyed under the codec the partitions imply (packed when it fits,
+// string otherwise) — every rank derives them from the identical
+// deterministic partition step.
+type trialInput struct {
+	set       *histogram.Set
+	parts     []partition.Result
+	collapsed []bool
+	tuples    tupleCounts
+}
+
+// selectModel is the one model-selection step, the fit's and the stream's:
+// every trial's candidate model (trialModel) and SelectBest's pick, the
+// argmax histogram-CH. Every model shares the one slice of all trials'
+// assessments. The stream's hysteresis is a post-step on the pick
+// (keepTrial), and only the model a caller keeps is finished for
+// labelling (finish).
+func selectModel(trials []trialInput, cfg Config) ([]*Model, int, error) {
+	models := make([]*Model, len(trials))
+	assessments := make([]quality.Assessment, len(trials))
+	for t, in := range trials {
+		m, err := trialModel(in.set, in.parts, in.collapsed, in.tuples, cfg, t)
+		if err != nil {
+			return nil, 0, fmt.Errorf("trial %d: %w", t, err)
+		}
+		models[t], assessments[t], m.TrialAssessments = m, m.Assessment, assessments
+	}
+	return models, quality.SelectBest(assessments), nil
+}
+
+// trialModel is one trial's candidate model: its clusters and their
+// assessment, which is all model selection reads.
 func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples tupleCounts, cfg Config, trial int) (*Model, error) {
 	codec := newTupleCodec(parts, collapsed)
 	if codec.fits != (tuples.u != nil) {

@@ -72,29 +72,35 @@ func (f *foldState) encode() []byte {
 			w.u32(uint32(len(enc)))
 			w.buf = append(w.buf, enc...)
 		}
-		if tr.tuples.u != nil {
-			writeEntries(w, tupleTagPacked, tr.tuples.u, w.u64)
+		if u := tr.tuples.u; u != nil {
+			cells := slices.DeleteFunc(u.sorted(), func(c flatCell) bool { return c.mass == 0 })
+			w.u8(tupleTagPacked)
+			w.u32(uint32(len(cells)))
+			for _, c := range cells {
+				w.u64(c.key)
+				w.u64(uint64(c.mass))
+			}
 		} else {
-			writeEntries(w, tupleTagString, tr.tuples.s, w.str)
+			writeEntries(w, tr.tuples.s)
 		}
 	}
 	return w.buf
 }
 
-// writeEntries writes the keys of m that hold mass, ascending — the
+// writeEntries writes the string keys of m that hold mass, ascending — the
 // canonical entry order, a zero-mass key being the same as an absent one.
-func writeEntries[K cmp.Ordered](w *wireWriter, tag uint8, m map[K]uint64, key func(K)) {
-	keys := make([]K, 0, len(m))
+func writeEntries(w *wireWriter, m map[string]uint64) {
+	keys := make([]string, 0, len(m))
 	for k, n := range m {
 		if n > 0 {
 			keys = append(keys, k)
 		}
 	}
 	slices.Sort(keys)
-	w.u8(tag)
+	w.u8(tupleTagString)
 	w.u32(uint32(len(keys)))
 	for _, k := range keys {
-		key(k)
+		w.str(k)
 		w.u64(m[k])
 	}
 }
@@ -160,9 +166,11 @@ func (r *wireReader) tupleCounts() (tc tupleCounts, err error) {
 	case r.err != nil:
 		err = r.err
 	case tag == tupleTagPacked:
-		tc.u, err = readEntries(r, n, 16, r.u64)
+		tc.u = &flatTable{}
+		err = readEntries(r, n, 16, r.u64, func(k, mass uint64) { tc.u.add(k, float64(mass)) })
 	case tag == tupleTagString:
-		tc.s, err = readEntries(r, n, 12, r.str)
+		tc.s = map[string]uint64{}
+		err = readEntries(r, n, 12, r.str, func(k string, mass uint64) { tc.s[k] = mass })
 	default:
 		err = fmt.Errorf("core: unknown tuple-count tag %q", tag)
 	}
@@ -179,27 +187,28 @@ func (r *wireReader) str() string {
 	return string(r.buf[r.off-n : r.off])
 }
 
-// readEntries reads n key | mass entries of at least minBytes each. The
-// count is checked against the bytes left before the map is sized from it,
-// and only the canonical form is accepted: keys strictly ascending, no
-// zero mass.
-func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K) (map[K]uint64, error) {
+// readEntries reads n key | mass entries of at least minBytes each into
+// put. The count is checked against the bytes left before any entry is
+// read, and only the canonical form is accepted: keys strictly ascending,
+// every mass a whole count in [1, 2^53) — the range a count table holds
+// exactly.
+func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, put func(K, uint64)) error {
 	if left := len(r.buf) - r.off; n > left/minBytes {
-		return nil, fmt.Errorf("core: %d tuple entries in %d bytes", n, left)
+		return fmt.Errorf("core: %d tuple entries in %d bytes", n, left)
 	}
-	out := make(map[K]uint64, n)
 	var prev K
 	for i := 0; i < n; i++ {
 		k, mass := key(), r.u64()
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		if i > 0 && k <= prev || mass == 0 {
-			return nil, fmt.Errorf("core: tuple entry %d not canonical (key order or zero mass)", i)
+		if i > 0 && k <= prev || mass == 0 || mass >= 1<<53 {
+			return fmt.Errorf("core: tuple entry %d not canonical (key order, or mass %d)", i, mass)
 		}
-		out[k], prev = mass, k
+		put(k, mass)
+		prev = k
 	}
-	return out, nil
+	return nil
 }
 
 // sameShape reports whether o can be summed with f: the same number of
@@ -254,21 +263,7 @@ func (f *foldState) minus(prev *foldState) *foldState {
 			h.Total -= p.set.Dims[j].Total
 		}
 		out.trials[t].set = set
-		if tr.tuples.u != nil {
-			out.trials[t].tuples.u = grownBy(tr.tuples.u, p.tuples.u)
-		} else {
-			out.trials[t].tuples.s = grownBy(tr.tuples.s, p.tuples.s)
-		}
-	}
-	return out
-}
-
-func grownBy[K comparable](cur, prev map[K]uint64) map[K]uint64 {
-	out := make(map[K]uint64)
-	for k, n := range cur {
-		if n > prev[k] {
-			out[k] = n - prev[k]
-		}
+		out.trials[t].tuples = tr.tuples.minus(p.tuples)
 	}
 	return out
 }
@@ -353,7 +348,7 @@ func (s *Stream) adopt(st *foldState) error {
 		}
 		width := len(tr.set.Dims)
 		var err error
-		if sketches[t], err = sketchFromCounts(width, uint32(1)<<(uint(s.depth)-s.sketchShift), tr.tuples); err != nil {
+		if sketches[t], err = sketchFromCounts(width, s.sketchCells(), tr.tuples); err != nil {
 			return fmt.Errorf("core: merged state trial %d: %w", t, err)
 		}
 	}

@@ -24,6 +24,34 @@ func tupleSection(tc tupleCounts) []byte {
 	return (&foldState{trials: []foldTrial{{tuples: tc}}}).encode()[len(tupleFrameHeader):]
 }
 
+// packedCounts is a packed tupleCounts holding the masses of m, its count
+// table filled in ascending key order.
+func packedCounts(m map[uint64]uint64) tupleCounts {
+	tab := &flatTable{}
+	for _, k := range sortedKeys(m) {
+		tab.add(k, float64(m[k]))
+	}
+	return tupleCounts{u: tab}
+}
+
+func sortedKeys(m map[uint64]uint64) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// massesOf reads a count table back as a map.
+func massesOf(tab *flatTable) map[uint64]uint64 {
+	m := make(map[uint64]uint64, len(tab.cells))
+	for _, c := range tab.cells {
+		m[c.key] = uint64(c.mass)
+	}
+	return m
+}
+
 // readTupleSection decodes raw, as that section, through the one decoder.
 func readTupleSection(raw []byte) (tupleCounts, error) {
 	f, err := decodeFold(append([]byte(tupleFrameHeader), raw...))
@@ -60,12 +88,13 @@ func foldSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	codec := newTupleCodec(model.Parts, model.Collapsed)
-	packed := tupleCounts{u: map[uint64]uint64{}}
+	masses := map[uint64]uint64{}
 	stringed := tupleCounts{s: map[string]uint64{}}
 	for _, cl := range model.Clusters {
-		packed.u[codec.pack(cl.Segments)] = cl.Mass
+		masses[codec.pack(cl.Segments)] = cl.Mass
 		stringed.s[packSegments(cl.Segments)] = cl.Mass
 	}
+	packed := packedCounts(masses)
 	src := synth.AutoMixture(3, 4, 6, 1, xrand.New(8)).Stream(0, xrand.New(9))
 	shallow := make([]*Stream, 2)
 	for i := range shallow {
@@ -286,7 +315,7 @@ func TestAdoptRefusesWhatRefitCannotIndex(t *testing.T) {
 	width := len(shards[0].sets[0].Dims)
 	cases := map[string][]byte{
 		"bits above width·sketchBitsPerDim": tamper(func(st *foldState) {
-			st.trials[1].tuples.u[1<<uint(width*sketchBitsPerDim)] = 7
+			st.trials[1].tuples.u.add(1<<uint(width*sketchBitsPerDim), 7)
 		}),
 		"string keys with a component past the sketch": tamper(func(st *foldState) {
 			k := make([]byte, 4*width)
@@ -327,7 +356,7 @@ func TestAdoptRefusesWhatRefitCannotIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := src.fold()
-	st.trials[0].tuples.u[20] = 1
+	st.trials[0].tuples.u.add(20, 1)
 	global, err := NewGlobalModelState(coarse)
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +380,8 @@ func TestCombineFold(t *testing.T) {
 		set.AddPoint([]float64{x, 0})
 		return (&foldState{seen: 1, trials: []foldTrial{{set: set, tuples: tuples}}}).encode()
 	}
-	a := contribution(1, tupleCounts{u: map[uint64]uint64{3: 1}})
-	b := contribution(9, tupleCounts{u: map[uint64]uint64{3: 1, 8: 1}})
+	a := contribution(1, packedCounts(map[uint64]uint64{3: 1}))
+	b := contribution(9, packedCounts(map[uint64]uint64{3: 1, 8: 1}))
 	out, err := combineFold(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +390,9 @@ func TestCombineFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := sum.trials[0]; sum.seen != 2 || tr.set.Total() != 2 || tr.tuples.u[3] != 2 || tr.tuples.u[8] != 1 {
-		t.Fatalf("combined seen %d, total %d, masses %v", sum.seen, tr.set.Total(), tr.tuples.u)
+	masses := massesOf(sum.trials[0].tuples.u)
+	if tr := sum.trials[0]; sum.seen != 2 || tr.set.Total() != 2 || masses[3] != 2 || masses[8] != 1 {
+		t.Fatalf("combined seen %d, total %d, masses %v", sum.seen, tr.set.Total(), masses)
 	}
 	if back, err := combineFold(b, a); err != nil || !bytes.Equal(back, out) {
 		t.Fatalf("combine is not commutative (%v)", err)
@@ -371,11 +401,11 @@ func TestCombineFold(t *testing.T) {
 		"corrupt input":              {0},
 		"string keys against packed": contribution(1, tupleCounts{s: map[string]uint64{"k": 1}}),
 		"histograms on one side only": (&foldState{trials: []foldTrial{
-			{tuples: tupleCounts{u: map[uint64]uint64{3: 1}}}}}).encode(),
+			{tuples: packedCounts(map[uint64]uint64{3: 1})}}}).encode(),
 		"another trial count": (&foldState{trials: make([]foldTrial, 2)}).encode(),
 		"another range": func() []byte {
 			set, _ := histogram.NewSet([]float64{0, 0}, []float64{10, 11}, 4)
-			return (&foldState{trials: []foldTrial{{set: set, tuples: tupleCounts{u: map[uint64]uint64{}}}}}).encode()
+			return (&foldState{trials: []foldTrial{{set: set, tuples: packedCounts(map[uint64]uint64{})}}}).encode()
 		}(),
 	} {
 		if _, err := combineFold(a, in); err == nil {

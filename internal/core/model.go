@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"keybin2/internal/cluster"
@@ -34,8 +35,8 @@ type Model struct {
 	// Assessment is the winning trial's histogram-CH evaluation.
 	Assessment quality.Assessment
 	// TrialAssessments holds every bootstrap trial's evaluation (index =
-	// trial); the winner is the argmax CH. Populated by Fit and
-	// FitDistributed.
+	// trial); the winner is the argmax CH, or for a stream the trial its
+	// hysteresis kept.
 	TrialAssessments []quality.Assessment
 	// Trial is the index of the winning bootstrap trial.
 	Trial int
@@ -141,55 +142,44 @@ func (m *Model) Assign(x []float64) (int, error) {
 // derives the tuple→label map from the cluster list.
 func buildLabels(tuples tupleCounts, codec tupleCodec, dims, minSize, maxClusters int) []quality.Cluster {
 	if tuples.u != nil {
-		type entry struct {
-			key  uint64
-			mass uint64
-		}
-		entries := make([]entry, 0, len(tuples.u))
-		for k, n := range tuples.u {
-			if int(n) >= minSize {
-				entries = append(entries, entry{key: k, mass: n})
+		var entries []tupleEntry[uint64]
+		for _, c := range tuples.u.cells {
+			if n := uint64(c.mass); int(n) >= minSize {
+				entries = append(entries, tupleEntry[uint64]{c.key, n})
 			}
 		}
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].mass != entries[j].mass {
-				return entries[i].mass > entries[j].mass
-			}
-			return entries[i].key < entries[j].key
-		})
-		if len(entries) > maxClusters {
-			entries = entries[:maxClusters]
-		}
-		clusters := make([]quality.Cluster, len(entries))
-		for i, e := range entries {
+		return heaviest(entries, maxClusters, func(key uint64) []int {
 			segs := make([]int, dims)
-			codec.unpack(e.key, segs)
-			clusters[i] = quality.Cluster{Segments: segs, Mass: e.mass}
-		}
-		return clusters
+			codec.unpack(key, segs)
+			return segs
+		})
 	}
-	type entry struct {
-		key  string
-		mass uint64
-	}
-	entries := make([]entry, 0, len(tuples.s))
+	var entries []tupleEntry[string]
 	for k, n := range tuples.s {
 		if int(n) >= minSize {
-			entries = append(entries, entry{key: k, mass: n})
+			entries = append(entries, tupleEntry[string]{k, n})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].mass != entries[j].mass {
-			return entries[i].mass > entries[j].mass
+	return heaviest(entries, maxClusters, unpackSegments)
+}
+
+type tupleEntry[K cmp.Ordered] struct {
+	key  K
+	mass uint64
+}
+
+// heaviest is buildLabels' order and cap over either key type: the
+// maxClusters heaviest tuples as clusters, their segments unpacked.
+func heaviest[K cmp.Ordered](entries []tupleEntry[K], maxClusters int, segments func(K) []int) []quality.Cluster {
+	slices.SortFunc(entries, func(a, b tupleEntry[K]) int {
+		if a.mass != b.mass {
+			return cmp.Compare(b.mass, a.mass)
 		}
-		return entries[i].key < entries[j].key
+		return cmp.Compare(a.key, b.key)
 	})
-	if len(entries) > maxClusters {
-		entries = entries[:maxClusters]
-	}
-	clusters := make([]quality.Cluster, len(entries))
-	for i, e := range entries {
-		clusters[i] = quality.Cluster{Segments: unpackSegments(e.key), Mass: e.mass}
+	clusters := make([]quality.Cluster, min(len(entries), maxClusters))
+	for i := range clusters {
+		clusters[i] = quality.Cluster{Segments: segments(entries[i].key), Mass: entries[i].mass}
 	}
 	return clusters
 }

@@ -363,6 +363,8 @@ func TestMergeShardStatesErrors(t *testing.T) {
 		{"2^32-1 packed entries", append(header(2, 1),
 			0, 0, 0, 0, tupleTagPacked, 0xff, 0xff, 0xff, 0xff)},
 		{"2^16 trials in 20 bytes", header(2, 1<<16)},
+		{"a packed mass of 2^53, past what a count table holds exactly", append(header(2, 1),
+			0, 0, 0, 0, tupleTagPacked, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0)},
 		{"a string key longer than the input", append(header(2, 1),
 			0, 0, 0, 0, tupleTagString, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0)},
 	}

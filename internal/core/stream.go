@@ -142,8 +142,9 @@ type Stream struct {
 	ptHdr        linalg.Matrix
 	ptLabel      [1]int
 
-	// tupleMass is sketchTuples' accumulator, reused across refits.
-	tupleMass flatTable
+	// tupleMass holds sketchTuples' count table per trial, reused across
+	// refits: every trial's tuples exist at once, for selectModel.
+	tupleMass []flatTable
 
 	// model is the published model. Refit builds each model fully —
 	// including a detached clone of its histograms — before storing it, and
@@ -167,14 +168,15 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	cfg = cfg.withStreamDefaults()
 	// Defaults sized by the warmup: the binning depth must be fixed before
 	// the stream length is known.
-	sized := cfg.Config.withDefaults(maxInt(cfg.Warmup, 1024), cfg.Dims)
+	sized := cfg.Config.withDefaults(max(cfg.Warmup, 1024), cfg.Dims)
 	cfg.Config = sized
 	depth := cfg.Depth
 	if depth == 0 {
 		depth = keys.DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
 	}
 
-	s := &Stream{cfg: cfg, depth: depth, sketchKey: make(keys.Key, cfg.TargetDims)}
+	s := &Stream{cfg: cfg, depth: depth, sketchKey: make(keys.Key, cfg.TargetDims),
+		tupleMass: make([]flatTable, cfg.Trials)}
 	// Sketch cells at ≤ 32 per dimension: coarse enough that the occupied
 	// cell count tracks the cluster structure, fine enough to re-segment
 	// under moving cuts.
@@ -199,13 +201,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // initSetsFromRawRanges derives projected ranges per trial dimension from
 // the raw per-dimension boxes. A worst-case interval bound (Σ|aᵢ|·Bᵢ) is
 // far too loose in high dimension — the data would occupy a small middle
@@ -214,40 +209,25 @@ func maxInt(a, b int) int {
 // distribution over the box. Points outside clamp into the edge bins,
 // which the binning tolerates by design.
 func (s *Stream) initSetsFromRawRanges() error {
-	trials := s.cfg.Trials
 	nrp := s.cfg.TargetDims
-	s.sets = make([]*histogram.Set, trials)
-	s.sketch = make([]*trialSketch, trials)
-	for t := 0; t < trials; t++ {
-		mins := make([]float64, nrp)
-		maxs := make([]float64, nrp)
-		for j := 0; j < nrp; j++ {
-			var lo, hi float64
-			if s.batch == nil {
-				lo, hi = s.cfg.RawRanges[j][0], s.cfg.RawRanges[j][1]
-			} else {
-				col := t*nrp + j
-				var center, variance float64
-				for i := 0; i < s.cfg.Dims; i++ {
-					a := s.batch.Joined.At(i, col)
-					rlo, rhi := s.cfg.RawRanges[i][0], s.cfg.RawRanges[i][1]
-					center += a * (rlo + rhi) / 2
-					width := a * (rhi - rlo)
-					variance += width * width / 12
-				}
-				spread := 4 * math.Sqrt(variance)
-				lo, hi = center-spread, center+spread
-			}
-			mins[j], maxs[j] = lo, hi
+	mins, maxs := make([]float64, s.cfg.Trials*nrp), make([]float64, s.cfg.Trials*nrp)
+	for col := range mins {
+		if s.batch == nil {
+			mins[col], maxs[col] = s.cfg.RawRanges[col%nrp][0], s.cfg.RawRanges[col%nrp][1]
+			continue
 		}
-		set, err := histogram.NewSet(mins, maxs, s.depth)
-		if err != nil {
-			return err
+		var center, variance float64
+		for i := 0; i < s.cfg.Dims; i++ {
+			a := s.batch.Joined.At(i, col)
+			rlo, rhi := s.cfg.RawRanges[i][0], s.cfg.RawRanges[i][1]
+			center += a * (rlo + rhi) / 2
+			width := a * (rhi - rlo)
+			variance += width * width / 12
 		}
-		s.sets[t] = set
-		s.sketch[t] = newTrialSketch(nrp)
+		spread := 4 * math.Sqrt(variance)
+		mins[col], maxs[col] = center-spread, center+spread
 	}
-	return nil
+	return s.initSets(mins, maxs)
 }
 
 // initSetsFromBuffer establishes ranges from the warmup buffer and replays
@@ -263,34 +243,43 @@ func (s *Stream) initSetsFromBuffer() error {
 		return err
 	}
 	defer proj.release()
-	trials := s.cfg.Trials
-	nrp := s.cfg.TargetDims
-	s.sets = make([]*histogram.Set, trials)
-	s.sketch = make([]*trialSketch, trials)
-	for t := 0; t < trials; t++ {
-		mins, maxs := proj.mins[t*nrp:(t+1)*nrp], proj.maxs[t*nrp:(t+1)*nrp]
-		// Widen by 10% per side: the warmup sample underestimates the
-		// stream's true extent, and out-of-range points clamp into edge
-		// bins.
-		for j := range mins {
-			pad := (maxs[j] - mins[j]) * 0.1
-			if pad == 0 {
-				pad = 0.5
-			}
-			mins[j] -= pad
-			maxs[j] += pad
+	// Widen by 10% per side: the warmup sample underestimates the stream's
+	// true extent, and out-of-range points clamp into edge bins.
+	mins, maxs := proj.mins, proj.maxs
+	for j := range mins {
+		pad := (maxs[j] - mins[j]) * 0.1
+		if pad == 0 {
+			pad = 0.5
 		}
-		set, err := histogram.NewSet(mins, maxs, s.depth)
-		if err != nil {
-			return err
-		}
-		s.sets[t] = set
-		s.sketch[t] = newTrialSketch(nrp)
+		mins[j] -= pad
+		maxs[j] += pad
+	}
+	if err := s.initSets(mins, maxs); err != nil {
+		return err
 	}
 	s.applyChunk(data, 0, s.bufUsed, nil)
 	s.buffer = nil
 	return nil
 }
+
+// initSets gives every trial an empty sketch and histograms over its
+// columns of mins/maxs, the Trials·TargetDims projected ranges.
+func (s *Stream) initSets(mins, maxs []float64) error {
+	nrp := s.cfg.TargetDims
+	s.sets = make([]*histogram.Set, s.cfg.Trials)
+	s.sketch = make([]*trialSketch, s.cfg.Trials)
+	for t := range s.sets {
+		set, err := histogram.NewSet(mins[t*nrp:(t+1)*nrp], maxs[t*nrp:(t+1)*nrp], s.depth)
+		if err != nil {
+			return err
+		}
+		s.sets[t], s.sketch[t] = set, newTrialSketch(nrp)
+	}
+	return nil
+}
+
+// sketchCells is the number of coarse sketch cells per dimension.
+func (s *Stream) sketchCells() uint32 { return 1 << (uint(s.depth) - s.sketchShift) }
 
 // sketchBinCenter maps a coarse sketch bin back to the finest-level bin at
 // its cell center, for segment assignment during refits.
@@ -362,34 +351,22 @@ func (s *Stream) Refit() error {
 			s.sketch[t].decay(f)
 		}
 	}
-	models := make([]*Model, len(s.sets))
-	assessments := make([]quality.Assessment, len(s.sets))
 	cfg := s.cfg.Config
 	cfg.MinClusterSize = s.minClusterSize()
+	trials := make([]trialInput, len(s.sets))
 	for t, set := range s.sets {
 		parts, collapsed := partitionSet(set, cfg)
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
-		tuples := s.sketchTuples(s.sketch[t], parts, collapsed)
-		model, err := trialModel(set, parts, collapsed, tuples, cfg, t)
-		if err != nil {
-			return err
-		}
-		models[t] = model
-		assessments[t] = model.Assessment
+		trials[t] = trialInput{set, parts, collapsed, s.sketchTuples(t, parts, collapsed)}
 	}
-	best := quality.SelectBest(assessments)
-	// Hysteresis: once live, stay on the current projection unless a
-	// challenger clearly dominates — switching trials discards label
-	// continuity, so it must buy a real separability improvement.
+	models, best, err := selectModel(trials, cfg)
+	if err != nil {
+		return err
+	}
 	prev := s.model.Load()
-	if prev != nil && best != prev.Trial {
-		cur := assessments[prev.Trial]
-		if assessments[best].CH < 1.2*cur.CH {
-			best = prev.Trial
-		}
-	}
+	best = keepTrial(prev, models[best].TrialAssessments, best)
 	next := models[best]
 	// Detach the new model from the live histograms before publication:
 	// trialModel aliased the trial's Set, which this stream keeps
@@ -405,17 +382,29 @@ func (s *Stream) Refit() error {
 	return nil
 }
 
-// sketchTuples sums one trial's sketch masses per segment tuple, keyed
+// keepTrial is the stream's hysteresis, a post-step on selectModel's pick:
+// once a model is live, stay on its trial unless the pick's CH is at least
+// 1.2× the current trial's — switching trials discards label continuity,
+// so it must buy a real separability improvement.
+func keepTrial(prev *Model, assessments []quality.Assessment, best int) int {
+	if prev != nil && best != prev.Trial && assessments[best].CH < 1.2*assessments[prev.Trial].CH {
+		return prev.Trial
+	}
+	return best
+}
+
+// sketchTuples sums trial t's sketch masses per segment tuple, keyed
 // under the trial's tuple codec as trialModel expects: packed uint64 when
 // the tuple fits, string fallback otherwise. A coarse cell lies inside one
 // segment per dimension (snapCutsToSketch), so its whole mass goes to one
 // tuple. The common case — a packed sketch and a packed tuple — walks the
 // sketch's cells once and ORs each cell's tuple key together from its
 // 5-bit components, through per-dimension tables of segment fields already
-// shifted into place, summing into s.tupleMass, which every refit reuses.
-// Masses are summed in float, in the sketch's insertion order, and rounded
-// once (roundMass).
-func (s *Stream) sketchTuples(sk *trialSketch, parts []partition.Result, collapsed []bool) tupleCounts {
+// shifted into place, summing into s.tupleMass[t], which every refit
+// reuses. Masses are summed in float, in the sketch's insertion order, and
+// rounded once (flatTable.round).
+func (s *Stream) sketchTuples(t int, parts []partition.Result, collapsed []bool) tupleCounts {
+	sk := s.sketch[t]
 	codec := newTupleCodec(parts, collapsed)
 	segOf := func(j int, coarse uint32) int {
 		if collapsed[j] {
@@ -423,7 +412,7 @@ func (s *Stream) sketchTuples(sk *trialSketch, parts []partition.Result, collaps
 		}
 		return parts[j].SegmentOf(s.sketchBinCenter(coarse))
 	}
-	acc := &s.tupleMass
+	acc := &s.tupleMass[t]
 	acc.reset()
 	if sk.packed != nil && codec.fits {
 		width := len(parts)
@@ -443,33 +432,31 @@ func (s *Stream) sketchTuples(sk *trialSketch, parts []partition.Result, collaps
 			}
 			acc.add(tuple, c.mass)
 		}
-		return tupleCounts{u: acc.rounded()}
-	}
-	segs := make([]int, len(parts))
-	var wide map[string]float64
-	if !codec.fits {
-		wide = make(map[string]float64)
-	}
-	sk.each(func(k keys.Key, n float64) {
-		for j := range segs {
-			segs[j] = segOf(j, k[j])
-		}
-		if codec.fits {
-			acc.add(codec.pack(segs), n)
-		} else {
-			wide[packSegments(segs)] += n
-		}
-	})
-	if codec.fits {
-		return tupleCounts{u: acc.rounded()}
-	}
-	out := make(map[string]uint64, len(wide))
-	for k, n := range wide {
-		if r := roundMass(n); r > 0 {
-			out[k] = r
+	} else {
+		segs := make([]int, len(parts))
+		wide := make(map[string]float64)
+		sk.each(func(k keys.Key, n float64) {
+			for j := range segs {
+				segs[j] = segOf(j, k[j])
+			}
+			if codec.fits {
+				acc.add(codec.pack(segs), n)
+			} else {
+				wide[packSegments(segs)] += n
+			}
+		})
+		if !codec.fits {
+			out := make(map[string]uint64, len(wide))
+			for k, n := range wide {
+				if r := roundMass(n); r > 0 {
+					out[k] = r
+				}
+			}
+			return tupleCounts{s: out}
 		}
 	}
-	return tupleCounts{s: out}
+	acc.round()
+	return tupleCounts{u: acc}
 }
 
 // stabilizeLabels renames next's cluster labels so clusters persist across
@@ -547,11 +534,7 @@ func (s *Stream) minClusterSize() int {
 	if len(s.sets) > 0 {
 		mass = int(s.sets[0].Total())
 	}
-	ms := mass / 1000
-	if ms < 2 {
-		ms = 2
-	}
-	return ms
+	return max(2, mass/1000)
 }
 
 // SetRecorder installs a pipeline-stage timing sink: Refit reports

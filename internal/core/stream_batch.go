@@ -52,10 +52,7 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 		// Warmup: rows accumulate in the buffer; ranges + first refit
 		// fire exactly when the buffer fills, as in the per-point path.
 		if s.buffer != nil {
-			n := b.Rows - applied
-			if room := s.cfg.Warmup - s.bufUsed; n > room {
-				n = room
-			}
+			n := min(b.Rows-applied, s.cfg.Warmup-s.bufUsed)
 			copy(s.buffer.Data[s.bufUsed*s.cfg.Dims:], b.Data[applied*b.Cols:(applied+n)*b.Cols])
 			s.bufUsed += n
 			s.seen += n
@@ -81,10 +78,7 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 		}
 		// Live: a chunk stops at the next Period boundary so the refit
 		// sees exactly the state the per-point path would have.
-		n := b.Rows - applied
-		if rem := s.cfg.Period - s.seen%s.cfg.Period; n > rem {
-			n = rem
-		}
+		n := min(b.Rows-applied, s.cfg.Period-s.seen%s.cfg.Period)
 		var chunkLabels []int
 		if labels != nil {
 			chunkLabels = labels[applied : applied+n]

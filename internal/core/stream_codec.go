@@ -189,6 +189,9 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 			if math.IsNaN(mass) || mass < 0 {
 				return nil, nil, fmt.Errorf("core: checkpoint key mass %v", mass)
 			}
+			if err := checkSketchKey(k, s.sketchCells()); err != nil {
+				return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
+			}
 			sk.add(k, mass)
 		}
 		s.sketch[t] = sk

@@ -396,3 +396,52 @@ func TestDecodeStreamKeyCountBounded(t *testing.T) {
 		t.Fatalf("refusing the claim allocated %d bytes", grew)
 	}
 }
+
+// TestDecodeStreamRefusesForeignSketchCells: a checkpoint whose sketch key
+// addresses a coarse cell the stream does not have is refused, as the
+// fold's sketchFromCounts refuses it. Accepted, such a key once demoted the
+// sketch to string keys, and the stream's next fold no longer merged with
+// an honest one.
+func TestDecodeStreamRefusesForeignSketchCells(t *testing.T) {
+	for _, tc := range []struct {
+		depth     int
+		cells, in uint32
+	}{
+		{depth: 8, cells: 32, in: 40}, // past the packed 5 bits
+		{depth: 3, cells: 8, in: 20},  // packs, but past the 8-cell table
+	} {
+		cfg := StreamConfig{Config: Config{Seed: 5, Trials: 2, Depth: tc.depth}, Dims: 3,
+			RawRanges: fixedRanges(3, -2, 2), Period: 200}
+		st, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.sketchCells() != tc.cells {
+			t.Fatalf("depth %d: %d sketch cells, want %d", tc.depth, st.sketchCells(), tc.cells)
+		}
+		runStreamPoints(t, st, synth.AutoMixture(2, 3, 6, 1, xrand.New(50)), 600, 51)
+		blob, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Walk to trial 0's first key record: v1 header, model frame, trial
+		// count, set frame, key count, key width.
+		r := &wireReader{buf: blob, off: 4 + 4 + 8 + 4}
+		if r.u8() == 1 {
+			r.off += int(r.u32())
+		}
+		r.u32() // trials
+		r.off += int(r.u32())
+		if n := r.u32(); n == 0 || r.u32() != 3 || r.err != nil {
+			t.Fatalf("depth %d: walking the checkpoint: %d keys, %v", tc.depth, n, r.err)
+		}
+		for _, comp := range []uint32{tc.cells - 1, tc.in} {
+			tampered := bytes.Clone(blob)
+			binary.LittleEndian.PutUint32(tampered[r.off:], comp)
+			_, _, err := DecodeStreamMeta(cfg, tampered)
+			if ok := comp < tc.cells; (err == nil) != ok {
+				t.Errorf("depth %d: component %d of %d cells: decode error %v", tc.depth, comp, tc.cells, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -16,8 +17,7 @@ import (
 // into one uint64 and the accumulator is a flatTable: adding mass to an
 // existing cell is one probe with no allocation, versus the string-keyed
 // keys.Counter whose every Add materializes a fresh packed string. Wider
-// keys (or out-of-range components fed by a foreign checkpoint) fall back
-// to a keys.Counter transparently.
+// keys fall back to a keys.Counter.
 type trialSketch struct {
 	width  int
 	packed *flatTable    // fast path; nil in fallback mode
@@ -58,34 +58,16 @@ func (s *trialSketch) unpackInto(k keys.Key, pk uint64) {
 	}
 }
 
-// add accepts an arbitrary coarse key. A component outside the packed
-// range (possible only via a checkpoint written by a different binning
-// configuration) demotes the sketch to the string-keyed fallback rather
-// than corrupting the packing.
+// add adds n to coarse key k. Every component is below
+// sketchComponentMax: applyChunk adds bin >> sketchShift, and both
+// decoders check a key from elsewhere against the stream's cells
+// (checkSketchKey) before it gets here.
 func (s *trialSketch) add(k keys.Key, n float64) {
 	if s.packed != nil {
-		for _, b := range k {
-			if b >= sketchComponentMax {
-				s.demote()
-				s.ctr.Add(k, n)
-				return
-			}
-		}
 		s.packed.add(packKey(k), n)
 		return
 	}
 	s.ctr.Add(k, n)
-}
-
-// demote migrates the packed cells into a keys.Counter fallback.
-func (s *trialSketch) demote() {
-	s.ctr = keys.NewCounter(s.width)
-	k := make(keys.Key, s.width)
-	for _, c := range s.packed.cells {
-		s.unpackInto(k, c.key)
-		s.ctr.Add(k, c.mass)
-	}
-	s.packed = nil
 }
 
 func (s *trialSketch) len() int {
@@ -110,24 +92,23 @@ func (s *trialSketch) each(fn func(k keys.Key, n float64)) {
 	s.ctr.Each(fn)
 }
 
-// decay mirrors keys.Counter.Decay: scale every mass by factor, dropping
-// cells that become negligible.
+// decay mirrors keys.Counter.Decay: scale every mass by factor, in (0, 1)
+// as Refit's forgetting passes it, dropping cells that become negligible.
 func (s *trialSketch) decay(factor float64) {
 	if s.packed == nil {
 		s.ctr.Decay(factor)
 		return
 	}
-	if factor >= 1 {
-		return
-	}
-	s.packed.decay(max(factor, 0))
+	s.packed.decay(factor)
 }
 
-// counts is the sketch as the consolidation fold ships it: integer masses
+// counts is the sketch as the consolidation fold ships it: whole masses
 // keyed by the packed cell when the sketch packs, by Key.Pack() otherwise.
 func (s *trialSketch) counts() tupleCounts {
 	if s.packed != nil {
-		return tupleCounts{u: s.packed.rounded()}
+		tab := s.packed.clone()
+		tab.round()
+		return tupleCounts{u: tab}
 	}
 	m := make(map[string]uint64, s.ctr.Len())
 	s.ctr.Each(func(k keys.Key, n float64) {
@@ -144,40 +125,39 @@ func (s *trialSketch) counts() tupleCounts {
 // would zero the sketch.
 func roundMass(n float64) uint64 { return uint64(math.Round(n)) }
 
-// sketchFromCounts is the inverse of counts for masses that arrived from
-// elsewhere. Every component must address one of the stream's bins coarse
-// sketch cells per dimension: Refit indexes a bins-wide table with it.
-// Packed cells are inserted in ascending key order, so a sketch built from
-// the same counts walks (and encodes) in the same order every time.
-func sketchFromCounts(width int, bins uint32, tc tupleCounts) (*trialSketch, error) {
-	sk := newTrialSketch(width)
-	add := func(k keys.Key, n uint64) error {
-		for j, b := range k {
-			if b >= bins {
-				return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, bins)
-			}
+// checkSketchKey refuses a coarse key from elsewhere — a merged fold, a
+// checkpoint — unless every component addresses one of the stream's cells
+// coarse sketch cells per dimension: Refit indexes a cells-wide table with
+// it, and the packed sketch holds 5 bits per component.
+func checkSketchKey(k keys.Key, cells uint32) error {
+	for j, b := range k {
+		if b >= cells {
+			return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, cells)
 		}
-		sk.add(k, float64(n))
-		return nil
 	}
+	return nil
+}
+
+// sketchFromCounts is the inverse of counts for masses that arrived from
+// elsewhere, every key checked by checkSketchKey. Packed cells are
+// inserted in ascending key order, so a sketch built from the same counts
+// walks (and encodes) in the same order every time.
+func sketchFromCounts(width int, cells uint32, tc tupleCounts) (*trialSketch, error) {
+	sk := newTrialSketch(width)
 	if tc.u != nil {
 		if sk.packed == nil {
 			return nil, fmt.Errorf("core: packed sketch keys for %d dimensions, which do not pack", width)
 		}
-		pks := make([]uint64, 0, len(tc.u))
-		for pk := range tc.u {
-			pks = append(pks, pk)
-		}
-		slices.Sort(pks)
 		k := make(keys.Key, width)
-		for _, pk := range pks {
-			if pk>>uint(width*sketchBitsPerDim) != 0 {
-				return nil, fmt.Errorf("core: packed sketch key %#x wider than %d dimensions", pk, width)
+		for _, c := range tc.u.sorted() {
+			if c.key>>uint(width*sketchBitsPerDim) != 0 {
+				return nil, fmt.Errorf("core: packed sketch key %#x wider than %d dimensions", c.key, width)
 			}
-			sk.unpackInto(k, pk)
-			if err := add(k, tc.u[pk]); err != nil {
+			sk.unpackInto(k, c.key)
+			if err := checkSketchKey(k, cells); err != nil {
 				return nil, err
 			}
+			sk.add(k, c.mass)
 		}
 		return sk, nil
 	}
@@ -187,23 +167,26 @@ func sketchFromCounts(width int, bins uint32, tc tupleCounts) (*trialSketch, err
 			err = fmt.Errorf("core: sketch key width %d for %d dimensions", len(k), width)
 		}
 		if err == nil {
-			err = add(k, n)
+			err = checkSketchKey(k, cells)
 		}
 		if err != nil {
 			return nil, err
 		}
+		sk.add(k, float64(n))
 	}
 	return sk, nil
 }
 
-// flatTable is the stream's uint64 → float64 accumulator: a packed
-// sketch's cells, and the tuple masses a refit sums them into. Its cells
-// (key and mass) are stored densely in insertion order, so a walk over
-// them is a sequential scan, and its order — which fixes the checkpoint's
-// bytes and the order float masses are summed in — follows the input, not
-// a hash seed. An open-addressing index finds a key's cell: linear probing
-// over a power-of-two slot array kept at most half full, hashed by the top
-// bits of a Fibonacci multiply.
+// flatTable is internal/core's one uint64 → mass accumulator: a packed
+// sketch's cells, whose masses turn fractional under decay, and every
+// packed tuple count (tupleCounts.u), whose masses are whole numbers below
+// 2^53 and so sum exactly in float64. Its cells (key and mass) are stored
+// densely in insertion order, so a walk over them is a sequential scan,
+// and its order — which fixes the checkpoint's bytes and the order float
+// masses are summed in — follows the input, not a hash seed. An
+// open-addressing index finds a key's cell: linear probing over a
+// power-of-two slot array kept at most half full, hashed by the top bits
+// of a Fibonacci multiply.
 type flatTable struct {
 	cells []flatCell
 	index []uint32 // per slot: 1 + the cell's position, 0 when empty
@@ -264,15 +247,14 @@ func (t *flatTable) reset() {
 	clear(t.index)
 }
 
-// decay scales every mass by factor and drops the cells that become
-// negligible, keeping the survivors in insertion order — keys.Counter.Decay
-// on the flat layout.
-func (t *flatTable) decay(factor float64) {
-	const negligible = 1e-6
+// filter maps every mass through f and keeps the cells f keeps, in
+// insertion order: decay, rounding, the suppression filter and the fold's
+// subtraction are each one pass of it.
+func (t *flatTable) filter(f func(mass float64) (float64, bool)) {
 	kept := t.cells[:0]
 	for _, c := range t.cells {
-		c.mass *= factor
-		if !(c.mass < negligible) {
+		var keep bool
+		if c.mass, keep = f(c.mass); keep {
 			kept = append(kept, c)
 		}
 	}
@@ -283,14 +265,33 @@ func (t *flatTable) decay(factor float64) {
 	}
 }
 
-// rounded is the table as integer counts (see roundMass), leaving out the
-// keys whose mass rounds to nothing.
-func (t *flatTable) rounded() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(t.cells))
-	for _, c := range t.cells {
-		if r := roundMass(c.mass); r > 0 {
-			out[c.key] = r
-		}
-	}
-	return out
+// decay scales every mass by factor and drops the cells that become
+// negligible — keys.Counter.Decay on the flat layout.
+func (t *flatTable) decay(factor float64) {
+	const negligible = 1e-6
+	t.filter(func(m float64) (float64, bool) {
+		m *= factor
+		return m, !(m < negligible)
+	})
+}
+
+// round makes the table a count table: every mass rounded once to its
+// whole count (roundMass), the cells that round to nothing dropped.
+func (t *flatTable) round() {
+	t.filter(func(m float64) (float64, bool) {
+		r := float64(roundMass(m))
+		return r, r > 0
+	})
+}
+
+// clone is a copy that shares no memory with t.
+func (t *flatTable) clone() *flatTable {
+	return &flatTable{cells: slices.Clone(t.cells), index: slices.Clone(t.index), shift: t.shift}
+}
+
+// sorted is a copy of the cells in ascending key order.
+func (t *flatTable) sorted() []flatCell {
+	cells := slices.Clone(t.cells)
+	slices.SortFunc(cells, func(a, b flatCell) int { return cmp.Compare(a.key, b.key) })
+	return cells
 }

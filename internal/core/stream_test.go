@@ -7,6 +7,7 @@ import (
 	"keybin2/internal/cluster"
 	"keybin2/internal/eval"
 	"keybin2/internal/mpi"
+	"keybin2/internal/quality"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
@@ -253,5 +254,66 @@ func TestStreamSyncRejectsDecay(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefitHysteresis covers the stream's post-step on selectModel's pick:
+// the first refit takes SelectBest's pick; after that a challenger takes
+// over only at 1.2× the current trial's CH or more.
+func TestRefitHysteresis(t *testing.T) {
+	as := []quality.Assessment{{CH: 10}, {CH: 11.9}, {CH: 1.2 * 10}, {CH: 30}}
+	cur := &Model{Trial: 0}
+	for _, tc := range []struct {
+		name       string
+		prev       *Model
+		best, want int
+	}{
+		{"first refit takes the pick", nil, 1, 1},
+		{"challenger below 1.2x stays out", cur, 1, 0},
+		{"challenger at 1.2x takes over", cur, 2, 2},
+		{"challenger above 1.2x takes over", cur, 3, 3},
+		{"the pick is the current trial", cur, 0, 0},
+		{"a weaker current trial loses to 1.2x", &Model{Trial: 1}, 3, 3},
+	} {
+		if got := keepTrial(tc.prev, as, tc.best); got != tc.want {
+			t.Errorf("%s: trial %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	// Through Refit: every published model's trial is the post-step applied
+	// to the assessments it carries, and the first is SelectBest's pick.
+	st, err := NewStream(StreamConfig{Config: Config{Seed: 61, Trials: 4}, Dims: 8,
+		RawRanges: fixedRanges(8, -12, 12), Period: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *Model
+	held, switched := 0, 0
+	for phase := range 6 {
+		spec := synth.AutoMixture(2+phase%3, 8, 6, 1, xrand.New(int64(62+phase)))
+		runStreamPoints(t, st, spec, 800, int64(70+phase))
+		if err := st.Refit(); err != nil {
+			t.Fatal(err)
+		}
+		m := st.Model()
+		if len(m.TrialAssessments) != 4 {
+			t.Fatalf("refit %d: %d trial assessments", phase, len(m.TrialAssessments))
+		}
+		best := quality.SelectBest(m.TrialAssessments)
+		if want := keepTrial(prev, m.TrialAssessments, best); m.Trial != want {
+			t.Fatalf("refit %d: trial %d, post-step says %d", phase, m.Trial, want)
+		}
+		if prev == nil && m.Trial != best {
+			t.Fatalf("first refit: trial %d, SelectBest picks %d", m.Trial, best)
+		}
+		if prev != nil && m.Trial != best {
+			held++
+		} else if prev != nil && m.Trial != prev.Trial {
+			switched++
+		}
+		prev = m
+	}
+	if held == 0 || switched == 0 {
+		t.Fatalf("the drifting stream held its trial %d times and switched %d times; want both", held, switched)
 	}
 }

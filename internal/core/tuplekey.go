@@ -138,21 +138,19 @@ func (l *labeler) binKey(bins []uint16) uint64 {
 	return key
 }
 
-// tupleCounts holds one trial's key→mass occupancy: packed uint64 keys on
-// the fast path, string keys when the keying does not fit 64 bits. It is
-// the only key→mass map that crosses a process boundary (fold.go has its
-// wire form).
+// tupleCounts holds one trial's key→mass occupancy: packed uint64 keys in
+// a count table (a flatTable of whole masses) on the fast path, string keys
+// when the keying does not fit 64 bits. It is the only key→mass value that
+// crosses a process boundary (fold.go has its wire form).
 type tupleCounts struct {
-	u map[uint64]uint64
+	u *flatTable
 	s map[string]uint64
 }
 
 // dropBelow removes tuples with mass under k (the SuppressBelow filter).
 func (tc tupleCounts) dropBelow(k uint64) {
-	for key, n := range tc.u {
-		if n < k {
-			delete(tc.u, key)
-		}
+	if tc.u != nil {
+		tc.u.filter(func(m float64) (float64, bool) { return m, m >= float64(k) })
 	}
 	for key, n := range tc.s {
 		if n < k {
@@ -161,14 +159,34 @@ func (tc tupleCounts) dropBelow(k uint64) {
 	}
 }
 
+// minus is tc − prev for counts tc grew from prev: the keys that grew, by
+// how much. Whole masses below 2^53 subtract exactly.
+func (tc tupleCounts) minus(prev tupleCounts) tupleCounts {
+	if tc.u == nil {
+		out := make(map[string]uint64)
+		for k, n := range tc.s {
+			if n > prev.s[k] {
+				out[k] = n - prev.s[k]
+			}
+		}
+		return tupleCounts{s: out}
+	}
+	grown := tc.u.clone()
+	for _, c := range prev.u.cells {
+		grown.add(c.key, -c.mass)
+	}
+	grown.filter(func(m float64) (float64, bool) { return m, m > 0 })
+	return tupleCounts{u: grown}
+}
+
 // mergeTupleCounts sums in into acc (matching key codecs required).
 func mergeTupleCounts(acc, in tupleCounts) (tupleCounts, error) {
 	if (acc.u != nil) != (in.u != nil) {
 		return tupleCounts{}, fmt.Errorf("core: merging packed and string tuple maps")
 	}
 	if acc.u != nil {
-		for k, n := range in.u {
-			acc.u[k] += n
+		for _, c := range in.u.cells {
+			acc.u.add(c.key, c.mass)
 		}
 	} else {
 		if acc.s == nil {

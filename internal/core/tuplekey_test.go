@@ -159,7 +159,7 @@ func TestPackedVsStringTupleCounts(t *testing.T) {
 			t.Fatalf("seed %d: fixture unexpectedly overflowed", seed)
 		}
 		codec := k.lab.codec
-		packed := countOne(f.view, k, 4).u
+		packed := massesOf(countOne(f.view, k, 4).u)
 		str := countOne(f.view, trialKeys{parts: f.parts, collapsed: f.collapsed}, 4).s
 		// The reference: labeler.key of every row's floats.
 		want := make(map[uint64]uint64)
@@ -257,7 +257,7 @@ func TestCollapsedDimensionsEquivalence(t *testing.T) {
 	if codec.bits[1] != 0 || codec.bits[3] != 0 {
 		t.Fatalf("collapsed dims got bits %v", codec.bits)
 	}
-	packed := countOne(f.view, k, 0).u
+	packed := massesOf(countOne(f.view, k, 0).u)
 	str := countOne(f.view, trialKeys{parts: f.parts, collapsed: collapsed}, 0).s
 	set := f.set
 	if len(packed) != len(str) {
@@ -335,15 +335,13 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 // TestTupleCountsWire round-trips both tuple-count wire codecs and rejects
 // mixed merges and corrupt frames.
 func TestTupleCountsWire(t *testing.T) {
-	u := tupleCounts{u: map[uint64]uint64{3: 5, 9: 2, 0: 1}}
+	u := packedCounts(map[uint64]uint64{3: 5, 9: 2, 0: 1})
 	got, err := readTupleSection(tupleSection(u))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, n := range u.u {
-		if got.u[k] != n {
-			t.Fatalf("packed key %d: %d vs %d", k, got.u[k], n)
-		}
+	if masses := massesOf(got.u); !reflect.DeepEqual(masses, massesOf(u.u)) {
+		t.Fatalf("packed masses %v, encoded %v", masses, massesOf(u.u))
 	}
 	s := tupleCounts{s: map[string]uint64{"ab": 3, "": 1}}
 	got, err = readTupleSection(tupleSection(s))
@@ -356,6 +354,11 @@ func TestTupleCountsWire(t *testing.T) {
 	if _, err := mergeTupleCounts(u, got); err == nil {
 		t.Fatal("merging packed with string should fail")
 	}
+	// The largest mass a count table holds exactly round-trips.
+	top := packedCounts(map[uint64]uint64{7: 1<<53 - 1})
+	if got, err := readTupleSection(tupleSection(top)); err != nil || massesOf(got.u)[7] != 1<<53-1 {
+		t.Fatalf("mass 2^53-1: %v, %v", err, got.u)
+	}
 	if _, err := readTupleSection(nil); err == nil {
 		t.Fatal("empty frame should fail")
 	}
@@ -366,8 +369,12 @@ func TestTupleCountsWire(t *testing.T) {
 	if _, err := readTupleSection(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated packed frame should fail")
 	}
-	// Determinism: equal maps encode to identical bytes.
-	u2 := tupleCounts{u: map[uint64]uint64{9: 2, 0: 1, 3: 5}}
+	// Determinism: equal masses encode to identical bytes, whatever order
+	// their table was filled in.
+	u2 := tupleCounts{u: &flatTable{}}
+	for _, k := range []uint64{9, 0, 3} {
+		u2.u.add(k, float64(massesOf(u.u)[k]))
+	}
 	if !bytes.Equal(tupleSection(u), tupleSection(u2)) {
 		t.Fatal("encoding is not canonical")
 	}

@@ -189,7 +189,7 @@ func VecMul(v []float64, m *Matrix) ([]float64, error) {
 		}
 		row := m.Data[k*m.Cols : (k+1)*m.Cols]
 		for j, mv := range row {
-			out[j] += vk * mv
+			out[j] += float64(vk * mv)
 		}
 	}
 	return out, nil
@@ -206,7 +206,7 @@ func (m *Matrix) Scale(s float64) {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var ss float64
 	for _, v := range m.Data {
-		ss += v * v
+		ss += float64(v * v)
 	}
 	return math.Sqrt(ss)
 }

@@ -7,7 +7,7 @@ import "math"
 func Dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -16,7 +16,7 @@ func Dot(a, b []float64) float64 {
 func Norm(v []float64) float64 {
 	var ss float64
 	for _, x := range v {
-		ss += x * x
+		ss += float64(x * x)
 	}
 	return math.Sqrt(ss)
 }
@@ -38,7 +38,7 @@ func Normalize(v []float64) float64 {
 // AxpyInPlace computes y += a*x in place.
 func AxpyInPlace(y []float64, a float64, x []float64) {
 	for i, xv := range x {
-		y[i] += a * xv
+		y[i] += float64(a * xv)
 	}
 }
 
@@ -65,7 +65,7 @@ func SqDist(a, b []float64) float64 {
 	var s float64
 	for i, av := range a {
 		d := av - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
