@@ -202,7 +202,7 @@ func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, pu
 		if r.err != nil {
 			return r.err
 		}
-		if i > 0 && k <= prev || mass == 0 || mass >= 1<<53 {
+		if i > 0 && k <= prev || mass == 0 || mass >= exactMassLimit {
 			return fmt.Errorf("core: tuple entry %d not canonical (key order, or mass %d)", i, mass)
 		}
 		put(k, mass)
@@ -226,8 +226,9 @@ func (f *foldState) sameShape(o *foldState) error {
 }
 
 // merge adds in into f. Histogram congruence (dimensions, depth, ranges) is
-// validated by Set.Merge; a failed merge leaves f partly summed, so callers
-// drop it.
+// validated by Set.Merge, and a key mass summed to 2^53 or more fails with
+// errMassPastExact; a failed merge leaves f partly summed, so callers drop
+// it.
 func (f *foldState) merge(in *foldState) error {
 	if err := f.sameShape(in); err != nil {
 		return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -126,13 +127,16 @@ func foldSeeds(t testing.TB) [][]byte {
 
 // FuzzFoldState: the one consolidation decoder never panics and never
 // allocates past a constant multiple of its input; whatever it accepts is
-// canonical (re-encodes to the same bytes) and can be summed with itself.
+// canonical (re-encodes to the same bytes), and summed with itself it
+// either decodes or fails with errMassPastExact, the latter exactly when
+// some key mass doubles to 2^53 or more.
 func FuzzFoldState(f *testing.F) {
 	for _, seed := range foldSeeds(f) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 	}
 	f.Add([]byte("KB2H\x01\x00\x00\x00\x01\x00\x00\x00")) // v1: refused by version
+	f.Add(foldMassState(1 << 52))                         // decodes; doubled, it would not
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := decodeBounded(t, b)
 		if err != nil {
@@ -142,13 +146,42 @@ func FuzzFoldState(f *testing.F) {
 			t.Fatal("encode(decode(b)) != b")
 		}
 		sum, err := combineFold(b, b)
-		if err != nil {
-			t.Fatalf("combine(b, b): %v", err)
+		if doubles := massDoublesPastExact(st); doubles || err != nil {
+			if !doubles || !errors.Is(err, errMassPastExact) {
+				t.Fatalf("combine(b, b): %v, with a mass doubling past 2^53: %v", err, doubles)
+			}
+			return
 		}
 		if _, err := decodeFold(sum); err != nil {
 			t.Fatalf("combine(b, b) does not decode: %v", err)
 		}
 	})
+}
+
+// foldMassState encodes a one-trial fold without histograms whose one
+// packed key carries mass.
+func foldMassState(mass uint64) []byte {
+	return (&foldState{trials: []foldTrial{{tuples: packedCounts(map[uint64]uint64{7: mass})}}}).encode()
+}
+
+// massDoublesPastExact reports whether st summed with itself carries a key
+// mass of 2^53 or more.
+func massDoublesPastExact(st *foldState) bool {
+	for _, tr := range st.trials {
+		if tr.tuples.u != nil {
+			for _, c := range tr.tuples.u.cells {
+				if 2*c.mass >= exactMassLimit {
+					return true
+				}
+			}
+		}
+		for _, n := range tr.tuples.s {
+			if 2*n >= exactMassLimit {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // randomMerge folds states in a random order and a random grouping.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"keybin2/internal/synth"
@@ -378,6 +379,16 @@ func TestMergeShardStatesErrors(t *testing.T) {
 		if _, err := MergeShardStates(sa, h.body); err == nil {
 			t.Errorf("%s: merged into a good state", h.name)
 		}
+	}
+	// A mass of 2^52 decodes, but two of them sum past what a count table
+	// holds exactly: the merge refuses rather than encode bytes no decoder
+	// takes.
+	half := foldMassState(1 << 52)
+	if _, err := MergeShardStates(half); err != nil {
+		t.Fatalf("a mass of 2^52: %v", err)
+	}
+	if _, err := MergeShardStates(half, half); !errors.Is(err, errMassPastExact) {
+		t.Fatalf("2^52 + 2^52: got %v, want errMassPastExact", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -179,7 +180,17 @@ func (tc tupleCounts) minus(prev tupleCounts) tupleCounts {
 	return tupleCounts{u: grown}
 }
 
-// mergeTupleCounts sums in into acc (matching key codecs required).
+// exactMassLimit bounds every key mass a fold carries: whole counts below
+// 2^53 are exact in a count table's float64 and are all the decoder takes.
+const exactMassLimit = 1 << 53
+
+// errMassPastExact refuses a sum that would carry a key mass of 2^53 or
+// more, which no decoder accepts and no count table holds exactly.
+var errMassPastExact = errors.New("core: merged tuple mass reaches 2^53")
+
+// mergeTupleCounts sums in into acc (matching key codecs required). Both
+// sides' masses are below exactMassLimit, so each float64 sum rounds to at
+// least the limit exactly when the true sum reaches it.
 func mergeTupleCounts(acc, in tupleCounts) (tupleCounts, error) {
 	if (acc.u != nil) != (in.u != nil) {
 		return tupleCounts{}, fmt.Errorf("core: merging packed and string tuple maps")
@@ -188,12 +199,19 @@ func mergeTupleCounts(acc, in tupleCounts) (tupleCounts, error) {
 		for _, c := range in.u.cells {
 			acc.u.add(c.key, c.mass)
 		}
-	} else {
-		if acc.s == nil {
-			acc.s = make(map[string]uint64, len(in.s))
+		for _, c := range acc.u.cells {
+			if c.mass >= exactMassLimit {
+				return acc, errMassPastExact
+			}
 		}
-		for k, n := range in.s {
-			acc.s[k] += n
+		return acc, nil
+	}
+	if acc.s == nil {
+		acc.s = make(map[string]uint64, len(in.s))
+	}
+	for k, n := range in.s {
+		if acc.s[k] += n; acc.s[k] >= exactMassLimit {
+			return acc, errMassPastExact
 		}
 	}
 	return acc, nil

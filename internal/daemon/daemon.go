@@ -195,6 +195,13 @@ func Run(addr string, svc Service, deadline time.Duration, stop <-chan struct{},
 }
 
 func serve(ln net.Listener, svc Service, deadline time.Duration, stop <-chan struct{}, ready chan<- net.Addr) error {
+	// Caught before the "listening" line: a supervisor or harness may
+	// signal as soon as it reads that line, and an uncaught SIGINT kills
+	// the process without a drain.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	if ready != nil {
 		ready <- ln.Addr()
 	}
@@ -204,10 +211,6 @@ func serve(ln net.Listener, svc Service, deadline time.Duration, stop <-chan str
 
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	var serveErr error
 	select {

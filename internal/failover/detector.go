@@ -7,12 +7,6 @@
 // plane's half of the fencing contract.
 package failover
 
-import (
-	"time"
-
-	"keybin2/internal/xrand"
-)
-
 // Detector is a consecutive-miss failure detector with recovery
 // hysteresis — the poor engineer's phi-accrual: suspicion accrues one
 // miss at a time instead of from an inter-arrival distribution, which is
@@ -103,15 +97,4 @@ func (d *Detector) Suspicion() float64 {
 		s = 1
 	}
 	return s
-}
-
-// Jitter scales d by 1±frac using rng — the per-probe spread that keeps
-// a fleet of probers (or one prober's per-node probes) from landing in
-// lockstep. rng is not concurrency-safe; call from the goroutine that
-// owns it and pass the result into spawned work.
-func Jitter(rng *xrand.Stream, d time.Duration, frac float64) time.Duration {
-	if rng == nil || frac <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) * (1 + frac*(2*rng.Float64()-1)))
 }

@@ -1,11 +1,6 @@
 package failover
 
-import (
-	"testing"
-	"time"
-
-	"keybin2/internal/xrand"
-)
+import "testing"
 
 func TestDetectorConsecutiveMissDemotion(t *testing.T) {
 	d := NewDetector(3, 2)
@@ -93,33 +88,5 @@ func TestDetectorSuspicionAccrues(t *testing.T) {
 		if got := d.Suspicion(); got != w {
 			t.Fatalf("after %d misses suspicion = %v, want %v", i+1, got, w)
 		}
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	rng := xrand.New(42)
-	base := 100 * time.Millisecond
-	lo := time.Duration(float64(base) * 0.8)
-	hi := time.Duration(float64(base) * 1.2)
-	var saw [2]bool
-	for i := 0; i < 200; i++ {
-		j := Jitter(rng, base, 0.2)
-		if j < lo || j > hi {
-			t.Fatalf("jittered %v outside [%v, %v]", j, lo, hi)
-		}
-		if j < base {
-			saw[0] = true
-		} else if j > base {
-			saw[1] = true
-		}
-	}
-	if !saw[0] || !saw[1] {
-		t.Fatal("jitter never spread to both sides of the base duration")
-	}
-	if Jitter(nil, base, 0.2) != base {
-		t.Fatal("nil rng must pass the duration through")
-	}
-	if Jitter(rng, base, 0) != base {
-		t.Fatal("zero fraction must pass the duration through")
 	}
 }

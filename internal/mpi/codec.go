@@ -52,28 +52,6 @@ func DecodeUint64s(b []byte) ([]uint64, error) {
 	return out, nil
 }
 
-// EncodeInt64s serializes v.
-func EncodeInt64s(v []int64) []byte {
-	u := make([]uint64, len(v))
-	for i, x := range v {
-		u[i] = uint64(x)
-	}
-	return EncodeUint64s(u)
-}
-
-// DecodeInt64s deserializes a payload produced by EncodeInt64s.
-func DecodeInt64s(b []byte) ([]int64, error) {
-	u, err := DecodeUint64s(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(u))
-	for i, x := range u {
-		out[i] = int64(x)
-	}
-	return out, nil
-}
-
 // AppendBytesFrame appends a length-prefixed byte frame to dst.
 func AppendBytesFrame(dst, frame []byte) []byte {
 	var hdr [4]byte

@@ -38,14 +38,6 @@ func TestUint64sRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInt64sRoundTrip(t *testing.T) {
-	v := []int64{-5, 0, 7, math.MaxInt64, math.MinInt64}
-	got, err := DecodeInt64s(EncodeInt64s(v))
-	if err != nil || !reflect.DeepEqual(v, got) {
-		t.Fatalf("got %v err %v", got, err)
-	}
-}
-
 func TestDecodeBadLength(t *testing.T) {
 	if _, err := DecodeFloat64s(make([]byte, 7)); err == nil {
 		t.Fatal("length 7 should fail")

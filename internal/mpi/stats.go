@@ -106,17 +106,6 @@ func (s *Stats) CollectiveCalls(name string) int64 {
 	return 0
 }
 
-// CollectiveBytes returns the cross-rank payload bytes this rank sent while
-// inside top-level collectives of the named kind.
-func (s *Stats) CollectiveBytes(name string) int64 {
-	for i, n := range collNames {
-		if n == name {
-			return s.colls[i].bytes.Load()
-		}
-	}
-	return 0
-}
-
 // CollectiveSnapshot is the per-kind accounting inside a StatsSnapshot.
 type CollectiveSnapshot struct {
 	Calls int64 `json:"calls"`

@@ -202,18 +202,6 @@ var DefBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExpBuckets returns n bucket bounds starting at start, each factor times
-// the previous.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Counter registers (or fetches) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, kindCounter, nil, nil).seriesFor(nil).counter

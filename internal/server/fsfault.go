@@ -35,7 +35,6 @@ type FaultFS struct {
 	budgetArmed   bool
 	tearNextWrite bool
 	failSyncs     int // remaining Syncs to fail (sticky while > 0, -1 = all)
-	failSyncDirs  int
 	failRenames   int
 
 	// Counters for assertions.
@@ -66,13 +65,6 @@ func (f *FaultFS) FailSyncs(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failSyncs = n
-}
-
-// FailSyncDirs makes the next n SyncDir calls fail (-1 = every one).
-func (f *FaultFS) FailSyncDirs(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failSyncDirs = n
 }
 
 // FailRenames makes the next n Rename calls fail (-1 = every one).
@@ -117,15 +109,6 @@ func (f *FaultFS) Truncate(name string, size int64) error       { return f.Inner
 
 func (f *FaultFS) SyncDir(dir string) error {
 	f.SyncDirs.Add(1)
-	f.mu.Lock()
-	fail := f.failSyncDirs != 0
-	if f.failSyncDirs > 0 {
-		f.failSyncDirs--
-	}
-	f.mu.Unlock()
-	if fail {
-		return f.injected("fsync dir " + dir)
-	}
 	return f.Inner.SyncDir(dir)
 }
 

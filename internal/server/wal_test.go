@@ -430,3 +430,28 @@ func TestWALTruncateReopenResumesHorizon(t *testing.T) {
 		t.Fatalf("second reopen at seq %d, want 31", w3.LastSeq())
 	}
 }
+
+// One checkpoint state encodes to one byte string: the producer horizon is
+// written in ascending order, not in Go's per-run map order, and decodes
+// back to the same map.
+func TestWALCkptMetaDeterministic(t *testing.T) {
+	producers := map[string]uint64{"p-a": 3, "p-b": 17, "router/c": 1, "d": 1 << 40, "e-longer-id": 9}
+	want := encodeWALCkptMeta(42, producers)
+	for i := 0; i < 50; i++ {
+		if got := encodeWALCkptMeta(42, producers); string(got) != string(want) {
+			t.Fatalf("encode %d differs from the first encode", i)
+		}
+	}
+	m, err := decodeWALCkptMeta(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.coveredSeq != 42 || len(m.producers) != len(producers) {
+		t.Fatalf("decoded %+v", m)
+	}
+	for p, q := range producers {
+		if m.producers[p] != q {
+			t.Fatalf("producer %q: decoded seq %d, want %d", p, m.producers[p], q)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 )
 
 // WAL entry (little endian): producerLen u16 | producer | producerSeq u64
@@ -36,7 +37,8 @@ func decodeWALEntry(entry []byte) (producer string, pseq uint64, raw []byte, err
 // u64. coveredSeq is the newest WAL sequence whose batch is contained in
 // the checkpointed stream; the producer map restores the idempotency
 // horizon so replayed or retried duplicates stay deduplicated across
-// restarts.
+// restarts. Producers are written in ascending order, so one state always
+// encodes to the same bytes; the decoder accepts any order.
 const walCkptMetaVersion = 1
 
 type walCkptMeta struct {
@@ -49,10 +51,15 @@ func encodeWALCkptMeta(coveredSeq uint64, producers map[string]uint64) []byte {
 	out = append(out, walCkptMetaVersion)
 	out = binary.LittleEndian.AppendUint64(out, coveredSeq)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(producers)))
-	for p, q := range producers {
+	ids := make([]string, 0, len(producers))
+	for p := range producers {
+		ids = append(ids, p)
+	}
+	sort.Strings(ids)
+	for _, p := range ids {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(p)))
 		out = append(out, p...)
-		out = binary.LittleEndian.AppendUint64(out, q)
+		out = binary.LittleEndian.AppendUint64(out, producers[p])
 	}
 	return out
 }

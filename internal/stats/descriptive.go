@@ -33,8 +33,8 @@ func Variance(v []float64) float64 {
 	m := Mean(v)
 	var ss float64
 	for _, x := range v {
-		d := x - m
-		ss += d * d
+		x -= m
+		ss += float64(x * x)
 	}
 	return ss / float64(len(v)-1)
 }
@@ -55,11 +55,11 @@ func Percentile(v []float64, p float64) float64 {
 	}
 	pos := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
+	frac := float64(pos) - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Median returns the 50th percentile of v.
@@ -116,7 +116,7 @@ func NormalCDF(x, mu, sigma float64) float64 {
 func WeightedMeanStd(centers []float64, counts []uint64) (mean, std float64, total uint64) {
 	for i, c := range counts {
 		total += c
-		mean += centers[i] * float64(c)
+		mean += float64(centers[i] * float64(c))
 	}
 	if total == 0 {
 		return 0, 0, 0
@@ -125,7 +125,7 @@ func WeightedMeanStd(centers []float64, counts []uint64) (mean, std float64, tot
 	var ss float64
 	for i, c := range counts {
 		d := centers[i] - mean
-		ss += d * d * float64(c)
+		ss += float64(d * d * float64(c))
 	}
 	return mean, math.Sqrt(ss / float64(total)), total
 }

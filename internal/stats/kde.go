@@ -38,7 +38,7 @@ func KDEBinned(centers []float64, counts []uint64, bandwidth float64) []float64 
 				continue
 			}
 			u := (x - centers[j]) / h
-			s += float64(c) * math.Exp(-0.5*u*u)
+			s += float64(float64(c) * math.Exp(-0.5*u*u))
 		}
 		out[i] = s * norm
 	}

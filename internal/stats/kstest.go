@@ -43,7 +43,7 @@ func upperEdge(centers []float64, i int) float64 {
 	case i+1 < len(centers):
 		return (centers[i] + centers[i+1]) / 2
 	case len(centers) >= 2:
-		return centers[i] + (centers[i]-centers[i-1])/2
+		return centers[i] + float64((centers[i]-centers[i-1])/2)
 	default:
 		return centers[i]
 	}

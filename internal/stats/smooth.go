@@ -120,13 +120,13 @@ func LocalSlopes(v []float64, width int) []float64 {
 			y := v[j : j+4 : j+4]
 			x := float64(j)
 			sy0 += y[0]
-			sxy0 += x * y[0]
+			sxy0 += float64(x * y[0])
 			sy1 += y[1]
-			sxy1 += (x + 1) * y[1]
+			sxy1 += float64((x + 1) * y[1])
 			sy2 += y[2]
-			sxy2 += (x + 2) * y[2]
+			sxy2 += float64((x + 2) * y[2])
 			sy3 += y[3]
-			sxy3 += (x + 3) * y[3]
+			sxy3 += float64((x + 3) * y[3])
 		}
 		out[i] = windowSlope(n, lo, w, sy0, sxy0)
 		out[i+1] = windowSlope(n, lo+1, w, sy1, sxy1)
@@ -146,11 +146,11 @@ func windowSlope(n float64, lo, w int, sy, sxy float64) float64 {
 	hi := int64(lo + w - 1)
 	sx := float64((int64(lo) + hi) * int64(w) / 2)
 	sxx := float64(squareSum(hi) - squareSum(int64(lo)-1))
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return 0
 	}
-	return (n*sxy - sx*sy) / den
+	return (float64(n*sxy) - float64(sx*sy)) / den
 }
 
 // squareSum is 0² + 1² + … + m² (0 for m < 1).
@@ -191,14 +191,14 @@ func LocalSlopeAt(v []float64, width, i int) float64 {
 		x, y := float64(j), v[j]
 		sx += x
 		sy += y
-		sxy += x * y
-		sxx += x * x
+		sxy += float64(x * y)
+		sxx += float64(x * x)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return 0
 	}
-	return (n*sxy - sx*sy) / den
+	return (float64(n*sxy) - float64(sx*sy)) / den
 }
 
 // Diff returns the first discrete difference of v: out[i] = v[i+1]-v[i],
