@@ -15,8 +15,8 @@
 //
 //	keybin2failover -nodes http://a:7420,http://b:7421,http://c:7422
 //	                [-addr :7430] [-probe-every 500ms] [-probe-timeout 2s]
-//	                [-fail-after 3] [-recover-after 2] [-jitter 0.2]
-//	                [-seed 1] [-log-level info] [-pprof] [-slow-span 100ms]
+//	                [-fail-after 3] [-recover-after 2]
+//	                [-log-level info] [-pprof] [-slow-span 100ms]
 //
 // API:
 //
@@ -64,8 +64,6 @@ func main() {
 	flag.DurationVar(&cfg.ProbeTimeout, "probe-timeout", 2*time.Second, "per-node probe deadline (control calls get 5x)")
 	flag.IntVar(&cfg.FailAfter, "fail-after", 3, "consecutive missed probes before a node is declared down")
 	flag.IntVar(&cfg.RecoverAfter, "recover-after", 2, "consecutive successful probes before a down node is readmitted")
-	flag.Float64Var(&cfg.Jitter, "jitter", 0.2, "per-node probe jitter as a fraction of -probe-every")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "probe-jitter random seed")
 	flag.Parse()
 
 	if err := run(o, nil, nil); err != nil {
@@ -86,9 +84,6 @@ func buildConfig(o supervisorOpts) (failover.Config, error) {
 	}
 	if cfg.FailAfter < 1 || cfg.RecoverAfter < 1 {
 		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", cfg.FailAfter, cfg.RecoverAfter)
-	}
-	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
-		return cfg, fmt.Errorf("-jitter wants a fraction in [0,1), got %g", cfg.Jitter)
 	}
 	cfg.EnablePprof = o.Pprof
 	return cfg, nil

@@ -16,16 +16,16 @@
 // and caught up to the current global model before it serves. The health
 // loop runs the failure detector from internal/failover: -fail-after
 // consecutive missed probes mark a shard down, -recover-after consecutive
-// hits readmit it (flap hysteresis), and each shard's probe is jittered
-// by ±(-probe-jitter × -health-every) so probes never land in lockstep.
+// hits readmit it (flap hysteresis), and the probes of a round are spread
+// by failover.Prober's jitter so they never land in lockstep.
 //
 // Usage:
 //
 //	keybin2router -shards http://h1:7420,http://h2:7420,http://h3:7420
 //	              -dims 16 -range -10,10 [-addr :7410] [-trials 5]
-//	              [-seed 1] [-depth 0] [-vnodes 64] [-merge-every 10s]
+//	              [-seed 1] [-depth 0] [-merge-every 10s]
 //	              [-health-every 500ms] [-shard-timeout 10s]
-//	              [-fail-after 2] [-recover-after 2] [-probe-jitter 0.2]
+//	              [-fail-after 2] [-recover-after 2]
 //	              [-node-id id] [-log-level info] [-pprof] [-slow-span 50ms]
 //
 // The stream flags (-dims -range -trials -seed -depth) MUST match the
@@ -82,13 +82,11 @@ func main() {
 	flag.Int64Var(&sc.Seed, "seed", 1, "random seed — must match the shards")
 	flag.IntVar(&sc.Depth, "depth", 0, "binning tree depth — must match the shards")
 	flag.StringVar(&o.rawRange, "range", "", "per-dimension bounds 'lo,hi' — required, must match the shards")
-	flag.IntVar(&cfg.VNodes, "vnodes", 64, "virtual ring points per shard")
 	flag.DurationVar(&cfg.MergeEvery, "merge-every", 10*time.Second, "merge-epoch cadence (0 = manual via POST /merge)")
 	flag.DurationVar(&cfg.HealthEvery, "health-every", 500*time.Millisecond, "shard health-probe cadence")
 	flag.DurationVar(&cfg.ShardTimeout, "shard-timeout", 10*time.Second, "per-shard request deadline")
 	flag.IntVar(&cfg.FailThreshold, "fail-after", 2, "consecutive missed health probes before a shard is marked down")
 	flag.IntVar(&cfg.RecoverThreshold, "recover-after", 2, "consecutive successful probes before a down shard is readmitted")
-	flag.Float64Var(&cfg.ProbeJitter, "probe-jitter", 0.2, "per-shard probe jitter as a fraction of -health-every")
 	flag.StringVar(&o.nodeID, "node-id", "", "stable router identity for logs (default: the run_id)")
 	flag.Parse()
 
@@ -115,9 +113,6 @@ func buildConfig(o routerOpts) (shardcluster.Config, error) {
 	}
 	if cfg.FailThreshold < 1 || cfg.RecoverThreshold < 1 {
 		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", cfg.FailThreshold, cfg.RecoverThreshold)
-	}
-	if cfg.ProbeJitter < 0 || cfg.ProbeJitter >= 1 {
-		return cfg, fmt.Errorf("-probe-jitter wants a fraction in [0,1), got %g", cfg.ProbeJitter)
 	}
 	for _, s := range strings.Split(o.shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -157,7 +152,7 @@ func run(o routerOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 		Logger:  logger,
 		Banner: []obs.Attr{
 			obs.KV("node_id", nodeID), obs.KV("role", "router"),
-			obs.KV("shards", len(cfg.Shards)), obs.KV("vnodes", cfg.VNodes),
+			obs.KV("shards", len(cfg.Shards)),
 			obs.KV("merge_every", cfg.MergeEvery), obs.KV("pprof", o.Pprof)},
 	}, shutdownDeadline, stop, ready)
 	if err == nil {

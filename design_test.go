@@ -210,6 +210,32 @@ var designRules = []designRule{
 			{"internal/partition/partition.go", "func smooth(c []float64) []float64 { return stats.MovingAverage(c, 3) }"},
 		},
 	},
+	{
+		name: "one probe round", section: "Failover (supervisor election + epoch fencing)", pr: "failover.Prober",
+		check: func(tr *tree) []string {
+			var bad []string
+			if im := tr.importers("keybin2/internal/xrand", both(inDir("internal/shardcluster"), nonTest)); len(im) > 0 {
+				bad = append(bad, fmt.Sprintf("%v import internal/xrand: the router probes through failover.Prober, which owns the jitter stream", im))
+			}
+			controlPlanes := func(p string) bool {
+				return nonTest(p) && (inDir("internal/shardcluster")(p) || inDir("internal/failover")(p))
+			}
+			draws := tr.find(controlPlanes, call("", "Float64"))
+			if len(draws) == 0 {
+				bad = append(bad, "no Float64 draw in internal/failover: the rule lost its target")
+			}
+			for _, s := range draws {
+				if s.in != "(*Prober).Round" {
+					bad = append(bad, s.String()+": a probe delay is drawn by (*Prober).Round alone")
+				}
+			}
+			return bad
+		},
+		breaks: []overlay{
+			{"internal/shardcluster/router.go", "import \"keybin2/internal/xrand\""},
+			{"internal/failover/supervisor.go", "func (s *Supervisor) delay() time.Duration { return time.Duration(s.prober.rng.Float64() * 0.2 * float64(s.cfg.ProbeEvery)) }"},
+		},
+	},
 }
 
 func TestDesignRules(t *testing.T) {
@@ -254,7 +280,7 @@ type designRule struct {
 }
 
 // overlay is source laid over one file of the tree: appended to a file that
-// exists, or a whole new file.
+// exists (an import goes after its package clause), or a whole new file.
 type overlay struct {
 	path, src string
 }
@@ -335,6 +361,10 @@ func (tr *tree) with(o overlay) (*tree, error) {
 	src := o.src
 	if f, ok := tr.files[o.path]; ok {
 		src = f.src + "\n" + o.src + "\n"
+		if strings.HasPrefix(o.src, "import ") {
+			at := tr.fset.Position(f.ast.Name.End()).Offset
+			src = f.src[:at] + "\n\n" + o.src + "\n" + f.src[at:]
+		}
 	}
 	return out, out.parse(o.path, src)
 }

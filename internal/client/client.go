@@ -95,9 +95,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling (default 5s).
 	MaxBackoff time.Duration
-	// Jitter is the ± fraction applied to each wait (default 0.2) so a
-	// fleet of producers rejected together doesn't retry together.
-	Jitter float64
 	// OnRetry, when set, observes each scheduled retry.
 	OnRetry func(attempt int, wait time.Duration, err error)
 }
@@ -111,9 +108,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 5 * time.Second
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = 0.2
 	}
 	return p
 }
@@ -415,8 +409,12 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 250 * time.Millisecond
 }
 
-// jitter scales wait by 1±policy.Jitter.
-func (c *Client) jitter(wait time.Duration, frac float64) time.Duration {
+// retryJitter is the ± fraction applied to each retry wait, so a fleet of
+// producers rejected together doesn't retry together.
+const retryJitter = 0.2
+
+// jitter scales wait by 1±retryJitter.
+func (c *Client) jitter(wait time.Duration) time.Duration {
 	rng := c.rng.Load()
 	if rng == nil {
 		rng = xrand.New(time.Now().UnixNano())
@@ -424,7 +422,7 @@ func (c *Client) jitter(wait time.Duration, frac float64) time.Duration {
 			rng = c.rng.Load()
 		}
 	}
-	f := 1 + frac*(2*rng.Float64()-1)
+	f := 1 + retryJitter*(2*rng.Float64()-1)
 	return time.Duration(float64(wait) * f)
 }
 
@@ -495,7 +493,7 @@ func (c *Client) ingestRawRetry(ctx context.Context, raw []byte, rows int, pseq 
 		if wait > p.MaxBackoff {
 			wait = p.MaxBackoff
 		}
-		sleep := c.jitter(wait, p.Jitter)
+		sleep := c.jitter(wait)
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, sleep, err)
 		}

@@ -15,6 +15,13 @@ import (
 	"keybin2/internal/xrand"
 )
 
+const (
+	// queryBatch is the points per label query.
+	queryBatch = 64
+	// loadComponents is the synthetic mixture's cluster count.
+	loadComponents = 4
+)
+
 // LoadConfig drives the load generator: concurrent ingesters pushing
 // synthetic mixture batches while query workers hammer /label, measuring
 // both sides of the single-writer/many-reader architecture at once.
@@ -28,11 +35,8 @@ type LoadConfig struct {
 	// Ingesters is the number of concurrent ingest workers (default 4).
 	Ingesters int
 	// QueryWorkers label-query workers run for the whole ingest window
-	// (default 2); QueryBatch is points per query (default 64).
+	// (default 2), each asking for queryBatch points per query.
 	QueryWorkers int
-	QueryBatch   int
-	// Components is the synthetic mixture's cluster count (default 4).
-	Components int
 	// Seed drives the synthetic data (ingester i uses Seed+i).
 	Seed int64
 	// ReadAddrs are additional read endpoints — follower replicas. Label
@@ -65,12 +69,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.QueryWorkers = 0
 	} else if c.QueryWorkers == 0 {
 		c.QueryWorkers = 2
-	}
-	if c.QueryBatch <= 0 {
-		c.QueryBatch = 64
-	}
-	if c.Components <= 0 {
-		c.Components = 4
 	}
 	return c
 }
@@ -128,7 +126,7 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 		Points: cfg.Points, Dims: cfg.Dims, BatchSize: cfg.BatchSize,
 		Ingesters: cfg.Ingesters, QueryWorkers: cfg.QueryWorkers,
 	}
-	spec := synth.AutoMixture(cfg.Components, cfg.Dims, 6, 1, xrand.New(cfg.Seed))
+	spec := synth.AutoMixture(loadComponents, cfg.Dims, 6, 1, xrand.New(cfg.Seed))
 
 	// Tolerant pre-scrape: metric deltas are a bonus, never a reason to
 	// fail a load run against an older or metrics-less daemon.
@@ -166,7 +164,7 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 	for q := 0; q < cfg.QueryWorkers; q++ {
 		rng := xrand.New(cfg.Seed + 1000 + int64(q))
 		for i := 0; i < queryPool; i++ {
-			batch, _ := spec.Sample(cfg.QueryBatch, rng)
+			batch, _ := spec.Sample(queryBatch, rng)
 			queryBatches[q] = append(queryBatches[q], batch)
 		}
 	}

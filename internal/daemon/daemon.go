@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -155,6 +156,22 @@ func ParseRange(spec string, dims int) ([][2]float64, error) {
 		ranges[i] = [2]float64{lo, hi}
 	}
 	return ranges, nil
+}
+
+// BaseURL checks a peer's base URL — a shard behind keybin2router, a
+// node under keybin2failover — and returns it without trailing slashes.
+// It must parse as an absolute http or https URL with a host: a request
+// to anything else cannot be built, so the peer could never be probed.
+func BaseURL(raw string) (string, error) {
+	u := strings.TrimRight(raw, "/")
+	p, err := url.Parse(u)
+	if err != nil {
+		return "", err // a *url.Error, which names the URL
+	}
+	if (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" {
+		return "", fmt.Errorf("bad URL %q: want an absolute http(s) URL with a host", raw)
+	}
+	return u, nil
 }
 
 // readHeaderTimeout bounds how long a connection may take to deliver a

@@ -1,9 +1,10 @@
 // Package failover is the replica-set control plane: a failure detector
-// with flap hysteresis, and a supervisor that watches a 1-primary/
-// N-follower keybin2d group, deterministically elects the most-caught-up
-// live follower when the primary dies, promotes it under a freshly
-// minted fencing epoch, and fences or re-points every other node — no
-// operator in the loop. See internal/server/failover.go for the data
+// with flap hysteresis, the jittered probe round (Prober) that the shard
+// router's health loop also runs, and a supervisor that watches a
+// 1-primary/N-follower keybin2d group, deterministically elects the
+// most-caught-up live follower when the primary dies, promotes it under a
+// freshly minted fencing epoch, and fences or re-points every other node
+// — no operator in the loop. See internal/server/failover.go for the data
 // plane's half of the fencing contract.
 package failover
 

@@ -14,13 +14,12 @@ import (
 	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
-	"keybin2/internal/xrand"
 )
 
 // Supervisor turns a fixed set of keybin2d nodes into a self-healing
-// replica set. Each probe round it polls every node's /stats (in
-// parallel, with per-probe jitter), feeds the results into per-node
-// failure detectors, and converges the fleet toward one fenced epoch:
+// replica set. Each probe round it polls every node's /stats (one Prober
+// round), feeds the results into per-node failure detectors, and
+// converges the fleet toward one fenced epoch:
 //
 //   - Unmanaged group: adopt the live primary and mint epoch 1 (or
 //     re-learn the fleet's highest epoch — the epoch lives in the data
@@ -42,7 +41,7 @@ import (
 // one fleet is an operator error the epochs mitigate but do not excuse.
 type Supervisor struct {
 	cfg    Config
-	rng    *xrand.Stream // probe jitter; only touched on the Round goroutine
+	prober *Prober // only touched on the Round goroutine
 	tracer *obs.Tracer
 
 	mu           sync.Mutex
@@ -72,13 +71,6 @@ type Config struct {
 	// successes (default 2) — the flap hysteresis.
 	FailAfter    int
 	RecoverAfter int
-	// Jitter spreads each node's probe within the round by ±this
-	// fraction of ProbeEvery (default 0.2), so probes never land in
-	// lockstep across the fleet.
-	Jitter float64
-	// HTTPClient, when set, carries all probe and control traffic (tests
-	// inject one bound to httptest servers).
-	HTTPClient *http.Client
 	// Logf receives decision log lines (elections, fences, verdicts).
 	Logf func(format string, args ...any)
 	// Registry receives the supervisor's metrics (default: private).
@@ -91,8 +83,6 @@ type Config struct {
 	RunID string
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
-	// Seed fixes the jitter stream (default 1).
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -108,13 +98,7 @@ func (c Config) withDefaults() Config {
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 2
 	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
 	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 128)
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -137,26 +121,23 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	s := &Supervisor{
 		cfg:    cfg,
-		rng:    xrand.New(cfg.Seed),
+		prober: NewProber(cfg.ProbeEvery),
 		tracer: cfg.Tracer,
 		done:   make(chan struct{}),
 	}
 	seenURL := map[string]bool{}
 	for _, n := range cfg.Nodes {
-		u := strings.TrimRight(n, "/")
-		if u == "" || seenURL[u] {
-			return nil, fmt.Errorf("failover: empty or duplicate node url %q", n)
+		u, err := daemon.BaseURL(n)
+		if err != nil {
+			return nil, fmt.Errorf("failover: node: %w", err)
+		}
+		if seenURL[u] {
+			return nil, fmt.Errorf("failover: duplicate node url %q", n)
 		}
 		seenURL[u] = true
-		var cl *client.Client
-		if cfg.HTTPClient != nil {
-			cl = client.NewWithHTTPClient(u, cfg.HTTPClient)
-		} else {
-			cl = client.New(u)
-		}
 		s.members = append(s.members, &member{
 			url: u,
-			cl:  cl,
+			cl:  client.New(u),
 			det: NewDetector(cfg.FailAfter, cfg.RecoverAfter),
 		})
 	}
@@ -197,10 +178,10 @@ func (s *Supervisor) Stop() {
 	s.wg.Wait()
 }
 
-// Round runs one probe-and-converge round: parallel jittered probes,
-// detector updates, then adoption/election/fencing as the fleet's state
-// demands. Exported so tests (and the chaos harness) can drive the
-// control plane deterministically without the wall-clock loop.
+// Round runs one probe-and-converge round: a Prober round of /stats
+// probes, detector updates, then adoption/election/fencing as the
+// fleet's state demands. Exported so tests (and the chaos harness) can
+// drive the control plane deterministically without the wall-clock loop.
 func (s *Supervisor) Round(ctx context.Context) {
 	// One trace per round: a probe span per node, a converge span, and
 	// outcome tags (primary, epoch, elections/fences this round) — the
@@ -212,28 +193,14 @@ func (s *Supervisor) Round(ctx context.Context) {
 		err error
 	}
 	results := make([]probe, len(s.members))
-	var wg sync.WaitGroup
-	for i, m := range s.members {
-		// The jitter stream is not concurrency-safe: delays are drawn
-		// here, on the round goroutine, and handed into the probes.
-		delay := time.Duration(s.rng.Float64() * s.cfg.Jitter * float64(s.cfg.ProbeEvery))
-		wg.Add(1)
-		go func(i int, m *member, delay time.Duration) {
-			defer wg.Done()
-			sp := tr.Span("probe", obs.KV("node", m.url))
-			defer func() { sp.End(obs.KV("ok", results[i].err == nil)) }()
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				results[i].err = ctx.Err()
-				return
-			}
-			pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
-			defer cancel()
-			results[i].st, results[i].err = m.cl.Stats(pctx)
-		}(i, m, delay)
-	}
-	wg.Wait()
+	s.prober.Round(ctx, len(s.members), func(ctx context.Context, i int) {
+		m := s.members[i]
+		sp := tr.Span("probe", obs.KV("node", m.url))
+		pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
+		defer cancel()
+		results[i].st, results[i].err = m.cl.Stats(pctx)
+		sp.End(obs.KV("ok", results[i].err == nil))
+	})
 	if ctx.Err() != nil {
 		tr.AddAttrs(obs.KV("outcome", "aborted"))
 		return // shutdown mid-round: stale misses must not demote anyone

@@ -476,3 +476,13 @@ func TestSupervisorStatusAndHandler(t *testing.T) {
 	}
 	mt.Body.Close()
 }
+
+// TestSupervisorRefusesMalformedNodeURL: a node URL no probe could be
+// built for is a config error at New, not a node reported down forever.
+func TestSupervisorRefusesMalformedNodeURL(t *testing.T) {
+	for _, u := range []string{"http://[::1", "127.0.0.1:7420", "ftp://h:7420", "http://", "/node"} {
+		if _, err := New(Config{Nodes: []string{"http://127.0.0.1:1", u}}); err == nil {
+			t.Errorf("New accepted node URL %q", u)
+		}
+	}
+}

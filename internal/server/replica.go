@@ -57,10 +57,7 @@ var errTailInterrupted = errors.New("tail interrupted")
 // shutdown, true after a promotion switched the node's role (serve()
 // re-enters as runLoop on this same goroutine).
 func (s *Server) followLoop() bool {
-	client := s.cfg.FollowHTTP
-	if client == nil {
-		client = defaultFollowClient(s.cfg.FollowPoll)
-	}
+	client := defaultFollowClient(s.cfg.FollowPoll)
 	var ckptC <-chan time.Time
 	if s.cfg.CheckpointPath != "" {
 		t := time.NewTicker(s.cfg.CheckpointEvery)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -93,10 +92,6 @@ type Config struct {
 	// FollowMaxBackoff caps the follower's reconnect backoff after a
 	// failed or dropped tail connection (default 5s).
 	FollowMaxBackoff time.Duration
-	// FollowHTTP is the HTTP client the follower tails with (default: a
-	// dedicated client with bounded dial/TLS/first-byte timeouts; tests
-	// inject one bound to an httptest server).
-	FollowHTTP *http.Client
 	// Epoch is the node's initial fencing epoch (default 0 = unmanaged).
 	// A failover supervisor raises it via /promote, /fence, or /epoch;
 	// see failover.go for the fencing invariants.

@@ -482,3 +482,17 @@ func TestClusterNoShardsReady(t *testing.T) {
 		t.Fatal("merge with no shards up should fail")
 	}
 }
+
+// TestRouterRefusesMalformedShardURL: a shard URL the router could never
+// build a request for is a config error at New, not a nil request on the
+// first health round.
+func TestRouterRefusesMalformedShardURL(t *testing.T) {
+	for _, u := range []string{"http://[::1", "127.0.0.1:7420", "ftp://h:7420", "http://", "/shard"} {
+		if _, err := shardcluster.New(shardcluster.Config{
+			Shards: []string{"http://127.0.0.1:1", u},
+			Stream: shardConfig(3),
+		}); err == nil {
+			t.Errorf("New accepted shard URL %q", u)
+		}
+	}
+}

@@ -92,15 +92,15 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 	return true
 }
 
-// readBody reads a proxied request's body, bounded by MaxBodyBytes. A
+// readBody reads a proxied request's body, bounded by maxBodyBytes. A
 // nil return means the error response was already written.
 func (r *Router) readBody(w http.ResponseWriter, req *http.Request) []byte {
-	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil
 	}
-	if int64(len(body)) > r.cfg.MaxBodyBytes {
+	if int64(len(body)) > maxBodyBytes {
 		http.Error(w, "batch exceeds router body limit", http.StatusRequestEntityTooLarge)
 		return nil
 	}
@@ -277,7 +277,7 @@ type ringInfo struct {
 
 func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 	info := ringInfo{
-		VNodes:    r.cfg.VNodes,
+		VNodes:    vnodes,
 		Ownership: r.ring.Ownership(r.isUp),
 		Balance:   r.ring.BalanceCoefficient(r.isUp),
 		Up:        make(map[string]bool, len(r.order)),

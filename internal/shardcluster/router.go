@@ -15,7 +15,13 @@ import (
 	"keybin2/internal/daemon"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
-	"keybin2/internal/xrand"
+)
+
+const (
+	// vnodes is the virtual points per shard on the hash ring.
+	vnodes = 64
+	// maxBodyBytes bounds proxied request bodies and pulled /hist states.
+	maxBodyBytes = 64 << 20
 )
 
 // Config tunes a shard Router.
@@ -27,8 +33,6 @@ type Config struct {
 	// derives the global model with it. RawRanges is required (shards need
 	// congruent histograms) and DecayFactor must be off.
 	Stream core.StreamConfig
-	// VNodes is the virtual points per shard on the hash ring (default 64).
-	VNodes int
 	// MergeEvery is the merge-epoch cadence (0 = manual only via
 	// POST /merge — tests and CI drive epochs explicitly).
 	MergeEvery time.Duration
@@ -42,20 +46,9 @@ type Config struct {
 	// a down shard (default 2) — the flap hysteresis: a shard oscillating
 	// at the probe cadence stays down instead of thrashing the ring.
 	RecoverThreshold int
-	// ProbeJitter spreads each shard's probe within the round by this
-	// fraction of HealthEvery (default 0.2), so a cluster of shards never
-	// sees the router's probes land in lockstep.
-	ProbeJitter float64
-	// Seed fixes the probe-jitter stream (default 1).
-	Seed int64
 	// ShardTimeout bounds every proxied or collective request to one
 	// shard (default 10s).
 	ShardTimeout time.Duration
-	// MaxBodyBytes bounds proxied request bodies (default 64 MiB).
-	MaxBodyBytes int64
-	// HTTPClient overrides the pooled transport (tests inject one bound
-	// to httptest servers).
-	HTTPClient *http.Client
 	// Registry backs GET /metrics (default: fresh).
 	Registry *obs.Registry
 	// Tracer records distributed traces — proxied ingest/label hops and
@@ -70,9 +63,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 500 * time.Millisecond
 	}
@@ -82,17 +72,8 @@ func (c Config) withDefaults() Config {
 	if c.RecoverThreshold <= 0 {
 		c.RecoverThreshold = 2
 	}
-	if c.ProbeJitter <= 0 {
-		c.ProbeJitter = 0.2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 256)
 	return c
@@ -144,7 +125,7 @@ type Router struct {
 	hc     *http.Client
 	tel    *routerTelemetry
 	tracer *obs.Tracer
-	rng    *xrand.Stream // probe jitter; only touched on the health loop goroutine
+	prober *failover.Prober // only touched on the health loop goroutine
 
 	// mergeMu serializes merge epochs (ticker + manual POST /merge +
 	// catch-up installs all contend); epoch and lastInstall publish the
@@ -153,9 +134,10 @@ type Router struct {
 	epoch       atomic.Int64
 	lastInstall atomic.Pointer[installedBlob]
 
-	rr   atomic.Uint64 // round-robin cursor for untagged ingest + labels
-	done chan struct{}
-	wg   sync.WaitGroup
+	rr     atomic.Uint64   // round-robin cursor for untagged ingest + labels
+	ctx    context.Context // cancelled by Stop
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // New builds a Router. Every shard starts presumed up; the first health
@@ -172,9 +154,9 @@ func New(cfg Config) (*Router, error) {
 	names := make([]string, 0, len(cfg.Shards))
 	shards := make(map[string]*shard, len(cfg.Shards))
 	for _, raw := range cfg.Shards {
-		u := strings.TrimRight(raw, "/")
-		if u == "" {
-			return nil, fmt.Errorf("shardcluster: empty shard URL")
+		u, err := daemon.BaseURL(raw)
+		if err != nil {
+			return nil, fmt.Errorf("shardcluster: shard: %w", err)
 		}
 		if _, dup := shards[u]; dup {
 			return nil, fmt.Errorf("shardcluster: duplicate shard %q", u)
@@ -185,29 +167,27 @@ func New(cfg Config) (*Router, error) {
 		shards[u] = sh
 		names = append(names, u)
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			Proxy:               http.ProxyFromEnvironment,
-			MaxIdleConnsPerHost: 32,
-			WriteBufferSize:     128 << 10,
-			ReadBufferSize:      64 << 10,
-		}}
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	r := &Router{
 		cfg:    cfg,
 		ring:   ring,
 		shards: shards,
 		order:  names,
 		global: global,
-		hc:     hc,
+		hc: &http.Client{Transport: &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			MaxIdleConnsPerHost: 32,
+			WriteBufferSize:     128 << 10,
+			ReadBufferSize:      64 << 10,
+		}},
 		tracer: cfg.Tracer,
-		rng:    xrand.New(cfg.Seed),
-		done:   make(chan struct{}),
+		prober: failover.NewProber(cfg.HealthEvery),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	r.tel = newRouterTelemetry(cfg.Registry, cfg.RunID, r)
 	return r, nil
@@ -230,9 +210,10 @@ func (r *Router) Start() {
 	}
 }
 
-// Stop halts the loops. In-flight proxied requests are not interrupted.
+// Stop halts the loops and cuts off in-flight health probes. In-flight
+// proxied requests are not interrupted.
 func (r *Router) Stop() {
-	close(r.done)
+	r.cancel()
 	r.wg.Wait()
 }
 
@@ -322,50 +303,43 @@ func (r *Router) healthLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.done:
+		case <-r.ctx.Done():
 			return
 		case <-t.C:
-			r.healthRound()
+			r.prober.Round(r.ctx, len(r.order), func(ctx context.Context, i int) {
+				r.probeShard(ctx, r.shards[r.order[i]])
+			})
 		}
 	}
 }
 
-func (r *Router) healthRound() {
-	var wg sync.WaitGroup
-	for _, n := range r.order {
-		sh := r.shards[n]
-		// The jitter stream is not concurrency-safe: each shard's probe
-		// offset is drawn here, on the health-loop goroutine, and handed
-		// into the probe.
-		delay := time.Duration(r.rng.Float64() * r.cfg.ProbeJitter * float64(r.cfg.HealthEvery))
-		wg.Add(1)
-		go func(sh *shard, delay time.Duration) {
-			defer wg.Done()
-			select {
-			case <-time.After(delay):
-			case <-r.done:
-				return // shutdown: a skipped probe must not count as a miss
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-			defer cancel()
-			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/healthz", nil)
-			resp, err := r.hc.Do(req)
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			if err == nil && resp.StatusCode == http.StatusOK {
-				r.observeProbe(sh, true, "")
-				return
-			}
-			why := "health probe failed"
-			if err != nil {
-				why = err.Error()
-			}
-			r.observeProbe(sh, false, why)
-		}(sh, delay)
+// probeShard GETs one shard's /healthz and feeds the outcome to its
+// detector as the probe lands. A probe that Stop cuts off is not a miss.
+func (r *Router) probeShard(ctx context.Context, sh *shard) {
+	pctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, sh.url+"/healthz", nil)
+	if err != nil {
+		r.observeProbe(sh, false, err.Error())
+		return
 	}
-	wg.Wait()
+	resp, err := r.hc.Do(req)
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil && resp.StatusCode == http.StatusOK {
+		r.observeProbe(sh, true, "")
+		return
+	}
+	if ctx.Err() != nil {
+		return
+	}
+	why := "health probe failed"
+	if err != nil {
+		why = err.Error()
+	}
+	r.observeProbe(sh, false, why)
 }
 
 func (r *Router) mergeLoop() {
@@ -374,7 +348,7 @@ func (r *Router) mergeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.done:
+		case <-r.ctx.Done():
 			return
 		case <-t.C:
 			if _, err := r.MergeOnce(context.Background()); err != nil {
@@ -447,7 +421,7 @@ func (r *Router) MergeOnce(ctx context.Context) (MergeResult, error) {
 				pulls[i] = pull{sh: sh, err: err}
 				return
 			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
+			body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 			resp.Body.Close()
 			if err != nil {
 				r.markDown(sh, "hist read: "+err.Error())
