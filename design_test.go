@@ -125,7 +125,7 @@ var designRules = []designRule{
 		},
 		breaks: []overlay{
 			{"internal/core/stream.go", "func pickAgain(as []quality.Assessment) int { return quality.SelectBest(as) }"},
-			{"internal/core/distributed.go", "func assessAgain(cfg Config) { trialModel(nil, nil, nil, tupleCounts{}, cfg, 0) }"},
+			{"internal/core/distributed.go", "func assessAgain(cfg Config) { trialModel(nil, nil, nil, nil, cfg, 0) }"},
 			{"internal/core/fit.go", "func spawn() { go func() {}() }"},
 			{"internal/core/distributed.go", "var rankWait sync.WaitGroup"},
 		},
@@ -178,26 +178,30 @@ var designRules = []designRule{
 		},
 	},
 	{
-		name: "one count table", section: "Ingest hot path", pr: "30, 39",
+		name: "one count table", section: "Ingest hot path", pr: "30, 39, multi-word keys",
 		check: func(tr *tree) []string {
 			var bad []string
-			uint64Map := func(n ast.Node) bool {
+			core := both(inDir("internal/core"), nonTest)
+			keyedMap := func(n ast.Node) bool {
 				m, ok := n.(*ast.MapType)
 				if !ok {
 					return false
 				}
 				k, ok := m.Key.(*ast.Ident)
-				return ok && k.Name == "uint64"
+				return ok && (k.Name == "uint64" || k.Name == "string")
 			}
-			var in []string
-			for _, s := range tr.find(both(inDir("internal/core"), nonTest), uint64Map) {
-				in = append(in, s.in)
-				if s.in != "Model.labelOf" && s.in != "(*Model).installLabels" {
-					bad = append(bad, s.String()+": a packed key→mass value is a flatTable; map[uint64]… is Model.labelOf's alone")
-				}
+			for _, s := range tr.find(core, keyedMap) {
+				bad = append(bad, s.String()+": a key → mass or key → label value is a flatTable of W-word keys, not a map[uint64]… or map[string]…")
 			}
-			if !slices.Contains(in, "Model.labelOf") {
-				bad = append(bad, "Model.labelOf is no map[uint64]…: the rule lost its target")
+			for _, s := range tr.find(core, either(selector("keys", "Counter"), selector("keys", "NewCounter"))) {
+				bad = append(bad, s.String()+": sketch masses live in a flatTable at every width, not a keys.Counter")
+			}
+			tables := tr.find(core, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				return ok && ts.Name.Name == "flatTable"
+			})
+			if len(tables) != 1 {
+				bad = append(bad, fmt.Sprintf("internal/core declares flatTable %d times, not once: the rule lost its target", len(tables)))
 			}
 			for _, s := range tr.find(both(inDir("internal/partition"), nonTest), call("stats", "MovingAverage")) {
 				bad = append(bad, s.String()+": the partitioner smooths with stats.MovingAverageCounts; MovingAverage is its test reference")
@@ -207,6 +211,10 @@ var designRules = []designRule{
 		breaks: []overlay{
 			{"internal/core/stream_sketch.go", "type sketchMap map[uint64]float64"},
 			{"internal/core/tuplekey.go", "func recount() map[uint64]uint64 { return nil }"},
+			{"internal/core/model.go", "type labelMap map[uint64]int"},
+			{"internal/core/fold.go", "func wideCounts() map[string]uint64 { return nil }"},
+			{"internal/core/stream.go", "var sketchFallback *keys.Counter"},
+			{"internal/core/stream_sketch.go", "var newSketch = keys.NewCounter"},
 			{"internal/partition/partition.go", "func smooth(c []float64) []float64 { return stats.MovingAverage(c, 3) }"},
 		},
 	},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // TestStoredBinKeyIsLabelerKey is the property the fit's count and label
 // passes stand on: a point's bin as binAll stores it is Hist.Bin of its
 // float, the key ORed from its stored bins is labeler.key of its floats,
-// and the string codec's segments from its stored bins are segmentsOfRow's.
+// and that key holds the segments Result.SegmentOf gives its bins.
 // Rows mix NaN, ±Inf, ±0, every bin edge and the floats either side of it,
 // each range's min and max, values far out of range and uniform draws;
 // dimensions mix collapsed ones and zero-width ranges (which histogram.New
@@ -63,8 +64,8 @@ func TestStoredBinKeyIsLabelerKey(t *testing.T) {
 		view := viewOf(data)
 		binAll(view, []*histogram.Set{set}, 3)
 		parts, collapsed := randomParts(rng, dims, set.Dims[0].Bins(), 6, 0.3)
-		lab := newLabeler(set, parts, collapsed, newTupleCodec(parts, collapsed))
-		segs, want := make([]int, dims), make([]int, dims)
+		lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+		got, ref, want := make([]uint64, lab.words()), make([]uint64, lab.words()), make([]int, dims)
 		for i := 0; i < rows; i++ {
 			x, b := data.Row(i), view.bins[i/blockRows][i%blockRows*dims:][:dims]
 			for j, h := range set.Dims {
@@ -72,13 +73,19 @@ func TestStoredBinKeyIsLabelerKey(t *testing.T) {
 					t.Fatalf("trial %d row %d dim %d: stored bin %d, Hist.Bin(%v) = %d", trial, i, j, b[j], x[j], h.Bin(x[j]))
 				}
 			}
-			if got, ref := lab.binKey(b), lab.key(x); got != ref {
+			lab.binKey(got, b)
+			lab.key(ref, x)
+			if !slices.Equal(got, ref) {
 				t.Fatalf("trial %d row %d %v: key from stored bins %#x, labeler.key %#x", trial, i, x, got, ref)
 			}
-			segmentsOfBins(b, parts, collapsed, segs)
-			segmentsOfRow(x, set, parts, collapsed, want)
-			if !reflect.DeepEqual(segs, want) {
-				t.Fatalf("trial %d row %d %v: segments from stored bins %v, segmentsOfRow %v", trial, i, x, segs, want)
+			for j, h := range set.Dims {
+				want[j] = 0
+				if !collapsed[j] {
+					want[j] = parts[j].SegmentOf(h.Bin(x[j]))
+				}
+			}
+			if segs := lab.layout.unpack(got); !reflect.DeepEqual(segs, want) {
+				t.Fatalf("trial %d row %d %v: segments in the stored-bin key %v, SegmentOf %v", trial, i, x, segs, want)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/partition"
@@ -211,15 +210,12 @@ func DecodeModel(b []byte) (*Model, error) {
 		}
 	}
 	// The wire format stores segments explicitly (it predates — and is
-	// unaffected by — the packed-uint64 tuple keys); the codec, fused
-	// labeling kernel, and tuple→label map are rebuilt from the decoded
-	// partitions so checkpoints from before the packing change label
-	// identically. Version 1 payloads carry no labels, so mass-order
-	// identity ids stand in.
-	m.codec = newTupleCodec(m.Parts, m.Collapsed)
-	if m.codec.fits {
-		m.lab = newLabeler(m.Set, m.Parts, m.Collapsed, m.codec)
-	}
+	// unaffected by — the packed tuple keys); the labeling kernel and the
+	// tuple→label map are rebuilt from the decoded partitions, so
+	// checkpoints from before the packing change label identically.
+	// Version 1 payloads carry no labels, so mass-order identity ids stand
+	// in.
+	m.lab = newLabeler(m.Set, tupleLayout(m.Parts, m.Collapsed), segmentField(m.Parts, m.Collapsed))
 	m.installLabels(labels)
 	m.Assessment.CH = r.f64()
 	m.Assessment.Within = r.f64()
@@ -247,16 +243,10 @@ func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
 	defer proj.release()
 	labels := make([]int, proj.rows)
 	forBlocks(proj, workers, func(_ *struct{}, lo int, rows []float64) {
-		lab, labelOf := m.lab, m.labelOf
+		key := make([]uint64, m.lab.words())
 		for off := 0; off < len(rows); off += proj.cols {
-			i, x := lo+off/proj.cols, rows[off:off+proj.cols]
-			if !m.codec.fits {
-				labels[i] = m.AssignProjected(x)
-			} else if l, ok := labelOf[lab.key(x)]; ok {
-				labels[i] = l // the allocation-free fast path, loads hoisted
-			} else {
-				labels[i] = cluster.Noise
-			}
+			m.lab.key(key, rows[off:off+proj.cols])
+			labels[lo+off/proj.cols] = m.labelOfKey(key)
 		}
 	})
 	return labels, nil

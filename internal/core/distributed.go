@@ -92,7 +92,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 		}
 		contrib.trials[t].set = set
 	}
-	hists, err := exchange(comm, cfg, contrib)
+	hists, err := exchange(comm, cfg, contrib, nil)
 	if err != nil {
 		return nil, nil, commError("histogram consolidation", err)
 	}
@@ -103,19 +103,21 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	// cut broadcast. The same holds for label construction below, since
 	// buildLabels orders tuples deterministically.
 	keyings := make([]trialKeys, cfg.Trials)
+	layouts := make([]keyLayout, cfg.Trials)
 	for t := range keyings {
 		set := hists.trials[t].set
 		parts, collapsed := partitionSet(set, cfg)
 		keyings[t] = newTrialKeys(set, parts, collapsed)
+		layouts[t] = keyings[t].lab.layout
 	}
 	for t, counts := range countTuples(proj, keyings, cfg.Workers) {
-		if cfg.SuppressBelow >= 2 {
-			counts.dropBelow(uint64(cfg.SuppressBelow))
+		if k := float64(cfg.SuppressBelow); k >= 2 {
+			counts.filter(func(m float64) (float64, bool) { return m, m >= k })
 		}
 		// The second round carries key masses only.
-		contrib.trials[t] = foldTrial{tuples: counts}
+		contrib.trials[t] = foldTrial{tuples: counts, keys: layouts[t]}
 	}
-	tuples, err := exchange(comm, cfg, contrib)
+	tuples, err := exchange(comm, cfg, contrib, layouts)
 	if err != nil {
 		return nil, nil, commError("tuple-count consolidation", err)
 	}

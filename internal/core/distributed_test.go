@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -240,26 +241,42 @@ func TestCommunicationIsHistogramSized(t *testing.T) {
 }
 
 func TestEncodeDecodeTuples(t *testing.T) {
-	m := map[string]uint64{"ab": 3, "": 1, "xyz": 9}
-	got, err := readTupleSection(tupleSection(tupleCounts{s: m}))
+	layout := wideLayout()
+	counts := func(order []int) *flatTable {
+		tab, key := &flatTable{words: layout.words}, make([]uint64, layout.words)
+		for _, i := range order {
+			segs := make([]int, 30)
+			segs[0], segs[29] = i, 7-i
+			layout.pack(key, segs)
+			tab.add(key, float64(i+1))
+		}
+		return tab
+	}
+	enc := tupleSection(counts([]int{0, 5, 2}), layout)
+	got, err := readTupleSection(enc, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got.s) {
-		t.Fatalf("got %v", got.s)
+	if !bytes.Equal(tupleSection(got, layout), enc) {
+		t.Fatalf("re-encoded %x, want %x", tupleSection(got, layout), enc)
 	}
-	if _, err := readTupleSection([]byte{tupleTagString, 1}); err == nil {
+	if enc[0] != tupleTagString || got.len() != 3 {
+		t.Fatalf("tag %q, %d keys", enc[0], got.len())
+	}
+	if _, err := readTupleSection([]byte{tupleTagString, 1}, layout); err == nil {
 		t.Fatal("short payload must fail")
 	}
-	enc := tupleSection(tupleCounts{s: m})
-	if _, err := readTupleSection(enc[:len(enc)-2]); err == nil {
+	if _, err := readTupleSection(enc[:len(enc)-2], layout); err == nil {
 		t.Fatal("truncated payload must fail")
 	}
-	if _, err := readTupleSection(append(enc, 0)); err == nil {
+	if _, err := readTupleSection(append(enc, 0), layout); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
+	if _, err := readTupleSection(enc, sketchLayout(30)); err == nil {
+		t.Fatal("u16 segment keys read as u32 components")
+	}
 	// deterministic encoding
-	if string(enc) != string(tupleSection(tupleCounts{s: map[string]uint64{"xyz": 9, "ab": 3, "": 1}})) {
+	if !bytes.Equal(enc, tupleSection(counts([]int{2, 0, 5}), layout)) {
 		t.Fatal("encoding must be order-independent")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
@@ -133,8 +132,8 @@ func partitionSet(set *histogram.Set, cfg Config) (parts []partition.Result, col
 	return parts, collapsed
 }
 
-// trialKeys turns one trial's stored bins into tuple keys: packed through
-// the labeler's bin→segment LUTs when they fit 64 bits, strings if lab is nil.
+// trialKeys turns one trial's stored bins into tuple keys through the
+// labeler's bin→segment tables.
 type trialKeys struct {
 	parts     []partition.Result
 	collapsed []bool
@@ -142,99 +141,59 @@ type trialKeys struct {
 }
 
 func newTrialKeys(set *histogram.Set, parts []partition.Result, collapsed []bool) trialKeys {
-	k := trialKeys{parts: parts, collapsed: collapsed}
-	if codec := newTupleCodec(parts, collapsed); codec.fits {
-		k.lab = newLabeler(set, parts, collapsed, codec)
-	}
-	return k
+	lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+	return trialKeys{parts: parts, collapsed: collapsed, lab: lab}
 }
 
 // countTuples counts every trial's tuples from the stored bins in one pass,
-// into a count table per worker and trial (exact up to 2^53 points; string
-// keys into a map), added into one table per trial at the end.
-func countTuples(proj *projected, trials []trialKeys, workers int) []tupleCounts {
+// into a count table per worker and trial (exact up to 2^53 points), added
+// into one table per trial at the end.
+func countTuples(proj *projected, trials []trialKeys, workers int) []*flatTable {
 	type tables struct {
-		u []flatTable
-		s []map[string]uint64
+		counts []flatTable
+		key    []uint64
 	}
-	locals := forBlocks(proj, workers, func(acc *tables, lo int, rows []float64) {
-		if acc.u == nil {
-			acc.u = make([]flatTable, len(trials))
-			acc.s = make([]map[string]uint64, len(trials))
+	locals := forBlocks(proj, workers, func(acc *tables, lo int, _ []float64) {
+		if acc.counts == nil {
+			acc.counts = make([]flatTable, len(trials))
+			words := 1
+			for t, k := range trials {
+				acc.counts[t].words = k.lab.words()
+				words = max(words, k.lab.words())
+			}
+			acc.key = make([]uint64, words)
 		}
 		blk := proj.bins[lo/blockRows]
 		for t, k := range trials {
 			nrp := len(k.parts)
-			if k.lab != nil {
-				tab := &acc.u[t]
-				for off := t * nrp; off < len(blk); off += proj.cols {
-					tab.add(k.lab.binKey(blk[off:off+nrp]), 1)
-				}
-				continue
-			}
-			if acc.s[t] == nil {
-				acc.s[t] = make(map[string]uint64)
-			}
-			segs := make([]int, nrp)
+			tab, key := &acc.counts[t], acc.key[:k.lab.words()]
 			for off := t * nrp; off < len(blk); off += proj.cols {
-				segmentsOfBins(blk[off:off+nrp], k.parts, k.collapsed, segs)
-				acc.s[t][packSegments(segs)]++
+				k.lab.binKey(key, blk[off:off+nrp])
+				tab.add(key, 1)
 			}
 		}
 	})
-	out := make([]tupleCounts, len(trials))
+	out := make([]*flatTable, len(trials))
 	for t, k := range trials {
-		u, s := &flatTable{}, map[string]uint64{}
+		out[t] = &flatTable{words: k.lab.words()}
 		for _, acc := range locals {
-			if acc.u == nil {
-				continue // a worker that drew no block
+			if acc.counts != nil { // nil: a worker that drew no block
+				out[t], _ = mergeCounts(out[t], &acc.counts[t])
 			}
-			for _, c := range acc.u[t].cells {
-				u.add(c.key, c.mass)
-			}
-			for key, n := range acc.s[t] {
-				s[key] += n
-			}
-		}
-		out[t] = tupleCounts{u: u}
-		if k.lab == nil {
-			out[t] = tupleCounts{s: s}
 		}
 	}
 	return out
 }
 
-// segmentsOfBins maps a point's stored bins to its primary-cluster tuple.
-func segmentsOfBins(bins []uint16, parts []partition.Result, collapsed []bool, segs []int) {
-	for j := range segs {
-		if collapsed[j] {
-			segs[j] = 0
-			continue
-		}
-		segs[j] = parts[j].SegmentOf(int(bins[j]))
-	}
-}
-
-func segmentsOfRow(projected []float64, set *histogram.Set, parts []partition.Result, collapsed []bool, segs []int) {
-	for j, h := range set.Dims {
-		if collapsed[j] {
-			segs[j] = 0
-			continue
-		}
-		segs[j] = parts[j].SegmentOf(h.Bin(projected[j]))
-	}
-}
-
 // trialInput is one trial as model selection reads it: its global
-// histograms, their partitions, and its global tuple counts. The counts
-// must be keyed under the codec the partitions imply (packed when it fits,
-// string otherwise) — every rank derives them from the identical
-// deterministic partition step.
+// histograms, their partitions, and its global tuple counts (nil: none).
+// The counts must be keyed under the layout the partitions imply — every
+// rank derives it from the identical deterministic partition step.
 type trialInput struct {
 	set       *histogram.Set
 	parts     []partition.Result
 	collapsed []bool
-	tuples    tupleCounts
+	tuples    *flatTable
 }
 
 // selectModel is the one model-selection step, the fit's and the stream's:
@@ -258,12 +217,12 @@ func selectModel(trials []trialInput, cfg Config) ([]*Model, int, error) {
 
 // trialModel is one trial's candidate model: its clusters and their
 // assessment, which is all model selection reads.
-func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples tupleCounts, cfg Config, trial int) (*Model, error) {
-	codec := newTupleCodec(parts, collapsed)
-	if codec.fits != (tuples.u != nil) {
-		return nil, fmt.Errorf("core: tuple counts keyed inconsistently with partition codec")
+func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples *flatTable, cfg Config, trial int) (*Model, error) {
+	layout := tupleLayout(parts, collapsed)
+	if tuples != nil && tuples.words != layout.words {
+		return nil, fmt.Errorf("core: tuple counts keyed in %d words, the partitions' tuples take %d", tuples.words, layout.words)
 	}
-	clusters := buildLabels(tuples, codec, len(set.Dims), cfg.MinClusterSize, cfg.MaxClusters)
+	clusters := buildLabels(tuples, layout, cfg.MinClusterSize, cfg.MaxClusters)
 	assessment, err := quality.Assess(set, parts, clusters)
 	if err != nil {
 		return nil, err
@@ -275,7 +234,6 @@ func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, 
 		Clusters:   clusters,
 		Assessment: assessment,
 		Trial:      trial,
-		codec:      codec,
 	}, nil
 }
 
@@ -283,9 +241,7 @@ func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, 
 // labeling kernel, the identity tuple→label map, and the trial's
 // projection matrix (none when batch is nil, i.e. NoProjection).
 func (m *Model) finish(batch *projection.Batch) {
-	if m.codec.fits {
-		m.lab = newLabeler(m.Set, m.Parts, m.Collapsed, m.codec)
-	}
+	m.lab = newLabeler(m.Set, tupleLayout(m.Parts, m.Collapsed), segmentField(m.Parts, m.Collapsed))
 	m.installLabels(identityLabels(len(m.Clusters)))
 	if batch != nil {
 		nrp := batch.Nrp
@@ -304,18 +260,10 @@ func labelBins(proj *projected, loCol int, model *Model, workers int) []int {
 	labels := make([]int, proj.rows)
 	forBlocks(proj, workers, func(_ *struct{}, lo int, _ []float64) {
 		blk := proj.bins[lo/blockRows]
-		segs := make([]int, nrp)
+		key := make([]uint64, model.lab.words())
 		for off := loCol; off < len(blk); off += proj.cols {
-			b, i := blk[off:off+nrp], lo+off/proj.cols
-			labels[i] = cluster.Noise
-			if !model.codec.fits {
-				segmentsOfBins(b, model.Parts, model.Collapsed, segs)
-				if l, ok := model.labelOfStr[packSegments(segs)]; ok {
-					labels[i] = l
-				}
-			} else if l, ok := model.labelOf[model.lab.binKey(b)]; ok {
-				labels[i] = l
-			}
+			model.lab.binKey(key, blk[off:off+nrp])
+			labels[lo+off/proj.cols] = model.labelOfKey(key)
 		}
 	})
 	return labels

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"keybin2/internal/cluster"
@@ -180,15 +182,26 @@ func TestFitBoxClusters(t *testing.T) {
 	}
 }
 
+// TestPackUnpackSegments: a segment tuple packs into its layout's words
+// and unpacks to itself, in one word and across a word boundary (field 1
+// of the second layout straddles bits 63 and 64), and its 'S' form is a
+// u16 per segment.
 func TestPackUnpackSegments(t *testing.T) {
 	segs := []int{0, 3, 15, 7}
-	got := unpackSegments(packSegments(segs))
-	if len(got) != 4 {
-		t.Fatal("length")
-	}
-	for i := range segs {
-		if got[i] != segs[i] {
-			t.Fatalf("got %v", got)
+	for _, widths := range [][]uint{{1, 2, 4, 3}, {4, 4, 8, 54}} {
+		layout := newKeyLayout(widths, 2)
+		key := make([]uint64, layout.words)
+		layout.pack(key, segs)
+		if got := layout.unpack(key); !slices.Equal(got, segs) {
+			t.Fatalf("widths %v: got %v", widths, got)
+		}
+		wire := layout.appendWire(nil, key)
+		if !bytes.Equal(wire, []byte{0, 0, 3, 0, 15, 0, 7, 0}) {
+			t.Fatalf("widths %v: 'S' form %x", widths, wire)
+		}
+		back := make([]uint64, layout.words)
+		if err := layout.fromWire(back, string(wire)); err != nil || !slices.Equal(back, key) {
+			t.Fatalf("widths %v: fromWire %x (%v), want %x", widths, back, err, key)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -32,13 +33,19 @@ import (
 //	  setLen u32 | histogram.Set.Encode bytes   (setLen 0: no histograms
 //	                                             travel in this round)
 //	  tag u8 | nentries u32 | entries           (the key masses)
-//	    'U': key u64 | mass u64                 packed keys, 16 B per cell
-//	    'S': keylen u32 | key bytes | mass u64  keys too wide to pack
+//	    'U': key u64 | mass u64                 one-word keys, 16 B per cell
+//	    'S': keylen u32 | key bytes | mass u64  wider keys, one field per
+//	                                            dimension: a u16 segment or
+//	                                            a u32 sketch component
 //
 // What a key means is the adapter's business — a segment tuple under the
-// trial's tupleCodec in FitDistributed, a coarse sketch cell in the stream
-// paths — and every party to one exchange derives the same keying from the
-// same configuration, so paired trials always carry the same tag.
+// trial's tupleLayout in FitDistributed, a coarse sketch cell in the stream
+// paths — and every party to one exchange derives the same layout from the
+// same configuration, so paired trials always carry the same tag. In
+// memory every key is its layout's words; only encode and decodeFold turn
+// the words of a wider key into 'S' bytes and back, so 'S' entries keep
+// the ascending byte order the section has always had. A trial with no
+// key table encodes as an empty 'S' section.
 
 const (
 	foldMagic   = "KB2H"
@@ -50,7 +57,8 @@ const (
 
 type foldTrial struct {
 	set    *histogram.Set // nil: this round carries no histograms
-	tuples tupleCounts
+	tuples *flatTable     // nil: this round carries no key masses
+	keys   keyLayout      // how the keys lay out, for the 'S' section
 }
 
 type foldState struct {
@@ -72,48 +80,50 @@ func (f *foldState) encode() []byte {
 			w.u32(uint32(len(enc)))
 			w.buf = append(w.buf, enc...)
 		}
-		if u := tr.tuples.u; u != nil {
-			cells := slices.DeleteFunc(u.sorted(), func(c flatCell) bool { return c.mass == 0 })
+		tab := tr.tuples
+		if tab != nil && tab.words == 1 {
+			cells := slices.DeleteFunc(tab.sorted(), func(c int) bool { return tab.masses[c] == 0 })
 			w.u8(tupleTagPacked)
 			w.u32(uint32(len(cells)))
 			for _, c := range cells {
-				w.u64(c.key)
-				w.u64(uint64(c.mass))
+				w.u64(tab.keys[c])
+				w.u64(uint64(tab.masses[c]))
 			}
-		} else {
-			writeEntries(w, tr.tuples.s)
+			continue
+		}
+		// The 'S' entries that hold mass, ascending by their bytes — the
+		// canonical entry order, a zero-mass key being the same as an
+		// absent one.
+		type entry struct {
+			key  []byte
+			mass uint64
+		}
+		var entries []entry
+		if tab != nil {
+			for c, m := range tab.masses {
+				if m > 0 {
+					entries = append(entries, entry{tr.keys.appendWire(nil, tab.key(c)), uint64(m)})
+				}
+			}
+		}
+		slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.key, b.key) })
+		w.u8(tupleTagString)
+		w.u32(uint32(len(entries)))
+		for _, e := range entries {
+			w.u32(uint32(len(e.key)))
+			w.buf = append(w.buf, e.key...)
+			w.u64(e.mass)
 		}
 	}
 	return w.buf
 }
 
-// writeEntries writes the string keys of m that hold mass, ascending — the
-// canonical entry order, a zero-mass key being the same as an absent one.
-func writeEntries(w *wireWriter, m map[string]uint64) {
-	keys := make([]string, 0, len(m))
-	for k, n := range m {
-		if n > 0 {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	w.u8(tupleTagString)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		w.u64(m[k])
-	}
-}
-
-// str writes a length-prefixed string.
-func (w *wireWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
 // decodeFold is the only place a consolidation payload is parsed. Its input
-// comes from MPI peers and from /hist bodies, so it trusts no length.
-func decodeFold(b []byte) (*foldState, error) {
+// comes from MPI peers and from /hist bodies, so it trusts no length. A
+// trial's keys are the coarse sketch cells of its width when its
+// histograms travel, and otherwise follow tuples[t] (no keys at all past
+// the end of tuples): the layout a wide key's 'S' bytes become words under.
+func decodeFold(b []byte, tuples []keyLayout) (*foldState, error) {
 	if len(b) < 8 || string(b[:4]) != foldMagic {
 		return nil, fmt.Errorf("core: not a fold state (missing %q header)", foldMagic)
 	}
@@ -128,6 +138,10 @@ func decodeFold(b []byte) (*foldState, error) {
 	}
 	f := &foldState{seen: r.u64(), trials: make([]foldTrial, trials)}
 	for t := range f.trials {
+		tr := &f.trials[t]
+		if t < len(tuples) {
+			tr.keys = tuples[t]
+		}
 		if slen := int(r.u32()); slen > 0 {
 			if !r.need(slen) {
 				return nil, fmt.Errorf("core: truncated fold state (trial %d set)", t)
@@ -139,18 +153,11 @@ func decodeFold(b []byte) (*foldState, error) {
 			if len(set.Dims) == 0 {
 				return nil, fmt.Errorf("core: fold state trial %d: histogram set without dimensions", t)
 			}
-			// A range that is empty, inverted or NaN merges with nothing,
-			// not even itself; histogram.New never produces one.
-			for j, h := range set.Dims {
-				if !(h.Max > h.Min) {
-					return nil, fmt.Errorf("core: fold state trial %d dim %d: range [%g, %g]", t, j, h.Min, h.Max)
-				}
-			}
 			r.off += slen
-			f.trials[t].set = set
+			tr.set, tr.keys = set, sketchLayout(len(set.Dims))
 		}
 		var err error
-		if f.trials[t].tuples, err = r.tupleCounts(); err != nil {
+		if tr.tuples, err = r.keyMasses(tr.keys); err != nil {
 			return nil, fmt.Errorf("core: fold state trial %d: %w", t, err)
 		}
 	}
@@ -160,21 +167,37 @@ func decodeFold(b []byte) (*foldState, error) {
 	return f, nil
 }
 
-// tupleCounts reads one trial's key masses.
-func (r *wireReader) tupleCounts() (tc tupleCounts, err error) {
-	switch tag, n := r.u8(), int(r.u32()); {
+// keyMasses reads one trial's key masses under its layout: 'U' for
+// one-word keys (or keys of no known layout, which stay words), 'S' for
+// wider ones, and an empty 'S' section for no table at all — whatever
+// would encode back to the same bytes.
+func (r *wireReader) keyMasses(layout keyLayout) (*flatTable, error) {
+	tag, n := r.u8(), int(r.u32())
+	switch {
 	case r.err != nil:
-		err = r.err
+		return nil, r.err
+	case tag == tupleTagString && n == 0:
+		return nil, nil
+	case tag != tupleTagPacked && tag != tupleTagString:
+		return nil, fmt.Errorf("core: unknown tuple-count tag %q", tag)
+	case (tag == tupleTagPacked) != (layout.words <= 1):
+		return nil, fmt.Errorf("core: tuple-count tag %q for keys of %d words", tag, layout.words)
 	case tag == tupleTagPacked:
-		tc.u = &flatTable{}
-		err = readEntries(r, n, 16, r.u64, func(k, mass uint64) { tc.u.add(k, float64(mass)) })
-	case tag == tupleTagString:
-		tc.s = map[string]uint64{}
-		err = readEntries(r, n, 12, r.str, func(k string, mass uint64) { tc.s[k] = mass })
-	default:
-		err = fmt.Errorf("core: unknown tuple-count tag %q", tag)
+		tab, key := &flatTable{words: 1}, make([]uint64, 1)
+		return tab, readEntries(r, n, 16, r.u64, func(k, mass uint64) error {
+			key[0] = k
+			tab.add(key, float64(mass))
+			return nil
+		})
 	}
-	return tc, err
+	tab, key := &flatTable{words: layout.words}, make([]uint64, layout.words)
+	return tab, readEntries(r, n, 12, r.str, func(k string, mass uint64) error {
+		if err := layout.fromWire(key, k); err != nil {
+			return err
+		}
+		tab.add(key, float64(mass))
+		return nil
+	})
 }
 
 // str reads a length-prefixed string.
@@ -192,7 +215,7 @@ func (r *wireReader) str() string {
 // read, and only the canonical form is accepted: keys strictly ascending,
 // every mass a whole count in [1, 2^53) — the range a count table holds
 // exactly.
-func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, put func(K, uint64)) error {
+func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, put func(K, uint64) error) error {
 	if left := len(r.buf) - r.off; n > left/minBytes {
 		return fmt.Errorf("core: %d tuple entries in %d bytes", n, left)
 	}
@@ -205,7 +228,9 @@ func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, pu
 		if i > 0 && k <= prev || mass == 0 || mass >= exactMassLimit {
 			return fmt.Errorf("core: tuple entry %d not canonical (key order, or mass %d)", i, mass)
 		}
-		put(k, mass)
+		if err := put(k, mass); err != nil {
+			return err
+		}
 		prev = k
 	}
 	return nil
@@ -241,7 +266,7 @@ func (f *foldState) merge(in *foldState) error {
 			}
 		}
 		var err error
-		if a.tuples, err = mergeTupleCounts(a.tuples, b.tuples); err != nil {
+		if a.tuples, err = mergeCounts(a.tuples, b.tuples); err != nil {
 			return fmt.Errorf("core: fold trial %d: %w", t, err)
 		}
 	}
@@ -256,6 +281,7 @@ func (f *foldState) minus(prev *foldState) *foldState {
 	out := &foldState{seen: f.seen - prev.seen, trials: make([]foldTrial, len(f.trials))}
 	for t, tr := range f.trials {
 		p := prev.trials[t]
+		out.trials[t].keys = tr.keys
 		set := tr.set.Clone()
 		for j, h := range set.Dims {
 			for b, c := range p.set.Dims[j].Counts {
@@ -269,32 +295,36 @@ func (f *foldState) minus(prev *foldState) *foldState {
 	return out
 }
 
-// combineFold is the fold as an mpi.Combine: every collective that
-// consolidates exchanged state reduces with it.
-func combineFold(acc, in []byte) ([]byte, error) {
-	a, err := decodeFold(acc)
-	if err != nil {
-		return nil, err
+// combineFold is the fold as an mpi.Combine over states whose keys
+// decodeFold lays out by tuples: every collective that consolidates
+// exchanged state reduces with it.
+func combineFold(tuples []keyLayout) mpi.Combine {
+	return func(acc, in []byte) ([]byte, error) {
+		a, err := decodeFold(acc, tuples)
+		if err != nil {
+			return nil, err
+		}
+		b, err := decodeFold(in, tuples)
+		if err != nil {
+			return nil, err
+		}
+		if err := a.merge(b); err != nil {
+			return nil, err
+		}
+		return a.encode(), nil
 	}
-	b, err := decodeFold(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.merge(b); err != nil {
-		return nil, err
-	}
-	return a.encode(), nil
 }
 
 // exchange sums local across the ranks of comm over the configured
 // collective and returns the global state, which every rank receives
-// identically.
-func exchange(comm *mpi.Comm, cfg Config, local *foldState) (*foldState, error) {
-	raw, err := consolidate(comm, cfg, local.encode(), combineFold)
+// identically. tuples lays out the keys of the trials that carry no
+// histograms, as decodeFold reads them.
+func exchange(comm *mpi.Comm, cfg Config, local *foldState, tuples []keyLayout) (*foldState, error) {
+	raw, err := consolidate(comm, cfg, local.encode(), combineFold(tuples))
 	if err != nil {
 		return nil, err
 	}
-	global, err := decodeFold(raw)
+	global, err := decodeFold(raw, tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +338,7 @@ func exchange(comm *mpi.Comm, cfg Config, local *foldState) (*foldState, error) 
 func (s *Stream) fold() *foldState {
 	f := &foldState{seen: uint64(s.seen), trials: make([]foldTrial, len(s.sets))}
 	for t, set := range s.sets {
-		f.trials[t] = foldTrial{set: set, tuples: s.sketch[t].counts()}
+		f.trials[t] = foldTrial{set: set, tuples: counts(s.sketch[t]), keys: s.cellLayout}
 	}
 	return f
 }
@@ -342,14 +372,13 @@ func (s *Stream) adopt(st *foldState) error {
 	if len(st.trials) != len(s.sets) {
 		return fmt.Errorf("core: merged state has %d trials, config %d", len(st.trials), len(s.sets))
 	}
-	sketches := make([]*trialSketch, len(s.sets))
+	sketches := make([]*flatTable, len(s.sets))
 	for t, tr := range st.trials {
 		if err := s.fitsTrial(tr.set); err != nil {
 			return fmt.Errorf("core: merged state trial %d: %w", t, err)
 		}
-		width := len(tr.set.Dims)
 		var err error
-		if sketches[t], err = sketchFromCounts(width, s.sketchCells(), tr.tuples); err != nil {
+		if sketches[t], err = sketchFromCounts(s.cellLayout, s.sketchCells(), tr.tuples); err != nil {
 			return fmt.Errorf("core: merged state trial %d: %w", t, err)
 		}
 	}

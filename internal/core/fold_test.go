@@ -19,20 +19,20 @@ import (
 const tupleFrameHeader = foldMagic + "\x02\x00\x00\x00" + "\x01\x00\x00\x00" +
 	"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"
 
-// tupleSection is one trial's key masses as the fold encodes them: the
-// tag | nentries | entries section.
-func tupleSection(tc tupleCounts) []byte {
-	return (&foldState{trials: []foldTrial{{tuples: tc}}}).encode()[len(tupleFrameHeader):]
+// tupleSection is one trial's key masses as the fold encodes them, under
+// layout: the tag | nentries | entries section.
+func tupleSection(tab *flatTable, layout keyLayout) []byte {
+	return (&foldState{trials: []foldTrial{{tuples: tab, keys: layout}}}).encode()[len(tupleFrameHeader):]
 }
 
-// packedCounts is a packed tupleCounts holding the masses of m, its count
-// table filled in ascending key order.
-func packedCounts(m map[uint64]uint64) tupleCounts {
-	tab := &flatTable{}
+// packedCounts is a one-word count table holding the masses of m, filled
+// in ascending key order.
+func packedCounts(m map[uint64]uint64) *flatTable {
+	tab := &flatTable{words: 1}
 	for _, k := range sortedKeys(m) {
-		tab.add(k, float64(m[k]))
+		tab.add([]uint64{k}, float64(m[k]))
 	}
-	return tupleCounts{u: tab}
+	return tab
 }
 
 func sortedKeys(m map[uint64]uint64) []uint64 {
@@ -44,20 +44,21 @@ func sortedKeys(m map[uint64]uint64) []uint64 {
 	return keys
 }
 
-// massesOf reads a count table back as a map.
+// massesOf reads a one-word count table back as a map.
 func massesOf(tab *flatTable) map[uint64]uint64 {
-	m := make(map[uint64]uint64, len(tab.cells))
-	for _, c := range tab.cells {
-		m[c.key] = uint64(c.mass)
+	m := make(map[uint64]uint64, tab.len())
+	for c, mass := range tab.masses {
+		m[tab.keys[c]] = uint64(mass)
 	}
 	return m
 }
 
-// readTupleSection decodes raw, as that section, through the one decoder.
-func readTupleSection(raw []byte) (tupleCounts, error) {
-	f, err := decodeFold(append([]byte(tupleFrameHeader), raw...))
+// readTupleSection decodes raw, as that section of a trial whose keys
+// follow layout, through the one decoder.
+func readTupleSection(raw []byte, layout keyLayout) (*flatTable, error) {
+	f, err := decodeFold(append([]byte(tupleFrameHeader), raw...), []keyLayout{layout})
 	if err != nil {
-		return tupleCounts{}, err
+		return nil, err
 	}
 	return f.trials[0].tuples, nil
 }
@@ -66,11 +67,11 @@ func readTupleSection(raw []byte) (tupleCounts, error) {
 // constant multiple of the input: a count read off the wire may size
 // nothing the input could not back. (TotalAlloc is process-wide; the tests
 // of this package run one at a time.)
-func decodeBounded(t *testing.T, b []byte) (*foldState, error) {
+func decodeBounded(t *testing.T, b []byte, tuples []keyLayout) (*foldState, error) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, err := decodeFold(b)
+	st, err := decodeFold(b, tuples)
 	runtime.ReadMemStats(&after)
 	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(b)+1<<14); grew > limit {
 		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), grew, limit)
@@ -78,24 +79,45 @@ func decodeBounded(t *testing.T, b []byte) (*foldState, error) {
 	return st, err
 }
 
+// wideLayout is a segment-tuple layout of 30 dimensions at 3 bits, 90
+// bits in all: its keys take two words and the fold's 'S' section.
+func wideLayout() keyLayout {
+	widths := make([]uint, 30)
+	for j := range widths {
+		widths[j] = 3
+	}
+	return newKeyLayout(widths, 2)
+}
+
 // foldSeeds are encodings the encoder produced from real fits and streams:
 // the two payload shapes FitDistributed exchanges (histograms only; key
-// masses only, packed and string-keyed), a shard state, and a merged one.
-// Shallow histograms keep them small enough to mutate well.
-func foldSeeds(t testing.TB) [][]byte {
+// masses only, one trial of one-word tuples and one of two-word tuples),
+// one-word key masses alone, a shard state, and a merged one. Shallow
+// histograms keep them small enough to mutate well. The layouts are what
+// a trial without histograms keys, as decodeFold takes them.
+func foldSeeds(t testing.TB) ([][]byte, []keyLayout) {
 	data, _ := synth.AutoMixture(3, 12, 6, 1, xrand.New(70)).Sample(600, xrand.New(71))
 	model, _, err := Fit(data, Config{Seed: 72, Trials: 2, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := newTupleCodec(model.Parts, model.Collapsed)
+	layouts := []keyLayout{tupleLayout(model.Parts, model.Collapsed), wideLayout()}
 	masses := map[uint64]uint64{}
-	stringed := tupleCounts{s: map[string]uint64{}}
+	key := make([]uint64, 1)
 	for _, cl := range model.Clusters {
-		masses[codec.pack(cl.Segments)] = cl.Mass
-		stringed.s[packSegments(cl.Segments)] = cl.Mass
+		layouts[0].pack(key, cl.Segments)
+		masses[key[0]] = cl.Mass
 	}
 	packed := packedCounts(masses)
+	wide, segs, rng := &flatTable{words: 2}, make([]int, 30), xrand.New(73)
+	for range 6 {
+		for j := range segs {
+			segs[j] = rng.Intn(8)
+		}
+		wkey := make([]uint64, 2)
+		layouts[1].pack(wkey, segs)
+		wide.add(wkey, float64(1+rng.Intn(500)))
+	}
 	src := synth.AutoMixture(3, 4, 6, 1, xrand.New(8)).Stream(0, xrand.New(9))
 	shallow := make([]*Stream, 2)
 	for i := range shallow {
@@ -118,11 +140,11 @@ func foldSeeds(t testing.TB) [][]byte {
 	}
 	return [][]byte{
 		(&foldState{seen: 600, trials: []foldTrial{{set: model.Set}, {set: model.Set}}}).encode(),
-		(&foldState{seen: 600, trials: []foldTrial{{tuples: packed}, {tuples: packed}}}).encode(),
-		(&foldState{seen: 600, trials: []foldTrial{{tuples: stringed}}}).encode(),
+		(&foldState{seen: 600, trials: []foldTrial{{tuples: packed, keys: layouts[0]}, {tuples: wide, keys: layouts[1]}}}).encode(),
+		(&foldState{seen: 600, trials: []foldTrial{{tuples: packed, keys: layouts[0]}}}).encode(),
 		states[0],
 		merged,
-	}
+	}, layouts
 }
 
 // FuzzFoldState: the one consolidation decoder never panics and never
@@ -131,35 +153,36 @@ func foldSeeds(t testing.TB) [][]byte {
 // either decodes or fails with errMassPastExact, the latter exactly when
 // some key mass doubles to 2^53 or more.
 func FuzzFoldState(f *testing.F) {
-	for _, seed := range foldSeeds(f) {
+	seeds, layouts := foldSeeds(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 	}
 	f.Add([]byte("KB2H\x01\x00\x00\x00\x01\x00\x00\x00")) // v1: refused by version
 	f.Add(foldMassState(1 << 52))                         // decodes; doubled, it would not
 	f.Fuzz(func(t *testing.T, b []byte) {
-		st, err := decodeBounded(t, b)
+		st, err := decodeBounded(t, b, layouts)
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(st.encode(), b) {
 			t.Fatal("encode(decode(b)) != b")
 		}
-		sum, err := combineFold(b, b)
+		sum, err := combineFold(layouts)(b, b)
 		if doubles := massDoublesPastExact(st); doubles || err != nil {
 			if !doubles || !errors.Is(err, errMassPastExact) {
 				t.Fatalf("combine(b, b): %v, with a mass doubling past 2^53: %v", err, doubles)
 			}
 			return
 		}
-		if _, err := decodeFold(sum); err != nil {
+		if _, err := decodeFold(sum, layouts); err != nil {
 			t.Fatalf("combine(b, b) does not decode: %v", err)
 		}
 	})
 }
 
 // foldMassState encodes a one-trial fold without histograms whose one
-// packed key carries mass.
+// one-word key carries mass.
 func foldMassState(mass uint64) []byte {
 	return (&foldState{trials: []foldTrial{{tuples: packedCounts(map[uint64]uint64{7: mass})}}}).encode()
 }
@@ -168,15 +191,11 @@ func foldMassState(mass uint64) []byte {
 // mass of 2^53 or more.
 func massDoublesPastExact(st *foldState) bool {
 	for _, tr := range st.trials {
-		if tr.tuples.u != nil {
-			for _, c := range tr.tuples.u.cells {
-				if 2*c.mass >= exactMassLimit {
-					return true
-				}
-			}
+		if tr.tuples == nil {
+			continue
 		}
-		for _, n := range tr.tuples.s {
-			if 2*n >= exactMassLimit {
+		for _, m := range tr.tuples.masses {
+			if 2*m >= exactMassLimit {
 				return true
 			}
 		}
@@ -332,13 +351,13 @@ func TestFoldOneSumTwoTransports(t *testing.T) {
 }
 
 // TestAdoptRefusesWhatRefitCannotIndex: a merged state whose key masses
-// address cells the stream does not have is refused whole — Refit indexes a
-// per-dimension table with every component — and nothing is installed.
+// address cells the stream does not have is refused whole — Refit maps
+// every component to a bin — and nothing is installed.
 func TestAdoptRefusesWhatRefitCannotIndex(t *testing.T) {
 	shards, _ := shardFixture(t, 1, 500)
 	good := encodeAll(t, shards)[0]
 	tamper := func(fn func(st *foldState)) []byte {
-		st, err := decodeFold(good)
+		st, err := decodeFold(good, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,15 +367,13 @@ func TestAdoptRefusesWhatRefitCannotIndex(t *testing.T) {
 	width := len(shards[0].sets[0].Dims)
 	cases := map[string][]byte{
 		"bits above width·sketchBitsPerDim": tamper(func(st *foldState) {
-			st.trials[1].tuples.u.add(1<<uint(width*sketchBitsPerDim), 7)
+			st.trials[1].tuples.add([]uint64{1 << uint(width*sketchBitsPerDim)}, 7)
 		}),
-		"string keys with a component past the sketch": tamper(func(st *foldState) {
-			k := make([]byte, 4*width)
-			k[0] = 200
-			st.trials[2].tuples = tupleCounts{s: map[string]uint64{string(k): 7}}
-		}),
-		"string key of another width": tamper(func(st *foldState) {
-			st.trials[0].tuples = tupleCounts{s: map[string]uint64{"\x01\x00\x00\x00": 7}}
+		"'S' keys for one-word cells": tamper(func(st *foldState) {
+			wider := sketchLayout(width + 12)
+			tab := &flatTable{words: wider.words}
+			tab.add(make([]uint64, wider.words), 7)
+			st.trials[2].tuples, st.trials[2].keys = tab, wider
 		}),
 		"histograms missing": tamper(func(st *foldState) { st.trials[0].set = nil }),
 		"histograms of another depth": tamper(func(st *foldState) {
@@ -380,59 +397,69 @@ func TestAdoptRefusesWhatRefitCannotIndex(t *testing.T) {
 			t.Errorf("%s: a refused state left something behind", name)
 		}
 	}
-	// A coarser stream (depth 3: 8 sketch cells per dimension) must refuse a
-	// packed component that fits five bits but not its table.
-	coarse := shards[0].cfg
-	coarse.Depth = 3
-	src, err := NewStream(coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := src.fold()
-	st.trials[0].tuples.u.add(20, 1)
-	global, err := NewGlobalModelState(coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := global.Install(st.encode()); err == nil {
-		t.Error("component 20 installed into an 8-cell sketch")
-	}
-	if global.Model() != nil {
-		t.Error("a refused state published a model")
+	// A coarser stream (depth 4: 16 sketch cells per dimension) must refuse
+	// a component that fits five bits but not its table, at one word and at
+	// two (14 dimensions: 70 bits).
+	for _, nrp := range []int{0, 14} {
+		coarse := shards[0].cfg
+		coarse.Depth, coarse.TargetDims = 4, nrp
+		src, err := NewStream(coarse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := src.fold()
+		key := make([]uint64, st.trials[0].keys.words)
+		st.trials[0].keys.put(key, 0, 20)
+		st.trials[0].tuples.add(key, 1)
+		global, err := NewGlobalModelState(coarse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := global.Install(st.encode()); err == nil {
+			t.Errorf("N_rp %d: component 20 installed into a 16-cell sketch", nrp)
+		}
+		if global.Model() != nil {
+			t.Errorf("N_rp %d: a refused state published a model", nrp)
+		}
 	}
 }
 
 // TestCombineFold drives the mpi.Combine adapter directly: two encoded
 // contributions sum, and what cannot be summed is an error, not a guess.
 func TestCombineFold(t *testing.T) {
-	contribution := func(x float64, tuples tupleCounts) []byte {
+	contribution := func(x float64, tuples *flatTable, keys keyLayout) []byte {
 		set, err := histogram.NewSet([]float64{0, 0}, []float64{10, 10}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		set.AddPoint([]float64{x, 0})
-		return (&foldState{seen: 1, trials: []foldTrial{{set: set, tuples: tuples}}}).encode()
+		return (&foldState{seen: 1, trials: []foldTrial{{set: set, tuples: tuples, keys: keys}}}).encode()
 	}
-	a := contribution(1, packedCounts(map[uint64]uint64{3: 1}))
-	b := contribution(9, packedCounts(map[uint64]uint64{3: 1, 8: 1}))
-	out, err := combineFold(a, b)
+	cells := sketchLayout(2)
+	a := contribution(1, packedCounts(map[uint64]uint64{3: 1}), cells)
+	b := contribution(9, packedCounts(map[uint64]uint64{3: 1, 8: 1}), cells)
+	combine := combineFold(nil)
+	out, err := combine(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := decodeFold(out)
+	sum, err := decodeFold(out, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	masses := massesOf(sum.trials[0].tuples.u)
+	masses := massesOf(sum.trials[0].tuples)
 	if tr := sum.trials[0]; sum.seen != 2 || tr.set.Total() != 2 || masses[3] != 2 || masses[8] != 1 {
 		t.Fatalf("combined seen %d, total %d, masses %v", sum.seen, tr.set.Total(), masses)
 	}
-	if back, err := combineFold(b, a); err != nil || !bytes.Equal(back, out) {
+	if back, err := combine(b, a); err != nil || !bytes.Equal(back, out) {
 		t.Fatalf("combine is not commutative (%v)", err)
 	}
+	wider := sketchLayout(14)
+	wide := &flatTable{words: wider.words}
+	wide.add(make([]uint64, wider.words), 1)
 	for name, in := range map[string][]byte{
 		"corrupt input":              {0},
-		"string keys against packed": contribution(1, tupleCounts{s: map[string]uint64{"k": 1}}),
+		"string keys against packed": contribution(1, wide, wider),
 		"histograms on one side only": (&foldState{trials: []foldTrial{
 			{tuples: packedCounts(map[uint64]uint64{3: 1})}}}).encode(),
 		"another trial count": (&foldState{trials: make([]foldTrial, 2)}).encode(),
@@ -441,10 +468,10 @@ func TestCombineFold(t *testing.T) {
 			return (&foldState{trials: []foldTrial{{set: set, tuples: packedCounts(map[uint64]uint64{})}}}).encode()
 		}(),
 	} {
-		if _, err := combineFold(a, in); err == nil {
+		if _, err := combine(a, in); err == nil {
 			t.Errorf("%s: combined", name)
 		}
-		if _, err := combineFold(in, a); err == nil {
+		if _, err := combine(in, a); err == nil {
 			t.Errorf("%s: combined (as accumulator)", name)
 		}
 	}

@@ -9,10 +9,10 @@ import (
 	"keybin2/internal/xrand"
 )
 
-// Labeling-kernel microbenchmarks: the packed-uint64 fast path against the
-// legacy string-keyed baseline (kept as the >64-bit fallback). The packed
-// path was held to ≥3× the throughput on tuple counting and batch labelling,
-// with zero allocations per point in the steady-state inner loop.
+// Labeling-kernel microbenchmarks: the packed tuple keys, with zero
+// allocations per point in the steady-state inner loop. (Against the
+// string keys they replaced, packing bought ≥3× on tuple counting and
+// batch labelling.)
 //
 //	go test ./internal/core -bench 'TupleCount|AssignAll|LabelerKey' -benchmem
 
@@ -28,7 +28,7 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	view, set := binView(data, 8)
 	parts, collapsed := partitionSet(set, Config{CollapseRelax: 1})
 	k := newTrialKeys(set, parts, collapsed)
-	if k.lab == nil {
+	if k.lab.words() != 1 {
 		b.Fatal("bench fixture overflowed 64 bits")
 	}
 	tuples := countOne(view, k, 0)
@@ -46,15 +46,7 @@ func BenchmarkTupleCount(b *testing.B) {
 	data, model := benchKernelFixture(b)
 	view, _ := binView(data, 8)
 	packed := newTrialKeys(model.Set, model.Parts, model.Collapsed)
-	str := trialKeys{parts: model.Parts, collapsed: model.Collapsed}
 	for _, workers := range []int{1, 4} {
-		b.Run(name("string", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				countOne(view, str, workers)
-			}
-			b.ReportMetric(nsPerPoint(b), "ns/point")
-		})
 		b.Run(name("packed", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -101,15 +93,7 @@ func BenchmarkFit(b *testing.B) {
 
 func BenchmarkAssignAll(b *testing.B) {
 	data, model := benchKernelFixture(b)
-	strModel := forceStringBenchModel(model)
 	for _, workers := range []int{1, 4} {
-		b.Run(name("string", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _ = strModel.AssignBatch(data, workers)
-			}
-			b.ReportMetric(nsPerPoint(b), "ns/point")
-		})
 		b.Run(name("packed", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -126,11 +110,13 @@ func BenchmarkAssignAll(b *testing.B) {
 func BenchmarkLabelerKey(b *testing.B) {
 	data, model := benchKernelFixture(b)
 	lab := model.lab
+	key := make([]uint64, lab.words())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink ^= lab.key(data.Row(i % benchRows))
+		lab.key(key, data.Row(i%benchRows))
+		sink ^= key[0]
 	}
 	if sink == 1 {
 		b.Log("unlikely")
@@ -138,31 +124,14 @@ func BenchmarkLabelerKey(b *testing.B) {
 }
 
 // BenchmarkAssignProjected measures the public per-point labeling call used
-// by the in-situ path (Stream.Ingest / Model.Assign). Packed models must be
+// by the in-situ path (Stream.Ingest / Model.Assign). It must be
 // allocation-free.
 func BenchmarkAssignProjected(b *testing.B) {
 	data, model := benchKernelFixture(b)
-	strModel := forceStringBenchModel(model)
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			strModel.AssignProjected(data.Row(i % benchRows))
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			model.AssignProjected(data.Row(i % benchRows))
-		}
-	})
-}
-
-func forceStringBenchModel(m *Model) *Model {
-	sm := *m
-	sm.codec = tupleCodec{}
-	sm.lab = nil
-	sm.installLabels(identityLabels(len(sm.Clusters)))
-	return &sm
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model.AssignProjected(data.Row(i % benchRows))
+	}
 }
 
 func name(kind string, workers int) string {

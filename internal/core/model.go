@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -41,15 +40,13 @@ type Model struct {
 	// Trial is the index of the winning bootstrap trial.
 	Trial int
 
-	// codec packs segment tuples into uint64 keys; lab is the fused
-	// bin→segment labeling kernel. When the packed width overflows 64 bits
-	// (codec.fits == false) the model falls back to string tuple keys and
-	// labelOfStr. Both are rebuilt deterministically from Parts/Collapsed,
-	// so they never travel on the wire.
-	codec      tupleCodec
-	lab        *labeler
-	labelOf    map[uint64]int
-	labelOfStr map[string]int
+	// lab is the fused bin→segment labeling kernel under the trial's tuple
+	// layout; tuples holds the clusters' keys, and the tuple in cell c maps
+	// to labelOf[c]. All three are rebuilt deterministically from
+	// Parts/Collapsed and the cluster list, so they never travel on the wire.
+	lab     *labeler
+	tuples  *flatTable
+	labelOf []int
 
 	// packed is Projection laid out for linalg.MulPacked, set with it.
 	packed *linalg.Packed
@@ -83,41 +80,21 @@ func (m *Model) Describe() string {
 	return b.String()
 }
 
-// packSegments serializes a segment tuple into a string map key. It is the
-// fallback codec for tuples whose packed width overflows 64 bits (see
-// tupleCodec); the hot paths use packed uint64 keys. Collapsed dimensions
-// contribute a constant so they do not fragment clusters.
-func packSegments(segs []int) string {
-	buf := make([]byte, 2*len(segs))
-	for j, s := range segs {
-		binary.LittleEndian.PutUint16(buf[2*j:], uint16(s))
-	}
-	return string(buf)
-}
-
-func unpackSegments(s string) []int {
-	out := make([]int, len(s)/2)
-	b := []byte(s)
-	for j := range out {
-		out[j] = int(binary.LittleEndian.Uint16(b[2*j:]))
-	}
-	return out
-}
-
 // AssignProjected labels a point already expressed in the projected
-// subspace. Unknown tuples return cluster.Noise. The packed-key path is
-// allocation-free.
+// subspace. Unknown tuples return cluster.Noise. It allocates nothing for
+// a tuple of up to four words.
 func (m *Model) AssignProjected(projected []float64) int {
-	if m.codec.fits {
-		if l, ok := m.labelOf[m.lab.key(projected)]; ok {
-			return l
-		}
-		return cluster.Noise
-	}
-	segs := make([]int, len(m.Set.Dims))
-	segmentsOfRow(projected, m.Set, m.Parts, m.Collapsed, segs)
-	if l, ok := m.labelOfStr[packSegments(segs)]; ok {
-		return l
+	var buf [4]uint64
+	key := keyScratch(&buf, m.lab.words())
+	m.lab.key(key, projected)
+	return m.labelOfKey(key)
+}
+
+// labelOfKey is the label of a tuple key, cluster.Noise for a tuple no
+// cluster holds.
+func (m *Model) labelOfKey(key []uint64) int {
+	if c, ok := m.tuples.find(key); ok {
+		return m.labelOf[c]
 	}
 	return cluster.Noise
 }
@@ -136,71 +113,49 @@ func (m *Model) Assign(x []float64) (int, error) {
 }
 
 // buildLabels orders the occupied tuples by mass (descending, ties by key
-// ascending for determinism — packed keys put dimension 0 in the high bits,
-// so numeric order matches the string codec's byte order), applies the dust
-// filter and cap, and returns the surviving clusters. installLabels then
-// derives the tuple→label map from the cluster list.
-func buildLabels(tuples tupleCounts, codec tupleCodec, dims, minSize, maxClusters int) []quality.Cluster {
-	if tuples.u != nil {
-		var entries []tupleEntry[uint64]
-		for _, c := range tuples.u.cells {
-			if n := uint64(c.mass); int(n) >= minSize {
-				entries = append(entries, tupleEntry[uint64]{c.key, n})
+// ascending for determinism — the layout puts dimension 0 in the high bits,
+// so key order is lexicographic segment order), applies the dust filter and
+// cap, and returns the surviving clusters. installLabels then derives the
+// tuple→label map from the cluster list.
+func buildLabels(tuples *flatTable, layout keyLayout, minSize, maxClusters int) []quality.Cluster {
+	var heavy []int
+	if tuples != nil {
+		for c, m := range tuples.masses {
+			if int(uint64(m)) >= minSize {
+				heavy = append(heavy, c)
 			}
 		}
-		return heaviest(entries, maxClusters, func(key uint64) []int {
-			segs := make([]int, dims)
-			codec.unpack(key, segs)
-			return segs
-		})
 	}
-	var entries []tupleEntry[string]
-	for k, n := range tuples.s {
-		if int(n) >= minSize {
-			entries = append(entries, tupleEntry[string]{k, n})
+	slices.SortFunc(heavy, func(a, b int) int {
+		if ma, mb := tuples.masses[a], tuples.masses[b]; ma != mb {
+			return cmp.Compare(mb, ma)
 		}
-	}
-	return heaviest(entries, maxClusters, unpackSegments)
-}
-
-type tupleEntry[K cmp.Ordered] struct {
-	key  K
-	mass uint64
-}
-
-// heaviest is buildLabels' order and cap over either key type: the
-// maxClusters heaviest tuples as clusters, their segments unpacked.
-func heaviest[K cmp.Ordered](entries []tupleEntry[K], maxClusters int, segments func(K) []int) []quality.Cluster {
-	slices.SortFunc(entries, func(a, b tupleEntry[K]) int {
-		if a.mass != b.mass {
-			return cmp.Compare(b.mass, a.mass)
-		}
-		return cmp.Compare(a.key, b.key)
+		return slices.Compare(tuples.key(a), tuples.key(b))
 	})
-	clusters := make([]quality.Cluster, min(len(entries), maxClusters))
+	clusters := make([]quality.Cluster, min(len(heavy), maxClusters))
 	for i := range clusters {
-		clusters[i] = quality.Cluster{Segments: segments(entries[i].key), Mass: entries[i].mass}
+		c := heavy[i]
+		clusters[i] = quality.Cluster{Segments: layout.unpack(tuples.key(c)), Mass: uint64(tuples.masses[c])}
 	}
 	return clusters
 }
 
 // installLabels (re)builds the tuple→label map: cluster i's segment tuple
-// maps to labels[i]. The streaming driver re-installs with remapped labels
+// maps to labels[i] (the last cluster's label, should a decoded model list
+// one tuple twice). The streaming driver re-installs with remapped labels
 // to keep cluster identities stable across refits.
 func (m *Model) installLabels(labels []int) {
-	if m.codec.fits {
-		lm := make(map[uint64]int, len(m.Clusters))
-		for i, cl := range m.Clusters {
-			lm[m.codec.pack(cl.Segments)] = labels[i]
-		}
-		m.labelOf, m.labelOfStr = lm, nil
-		return
-	}
-	sm := make(map[string]int, len(m.Clusters))
+	m.tuples = &flatTable{words: m.lab.words()}
+	m.labelOf = nil
+	key := make([]uint64, m.lab.words())
 	for i, cl := range m.Clusters {
-		sm[packSegments(cl.Segments)] = labels[i]
+		m.lab.layout.pack(key, cl.Segments)
+		if c := m.tuples.add(key, 0); c < len(m.labelOf) {
+			m.labelOf[c] = labels[i]
+		} else {
+			m.labelOf = append(m.labelOf, labels[i])
+		}
 	}
-	m.labelOf, m.labelOfStr = nil, sm
 }
 
 // installedLabels is the inverse of installLabels: the label currently
@@ -209,12 +164,10 @@ func (m *Model) installLabels(labels []int) {
 // label stabilization.
 func (m *Model) installedLabels() []int {
 	out := make([]int, len(m.Clusters))
+	key := make([]uint64, m.lab.words())
 	for i, cl := range m.Clusters {
-		if m.labelOf != nil {
-			out[i] = m.labelOf[m.codec.pack(cl.Segments)]
-		} else {
-			out[i] = m.labelOfStr[packSegments(cl.Segments)]
-		}
+		m.lab.layout.pack(key, cl.Segments)
+		out[i] = m.labelOfKey(key)
 	}
 	return out
 }

@@ -57,12 +57,12 @@ func MergeShardStates(states ...[]byte) ([]byte, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shard states")
 	}
-	acc, err := decodeFold(states[0])
+	acc, err := decodeFold(states[0], nil)
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range states[1:] {
-		st, err := decodeFold(b)
+		st, err := decodeFold(b, nil)
 		if err == nil {
 			err = acc.merge(st)
 		}
@@ -115,7 +115,7 @@ func NewGlobalModelState(cfg StreamConfig) (*GlobalModelState, error) {
 // deterministic and label stabilization is a pure function of the
 // previous install's model.
 func (g *GlobalModelState) Install(merged []byte) (*Model, error) {
-	st, err := decodeFold(merged)
+	st, err := decodeFold(merged, nil)
 	if err != nil {
 		return nil, err
 	}

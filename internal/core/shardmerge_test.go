@@ -143,7 +143,7 @@ func TestMergeShardStatesEqualsUnionStream(t *testing.T) {
 	if !bytes.Equal(merged, unionState) {
 		t.Fatal("merged shard states differ from the single-node state")
 	}
-	st, err := decodeFold(merged)
+	st, err := decodeFold(merged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestMergeShardStatesErrors(t *testing.T) {
 			0, 0, 0, 0, tupleTagString, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0)},
 	}
 	for _, h := range hostile {
-		if _, err := decodeBounded(t, h.body); err == nil {
+		if _, err := decodeBounded(t, h.body, nil); err == nil {
 			t.Errorf("%s: decoded", h.name)
 		}
 		if _, err := MergeShardStates(h.body); err == nil {

@@ -122,7 +122,8 @@ type Stream struct {
 	sketchShift uint
 	batch       *projection.Batch
 	sets        []*histogram.Set
-	sketch      []*trialSketch
+	sketch      []*flatTable   // per trial: coarse cell key → mass
+	cellLayout  keyLayout      // the sketch keys' layout, sketchLayout(TargetDims)
 	buffer      *linalg.Matrix // warmup rows (nil once live)
 	bufUsed     int
 	seen        int
@@ -138,7 +139,7 @@ type Stream struct {
 	projBlock    []float64
 	bins         []uint16
 	binLo, binIW []float64
-	sketchKey    keys.Key
+	cellKey      []uint64
 	ptHdr        linalg.Matrix
 	ptLabel      [1]int
 
@@ -175,8 +176,9 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		depth = keys.DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
 	}
 
-	s := &Stream{cfg: cfg, depth: depth, sketchKey: make(keys.Key, cfg.TargetDims),
-		tupleMass: make([]flatTable, cfg.Trials)}
+	s := &Stream{cfg: cfg, depth: depth, tupleMass: make([]flatTable, cfg.Trials),
+		cellLayout: sketchLayout(cfg.TargetDims)}
+	s.cellKey = make([]uint64, s.cellLayout.words)
 	// Sketch cells at ≤ 32 per dimension: coarse enough that the occupied
 	// cell count tracks the cluster structure, fine enough to re-segment
 	// under moving cuts.
@@ -267,13 +269,13 @@ func (s *Stream) initSetsFromBuffer() error {
 func (s *Stream) initSets(mins, maxs []float64) error {
 	nrp := s.cfg.TargetDims
 	s.sets = make([]*histogram.Set, s.cfg.Trials)
-	s.sketch = make([]*trialSketch, s.cfg.Trials)
+	s.sketch = make([]*flatTable, s.cfg.Trials)
 	for t := range s.sets {
 		set, err := histogram.NewSet(mins[t*nrp:(t+1)*nrp], maxs[t*nrp:(t+1)*nrp], s.depth)
 		if err != nil {
 			return err
 		}
-		s.sets[t], s.sketch[t] = set, newTrialSketch(nrp)
+		s.sets[t], s.sketch[t] = set, &flatTable{words: s.cellLayout.words}
 	}
 	return nil
 }
@@ -359,7 +361,8 @@ func (s *Stream) Refit() error {
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
-		trials[t] = trialInput{set, parts, collapsed, s.sketchTuples(t, parts, collapsed)}
+		lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+		trials[t] = trialInput{set, parts, collapsed, s.sketchTuples(t, lab)}
 	}
 	models, best, err := selectModel(trials, cfg)
 	if err != nil {
@@ -393,70 +396,27 @@ func keepTrial(prev *Model, assessments []quality.Assessment, best int) int {
 	return best
 }
 
-// sketchTuples sums trial t's sketch masses per segment tuple, keyed
-// under the trial's tuple codec as trialModel expects: packed uint64 when
-// the tuple fits, string fallback otherwise. A coarse cell lies inside one
-// segment per dimension (snapCutsToSketch), so its whole mass goes to one
-// tuple. The common case — a packed sketch and a packed tuple — walks the
-// sketch's cells once and ORs each cell's tuple key together from its
-// 5-bit components, through per-dimension tables of segment fields already
-// shifted into place, summing into s.tupleMass[t], which every refit
-// reuses. Masses are summed in float, in the sketch's insertion order, and
-// rounded once (flatTable.round).
-func (s *Stream) sketchTuples(t int, parts []partition.Result, collapsed []bool) tupleCounts {
-	sk := s.sketch[t]
-	codec := newTupleCodec(parts, collapsed)
-	segOf := func(j int, coarse uint32) int {
-		if collapsed[j] {
-			return 0
-		}
-		return parts[j].SegmentOf(s.sketchBinCenter(coarse))
-	}
+// sketchTuples sums trial t's sketch masses per segment tuple, keyed by
+// lab, the trial's tuple labeler, as trialModel expects. A coarse cell
+// lies inside one segment per dimension (snapCutsToSketch), so its whole
+// mass goes to the tuple of the finest bin at its center. Masses are summed
+// in float into s.tupleMass[t], which every refit reuses, in the sketch's
+// insertion order, and rounded once (flatTable.round).
+func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
+	sk, cells := s.sketch[t], s.cellLayout
 	acc := &s.tupleMass[t]
-	acc.reset()
-	if sk.packed != nil && codec.fits {
-		width := len(parts)
-		// One row per dimension for every 5-bit component, so a cell from
-		// any binning depth indexes in range.
-		fields := make([]uint64, width*sketchComponentMax)
-		for j := range parts {
-			for b := range sketchComponentMax {
-				fields[j*sketchComponentMax+b] = uint64(segOf(j, uint32(b))) << codec.shifts[j]
-			}
+	acc.reset(lab.words())
+	bins, key := make([]uint16, len(cells.bits)), make([]uint64, lab.words())
+	for c, m := range sk.masses {
+		cell := sk.key(c)
+		for j := range bins {
+			bins[j] = uint16(s.sketchBinCenter(uint32(cells.field(cell, j))))
 		}
-		for _, c := range sk.packed.cells {
-			pk, tuple := c.key, uint64(0)
-			for j := width - 1; j >= 0; j-- {
-				tuple |= fields[j*sketchComponentMax+int(pk&(sketchComponentMax-1))]
-				pk >>= sketchBitsPerDim
-			}
-			acc.add(tuple, c.mass)
-		}
-	} else {
-		segs := make([]int, len(parts))
-		wide := make(map[string]float64)
-		sk.each(func(k keys.Key, n float64) {
-			for j := range segs {
-				segs[j] = segOf(j, k[j])
-			}
-			if codec.fits {
-				acc.add(codec.pack(segs), n)
-			} else {
-				wide[packSegments(segs)] += n
-			}
-		})
-		if !codec.fits {
-			out := make(map[string]uint64, len(wide))
-			for k, n := range wide {
-				if r := roundMass(n); r > 0 {
-					out[k] = r
-				}
-			}
-			return tupleCounts{s: out}
-		}
+		lab.binKey(key, bins)
+		acc.add(key, m)
 	}
 	acc.round()
-	return tupleCounts{u: acc}
+	return acc
 }
 
 // stabilizeLabels renames next's cluster labels so clusters persist across
@@ -606,7 +566,7 @@ func (s *Stream) SyncDistributed(comm *mpi.Comm) error {
 	if s.synced != nil {
 		delta = delta.minus(s.synced)
 	}
-	global, err := exchange(comm, s.cfg.Config, delta)
+	global, err := exchange(comm, s.cfg.Config, delta, nil)
 	if err != nil {
 		return err
 	}

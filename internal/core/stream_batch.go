@@ -100,14 +100,14 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 // labels them into labels[:n] when labels is not nil. A block is binned
 // whole by linalg.BinRows into the stream's bin scratch; then the trials
 // run one after another, each over the rows in order, bumping the counts
-// and adding each row's coarse sketch key (bin >> sketchShift) from the
-// stored bins, so every sketch cell receives its unit masses in the order
-// point-at-a-time ingestion gives them and the float masses match to the
-// last bit.
+// and adding each row's coarse sketch key (bin >> sketchShift per
+// dimension, under Stream.cellLayout) from the stored bins, so every sketch
+// cell receives its unit masses in the order point-at-a-time ingestion
+// gives them and the float masses match to the last bit.
 func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 	nrp := s.cfg.TargetDims
 	shift := s.sketchShift
-	key := s.sketchKey
+	key := s.cellKey
 	m := s.model.Load() // no refit runs inside a chunk
 	cols := nrp * len(s.sets)
 	if s.binLo == nil {
@@ -141,18 +141,26 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 		for t, set := range s.sets {
 			sk := s.sketch[t]
 			for at := t * nrp; at < len(bins); at += cols {
-				var pk uint64
+				// The cell key is the components shift-ORed together, in a
+				// register pair: two words' worth, N_rp ≤ 25. A wider key
+				// goes through memory (cellKey).
+				var hi, lo uint64
+				row := bins[at : at+nrp]
 				for j, h := range set.Dims {
-					bin := bins[at+j]
+					bin := row[j]
 					h.Counts[bin]++
-					key[j] = uint32(bin) >> shift
-					pk = pk<<sketchBitsPerDim | uint64(key[j])
+					hi = hi<<sketchBitsPerDim | lo>>(64-sketchBitsPerDim)
+					lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
 				}
-				if sk.packed != nil {
-					sk.packed.add(pk, 1)
-				} else {
-					sk.add(key, 1)
+				switch len(key) {
+				case 1:
+					key[0] = lo
+				case 2:
+					key[0], key[1] = hi, lo
+				default:
+					cellKey(key, row, shift)
 				}
+				sk.add(key, 1)
 			}
 			for _, h := range set.Dims {
 				h.Total += uint64(rows)

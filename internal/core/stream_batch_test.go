@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
@@ -14,9 +13,11 @@ import (
 // sketchContents flattens a trial sketch into a comparable map, so state
 // equivalence is asserted on the semantic content whatever order the
 // cells were inserted in.
-func sketchContents(sk *trialSketch) map[string]float64 {
+func sketchContents(sk *flatTable) map[string]float64 {
 	out := make(map[string]float64, sk.len())
-	sk.each(func(k keys.Key, n float64) { out[string(k.Pack())] = n })
+	for c, m := range sk.masses {
+		out[fmt.Sprint(sk.key(c))] = m
+	}
 	return out
 }
 
@@ -179,30 +180,33 @@ func TestIngestBatchCheckpointRoundTrip(t *testing.T) {
 
 // TestIngestBatchSteadyStateAllocs pins the hot-path allocation budget:
 // once past warmup, an IngestBatch that stays inside a refit period
-// allocates nothing — the projection block and the packed sketch are
-// reused — whatever the stream's worker budget.
+// allocates nothing — the projection block and the sketch are reused —
+// whatever the stream's worker budget, and whatever the key width: at 64
+// raw dimensions, N_rp 13 and 16 take 65 and 80 bits of sketch key.
 func TestIngestBatchSteadyStateAllocs(t *testing.T) {
-	const dims = 16
-	ranges := make([][2]float64, dims)
-	for j := range ranges {
-		ranges[j] = [2]float64{-12, 12}
+	cases := []struct {
+		name               string
+		dims, nrp, workers int
+	}{
+		{"workers=0", 16, 0, 0}, {"workers=1", 16, 0, 1}, {"workers=4", 16, 0, 4},
+		{"dims=64/nrp=12", 64, 12, 1}, {"dims=64/nrp=13", 64, 13, 1}, {"dims=64/nrp=16", 64, 16, 1},
 	}
-	spec := synth.AutoMixture(3, dims, 6, 1, xrand.New(70))
-	// Larger than blockRows, so a batch is projected in several blocks.
-	batch, _ := spec.Sample(blockRows+500, xrand.New(71))
-	for _, workers := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := synth.AutoMixture(3, c.dims, 6, 1, xrand.New(70))
+			// Larger than blockRows, so a batch is projected in several blocks.
+			batch, _ := spec.Sample(blockRows+500, xrand.New(71))
 			st, err := NewStream(StreamConfig{
-				Config:    Config{Seed: 31, Trials: 3, Workers: workers},
-				Dims:      dims,
-				RawRanges: ranges,
+				Config:    Config{Seed: 31, Trials: 3, Workers: c.workers, TargetDims: c.nrp},
+				Dims:      c.dims,
+				RawRanges: fixedRanges(c.dims, -12, 12),
 				Period:    1 << 30, // no refit during the measured runs
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm the scratch block and let the packed sketch maps grow
-			// to their working size.
+			// Warm the scratch block and let the sketch tables grow to
+			// their working size.
 			for i := 0; i < 8; i++ {
 				if _, err := st.IngestBatch(batch); err != nil {
 					t.Fatal(err)
@@ -248,6 +252,44 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "pts/s")
+}
+
+// BenchmarkIngestBatchWidth is the batch-apply path over 64 raw
+// dimensions at N_rp 6, 12, 13 and 16. A sketch cell takes 5 bits per
+// projected dimension, so N_rp 13 and 16 take a two-word key: ns/pt should
+// grow with N_rp, not jump where the key passes 64 bits. No refit runs
+// inside the measured batches.
+func BenchmarkIngestBatchWidth(b *testing.B) {
+	const dims, rows = 64, 3*blockRows - 24
+	spec := synth.AutoMixture(3, dims, 6, 1, xrand.New(80))
+	batch, _ := spec.Sample(rows, xrand.New(81))
+	for _, nrp := range []int{6, 12, 13, 16} {
+		b.Run(fmt.Sprintf("nrp=%d", nrp), func(b *testing.B) {
+			st, err := NewStream(StreamConfig{
+				Config:    Config{Seed: 41, Trials: 3, TargetDims: nrp},
+				Dims:      dims,
+				RawRanges: fixedRanges(dims, -12, 12),
+				Period:    1 << 30,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 4; i++ { // grow the sketch to its working size
+				if _, err := st.IngestBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.IngestBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows*b.N), "ns/pt")
+		})
+	}
 }
 
 // BenchmarkStreamRefit times Refit alone on the serving benchmark's stream

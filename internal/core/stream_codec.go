@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
 )
 
 // Stream checkpoint wire format (little endian):
@@ -78,15 +77,15 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 		enc := set.Encode()
 		w.u32(uint32(len(enc)))
 		w.buf = append(w.buf, enc...)
-		sk := s.sketch[t]
+		sk, cells := s.sketch[t], s.cellLayout
 		w.u32(uint32(sk.len()))
-		sk.each(func(k keys.Key, n float64) {
-			w.u32(uint32(len(k)))
-			for _, b := range k {
-				w.u32(b)
+		for c, m := range sk.masses {
+			w.u32(uint32(len(cells.bits)))
+			for j := range cells.bits {
+				w.u32(uint32(cells.field(sk.key(c), j)))
 			}
-			w.f64(n)
-		})
+			w.f64(m)
+		}
 	}
 	return w.buf, nil
 }
@@ -150,7 +149,9 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d trials, config %d", ntrials, s.cfg.Trials)
 	}
 	s.sets = make([]*histogram.Set, ntrials)
-	s.sketch = make([]*trialSketch, ntrials)
+	s.sketch = make([]*flatTable, ntrials)
+	cells := s.cellLayout
+	key := make([]uint64, cells.words)
 	for t := 0; t < ntrials; t++ {
 		slen := int(r.u32())
 		if !r.need(slen) {
@@ -172,15 +173,19 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		if left := len(b) - r.off; nkeys < 0 || nkeys > left/(12+4*len(set.Dims)) {
 			return nil, nil, fmt.Errorf("core: %d sketch keys in %d bytes", nkeys, left)
 		}
-		sk := newTrialSketch(len(set.Dims))
-		k := make(keys.Key, len(set.Dims))
+		sk := &flatTable{words: cells.words}
 		for i := 0; i < nkeys; i++ {
 			width := int(r.u32())
 			if width != len(set.Dims) {
 				return nil, nil, fmt.Errorf("core: checkpoint key width %d for %d dims", width, len(set.Dims))
 			}
-			for j := range k {
-				k[j] = r.u32()
+			clear(key)
+			for j := range width {
+				b := r.u32()
+				if b >= s.sketchCells() {
+					return nil, nil, fmt.Errorf("core: checkpoint trial %d: sketch key component %d in dimension %d, %d cells", t, b, j, s.sketchCells())
+				}
+				cells.put(key, j, uint64(b))
 			}
 			mass := r.f64()
 			if r.err != nil {
@@ -189,10 +194,7 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 			if math.IsNaN(mass) || mass < 0 {
 				return nil, nil, fmt.Errorf("core: checkpoint key mass %v", mass)
 			}
-			if err := checkSketchKey(k, s.sketchCells()); err != nil {
-				return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
-			}
-			sk.add(k, mass)
+			sk.add(key, mass)
 		}
 		s.sketch[t] = sk
 	}

@@ -281,9 +281,9 @@ func TestStreamCheckpointMeta(t *testing.T) {
 // function of the stream's state: the same stream encoded twice, two
 // streams fed the same points, and a decode→encode round trip all give one
 // byte string, with and without decay; so does a state installed from a
-// merged fold, whose sketch is rebuilt from a map of counts.
+// merged fold, whose sketch is rebuilt from a map of counts. At TargetDims
+// 14 a sketch cell's key takes two words.
 func TestStreamEncodeDeterministic(t *testing.T) {
-	spec := synth.AutoMixture(4, 8, 6, 1, xrand.New(130))
 	encode := func(st *Stream) []byte {
 		t.Helper()
 		b, err := st.Encode()
@@ -292,9 +292,13 @@ func TestStreamEncodeDeterministic(t *testing.T) {
 		}
 		return b
 	}
-	for _, decay := range []float64{0, 0.9} {
-		cfg := StreamConfig{Config: Config{Seed: 131, Trials: 3}, Dims: 8,
-			RawRanges: fixedRanges(8, -12, 12), Period: 700, DecayFactor: decay}
+	for _, c := range []struct {
+		dims, nrp int
+		decay     float64
+	}{{8, 0, 0}, {8, 0, 0.9}, {32, 14, 0}, {32, 14, 0.9}} {
+		spec := synth.AutoMixture(4, c.dims, 6, 1, xrand.New(130))
+		cfg := StreamConfig{Config: Config{Seed: 131, Trials: 3, TargetDims: c.nrp}, Dims: c.dims,
+			RawRanges: fixedRanges(c.dims, -12, 12), Period: 700, DecayFactor: c.decay}
 		fed := func() *Stream {
 			st, err := NewStream(cfg)
 			if err != nil {
@@ -306,19 +310,20 @@ func TestStreamEncodeDeterministic(t *testing.T) {
 		a, b := fed(), fed()
 		want := encode(a)
 		if !bytes.Equal(encode(a), want) {
-			t.Fatalf("decay %v: one stream encoded twice gives different bytes", decay)
+			t.Fatalf("%+v: one stream encoded twice gives different bytes", c)
 		}
 		if !bytes.Equal(encode(b), want) {
-			t.Fatalf("decay %v: two streams fed the same points encode differently", decay)
+			t.Fatalf("%+v: two streams fed the same points encode differently", c)
 		}
 		restored, err := DecodeStream(cfg, want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encode(restored), want) {
-			t.Fatalf("decay %v: decode→encode changed the bytes", decay)
+			t.Fatalf("%+v: decode→encode changed the bytes", c)
 		}
 	}
+	spec := synth.AutoMixture(4, 8, 6, 1, xrand.New(130))
 
 	shardCfg := StreamConfig{Config: Config{Seed: 7, Trials: 3}, Dims: 8,
 		RawRanges: fixedRanges(8, -12, 12), Period: 1 << 30}

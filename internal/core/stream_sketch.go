@@ -1,122 +1,65 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-
-	"keybin2/internal/keys"
 )
 
-// trialSketch is one trial's coarse key-mass accumulator — the structure
-// the ingest hot loop hits once per point per trial. The stream only ever
-// stores keys at sketch granularity (components < 2^sketchBitsPerDim, see
-// Stream.sketchShift), so for widths up to 12 dimensions a whole key packs
-// into one uint64 and the accumulator is a flatTable: adding mass to an
-// existing cell is one probe with no allocation, versus the string-keyed
-// keys.Counter whose every Add materializes a fresh packed string. Wider
-// keys fall back to a keys.Counter.
-type trialSketch struct {
-	width  int
-	packed *flatTable    // fast path; nil in fallback mode
-	ctr    *keys.Counter // fallback; nil while packed is live
-}
+// A stream trial's sketch is a flatTable of coarse key masses — the
+// structure the ingest hot loop hits once per point per trial. The stream
+// only ever stores keys at sketch granularity (components <
+// 2^sketchBitsPerDim, see Stream.sketchShift), so a cell's key is
+// sketchLayout's 5 bits per dimension: one word up to 12 dimensions, two
+// up to 25, and so on. Adding mass to an existing cell is one probe with no
+// allocation, at every width.
 
-// sketchBitsPerDim is the packed encoding's per-dimension width. Sketch
+// sketchBitsPerDim is the sketch key's per-dimension width. Sketch
 // components are always < 32: the stream shifts full-resolution bins down
 // to at most maxSketchDepth (5) bits before they reach the sketch.
 const sketchBitsPerDim = 5
 
-const sketchComponentMax = 1 << sketchBitsPerDim
+// cellsPerWord is how many sketch components fit one word.
+const cellsPerWord = 64 / sketchBitsPerDim
 
-func newTrialSketch(width int) *trialSketch {
-	s := &trialSketch{width: width}
-	if width*sketchBitsPerDim <= 64 {
-		s.packed = &flatTable{}
-	} else {
-		s.ctr = keys.NewCounter(width)
-	}
-	return s
-}
-
-// packKey packs coarse components (each < sketchComponentMax) into one
-// uint64, most-significant dimension first.
-func packKey(k keys.Key) uint64 {
-	var pk uint64
-	for _, b := range k {
-		pk = pk<<sketchBitsPerDim | uint64(b)
-	}
-	return pk
-}
-
-func (s *trialSketch) unpackInto(k keys.Key, pk uint64) {
-	for j := s.width - 1; j >= 0; j-- {
-		k[j] = uint32(pk & (sketchComponentMax - 1))
-		pk >>= sketchBitsPerDim
-	}
-}
-
-// add adds n to coarse key k. Every component is below
-// sketchComponentMax: applyChunk adds bin >> sketchShift, and both
-// decoders check a key from elsewhere against the stream's cells
-// (checkSketchKey) before it gets here.
-func (s *trialSketch) add(k keys.Key, n float64) {
-	if s.packed != nil {
-		s.packed.add(packKey(k), n)
-		return
-	}
-	s.ctr.Add(k, n)
-}
-
-func (s *trialSketch) len() int {
-	if s.packed != nil {
-		return len(s.packed.cells)
-	}
-	return s.ctr.Len()
-}
-
-// each visits every (key, mass) pair: in insertion order while the sketch
-// packs, in unspecified order in fallback mode. The key slice is reused
-// between calls — callers must not retain it.
-func (s *trialSketch) each(fn func(k keys.Key, n float64)) {
-	if s.packed != nil {
-		k := make(keys.Key, s.width)
-		for _, c := range s.packed.cells {
-			s.unpackInto(k, c.key)
-			fn(k, c.mass)
+// cellKey writes the sketch key of a row's stored bins into key:
+// components bin >> shift shift-ORed together, cellsPerWord of them at a
+// time in a register and then into the key's words, which makes
+// sketchLayout's right-aligned key at any width.
+func cellKey(key []uint64, bins []uint16, shift uint) {
+	clear(key)
+	last := len(key) - 1
+	for lo := 0; lo < len(bins); lo += cellsPerWord {
+		part := bins[lo:min(lo+cellsPerWord, len(bins))]
+		var pk uint64
+		for _, bin := range part {
+			pk = pk<<sketchBitsPerDim | uint64(bin>>shift)
 		}
-		return
+		n := uint(len(part)) * sketchBitsPerDim
+		for w := 0; w < last; w++ {
+			key[w] = key[w]<<n | key[w+1]>>(64-n)
+		}
+		key[last] = key[last]<<n | pk
 	}
-	s.ctr.Each(fn)
 }
 
-// decay mirrors keys.Counter.Decay: scale every mass by factor, in (0, 1)
-// as Refit's forgetting passes it, dropping cells that become negligible.
-func (s *trialSketch) decay(factor float64) {
-	if s.packed == nil {
-		s.ctr.Decay(factor)
-		return
+// sketchLayout is the layout of a sketch cell's key over width dimensions.
+// The 'S' form (and a checkpoint record) is a u32 per component.
+func sketchLayout(width int) keyLayout {
+	widths := make([]uint, width)
+	for j := range widths {
+		widths[j] = sketchBitsPerDim
 	}
-	s.packed.decay(factor)
+	return newKeyLayout(widths, 4)
 }
 
 // counts is the sketch as the consolidation fold ships it: whole masses
-// keyed by the packed cell when the sketch packs, by Key.Pack() otherwise.
-func (s *trialSketch) counts() tupleCounts {
-	if s.packed != nil {
-		tab := s.packed.clone()
-		tab.round()
-		return tupleCounts{u: tab}
-	}
-	m := make(map[string]uint64, s.ctr.Len())
-	s.ctr.Each(func(k keys.Key, n float64) {
-		if r := roundMass(n); r > 0 {
-			m[k.Pack()] = r
-		}
-	})
-	return tupleCounts{s: m}
+// (roundMass), cells that round to nothing dropped.
+func counts(sketch *flatTable) *flatTable {
+	tab := sketch.clone()
+	tab.round()
+	return tab
 }
 
 // roundMass turns a float mass into the integer count a model is built
@@ -127,11 +70,11 @@ func roundMass(n float64) uint64 { return uint64(math.Round(n)) }
 
 // checkSketchKey refuses a coarse key from elsewhere — a merged fold, a
 // checkpoint — unless every component addresses one of the stream's cells
-// coarse sketch cells per dimension: Refit indexes a cells-wide table with
-// it, and the packed sketch holds 5 bits per component.
-func checkSketchKey(k keys.Key, cells uint32) error {
-	for j, b := range k {
-		if b >= cells {
+// coarse sketch cells per dimension: Refit maps every component to a bin of
+// the stream's histograms.
+func checkSketchKey(layout keyLayout, key []uint64, cells uint32) error {
+	for j := range layout.bits {
+		if b := layout.field(key, j); b >= uint64(cells) {
 			return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, cells)
 		}
 	}
@@ -139,83 +82,100 @@ func checkSketchKey(k keys.Key, cells uint32) error {
 }
 
 // sketchFromCounts is the inverse of counts for masses that arrived from
-// elsewhere, every key checked by checkSketchKey. Packed cells are
+// elsewhere (nil: none), every key checked by checkSketchKey. Cells are
 // inserted in ascending key order, so a sketch built from the same counts
 // walks (and encodes) in the same order every time.
-func sketchFromCounts(width int, cells uint32, tc tupleCounts) (*trialSketch, error) {
-	sk := newTrialSketch(width)
-	if tc.u != nil {
-		if sk.packed == nil {
-			return nil, fmt.Errorf("core: packed sketch keys for %d dimensions, which do not pack", width)
-		}
-		k := make(keys.Key, width)
-		for _, c := range tc.u.sorted() {
-			if c.key>>uint(width*sketchBitsPerDim) != 0 {
-				return nil, fmt.Errorf("core: packed sketch key %#x wider than %d dimensions", c.key, width)
-			}
-			sk.unpackInto(k, c.key)
-			if err := checkSketchKey(k, cells); err != nil {
-				return nil, err
-			}
-			sk.add(k, c.mass)
-		}
+func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable, error) {
+	sk := &flatTable{words: layout.words}
+	if tc == nil {
 		return sk, nil
 	}
-	for ks, n := range tc.s {
-		k, err := keys.Unpack(ks)
-		if err == nil && len(k) != width {
-			err = fmt.Errorf("core: sketch key width %d for %d dimensions", len(k), width)
+	if tc.words != layout.words {
+		return nil, fmt.Errorf("core: sketch keys of %d words for %d dimensions", tc.words, len(layout.bits))
+	}
+	for _, c := range tc.sorted() {
+		key := tc.key(c)
+		if key[0]&^layout.top != 0 {
+			return nil, fmt.Errorf("core: sketch key %#x wider than %d dimensions", key, len(layout.bits))
 		}
-		if err == nil {
-			err = checkSketchKey(k, cells)
-		}
-		if err != nil {
+		if err := checkSketchKey(layout, key, cells); err != nil {
 			return nil, err
 		}
-		sk.add(k, float64(n))
+		sk.add(key, tc.masses[c])
 	}
 	return sk, nil
 }
 
-// flatTable is internal/core's one uint64 → mass accumulator: a packed
-// sketch's cells, whose masses turn fractional under decay, and every
-// packed tuple count (tupleCounts.u), whose masses are whole numbers below
-// 2^53 and so sum exactly in float64. Its cells (key and mass) are stored
-// densely in insertion order, so a walk over them is a sequential scan,
-// and its order — which fixes the checkpoint's bytes and the order float
-// masses are summed in — follows the input, not a hash seed. An
-// open-addressing index finds a key's cell: linear probing over a
-// power-of-two slot array kept at most half full, hashed by the top bits
-// of a Fibonacci multiply.
+// flatTable is internal/core's one key → mass accumulator, for keys of
+// words uint64 words: a sketch's cells, whose masses turn fractional under
+// decay, every tuple count, whose masses are whole numbers below 2^53 and
+// so sum exactly in float64, and a model's cluster tuples. Its cells are
+// stored densely in insertion order — keys in one stride-words slab, masses
+// beside them — so a walk over them is a sequential scan, and its order —
+// which fixes the checkpoint's bytes and the order float masses are summed
+// in — follows the input, not a hash seed. An open-addressing index finds
+// a key's cell: linear probing over a power-of-two slot array kept at most
+// half full, hashed by the top bits of a Fibonacci multiply.
 type flatTable struct {
-	cells []flatCell
-	index []uint32 // per slot: 1 + the cell's position, 0 when empty
-	shift uint     // 64 − log₂ len(index)
-}
-
-type flatCell struct {
-	key  uint64
-	mass float64
+	words  int       // key width W
+	keys   []uint64  // cell c's key is keys[c·W : (c+1)·W]
+	masses []float64 // cell c's mass
+	index  []uint32  // per slot: 1 + the cell's position, 0 when empty
+	shift  uint      // 64 − log₂ len(index)
 }
 
 const fibonacciHash = 0x9E3779B97F4A7C15
 
-// add adds n to key's mass, appending a cell for a key not yet present.
-func (t *flatTable) add(key uint64, n float64) {
-	if 2*len(t.cells) >= len(t.index) {
+// len is the number of cells.
+func (t *flatTable) len() int { return len(t.masses) }
+
+// key is cell c's key, aliasing the table.
+func (t *flatTable) key(c int) []uint64 { return t.keys[c*t.words : (c+1)*t.words : (c+1)*t.words] }
+
+// slot is key's first probe.
+func (t *flatTable) slot(key []uint64) int {
+	h := key[0]
+	for _, w := range key[1:] {
+		h = h*fibonacciHash ^ w
+	}
+	return int(h * fibonacciHash >> t.shift)
+}
+
+// add adds n to key's mass, appending a cell for a key not yet present,
+// and returns the key's cell.
+func (t *flatTable) add(key []uint64, n float64) int {
+	if 2*len(t.masses) >= len(t.index) {
 		t.grow()
 	}
-	mask := len(t.index) - 1
-	for i := int(key * fibonacciHash >> t.shift); ; i = (i + 1) & mask {
-		at := t.index[i]
+	mask, w := len(t.index)-1, t.words
+	for i := t.slot(key); ; i = (i + 1) & mask {
+		at := int(t.index[i])
 		if at == 0 {
-			t.cells = append(t.cells, flatCell{key: key, mass: n})
-			t.index[i] = uint32(len(t.cells))
-			return
+			t.keys = append(t.keys, key...)
+			t.masses = append(t.masses, n)
+			t.index[i] = uint32(len(t.masses))
+			return len(t.masses) - 1
 		}
-		if c := &t.cells[at-1]; c.key == key {
-			c.mass += n
-			return
+		if c := at - 1; t.keys[c*w] == key[0] && (w == 1 || slices.Equal(t.keys[c*w+1:c*w+w], key[1:])) {
+			t.masses[c] += n
+			return c
+		}
+	}
+}
+
+// find returns key's cell, if it has one.
+func (t *flatTable) find(key []uint64) (int, bool) {
+	if len(t.index) == 0 {
+		return 0, false
+	}
+	mask, w := len(t.index)-1, t.words
+	for i := t.slot(key); ; i = (i + 1) & mask {
+		at := int(t.index[i])
+		if at == 0 {
+			return 0, false
+		}
+		if c := at - 1; slices.Equal(t.keys[c*w:c*w+w], key) {
+			return c, true
 		}
 	}
 }
@@ -232,8 +192,8 @@ func (t *flatTable) grow() {
 func (t *flatTable) reindex() {
 	clear(t.index)
 	mask := len(t.index) - 1
-	for c, cell := range t.cells {
-		i := int(cell.key * fibonacciHash >> t.shift)
+	for c := range t.masses {
+		i := t.slot(t.key(c))
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -241,9 +201,9 @@ func (t *flatTable) reindex() {
 	}
 }
 
-// reset empties the table, keeping its memory.
-func (t *flatTable) reset() {
-	t.cells = t.cells[:0]
+// reset empties the table for keys of words words, keeping its memory.
+func (t *flatTable) reset(words int) {
+	t.words, t.keys, t.masses = words, t.keys[:0], t.masses[:0]
 	clear(t.index)
 }
 
@@ -251,22 +211,24 @@ func (t *flatTable) reset() {
 // insertion order: decay, rounding, the suppression filter and the fold's
 // subtraction are each one pass of it.
 func (t *flatTable) filter(f func(mass float64) (float64, bool)) {
-	kept := t.cells[:0]
-	for _, c := range t.cells {
+	kept := 0
+	for c, m := range t.masses {
 		var keep bool
-		if c.mass, keep = f(c.mass); keep {
-			kept = append(kept, c)
+		if m, keep = f(m); keep {
+			copy(t.keys[kept*t.words:], t.key(c))
+			t.masses[kept] = m
+			kept++
 		}
 	}
-	dropped := len(kept) < len(t.cells)
-	t.cells = kept
+	dropped := kept < len(t.masses)
+	t.keys, t.masses = t.keys[:kept*t.words], t.masses[:kept]
 	if dropped {
 		t.reindex()
 	}
 }
 
 // decay scales every mass by factor and drops the cells that become
-// negligible — keys.Counter.Decay on the flat layout.
+// negligible (under 1e-6), the sketch's counterpart of histogram decay.
 func (t *flatTable) decay(factor float64) {
 	const negligible = 1e-6
 	t.filter(func(m float64) (float64, bool) {
@@ -284,14 +246,31 @@ func (t *flatTable) round() {
 	})
 }
 
-// clone is a copy that shares no memory with t.
-func (t *flatTable) clone() *flatTable {
-	return &flatTable{cells: slices.Clone(t.cells), index: slices.Clone(t.index), shift: t.shift}
+// minus is t − prev for counts t grew from prev (nil: nothing): the keys
+// that grew, by how much. Whole masses below 2^53 subtract exactly.
+func (t *flatTable) minus(prev *flatTable) *flatTable {
+	grown := t.clone()
+	if prev != nil {
+		for c, m := range prev.masses {
+			grown.add(prev.key(c), -m)
+		}
+	}
+	grown.filter(func(m float64) (float64, bool) { return m, m > 0 })
+	return grown
 }
 
-// sorted is a copy of the cells in ascending key order.
-func (t *flatTable) sorted() []flatCell {
-	cells := slices.Clone(t.cells)
-	slices.SortFunc(cells, func(a, b flatCell) int { return cmp.Compare(a.key, b.key) })
-	return cells
+// clone is a copy that shares no memory with t.
+func (t *flatTable) clone() *flatTable {
+	return &flatTable{words: t.words, keys: slices.Clone(t.keys), masses: slices.Clone(t.masses),
+		index: slices.Clone(t.index), shift: t.shift}
+}
+
+// sorted is the cells in ascending key order.
+func (t *flatTable) sorted() []int {
+	order := make([]int, t.len())
+	for c := range order {
+		order[c] = c
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(t.key(a), t.key(b)) })
+	return order
 }

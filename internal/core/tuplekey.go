@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -13,171 +14,264 @@ import (
 // paper's per-point work is: bin the point in every projected dimension,
 // map each bin to its primary-cluster segment, and concatenate the segments
 // into a tuple key. The reference implementation built a string per point
-// per pass; here the whole tuple packs into a single uint64 — with
-// B ≤ 2^MaxDepth bins a dimension rarely has more than 16 segments, so
-// ⌈log₂(maxSeg+1)⌉ bits per dimension fit comfortably — and the bin→segment
-// map fuses Hist.Bin with Result.SegmentOf into one lookup table per
-// dimension. The string codec (packSegments) survives only as the
-// documented fallback for tuples whose packed width overflows 64 bits, and
-// in the Model wire format, which stores segments explicitly and therefore
-// never changed.
+// per pass; here the tuple packs into W uint64 words — ⌈log₂ S⌉ bits for a
+// dimension of S segments, so a tuple of up to 64 bits (every N_rp the
+// benchmarks run) takes one word — and the bin→segment map fuses Hist.Bin
+// with Result.SegmentOf into one lookup table per dimension. The stream's
+// coarse sketch cells are keys of the same kind (5 bits per dimension), so
+// one layout, one labeler and one count table (flatTable) serve every key
+// of every width. Only the fold's 'S' section and the Model and checkpoint
+// wire formats, which store segments or components explicitly, see a key as
+// anything but words.
 
-// tupleCodec describes how one trial's segment tuples pack into a uint64.
-// Dimension 0 occupies the most significant bits, so ascending uint64 order
-// equals lexicographic ascending order on (seg₀, seg₁, …) — the same
-// deterministic tie-break order buildLabels used with string keys.
-type tupleCodec struct {
-	bits   []uint // field width of dimension j (0 for collapsed/1-segment dims)
-	shifts []uint // left-shift of dimension j's field
-	fits   bool   // false when Σ bits > 64: callers use the string fallback
+// keyLayout places one unsigned field per dimension in a key of words
+// uint64 words: the fields concatenated, dimension 0 in the most
+// significant bits, the whole right-aligned in the key's words·64 bits,
+// word 0 the most significant. Ascending key order (word by word) is
+// therefore lexicographic ascending order on (field₀, field₁, …) — the
+// deterministic tie-break order buildLabels uses. A field may straddle two
+// words.
+type keyLayout struct {
+	bits   []uint // field width of dimension j (0 for a constant field)
+	shifts []uint // offset of dimension j's lowest bit from the key's lowest bit
+	words  int    // ⌈Σ bits / 64⌉, at least 1; 0 for the layout of no keys
+	top    uint64 // the bits of word 0 the fields occupy
+	wire   int    // bytes per field in the fold's 'S' form: 2 or 4
 }
 
-// newTupleCodec derives the packing from a trial's partitions. Collapsed
-// dimensions contribute zero bits (their segment is constant 0), matching
-// packSegments' constant contribution.
-func newTupleCodec(parts []partition.Result, collapsed []bool) tupleCodec {
-	n := len(parts)
-	c := tupleCodec{bits: make([]uint, n), shifts: make([]uint, n)}
+// newKeyLayout lays out fields of the given widths.
+func newKeyLayout(widths []uint, wire int) keyLayout {
+	l := keyLayout{bits: widths, shifts: make([]uint, len(widths)), wire: wire}
 	total := uint(0)
-	for j := range parts {
-		if collapsed[j] {
-			continue // 0 bits
-		}
-		b := uint(bits.Len(uint(parts[j].Segments() - 1)))
-		c.bits[j] = b
+	for _, b := range widths {
 		total += b
 	}
-	if total > 64 {
-		return tupleCodec{} // fits=false: fall back to string keys
-	}
 	off := total
-	for j := range c.bits {
-		off -= c.bits[j]
-		c.shifts[j] = off
+	for j, b := range widths {
+		off -= b
+		l.shifts[j] = off
 	}
-	c.fits = true
-	return c
+	l.words = max(1, int(total+63)/64)
+	l.top = 1<<(total-64*uint(l.words-1)) - 1
+	return l
 }
 
-// pack packs a segment tuple. Only valid when fits.
-func (c tupleCodec) pack(segs []int) uint64 {
-	var key uint64
-	for j, s := range segs {
-		key |= uint64(s) << c.shifts[j]
+// tupleLayout is a trial's segment-tuple layout: ⌈log₂ S⌉ bits for a
+// dimension of S segments, none for a collapsed one (its segment is
+// constant 0). The 'S' form is a u16 per segment.
+func tupleLayout(parts []partition.Result, collapsed []bool) keyLayout {
+	widths := make([]uint, len(parts))
+	for j := range parts {
+		if !collapsed[j] {
+			widths[j] = uint(bits.Len(uint(parts[j].Segments() - 1)))
+		}
 	}
-	return key
+	return newKeyLayout(widths, 2)
 }
 
-// unpack expands a packed key into segs (len(segs) == len(c.bits)).
-func (c tupleCodec) unpack(key uint64, segs []int) {
-	for j := range segs {
-		segs[j] = int((key >> c.shifts[j]) & (1<<c.bits[j] - 1))
+// at is where dimension j's field sits: the word holding its lowest bit
+// and the bit offset within that word.
+func (l keyLayout) at(j int) (word int, shift uint) {
+	return l.words - 1 - int(l.shifts[j]/64), l.shifts[j] % 64
+}
+
+// put ORs v into dimension j's field of key. A v wider than the field
+// spills into the fields above it, as a shifted OR does.
+func (l keyLayout) put(key []uint64, j int, v uint64) {
+	if l.bits[j] == 0 {
+		return
+	}
+	w, s := l.at(j)
+	key[w] |= v << s
+	if s+l.bits[j] > 64 {
+		key[w-1] |= v >> (64 - s)
 	}
 }
 
-// labeler is the fused per-point labeling kernel for one trial: per
-// dimension, Hist.Bin's arithmetic on its Min and InvWidth, and
-// luts[j][bin] holds the dimension's segment already shifted into its key
-// field, replacing Result.SegmentOf's binary search. key() does no
-// allocation and no branching beyond range clamps.
+// field reads dimension j's field of key.
+func (l keyLayout) field(key []uint64, j int) uint64 {
+	if l.bits[j] == 0 {
+		return 0
+	}
+	w, s := l.at(j)
+	v := key[w] >> s
+	if s+l.bits[j] > 64 {
+		v |= key[w-1] << (64 - s)
+	}
+	return v & (1<<l.bits[j] - 1)
+}
+
+// pack writes the key of a segment (or component) tuple into key.
+func (l keyLayout) pack(key []uint64, fields []int) {
+	clear(key)
+	for j, v := range fields {
+		l.put(key, j, uint64(v))
+	}
+}
+
+// unpack expands a key into one field per dimension.
+func (l keyLayout) unpack(key []uint64) []int {
+	out := make([]int, len(l.bits))
+	for j := range out {
+		out[j] = int(l.field(key, j))
+	}
+	return out
+}
+
+// appendWire appends key in the fold's 'S' form: every field in dimension
+// order, little endian, in l.wire bytes.
+func (l keyLayout) appendWire(b []byte, key []uint64) []byte {
+	for j := range l.bits {
+		if v := l.field(key, j); l.wire == 2 {
+			b = binary.LittleEndian.AppendUint16(b, uint16(v))
+		} else {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	return b
+}
+
+// fromWire is the inverse of appendWire. It refuses a key of another
+// length and a field value its width cannot hold, so every key it accepts
+// re-encodes to the same bytes.
+func (l keyLayout) fromWire(key []uint64, b string) error {
+	if len(b) != l.wire*len(l.bits) {
+		return fmt.Errorf("core: %d-byte key for %d fields of %d bytes", len(b), len(l.bits), l.wire)
+	}
+	clear(key)
+	for j, width := range l.bits {
+		var v uint64
+		if f := b[j*l.wire:]; l.wire == 2 {
+			v = uint64(f[0]) | uint64(f[1])<<8
+		} else {
+			v = uint64(f[0]) | uint64(f[1])<<8 | uint64(f[2])<<16 | uint64(f[3])<<24
+		}
+		if v>>width != 0 {
+			return fmt.Errorf("core: key field %d holds %d, wider than %d bits", j, v, width)
+		}
+		l.put(key, j, v)
+	}
+	return nil
+}
+
+// keyScratch is a key of words words in buf when it fits, so a caller's
+// per-point key needs no allocation at the widths the benchmarks run.
+func keyScratch(buf *[4]uint64, words int) []uint64 {
+	if words <= len(buf) {
+		return buf[:words]
+	}
+	return make([]uint64, words)
+}
+
+// labeler is the fused per-point keying kernel under one layout: per
+// dimension, Hist.Bin's arithmetic on its Min and InvWidth, and a lookup
+// table from bin to the dimension's field, already shifted into its word.
+// A field that straddles two words has one table per word; parts lists
+// every table in word order. Over a trial's partitions the field is the
+// bin's segment, replacing Result.SegmentOf's binary search; over the
+// stream's sketch it is the bin's coarse cell. key and binKey allocate
+// nothing and branch only on range clamps and word changes.
 type labeler struct {
-	codec tupleCodec
-	mins  []float64
-	invW  []float64
-	nbins []float64 // float so the high clamp is one compare
-	luts  [][]uint64
+	layout keyLayout
+	parts  []lutPart
+	mins   []float64
+	invW   []float64
+	nbins  []float64 // float so the high clamp is one compare
 }
 
-func newLabeler(set *histogram.Set, parts []partition.Result, collapsed []bool, codec tupleCodec) *labeler {
+// lutPart is one dimension's share of one word of the key.
+type lutPart struct {
+	dim, word int
+	lut       []uint64
+}
+
+// newLabeler builds the tables of layout over set's bins: field(j, b) is
+// dimension j's field for bin b. Dimensions whose field has no bits add
+// nothing to a key and get no table.
+func newLabeler(set *histogram.Set, layout keyLayout, field func(j, bin int) uint64) *labeler {
 	n := len(set.Dims)
 	l := &labeler{
-		codec: codec,
-		mins:  make([]float64, n),
-		invW:  make([]float64, n),
-		nbins: make([]float64, n),
-		luts:  make([][]uint64, n),
+		layout: layout,
+		mins:   make([]float64, n),
+		invW:   make([]float64, n),
+		nbins:  make([]float64, n),
 	}
 	for j, h := range set.Dims {
 		l.mins[j] = h.Min
 		l.invW[j] = h.InvWidth()
 		l.nbins[j] = float64(h.Bins())
-		lut := make([]uint64, h.Bins())
-		if !collapsed[j] {
-			for b := range lut {
-				lut[b] = uint64(parts[j].SegmentOf(b)) << codec.shifts[j]
+		if layout.bits[j] == 0 {
+			continue
+		}
+		w, s := layout.at(j)
+		lo, hi := make([]uint64, h.Bins()), []uint64(nil)
+		if s+layout.bits[j] > 64 {
+			hi = make([]uint64, h.Bins())
+		}
+		for b := range lo {
+			v := field(j, b)
+			lo[b] = v << s
+			if hi != nil {
+				hi[b] = v >> (64 - s)
 			}
 		}
-		l.luts[j] = lut
+		if hi != nil {
+			l.parts = append(l.parts, lutPart{j, w - 1, hi})
+		}
+		l.parts = append(l.parts, lutPart{j, w, lo})
 	}
 	return l
 }
 
-// key maps a projected point to its packed tuple key. Out-of-range values
-// clamp into the edge bins and NaN lands in bin 0, matching Hist.Bin.
-func (l *labeler) key(x []float64) uint64 {
-	var key uint64
-	for j, lut := range l.luts {
-		v := (x[j] - l.mins[j]) * l.invW[j]
+// segmentField is the field function of a trial's tuple labeler: a bin's
+// segment, 0 in a collapsed dimension.
+func segmentField(parts []partition.Result, collapsed []bool) func(j, bin int) uint64 {
+	return func(j, bin int) uint64 {
+		if collapsed[j] {
+			return 0
+		}
+		return uint64(parts[j].SegmentOf(bin))
+	}
+}
+
+// words is the width of the labeler's keys.
+func (l *labeler) words() int { return l.layout.words }
+
+// key writes the key of a projected point into key (len words). Out-of-range
+// values clamp into the edge bins and NaN lands in bin 0, matching Hist.Bin.
+// Every word holds some field's bits, so every word is written.
+func (l *labeler) key(key []uint64, x []float64) {
+	w, acc := 0, uint64(0)
+	for i := range l.parts {
+		p := &l.parts[i]
+		if p.word != w {
+			key[w], w, acc = acc, p.word, 0
+		}
+		d := p.dim
+		v := (x[d] - l.mins[d]) * l.invW[d]
 		b := 0
-		if v >= l.nbins[j] {
-			b = len(lut) - 1
+		if v >= l.nbins[d] {
+			b = len(p.lut) - 1
 		} else if v >= 0 {
 			b = int(v)
 		}
-		key |= lut[b]
+		acc |= p.lut[b]
 	}
-	return key
+	key[w] = acc
 }
 
-// binKey is key for a point binAll has already binned: the OR of its
-// dimensions' LUT entries at the stored bins.
-func (l *labeler) binKey(bins []uint16) uint64 {
-	var key uint64
-	for j, lut := range l.luts {
-		key |= lut[bins[j]]
-	}
-	return key
-}
-
-// tupleCounts holds one trial's key→mass occupancy: packed uint64 keys in
-// a count table (a flatTable of whole masses) on the fast path, string keys
-// when the keying does not fit 64 bits. It is the only key→mass value that
-// crosses a process boundary (fold.go has its wire form).
-type tupleCounts struct {
-	u *flatTable
-	s map[string]uint64
-}
-
-// dropBelow removes tuples with mass under k (the SuppressBelow filter).
-func (tc tupleCounts) dropBelow(k uint64) {
-	if tc.u != nil {
-		tc.u.filter(func(m float64) (float64, bool) { return m, m >= float64(k) })
-	}
-	for key, n := range tc.s {
-		if n < k {
-			delete(tc.s, key)
+// binKey is key for a point already binned: the OR of its dimensions'
+// table entries at the stored bins.
+func (l *labeler) binKey(key []uint64, bins []uint16) {
+	w, acc := 0, uint64(0)
+	for i := range l.parts {
+		p := &l.parts[i]
+		if p.word != w {
+			key[w], w, acc = acc, p.word, 0
 		}
+		acc |= p.lut[bins[p.dim]]
 	}
-}
-
-// minus is tc − prev for counts tc grew from prev: the keys that grew, by
-// how much. Whole masses below 2^53 subtract exactly.
-func (tc tupleCounts) minus(prev tupleCounts) tupleCounts {
-	if tc.u == nil {
-		out := make(map[string]uint64)
-		for k, n := range tc.s {
-			if n > prev.s[k] {
-				out[k] = n - prev.s[k]
-			}
-		}
-		return tupleCounts{s: out}
-	}
-	grown := tc.u.clone()
-	for _, c := range prev.u.cells {
-		grown.add(c.key, -c.mass)
-	}
-	grown.filter(func(m float64) (float64, bool) { return m, m > 0 })
-	return tupleCounts{u: grown}
+	key[w] = acc
 }
 
 // exactMassLimit bounds every key mass a fold carries: whole counts below
@@ -188,29 +282,25 @@ const exactMassLimit = 1 << 53
 // more, which no decoder accepts and no count table holds exactly.
 var errMassPastExact = errors.New("core: merged tuple mass reaches 2^53")
 
-// mergeTupleCounts sums in into acc (matching key codecs required). Both
-// sides' masses are below exactMassLimit, so each float64 sum rounds to at
-// least the limit exactly when the true sum reaches it.
-func mergeTupleCounts(acc, in tupleCounts) (tupleCounts, error) {
-	if (acc.u != nil) != (in.u != nil) {
-		return tupleCounts{}, fmt.Errorf("core: merging packed and string tuple maps")
-	}
-	if acc.u != nil {
-		for _, c := range in.u.cells {
-			acc.u.add(c.key, c.mass)
-		}
-		for _, c := range acc.u.cells {
-			if c.mass >= exactMassLimit {
-				return acc, errMassPastExact
-			}
-		}
+// mergeCounts sums the count table in into acc, which may be nil (no keys
+// yet); both sides' keys must have one width. Both sides' masses are below
+// exactMassLimit, so each float64 sum rounds to at least the limit exactly
+// when the true sum reaches it.
+func mergeCounts(acc, in *flatTable) (*flatTable, error) {
+	if in == nil {
 		return acc, nil
 	}
-	if acc.s == nil {
-		acc.s = make(map[string]uint64, len(in.s))
+	if acc == nil {
+		acc = &flatTable{words: in.words}
 	}
-	for k, n := range in.s {
-		if acc.s[k] += n; acc.s[k] >= exactMassLimit {
+	if acc.words != in.words {
+		return acc, fmt.Errorf("core: merging keys of %d and %d words", acc.words, in.words)
+	}
+	for c, m := range in.masses {
+		acc.add(in.key(c), m)
+	}
+	for _, m := range acc.masses {
+		if m >= exactMassLimit {
 			return acc, errMassPastExact
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/partition"
@@ -44,12 +46,9 @@ func randomParts(rng *xrand.Stream, dims, nbins, maxCuts int, pCollapse float64)
 func TestTupleCodecPackUnpackRoundTrip(t *testing.T) {
 	rng := xrand.New(7)
 	for trial := 0; trial < 200; trial++ {
-		dims := 1 + int(rng.Float64()*8)
+		dims := 1 + int(rng.Float64()*30)
 		parts, collapsed := randomParts(rng, dims, 64, 10, 0.25)
-		codec := newTupleCodec(parts, collapsed)
-		if !codec.fits {
-			t.Fatalf("trial %d: codec should fit (%d dims × ≤11 segs)", trial, dims)
-		}
+		layout := tupleLayout(parts, collapsed)
 		segs := make([]int, dims)
 		for j := range segs {
 			if collapsed[j] {
@@ -57,42 +56,42 @@ func TestTupleCodecPackUnpackRoundTrip(t *testing.T) {
 			}
 			segs[j] = int(rng.Float64() * float64(parts[j].Segments()))
 		}
-		got := make([]int, dims)
-		codec.unpack(codec.pack(segs), got)
-		for j := range segs {
-			if got[j] != segs[j] {
-				t.Fatalf("trial %d: round trip %v -> %v", trial, segs, got)
-			}
+		key := make([]uint64, layout.words)
+		layout.pack(key, segs)
+		if got := layout.unpack(key); !slices.Equal(got, segs) {
+			t.Fatalf("trial %d (%d words): round trip %v -> %v", trial, layout.words, segs, got)
 		}
 	}
 }
 
 // TestTupleCodecOrderMatchesStringKeys verifies the deterministic tie-break
-// order buildLabels relies on: ascending packed keys sort like ascending
-// legacy string keys (dimension 0 first).
+// order buildLabels relies on: ascending keys, one word or two, sort like
+// their 'S' form — the former string keys — does (dimension 0 first).
 func TestTupleCodecOrderMatchesStringKeys(t *testing.T) {
 	rng := xrand.New(11)
-	parts, collapsed := randomParts(rng, 5, 64, 12, 0)
-	codec := newTupleCodec(parts, collapsed)
-	draw := func() []int {
-		segs := make([]int, 5)
-		for j := range segs {
-			segs[j] = int(rng.Float64() * float64(parts[j].Segments()))
+	for _, dims := range []int{5, 24} {
+		parts, collapsed := randomParts(rng, dims, 64, 12, 0)
+		layout := tupleLayout(parts, collapsed)
+		draw := func() []uint64 {
+			segs := make([]int, dims)
+			for j := range segs {
+				segs[j] = int(rng.Float64() * float64(parts[j].Segments()))
+			}
+			key := make([]uint64, layout.words)
+			layout.pack(key, segs)
+			return key
 		}
-		return segs
-	}
-	for i := 0; i < 500; i++ {
-		a, b := draw(), draw()
-		packedLess := codec.pack(a) < codec.pack(b)
-		stringLess := packSegments(a) < packSegments(b)
-		if codec.pack(a) != codec.pack(b) && packedLess != stringLess {
-			t.Fatalf("order disagreement for %v vs %v", a, b)
+		for i := 0; i < 500; i++ {
+			a, b := draw(), draw()
+			if slices.Compare(a, b) != bytes.Compare(layout.appendWire(nil, a), layout.appendWire(nil, b)) {
+				t.Fatalf("%d dims: order disagreement for %x vs %x", dims, a, b)
+			}
 		}
 	}
 }
 
-func TestTupleCodecOverflowFallsBack(t *testing.T) {
-	// 17 dimensions × 16 segments = 68 bits > 64: must fall back.
+func TestTupleLayoutOverflowTakesTwoWords(t *testing.T) {
+	// 17 dimensions × 16 segments = 68 bits > 64: two words.
 	dims := 17
 	parts := make([]partition.Result, dims)
 	collapsed := make([]bool, dims)
@@ -103,12 +102,12 @@ func TestTupleCodecOverflowFallsBack(t *testing.T) {
 		}
 		parts[j] = partition.Result{Cuts: cuts}
 	}
-	if codec := newTupleCodec(parts, collapsed); codec.fits {
-		t.Fatal("68-bit tuple claimed to fit in 64")
+	if w := tupleLayout(parts, collapsed).words; w != 2 {
+		t.Fatalf("68-bit tuple takes %d words", w)
 	}
-	// 16 dimensions × 16 segments = 64 bits: exactly fits.
-	if codec := newTupleCodec(parts[:16], collapsed[:16]); !codec.fits {
-		t.Fatal("64-bit tuple should fit")
+	// 16 dimensions × 16 segments = 64 bits: exactly one word.
+	if w := tupleLayout(parts[:16], collapsed[:16]).words; w != 1 {
+		t.Fatalf("64-bit tuple takes %d words", w)
 	}
 }
 
@@ -146,50 +145,86 @@ func binView(data *linalg.Matrix, depth int) (*projected, *histogram.Set) {
 
 // countOne counts one trial's tuples from the stored bins of a store that
 // holds only that trial's columns.
-func countOne(view *projected, k trialKeys, workers int) tupleCounts {
+func countOne(view *projected, k trialKeys, workers int) *flatTable {
 	return countTuples(view, []trialKeys{k}, workers)[0]
+}
+
+// stringCounts is the reference count: every row's segment tuple from
+// Hist.Bin and Result.SegmentOf, keyed by its 'S' form, the string key the
+// fit used before tuples packed.
+func stringCounts(data *linalg.Matrix, set *histogram.Set, layout keyLayout, parts []partition.Result, collapsed []bool) map[string]uint64 {
+	out := map[string]uint64{}
+	for i := 0; i < data.Rows; i++ {
+		out[string(segmentWire(data.Row(i), set, parts, collapsed))]++
+	}
+	return out
+}
+
+// segmentWire is x's segment tuple in the 'S' form: a u16 per dimension.
+func segmentWire(x []float64, set *histogram.Set, parts []partition.Result, collapsed []bool) []byte {
+	var b []byte
+	for j, h := range set.Dims {
+		seg := 0
+		if !collapsed[j] {
+			seg = parts[j].SegmentOf(h.Bin(x[j]))
+		}
+		b = append(b, byte(seg), byte(seg>>8))
+	}
+	return b
+}
+
+// wireMasses reads a count table as masses by the 'S' form of its keys.
+func wireMasses(tab *flatTable, layout keyLayout) map[string]uint64 {
+	out := map[string]uint64{}
+	for c, m := range tab.masses {
+		out[string(layout.appendWire(nil, tab.key(c)))] = uint64(m)
+	}
+	return out
+}
+
+// refLabels labels every row of data the way the string-keyed model did:
+// the installed label of the cluster whose segments are the row's, noise
+// for none.
+func refLabels(m *Model, data *linalg.Matrix) []int {
+	labelOf := map[string]int{}
+	for i, l := range m.installedLabels() {
+		var b []byte
+		for _, s := range m.Clusters[i].Segments {
+			b = append(b, byte(s), byte(s>>8))
+		}
+		labelOf[string(b)] = l
+	}
+	out := make([]int, data.Rows)
+	for i := range out {
+		l, ok := labelOf[string(segmentWire(data.Row(i), m.Set, m.Parts, m.Collapsed))]
+		if !ok {
+			l = cluster.Noise
+		}
+		out[i] = l
+	}
+	return out
 }
 
 func TestPackedVsStringTupleCounts(t *testing.T) {
 	for _, seed := range []int64{1, 17, 42, 99} {
 		f := labelFixture(t, seed, 3000, 4, 1)
-		set := f.set
 		k := newTrialKeys(f.set, f.parts, f.collapsed)
-		if k.lab == nil {
-			t.Fatalf("seed %d: fixture unexpectedly overflowed", seed)
-		}
-		codec := k.lab.codec
-		packed := massesOf(countOne(f.view, k, 4).u)
-		str := countOne(f.view, trialKeys{parts: f.parts, collapsed: f.collapsed}, 4).s
-		// The reference: labeler.key of every row's floats.
-		want := make(map[uint64]uint64)
+		tab := countOne(f.view, k, 4)
+		// The references: labeler.key of every row's floats, and the
+		// string-keyed count.
+		want := &flatTable{words: k.lab.words()}
+		key := make([]uint64, k.lab.words())
 		for i := 0; i < f.data.Rows; i++ {
-			want[k.lab.key(f.data.Row(i))]++
+			k.lab.key(key, f.data.Row(i))
+			want.add(key, 1)
 		}
-		if !reflect.DeepEqual(packed, want) {
+		if !reflect.DeepEqual(wireMasses(tab, k.lab.layout), wireMasses(want, k.lab.layout)) {
 			t.Fatalf("seed %d: counts from stored bins differ from labeler.key's", seed)
 		}
-		if len(packed) != len(str) {
-			t.Fatalf("seed %d: %d packed tuples vs %d string tuples", seed, len(packed), len(str))
-		}
-		segs := make([]int, len(set.Dims))
-		for key, mass := range packed {
-			codec.unpack(key, segs)
-			if str[packSegments(segs)] != mass {
-				t.Fatalf("seed %d: tuple %v mass %d vs %d", seed, segs, mass, str[packSegments(segs)])
-			}
+		if str := stringCounts(f.data, f.set, k.lab.layout, f.parts, f.collapsed); !reflect.DeepEqual(wireMasses(tab, k.lab.layout), str) {
+			t.Fatalf("seed %d: packed counts differ from the string-keyed count", seed)
 		}
 	}
-}
-
-// forceStringModel clones a freshly fitted model onto the legacy
-// string-keyed fallback path, so the two kernels can be compared directly.
-func forceStringModel(m *Model) *Model {
-	sm := *m
-	sm.codec = tupleCodec{}
-	sm.lab = nil
-	sm.installLabels(identityLabels(len(sm.Clusters)))
-	return &sm
 }
 
 func TestPackedVsStringAssignAll(t *testing.T) {
@@ -202,83 +237,68 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		model.finish(nil)
-		if !model.codec.fits {
-			t.Fatalf("seed %d: expected packed model", seed)
-		}
-		strModel := forceStringModel(model)
 		fast, _ := model.AssignBatch(f.data, 4)
-		slow, _ := strModel.AssignBatch(f.data, 4)
+		slow := refLabels(model, f.data)
 		fastBins := labelBins(f.view, 0, model, 4)
-		slowBins := labelBins(f.view, 0, strModel, 4)
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Fatalf("seed %d row %d: packed label %d vs string label %d", seed, i, fast[i], slow[i])
 			}
-			if fastBins[i] != fast[i] || slowBins[i] != fast[i] {
-				t.Fatalf("seed %d row %d: labels from stored bins %d (packed) %d (string) vs %d", seed, i, fastBins[i], slowBins[i], fast[i])
+			if fastBins[i] != fast[i] {
+				t.Fatalf("seed %d row %d: label from stored bins %d vs %d", seed, i, fastBins[i], fast[i])
 			}
 		}
 		// Per-point assignment must agree too, including edge inputs: NaN,
 		// far out-of-range coordinates, and exact histogram boundaries.
-		probe := make([]float64, len(set.Dims))
+		probe := linalg.NewMatrix(1, len(set.Dims))
 		rng := xrand.New(seed + 5)
 		for n := 0; n < 500; n++ {
 			for j, h := range set.Dims {
 				switch n % 5 {
 				case 0:
-					probe[j] = h.Min + rng.Float64()*(h.Max-h.Min)
+					probe.Data[j] = h.Min + rng.Float64()*(h.Max-h.Min)
 				case 1:
-					probe[j] = h.Min - 10
+					probe.Data[j] = h.Min - 10
 				case 2:
-					probe[j] = h.Max + 10
+					probe.Data[j] = h.Max + 10
 				case 3:
-					probe[j] = math.NaN()
+					probe.Data[j] = math.NaN()
 				default:
-					probe[j] = h.Min // exact lower edge
+					probe.Data[j] = h.Min // exact lower edge
 				}
 			}
-			if a, b := model.AssignProjected(probe), strModel.AssignProjected(probe); a != b {
-				t.Fatalf("seed %d probe %v: packed %d vs string %d", seed, probe, a, b)
+			if a, b := model.AssignProjected(probe.Data), refLabels(model, probe)[0]; a != b {
+				t.Fatalf("seed %d probe %v: packed %d vs string %d", seed, probe.Data, a, b)
 			}
 		}
 	}
 }
 
 // TestCollapsedDimensionsEquivalence forces collapsing on and checks the
-// packed and string kernels agree when some dimensions contribute no bits.
+// packed and string counts agree when some dimensions contribute no bits.
 func TestCollapsedDimensionsEquivalence(t *testing.T) {
 	f := labelFixture(t, 5, 2000, 4, 1)
 	collapsed := []bool{false, true, false, true} // force two collapsed dims
 	k := newTrialKeys(f.set, f.parts, collapsed)
-	if k.lab == nil {
-		t.Fatal("fixture overflowed")
+	layout := k.lab.layout
+	if layout.bits[1] != 0 || layout.bits[3] != 0 {
+		t.Fatalf("collapsed dims got bits %v", layout.bits)
 	}
-	codec := k.lab.codec
-	if codec.bits[1] != 0 || codec.bits[3] != 0 {
-		t.Fatalf("collapsed dims got bits %v", codec.bits)
-	}
-	packed := massesOf(countOne(f.view, k, 0).u)
-	str := countOne(f.view, trialKeys{parts: f.parts, collapsed: collapsed}, 0).s
-	set := f.set
-	if len(packed) != len(str) {
-		t.Fatalf("%d packed vs %d string tuples", len(packed), len(str))
-	}
-	segs := make([]int, len(set.Dims))
-	for key, mass := range packed {
-		codec.unpack(key, segs)
-		if segs[1] != 0 || segs[3] != 0 {
+	tab := countOne(f.view, k, 0)
+	for c := range tab.masses {
+		if segs := layout.unpack(tab.key(c)); segs[1] != 0 || segs[3] != 0 {
 			t.Fatalf("collapsed segment leaked: %v", segs)
 		}
-		if str[packSegments(segs)] != mass {
-			t.Fatalf("tuple %v mass %d vs %d", segs, mass, str[packSegments(segs)])
-		}
+	}
+	if str := stringCounts(f.data, f.set, layout, f.parts, collapsed); !reflect.DeepEqual(wireMasses(tab, layout), str) {
+		t.Fatal("packed counts differ from the string-keyed count")
 	}
 }
 
-// TestWideTupleFallbackPipeline runs the counting + model assembly + assign
-// pipeline on a partition layout too wide for 64 bits, exercising the
-// string fallback end to end.
-func TestWideTupleFallbackPipeline(t *testing.T) {
+// TestWideTuplePipeline runs the counting + model assembly + assign
+// pipeline on a partition layout too wide for 64 bits, end to end on
+// two-word keys.
+func TestWideTuplePipeline(t *testing.T) {
 	dims := 17
 	rows := 1500
 	rng := xrand.New(9)
@@ -296,25 +316,25 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 		}
 		parts[j] = partition.Result{Cuts: cuts}
 	}
-	codec := newTupleCodec(parts, collapsed)
-	if codec.fits {
-		t.Fatal("expected fallback codec")
+	k := newTrialKeys(set, parts, collapsed)
+	if k.lab.words() != 2 {
+		t.Fatalf("68-bit tuples take %d words", k.lab.words())
 	}
-	tuples := countOne(view, newTrialKeys(set, parts, collapsed), 0)
-	if tuples.s == nil || tuples.u != nil {
-		t.Fatal("fallback should produce string-keyed counts")
+	tuples := countOne(view, k, 0)
+	if str := stringCounts(data, set, k.lab.layout, parts, collapsed); !reflect.DeepEqual(wireMasses(tuples, k.lab.layout), str) {
+		t.Fatal("two-word counts differ from the string-keyed count")
 	}
 	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 1, MaxClusters: 1 << 20}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model.finish(nil)
-	if model.codec.fits || model.labelOfStr == nil {
-		t.Fatal("model should be on the string fallback")
-	}
 	labels, _ := model.AssignBatch(data, 0)
 	if !reflect.DeepEqual(labelBins(view, 0, model, 0), labels) {
 		t.Fatal("labels from stored bins differ from AssignBatch's")
+	}
+	if !reflect.DeepEqual(refLabels(model, data), labels) {
+		t.Fatal("labels differ from the string-keyed reference")
 	}
 	var mass uint64
 	for _, cl := range model.Clusters {
@@ -332,50 +352,64 @@ func TestWideTupleFallbackPipeline(t *testing.T) {
 	}
 }
 
-// TestTupleCountsWire round-trips both tuple-count wire codecs and rejects
-// mixed merges and corrupt frames.
+// TestTupleCountsWire round-trips both tuple-count wire forms and rejects
+// merges across widths and corrupt frames.
 func TestTupleCountsWire(t *testing.T) {
+	one := newKeyLayout([]uint{8, 8}, 2)
 	u := packedCounts(map[uint64]uint64{3: 5, 9: 2, 0: 1})
-	got, err := readTupleSection(tupleSection(u))
+	got, err := readTupleSection(tupleSection(u, one), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if masses := massesOf(got.u); !reflect.DeepEqual(masses, massesOf(u.u)) {
-		t.Fatalf("packed masses %v, encoded %v", masses, massesOf(u.u))
+	if masses := massesOf(got); !reflect.DeepEqual(masses, massesOf(u)) {
+		t.Fatalf("packed masses %v, encoded %v", masses, massesOf(u))
 	}
-	s := tupleCounts{s: map[string]uint64{"ab": 3, "": 1}}
-	got, err = readTupleSection(tupleSection(s))
+	wide := wideLayout()
+	s, key := &flatTable{words: 2}, make([]uint64, 2)
+	segs := make([]int, 30)
+	for _, v := range []int{1, 7} {
+		segs[0], segs[29] = v, v
+		wide.pack(key, segs)
+		s.add(key, float64(v))
+	}
+	got, err = readTupleSection(tupleSection(s, wide), wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.s["ab"] != 3 || got.s[""] != 1 {
-		t.Fatalf("string decode %v", got.s)
+	if !reflect.DeepEqual(wireMasses(got, wide), wireMasses(s, wide)) {
+		t.Fatalf("two-word decode %v, encoded %v", wireMasses(got, wide), wireMasses(s, wide))
 	}
-	if _, err := mergeTupleCounts(u, got); err == nil {
-		t.Fatal("merging packed with string should fail")
+	if _, err := mergeCounts(u, got); err == nil {
+		t.Fatal("merging one-word with two-word keys should fail")
+	}
+	if _, err := readTupleSection(tupleSection(u, one), wide); err == nil {
+		t.Fatal("'U' entries for two-word keys should fail")
+	}
+	if _, err := readTupleSection(tupleSection(s, wide), one); err == nil {
+		t.Fatal("'S' entries for one-word keys should fail")
 	}
 	// The largest mass a count table holds exactly round-trips.
 	top := packedCounts(map[uint64]uint64{7: 1<<53 - 1})
-	if got, err := readTupleSection(tupleSection(top)); err != nil || massesOf(got.u)[7] != 1<<53-1 {
-		t.Fatalf("mass 2^53-1: %v, %v", err, got.u)
+	if got, err := readTupleSection(tupleSection(top, one), one); err != nil || massesOf(got)[7] != 1<<53-1 {
+		t.Fatalf("mass 2^53-1: %v, %v", err, got)
 	}
-	if _, err := readTupleSection(nil); err == nil {
+	if _, err := readTupleSection(nil, one); err == nil {
 		t.Fatal("empty frame should fail")
 	}
-	if _, err := readTupleSection([]byte{'X', 0}); err == nil {
+	if _, err := readTupleSection([]byte{'X', 0}, one); err == nil {
 		t.Fatal("unknown tag should fail")
 	}
-	enc := tupleSection(u)
-	if _, err := readTupleSection(enc[:len(enc)-3]); err == nil {
+	enc := tupleSection(u, one)
+	if _, err := readTupleSection(enc[:len(enc)-3], one); err == nil {
 		t.Fatal("truncated packed frame should fail")
 	}
 	// Determinism: equal masses encode to identical bytes, whatever order
 	// their table was filled in.
-	u2 := tupleCounts{u: &flatTable{}}
+	u2 := &flatTable{words: 1}
 	for _, k := range []uint64{9, 0, 3} {
-		u2.u.add(k, float64(massesOf(u.u)[k]))
+		u2.add([]uint64{k}, float64(massesOf(u)[k]))
 	}
-	if !bytes.Equal(tupleSection(u), tupleSection(u2)) {
+	if !bytes.Equal(tupleSection(u, one), tupleSection(u2, one)) {
 		t.Fatal("encoding is not canonical")
 	}
 }
@@ -408,17 +442,6 @@ func TestModelCodecPreservesLabeling(t *testing.T) {
 	for i := range labels {
 		if got[i] != labels[i] {
 			t.Fatalf("row %d: decoded model label %d vs fit label %d", i, got[i], labels[i])
-		}
-	}
-	// And the decoded model must agree with its own string-fallback twin.
-	strModel := forceStringModel(decoded)
-	slow, err := strModel.AssignBatch(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != slow[i] {
-			t.Fatalf("row %d: packed %d vs string %d", i, got[i], slow[i])
 		}
 	}
 }

@@ -124,56 +124,3 @@ func DefaultDepth(m int) int {
 	}
 	return depth
 }
-
-// Counter aggregates points by key, maintaining the per-key mass the final
-// clustering assignment needs. Mass is a float64 so that exponential decay
-// (streaming forgetting) composes without integer-floor annihilation: most
-// keys hold only a handful of points, and flooring 1×factor to zero every
-// refit would erase the sketch while the histograms retain their mass.
-type Counter struct {
-	counts map[string]float64
-	dims   int
-}
-
-// NewCounter creates an empty key counter for keys of the given width.
-func NewCounter(dims int) *Counter {
-	return &Counter{counts: make(map[string]float64), dims: dims}
-}
-
-// Add increases the mass of key k by n.
-func (c *Counter) Add(k Key, n float64) { c.counts[k.Pack()] += n }
-
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
-
-// Each visits every (key, mass) pair in unspecified order.
-func (c *Counter) Each(fn func(k Key, n float64)) {
-	for s, n := range c.counts {
-		k, _ := Unpack(s)
-		fn(k, n)
-	}
-}
-
-// Count returns the mass of key k.
-func (c *Counter) Count(k Key) float64 { return c.counts[k.Pack()] }
-
-// Decay scales every key's mass by factor in [0,1), dropping keys whose
-// mass becomes negligible — the sketch-side counterpart of histogram decay
-// for streaming forgetting.
-func (c *Counter) Decay(factor float64) {
-	if factor >= 1 {
-		return
-	}
-	if factor < 0 {
-		factor = 0
-	}
-	const negligible = 1e-6
-	for s, n := range c.counts {
-		nn := n * factor
-		if nn < negligible {
-			delete(c.counts, s)
-		} else {
-			c.counts[s] = nn
-		}
-	}
-}

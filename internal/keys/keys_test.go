@@ -105,24 +105,6 @@ func TestDefaultDepth(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter(2)
-	c.Add(Key{1, 2}, 1)
-	c.Add(Key{1, 2}, 3)
-	c.Add(Key{0, 0}, 1)
-	if c.Len() != 2 {
-		t.Fatalf("Len=%d", c.Len())
-	}
-	if c.Count(Key{1, 2}) != 4 || c.Count(Key{9, 9}) != 0 {
-		t.Fatal("counts")
-	}
-	var total float64
-	c.Each(func(k Key, n float64) { total += n })
-	if total != 5 {
-		t.Fatalf("Each total %v", total)
-	}
-}
-
 // Property: points in the same finest bin per dimension share a key; points
 // whose coordinates differ by more than a bin width in some dimension don't.
 func TestKeyConsistency(t *testing.T) {
@@ -135,35 +117,5 @@ func TestKeyConsistency(t *testing.T) {
 	c := Compute([]float64{5.1, 10.2}, s)
 	if a.Equal(c) {
 		t.Fatal("different-bin points share a key")
-	}
-}
-
-func TestCounterDecay(t *testing.T) {
-	c := NewCounter(1)
-	c.Add(Key{1}, 10)
-	c.Add(Key{2}, 1)
-	c.Decay(0.5)
-	if c.Count(Key{1}) != 5 {
-		t.Fatalf("decayed count %v", c.Count(Key{1}))
-	}
-	// Fractional mass is retained (no integer-floor annihilation)...
-	if c.Count(Key{2}) != 0.5 {
-		t.Fatalf("fractional mass %v", c.Count(Key{2}))
-	}
-	// ...but repeated decay eventually drops negligible keys.
-	for i := 0; i < 40; i++ {
-		c.Decay(0.5)
-	}
-	if c.Count(Key{2}) != 0 || c.Len() != 0 {
-		t.Fatalf("negligible keys must be dropped: len %d", c.Len())
-	}
-	c.Add(Key{3}, 4)
-	c.Decay(2) // no-op
-	if c.Count(Key{3}) != 4 {
-		t.Fatal("factor>=1 must be a no-op")
-	}
-	c.Decay(-1)
-	if c.Len() != 0 {
-		t.Fatal("negative factor clears")
 	}
 }
