@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -215,5 +216,34 @@ func TestModelDescribe(t *testing.T) {
 		if !strings.Contains(desc, fmt.Sprintf("dim %2d", j)) {
 			t.Fatalf("dim %d missing from description", j)
 		}
+	}
+}
+
+// TestDecodersRefuseInfiniteRange: a histogram range of [lo, +Inf] bins
+// every point into bin 0; the model, checkpoint and fold decoders refuse
+// it (histogram.DecodeSet) rather than install it.
+func TestDecodersRefuseInfiniteRange(t *testing.T) {
+	cfg := StreamConfig{Config: Config{Seed: 5, Trials: 2}, Dims: 3,
+		RawRanges: fixedRanges(3, -2, 2), Period: 200}
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStreamPoints(t, st, synth.AutoMixture(2, 3, 6, 1, xrand.New(50)), 600, 51)
+	st.sets[0].Dims[1].Max = math.Inf(1)
+	blob, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeStream(cfg, blob); err == nil {
+		t.Error("checkpoint with an infinite range decoded")
+	}
+	if _, err := decodeFold(st.fold().encode(), nil); err == nil {
+		t.Error("fold with an infinite range decoded")
+	}
+	model := *st.Model()
+	model.Set = st.sets[0]
+	if _, err := DecodeModel(model.Encode()); err == nil {
+		t.Error("model with an infinite range decoded")
 	}
 }

@@ -151,7 +151,7 @@ func newTrialKeys(set *histogram.Set, parts []partition.Result, collapsed []bool
 func countTuples(proj *projected, trials []trialKeys, workers int) []*flatTable {
 	type tables struct {
 		counts []flatTable
-		key    []uint64
+		keys   []uint64
 	}
 	locals := forBlocks(proj, workers, func(acc *tables, lo int, _ []float64) {
 		if acc.counts == nil {
@@ -161,16 +161,11 @@ func countTuples(proj *projected, trials []trialKeys, workers int) []*flatTable 
 				acc.counts[t].words = k.lab.words()
 				words = max(words, k.lab.words())
 			}
-			acc.key = make([]uint64, words)
+			acc.keys = make([]uint64, blockRows*words)
 		}
 		blk := proj.bins[lo/blockRows]
 		for t, k := range trials {
-			nrp := len(k.parts)
-			tab, key := &acc.counts[t], acc.key[:k.lab.words()]
-			for off := t * nrp; off < len(blk); off += proj.cols {
-				k.lab.binKey(key, blk[off:off+nrp])
-				tab.add(key, 1)
-			}
+			k.lab.count(&acc.counts[t], acc.keys, blk, t*len(k.parts), proj.cols)
 		}
 	})
 	out := make([]*flatTable, len(trials))
@@ -256,14 +251,16 @@ func (m *Model) finish(batch *projection.Batch) {
 // labelBins labels every row of the store under the model from its stored
 // bins in columns [loCol, loCol+N_rp).
 func labelBins(proj *projected, loCol int, model *Model, workers int) []int {
-	nrp := len(model.Set.Dims)
 	labels := make([]int, proj.rows)
-	forBlocks(proj, workers, func(_ *struct{}, lo int, _ []float64) {
+	words := model.lab.words()
+	forBlocks(proj, workers, func(keys *[]uint64, lo int, _ []float64) {
+		if *keys == nil {
+			*keys = make([]uint64, blockRows*words)
+		}
 		blk := proj.bins[lo/blockRows]
-		key := make([]uint64, model.lab.words())
-		for off := loCol; off < len(blk); off += proj.cols {
-			model.lab.binKey(key, blk[off:off+nrp])
-			labels[lo+off/proj.cols] = model.labelOfKey(key)
+		model.lab.binKeys(*keys, blk, loCol, proj.cols)
+		for i := range len(blk) / proj.cols {
+			labels[lo+i] = model.labelOfKey((*keys)[i*words : (i+1)*words])
 		}
 	})
 	return labels

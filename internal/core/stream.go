@@ -94,6 +94,9 @@ func (c StreamConfig) Validate() error {
 				return &StreamConfigError{Field: "RawRanges",
 					Reason: fmt.Sprintf("dim %d range [%v, %v] reversed", i, r[0], r[1])}
 			}
+			if err := histogram.CheckRange(r[0], r[1]); err != nil {
+				return &StreamConfigError{Field: "RawRanges", Reason: fmt.Sprintf("dim %d: %v", i, err)}
+			}
 		}
 	} else if c.Warmup > 0 && c.Period > 0 && c.Period < c.Warmup {
 		return &StreamConfigError{Field: "Period",
@@ -361,7 +364,11 @@ func (s *Stream) Refit() error {
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
-		lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+		// The tuple of each coarse cell: its center bin's segments.
+		segment := segmentField(parts, collapsed)
+		lab := binLabeler(tupleLayout(parts, collapsed), int(s.sketchCells()), func(j, cell int) uint64 {
+			return segment(j, s.sketchBinCenter(uint32(cell)))
+		})
 		trials[t] = trialInput{set, parts, collapsed, s.sketchTuples(t, lab)}
 	}
 	models, best, err := selectModel(trials, cfg)
@@ -397,22 +404,19 @@ func keepTrial(prev *Model, assessments []quality.Assessment, best int) int {
 }
 
 // sketchTuples sums trial t's sketch masses per segment tuple, keyed by
-// lab, the trial's tuple labeler, as trialModel expects. A coarse cell
-// lies inside one segment per dimension (snapCutsToSketch), so its whole
-// mass goes to the tuple of the finest bin at its center. Masses are summed
+// lab, the trial's tuple labeler over coarse cells, as trialModel
+// expects. A coarse cell lies inside one segment per dimension
+// (snapCutsToSketch), so its whole mass goes to one tuple. Masses are summed
 // in float into s.tupleMass[t], which every refit reuses, in the sketch's
 // insertion order, and rounded once (flatTable.round).
 func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
-	sk, cells := s.sketch[t], s.cellLayout
+	sk := s.sketch[t]
 	acc := &s.tupleMass[t]
 	acc.reset(lab.words())
-	bins, key := make([]uint16, len(cells.bits)), make([]uint64, lab.words())
+	comps, key := make([]uint16, s.cfg.TargetDims), make([]uint64, lab.words())
 	for c, m := range sk.masses {
-		cell := sk.key(c)
-		for j := range bins {
-			bins[j] = uint16(s.sketchBinCenter(uint32(cells.field(cell, j))))
-		}
-		lab.binKey(key, bins)
+		cellComponents(comps, sk.key(c), s.cellLayout)
+		lab.binKey(key, comps)
 		acc.add(key, m)
 	}
 	acc.round()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"keybin2/internal/cluster"
+	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 )
 
@@ -106,8 +107,6 @@ func (s *Stream) IngestBatchLabels(b *linalg.Matrix, labels []int) (int, error) 
 // gives them and the float masses match to the last bit.
 func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 	nrp := s.cfg.TargetDims
-	shift := s.sketchShift
-	key := s.cellKey
 	m := s.model.Load() // no refit runs inside a chunk
 	cols := nrp * len(s.sets)
 	if s.binLo == nil {
@@ -139,29 +138,7 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 		bins := s.bins[:rows*cols]
 		linalg.BinRows(bins, proj.Data, cols, s.binLo, s.binIW, 1<<s.depth)
 		for t, set := range s.sets {
-			sk := s.sketch[t]
-			for at := t * nrp; at < len(bins); at += cols {
-				// The cell key is the components shift-ORed together, in a
-				// register pair: two words' worth, N_rp ≤ 25. A wider key
-				// goes through memory (cellKey).
-				var hi, lo uint64
-				row := bins[at : at+nrp]
-				for j, h := range set.Dims {
-					bin := row[j]
-					h.Counts[bin]++
-					hi = hi<<sketchBitsPerDim | lo>>(64-sketchBitsPerDim)
-					lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
-				}
-				switch len(key) {
-				case 1:
-					key[0] = lo
-				case 2:
-					key[0], key[1] = hi, lo
-				default:
-					cellKey(key, row, shift)
-				}
-				sk.add(key, 1)
-			}
+			s.sketchBlock(set, s.sketch[t], bins, t*nrp, cols)
 			for _, h := range set.Dims {
 				h.Total += uint64(rows)
 			}
@@ -177,5 +154,43 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 			at := i*cols + m.Trial*nrp
 			labels[off+i] = m.AssignProjected(proj.Data[at : at+nrp])
 		}
+	}
+}
+
+// sketchBlock bumps set's counts at every row's stored bins in a block and
+// adds the row's coarse cell key to sk: the trial's columns start first
+// bins into the block, rows are stride apart. The key is the components
+// (bin >> sketchShift, below 2^sketchBitsPerDim) shift-ORed together: in
+// one register for a one-word key (N_rp ≤ 12), in a register pair for two
+// words (N_rp ≤ 25), and field by field when wider.
+func (s *Stream) sketchBlock(set *histogram.Set, sk *flatTable, bins []uint16, first, stride int) {
+	key, shift := s.cellKey, s.sketchShift&15
+	for at := first; at < len(bins); at += stride {
+		row := bins[at : at+len(set.Dims)]
+		var hi, lo uint64
+		if len(key) == 1 {
+			for j, h := range set.Dims {
+				bin := row[j]
+				h.Counts[bin]++
+				lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
+			}
+			key[0] = lo
+		} else {
+			for j, h := range set.Dims {
+				bin := row[j]
+				h.Counts[bin]++
+				hi = hi<<sketchBitsPerDim | lo>>(64-sketchBitsPerDim)
+				lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
+			}
+			if len(key) == 2 {
+				key[0], key[1] = hi, lo
+			} else {
+				clear(key)
+				for j, bin := range row {
+					s.cellLayout.put(key, j, uint64(bin>>shift))
+				}
+			}
+		}
+		sk.add(key, 1)
 	}
 }

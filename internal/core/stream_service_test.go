@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,6 +48,7 @@ func TestStreamConfigValidate(t *testing.T) {
 			r[2] = [2]float64{3, -3}
 			c.RawRanges = r
 		}), "RawRanges"},
+		{"rawranges zero width", ok(func(c *StreamConfig) { c.RawRanges = fixedRanges(4, 2, 2) }), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +71,28 @@ func TestStreamConfigValidate(t *testing.T) {
 				t.Fatal("NewStream accepted a config Validate rejects")
 			}
 		})
+	}
+}
+
+// TestValidateRefusesNonFiniteRanges: a raw range with a NaN or infinite
+// bound, or a width past the largest float64, cannot bin anything; Validate
+// refuses it with an error that names the value.
+func TestValidateRefusesNonFiniteRanges(t *testing.T) {
+	for _, c := range []struct {
+		r     [2]float64
+		names string
+	}{
+		{[2]float64{math.NaN(), 1}, "NaN"}, {[2]float64{0, math.NaN()}, "NaN"},
+		{[2]float64{math.Inf(-1), 1}, "-Inf"}, {[2]float64{0, math.Inf(1)}, "+Inf"},
+		{[2]float64{math.Inf(-1), math.Inf(1)}, "-Inf"}, {[2]float64{-1e308, 1e308}, "1e+308"},
+	} {
+		cfg := StreamConfig{Config: Config{Seed: 1}, Dims: 3, RawRanges: fixedRanges(3, -1, 1)}
+		cfg.RawRanges[1] = c.r
+		err := cfg.Validate()
+		var sce *StreamConfigError
+		if !errors.As(err, &sce) || sce.Field != "RawRanges" || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("range %v: %v, want a RawRanges error naming %s", c.r, err, c.names)
+		}
 	}
 }
 

@@ -20,27 +20,24 @@ import (
 // to at most maxSketchDepth (5) bits before they reach the sketch.
 const sketchBitsPerDim = 5
 
-// cellsPerWord is how many sketch components fit one word.
-const cellsPerWord = 64 / sketchBitsPerDim
-
-// cellKey writes the sketch key of a row's stored bins into key:
-// components bin >> shift shift-ORed together, cellsPerWord of them at a
-// time in a register and then into the key's words, which makes
-// sketchLayout's right-aligned key at any width.
-func cellKey(key []uint64, bins []uint16, shift uint) {
-	clear(key)
-	last := len(key) - 1
-	for lo := 0; lo < len(bins); lo += cellsPerWord {
-		part := bins[lo:min(lo+cellsPerWord, len(bins))]
-		var pk uint64
-		for _, bin := range part {
-			pk = pk<<sketchBitsPerDim | uint64(bin>>shift)
+// cellComponents writes the components of a sketch cell's key into
+// comps: shifted out of a register pair for a key of up to two words, as
+// applyChunk shifts them in, and read field by field beyond.
+func cellComponents(comps []uint16, cell []uint64, layout keyLayout) {
+	if len(cell) > 2 {
+		for j := range comps {
+			comps[j] = uint16(layout.field(cell, j))
 		}
-		n := uint(len(part)) * sketchBitsPerDim
-		for w := 0; w < last; w++ {
-			key[w] = key[w]<<n | key[w+1]>>(64-n)
-		}
-		key[last] = key[last]<<n | pk
+		return
+	}
+	hi, lo := uint64(0), cell[len(cell)-1]
+	if len(cell) == 2 {
+		hi = cell[0]
+	}
+	for j := len(comps) - 1; j >= 0; j-- {
+		comps[j] = uint16(lo & (1<<sketchBitsPerDim - 1))
+		lo = lo>>sketchBitsPerDim | hi<<(64-sketchBitsPerDim)
+		hi >>= sketchBitsPerDim
 	}
 }
 

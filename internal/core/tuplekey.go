@@ -166,47 +166,63 @@ func keyScratch(buf *[4]uint64, words int) []uint64 {
 // labeler is the fused per-point keying kernel under one layout: per
 // dimension, Hist.Bin's arithmetic on its Min and InvWidth, and a lookup
 // table from bin to the dimension's field, already shifted into its word.
-// A field that straddles two words has one table per word; parts lists
-// every table in word order. Over a trial's partitions the field is the
-// bin's segment, replacing Result.SegmentOf's binary search; over the
-// stream's sketch it is the bin's coarse cell. key and binKey allocate
-// nothing and branch only on range clamps and word changes.
+// Word w of a key is the OR of the tables luts[w] of the dimensions from
+// lo[w] on; a field that straddles two words has a table in each. Over a
+// trial's partitions the field is the bin's segment, replacing
+// Result.SegmentOf's binary search. key and binKey allocate nothing and
+// branch only on range clamps.
 type labeler struct {
 	layout keyLayout
-	parts  []lutPart
+	lo     []int        // per word: its first dimension
+	luts   [][][]uint64 // per word, per dimension from lo on: bin → field bits
 	mins   []float64
 	invW   []float64
 	nbins  []float64 // float so the high clamp is one compare
 }
 
-// lutPart is one dimension's share of one word of the key.
-type lutPart struct {
-	dim, word int
-	lut       []uint64
+// newLabeler builds the tables of layout over set's bins, field(j, b)
+// being dimension j's field for bin b, with Hist.Bin's arithmetic for key.
+func newLabeler(set *histogram.Set, layout keyLayout, field func(j, bin int) uint64) *labeler {
+	nbins := 0
+	if len(set.Dims) > 0 {
+		nbins = set.Dims[0].Bins() // a set's histograms share one depth
+	}
+	l := binLabeler(layout, nbins, field)
+	for _, h := range set.Dims {
+		l.mins = append(l.mins, h.Min)
+		l.invW = append(l.invW, h.InvWidth())
+		l.nbins = append(l.nbins, float64(h.Bins()))
+	}
+	return l
 }
 
-// newLabeler builds the tables of layout over set's bins: field(j, b) is
-// dimension j's field for bin b. Dimensions whose field has no bits add
-// nothing to a key and get no table.
-func newLabeler(set *histogram.Set, layout keyLayout, field func(j, bin int) uint64) *labeler {
-	n := len(set.Dims)
+// binLabeler builds the tables alone, over nbins bins per dimension: a
+// labeler that keys stored bins (binKey, binKeys), not floats.
+func binLabeler(layout keyLayout, nbins int, field func(j, bin int) uint64) *labeler {
 	l := &labeler{
 		layout: layout,
-		mins:   make([]float64, n),
-		invW:   make([]float64, n),
-		nbins:  make([]float64, n),
+		lo:     make([]int, layout.words),
+		luts:   make([][][]uint64, layout.words),
 	}
-	for j, h := range set.Dims {
-		l.mins[j] = h.Min
-		l.invW[j] = h.InvWidth()
-		l.nbins[j] = float64(h.Bins())
-		if layout.bits[j] == 0 {
+	run := func(w, j int, lut []uint64) {
+		if len(l.luts[w]) == 0 {
+			l.lo[w] = j
+		}
+		l.luts[w] = append(l.luts[w], lut)
+	}
+	for j, width := range layout.bits {
+		// A field of no bits above every other sits past word 0.
+		w, s := layout.at(j)
+		w = max(w, 0)
+		lo := make([]uint64, nbins)
+		if width == 0 {
+			run(w, j, lo)
 			continue
 		}
-		w, s := layout.at(j)
-		lo, hi := make([]uint64, h.Bins()), []uint64(nil)
-		if s+layout.bits[j] > 64 {
-			hi = make([]uint64, h.Bins())
+		var hi []uint64
+		if s+width > 64 {
+			hi = make([]uint64, nbins)
+			run(w-1, j, hi)
 		}
 		for b := range lo {
 			v := field(j, b)
@@ -215,10 +231,7 @@ func newLabeler(set *histogram.Set, layout keyLayout, field func(j, bin int) uin
 				hi[b] = v >> (64 - s)
 			}
 		}
-		if hi != nil {
-			l.parts = append(l.parts, lutPart{j, w - 1, hi})
-		}
-		l.parts = append(l.parts, lutPart{j, w, lo})
+		run(w, j, lo)
 	}
 	return l
 }
@@ -239,39 +252,63 @@ func (l *labeler) words() int { return l.layout.words }
 
 // key writes the key of a projected point into key (len words). Out-of-range
 // values clamp into the edge bins and NaN lands in bin 0, matching Hist.Bin.
-// Every word holds some field's bits, so every word is written.
 func (l *labeler) key(key []uint64, x []float64) {
-	w, acc := 0, uint64(0)
-	for i := range l.parts {
-		p := &l.parts[i]
-		if p.word != w {
-			key[w], w, acc = acc, p.word, 0
+	for w, luts := range l.luts {
+		lo := l.lo[w]
+		var acc uint64
+		for j, lut := range luts {
+			d := lo + j
+			v := (x[d] - l.mins[d]) * l.invW[d]
+			b := 0
+			if v >= l.nbins[d] {
+				b = len(lut) - 1
+			} else if v >= 0 {
+				b = int(v)
+			}
+			acc |= lut[b]
 		}
-		d := p.dim
-		v := (x[d] - l.mins[d]) * l.invW[d]
-		b := 0
-		if v >= l.nbins[d] {
-			b = len(p.lut) - 1
-		} else if v >= 0 {
-			b = int(v)
-		}
-		acc |= p.lut[b]
+		key[w] = acc
 	}
-	key[w] = acc
 }
 
 // binKey is key for a point already binned: the OR of its dimensions'
 // table entries at the stored bins.
 func (l *labeler) binKey(key []uint64, bins []uint16) {
-	w, acc := 0, uint64(0)
-	for i := range l.parts {
-		p := &l.parts[i]
-		if p.word != w {
-			key[w], w, acc = acc, p.word, 0
-		}
-		acc |= p.lut[bins[p.dim]]
+	for w, luts := range l.luts {
+		key[w] = orTables(luts, bins[l.lo[w]:])
 	}
-	key[w] = acc
+}
+
+// binKeys writes the key of every row of a block of stored bins into keys,
+// words apart: a row's dimensions start first bins into it, and rows are
+// stride bins apart. It runs a word at a time over the whole block.
+func (l *labeler) binKeys(keys []uint64, bins []uint16, first, stride int) {
+	words := l.layout.words
+	for w, luts := range l.luts {
+		for at, off := w, first+l.lo[w]; off < len(bins); at, off = at+words, off+stride {
+			keys[at] = orTables(luts, bins[off:])
+		}
+	}
+}
+
+// orTables is one word of one row's key: the OR of luts at the row's bins.
+func orTables(luts [][]uint64, bins []uint16) (acc uint64) {
+	bins = bins[:len(luts)]
+	for j, lut := range luts {
+		acc |= lut[bins[j]]
+	}
+	return acc
+}
+
+// count adds one to tab for the key of every row of a block of stored
+// bins, laid out as for binKeys, through keys: room for blockRows keys.
+func (l *labeler) count(tab *flatTable, keys []uint64, bins []uint16, first, stride int) {
+	l.binKeys(keys, bins, first, stride)
+	words := l.layout.words
+	n := len(bins) / stride * words
+	for at := 0; at < n; at += words {
+		tab.add(keys[at:at+words], 1)
+	}
 }
 
 // exactMassLimit bounds every key mass a fold carries: whole counts below

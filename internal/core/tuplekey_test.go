@@ -455,3 +455,58 @@ func viewOf(data *linalg.Matrix) *projected {
 	}
 	return p
 }
+
+// TestLabelerMatchesLayout: over random layouts of up to 40 dimensions —
+// fields of 0 to 17 bits, fields that straddle two words, fields of no
+// bits at word boundaries and above word 0 — the labeler's key of a
+// point's bins is the layout's pack of its fields, from floats and from
+// stored bins alike.
+func TestLabelerMatchesLayout(t *testing.T) {
+	rng := xrand.New(23)
+	for trial := 0; trial < 300; trial++ {
+		dims := 1 + rng.Intn(40)
+		widths := make([]uint, dims)
+		for j := range widths {
+			if rng.Intn(4) > 0 {
+				widths[j] = uint(rng.Intn(18))
+			}
+		}
+		if trial%3 == 0 { // make the total a multiple of 64 with a zero-width first field
+			widths[0] = 0
+			total := uint(0)
+			for _, b := range widths {
+				total += b
+			}
+			if pad := (64 - total%64) % 64; pad > 0 {
+				widths = append(widths, pad%17, pad-pad%17)
+				dims += 2
+			}
+		}
+		layout := newKeyLayout(widths, 2)
+		mins, maxs := make([]float64, dims), make([]float64, dims)
+		for j := range maxs {
+			maxs[j] = 1
+		}
+		set, err := histogram.NewSet(mins, maxs, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := func(j, bin int) uint64 { return uint64(bin*7919+j) & (1<<widths[j] - 1) }
+		lab := newLabeler(set, layout, field)
+		bins, x, want := make([]uint16, dims), make([]float64, dims), make([]int, dims)
+		got, fromX, ref := make([]uint64, layout.words), make([]uint64, layout.words), make([]uint64, layout.words)
+		for n := 0; n < 20; n++ {
+			for j := range bins {
+				bins[j] = uint16(rng.Intn(16))
+				x[j] = (float64(bins[j]) + 0.5) / 16
+				want[j] = int(field(j, int(bins[j])))
+			}
+			layout.pack(ref, want)
+			lab.binKey(got, bins)
+			lab.key(fromX, x)
+			if !slices.Equal(got, ref) || !slices.Equal(fromX, ref) {
+				t.Fatalf("widths %v bins %v: binKey %x, key %x, pack %x", widths, bins, got, fromX, ref)
+			}
+		}
+	}
+}

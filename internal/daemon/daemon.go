@@ -24,6 +24,7 @@ import (
 	"syscall"
 	"time"
 
+	"keybin2/internal/histogram"
 	"keybin2/internal/obs"
 )
 
@@ -139,8 +140,10 @@ func (f Flags) Open(traces int) (runID string, logger *obs.Logger, tracer *obs.T
 }
 
 // ParseRange reads a -range value, 'lo,hi', into the predetermined bounds
-// of every one of dims raw dimensions. keybin2d and keybin2router must
-// agree on it for shard histograms to be congruent, so both parse it here.
+// of every one of dims raw dimensions; a bound that is not finite, or a
+// width past the largest float64, is refused (histogram.CheckRange).
+// keybin2d and keybin2router must agree on it for shard histograms to be
+// congruent, so both parse it here.
 func ParseRange(spec string, dims int) ([][2]float64, error) {
 	lohi := strings.SplitN(spec, ",", 2)
 	if len(lohi) != 2 {
@@ -150,6 +153,9 @@ func ParseRange(spec string, dims int) ([][2]float64, error) {
 	hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
 	if err1 != nil || err2 != nil || lo >= hi {
 		return nil, fmt.Errorf("-range wants numeric lo < hi, got %q", spec)
+	}
+	if err := histogram.CheckRange(lo, hi); err != nil {
+		return nil, fmt.Errorf("-range %q: %w", spec, err)
 	}
 	ranges := make([][2]float64, dims)
 	for i := range ranges {

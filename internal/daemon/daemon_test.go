@@ -212,3 +212,19 @@ func TestFlagsKeepNamesAndDefaults(t *testing.T) {
 		t.Error("Open accepted an unknown log level")
 	}
 }
+
+// TestParseRangeRefusesNonFinite: -range takes two finite bounds whose
+// width a float64 holds; "nan,1", "-inf,inf" and "0,inf" parse as floats
+// and once passed.
+func TestParseRangeRefusesNonFinite(t *testing.T) {
+	if r, err := ParseRange("-12,12", 2); err != nil || len(r) != 2 || r[1] != [2]float64{-12, 12} {
+		t.Fatalf("ParseRange(-12,12) = %v, %v", r, err)
+	}
+	for spec, names := range map[string]string{
+		"nan,1": "NaN", "-inf,inf": "Inf", "0,inf": "+Inf", "-1e308,1e308": "1e+308", "1,nan": "NaN",
+	} {
+		if _, err := ParseRange(spec, 2); err == nil || !strings.Contains(err.Error(), names) {
+			t.Errorf("ParseRange(%q) = %v, want an error naming %s", spec, err, names)
+		}
+	}
+}

@@ -128,7 +128,27 @@ func (s *Set) Encode() []byte {
 	return buf
 }
 
-// DecodeSet parses a payload produced by Encode.
+// CheckRange refuses a range no histogram can bin over: a bound that is
+// NaN or infinite, hi below lo, or a width hi − lo past the largest
+// float64. A zero-width range passes: New widens it.
+func CheckRange(lo, hi float64) error {
+	switch {
+	case math.IsNaN(lo) || math.IsInf(lo, 0):
+		return fmt.Errorf("histogram: range bound %v is not finite", lo)
+	case math.IsNaN(hi) || math.IsInf(hi, 0):
+		return fmt.Errorf("histogram: range bound %v is not finite", hi)
+	case hi < lo:
+		return fmt.Errorf("histogram: range [%v, %v] is reversed", lo, hi)
+	case math.IsInf(hi-lo, 0):
+		return fmt.Errorf("histogram: range [%v, %v] is wider than the largest float64", lo, hi)
+	}
+	return nil
+}
+
+// DecodeSet parses a payload produced by Encode. Every range must pass
+// CheckRange and hold more than a point, as New's ranges do: a range that
+// is empty, inverted, NaN or infinite bins nothing and merges with
+// nothing, not even itself.
 func DecodeSet(b []byte) (*Set, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("histogram: truncated set header")
@@ -152,6 +172,9 @@ func DecodeSet(b []byte) (*Set, error) {
 			Total:  binary.LittleEndian.Uint64(b[off+16:]),
 			Depth:  depth,
 			Counts: make([]uint64, nbins),
+		}
+		if err := CheckRange(h.Min, h.Max); err != nil || h.Min == h.Max {
+			return nil, fmt.Errorf("histogram: dim %d range [%v, %v]: %v", j, h.Min, h.Max, err)
 		}
 		h.invW = float64(nbins) / (h.Max - h.Min)
 		off += 24

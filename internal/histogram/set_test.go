@@ -1,8 +1,11 @@
 package histogram
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -124,5 +127,43 @@ func TestDecodeCorrupt(t *testing.T) {
 	bad[4], bad[5], bad[6], bad[7] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := DecodeSet(bad); err == nil {
 		t.Fatal("absurd depth must fail")
+	}
+}
+
+// TestDecodeSetRefusesNonFiniteRanges: a decoded range must be finite,
+// non-empty and no wider than the largest float64. [0, +Inf] once decoded,
+// and from there reached the model, checkpoint and fold decoders, whose
+// own check (Max > Min) let it through.
+func TestDecodeSetRefusesNonFiniteRanges(t *testing.T) {
+	good := makeSet(t).Encode()
+	if _, err := DecodeSet(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]float64{
+		{0, math.Inf(1)}, {math.Inf(-1), 0}, {math.Inf(-1), math.Inf(1)},
+		{math.NaN(), 1}, {0, math.NaN()}, {-1e308, 1e308}, {1, 1}, {2, 1},
+	} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r[0]))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r[1]))
+		if _, err := DecodeSet(b); err == nil {
+			t.Errorf("range %v decoded", r)
+		}
+	}
+}
+
+func TestCheckRange(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi float64
+		names  string // what the error must name; "" = valid
+	}{
+		{-12, 12, ""}, {3, 3, ""}, {-1e307, 1e307, ""},
+		{math.NaN(), 1, "NaN"}, {0, math.Inf(1), "+Inf"}, {math.Inf(-1), 0, "-Inf"},
+		{-1e308, 1e308, "1e+308"}, {2, 1, "reversed"},
+	} {
+		err := CheckRange(c.lo, c.hi)
+		if (err == nil) != (c.names == "") || err != nil && !strings.Contains(err.Error(), c.names) {
+			t.Errorf("CheckRange(%v, %v) = %v, want an error naming %q", c.lo, c.hi, err, c.names)
+		}
 	}
 }
