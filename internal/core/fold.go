@@ -51,8 +51,8 @@ const (
 	foldMagic   = "KB2H"
 	foldVersion = 2
 
-	tupleTagPacked = 'U'
-	tupleTagString = 'S'
+	tupleTagPacked = 'U' // one-word keys
+	tupleTagString = 'S' // wider keys, as bytes
 )
 
 type foldTrial struct {
@@ -338,7 +338,9 @@ func exchange(comm *mpi.Comm, cfg Config, local *foldState, tuples []keyLayout) 
 func (s *Stream) fold() *foldState {
 	f := &foldState{seen: uint64(s.seen), trials: make([]foldTrial, len(s.sets))}
 	for t, set := range s.sets {
-		f.trials[t] = foldTrial{set: set, tuples: counts(s.sketch[t]), keys: s.cellLayout}
+		tuples := s.sketch[t].clone()
+		tuples.round()
+		f.trials[t] = foldTrial{set: set, tuples: tuples, keys: s.cellLayout}
 	}
 	return f
 }

@@ -77,12 +77,13 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 		enc := set.Encode()
 		w.u32(uint32(len(enc)))
 		w.buf = append(w.buf, enc...)
-		sk, cells := s.sketch[t], s.cellLayout
+		sk, comps := s.sketch[t], make([]uint16, s.cfg.TargetDims)
 		w.u32(uint32(sk.len()))
 		for c, m := range sk.masses {
-			w.u32(uint32(len(cells.bits)))
-			for j := range cells.bits {
-				w.u32(uint32(cells.field(sk.key(c), j)))
+			cellComponents(comps, sk.key(c), s.cellLayout)
+			w.u32(uint32(len(comps)))
+			for _, b := range comps {
+				w.u32(uint32(b))
 			}
 			w.f64(m)
 		}

@@ -22,7 +22,7 @@ const sketchBitsPerDim = 5
 
 // cellComponents writes the components of a sketch cell's key into
 // comps: shifted out of a register pair for a key of up to two words, as
-// applyChunk shifts them in, and read field by field beyond.
+// Stream.sketchBlock shifts them in, and read field by field beyond.
 func cellComponents(comps []uint16, cell []uint64, layout keyLayout) {
 	if len(cell) > 2 {
 		for j := range comps {
@@ -51,14 +51,6 @@ func sketchLayout(width int) keyLayout {
 	return newKeyLayout(widths, 4)
 }
 
-// counts is the sketch as the consolidation fold ships it: whole masses
-// (roundMass), cells that round to nothing dropped.
-func counts(sketch *flatTable) *flatTable {
-	tab := sketch.clone()
-	tab.round()
-	return tab
-}
-
 // roundMass turns a float mass into the integer count a model is built
 // from and the fold ships. Masses are summed in float first and rounded
 // once: after decay they are fractional, and rounding each before summing
@@ -78,8 +70,9 @@ func checkSketchKey(layout keyLayout, key []uint64, cells uint32) error {
 	return nil
 }
 
-// sketchFromCounts is the inverse of counts for masses that arrived from
-// elsewhere (nil: none), every key checked by checkSketchKey. Cells are
+// sketchFromCounts is the inverse of Stream.fold's rounded sketch for
+// masses that arrived from elsewhere (nil: none), every key checked by
+// checkSketchKey. Cells are
 // inserted in ascending key order, so a sketch built from the same counts
 // walks (and encodes) in the same order every time.
 func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable, error) {

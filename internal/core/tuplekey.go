@@ -18,11 +18,11 @@ import (
 // dimension of S segments, so a tuple of up to 64 bits (every N_rp the
 // benchmarks run) takes one word — and the bin→segment map fuses Hist.Bin
 // with Result.SegmentOf into one lookup table per dimension. The stream's
-// coarse sketch cells are keys of the same kind (5 bits per dimension), so
-// one layout, one labeler and one count table (flatTable) serve every key
-// of every width. Only the fold's 'S' section and the Model and checkpoint
-// wire formats, which store segments or components explicitly, see a key as
-// anything but words.
+// coarse sketch cells are keys of the same kind (5 bits per dimension):
+// one layout and one count table (flatTable) serve every key of every
+// width, and one labeler builds every tuple key. Only the fold's 'S'
+// section and the Model and checkpoint wire formats, which store segments
+// or components explicitly, see a key as anything but words.
 
 // keyLayout places one unsigned field per dimension in a key of words
 // uint64 words: the fields concatenated, dimension 0 in the most
@@ -167,10 +167,10 @@ func keyScratch(buf *[4]uint64, words int) []uint64 {
 // dimension, Hist.Bin's arithmetic on its Min and InvWidth, and a lookup
 // table from bin to the dimension's field, already shifted into its word.
 // Word w of a key is the OR of the tables luts[w] of the dimensions from
-// lo[w] on; a field that straddles two words has a table in each. Over a
-// trial's partitions the field is the bin's segment, replacing
-// Result.SegmentOf's binary search. key and binKey allocate nothing and
-// branch only on range clamps.
+// lo[w] on; a field that straddles two words has a table in each. The
+// field is a bin's segment (segmentField), replacing Result.SegmentOf's
+// binary search. key and binKey allocate nothing and branch only on range
+// clamps.
 type labeler struct {
 	layout keyLayout
 	lo     []int        // per word: its first dimension
