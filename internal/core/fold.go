@@ -82,12 +82,12 @@ func (f *foldState) encode() []byte {
 		}
 		tab := tr.tuples
 		if tab != nil && tab.words == 1 {
-			cells := slices.DeleteFunc(tab.sorted(), func(c int) bool { return tab.masses[c] == 0 })
+			cells := slices.DeleteFunc(tab.sorted(), func(c int) bool { return tab.mass(c) == 0 })
 			w.u8(tupleTagPacked)
 			w.u32(uint32(len(cells)))
 			for _, c := range cells {
-				w.u64(tab.keys[c])
-				w.u64(uint64(tab.masses[c]))
+				w.u64(tab.key(c)[0])
+				w.u64(uint64(tab.mass(c)))
 			}
 			continue
 		}
@@ -100,8 +100,8 @@ func (f *foldState) encode() []byte {
 		}
 		var entries []entry
 		if tab != nil {
-			for c, m := range tab.masses {
-				if m > 0 {
+			for c := range tab.len() {
+				if m := tab.mass(c); m > 0 {
 					entries = append(entries, entry{tr.keys.appendWire(nil, tab.key(c)), uint64(m)})
 				}
 			}

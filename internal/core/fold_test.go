@@ -47,8 +47,9 @@ func sortedKeys(m map[uint64]uint64) []uint64 {
 // massesOf reads a one-word count table back as a map.
 func massesOf(tab *flatTable) map[uint64]uint64 {
 	m := make(map[uint64]uint64, tab.len())
-	for c, mass := range tab.masses {
-		m[tab.keys[c]] = uint64(mass)
+	for c := range tab.len() {
+		mass := tab.mass(c)
+		m[tab.key(c)[0]] = uint64(mass)
 	}
 	return m
 }
@@ -194,7 +195,8 @@ func massDoublesPastExact(st *foldState) bool {
 		if tr.tuples == nil {
 			continue
 		}
-		for _, m := range tr.tuples.masses {
+		for c := range tr.tuples.len() {
+			m := tr.tuples.mass(c)
 			if 2*m >= exactMassLimit {
 				return true
 			}

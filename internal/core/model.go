@@ -120,14 +120,14 @@ func (m *Model) Assign(x []float64) (int, error) {
 func buildLabels(tuples *flatTable, layout keyLayout, minSize, maxClusters int) []quality.Cluster {
 	var heavy []int
 	if tuples != nil {
-		for c, m := range tuples.masses {
-			if int(uint64(m)) >= minSize {
+		for c := range tuples.len() {
+			if int(uint64(tuples.mass(c))) >= minSize {
 				heavy = append(heavy, c)
 			}
 		}
 	}
 	slices.SortFunc(heavy, func(a, b int) int {
-		if ma, mb := tuples.masses[a], tuples.masses[b]; ma != mb {
+		if ma, mb := tuples.mass(a), tuples.mass(b); ma != mb {
 			return cmp.Compare(mb, ma)
 		}
 		return slices.Compare(tuples.key(a), tuples.key(b))
@@ -135,7 +135,7 @@ func buildLabels(tuples *flatTable, layout keyLayout, minSize, maxClusters int) 
 	clusters := make([]quality.Cluster, min(len(heavy), maxClusters))
 	for i := range clusters {
 		c := heavy[i]
-		clusters[i] = quality.Cluster{Segments: layout.unpack(tuples.key(c)), Mass: uint64(tuples.masses[c])}
+		clusters[i] = quality.Cluster{Segments: layout.unpack(tuples.key(c)), Mass: uint64(tuples.mass(c))}
 	}
 	return clusters
 }

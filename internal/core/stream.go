@@ -414,10 +414,10 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 	acc := &s.tupleMass[t]
 	acc.reset(lab.words())
 	comps, key := make([]uint16, s.cfg.TargetDims), make([]uint64, lab.words())
-	for c, m := range sk.masses {
+	for c := range sk.len() {
 		cellComponents(comps, sk.key(c), s.cellLayout)
 		lab.binKey(key, comps)
-		acc.add(key, m)
+		acc.add(key, sk.mass(c))
 	}
 	acc.round()
 	return acc

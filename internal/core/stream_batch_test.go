@@ -15,7 +15,8 @@ import (
 // cells were inserted in.
 func sketchContents(sk *flatTable) map[string]float64 {
 	out := make(map[string]float64, sk.len())
-	for c, m := range sk.masses {
+	for c := range sk.len() {
+		m := sk.mass(c)
 		out[fmt.Sprint(sk.key(c))] = m
 	}
 	return out

@@ -79,13 +79,13 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 		w.buf = append(w.buf, enc...)
 		sk, comps := s.sketch[t], make([]uint16, s.cfg.TargetDims)
 		w.u32(uint32(sk.len()))
-		for c, m := range sk.masses {
+		for c := range sk.len() {
 			cellComponents(comps, sk.key(c), s.cellLayout)
 			w.u32(uint32(len(comps)))
 			for _, b := range comps {
 				w.u32(uint32(b))
 			}
-			w.f64(m)
+			w.f64(sk.mass(c))
 		}
 	}
 	return w.buf, nil

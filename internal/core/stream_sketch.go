@@ -91,7 +91,7 @@ func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable
 		if err := checkSketchKey(layout, key, cells); err != nil {
 			return nil, err
 		}
-		sk.add(key, tc.masses[c])
+		sk.add(key, tc.mass(c))
 	}
 	return sk, nil
 }
@@ -100,27 +100,36 @@ func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable
 // words uint64 words: a sketch's cells, whose masses turn fractional under
 // decay, every tuple count, whose masses are whole numbers below 2^53 and
 // so sum exactly in float64, and a model's cluster tuples. Its cells are
-// stored densely in insertion order — keys in one stride-words slab, masses
-// beside them — so a walk over them is a sequential scan, and its order —
-// which fixes the checkpoint's bytes and the order float masses are summed
-// in — follows the input, not a hash seed. An open-addressing index finds
-// a key's cell: linear probing over a power-of-two slot array kept at most
-// half full, hashed by the top bits of a Fibonacci multiply.
+// stored densely in insertion order in one slab of words+1 words each —
+// the key, then the mass's float64 bits, so a probe that finds the key has
+// the mass in the same cache line — and a walk over them is a sequential
+// scan whose order — which fixes the checkpoint's bytes and the order
+// float masses are summed in — follows the input, not a hash seed. An
+// open-addressing index finds a key's cell: linear probing over a
+// power-of-two slot array kept at most half full, hashed by the top bits
+// of a Fibonacci multiply.
 type flatTable struct {
-	words  int       // key width W
-	keys   []uint64  // cell c's key is keys[c·W : (c+1)·W]
-	masses []float64 // cell c's mass
-	index  []uint32  // per slot: 1 + the cell's position, 0 when empty
-	shift  uint      // 64 − log₂ len(index)
+	words int      // key width W
+	cells []uint64 // cell c: its key at [c·(W+1), c·(W+1)+W), its mass's bits after
+	index []uint32 // per slot: 1 + the cell's position, 0 when empty
+	shift uint     // 64 − log₂ len(index)
 }
 
 const fibonacciHash = 0x9E3779B97F4A7C15
 
 // len is the number of cells.
-func (t *flatTable) len() int { return len(t.masses) }
+func (t *flatTable) len() int { return len(t.cells) / (t.words + 1) }
 
 // key is cell c's key, aliasing the table.
-func (t *flatTable) key(c int) []uint64 { return t.keys[c*t.words : (c+1)*t.words : (c+1)*t.words] }
+func (t *flatTable) key(c int) []uint64 {
+	at := c * (t.words + 1)
+	return t.cells[at : at+t.words : at+t.words]
+}
+
+// mass is cell c's mass.
+func (t *flatTable) mass(c int) float64 {
+	return math.Float64frombits(t.cells[(c+1)*(t.words+1)-1])
+}
 
 // slot is key's first probe.
 func (t *flatTable) slot(key []uint64) int {
@@ -134,21 +143,22 @@ func (t *flatTable) slot(key []uint64) int {
 // add adds n to key's mass, appending a cell for a key not yet present,
 // and returns the key's cell.
 func (t *flatTable) add(key []uint64, n float64) int {
-	if 2*len(t.masses) >= len(t.index) {
+	if 2*t.len() >= len(t.index) {
 		t.grow()
 	}
-	mask, w := len(t.index)-1, t.words
+	mask, stride := len(t.index)-1, t.words+1
 	for i := t.slot(key); ; i = (i + 1) & mask {
 		at := int(t.index[i])
 		if at == 0 {
-			t.keys = append(t.keys, key...)
-			t.masses = append(t.masses, n)
-			t.index[i] = uint32(len(t.masses))
-			return len(t.masses) - 1
+			t.cells = append(append(t.cells, key...), math.Float64bits(n))
+			c := t.len()
+			t.index[i] = uint32(c)
+			return c - 1
 		}
-		if c := at - 1; t.keys[c*w] == key[0] && (w == 1 || slices.Equal(t.keys[c*w+1:c*w+w], key[1:])) {
-			t.masses[c] += n
-			return c
+		cell := t.cells[(at-1)*stride : at*stride]
+		if cell[0] == key[0] && (stride == 2 || slices.Equal(cell[1:stride-1], key[1:])) {
+			cell[stride-1] = math.Float64bits(math.Float64frombits(cell[stride-1]) + n)
+			return at - 1
 		}
 	}
 }
@@ -158,14 +168,14 @@ func (t *flatTable) find(key []uint64) (int, bool) {
 	if len(t.index) == 0 {
 		return 0, false
 	}
-	mask, w := len(t.index)-1, t.words
+	mask := len(t.index) - 1
 	for i := t.slot(key); ; i = (i + 1) & mask {
 		at := int(t.index[i])
 		if at == 0 {
 			return 0, false
 		}
-		if c := at - 1; slices.Equal(t.keys[c*w:c*w+w], key) {
-			return c, true
+		if slices.Equal(t.key(at-1), key) {
+			return at - 1, true
 		}
 	}
 }
@@ -182,7 +192,7 @@ func (t *flatTable) grow() {
 func (t *flatTable) reindex() {
 	clear(t.index)
 	mask := len(t.index) - 1
-	for c := range t.masses {
+	for c := range t.len() {
 		i := t.slot(t.key(c))
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
@@ -193,7 +203,7 @@ func (t *flatTable) reindex() {
 
 // reset empties the table for keys of words words, keeping its memory.
 func (t *flatTable) reset(words int) {
-	t.words, t.keys, t.masses = words, t.keys[:0], t.masses[:0]
+	t.words, t.cells = words, t.cells[:0]
 	clear(t.index)
 }
 
@@ -201,18 +211,16 @@ func (t *flatTable) reset(words int) {
 // insertion order: decay, rounding, the suppression filter and the fold's
 // subtraction are each one pass of it.
 func (t *flatTable) filter(f func(mass float64) (float64, bool)) {
-	kept := 0
-	for c, m := range t.masses {
-		var keep bool
-		if m, keep = f(m); keep {
-			copy(t.keys[kept*t.words:], t.key(c))
-			t.masses[kept] = m
+	n, stride, kept := t.len(), t.words+1, 0
+	for c := range n {
+		if m, keep := f(t.mass(c)); keep {
+			copy(t.cells[kept*stride:], t.key(c))
+			t.cells[(kept+1)*stride-1] = math.Float64bits(m)
 			kept++
 		}
 	}
-	dropped := kept < len(t.masses)
-	t.keys, t.masses = t.keys[:kept*t.words], t.masses[:kept]
-	if dropped {
+	t.cells = t.cells[:kept*stride]
+	if kept < n {
 		t.reindex()
 	}
 }
@@ -241,8 +249,8 @@ func (t *flatTable) round() {
 func (t *flatTable) minus(prev *flatTable) *flatTable {
 	grown := t.clone()
 	if prev != nil {
-		for c, m := range prev.masses {
-			grown.add(prev.key(c), -m)
+		for c := range prev.len() {
+			grown.add(prev.key(c), -prev.mass(c))
 		}
 	}
 	grown.filter(func(m float64) (float64, bool) { return m, m > 0 })
@@ -251,8 +259,7 @@ func (t *flatTable) minus(prev *flatTable) *flatTable {
 
 // clone is a copy that shares no memory with t.
 func (t *flatTable) clone() *flatTable {
-	return &flatTable{words: t.words, keys: slices.Clone(t.keys), masses: slices.Clone(t.masses),
-		index: slices.Clone(t.index), shift: t.shift}
+	return &flatTable{words: t.words, cells: slices.Clone(t.cells), index: slices.Clone(t.index), shift: t.shift}
 }
 
 // sorted is the cells in ascending key order.

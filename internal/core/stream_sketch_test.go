@@ -79,7 +79,8 @@ func TestBitIdenticalFlatTable(t *testing.T) {
 				if tab.len() != len(ref) {
 					t.Fatalf("W=%d seed %d step %d: %d cells, reference %d keys", words, seed, step, tab.len(), len(ref))
 				}
-				for c, m := range tab.masses {
+				for c := range tab.len() {
+					m := tab.mass(c)
 					if key := keyOf(&tab, c); key != order[c] {
 						t.Fatalf("W=%d seed %d step %d: cell %d is key %x, inserted %d-th was %x", words, seed, step, c, key, c, order[c])
 					} else if math.Float64bits(m) != math.Float64bits(ref[key]) {
@@ -114,7 +115,8 @@ func checkCountTable(t *testing.T, seed int64, tab *flatTable, ref map[tkey]floa
 		if got.len() != len(want) {
 			t.Fatalf("W=%d seed %d %s: %d cells, reference %d keys", words, seed, step, got.len(), len(want))
 		}
-		for c, m := range got.masses {
+		for c := range got.len() {
+			m := got.mass(c)
 			key := keyOf(got, c)
 			if n, ok := want[key]; !ok || math.Float64bits(m) != math.Float64bits(float64(n)) {
 				t.Fatalf("W=%d seed %d %s: key %x mass %v, reference %d", words, seed, step, key, m, n)
@@ -134,12 +136,12 @@ func checkCountTable(t *testing.T, seed int64, tab *flatTable, ref map[tkey]floa
 	counts.round()
 	same("round", counts, rounded)
 	var kept []tkey
-	for c := range tab.masses {
+	for c := range tab.len() {
 		if _, ok := rounded[keyOf(tab, c)]; ok {
 			kept = append(kept, keyOf(tab, c))
 		}
 	}
-	for c := range counts.masses {
+	for c := range counts.len() {
 		if key := keyOf(counts, c); key != kept[c] {
 			t.Fatalf("W=%d seed %d round: cell %d is key %x, insertion order says %x", words, seed, c, key, kept[c])
 		}

@@ -333,11 +333,11 @@ func mergeCounts(acc, in *flatTable) (*flatTable, error) {
 	if acc.words != in.words {
 		return acc, fmt.Errorf("core: merging keys of %d and %d words", acc.words, in.words)
 	}
-	for c, m := range in.masses {
-		acc.add(in.key(c), m)
+	for c := range in.len() {
+		acc.add(in.key(c), in.mass(c))
 	}
-	for _, m := range acc.masses {
-		if m >= exactMassLimit {
+	for c := range acc.len() {
+		if acc.mass(c) >= exactMassLimit {
 			return acc, errMassPastExact
 		}
 	}

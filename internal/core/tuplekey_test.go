@@ -152,7 +152,7 @@ func countOne(view *projected, k trialKeys, workers int) *flatTable {
 // stringCounts is the reference count: every row's segment tuple from
 // Hist.Bin and Result.SegmentOf, keyed by its 'S' form, the string key the
 // fit used before tuples packed.
-func stringCounts(data *linalg.Matrix, set *histogram.Set, layout keyLayout, parts []partition.Result, collapsed []bool) map[string]uint64 {
+func stringCounts(data *linalg.Matrix, set *histogram.Set, parts []partition.Result, collapsed []bool) map[string]uint64 {
 	out := map[string]uint64{}
 	for i := 0; i < data.Rows; i++ {
 		out[string(segmentWire(data.Row(i), set, parts, collapsed))]++
@@ -176,7 +176,8 @@ func segmentWire(x []float64, set *histogram.Set, parts []partition.Result, coll
 // wireMasses reads a count table as masses by the 'S' form of its keys.
 func wireMasses(tab *flatTable, layout keyLayout) map[string]uint64 {
 	out := map[string]uint64{}
-	for c, m := range tab.masses {
+	for c := range tab.len() {
+		m := tab.mass(c)
 		out[string(layout.appendWire(nil, tab.key(c)))] = uint64(m)
 	}
 	return out
@@ -221,7 +222,7 @@ func TestPackedVsStringTupleCounts(t *testing.T) {
 		if !reflect.DeepEqual(wireMasses(tab, k.lab.layout), wireMasses(want, k.lab.layout)) {
 			t.Fatalf("seed %d: counts from stored bins differ from labeler.key's", seed)
 		}
-		if str := stringCounts(f.data, f.set, k.lab.layout, f.parts, f.collapsed); !reflect.DeepEqual(wireMasses(tab, k.lab.layout), str) {
+		if str := stringCounts(f.data, f.set, f.parts, f.collapsed); !reflect.DeepEqual(wireMasses(tab, k.lab.layout), str) {
 			t.Fatalf("seed %d: packed counts differ from the string-keyed count", seed)
 		}
 	}
@@ -285,12 +286,12 @@ func TestCollapsedDimensionsEquivalence(t *testing.T) {
 		t.Fatalf("collapsed dims got bits %v", layout.bits)
 	}
 	tab := countOne(f.view, k, 0)
-	for c := range tab.masses {
+	for c := range tab.len() {
 		if segs := layout.unpack(tab.key(c)); segs[1] != 0 || segs[3] != 0 {
 			t.Fatalf("collapsed segment leaked: %v", segs)
 		}
 	}
-	if str := stringCounts(f.data, f.set, layout, f.parts, collapsed); !reflect.DeepEqual(wireMasses(tab, layout), str) {
+	if str := stringCounts(f.data, f.set, f.parts, collapsed); !reflect.DeepEqual(wireMasses(tab, layout), str) {
 		t.Fatal("packed counts differ from the string-keyed count")
 	}
 }
@@ -321,7 +322,7 @@ func TestWideTuplePipeline(t *testing.T) {
 		t.Fatalf("68-bit tuples take %d words", k.lab.words())
 	}
 	tuples := countOne(view, k, 0)
-	if str := stringCounts(data, set, k.lab.layout, parts, collapsed); !reflect.DeepEqual(wireMasses(tuples, k.lab.layout), str) {
+	if str := stringCounts(data, set, parts, collapsed); !reflect.DeepEqual(wireMasses(tuples, k.lab.layout), str) {
 		t.Fatal("two-word counts differ from the string-keyed count")
 	}
 	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 1, MaxClusters: 1 << 20}, 0)
