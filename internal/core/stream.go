@@ -414,10 +414,25 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 	acc := &s.tupleMass[t]
 	acc.reset(lab.words())
 	comps, key := make([]uint16, s.cfg.TargetDims), make([]uint64, lab.words())
-	for c := range sk.len() {
-		cellComponents(comps, sk.key(c), s.cellLayout)
-		lab.binKey(key, comps)
-		acc.add(key, sk.mass(c))
+	if sk.words == 1 && len(key) == 1 {
+		// One word each way: the components shift out of a register into
+		// the per-dimension tables, as the ingest shifted them in.
+		luts := lab.luts[0]
+		for c := range sk.len() {
+			pk, tuple := sk.key(c)[0], uint64(0)
+			for j := len(luts) - 1; j >= 0; j-- {
+				tuple |= luts[j][pk&(1<<sketchBitsPerDim-1)]
+				pk >>= sketchBitsPerDim
+			}
+			key[0] = tuple
+			acc.add(key, sk.mass(c))
+		}
+	} else {
+		for c := range sk.len() {
+			cellComponents(comps, sk.key(c), s.cellLayout)
+			lab.binKey(key, comps)
+			acc.add(key, sk.mass(c))
+		}
 	}
 	acc.round()
 	return acc

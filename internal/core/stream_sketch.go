@@ -143,15 +143,16 @@ func (t *flatTable) slot(key []uint64) int {
 // add adds n to key's mass, appending a cell for a key not yet present,
 // and returns the key's cell.
 func (t *flatTable) add(key []uint64, n float64) int {
-	if 2*t.len() >= len(t.index) {
+	stride := t.words + 1
+	if 2*len(t.cells) >= len(t.index)*stride { // more than half the slots hold a cell
 		t.grow()
 	}
-	mask, stride := len(t.index)-1, t.words+1
+	mask := len(t.index) - 1
 	for i := t.slot(key); ; i = (i + 1) & mask {
 		at := int(t.index[i])
 		if at == 0 {
 			t.cells = append(append(t.cells, key...), math.Float64bits(n))
-			c := t.len()
+			c := len(t.cells) / stride
 			t.index[i] = uint32(c)
 			return c - 1
 		}
