@@ -413,7 +413,7 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 	sk := s.sketch[t]
 	acc := &s.tupleMass[t]
 	acc.reset(lab.words())
-	comps, key := make([]uint16, s.cfg.TargetDims), make([]uint64, lab.words())
+	key := make([]uint64, lab.words())
 	if sk.words == 1 && len(key) == 1 {
 		// One word each way: the components shift out of a register into
 		// the per-dimension tables, as the ingest shifted them in.
@@ -428,6 +428,7 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 			acc.add(key, sk.mass(c))
 		}
 	} else {
+		comps := make([]uint16, s.cfg.TargetDims)
 		for c := range sk.len() {
 			cellComponents(comps, sk.key(c), s.cellLayout)
 			lab.binKey(key, comps)
