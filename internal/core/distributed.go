@@ -78,10 +78,13 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	// consolidate the histograms: all trials' sets travel as one value.
 	nrp := cfg.TargetDims
 	sets := make([]*histogram.Set, cfg.Trials)
+	mins, maxs := make([]float64, nrp), make([]float64, nrp)
 	for t := range sets {
-		sets[t] = &histogram.Set{}
-		for d := t * nrp; d < (t+1)*nrp; d++ {
-			sets[t].Dims = append(sets[t].Dims, histogram.New(gmm[2*d], gmm[2*d+1], depth))
+		for j := range nrp {
+			mins[j], maxs[j] = gmm[2*(t*nrp+j)], gmm[2*(t*nrp+j)+1]
+		}
+		if sets[t], err = histogram.NewSet(mins, maxs, depth); err != nil {
+			return nil, nil, fmt.Errorf("core: trial %d projected ranges: %w", t, err)
 		}
 	}
 	binAll(proj, sets, cfg.Workers)

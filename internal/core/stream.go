@@ -90,10 +90,6 @@ func (c StreamConfig) Validate() error {
 				Reason: fmt.Sprintf("%d raw ranges for %d dims", len(c.RawRanges), c.Dims)}
 		}
 		for i, r := range c.RawRanges {
-			if r[0] > r[1] {
-				return &StreamConfigError{Field: "RawRanges",
-					Reason: fmt.Sprintf("dim %d range [%v, %v] reversed", i, r[0], r[1])}
-			}
 			if err := histogram.CheckRange(r[0], r[1]); err != nil {
 				return &StreamConfigError{Field: "RawRanges", Reason: fmt.Sprintf("dim %d: %v", i, err)}
 			}
@@ -268,18 +264,22 @@ func (s *Stream) initSetsFromBuffer() error {
 }
 
 // initSets gives every trial an empty sketch and histograms over its
-// columns of mins/maxs, the Trials·TargetDims projected ranges.
+// columns of mins/maxs, the Trials·TargetDims projected ranges. A range no
+// checkpoint could carry — one a ±Inf in the warm-up or raw ranges whose
+// projected spread overflows make — fails here, and the stream is left as
+// it was.
 func (s *Stream) initSets(mins, maxs []float64) error {
 	nrp := s.cfg.TargetDims
-	s.sets = make([]*histogram.Set, s.cfg.Trials)
-	s.sketch = make([]*flatTable, s.cfg.Trials)
-	for t := range s.sets {
+	sets := make([]*histogram.Set, s.cfg.Trials)
+	sketch := make([]*flatTable, s.cfg.Trials)
+	for t := range sets {
 		set, err := histogram.NewSet(mins[t*nrp:(t+1)*nrp], maxs[t*nrp:(t+1)*nrp], s.depth)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: trial %d projected ranges: %w", t, err)
 		}
-		s.sets[t], s.sketch[t] = set, &flatTable{words: s.cellLayout.words}
+		sets[t], sketch[t] = set, &flatTable{words: s.cellLayout.words}
 	}
+	s.sets, s.sketch = sets, sketch
 	return nil
 }
 

@@ -182,11 +182,11 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 			}
 			clear(key)
 			for j := range width {
-				b := r.u32()
-				if b >= s.sketchCells() {
-					return nil, nil, fmt.Errorf("core: checkpoint trial %d: sketch key component %d in dimension %d, %d cells", t, b, j, s.sketchCells())
+				b := uint64(r.u32())
+				if err := checkSketchComponent(j, b, s.sketchCells()); err != nil {
+					return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 				}
-				cells.put(key, j, uint64(b))
+				cells.put(key, j, b)
 			}
 			mass := r.f64()
 			if r.err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
 	"keybin2/internal/xrand"
 )
@@ -93,6 +94,53 @@ func TestValidateRefusesNonFiniteRanges(t *testing.T) {
 		if !errors.As(err, &sce) || sce.Field != "RawRanges" || !strings.Contains(err.Error(), c.names) {
 			t.Errorf("range %v: %v, want a RawRanges error naming %s", c.r, err, c.names)
 		}
+	}
+}
+
+// TestDerivedRangesRefusedAtBuild: a projected range no checkpoint, fold
+// or model could carry is refused where it is derived, with an error that
+// names the value, never written into state that fails to decode. Raw
+// ranges of ±1e307 over 64 dims pass Validate but project to an infinite
+// spread; one +Inf in the warm-up makes an infinite warm-up range; a fit
+// over data holding +Inf makes one too.
+func TestDerivedRangesRefusedAtBuild(t *testing.T) {
+	wide := StreamConfig{Config: Config{Seed: 1}, Dims: 64, RawRanges: fixedRanges(64, -1e307, 1e307)}
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("Validate refused finite raw ranges: %v", err)
+	}
+	if _, err := NewStream(wide); err == nil || !strings.Contains(err.Error(), "Inf") {
+		t.Errorf("NewStream over ±1e307 × 64 dims: %v, want an error naming Inf", err)
+	}
+
+	cfg := StreamConfig{Config: Config{Seed: 2, Trials: 2}, Dims: 3, Warmup: 50, Period: 100}
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := linalg.NewMatrix(cfg.Warmup, cfg.Dims)
+	for i := range batch.Data {
+		batch.Data[i] = float64(i%7) - 3
+	}
+	batch.Data[10] = math.Inf(1)
+	if _, err := st.IngestBatch(batch); err == nil || !strings.Contains(err.Error(), "Inf") {
+		t.Errorf("warm-up holding +Inf: %v, want an error naming Inf", err)
+	}
+	if n, err := st.IngestBatch(batch); err == nil || n != 0 {
+		t.Errorf("after a refused warm-up: %d rows applied, %v; want 0 and an error", n, err)
+	}
+	if b, err := st.Encode(); err == nil { // a stream still in warm-up writes no checkpoint
+		if _, err := DecodeStream(cfg, b); err != nil {
+			t.Errorf("checkpoint of the refused warm-up does not decode: %v", err)
+		}
+	}
+
+	data := linalg.NewMatrix(200, 4)
+	for i := range data.Data {
+		data.Data[i] = float64(i % 11)
+	}
+	data.Data[17] = math.Inf(1)
+	if _, _, err := Fit(data, Config{Seed: 3, Trials: 2}); err == nil || !strings.Contains(err.Error(), "Inf") {
+		t.Errorf("Fit over data holding +Inf: %v, want an error naming Inf", err)
 	}
 }
 

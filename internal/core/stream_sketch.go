@@ -21,23 +21,19 @@ import (
 const sketchBitsPerDim = 5
 
 // cellComponents writes the components of a sketch cell's key into
-// comps: shifted out of a register pair for a key of up to two words, as
+// comps: shifted out of one register for a one-word key, as
 // Stream.sketchBlock shifts them in, and read field by field beyond.
 func cellComponents(comps []uint16, cell []uint64, layout keyLayout) {
-	if len(cell) > 2 {
+	if len(cell) > 1 {
 		for j := range comps {
 			comps[j] = uint16(layout.field(cell, j))
 		}
 		return
 	}
-	hi, lo := uint64(0), cell[len(cell)-1]
-	if len(cell) == 2 {
-		hi = cell[0]
-	}
+	lo := cell[0]
 	for j := len(comps) - 1; j >= 0; j-- {
 		comps[j] = uint16(lo & (1<<sketchBitsPerDim - 1))
-		lo = lo>>sketchBitsPerDim | hi<<(64-sketchBitsPerDim)
-		hi >>= sketchBitsPerDim
+		lo >>= sketchBitsPerDim
 	}
 }
 
@@ -57,23 +53,20 @@ func sketchLayout(width int) keyLayout {
 // would zero the sketch.
 func roundMass(n float64) uint64 { return uint64(math.Round(n)) }
 
-// checkSketchKey refuses a coarse key from elsewhere — a merged fold, a
-// checkpoint — unless every component addresses one of the stream's cells
-// coarse sketch cells per dimension: Refit maps every component to a bin of
-// the stream's histograms.
-func checkSketchKey(layout keyLayout, key []uint64, cells uint32) error {
-	for j := range layout.bits {
-		if b := layout.field(key, j); b >= uint64(cells) {
-			return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, cells)
-		}
+// checkSketchComponent refuses component b of dimension j in a coarse key
+// from elsewhere — a merged fold, a checkpoint — unless it is below
+// cells, the stream's coarse sketch cells per dimension: Refit maps every
+// component to a bin of the stream's histograms.
+func checkSketchComponent(j int, b uint64, cells uint32) error {
+	if b >= uint64(cells) {
+		return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, cells)
 	}
 	return nil
 }
 
 // sketchFromCounts is the inverse of Stream.fold's rounded sketch for
-// masses that arrived from elsewhere (nil: none), every key checked by
-// checkSketchKey. Cells are
-// inserted in ascending key order, so a sketch built from the same counts
+// masses that arrived from elsewhere (nil: none), every component checked
+// by checkSketchComponent. Cells are inserted in ascending key order, so a sketch built from the same counts
 // walks (and encodes) in the same order every time.
 func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable, error) {
 	sk := &flatTable{words: layout.words}
@@ -88,8 +81,10 @@ func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable
 		if key[0]&^layout.top != 0 {
 			return nil, fmt.Errorf("core: sketch key %#x wider than %d dimensions", key, len(layout.bits))
 		}
-		if err := checkSketchKey(layout, key, cells); err != nil {
-			return nil, err
+		for j := range layout.bits {
+			if err := checkSketchComponent(j, layout.field(key, j), cells); err != nil {
+				return nil, err
+			}
 		}
 		sk.add(key, tc.mass(c))
 	}

@@ -140,8 +140,9 @@ func (f Flags) Open(traces int) (runID string, logger *obs.Logger, tracer *obs.T
 }
 
 // ParseRange reads a -range value, 'lo,hi', into the predetermined bounds
-// of every one of dims raw dimensions; a bound that is not finite, or a
-// width past the largest float64, is refused (histogram.CheckRange).
+// of every one of dims raw dimensions. It refuses what histogram.CheckRange
+// refuses — a bound that is not finite, hi below lo, a width past the
+// largest float64 — and lo == hi, a range with nothing in it.
 // keybin2d and keybin2router must agree on it for shard histograms to be
 // congruent, so both parse it here.
 func ParseRange(spec string, dims int) ([][2]float64, error) {
@@ -151,11 +152,14 @@ func ParseRange(spec string, dims int) ([][2]float64, error) {
 	}
 	lo, err1 := strconv.ParseFloat(strings.TrimSpace(lohi[0]), 64)
 	hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
-	if err1 != nil || err2 != nil || lo >= hi {
-		return nil, fmt.Errorf("-range wants numeric lo < hi, got %q", spec)
+	if err1 != nil || err2 != nil {
+		return nil, fmt.Errorf("-range wants numeric 'lo,hi', got %q", spec)
 	}
 	if err := histogram.CheckRange(lo, hi); err != nil {
 		return nil, fmt.Errorf("-range %q: %w", spec, err)
+	}
+	if lo == hi {
+		return nil, fmt.Errorf("-range wants lo < hi, got %q", spec)
 	}
 	ranges := make([][2]float64, dims)
 	for i := range ranges {

@@ -14,7 +14,9 @@ type Set struct {
 }
 
 // NewSet builds a set for len(mins) dimensions with the given global
-// per-dimension ranges and a common depth.
+// per-dimension ranges and a common depth. It refuses a range DecodeSet
+// would refuse (checkBinRange), so every set it builds encodes to bytes
+// that decode.
 func NewSet(mins, maxs []float64, depth int) (*Set, error) {
 	if len(mins) != len(maxs) {
 		return nil, fmt.Errorf("histogram: %d mins vs %d maxs", len(mins), len(maxs))
@@ -22,6 +24,9 @@ func NewSet(mins, maxs []float64, depth int) (*Set, error) {
 	s := &Set{Dims: make([]*Hist, len(mins))}
 	for j := range mins {
 		s.Dims[j] = New(mins[j], maxs[j], depth)
+		if err := checkBinRange(j, s.Dims[j]); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -145,10 +150,22 @@ func CheckRange(lo, hi float64) error {
 	return nil
 }
 
-// DecodeSet parses a payload produced by Encode. Every range must pass
-// CheckRange and hold more than a point, as New's ranges do: a range that
-// is empty, inverted, NaN or infinite bins nothing and merges with
-// nothing, not even itself.
+// checkBinRange is the one rule a set's ranges keep, in NewSet and in
+// DecodeSet: dimension j's range passes CheckRange and holds more than a
+// point, as New's widened ranges do. A range that is empty, inverted, NaN
+// or infinite bins nothing and merges with nothing, not even itself.
+func checkBinRange(j int, h *Hist) error {
+	if err := CheckRange(h.Min, h.Max); err != nil {
+		return fmt.Errorf("dim %d: %w", j, err)
+	}
+	if h.Min == h.Max {
+		return fmt.Errorf("histogram: dim %d range [%v, %v] holds one point", j, h.Min, h.Max)
+	}
+	return nil
+}
+
+// DecodeSet parses a payload produced by Encode; every range must pass
+// checkBinRange.
 func DecodeSet(b []byte) (*Set, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("histogram: truncated set header")
@@ -173,8 +190,8 @@ func DecodeSet(b []byte) (*Set, error) {
 			Depth:  depth,
 			Counts: make([]uint64, nbins),
 		}
-		if err := CheckRange(h.Min, h.Max); err != nil || h.Min == h.Max {
-			return nil, fmt.Errorf("histogram: dim %d range [%v, %v]: %v", j, h.Min, h.Max, err)
+		if err := checkBinRange(j, h); err != nil {
+			return nil, err
 		}
 		h.invW = float64(nbins) / (h.Max - h.Min)
 		off += 24

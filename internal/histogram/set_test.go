@@ -152,6 +152,32 @@ func TestDecodeSetRefusesNonFiniteRanges(t *testing.T) {
 	}
 }
 
+// TestNewSetBuildsOnlyWhatDecodes: NewSet refuses every range DecodeSet
+// refuses, so no set it builds encodes to bytes that fail to read back. New
+// widens a point or inverted range by ±0.5, which leaves 1e300 a point.
+func TestNewSetBuildsOnlyWhatDecodes(t *testing.T) {
+	for _, c := range []struct {
+		r  [2]float64
+		ok bool
+	}{
+		{[2]float64{0, math.Inf(1)}, false}, {[2]float64{math.Inf(-1), 0}, false},
+		{[2]float64{math.Inf(-1), math.Inf(1)}, false}, {[2]float64{math.NaN(), 1}, false},
+		{[2]float64{-1e308, 1e308}, false}, {[2]float64{1e300, 1e300}, false},
+		{[2]float64{1, 1}, true}, {[2]float64{2, 1}, true}, {[2]float64{-12, 12}, true},
+	} {
+		s, err := NewSet([]float64{-1, c.r[0]}, []float64{1, c.r[1]}, 4)
+		if (err == nil) != c.ok {
+			t.Errorf("NewSet over %v: %v, want ok=%v", c.r, err, c.ok)
+			continue
+		}
+		if err == nil {
+			if _, err := DecodeSet(s.Encode()); err != nil {
+				t.Errorf("NewSet over %v built a set whose bytes do not decode: %v", c.r, err)
+			}
+		}
+	}
+}
+
 func TestCheckRange(t *testing.T) {
 	for _, c := range []struct {
 		lo, hi float64
