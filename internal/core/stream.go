@@ -424,8 +424,7 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 				tuple |= luts[j][pk&(1<<sketchBitsPerDim-1)]
 				pk >>= sketchBitsPerDim
 			}
-			key[0] = tuple
-			acc.add(key, sk.mass(c))
+			acc.add1(tuple, sk.mass(c))
 		}
 	} else {
 		comps := make([]uint16, s.cfg.TargetDims)

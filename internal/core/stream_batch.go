@@ -174,21 +174,21 @@ func (s *Stream) sketchBlock(set *histogram.Set, sk *flatTable, bins []uint16, f
 				h.Counts[bin]++
 				lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
 			}
-			key[0] = lo
+			sk.add1(lo, 1)
+			continue
+		}
+		for j, h := range set.Dims {
+			bin := row[j]
+			h.Counts[bin]++
+			hi = hi<<sketchBitsPerDim | lo>>(64-sketchBitsPerDim)
+			lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
+		}
+		if len(key) == 2 {
+			key[0], key[1] = hi, lo
 		} else {
-			for j, h := range set.Dims {
-				bin := row[j]
-				h.Counts[bin]++
-				hi = hi<<sketchBitsPerDim | lo>>(64-sketchBitsPerDim)
-				lo = lo<<sketchBitsPerDim | uint64(bin>>shift)
-			}
-			if len(key) == 2 {
-				key[0], key[1] = hi, lo
-			} else {
-				clear(key)
-				for j, bin := range row {
-					s.cellLayout.put(key, j, uint64(bin>>shift))
-				}
+			clear(key)
+			for j, bin := range row {
+				s.cellLayout.put(key, j, uint64(bin>>shift))
 			}
 		}
 		sk.add(key, 1)

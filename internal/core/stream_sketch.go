@@ -138,6 +138,9 @@ func (t *flatTable) slot(key []uint64) int {
 // add adds n to key's mass, appending a cell for a key not yet present,
 // and returns the key's cell.
 func (t *flatTable) add(key []uint64, n float64) int {
+	if t.words == 1 {
+		return t.add1(key[0], n)
+	}
 	stride := t.words + 1
 	if 2*len(t.cells) >= len(t.index)*stride { // more than half the slots hold a cell
 		t.grow()
@@ -151,9 +154,30 @@ func (t *flatTable) add(key []uint64, n float64) int {
 			t.index[i] = uint32(c)
 			return c - 1
 		}
-		cell := t.cells[(at-1)*stride : at*stride]
-		if cell[0] == key[0] && (stride == 2 || slices.Equal(cell[1:stride-1], key[1:])) {
+		if cell := t.cells[(at-1)*stride : at*stride]; slices.Equal(cell[:stride-1], key) {
 			cell[stride-1] = math.Float64bits(math.Float64frombits(cell[stride-1]) + n)
+			return at - 1
+		}
+	}
+}
+
+// add1 is add for a table of one-word keys, the width every benchmarked
+// fit and stream runs: the key stays in a register, a cell is two words,
+// and the slot is slot's hash of one word.
+func (t *flatTable) add1(key uint64, n float64) int {
+	if len(t.cells) >= len(t.index) { // more than half the slots hold a cell
+		t.grow()
+	}
+	mask := len(t.index) - 1
+	for i := int(key * fibonacciHash >> t.shift); ; i = (i + 1) & mask {
+		at := int(t.index[i])
+		if at == 0 {
+			t.cells = append(t.cells, key, math.Float64bits(n))
+			t.index[i] = uint32(len(t.cells) / 2)
+			return len(t.cells)/2 - 1
+		}
+		if cell := t.cells[2*at-2 : 2*at]; cell[0] == key {
+			cell[1] = math.Float64bits(math.Float64frombits(cell[1]) + n)
 			return at - 1
 		}
 	}

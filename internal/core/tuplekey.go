@@ -306,6 +306,12 @@ func (l *labeler) count(tab *flatTable, keys []uint64, bins []uint16, first, str
 	l.binKeys(keys, bins, first, stride)
 	words := l.layout.words
 	n := len(bins) / stride * words
+	if words == 1 {
+		for _, k := range keys[:n] {
+			tab.add1(k, 1)
+		}
+		return
+	}
 	for at := 0; at < n; at += words {
 		tab.add(keys[at:at+words], 1)
 	}
