@@ -264,10 +264,8 @@ func (s *Stream) initSetsFromBuffer() error {
 }
 
 // initSets gives every trial an empty sketch and histograms over its
-// columns of mins/maxs, the Trials·TargetDims projected ranges. A range no
-// checkpoint could carry — one a ±Inf in the warm-up or raw ranges whose
-// projected spread overflows make — fails here, and the stream is left as
-// it was.
+// columns of mins/maxs, the Trials·TargetDims projected ranges. On a range
+// NewSet refuses (a decoder would) it fails and leaves the stream as it was.
 func (s *Stream) initSets(mins, maxs []float64) error {
 	nrp := s.cfg.TargetDims
 	sets := make([]*histogram.Set, s.cfg.Trials)

@@ -20,20 +20,10 @@ import (
 // to at most maxSketchDepth (5) bits before they reach the sketch.
 const sketchBitsPerDim = 5
 
-// cellComponents writes the components of a sketch cell's key into
-// comps: shifted out of one register for a one-word key, as
-// Stream.sketchBlock shifts them in, and read field by field beyond.
+// cellComponents writes the components of a sketch cell's key into comps.
 func cellComponents(comps []uint16, cell []uint64, layout keyLayout) {
-	if len(cell) > 1 {
-		for j := range comps {
-			comps[j] = uint16(layout.field(cell, j))
-		}
-		return
-	}
-	lo := cell[0]
-	for j := len(comps) - 1; j >= 0; j-- {
-		comps[j] = uint16(lo & (1<<sketchBitsPerDim - 1))
-		lo >>= sketchBitsPerDim
+	for j := range comps {
+		comps[j] = uint16(layout.field(cell, j))
 	}
 }
 
