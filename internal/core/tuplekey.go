@@ -301,18 +301,19 @@ func orTables(luts [][]uint64, bins []uint16) (acc uint64) {
 }
 
 // count adds one to tab for the key of every row of a block of stored
-// bins, laid out as for binKeys, through keys: room for blockRows keys.
+// bins, laid out as for binKeys. A one-word key goes from its row's tables
+// straight to add1; wider keys are first written into keys (room for
+// blockRows keys) a word at a time by binKeys.
 func (l *labeler) count(tab *flatTable, keys []uint64, bins []uint16, first, stride int) {
-	l.binKeys(keys, bins, first, stride)
 	words := l.layout.words
-	n := len(bins) / stride * words
 	if words == 1 {
-		for _, k := range keys[:n] {
-			tab.add1(k, 1)
+		for off := first + l.lo[0]; off < len(bins); off += stride {
+			tab.add1(orTables(l.luts[0], bins[off:]), 1)
 		}
 		return
 	}
-	for at := 0; at < n; at += words {
+	l.binKeys(keys, bins, first, stride)
+	for at, n := 0, len(bins)/stride*words; at < n; at += words {
 		tab.add(keys[at:at+words], 1)
 	}
 }
