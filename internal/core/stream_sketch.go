@@ -144,7 +144,7 @@ func (t *flatTable) add(key []uint64, n float64) int {
 			t.index[i] = uint32(c)
 			return c - 1
 		}
-		if cell := t.cells[(at-1)*stride : at*stride]; slices.Equal(cell[:stride-1], key) {
+		if cell := t.cells[(at-1)*stride : at*stride]; cell[0] == key[0] && slices.Equal(cell[1:stride-1], key[1:]) {
 			cell[stride-1] = math.Float64bits(math.Float64frombits(cell[stride-1]) + n)
 			return at - 1
 		}
