@@ -20,10 +20,19 @@ import (
 // to at most maxSketchDepth (5) bits before they reach the sketch.
 const sketchBitsPerDim = 5
 
-// cellComponents writes the components of a sketch cell's key into comps.
+// cellComponents writes a sketch cell's components into comps: shifted out
+// of a register for a one-word key, as sketchBlock shifts them in.
 func cellComponents(comps []uint16, cell []uint64, layout keyLayout) {
-	for j := range comps {
-		comps[j] = uint16(layout.field(cell, j))
+	if len(cell) > 1 {
+		for j := range comps {
+			comps[j] = uint16(layout.field(cell, j))
+		}
+		return
+	}
+	lo := cell[0]
+	for j := len(comps) - 1; j >= 0; j-- {
+		comps[j] = uint16(lo & (1<<sketchBitsPerDim - 1))
+		lo >>= sketchBitsPerDim
 	}
 }
 
@@ -128,9 +137,6 @@ func (t *flatTable) slot(key []uint64) int {
 // add adds n to key's mass, appending a cell for a key not yet present,
 // and returns the key's cell.
 func (t *flatTable) add(key []uint64, n float64) int {
-	if t.words == 1 {
-		return t.add1(key[0], n)
-	}
 	stride := t.words + 1
 	if 2*len(t.cells) >= len(t.index)*stride { // more than half the slots hold a cell
 		t.grow()
@@ -151,9 +157,9 @@ func (t *flatTable) add(key []uint64, n float64) int {
 	}
 }
 
-// add1 is add for a table of one-word keys, the width every benchmarked
-// fit and stream runs: the key stays in a register, a cell is two words,
-// and the slot is slot's hash of one word.
+// add1 is add for a one-word key, the width every benchmarked fit and
+// stream runs, on their hot loops: the key stays in a register, and the
+// slot and cell are the ones add would use.
 func (t *flatTable) add1(key uint64, n float64) int {
 	if len(t.cells) >= len(t.index) { // more than half the slots hold a cell
 		t.grow()

@@ -301,9 +301,8 @@ func orTables(luts [][]uint64, bins []uint16) (acc uint64) {
 }
 
 // count adds one to tab for the key of every row of a block of stored
-// bins, laid out as for binKeys. A one-word key goes from its row's tables
-// straight to add1; wider keys are first written into keys (room for
-// blockRows keys) a word at a time by binKeys.
+// bins, laid out as for binKeys: a one-word key straight from its row's
+// tables, a wider one through keys (room for blockRows keys) by binKeys.
 func (l *labeler) count(tab *flatTable, keys []uint64, bins []uint16, first, stride int) {
 	words := l.layout.words
 	if words == 1 {
