@@ -411,8 +411,7 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 	sk := s.sketch[t]
 	acc := &s.tupleMass[t]
 	acc.reset(lab.words())
-	key := make([]uint64, lab.words())
-	if sk.words == 1 && len(key) == 1 {
+	if sk.words == 1 && lab.words() == 1 {
 		// One word each way: the components shift out of a register into
 		// the per-dimension tables, as the ingest shifted them in.
 		luts := lab.luts[0]
@@ -425,7 +424,7 @@ func (s *Stream) sketchTuples(t int, lab *labeler) *flatTable {
 			acc.add1(tuple, sk.mass(c))
 		}
 	} else {
-		comps := make([]uint16, s.cfg.TargetDims)
+		comps, key := make([]uint16, s.cfg.TargetDims), make([]uint64, lab.words())
 		for c := range sk.len() {
 			cellComponents(comps, sk.key(c), s.cellLayout)
 			lab.binKey(key, comps)

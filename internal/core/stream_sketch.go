@@ -65,8 +65,8 @@ func checkSketchComponent(j int, b uint64, cells uint32) error {
 
 // sketchFromCounts is the inverse of Stream.fold's rounded sketch for
 // masses that arrived from elsewhere (nil: none), every component checked
-// by checkSketchComponent. Cells are inserted in ascending key order, so a sketch built from the same counts
-// walks (and encodes) in the same order every time.
+// by checkSketchComponent. Cells go in ascending key order, so a sketch
+// built from the same counts walks (and encodes) in the same order.
 func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable, error) {
 	sk := &flatTable{words: layout.words}
 	if tc == nil {
