@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -207,12 +206,23 @@ func fitRank(comm *mpi.Comm, data *linalg.Matrix, cfg core.Config) (rankOut, err
 		return rankOut{}, err
 	}
 	out := rankOut{stats: comm.Stats().Snapshot()}
-	parts, err := comm.Gather(0, encodeLabels(localLabels))
+	// Labels travel as two's-complement uint64s (noise is negative).
+	wide := make([]uint64, len(localLabels))
+	for i, l := range localLabels {
+		wide[i] = uint64(int64(l))
+	}
+	parts, err := comm.Gather(0, mpi.EncodeUint64s(wide))
 	if err != nil || comm.Rank() != 0 {
 		return out, err
 	}
 	for _, p := range parts {
-		out.labels = append(out.labels, decodeLabels(p)...)
+		got, err := mpi.DecodeUint64s(p)
+		if err != nil {
+			return out, err
+		}
+		for _, l := range got {
+			out.labels = append(out.labels, int(int64(l)))
+		}
 	}
 	if len(out.labels) != data.Rows {
 		return out, fmt.Errorf("gathered %d labels for %d rows", len(out.labels), data.Rows)
@@ -238,21 +248,4 @@ func printCommStats(o runOpts, outs []rankOut, firstRank int) {
 		}
 		fmt.Fprintf(os.Stderr, "comm rank %d: %s\n", firstRank+i, blob)
 	}
-}
-
-// Labels travel as little-endian int64s (noise is negative).
-func encodeLabels(labels []int) []byte {
-	buf := make([]byte, 8*len(labels))
-	for i, l := range labels {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(l)))
-	}
-	return buf
-}
-
-func decodeLabels(b []byte) []int {
-	out := make([]int, len(b)/8)
-	for i := range out {
-		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return out
 }

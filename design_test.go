@@ -219,6 +219,26 @@ var designRules = []designRule{
 		},
 	},
 	{
+		name: "one wire cursor", section: "Wire formats (`internal/wire`)", pr: "wire cursor",
+		check: func(tr *tree) []string {
+			var bad []string
+			outside := func(p string) bool { return nonTest(p) && !strings.HasPrefix(p, "internal/wire/") }
+			for _, s := range tr.find(outside, endianRead) {
+				if _, ok := wireExceptions[s.path+" "+s.in]; !ok {
+					bad = append(bad, s.String()+": a binary format is read through internal/wire's Reader, the one place bounds are checked")
+				}
+			}
+			if len(tr.find(inDir("internal/wire"), endianRead)) == 0 {
+				bad = append(bad, "internal/wire reads no fixed-width value: the rule lost its target")
+			}
+			return bad
+		},
+		breaks: []overlay{
+			{"internal/histogram/set.go", "func peekDims(b []byte) int { return int(binary.LittleEndian.Uint32(b)) }"},
+			{"internal/server/walmeta.go", "func peekCovered(meta []byte) uint64 { return binary.LittleEndian.Uint64(meta[1:]) }"},
+		},
+	},
+	{
 		name: "one probe round", section: "Failover (supervisor election + epoch fencing)", pr: "failover.Prober",
 		check: func(tr *tree) []string {
 			var bad []string
@@ -501,6 +521,12 @@ func (tr *tree) ciLines() []ciLine {
 	return out
 }
 
+// wireExceptions are the fixed-width reads outside internal/wire that
+// parse no format, by file and enclosing declaration, with the reason.
+var wireExceptions = map[string]string{
+	"internal/obs/tracectx.go init": "seeds the span-ID stream from 8 random bytes",
+}
+
 // File filters.
 
 func nonTest(p string) bool { return !strings.HasSuffix(p, "_test.go") }
@@ -572,6 +598,20 @@ func method(typ, name string) func(ast.Node) bool {
 		}
 		return typeName(recv) == typ
 	}
+}
+
+// endianRead matches a call of binary.LittleEndian or binary.BigEndian
+// .Uint16, .Uint32 or .Uint64: a fixed-width read out of a byte slice.
+func endianRead(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || !slices.Contains([]string{"Uint16", "Uint32", "Uint64"}, fn.Sel.Name) {
+		return false
+	}
+	return selector("binary", "LittleEndian")(fn.X) || selector("binary", "BigEndian")(fn.X)
 }
 
 // goroutines matches a go statement and any use of sync.WaitGroup.

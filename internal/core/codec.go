@@ -1,14 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/partition"
 	"keybin2/internal/quality"
+	"keybin2/internal/wire"
 )
 
 // Model wire format (little endian):
@@ -18,7 +17,7 @@ import (
 //	set frame (histogram.Set.Encode)
 //	ndims u32, per dim: collapsed u8, ncuts u32, cuts u32...
 //	trial u32
-//	nclusters u32, per cluster: mass u64, segments u16 × ndims, label u32 (v2)
+//	nclusters u32, per cluster: mass u64, segments u32 × ndims, label u32 (v2)
 //	assessment: ch f64, within f64, between f64, clusters u32
 //
 // Encoding a model lets in-situ deployments checkpoint a fitted clustering
@@ -35,179 +34,133 @@ import (
 const modelMagic = "KB2M"
 const modelVersion = 2
 
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *wireWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-type wireReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *wireReader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("core: truncated model payload at offset %d", r.off)
-		return false
-	}
-	return true
-}
-
-func (r *wireReader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
 // Encode serializes the model.
 func (m *Model) Encode() []byte {
-	w := &wireWriter{}
-	w.buf = append(w.buf, modelMagic...)
-	w.u32(modelVersion)
+	w := &wire.Writer{}
+	w.Str(modelMagic)
+	w.U32(modelVersion)
 	if m.Projection != nil {
-		w.u8(1)
-		w.u32(uint32(m.Projection.Rows))
-		w.u32(uint32(m.Projection.Cols))
-		for _, v := range m.Projection.Data {
-			w.f64(v)
-		}
+		w.U8(1)
+		w.U32(uint32(m.Projection.Rows))
+		w.U32(uint32(m.Projection.Cols))
+		w.F64s(m.Projection.Data)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	set := m.Set.Encode()
-	w.u32(uint32(len(set)))
-	w.buf = append(w.buf, set...)
-	w.u32(uint32(len(m.Parts)))
+	w.Frame(m.Set.Encode())
+	w.U32(uint32(len(m.Parts)))
 	for j, p := range m.Parts {
 		if m.Collapsed[j] {
-			w.u8(1)
+			w.U8(1)
 		} else {
-			w.u8(0)
+			w.U8(0)
 		}
-		w.u32(uint32(len(p.Cuts)))
+		w.U32(uint32(len(p.Cuts)))
 		for _, c := range p.Cuts {
-			w.u32(uint32(c))
+			w.U32(uint32(c))
 		}
 	}
-	w.u32(uint32(m.Trial))
-	w.u32(uint32(len(m.Clusters)))
+	w.U32(uint32(m.Trial))
+	w.U32(uint32(len(m.Clusters)))
 	labels := m.installedLabels()
 	for i, cl := range m.Clusters {
-		w.u64(cl.Mass)
+		w.U64(cl.Mass)
 		for _, s := range cl.Segments {
-			w.u32(uint32(s))
+			w.U32(uint32(s))
 		}
-		w.u32(uint32(labels[i]))
+		w.U32(uint32(labels[i]))
 	}
-	w.f64(m.Assessment.CH)
-	w.f64(m.Assessment.Within)
-	w.f64(m.Assessment.Between)
-	w.u32(uint32(m.Assessment.Clusters))
-	return w.buf
+	w.F64(m.Assessment.CH)
+	w.F64(m.Assessment.Within)
+	w.F64(m.Assessment.Between)
+	w.U32(uint32(m.Assessment.Clusters))
+	return w.Buf
 }
 
 // DecodeModel parses a payload produced by Model.Encode. The decoded model
-// labels points (Assign / AssignProjected) exactly like the original.
+// labels points (Assign / AssignProjected) exactly like the original. Every
+// cluster segment must lie below its dimension's segment count: a wider one
+// would spill into its neighbours' fields of the packed tuple key.
 func DecodeModel(b []byte) (*Model, error) {
-	if len(b) < 8 || string(b[:4]) != modelMagic {
+	r := wire.NewReader("core: model payload", b)
+	if string(r.Bytes(4)) != modelMagic {
 		return nil, fmt.Errorf("core: not a model payload")
 	}
-	r := &wireReader{buf: b, off: 4}
-	version := r.u32()
-	if version != 1 && version != modelVersion {
+	version := r.U32()
+	if r.Err() == nil && version != 1 && version != modelVersion {
 		return nil, fmt.Errorf("core: model version %d unsupported", version)
 	}
 	m := &Model{}
-	if r.u8() == 1 {
-		rows, cols := int(r.u32()), int(r.u32())
-		if rows < 0 || cols < 0 || rows*cols > 1<<28 {
-			return nil, fmt.Errorf("core: absurd projection shape %dx%d", rows, cols)
+	if r.U8() == 1 {
+		// Columns first: once cols·8 bytes fit, rows of that many do too.
+		rows, cols := r.U32(), r.U32()
+		c := r.Count(cols, 8)
+		n := r.Count(rows, 8*c)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
-		if !r.need(8 * rows * cols) {
-			return nil, r.err
-		}
-		m.Projection = linalg.NewMatrix(rows, cols)
-		for i := range m.Projection.Data {
-			m.Projection.Data[i] = r.f64()
-		}
+		m.Projection = linalg.NewMatrix(n, c)
+		r.F64s(m.Projection.Data)
 		m.packed = linalg.Pack(m.Projection)
 	}
-	setLen := int(r.u32())
-	if !r.need(setLen) {
-		return nil, r.err
+	frame := r.Frame()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	set, err := histogram.DecodeSet(r.buf[r.off : r.off+setLen])
+	set, err := histogram.DecodeSet(frame)
 	if err != nil {
 		return nil, err
 	}
-	r.off += setLen
 	m.Set = set
-	ndims := int(r.u32())
-	if ndims != len(set.Dims) {
+	ndims := int(r.U32())
+	if r.Err() == nil && ndims != len(set.Dims) {
 		return nil, fmt.Errorf("core: model has %d partitions for %d dimensions", ndims, len(set.Dims))
 	}
-	m.Parts = make([]partition.Result, ndims)
-	m.Collapsed = make([]bool, ndims)
-	for j := 0; j < ndims; j++ {
-		m.Collapsed[j] = r.u8() == 1
-		ncuts := int(r.u32())
-		if ncuts < 0 || ncuts > set.Dims[j].Bins() {
+	m.Parts = make([]partition.Result, len(set.Dims))
+	m.Collapsed = make([]bool, len(set.Dims))
+	for j := range m.Parts {
+		m.Collapsed[j] = r.U8() == 1
+		ncuts := r.Count(r.U32(), 4)
+		if ncuts > set.Dims[j].Bins() {
 			return nil, fmt.Errorf("core: dimension %d has %d cuts", j, ncuts)
 		}
 		cuts := make([]int, ncuts)
 		for i := range cuts {
-			cuts[i] = int(r.u32())
+			cuts[i] = int(r.U32())
 		}
 		m.Parts[j] = partition.Result{Cuts: cuts}
 	}
-	m.Trial = int(r.u32())
-	nclusters := int(r.u32())
-	if nclusters < 0 || nclusters > 1<<20 {
-		return nil, fmt.Errorf("core: absurd cluster count %d", nclusters)
+	m.Trial = int(r.U32())
+	each := 8 + 4*len(m.Parts)
+	if version >= 2 {
+		each += 4
+	}
+	nclusters := r.Count(r.U32(), each)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	m.Clusters = make([]quality.Cluster, nclusters)
 	labels := identityLabels(nclusters)
-	for i := 0; i < nclusters; i++ {
-		mass := r.u64()
-		segs := make([]int, ndims)
+	for i := range m.Clusters {
+		mass := r.U64()
+		segs := make([]int, len(m.Parts))
 		for j := range segs {
-			segs[j] = int(r.u32())
+			segs[j] = int(r.U32())
+			if segs[j] >= m.Parts[j].Segments() {
+				return nil, fmt.Errorf("core: cluster %d segment %d in dimension %d of %d segments", i, segs[j], j, m.Parts[j].Segments())
+			}
 		}
 		m.Clusters[i] = quality.Cluster{Segments: segs, Mass: mass}
 		if version >= 2 {
-			labels[i] = int(r.u32())
+			labels[i] = int(r.U32())
 		}
+	}
+	m.Assessment.CH = r.F64()
+	m.Assessment.Within = r.F64()
+	m.Assessment.Between = r.F64()
+	m.Assessment.Clusters = int(r.U32())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	// The wire format stores segments explicitly (it predates — and is
 	// unaffected by — the packed tuple keys); the labeling kernel and the
@@ -217,16 +170,6 @@ func DecodeModel(b []byte) (*Model, error) {
 	// in.
 	m.lab = newLabeler(m.Set, tupleLayout(m.Parts, m.Collapsed), segmentField(m.Parts, m.Collapsed))
 	m.installLabels(labels)
-	m.Assessment.CH = r.f64()
-	m.Assessment.Within = r.f64()
-	m.Assessment.Between = r.f64()
-	m.Assessment.Clusters = int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("core: %d trailing bytes in model payload", len(b)-r.off)
-	}
 	return m, nil
 }
 

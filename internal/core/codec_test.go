@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
+	"keybin2/internal/wire"
 	"keybin2/internal/xrand"
 )
 
@@ -245,5 +249,91 @@ func TestDecodersRefuseInfiniteRange(t *testing.T) {
 	model.Set = st.sets[0]
 	if _, err := DecodeModel(model.Encode()); err == nil {
 		t.Error("model with an infinite range decoded")
+	}
+}
+
+// clusterCountAt walks a model encoding to its cluster count and returns
+// that field's offset.
+func clusterCountAt(t testing.TB, enc []byte) int {
+	t.Helper()
+	r := wire.NewReader("model", enc)
+	r.Bytes(4 + 4) // magic, version
+	if r.U8() == 1 {
+		rows, cols := r.U32(), r.U32()
+		r.Bytes(8 * int(rows) * int(cols))
+	}
+	r.Frame() // set
+	for range r.U32() {
+		r.U8()
+		r.Bytes(4 * int(r.U32()))
+	}
+	r.U32() // trial
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return r.Off()
+}
+
+// TestDecodeModelProjectionShapeOverflow: rows·cols past the int range
+// once slipped past the shape cap as a negative product and panicked in
+// makeslice. Magic, version 2, projection flag 1, rows = cols =
+// 0xFFFFFFFF, then 64 zero bytes.
+func TestDecodeModelProjectionShapeOverflow(t *testing.T) {
+	w := wire.Writer{}
+	w.Str(modelMagic)
+	w.U32(2)
+	w.U8(1)
+	w.U32(0xFFFFFFFF)
+	w.U32(0xFFFFFFFF)
+	w.Raw(make([]byte, 64))
+	if _, err := DecodeModel(w.Buf); err == nil {
+		t.Fatal("a projection shape past the payload decoded")
+	}
+}
+
+// TestDecodeModelClusterCountClaim: a valid model cut off right after a
+// cluster count of 2^20 is refused before anything is sized from the
+// count.
+func TestDecodeModelClusterCountClaim(t *testing.T) {
+	data, _ := synth.AutoMixture(2, 4, 6, 1, xrand.New(86)).Sample(1000, xrand.New(87))
+	model, _, err := Fit(data, Config{Seed: 88})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := model.Encode()
+	at := clusterCountAt(t, enc)
+	hostile := binary.LittleEndian.AppendUint32(bytes.Clone(enc[:at]), 1<<20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = DecodeModel(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a cluster count past the payload decoded")
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(hostile)+1<<14); grew > limit {
+		t.Fatalf("refusing %d bytes allocated %d (limit %d)", len(hostile), grew, limit)
+	}
+}
+
+// TestDecodeModelRefusesForeignSegment: a cluster segment at or past its
+// dimension's segment count is refused. Accepted, it spilled into the
+// neighbouring fields of the cluster's packed tuple key.
+func TestDecodeModelRefusesForeignSegment(t *testing.T) {
+	data, _ := synth.AutoMixture(2, 4, 6, 1, xrand.New(86)).Sample(1000, xrand.New(87))
+	model, _, err := Fit(data, Config{Seed: 88})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := model.Encode()
+	at := clusterCountAt(t, enc) + 4 + 8 // cluster 0's first segment
+	for j, p := range model.Parts {
+		for _, seg := range []uint32{uint32(p.Segments()), 1 << 20} {
+			bad := bytes.Clone(enc)
+			binary.LittleEndian.PutUint32(bad[at+4*j:], seg)
+			if _, err := DecodeModel(bad); err == nil {
+				t.Fatalf("dimension %d of %d segments: segment %d decoded", j, p.Segments(), seg)
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ type Config struct {
 	NoProjection bool
 	// TargetDims overrides N_rp (0 = the paper's 1.5·log₂N rule).
 	TargetDims int
-	// Depth overrides the binning-tree depth (0 = keys.DefaultDepth(M):
+	// Depth overrides the binning-tree depth (0 = DefaultDepth(M):
 	// B ≈ log₂²M bins). Validate refuses more than 16, whose bins a uint16
 	// cannot hold.
 	Depth int
@@ -115,4 +115,31 @@ func (c Config) invalid() (field, reason string) {
 		return "Depth", fmt.Sprintf("depth %d is deeper than %d, the most uint16 bin indices hold", c.Depth, maxDepth)
 	}
 	return "", ""
+}
+
+// DefaultDepth returns the binning-tree depth for a dataset of m points:
+// the finest level has B = 2^depth ≈ log₂²(m) bins, reconciling the
+// paper's B = log M complexity claim (§3.4) with its w = √(log₂²M)
+// smoothing window (§3.2). The result is clamped to [3, 10] so tiny and
+// huge datasets stay tractable.
+func DefaultDepth(m int) int {
+	if m < 2 {
+		return 3
+	}
+	l2 := 0
+	for v := m; v > 1; v >>= 1 {
+		l2++
+	}
+	target := l2 * l2 // ≈ log2²(m) bins
+	depth := 0
+	for v := 1; v < target; v <<= 1 {
+		depth++
+	}
+	if depth < 3 {
+		depth = 3
+	}
+	if depth > 10 {
+		depth = 10
+	}
+	return depth
 }

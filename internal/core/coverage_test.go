@@ -192,3 +192,26 @@ func TestSketchBinCenter(t *testing.T) {
 		t.Fatalf("shift-0 center %d", got)
 	}
 }
+
+func TestDefaultDepth(t *testing.T) {
+	if d := DefaultDepth(1); d != 3 {
+		t.Fatalf("tiny m depth %d", d)
+	}
+	// m = 80,000: log2 ≈ 16.3 → target ≈ 289 bins → depth 9 (512 bins)
+	d := DefaultDepth(80000)
+	if d < 8 || d > 10 {
+		t.Fatalf("80k depth %d", d)
+	}
+	// monotone nondecreasing in m
+	prev := 0
+	for _, m := range []int{10, 100, 1000, 10000, 100000, 10000000} {
+		d := DefaultDepth(m)
+		if d < prev {
+			t.Fatalf("depth not monotone at m=%d", m)
+		}
+		prev = d
+	}
+	if DefaultDepth(1<<40) != 10 {
+		t.Fatal("huge m must clamp to 10")
+	}
+}

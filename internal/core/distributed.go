@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
 )
@@ -47,7 +46,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	cfg = cfg.withDefaults(globalM, n)
 	depth := cfg.Depth
 	if depth == 0 {
-		depth = keys.DefaultDepth(globalM)
+		depth = DefaultDepth(globalM)
 	}
 
 	proj, batch, err := projectAll(local, cfg)

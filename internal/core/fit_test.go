@@ -200,7 +200,7 @@ func TestPackUnpackSegments(t *testing.T) {
 			t.Fatalf("widths %v: 'S' form %x", widths, wire)
 		}
 		back := make([]uint64, layout.words)
-		if err := layout.fromWire(back, string(wire)); err != nil || !slices.Equal(back, key) {
+		if err := layout.fromWire(back, wire); err != nil || !slices.Equal(back, key) {
 			t.Fatalf("widths %v: fromWire %x (%v), want %x", widths, back, err, key)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/mpi"
+	"keybin2/internal/wire"
 )
 
 // The consolidation fold (§3): the one thing ranks and shards exchange is,
@@ -67,27 +68,25 @@ type foldState struct {
 }
 
 func (f *foldState) encode() []byte {
-	w := &wireWriter{}
-	w.buf = append(w.buf, foldMagic...)
-	w.u32(foldVersion)
-	w.u32(uint32(len(f.trials)))
-	w.u64(f.seen)
+	w := &wire.Writer{}
+	w.Str(foldMagic)
+	w.U32(foldVersion)
+	w.U32(uint32(len(f.trials)))
+	w.U64(f.seen)
 	for _, tr := range f.trials {
 		if tr.set == nil {
-			w.u32(0)
+			w.U32(0)
 		} else {
-			enc := tr.set.Encode()
-			w.u32(uint32(len(enc)))
-			w.buf = append(w.buf, enc...)
+			w.Frame(tr.set.Encode())
 		}
 		tab := tr.tuples
 		if tab != nil && tab.words == 1 {
 			cells := slices.DeleteFunc(tab.sorted(), func(c int) bool { return tab.mass(c) == 0 })
-			w.u8(tupleTagPacked)
-			w.u32(uint32(len(cells)))
+			w.U8(tupleTagPacked)
+			w.U32(uint32(len(cells)))
 			for _, c := range cells {
-				w.u64(tab.key(c)[0])
-				w.u64(uint64(tab.mass(c)))
+				w.U64(tab.key(c)[0])
+				w.U64(uint64(tab.mass(c)))
 			}
 			continue
 		}
@@ -107,15 +106,14 @@ func (f *foldState) encode() []byte {
 			}
 		}
 		slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.key, b.key) })
-		w.u8(tupleTagString)
-		w.u32(uint32(len(entries)))
+		w.U8(tupleTagString)
+		w.U32(uint32(len(entries)))
 		for _, e := range entries {
-			w.u32(uint32(len(e.key)))
-			w.buf = append(w.buf, e.key...)
-			w.u64(e.mass)
+			w.Frame(e.key)
+			w.U64(e.mass)
 		}
 	}
-	return w.buf
+	return w.Buf
 }
 
 // decodeFold is the only place a consolidation payload is parsed. Its input
@@ -124,45 +122,39 @@ func (f *foldState) encode() []byte {
 // histograms travel, and otherwise follow tuples[t] (no keys at all past
 // the end of tuples): the layout a wide key's 'S' bytes become words under.
 func decodeFold(b []byte, tuples []keyLayout) (*foldState, error) {
-	if len(b) < 8 || string(b[:4]) != foldMagic {
+	r := wire.NewReader("core: fold state", b)
+	if string(r.Bytes(4)) != foldMagic {
 		return nil, fmt.Errorf("core: not a fold state (missing %q header)", foldMagic)
 	}
-	r := &wireReader{buf: b, off: 4}
-	if v := r.u32(); v != foldVersion {
+	if v := r.U32(); r.Err() == nil && v != foldVersion {
 		return nil, fmt.Errorf("core: fold state version %d unsupported", v)
 	}
-	trials := int(r.u32())
 	const minTrialBytes = 4 + 1 + 4 // setLen, tag, nentries
-	if trials <= 0 || trials > 1<<16 || trials > len(b)/minTrialBytes {
-		return nil, fmt.Errorf("core: absurd fold state trial count %d in %d bytes", trials, len(b))
+	ntrials := r.U32()
+	trials := r.Count(ntrials, minTrialBytes)
+	if r.Err() == nil && trials == 0 {
+		return nil, fmt.Errorf("core: fold state without trials")
 	}
-	f := &foldState{seen: r.u64(), trials: make([]foldTrial, trials)}
+	f := &foldState{seen: r.U64(), trials: make([]foldTrial, trials)}
 	for t := range f.trials {
 		tr := &f.trials[t]
 		if t < len(tuples) {
 			tr.keys = tuples[t]
 		}
-		if slen := int(r.u32()); slen > 0 {
-			if !r.need(slen) {
-				return nil, fmt.Errorf("core: truncated fold state (trial %d set)", t)
-			}
-			set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+		if frame := r.Frame(); len(frame) > 0 {
+			set, err := histogram.DecodeSet(frame)
 			if err != nil {
 				return nil, fmt.Errorf("core: fold state trial %d: %w", t, err)
 			}
-			if len(set.Dims) == 0 {
-				return nil, fmt.Errorf("core: fold state trial %d: histogram set without dimensions", t)
-			}
-			r.off += slen
 			tr.set, tr.keys = set, sketchLayout(len(set.Dims))
 		}
 		var err error
-		if tr.tuples, err = r.keyMasses(tr.keys); err != nil {
+		if tr.tuples, err = keyMasses(&r, tr.keys); err != nil {
 			return nil, fmt.Errorf("core: fold state trial %d: %w", t, err)
 		}
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("core: %d trailing bytes in fold state", len(b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -171,11 +163,11 @@ func decodeFold(b []byte, tuples []keyLayout) (*foldState, error) {
 // one-word keys (or keys of no known layout, which stay words), 'S' for
 // wider ones, and an empty 'S' section for no table at all — whatever
 // would encode back to the same bytes.
-func (r *wireReader) keyMasses(layout keyLayout) (*flatTable, error) {
-	tag, n := r.u8(), int(r.u32())
+func keyMasses(r *wire.Reader, layout keyLayout) (*flatTable, error) {
+	tag, n := r.U8(), r.U32()
 	switch {
-	case r.err != nil:
-		return nil, r.err
+	case r.Err() != nil:
+		return nil, r.Err()
 	case tag == tupleTagString && n == 0:
 		return nil, nil
 	case tag != tupleTagPacked && tag != tupleTagString:
@@ -184,15 +176,17 @@ func (r *wireReader) keyMasses(layout keyLayout) (*flatTable, error) {
 		return nil, fmt.Errorf("core: tuple-count tag %q for keys of %d words", tag, layout.words)
 	case tag == tupleTagPacked:
 		tab, key := &flatTable{words: 1}, make([]uint64, 1)
-		return tab, readEntries(r, n, 16, r.u64, func(k, mass uint64) error {
+		return tab, readEntries(r, r.Count(n, 16), r.U64, func(k, mass uint64) error {
 			key[0] = k
 			tab.add(key, float64(mass))
 			return nil
 		})
 	}
 	tab, key := &flatTable{words: layout.words}, make([]uint64, layout.words)
-	return tab, readEntries(r, n, 12, r.str, func(k string, mass uint64) error {
-		if err := layout.fromWire(key, k); err != nil {
+	var frame []byte // the entry's key bytes, compared as a string
+	str := func() string { frame = r.Frame(); return string(frame) }
+	return tab, readEntries(r, r.Count(n, 12), str, func(_ string, mass uint64) error {
+		if err := layout.fromWire(key, frame); err != nil {
 			return err
 		}
 		tab.add(key, float64(mass))
@@ -200,30 +194,16 @@ func (r *wireReader) keyMasses(layout keyLayout) (*flatTable, error) {
 	})
 }
 
-// str reads a length-prefixed string.
-func (r *wireReader) str() string {
-	n := int(r.u32())
-	if n < 0 || !r.need(n) {
-		return ""
-	}
-	r.off += n
-	return string(r.buf[r.off-n : r.off])
-}
-
-// readEntries reads n key | mass entries of at least minBytes each into
-// put. The count is checked against the bytes left before any entry is
-// read, and only the canonical form is accepted: keys strictly ascending,
-// every mass a whole count in [1, 2^53) — the range a count table holds
-// exactly.
-func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, put func(K, uint64) error) error {
-	if left := len(r.buf) - r.off; n > left/minBytes {
-		return fmt.Errorf("core: %d tuple entries in %d bytes", n, left)
-	}
+// readEntries reads n key | mass entries into put, n already vetted
+// against the bytes left. Only the canonical form is accepted: keys
+// strictly ascending, every mass a whole count in [1, 2^53) — the range a
+// count table holds exactly.
+func readEntries[K cmp.Ordered](r *wire.Reader, n int, key func() K, put func(K, uint64) error) error {
 	var prev K
 	for i := 0; i < n; i++ {
-		k, mass := key(), r.u64()
-		if r.err != nil {
-			return r.err
+		k, mass := key(), r.U64()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		if i > 0 && k <= prev || mass == 0 || mass >= exactMassLimit {
 			return fmt.Errorf("core: tuple entry %d not canonical (key order, or mass %d)", i, mass)
@@ -233,7 +213,7 @@ func readEntries[K cmp.Ordered](r *wireReader, n, minBytes int, key func() K, pu
 		}
 		prev = k
 	}
-	return nil
+	return r.Err()
 }
 
 // sameShape reports whether o can be summed with f: the same number of

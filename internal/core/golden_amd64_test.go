@@ -15,6 +15,7 @@ import (
 	"keybin2/internal/mpi"
 	"keybin2/internal/projection"
 	"keybin2/internal/synth"
+	"keybin2/internal/wire"
 	"keybin2/internal/xrand"
 )
 
@@ -131,39 +132,39 @@ const streamGoldenPath = "testdata/stream_golden.txt"
 // histogram frames, every record's bytes — is kept as written.
 func canonicalKB2S(t *testing.T, b []byte) []byte {
 	t.Helper()
-	r := &wireReader{buf: b, off: 4}
+	r := wire.NewReader("checkpoint", b)
 	skip := func(n int) {
-		if !r.need(n) {
-			t.Fatalf("checkpoint: %v", r.err)
+		if r.Bytes(n); r.Err() != nil {
+			t.Fatalf("checkpoint: %v", r.Err())
 		}
-		r.off += n
 	}
-	version := r.u32()
+	skip(4) // magic
+	version := r.U32()
 	skip(8 + 4) // seen, nextID
 	if version >= 2 {
-		skip(int(r.u32()))
+		skip(int(r.U32()))
 	}
-	if r.u8() == 1 {
-		skip(int(r.u32()))
+	if r.U8() == 1 {
+		skip(int(r.U32()))
 	}
-	trials := int(r.u32())
-	out := append([]byte(nil), b[:r.off]...)
+	trials := int(r.U32())
+	out := append([]byte(nil), b[:r.Off()]...)
 	for i := 0; i < trials; i++ {
-		start := r.off
-		skip(int(r.u32()))
-		nkeys := int(r.u32())
-		out = append(out, b[start:r.off]...)
+		start := r.Off()
+		skip(int(r.U32()))
+		nkeys := int(r.U32())
+		out = append(out, b[start:r.Off()]...)
 		recs := make([]string, nkeys)
 		for k := range recs {
-			recStart := r.off
-			skip(4*int(r.u32()) + 8)
-			recs[k] = string(b[recStart:r.off])
+			recStart := r.Off()
+			skip(4*int(r.U32()) + 8)
+			recs[k] = string(b[recStart:r.Off()])
 		}
 		sort.Strings(recs)
 		out = append(out, strings.Join(recs, "")...)
 	}
-	if r.err != nil || r.off != len(b) || len(out) != len(b) {
-		t.Fatalf("checkpoint: walked %d of %d bytes (%v)", r.off, len(b), r.err)
+	if r.Err() != nil || r.Off() != len(b) || len(out) != len(b) {
+		t.Fatalf("checkpoint: walked %d of %d bytes (%v)", r.Off(), len(b), r.Err())
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"keybin2/internal/synth"
+	"keybin2/internal/wire"
 	"keybin2/internal/xrand"
 )
 
@@ -345,11 +346,11 @@ func TestMergeShardStatesErrors(t *testing.T) {
 	// checked against the bytes that remain. The first two rows killed the
 	// process ("fatal error: out of memory") through the v1 decoder.
 	header := func(version, trials uint32) []byte {
-		w := &wireWriter{buf: []byte(foldMagic)}
-		w.u32(version)
-		w.u32(trials)
-		w.u64(0)
-		return w.buf
+		w := &wire.Writer{Buf: []byte(foldMagic)}
+		w.U32(version)
+		w.U32(trials)
+		w.U64(0)
+		return w.Buf
 	}
 	hostile := []struct {
 		name string

@@ -8,7 +8,6 @@ import (
 
 	"keybin2/internal/cluster"
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
 	"keybin2/internal/obs"
@@ -172,7 +171,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	cfg.Config = sized
 	depth := cfg.Depth
 	if depth == 0 {
-		depth = keys.DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
+		depth = DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
 	}
 
 	s := &Stream{cfg: cfg, depth: depth, tupleMass: make([]flatTable, cfg.Trials),

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"keybin2/internal/histogram"
+	"keybin2/internal/wire"
 )
 
 // Stream checkpoint wire format (little endian):
@@ -51,44 +52,39 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 	if s.synced != nil {
 		return nil, fmt.Errorf("core: checkpointing a distributed-synced stream is not supported")
 	}
-	w := &wireWriter{}
-	w.buf = append(w.buf, streamMagic...)
+	w := &wire.Writer{}
+	w.Str(streamMagic)
 	if len(meta) == 0 {
-		w.u32(1)
+		w.U32(1)
 	} else {
-		w.u32(streamVersion)
+		w.U32(streamVersion)
 	}
-	w.u64(uint64(s.seen))
-	w.u32(uint32(s.nextID))
+	w.U64(uint64(s.seen))
+	w.U32(uint32(s.nextID))
 	if len(meta) > 0 {
-		w.u32(uint32(len(meta)))
-		w.buf = append(w.buf, meta...)
+		w.Frame(meta)
 	}
 	if m := s.model.Load(); m != nil {
-		w.u8(1)
-		m := m.Encode()
-		w.u32(uint32(len(m)))
-		w.buf = append(w.buf, m...)
+		w.U8(1)
+		w.Frame(m.Encode())
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	w.u32(uint32(len(s.sets)))
+	w.U32(uint32(len(s.sets)))
 	for t, set := range s.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
+		w.Frame(set.Encode())
 		sk, comps := s.sketch[t], make([]uint16, s.cfg.TargetDims)
-		w.u32(uint32(sk.len()))
+		w.U32(uint32(sk.len()))
 		for c := range sk.len() {
 			cellComponents(comps, sk.key(c), s.cellLayout)
-			w.u32(uint32(len(comps)))
+			w.U32(uint32(len(comps)))
 			for _, b := range comps {
-				w.u32(uint32(b))
+				w.U32(uint32(b))
 			}
-			w.f64(sk.mass(c))
+			w.F64(sk.mass(c))
 		}
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // DecodeStream restores a checkpointed stream. cfg must match the one the
@@ -101,8 +97,13 @@ func DecodeStream(cfg StreamConfig, b []byte) (*Stream, error) {
 // DecodeStreamMeta restores a checkpointed stream and returns the opaque
 // metadata attached at encode time (nil for v1 checkpoints).
 func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
-	if len(b) < 8 || string(b[:4]) != streamMagic {
+	r := wire.NewReader("core: stream checkpoint", b)
+	if string(r.Bytes(4)) != streamMagic {
 		return nil, nil, fmt.Errorf("core: not a stream checkpoint")
+	}
+	v := r.U32()
+	if r.Err() == nil && v != 1 && v != streamVersion {
+		return nil, nil, fmt.Errorf("core: stream checkpoint version %d unsupported", v)
 	}
 	// Rebuild the shell (projections, depth, defaults) from the config.
 	// RawRanges presence is irrelevant here: the checkpoint carries the
@@ -116,36 +117,27 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-
-	r := &wireReader{buf: b, off: 4}
-	v := r.u32()
-	if v != 1 && v != streamVersion {
-		return nil, nil, fmt.Errorf("core: stream checkpoint version %d unsupported", v)
-	}
-	s.seen = int(r.u64())
-	s.nextID = int(r.u32())
+	s.seen = int(r.U64())
+	s.nextID = int(r.U32())
 	var meta []byte
 	if v >= 2 {
-		mlen := int(r.u32())
-		if mlen < 0 || !r.need(mlen) {
-			return nil, nil, fmt.Errorf("core: truncated checkpoint metadata")
-		}
-		meta = append([]byte(nil), r.buf[r.off:r.off+mlen]...)
-		r.off += mlen
+		meta = append([]byte(nil), r.Frame()...)
 	}
-	if r.u8() == 1 {
-		mlen := int(r.u32())
-		if !r.need(mlen) {
-			return nil, nil, r.err
+	if r.U8() == 1 {
+		frame := r.Frame()
+		if r.Err() != nil {
+			return nil, nil, r.Err()
 		}
-		model, err := DecodeModel(r.buf[r.off : r.off+mlen])
+		model, err := DecodeModel(frame)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint model: %w", err)
 		}
-		r.off += mlen
 		s.model.Store(model)
 	}
-	ntrials := int(r.u32())
+	ntrials := int(r.U32())
+	if r.Err() != nil {
+		return nil, nil, r.Err()
+	}
 	if ntrials != s.cfg.Trials {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d trials, config %d", ntrials, s.cfg.Trials)
 	}
@@ -154,44 +146,36 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	cells := s.cellLayout
 	key := make([]uint64, cells.words)
 	for t := 0; t < ntrials; t++ {
-		slen := int(r.u32())
-		if !r.need(slen) {
-			return nil, nil, r.err
+		frame := r.Frame()
+		if r.Err() != nil {
+			return nil, nil, r.Err()
 		}
-		set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+		set, err := histogram.DecodeSet(frame)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := s.fitsTrial(set); err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 		}
-		r.off += slen
 		s.sets[t] = set
-		// Each key record is width u32 | key u32×width | mass f64. The
-		// count is checked against the bytes left, and nothing is sized
-		// from it: the sketch grows as records actually arrive.
-		nkeys := int(r.u32())
-		if left := len(b) - r.off; nkeys < 0 || nkeys > left/(12+4*len(set.Dims)) {
-			return nil, nil, fmt.Errorf("core: %d sketch keys in %d bytes", nkeys, left)
-		}
+		// Each key record is width u32 | key u32×width | mass f64. Nothing
+		// is sized from the count: the sketch grows as records arrive.
+		nkeys := r.Count(r.U32(), 12+4*len(set.Dims))
 		sk := &flatTable{words: cells.words}
 		for i := 0; i < nkeys; i++ {
-			width := int(r.u32())
+			width := int(r.U32())
 			if width != len(set.Dims) {
 				return nil, nil, fmt.Errorf("core: checkpoint key width %d for %d dims", width, len(set.Dims))
 			}
 			clear(key)
 			for j := range width {
-				b := uint64(r.u32())
+				b := uint64(r.U32())
 				if err := checkSketchComponent(j, b, s.sketchCells()); err != nil {
 					return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 				}
 				cells.put(key, j, b)
 			}
-			mass := r.f64()
-			if r.err != nil {
-				return nil, nil, r.err
-			}
+			mass := r.F64()
 			if math.IsNaN(mass) || mass < 0 {
 				return nil, nil, fmt.Errorf("core: checkpoint key mass %v", mass)
 			}
@@ -199,11 +183,8 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		}
 		s.sketch[t] = sk
 	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, nil, fmt.Errorf("core: %d trailing bytes in stream checkpoint", len(b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, nil, err
 	}
 	return s, meta, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
+	"keybin2/internal/wire"
 	"keybin2/internal/xrand"
 )
 
@@ -377,17 +378,18 @@ func TestDecodeStreamKeyCountBounded(t *testing.T) {
 	}
 	// Walk to trial 0's key count: v1 header, model frame, trial count,
 	// set frame.
-	r := &wireReader{buf: blob, off: 4 + 4 + 8 + 4}
-	if r.u8() == 1 {
-		r.off += int(r.u32())
+	r := wire.NewReader("checkpoint", blob)
+	r.Bytes(4 + 4 + 8 + 4)
+	if r.U8() == 1 {
+		r.Frame()
 	}
-	r.u32() // trials
-	r.off += int(r.u32())
-	if r.err != nil || r.off+4 > len(blob) {
-		t.Fatalf("walking the checkpoint: %v", r.err)
+	r.U32() // trials
+	r.Frame()
+	if r.Err() != nil || r.Off()+4 > len(blob) {
+		t.Fatalf("walking the checkpoint: %v", r.Err())
 	}
-	hostile := append([]byte(nil), blob[:r.off+4+64]...)
-	binary.LittleEndian.PutUint32(hostile[r.off:], 1<<26)
+	hostile := append([]byte(nil), blob[:r.Off()+4+64]...)
+	binary.LittleEndian.PutUint32(hostile[r.Off():], 1<<26)
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -431,18 +433,19 @@ func TestDecodeStreamRefusesForeignSketchCells(t *testing.T) {
 		}
 		// Walk to trial 0's first key record: v1 header, model frame, trial
 		// count, set frame, key count, key width.
-		r := &wireReader{buf: blob, off: 4 + 4 + 8 + 4}
-		if r.u8() == 1 {
-			r.off += int(r.u32())
+		r := wire.NewReader("checkpoint", blob)
+		r.Bytes(4 + 4 + 8 + 4)
+		if r.U8() == 1 {
+			r.Frame()
 		}
-		r.u32() // trials
-		r.off += int(r.u32())
-		if n := r.u32(); n == 0 || r.u32() != 3 || r.err != nil {
-			t.Fatalf("depth %d: walking the checkpoint: %d keys, %v", tc.depth, n, r.err)
+		r.U32() // trials
+		r.Frame()
+		if n := r.U32(); n == 0 || r.U32() != 3 || r.Err() != nil {
+			t.Fatalf("depth %d: walking the checkpoint: %d keys, %v", tc.depth, n, r.Err())
 		}
 		for _, comp := range []uint32{tc.cells - 1, tc.in} {
 			tampered := bytes.Clone(blob)
-			binary.LittleEndian.PutUint32(tampered[r.off:], comp)
+			binary.LittleEndian.PutUint32(tampered[r.Off():], comp)
 			_, _, err := DecodeStreamMeta(cfg, tampered)
 			if ok := comp < tc.cells; (err == nil) != ok {
 				t.Errorf("depth %d: component %d of %d cells: decode error %v", tc.depth, comp, tc.cells, err)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"keybin2/internal/wire"
 	"keybin2/internal/xrand"
 )
 
@@ -192,14 +193,14 @@ func checkCountTable(t *testing.T, seed int64, tab *flatTable, ref map[tkey]floa
 	if words > 1 {
 		return
 	}
-	w := &wireWriter{}
-	w.u8(tupleTagPacked)
-	w.u32(uint32(len(sumRef)))
+	w := &wire.Writer{}
+	w.U8(tupleTagPacked)
+	w.U32(uint32(len(sumRef)))
 	for _, key := range sortedRef {
-		w.u64(key[0])
-		w.u64(sumRef[key])
+		w.U64(key[0])
+		w.U64(sumRef[key])
 	}
-	if !bytes.Equal(tupleSection(sum, keyLayout{}), w.buf) {
+	if !bytes.Equal(tupleSection(sum, keyLayout{}), w.Buf) {
 		t.Fatalf("seed %d: the encoded count table is not the reference's keys in ascending order", seed)
 	}
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/partition"
+	"keybin2/internal/wire"
 )
 
 // This file implements the allocation-free labeling kernel (§3.4). The
@@ -121,30 +121,32 @@ func (l keyLayout) unpack(key []uint64) []int {
 // appendWire appends key in the fold's 'S' form: every field in dimension
 // order, little endian, in l.wire bytes.
 func (l keyLayout) appendWire(b []byte, key []uint64) []byte {
+	w := wire.Writer{Buf: b}
 	for j := range l.bits {
 		if v := l.field(key, j); l.wire == 2 {
-			b = binary.LittleEndian.AppendUint16(b, uint16(v))
+			w.U16(uint16(v))
 		} else {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			w.U32(uint32(v))
 		}
 	}
-	return b
+	return w.Buf
 }
 
 // fromWire is the inverse of appendWire. It refuses a key of another
 // length and a field value its width cannot hold, so every key it accepts
 // re-encodes to the same bytes.
-func (l keyLayout) fromWire(key []uint64, b string) error {
+func (l keyLayout) fromWire(key []uint64, b []byte) error {
 	if len(b) != l.wire*len(l.bits) {
 		return fmt.Errorf("core: %d-byte key for %d fields of %d bytes", len(b), len(l.bits), l.wire)
 	}
+	r := wire.NewReader("core: key", b)
 	clear(key)
 	for j, width := range l.bits {
 		var v uint64
-		if f := b[j*l.wire:]; l.wire == 2 {
-			v = uint64(f[0]) | uint64(f[1])<<8
+		if l.wire == 2 {
+			v = uint64(r.U16())
 		} else {
-			v = uint64(f[0]) | uint64(f[1])<<8 | uint64(f[2])<<16 | uint64(f[3])<<24
+			v = uint64(r.U32())
 		}
 		if v>>width != 0 {
 			return fmt.Errorf("core: key field %d holds %d, wider than %d bits", j, v, width)

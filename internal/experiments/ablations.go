@@ -234,7 +234,7 @@ func histogramTraffic(dims, m int) float64 {
 	return 2 * float64(projection.TargetDims(dims)) * float64(histogramBins(m)) * 8 * 5
 }
 
-// histogramBins mirrors keys.DefaultDepth's bin count for the claim check.
+// histogramBins mirrors core.DefaultDepth's bin count for the claim check.
 func histogramBins(m int) int {
 	l2 := 0
 	for v := m; v > 1; v >>= 1 {

@@ -1,9 +1,10 @@
 package histogram
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"keybin2/internal/wire"
 )
 
 // Set is the per-dimension collection of histograms a rank maintains for
@@ -116,21 +117,16 @@ func (s *Set) Encode() []byte {
 		depth = s.Dims[0].Depth
 	}
 	nbins := 1 << uint(depth)
-	buf := make([]byte, 8+len(s.Dims)*(24+8*nbins))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(s.Dims)))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(depth))
-	off := 8
+	w := wire.Writer{Buf: make([]byte, 0, 8+len(s.Dims)*(24+8*nbins))}
+	w.U32(uint32(len(s.Dims)))
+	w.U32(uint32(depth))
 	for _, h := range s.Dims {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(h.Min))
-		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(h.Max))
-		binary.LittleEndian.PutUint64(buf[off+16:], h.Total)
-		off += 24
-		for _, c := range h.Counts {
-			binary.LittleEndian.PutUint64(buf[off:], c)
-			off += 8
-		}
+		w.F64(h.Min)
+		w.F64(h.Max)
+		w.U64(h.Total)
+		w.U64s(h.Counts)
 	}
-	return buf
+	return w.Buf
 }
 
 // CheckRange refuses a range no histogram can bin over: a bound that is
@@ -164,42 +160,33 @@ func checkBinRange(j int, h *Hist) error {
 	return nil
 }
 
-// DecodeSet parses a payload produced by Encode; every range must pass
-// checkBinRange.
+// DecodeSet parses a payload produced by Encode: at least one dimension
+// (a set of none encodes no depth), every range passing checkBinRange.
 func DecodeSet(b []byte) (*Set, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("histogram: truncated set header")
+	r := wire.NewReader("histogram: set", b)
+	nd, depth := r.U32(), int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	nd := int(binary.LittleEndian.Uint32(b[0:]))
-	depth := int(binary.LittleEndian.Uint32(b[4:]))
 	if depth < 1 || depth > MaxDepth {
 		return nil, fmt.Errorf("histogram: decoded depth %d out of range", depth)
 	}
-	nbins := 1 << uint(depth)
-	want := 8 + nd*(24+8*nbins)
-	if len(b) != want {
-		return nil, fmt.Errorf("histogram: payload %d bytes, want %d for %d dims at depth %d", len(b), want, nd, depth)
+	if nd == 0 {
+		return nil, fmt.Errorf("histogram: set without dimensions")
 	}
-	s := &Set{Dims: make([]*Hist, nd)}
-	off := 8
-	for j := 0; j < nd; j++ {
-		h := &Hist{
-			Min:    math.Float64frombits(binary.LittleEndian.Uint64(b[off:])),
-			Max:    math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:])),
-			Total:  binary.LittleEndian.Uint64(b[off+16:]),
-			Depth:  depth,
-			Counts: make([]uint64, nbins),
-		}
+	nbins := 1 << uint(depth)
+	s := &Set{Dims: make([]*Hist, r.Count(nd, 24+8*nbins))}
+	for j := range s.Dims {
+		h := &Hist{Min: r.F64(), Max: r.F64(), Total: r.U64(), Depth: depth, Counts: make([]uint64, nbins)}
 		if err := checkBinRange(j, h); err != nil {
 			return nil, err
 		}
 		h.invW = float64(nbins) / (h.Max - h.Min)
-		off += 24
-		for k := 0; k < nbins; k++ {
-			h.Counts[k] = binary.LittleEndian.Uint64(b[off:])
-			off += 8
-		}
+		r.U64s(h.Counts)
 		s.Dims[j] = h
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -1,13 +1,14 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"keybin2/internal/wire"
 )
 
 // TCP transport: a full mesh of TCP connections between ranks. Rank i
@@ -84,13 +85,14 @@ func (t *tcpTransport) send(to int, msg message) error {
 		return fmt.Errorf("mpi: send to rank %d: %w", to, RankFailedError{Rank: to})
 	}
 	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(msg.from)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(msg.tag)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(msg.payload)))
+	hw := wire.Writer{Buf: hdr[:0]}
+	hw.U32(uint32(int32(msg.from)))
+	hw.U32(uint32(int32(msg.tag)))
+	hw.U32(uint32(len(msg.payload)))
 	if t.writeTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	}
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if _, err := conn.Write(hw.Buf); err != nil {
 		t.markDead(to)
 		return fmt.Errorf("mpi: send header to rank %d: %v: %w", to, err, RankFailedError{Rank: to})
 	}
@@ -134,9 +136,8 @@ func (t *tcpTransport) readLoop(peer int, conn net.Conn) {
 			t.markDead(peer) // peer closed/died; dependent Recvs fail fast
 			return
 		}
-		from := int(int32(binary.LittleEndian.Uint32(hdr[0:])))
-		tag := int(int32(binary.LittleEndian.Uint32(hdr[4:])))
-		n := binary.LittleEndian.Uint32(hdr[8:])
+		r := wire.NewReader("mpi: frame header", hdr)
+		from, tag, n := int(int32(r.U32())), int(int32(r.U32())), r.U32()
 		if from != peer || tag < 0 || uint64(n) > uint64(t.maxFrame) {
 			t.markDead(peer)
 			return
@@ -265,7 +266,8 @@ func DialTCPWithListener(addrs []string, rank int, ln net.Listener, timeout time
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
-			peer := int(int32(binary.LittleEndian.Uint32(hello[:])))
+			r := wire.NewReader("mpi: hello", hello[:])
+			peer := int(int32(r.U32()))
 			if peer < 0 || peer >= rank || t.peers[peer].conn != nil {
 				conn.Close()
 				failFast(fmt.Errorf("mpi: rank %d: invalid hello rank %d", rank, peer))
@@ -297,9 +299,9 @@ func DialTCPWithListener(addrs []string, rank int, ln net.Listener, timeout time
 				case <-time.After(20 * time.Millisecond):
 				}
 			}
-			var hello [4]byte
-			binary.LittleEndian.PutUint32(hello[:], uint32(int32(rank)))
-			if _, err := conn.Write(hello[:]); err != nil {
+			hello := wire.Writer{}
+			hello.U32(uint32(int32(rank)))
+			if _, err := conn.Write(hello.Buf); err != nil {
 				conn.Close()
 				failFast(fmt.Errorf("mpi: rank %d hello to %d: %w", rank, peer, err))
 				return

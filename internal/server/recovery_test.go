@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,7 +12,10 @@ import (
 	"time"
 
 	"keybin2/internal/client"
+	"keybin2/internal/core"
 	"keybin2/internal/server"
+	"keybin2/internal/synth"
+	"keybin2/internal/xrand"
 )
 
 // Recovery rebuilds exactly what a node acknowledged, or refuses loudly:
@@ -182,5 +187,96 @@ func TestFailBackPromotionRestarts(t *testing.T) {
 	defer hs.Close()
 	if err := client.New(hs.URL).Ready(ctx); err != nil {
 		t.Fatalf("restarted fail-back primary unready: %v", err)
+	}
+}
+
+// refusedWarmup starts a WAL'd primary whose stream takes its ranges from
+// a 300-point warm-up, then acks four batches of 100 points from producer
+// p1, the first holding +Inf. The warm-up completes inside batch 3, and
+// the stream refuses it and every batch after: no histogram range holds
+// +Inf. The live writer logs each refusal and moves on, so the node still
+// applies through seq 4.
+func refusedWarmup(t *testing.T, ctx context.Context, dir string) (*node, server.Config) {
+	t.Helper()
+	cfg := server.Config{
+		Stream: core.StreamConfig{Config: core.Config{Seed: 7, Trials: 2}, Dims: 3, Warmup: 300, Period: 300},
+		WALDir: filepath.Join(dir, "wal"),
+	}
+	primary := startNode(t, cfg)
+	primary.c.SetProducer("p1")
+	spec := synth.AutoMixture(3, 3, 6, 1, xrand.New(31))
+	rng := xrand.New(32)
+	for pseq := uint64(1); pseq <= 4; pseq++ {
+		batch, _ := spec.Sample(100, rng)
+		if pseq == 1 {
+			batch.Data[0] = math.Inf(1)
+		}
+		if _, err := primary.c.IngestSeq(ctx, batch, pseq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitApplied(t, ctx, primary.srv, 4)
+	return primary, cfg
+}
+
+// stopRefused stops a node of refusedWarmup's fleet. Stop reports the
+// stream's last refusal, which is expected here.
+func stopRefused(ctx context.Context, n *node) {
+	n.ts.Close()
+	n.srv.Stop(ctx)
+}
+
+// waitApplied polls until srv has applied WAL sequence seq.
+func waitApplied(t *testing.T, ctx context.Context, srv *server.Server, seq uint64) {
+	t.Helper()
+	for srv.Stats().AppliedSeq < seq {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("applied seq %d, want %d", srv.Stats().AppliedSeq, seq)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestRestartReplaysRefusedBatch: WAL replay passes over a batch the
+// stream refuses as the live writer did, so a restart rebuilds the live
+// process's state instead of failing at the refused record.
+func TestRestartReplaysRefusedBatch(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	primary, cfg := refusedWarmup(t, ctx, t.TempDir())
+	live := primary.srv.Stats()
+	stopRefused(ctx, primary)
+
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	got := srv.Stats()
+	if got.Seen != live.Seen || got.AppliedSeq != live.AppliedSeq || !maps.Equal(got.Producers, live.Producers) {
+		t.Fatalf("restarted seen %d, applied seq %d, producers %v; live %d, %d, %v",
+			got.Seen, got.AppliedSeq, got.Producers, live.Seen, live.AppliedSeq, live.Producers)
+	}
+}
+
+// TestFollowerPassesRefusedBatch: the follower tail applies through the
+// same step, so it passes the refused batches as the primary did and
+// reaches the primary's applied seq with the primary's point count.
+func TestFollowerPassesRefusedBatch(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := t.TempDir()
+	primary, cfg := refusedWarmup(t, ctx, dir)
+	defer stopRefused(ctx, primary)
+	cfg.WALDir = ""
+	cfg.FollowURL = primary.ts.URL
+	cfg.FollowPoll = 100 * time.Millisecond
+	f := startNode(t, cfg)
+	defer stopRefused(ctx, f)
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer wcancel()
+	waitApplied(t, wctx, f.srv, primary.srv.Stats().AppliedSeq)
+	if got, want := f.srv.Stats().Seen, primary.srv.Stats().Seen; got != want {
+		t.Fatalf("follower seen %d, primary %d", got, want)
 	}
 }

@@ -198,7 +198,6 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 	}
 
 	fr := newTailFrameReader(resp.Body)
-	st := s.stream.Load()
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -211,14 +210,8 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 			if f.Seq != s.appliedSeq+1 {
 				return fmt.Errorf("tail: record seq %d does not follow applied seq %d", f.Seq, s.appliedSeq)
 			}
-			_, applied, err := s.applyWALEntry(f.Seq, f.Entry)
-			if err != nil {
+			if _, _, err := s.applyWALEntry(f.Seq, f.Entry); err != nil {
 				return fmt.Errorf("tail: apply seq %d: %w", f.Seq, err)
-			}
-			if applied {
-				s.batches.Add(1)
-				s.seen.Store(int64(st.Seen()))
-				s.refits.Store(s.refitBase + int64(st.Refits()))
 			}
 		case tailFrameEnd:
 			s.primaryLastSeq.Store(f.Seq)

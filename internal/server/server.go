@@ -165,7 +165,9 @@ type Stats struct {
 	// batches refused for backpressure.
 	Accepted        int64 `json:"accepted"`
 	RejectedBatches int64 `json:"rejected_batches"`
-	Batches         int64 `json:"batches"`
+	// Batches counts the batches this process applied to the stream:
+	// live, replayed from the WAL, or tailed from a primary.
+	Batches int64 `json:"batches"`
 	// DuplicateBatches counts ingests acknowledged without re-applying
 	// because their producer sequence was already accepted (client
 	// retries after a lost ack).

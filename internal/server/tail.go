@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"keybin2/internal/daemon"
+	"keybin2/internal/wire"
 )
 
 // The replication wire protocol (GET /wal?from=<seq>): one response is a
@@ -130,30 +130,36 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-kb2-tail")
 	bw := bufio.NewWriterSize(w, 64<<10)
+	// Each frame's fixed fields go through fw, emptied after each write.
 	var scratch [13]byte
-	copy(scratch[:4], tailMagic)
-	binary.LittleEndian.PutUint32(scratch[4:8], tailProtoVersion)
-	bw.Write(scratch[:8])
+	fw := wire.Writer{Buf: scratch[:0]}
+	flush := func() {
+		bw.Write(fw.Buf)
+		fw.Buf = fw.Buf[:0]
+	}
+	fw.Str(tailMagic)
+	fw.U32(tailProtoVersion)
+	flush()
 	curSeg := uint64(0)
 	haveSeg := false
 	for _, rec := range recs {
 		if !haveSeg || rec.SegFirst != curSeg {
 			curSeg, haveSeg = rec.SegFirst, true
-			scratch[0] = tailFrameSegment
-			binary.LittleEndian.PutUint64(scratch[1:9], curSeg)
-			bw.Write(scratch[:9])
+			fw.U8(tailFrameSegment)
+			fw.U64(curSeg)
+			flush()
 		}
-		scratch[0] = tailFrameRecord
-		binary.LittleEndian.PutUint64(scratch[1:9], rec.Seq)
-		binary.LittleEndian.PutUint32(scratch[9:13], uint32(len(rec.Entry)))
-		bw.Write(scratch[:13])
+		fw.U8(tailFrameRecord)
+		fw.U64(rec.Seq)
+		fw.U32(uint32(len(rec.Entry)))
+		flush()
 		bw.Write(rec.Entry)
-		binary.LittleEndian.PutUint32(scratch[:4], rec.CRC) // the stored crc32c(seq‖entry)
-		bw.Write(scratch[:4])
+		fw.U32(rec.CRC) // the stored crc32c(seq‖entry)
+		flush()
 	}
-	scratch[0] = tailFrameEnd
-	binary.LittleEndian.PutUint64(scratch[1:9], lastSeq)
-	bw.Write(scratch[:9])
+	fw.U8(tailFrameEnd)
+	fw.U64(lastSeq)
+	flush()
 	bw.Flush()
 }
 
@@ -227,10 +233,11 @@ func (t *tailFrameReader) Next() (tailFrame, error) {
 		if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
 			return tailFrame{}, err
 		}
-		if string(hdr[:4]) != tailMagic {
-			return tailFrame{}, fmt.Errorf("tail: bad stream magic %q", hdr[:4])
+		r := wire.NewReader("tail", hdr[:])
+		if magic := r.Bytes(4); string(magic) != tailMagic {
+			return tailFrame{}, fmt.Errorf("tail: bad stream magic %q", magic)
 		}
-		if v := binary.LittleEndian.Uint32(hdr[4:]); v != tailProtoVersion {
+		if v := r.U32(); v != tailProtoVersion {
 			return tailFrame{}, fmt.Errorf("tail: protocol version %d unsupported", v)
 		}
 		t.began = true
@@ -250,10 +257,11 @@ func (t *tailFrameReader) Next() (tailFrame, error) {
 	if _, err := io.ReadFull(t.br, hdr[:n]); err != nil {
 		return f, err
 	}
-	if f.Seq = binary.LittleEndian.Uint64(hdr[:8]); kind != tailFrameRecord {
+	r := wire.NewReader("tail", hdr[:n])
+	if f.Seq = r.U64(); kind != tailFrameRecord {
 		return f, nil
 	}
-	size := binary.LittleEndian.Uint32(hdr[8:])
+	size := r.U32()
 	if size > walMaxRecord {
 		return f, fmt.Errorf("tail: record of %d bytes exceeds limit", size)
 	}
@@ -264,9 +272,9 @@ func (t *tailFrameReader) Next() (tailFrame, error) {
 		}
 		return f, err
 	}
-	b := t.buf.Bytes()
-	f.Entry = b[:size]
-	if crc32.Update(crc32.Checksum(hdr[:8], walCRCTable), walCRCTable, f.Entry) != binary.LittleEndian.Uint32(b[size:]) {
+	body := wire.NewReader("tail", t.buf.Bytes())
+	f.Entry = body.Bytes(int(size))
+	if crc32.Update(crc32.Checksum(hdr[:8], walCRCTable), walCRCTable, f.Entry) != body.U32() {
 		return f, fmt.Errorf("tail: record crc mismatch at seq %d", f.Seq)
 	}
 	return f, nil

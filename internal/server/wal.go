@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"keybin2/internal/wire"
 )
 
 // Write-ahead log: the durability half of keybin2d's ack contract. Every
@@ -304,18 +306,15 @@ func (w *WAL) Append(entry ...[]byte) (AppendResult, error) {
 	for _, part := range entry {
 		entryLen += len(part)
 	}
-	payloadLen := 8 + entryLen
-	recLen := walRecHdrSize + payloadLen
-	if cap(w.recBuf) < recLen {
-		w.recBuf = make([]byte, recLen)
-	}
-	rec := w.recBuf[:recLen]
-	binary.LittleEndian.PutUint32(rec, uint32(payloadLen))
-	binary.LittleEndian.PutUint64(rec[walRecHdrSize:], seq)
-	off := walRecHdrSize + 8
+	rw := wire.Writer{Buf: w.recBuf[:0]}
+	rw.U32(uint32(8 + entryLen))
+	rw.U32(0) // crc32c(seq‖entry), filled in once the payload is in place
+	rw.U64(seq)
 	for _, part := range entry {
-		off += copy(rec[off:], part)
+		rw.Raw(part)
 	}
+	rec := rw.Buf
+	w.recBuf = rec
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[walRecHdrSize:], walCRCTable))
 
 	n, err := w.cur.Write(rec)
@@ -493,10 +492,11 @@ func (w *WAL) rotateLocked(firstSeq uint64) error {
 	if err != nil {
 		return &WALWriteError{Op: "create " + name, Err: err}
 	}
-	hdr := make([]byte, walHeaderSize)
-	copy(hdr, walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], firstSeq)
+	hw := wire.Writer{Buf: make([]byte, 0, walHeaderSize)}
+	hw.Str(walMagic)
+	hw.U32(walVersion)
+	hw.U64(firstSeq)
+	hdr := hw.Buf
 	if n, err := f.Write(hdr); err != nil || n != len(hdr) {
 		f.Close()
 		if err == nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -11,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"keybin2/internal/wire"
 )
 
 // Recovery: opening a log directory, validating and repairing what a
@@ -125,19 +126,18 @@ func (w *WAL) scanSegment(seg walSegment, prevSeq uint64, last bool) (int64, uin
 	corrupt := func(off int64, reason string) error {
 		return &WALCorruptError{Segment: seg.name, Offset: off, Reason: reason}
 	}
-	if len(blob) < walHeaderSize {
-		if last {
-			return -1, 0, nil // crash during rotation: header never landed
-		}
+	hdr := wire.NewReader(seg.name, blob)
+	magic, v, hdrFirst := hdr.Bytes(4), hdr.U32(), hdr.U64()
+	switch {
+	case hdr.Err() != nil && last:
+		return -1, 0, nil // crash during rotation: header never landed
+	case hdr.Err() != nil:
 		return 0, 0, corrupt(0, "truncated header in non-final segment")
-	}
-	if string(blob[:4]) != walMagic {
+	case string(magic) != walMagic:
 		return 0, 0, corrupt(0, "bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(blob[4:]); v != walVersion {
+	case v != walVersion:
 		return 0, 0, corrupt(4, fmt.Sprintf("unsupported version %d", v))
-	}
-	if hdrFirst := binary.LittleEndian.Uint64(blob[8:]); hdrFirst != seg.firstSeq {
+	case hdrFirst != seg.firstSeq:
 		return 0, 0, corrupt(8, fmt.Sprintf("header firstSeq %d != name %d", hdrFirst, seg.firstSeq))
 	}
 	if seg.firstSeq != prevSeq+1 {
@@ -167,22 +167,24 @@ func (w *WAL) scanSegment(seg walSegment, prevSeq uint64, last bool) (int64, uin
 // the caller's to set) with its framed size. A non-empty reason means b
 // does not start with a whole, checksummed record.
 func parseWALRecord(b []byte) (TailRecord, int64, string) {
-	if len(b) < walRecHdrSize {
+	r := wire.NewReader("wal record", b)
+	n, crc := r.U32(), r.U32()
+	if r.Err() != nil {
 		return TailRecord{}, 0, "partial record header"
 	}
-	n := binary.LittleEndian.Uint32(b)
 	if n < 8 || n > walMaxRecord {
 		return TailRecord{}, 0, fmt.Sprintf("implausible record length %d", n)
 	}
-	if int64(len(b)) < walRecHdrSize+int64(n) {
+	payload := r.Bytes(int(n))
+	if r.Err() != nil {
 		return TailRecord{}, 0, "record extends past end of file"
 	}
-	payload := b[walRecHdrSize : walRecHdrSize+int64(n)]
-	crc := binary.LittleEndian.Uint32(b[4:])
 	if crc != crc32.Checksum(payload, walCRCTable) {
 		return TailRecord{}, 0, "checksum mismatch"
 	}
-	return TailRecord{Seq: binary.LittleEndian.Uint64(payload), CRC: crc, Entry: payload[8:]}, walRecHdrSize + int64(n), ""
+	p := wire.NewReader("wal record", payload)
+	seq := p.U64()
+	return TailRecord{Seq: seq, CRC: crc, Entry: p.Bytes(p.Left())}, int64(r.Off()), ""
 }
 
 // walkSegment is the one loop over a segment image's records, shared by

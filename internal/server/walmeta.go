@@ -1,9 +1,10 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"keybin2/internal/wire"
 )
 
 // WAL entry (little endian): producerLen u16 | producer | producerSeq u64
@@ -13,23 +14,19 @@ import (
 // to WAL.Append alongside the raw bytes, so the batch payload is never
 // copied on the accept path.
 func encodeWALEntryHeader(dst []byte, producer string, pseq uint64) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(producer)))
-	dst = append(dst, producer...)
-	return binary.LittleEndian.AppendUint64(dst, pseq)
+	w := wire.Writer{Buf: dst}
+	w.U16(uint16(len(producer)))
+	w.Str(producer)
+	w.U64(pseq)
+	return w.Buf
 }
 
 func decodeWALEntry(entry []byte) (producer string, pseq uint64, raw []byte, err error) {
-	if len(entry) < 2 {
-		return "", 0, nil, fmt.Errorf("wal entry truncated")
-	}
-	plen := int(binary.LittleEndian.Uint16(entry))
-	if len(entry) < 2+plen+8 {
-		return "", 0, nil, fmt.Errorf("wal entry truncated (producer len %d)", plen)
-	}
-	producer = string(entry[2 : 2+plen])
-	pseq = binary.LittleEndian.Uint64(entry[2+plen:])
-	raw = entry[2+plen+8:]
-	return producer, pseq, raw, nil
+	r := wire.NewReader("wal entry", entry)
+	producer = string(r.Bytes(int(r.U16())))
+	pseq = r.U64()
+	raw = r.Bytes(r.Left())
+	return producer, pseq, raw, r.Err()
 }
 
 // Checkpoint metadata (the v2 stream-checkpoint meta section): version u8
@@ -47,21 +44,21 @@ type walCkptMeta struct {
 }
 
 func encodeWALCkptMeta(coveredSeq uint64, producers map[string]uint64) []byte {
-	out := make([]byte, 0, 1+8+4+len(producers)*24)
-	out = append(out, walCkptMetaVersion)
-	out = binary.LittleEndian.AppendUint64(out, coveredSeq)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(producers)))
+	w := wire.Writer{Buf: make([]byte, 0, 1+8+4+len(producers)*24)}
+	w.U8(walCkptMetaVersion)
+	w.U64(coveredSeq)
+	w.U32(uint32(len(producers)))
 	ids := make([]string, 0, len(producers))
 	for p := range producers {
 		ids = append(ids, p)
 	}
 	sort.Strings(ids)
 	for _, p := range ids {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(p)))
-		out = append(out, p...)
-		out = binary.LittleEndian.AppendUint64(out, producers[p])
+		w.U16(uint16(len(p)))
+		w.Str(p)
+		w.U64(producers[p])
 	}
-	return out
+	return w.Buf
 }
 
 func decodeWALCkptMeta(meta []byte) (walCkptMeta, error) {
@@ -69,31 +66,15 @@ func decodeWALCkptMeta(meta []byte) (walCkptMeta, error) {
 	if len(meta) == 0 {
 		return m, nil // v1 checkpoint: no durability metadata
 	}
-	if meta[0] != walCkptMetaVersion {
-		return m, fmt.Errorf("checkpoint meta version %d unsupported", meta[0])
+	r := wire.NewReader("checkpoint meta", meta)
+	if v := r.U8(); v != walCkptMetaVersion {
+		return m, fmt.Errorf("checkpoint meta version %d unsupported", v)
 	}
-	if len(meta) < 1+8+4 {
-		return m, fmt.Errorf("checkpoint meta truncated")
+	m.coveredSeq = r.U64()
+	n := r.Count(r.U32(), 2+8)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		p := string(r.Bytes(int(r.U16())))
+		m.producers[p] = r.U64()
 	}
-	m.coveredSeq = binary.LittleEndian.Uint64(meta[1:])
-	n := int(binary.LittleEndian.Uint32(meta[9:]))
-	off := 13
-	for i := 0; i < n; i++ {
-		if len(meta) < off+2 {
-			return m, fmt.Errorf("checkpoint meta truncated at producer %d", i)
-		}
-		plen := int(binary.LittleEndian.Uint16(meta[off:]))
-		off += 2
-		if len(meta) < off+plen+8 {
-			return m, fmt.Errorf("checkpoint meta truncated at producer %d", i)
-		}
-		p := string(meta[off : off+plen])
-		off += plen
-		m.producers[p] = binary.LittleEndian.Uint64(meta[off:])
-		off += 8
-	}
-	if off != len(meta) {
-		return m, fmt.Errorf("checkpoint meta has %d trailing bytes", len(meta)-off)
-	}
-	return m, nil
+	return m, r.Done()
 }

@@ -10,14 +10,13 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"unsafe"
 
 	"keybin2/internal/linalg"
+	"keybin2/internal/wire"
 )
 
 // ErrBatchTooLarge marks batches whose row count exceeds the decoder's
@@ -41,14 +40,12 @@ const batchHeaderSize = 4 + 4 + 4
 // EncodeBatch serializes a row-major point matrix into the binary batch
 // format.
 func EncodeBatch(m *linalg.Matrix) []byte {
-	buf := make([]byte, batchHeaderSize+8*len(m.Data))
-	copy(buf, batchMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Cols))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Rows))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[batchHeaderSize+8*i:], math.Float64bits(v))
-	}
-	return buf
+	w := wire.Writer{Buf: make([]byte, 0, batchHeaderSize+8*len(m.Data))}
+	w.Str(batchMagic)
+	w.U32(uint32(m.Cols))
+	w.U32(uint32(m.Rows))
+	w.F64s(m.Data)
+	return w.Buf
 }
 
 // hostLittleEndian gates the zero-copy decode: aliasing the wire payload
@@ -129,7 +126,7 @@ func releaseBody(bb *bodyBuffer) { bodyPool.Put(bb) }
 // returned Batch retains across reuses. Either way the caller must treat
 // raw as owned by the Batch until Release.
 func DecodeBatchAlias(raw []byte, maxPoints int) (*Batch, error) {
-	dims, count, err := validateBatchHeader(raw, maxPoints)
+	dims, count, block, err := ParseBatchHeader(raw, maxPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -142,9 +139,8 @@ func DecodeBatchAlias(raw []byte, maxPoints int) (*Batch, error) {
 		b.aliased = false
 		return b, nil
 	}
-	payload := raw[batchHeaderSize:]
-	if hostLittleEndian && uintptr(unsafe.Pointer(&payload[0]))%8 == 0 {
-		b.M.Data = unsafe.Slice((*float64)(unsafe.Pointer(&payload[0])), n)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&block[0]))%8 == 0 {
+		b.M.Data = unsafe.Slice((*float64)(unsafe.Pointer(&block[0])), n)
 		b.aliased = true
 		return b, nil
 	}
@@ -152,46 +148,47 @@ func DecodeBatchAlias(raw []byte, maxPoints int) (*Batch, error) {
 		b.copied = make([]float64, n)
 	}
 	b.copied = b.copied[:n]
-	for i := range b.copied {
-		b.copied[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	r := wire.NewReader("server: batch", block)
+	r.F64s(b.copied)
 	b.M.Data = b.copied
 	b.aliased = false
 	return b, nil
 }
 
-// validateBatchHeader checks magic, dims, count, and exact length,
-// returning the decoded dimensions.
-func validateBatchHeader(b []byte, maxPoints int) (dims, count int, err error) {
-	if len(b) < batchHeaderSize || string(b[:4]) != batchMagic {
-		return 0, 0, fmt.Errorf("server: not a point batch (missing %q header)", batchMagic)
+// ParseBatchHeader is the one parse of a KB2B header, behind both batch
+// decoders and the router's per-shard point accounting. It checks magic,
+// dims, count (at most maxPoints; 0 = no bound) and that the float block
+// fills the rest of b exactly, and returns that block.
+func ParseBatchHeader(b []byte, maxPoints int) (dims, count int, block []byte, err error) {
+	r := wire.NewReader("server: batch", b)
+	magic, d, c := r.Bytes(4), r.U32(), r.U32()
+	if r.Err() != nil || string(magic) != batchMagic {
+		return 0, 0, nil, fmt.Errorf("server: not a point batch (missing %q header)", batchMagic)
 	}
-	dims = int(binary.LittleEndian.Uint32(b[4:]))
-	count = int(binary.LittleEndian.Uint32(b[8:]))
-	if dims <= 0 || dims > 1<<20 {
-		return 0, 0, fmt.Errorf("server: batch dims %d out of range", dims)
+	if d == 0 || d > 1<<20 {
+		return 0, 0, nil, fmt.Errorf("server: batch dims %d out of range", d)
 	}
-	if count < 0 || (maxPoints > 0 && count > maxPoints) {
-		return 0, 0, fmt.Errorf("%w: %d points, limit %d", ErrBatchTooLarge, count, maxPoints)
+	if maxPoints > 0 && uint64(c) > uint64(maxPoints) {
+		return 0, 0, nil, fmt.Errorf("%w: %d points, limit %d", ErrBatchTooLarge, c, maxPoints)
 	}
-	want := batchHeaderSize + 8*dims*count
-	if len(b) != want {
-		return 0, 0, fmt.Errorf("server: batch is %d bytes, header implies %d", len(b), want)
+	dims, count = int(d), r.Count(c, 8*int(d))
+	block = r.Bytes(8 * dims * count)
+	if err := r.Done(); err != nil {
+		return 0, 0, nil, err
 	}
-	return dims, count, nil
+	return dims, count, block, nil
 }
 
 // DecodeBatch parses a binary batch. maxPoints bounds the accepted row
 // count (0 = no bound) so a malformed or hostile length prefix cannot
 // drive a huge allocation.
 func DecodeBatch(b []byte, maxPoints int) (*linalg.Matrix, error) {
-	dims, count, err := validateBatchHeader(b, maxPoints)
+	dims, count, block, err := ParseBatchHeader(b, maxPoints)
 	if err != nil {
 		return nil, err
 	}
 	m := linalg.NewMatrix(count, dims)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[batchHeaderSize+8*i:]))
-	}
+	r := wire.NewReader("server: batch", block)
+	r.F64s(m.Data)
 	return m, nil
 }

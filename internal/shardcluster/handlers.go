@@ -3,7 +3,6 @@ package shardcluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"io"
 	"net/http"
 	"sync"
@@ -33,14 +32,15 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// batchPoints parses the point count out of a KB2B batch header (count
-// u32 at offset 8) for per-shard distribution accounting. 0 for anything
-// that isn't a well-formed header — the shard will reject those anyway.
+// batchPoints is a KB2B batch's point count, through the server's one
+// header parse, for per-shard distribution accounting. 0 for anything that
+// isn't a well-formed batch — the shard will reject those anyway.
 func batchPoints(body []byte) int64 {
-	if len(body) < 12 || string(body[:4]) != "KB2B" {
+	_, count, _, err := server.ParseBatchHeader(body, 0)
+	if err != nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint32(body[8:12]))
+	return int64(count)
 }
 
 // proxy forwards body to one shard and relays the response verbatim
