@@ -57,7 +57,9 @@
 // With -wal-dir every accepted batch is logged (and under -fsync always,
 // fsynced) before the 202 ack, so even a kill -9 loses nothing that was
 // acknowledged: on restart the daemon restores the newest checkpoint and
-// replays the WAL tail past it.
+// replays the WAL tail past it. -wal-dir needs -checkpoint: only a
+// checkpoint truncates the log, and without one a promoted follower's
+// replicated prefix would live in memory alone.
 //
 // With -follow the daemon runs as a follower replica: it tails the
 // primary's WAL, replays every acked batch into its own stream (stream
@@ -137,8 +139,8 @@ func main() {
 
 // buildConfig validates the CLI knobs into a server.Config. Misconfigured
 // flag pairs fail here, before any socket is opened: in particular a refit
-// period shorter than the warmup (core's typed StreamConfigError) and a
-// malformed -range.
+// period shorter than the warmup (core's typed StreamConfigError), a
+// malformed -range, and -wal-dir without -checkpoint.
 func buildConfig(o daemonOpts) (server.Config, error) {
 	cfg := o.cfg
 	if cfg.Stream.Dims <= 0 {
@@ -159,6 +161,9 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	}
 	if _, err := server.ParseFsyncPolicy(cfg.Fsync); err != nil {
 		return cfg, fmt.Errorf("bad flags: %w", err)
+	}
+	if cfg.WALDir != "" && cfg.CheckpointPath == "" {
+		return cfg, fmt.Errorf("bad flags: -wal-dir needs -checkpoint (only a checkpoint truncates the WAL)")
 	}
 	if cfg.Epoch < 0 {
 		return cfg, fmt.Errorf("-epoch must be ≥ 0 (got %d)", cfg.Epoch)

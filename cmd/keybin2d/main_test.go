@@ -28,8 +28,8 @@ func baseOpts() daemonOpts {
 }
 
 // TestBuildConfigValidation pins the CLI-level rejections: missing dims,
-// malformed -range, out-of-range decay, and the swapped period/warmup
-// pair surface before any socket is opened.
+// malformed -range, out-of-range decay, the swapped period/warmup pair
+// and a WAL without a checkpoint surface before any socket is opened.
 func TestBuildConfigValidation(t *testing.T) {
 	mut := func(f func(*daemonOpts)) daemonOpts {
 		o := baseOpts()
@@ -53,6 +53,8 @@ func TestBuildConfigValidation(t *testing.T) {
 			o.cfg.Stream.Warmup = 1000
 			o.cfg.Stream.Period = 200
 		}), "warmup"},
+		{"wal without checkpoint", mut(func(o *daemonOpts) { o.cfg.WALDir = "wal" }), "-wal-dir needs -checkpoint"},
+		{"wal with checkpoint", mut(func(o *daemonOpts) { o.cfg.WALDir, o.cfg.CheckpointPath = "wal", "state.kb2s" }), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,14 +47,31 @@ func TestOneShotSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	o := options{nodes: []string{ts.URL}, jsonOut: true, maxTraces: 8, timeout: 3 * time.Second}
-	if err := run(context.Background(), o, &buf); err != nil {
-		t.Fatal(err)
-	}
+	// The 202 comes before the writer applies the batch and finishes its
+	// trace, so a frame taken at once may predate the trace: take frames
+	// until one holds it, for at most the deadline.
 	var snap FleetSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("frame is not JSON: %v\n%s", err, buf.String())
+	traced := func() bool {
+		for _, ft := range snap.TraceTrees {
+			if ft.TraceID == ack.TraceID {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var buf bytes.Buffer
+		o := options{nodes: []string{ts.URL}, jsonOut: true, maxTraces: 8, timeout: 3 * time.Second}
+		if err := run(context.Background(), o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		snap = FleetSnapshot{}
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatalf("frame is not JSON: %v\n%s", err, buf.String())
+		}
+		if traced() || time.Now().After(deadline) {
+			break
+		}
 	}
 	if snap.ShardsUp != 1 || len(snap.Shards) != 1 {
 		t.Fatalf("shards = %d up of %d, want 1/1", snap.ShardsUp, len(snap.Shards))
@@ -69,13 +86,7 @@ func TestOneShotSnapshot(t *testing.T) {
 	if snap.TotalAccepted != row.Accepted {
 		t.Errorf("rollup accepted %d != row %d", snap.TotalAccepted, row.Accepted)
 	}
-	found := false
-	for _, ft := range snap.TraceTrees {
-		if ft.TraceID == ack.TraceID {
-			found = true
-		}
-	}
-	if !found {
+	if !traced() {
 		t.Errorf("ingest trace %s missing from %d assembled trees", ack.TraceID, len(snap.TraceTrees))
 	}
 

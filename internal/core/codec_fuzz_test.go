@@ -14,13 +14,11 @@ import (
 // codec is one byte format under fuzz: decode parses a payload and, when
 // it accepts one, returns the encoder of what it decoded. A canonical
 // format re-encodes every accepted payload to its own bytes; any other
-// re-encodes to a fixed point of decode∘encode. fixed is what a decode
-// allocates whatever its input (a checkpoint rebuilds its stream shell).
+// re-encodes to a fixed point of decode∘encode.
 type codec struct {
 	seeds     func(testing.TB) [][]byte
 	decode    func([]byte) (func() []byte, error)
 	canonical bool
-	fixed     func(testing.TB) uint64
 }
 
 // fuzzStreamConfig is the stream the KB2S seeds come from, and the one
@@ -56,13 +54,6 @@ var codecs = map[string]codec{
 				return enc
 			}, nil
 		},
-		fixed: func(t testing.TB) uint64 {
-			return allocated(func() {
-				if _, err := NewStream(fuzzStreamConfig); err != nil {
-					t.Fatal(err)
-				}
-			})
-		},
 	},
 }
 
@@ -70,21 +61,16 @@ func FuzzModel(f *testing.F)  { fuzzCodec(f, "model") }
 func FuzzStream(f *testing.F) { fuzzCodec(f, "stream") }
 
 // fuzzCodec: the decoder never panics, allocates at most a fixed multiple
-// of its input past the format's fixed cost, and whatever it accepts
-// re-encodes as the format promises.
+// of its input, and whatever it accepts re-encodes as the format promises.
 func fuzzCodec(f *testing.F, name string) {
 	c := codecs[name]
-	var fixed uint64
-	if c.fixed != nil {
-		fixed = 2 * c.fixed(f)
-	}
 	for _, seed := range c.seeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var enc func() []byte
 		var err error
-		if grew, limit := allocated(func() { enc, err = c.decode(b) }), fixed+uint64(64*len(b)+1<<14); grew > limit {
+		if grew, limit := allocated(func() { enc, err = c.decode(b) }), uint64(64*len(b)+1<<14); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), grew, limit)
 		}
 		if err != nil {
@@ -146,8 +132,8 @@ func modelSeeds(t testing.TB) [][]byte {
 	}
 }
 
-// streamSeeds: a checkpoint with metadata, one without, and one whose
-// first key count claims 2^26 records.
+// streamSeeds: a checkpoint with metadata, one without, one whose first
+// key count claims 2^26 records, and the foreignCheckpoints.
 func streamSeeds(t testing.TB) [][]byte {
 	st, err := NewStream(fuzzStreamConfig)
 	if err != nil {
@@ -178,5 +164,9 @@ func streamSeeds(t testing.TB) [][]byte {
 	}
 	claim := bytes.Clone(withMeta)
 	binary.LittleEndian.PutUint32(claim[r.Off():], 1<<26)
-	return [][]byte{withMeta, plain, claim}
+	seeds := [][]byte{withMeta, plain, claim}
+	for _, c := range foreignCheckpoints(t) {
+		seeds = append(seeds, c.b)
+	}
+	return seeds
 }

@@ -152,7 +152,7 @@ func TestClusterCentroidCollapsedDim(t *testing.T) {
 }
 
 func TestSnapCutsToSketch(t *testing.T) {
-	s := &Stream{sketchShift: 4} // cells of 16 finest bins
+	s := &streamShape{sketchShift: 4} // cells of 16 finest bins
 	p := partition.Result{Cuts: []int{5, 17, 30, 510}}
 	snapped := s.snapCutsToSketch(p, 512)
 	// 5→15, 17→31, 30→31 (dedup), 510→511 dropped (last bin).
@@ -172,7 +172,7 @@ func TestSnapCutsToSketch(t *testing.T) {
 		}
 	}
 	// shift 0 is identity.
-	s0 := &Stream{sketchShift: 0}
+	s0 := &streamShape{sketchShift: 0}
 	p0 := partition.Result{Cuts: []int{5, 17}}
 	if got := s0.snapCutsToSketch(p0, 512); len(got.Cuts) != 2 || got.Cuts[0] != 5 {
 		t.Fatalf("identity snap %v", got.Cuts)
@@ -180,14 +180,14 @@ func TestSnapCutsToSketch(t *testing.T) {
 }
 
 func TestSketchBinCenter(t *testing.T) {
-	s := &Stream{sketchShift: 3} // cells of 8
+	s := &streamShape{sketchShift: 3} // cells of 8
 	if got := s.sketchBinCenter(0); got != 4 {
 		t.Fatalf("cell 0 center %d", got)
 	}
 	if got := s.sketchBinCenter(5); got != 44 {
 		t.Fatalf("cell 5 center %d", got)
 	}
-	s0 := &Stream{}
+	s0 := &streamShape{}
 	if got := s0.sketchBinCenter(7); got != 7 {
 		t.Fatalf("shift-0 center %d", got)
 	}

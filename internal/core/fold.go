@@ -325,26 +325,6 @@ func (s *Stream) fold() *foldState {
 	return f
 }
 
-// fitsTrial checks that set has the shape of one of the stream's trials:
-// TargetDims histograms, every one of the stream's depth. State from
-// elsewhere — a merged fold, a checkpoint — must pass it before it
-// replaces s.sets: the sketch keys, the projected columns a trial reads and
-// the bins the batch apply counts into are all sized from the config.
-func (s *Stream) fitsTrial(set *histogram.Set) error {
-	if set == nil {
-		return fmt.Errorf("no histograms for a stream of %d projected dims", s.cfg.TargetDims)
-	}
-	if len(set.Dims) != s.cfg.TargetDims {
-		return fmt.Errorf("%d histograms for a stream of %d projected dims", len(set.Dims), s.cfg.TargetDims)
-	}
-	for _, h := range set.Dims {
-		if h.Depth != s.depth {
-			return fmt.Errorf("histograms of depth %d for a stream of depth %d", h.Depth, s.depth)
-		}
-	}
-	return nil
-}
-
 // adopt makes st the stream's state — histograms, sketches rebuilt from the
 // key masses, point count — and refits on it. Everything is checked against
 // the stream's own shape before anything is replaced, so a state that does
@@ -356,13 +336,10 @@ func (s *Stream) adopt(st *foldState) error {
 	}
 	sketches := make([]*flatTable, len(s.sets))
 	for t, tr := range st.trials {
-		if err := s.fitsTrial(tr.set); err != nil {
+		if err := s.fitsTrial(tr.set, tr.tuples); err != nil {
 			return fmt.Errorf("core: merged state trial %d: %w", t, err)
 		}
-		var err error
-		if sketches[t], err = sketchFromCounts(s.cellLayout, s.sketchCells(), tr.tuples); err != nil {
-			return fmt.Errorf("core: merged state trial %d: %w", t, err)
-		}
+		sketches[t] = sketchFromCounts(s.cellLayout.words, tr.tuples)
 	}
 	for t, tr := range st.trials {
 		s.sets[t] = tr.set.Clone()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -115,19 +116,16 @@ func (c StreamConfig) Validate() error {
 // would make the sketch grow with the stream instead of with the occupied
 // cell count. Per-point labeling always bins at full resolution.
 type Stream struct {
-	cfg         StreamConfig
-	depth       int
-	sketchShift uint
-	batch       *projection.Batch
-	sets        []*histogram.Set
-	sketch      []*flatTable   // per trial: coarse cell key → mass
-	cellLayout  keyLayout      // the sketch keys' layout, sketchLayout(TargetDims)
-	buffer      *linalg.Matrix // warmup rows (nil once live)
-	bufUsed     int
-	seen        int
-	nextID      int          // next fresh stable cluster id
-	refits      int          // completed refits (model publications)
-	rec         obs.Recorder // stage-timing sink (nil = off); writer-only
+	streamShape
+	batch   *projection.Batch
+	sets    []*histogram.Set
+	sketch  []*flatTable   // per trial: coarse cell key → mass
+	buffer  *linalg.Matrix // warmup rows (nil once live)
+	bufUsed int
+	seen    int
+	nextID  int          // next fresh stable cluster id
+	refits  int          // completed refits (model publications)
+	rec     obs.Recorder // stage-timing sink (nil = off); writer-only
 
 	// Batch-apply scratch (stream_batch.go), reused across chunks so the
 	// steady-state ingest path allocates nothing: one projected block of
@@ -158,45 +156,103 @@ type Stream struct {
 	synced *foldState
 }
 
-// NewStream creates a streaming clusterer. cfg.Dims must be set; all other
-// fields default sensibly.
-func NewStream(cfg StreamConfig) (*Stream, error) {
+// streamShape is what a stream's state must look like, derived from its
+// config alone: cfg with every default applied (Trials trials of
+// TargetDims projected dims), the binning depth and the coarse sketch
+// under it. State from elsewhere passes fitsTrial against it before a
+// stream is built around it or it replaces a stream's own.
+type streamShape struct {
+	cfg         StreamConfig
+	depth       int
+	sketchShift uint
+	cellLayout  keyLayout // the sketch keys' layout, sketchLayout(TargetDims)
+}
+
+// shapeOf validates cfg and derives its shape, for NewStream and
+// DecodeStreamMeta alike.
+func shapeOf(cfg StreamConfig) (streamShape, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return streamShape{}, err
 	}
 	cfg = cfg.withStreamDefaults()
 	// Defaults sized by the warmup: the binning depth must be fixed before
 	// the stream length is known.
-	sized := cfg.Config.withDefaults(max(cfg.Warmup, 1024), cfg.Dims)
-	cfg.Config = sized
-	depth := cfg.Depth
-	if depth == 0 {
-		depth = DefaultDepth(100000) // stream-scale default: log₂²(100k) ≈ 283 bins
-	}
-
-	s := &Stream{cfg: cfg, depth: depth, tupleMass: make([]flatTable, cfg.Trials),
-		cellLayout: sketchLayout(cfg.TargetDims)}
-	s.cellKey = make([]uint64, s.cellLayout.words)
+	cfg.Config = cfg.Config.withDefaults(max(cfg.Warmup, 1024), cfg.Dims)
+	depth := cmp.Or(cfg.Depth, DefaultDepth(100000)) // stream-scale default: log₂²(100k) ≈ 283 bins
 	// Sketch cells at ≤ 32 per dimension: coarse enough that the occupied
 	// cell count tracks the cluster structure, fine enough to re-segment
 	// under moving cuts.
 	const maxSketchDepth = 5
-	if depth > maxSketchDepth {
-		s.sketchShift = uint(depth - maxSketchDepth)
+	return streamShape{cfg: cfg, depth: depth, sketchShift: uint(max(depth-maxSketchDepth, 0)),
+		cellLayout: sketchLayout(cfg.TargetDims)}, nil
+}
+
+// build is the one stream constructor: a stream of shape sh with its
+// projections and scratch, and no histograms yet. Callers drop the stream
+// on an error.
+func (sh *streamShape) build() (*Stream, error) {
+	s := &Stream{streamShape: *sh, tupleMass: make([]flatTable, sh.cfg.Trials),
+		cellKey: make([]uint64, sh.cellLayout.words)}
+	var err error
+	if !sh.cfg.NoProjection {
+		s.batch, err = projection.NewBatch(sh.cfg.ProjectionKind, sh.cfg.Dims, sh.cfg.TargetDims, sh.cfg.Trials, xrand.New(sh.cfg.Seed))
 	}
-	if !cfg.NoProjection {
-		batch, err := projection.NewBatch(cfg.ProjectionKind, cfg.Dims, cfg.TargetDims, cfg.Trials, xrand.New(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		s.batch = batch
+	return s, err
+}
+
+// fitsTrial checks one trial of state from elsewhere against the shape:
+// TargetDims histograms, every one of the stream's depth, and, when sk is
+// not nil, sketch keys of the stream's layout whose every component lies
+// inside its coarse cells. A merged fold (adopt) and a checkpoint's trials
+// and model (DecodeStreamMeta) must pass it before anything is built or
+// replaced: the sketch keys, the projected columns a trial reads and the
+// bins the batch apply counts into are all sized from the config, and
+// Refit maps every sketch component to a bin of the stream's histograms.
+func (sh *streamShape) fitsTrial(set *histogram.Set, sk *flatTable) error {
+	layout := sh.cellLayout
+	switch {
+	case set == nil:
+		return fmt.Errorf("no histograms for a stream of %d projected dims", sh.cfg.TargetDims)
+	case len(set.Dims) != sh.cfg.TargetDims:
+		return fmt.Errorf("%d histograms for a stream of %d projected dims", len(set.Dims), sh.cfg.TargetDims)
+	case sk != nil && sk.words != layout.words:
+		return fmt.Errorf("sketch keys of %d words for %d dimensions", sk.words, len(layout.bits))
 	}
-	if cfg.RawRanges != nil {
-		if err := s.initSetsFromRawRanges(); err != nil {
-			return nil, err
+	for _, h := range set.Dims {
+		if h.Depth != sh.depth {
+			return fmt.Errorf("histograms of depth %d for a stream of depth %d", h.Depth, sh.depth)
 		}
-	} else {
-		s.buffer = linalg.NewMatrix(cfg.Warmup, cfg.Dims)
+	}
+	cells := uint64(sh.sketchCells())
+	for c := 0; sk != nil && c < sk.len(); c++ {
+		key := sk.key(c)
+		if key[0]&^layout.top != 0 {
+			return fmt.Errorf("sketch key %#x wider than %d dimensions", key, len(layout.bits))
+		}
+		for j := range layout.bits {
+			if b := layout.field(key, j); b >= cells {
+				return fmt.Errorf("sketch key component %d in dimension %d, %d cells", b, j, cells)
+			}
+		}
+	}
+	return nil
+}
+
+// NewStream creates a streaming clusterer. cfg.Dims must be set; all other
+// fields default sensibly.
+func NewStream(cfg StreamConfig) (*Stream, error) {
+	sh, err := shapeOf(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sh.build()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.RawRanges == nil {
+		s.buffer = linalg.NewMatrix(s.cfg.Warmup, cfg.Dims)
+	} else if err := s.initSetsFromRawRanges(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -281,15 +337,15 @@ func (s *Stream) initSets(mins, maxs []float64) error {
 }
 
 // sketchCells is the number of coarse sketch cells per dimension.
-func (s *Stream) sketchCells() uint32 { return 1 << (uint(s.depth) - s.sketchShift) }
+func (sh *streamShape) sketchCells() uint32 { return 1 << (uint(sh.depth) - sh.sketchShift) }
 
 // sketchBinCenter maps a coarse sketch bin back to the finest-level bin at
 // its cell center, for segment assignment during refits.
-func (s *Stream) sketchBinCenter(coarse uint32) int {
-	if s.sketchShift == 0 {
+func (sh *streamShape) sketchBinCenter(coarse uint32) int {
+	if sh.sketchShift == 0 {
 		return int(coarse)
 	}
-	return int(coarse<<s.sketchShift) + int(uint32(1)<<(s.sketchShift-1))
+	return int(coarse<<sh.sketchShift) + int(uint32(1)<<(sh.sketchShift-1))
 }
 
 // snapCutsToSketch aligns every cut to the end of its coarse sketch cell,
@@ -298,15 +354,15 @@ func (s *Stream) sketchBinCenter(coarse uint32) int {
 // disagree about points in straddling cells, and the model's tuple→label
 // map would not match what Assign computes. The snap costs at most one
 // cell width (1/32 of the range) of cut precision.
-func (s *Stream) snapCutsToSketch(p partition.Result, nbins int) partition.Result {
-	if s.sketchShift == 0 || len(p.Cuts) == 0 {
+func (sh *streamShape) snapCutsToSketch(p partition.Result, nbins int) partition.Result {
+	if sh.sketchShift == 0 || len(p.Cuts) == 0 {
 		return p
 	}
-	cell := 1 << s.sketchShift
+	cell := 1 << sh.sketchShift
 	snapped := p.Cuts[:0]
 	prev := -1
 	for _, c := range p.Cuts {
-		aligned := (c>>s.sketchShift)<<s.sketchShift + cell - 1
+		aligned := (c>>sh.sketchShift)<<sh.sketchShift + cell - 1
 		if aligned >= nbins-1 {
 			continue // cutting after the last bin separates nothing
 		}

@@ -32,9 +32,10 @@ import (
 // metadata is attached, so existing checkpoints and readers are
 // unaffected.
 //
-// The restored stream must be created with the same StreamConfig (same
-// seed, dims, trials, projection kind); DecodeStream re-derives the
-// projections from the config rather than storing the matrices.
+// A checkpoint restores only under the StreamConfig it was written with
+// (same seed, dims, trials, depth, projection kind). The projections are
+// not stored as such: DecodeStreamMeta derives them from the config, and
+// the model's copy of its trial's columns must equal them to the bit.
 
 const streamMagic = "KB2S"
 const streamVersion = 2
@@ -95,8 +96,15 @@ func DecodeStream(cfg StreamConfig, b []byte) (*Stream, error) {
 }
 
 // DecodeStreamMeta restores a checkpointed stream and returns the opaque
-// metadata attached at encode time (nil for v1 checkpoints).
+// metadata attached at encode time (nil for v1 checkpoints). The whole
+// payload is parsed into values and checked against cfg's shape as it is
+// read; only a checkpoint that passes builds its stream, once, so a
+// refused one costs its parse and never a stream.
 func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
+	sh, err := shapeOf(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	r := wire.NewReader("core: stream checkpoint", b)
 	if string(r.Bytes(4)) != streamMagic {
 		return nil, nil, fmt.Errorf("core: not a stream checkpoint")
@@ -105,47 +113,29 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	if r.Err() == nil && v != 1 && v != streamVersion {
 		return nil, nil, fmt.Errorf("core: stream checkpoint version %d unsupported", v)
 	}
-	// Rebuild the shell (projections, depth, defaults) from the config.
-	// RawRanges presence is irrelevant here: the checkpoint carries the
-	// actual histogram ranges.
-	cfgNoWarmup := cfg
-	if cfgNoWarmup.RawRanges == nil {
-		// avoid allocating a warmup buffer that will never be used
-		cfgNoWarmup.RawRanges = make([][2]float64, cfg.Dims)
-	}
-	s, err := NewStream(cfgNoWarmup)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.seen = int(r.U64())
-	s.nextID = int(r.U32())
+	seen, nextID := int(r.U64()), int(r.U32())
 	var meta []byte
 	if v >= 2 {
 		meta = append([]byte(nil), r.Frame()...)
 	}
+	var model *Model
 	if r.U8() == 1 {
 		frame := r.Frame()
 		if r.Err() != nil {
 			return nil, nil, r.Err()
 		}
-		model, err := DecodeModel(frame)
+		if model, err = DecodeModel(frame); err == nil {
+			err = sh.fitsModel(model, nextID)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint model: %w", err)
 		}
-		s.model.Store(model)
 	}
-	ntrials := int(r.U32())
-	if r.Err() != nil {
-		return nil, nil, r.Err()
+	if n := int(r.U32()); r.Err() == nil && n != sh.cfg.Trials {
+		return nil, nil, fmt.Errorf("core: checkpoint has %d trials, config %d", n, sh.cfg.Trials)
 	}
-	if ntrials != s.cfg.Trials {
-		return nil, nil, fmt.Errorf("core: checkpoint has %d trials, config %d", ntrials, s.cfg.Trials)
-	}
-	s.sets = make([]*histogram.Set, ntrials)
-	s.sketch = make([]*flatTable, ntrials)
-	cells := s.cellLayout
-	key := make([]uint64, cells.words)
-	for t := 0; t < ntrials; t++ {
+	sets, sketch := make([]*histogram.Set, sh.cfg.Trials), make([]*flatTable, sh.cfg.Trials)
+	for t := range sets {
 		frame := r.Frame()
 		if r.Err() != nil {
 			return nil, nil, r.Err()
@@ -154,26 +144,15 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := s.fitsTrial(set); err != nil {
-			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
-		}
-		s.sets[t] = set
-		// Each key record is width u32 | key u32×width | mass f64. Nothing
-		// is sized from the count: the sketch grows as records arrive.
+		// Each key record is width u32 | key u32×width | mass f64, the key
+		// in the fold's 'S' form. Nothing is sized from the count: the
+		// sketch grows as records arrive.
 		nkeys := r.Count(r.U32(), 12+4*len(set.Dims))
-		sk := &flatTable{words: cells.words}
-		for i := 0; i < nkeys; i++ {
-			width := int(r.U32())
-			if width != len(set.Dims) {
-				return nil, nil, fmt.Errorf("core: checkpoint key width %d for %d dims", width, len(set.Dims))
-			}
-			clear(key)
-			for j := range width {
-				b := uint64(r.U32())
-				if err := checkSketchComponent(j, b, s.sketchCells()); err != nil {
-					return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
-				}
-				cells.put(key, j, b)
+		cells := sketchLayout(len(set.Dims))
+		sk, key := &flatTable{words: cells.words}, make([]uint64, cells.words)
+		for range nkeys {
+			if err := cells.fromWire(key, r.Bytes(4*int(r.U32()))); err != nil {
+				return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 			}
 			mass := r.F64()
 			if math.IsNaN(mass) || mass < 0 {
@@ -181,10 +160,73 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 			}
 			sk.add(key, mass)
 		}
-		s.sketch[t] = sk
+		if err := sh.fitsTrial(set, sk); err != nil {
+			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
+		}
+		sets[t], sketch[t] = set, sk
 	}
 	if err := r.Done(); err != nil {
 		return nil, nil, err
 	}
+	// Every piece fits the shape: build the stream, once. RawRanges play
+	// no part: the checkpoint carries the actual histogram ranges.
+	s, err := sh.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	if model != nil {
+		if err := s.checkProjection(model); err != nil {
+			return nil, nil, fmt.Errorf("core: checkpoint model: %w", err)
+		}
+		s.model.Store(model)
+	}
+	s.seen, s.nextID, s.sets, s.sketch = seen, nextID, sets, sketch
 	return s, meta, nil
+}
+
+// fitsModel checks a checkpoint's model against the shape and the nextID
+// beside it: one of the stream's trials, histograms that pass fitsTrial, a
+// Dims × TargetDims projection exactly when the config projects, and every
+// installed label below nextID, the next fresh id stabilizeLabels hands
+// out (a label at or above it would be handed out twice).
+func (sh *streamShape) fitsModel(m *Model, nextID int) error {
+	if m.Trial >= sh.cfg.Trials {
+		return fmt.Errorf("trial %d of a stream of %d trials", m.Trial, sh.cfg.Trials)
+	}
+	if err := sh.fitsTrial(m.Set, nil); err != nil {
+		return err
+	}
+	switch p := m.Projection; {
+	case p == nil && !sh.cfg.NoProjection:
+		return fmt.Errorf("no projection for a stream that projects")
+	case p != nil && sh.cfg.NoProjection:
+		return fmt.Errorf("a projection for a NoProjection stream")
+	case p != nil && (p.Rows != sh.cfg.Dims || p.Cols != sh.cfg.TargetDims):
+		return fmt.Errorf("%d×%d projection for %d dims projected to %d", p.Rows, p.Cols, sh.cfg.Dims, sh.cfg.TargetDims)
+	}
+	for i, label := range m.installedLabels() {
+		if label >= nextID {
+			return fmt.Errorf("cluster %d has label %d, not below nextID %d", i, label, nextID)
+		}
+	}
+	return nil
+}
+
+// checkProjection checks that m's projection is its trial's columns of the
+// stream's own to the last bit, as Model.finish copies them: a checkpoint
+// of another seed or projection kind is refused. fitsModel checked the
+// shape.
+func (s *Stream) checkProjection(m *Model) error {
+	if s.batch == nil {
+		return nil
+	}
+	nrp := s.cfg.TargetDims
+	for i := range s.cfg.Dims {
+		for j := range nrp {
+			if m.Projection.At(i, j) != s.batch.Joined.At(i, m.Trial*nrp+j) {
+				return fmt.Errorf("projection of trial %d is not the config's (seed %d): it differs at row %d, column %d", m.Trial, s.cfg.Seed, i, j)
+			}
+		}
+	}
+	return nil
 }

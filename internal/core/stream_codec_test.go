@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"keybin2/internal/linalg"
@@ -405,8 +407,8 @@ func TestDecodeStreamKeyCountBounded(t *testing.T) {
 }
 
 // TestDecodeStreamRefusesForeignSketchCells: a checkpoint whose sketch key
-// addresses a coarse cell the stream does not have is refused, as the
-// fold's sketchFromCounts refuses it. Accepted, such a key once demoted the
+// addresses a coarse cell the stream does not have is refused, as a
+// merged fold's is: both pass fitsTrial. Accepted, such a key once demoted the
 // sketch to string keys, and the stream's next fold no longer merged with
 // an honest one.
 func TestDecodeStreamRefusesForeignSketchCells(t *testing.T) {
@@ -451,5 +453,176 @@ func TestDecodeStreamRefusesForeignSketchCells(t *testing.T) {
 				t.Errorf("depth %d: component %d of %d cells: decode error %v", tc.depth, comp, tc.cells, err)
 			}
 		}
+	}
+}
+
+// foreignCheckpoints are checkpoints of fuzzStreamConfig's shape whose
+// model or label state does not fit a stream of that config, each with a
+// word its refusal must name. Every one used to be accepted: the trial
+// panicked the next refit's keepTrial, the wide model the first Ingest,
+// the stale nextID would hand out live labels again at a trial switch, and the
+// models of another seed or raw width label through projections the
+// stream does not have.
+func foreignCheckpoints(t testing.TB) []struct {
+	name, want string
+	b          []byte
+} {
+	t.Helper()
+	checkpoint := func(cfg StreamConfig) []byte {
+		st, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := synth.AutoMixture(2, cfg.Dims, 6, 1, xrand.New(50)).Sample(300, xrand.New(51))
+		if _, err := st.IngestBatch(data); err != nil {
+			t.Fatal(err)
+		}
+		if st.Model() == nil {
+			t.Fatal("no model to checkpoint")
+		}
+		b, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// modelAt walks a v1 checkpoint to its model frame: the frame's start
+	// and end.
+	modelAt := func(b []byte) (int, int) {
+		r := wire.NewReader("checkpoint", b)
+		r.Bytes(4 + 4 + 8 + 4) // magic, version, seen, nextID
+		if r.U8() != 1 {
+			t.Fatal("checkpoint without a model")
+		}
+		start := r.Off()
+		r.Frame()
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		return start, r.Off()
+	}
+	base := checkpoint(fuzzStreamConfig)
+	start, end := modelAt(base)
+
+	trial := bytes.Clone(base)
+	binary.LittleEndian.PutUint32(trial[start+4+clusterCountAt(t, base[start+4:end])-4:], 7)
+
+	wideCfg := StreamConfig{Config: Config{Seed: 5, Trials: 2, Depth: 3, TargetDims: 5}, Dims: 8,
+		RawRanges: fixedRanges(8, -2, 2), Period: 200}
+	other := checkpoint(wideCfg)
+	ws, we := modelAt(other)
+	wide := append(append(bytes.Clone(base[:start]), other[ws:we]...), base[end:]...)
+
+	stale := bytes.Clone(base)
+	binary.LittleEndian.PutUint32(stale[4+4+8:], 0)
+
+	seeded := fuzzStreamConfig
+	seeded.Seed = 6
+	rawer := StreamConfig{Config: Config{Seed: 5, Trials: 2, Depth: 3, TargetDims: 3}, Dims: 4,
+		RawRanges: fixedRanges(4, -2, 2), Period: 200}
+	return []struct {
+		name, want string
+		b          []byte
+	}{
+		{"model trial", "trial 7", trial},
+		{"model width", "5 histograms", wide},
+		{"nextID below a label", "nextID", stale},
+		{"another seed", "projection", checkpoint(seeded)},
+		{"another raw width", "4×3 projection", checkpoint(rawer)},
+	}
+}
+
+// TestDecodeStreamRefusesForeignModel: a checkpoint whose model or label
+// state does not fit the config is refused with an error naming what does
+// not fit, and so is one whose model projects when the config does not,
+// or the other way round.
+func TestDecodeStreamRefusesForeignModel(t *testing.T) {
+	for _, c := range foreignCheckpoints(t) {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := DecodeStreamMeta(fuzzStreamConfig, c.b)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("want an error naming %q, got %v", c.want, err)
+			}
+		})
+	}
+	projecting := StreamConfig{Config: Config{Seed: 5, Trials: 1, Depth: 3, TargetDims: 3}, Dims: 3,
+		RawRanges: fixedRanges(3, -2, 2), Period: 200}
+	bare := projecting
+	bare.NoProjection, bare.TargetDims = true, 0
+	for _, c := range []struct{ from, into StreamConfig }{{projecting, bare}, {bare, projecting}} {
+		st, err := NewStream(c.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runStreamPoints(t, st, synth.AutoMixture(2, 3, 6, 1, xrand.New(50)), 300, 51)
+		b, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeStream(c.from, b); err != nil {
+			t.Fatalf("NoProjection %v into its own config: %v", c.from.NoProjection, err)
+		}
+		if _, err := DecodeStream(c.into, b); err == nil || !strings.Contains(err.Error(), "projection") {
+			t.Fatalf("NoProjection %v into %v: want an error naming the projection, got %v",
+				c.from.NoProjection, c.into.NoProjection, err)
+		}
+	}
+}
+
+// servingCheckpoint is the serving benchmark's stream (16 dims, 3 trials,
+// ranges ±12, Period 5000) after 20,000 points, and its checkpoint.
+func servingCheckpoint(t testing.TB) (StreamConfig, []byte) {
+	t.Helper()
+	cfg := StreamConfig{Config: Config{Seed: 41, Trials: 3}, Dims: 16,
+		RawRanges: fixedRanges(16, -12, 12), Period: 5000}
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := synth.AutoMixture(4, 16, 6, 1, xrand.New(80)).Sample(20000, xrand.New(81))
+	if _, err := st.IngestBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.EncodeWithMeta([]byte("meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, b
+}
+
+// TestDecodeStreamRefusalBuildsNothing: a checkpoint refused on its bytes
+// costs its parse, not a stream. Cut after 40 bytes, the serving
+// checkpoint is refused in under 1 KiB; building its stream takes ~86 KB.
+func TestDecodeStreamRefusalBuildsNothing(t *testing.T) {
+	cfg, b := servingCheckpoint(t)
+	grew := uint64(math.MaxUint64)
+	for range 5 { // the least of five: nothing else in the process counts
+		grew = min(grew, allocated(func() {
+			if _, _, err := DecodeStreamMeta(cfg, b[:40]); err == nil {
+				t.Fatal("a checkpoint cut after 40 bytes decoded")
+			}
+		}))
+	}
+	if grew > 1<<10 {
+		t.Fatalf("refusing a 40-byte checkpoint allocated %d bytes", grew)
+	}
+}
+
+// BenchmarkDecodeStream restores the serving checkpoint (20,000 points)
+// and refuses it cut after 40 bytes.
+func BenchmarkDecodeStream(b *testing.B) {
+	cfg, blob := servingCheckpoint(b)
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{{"accepted", blob}, {"refused", blob[:40]}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, _, err := DecodeStreamMeta(cfg, c.in); (err == nil) != (len(c.in) == len(blob)) {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -52,42 +51,19 @@ func sketchLayout(width int) keyLayout {
 // would zero the sketch.
 func roundMass(n float64) uint64 { return uint64(math.Round(n)) }
 
-// checkSketchComponent refuses component b of dimension j in a coarse key
-// from elsewhere — a merged fold, a checkpoint — unless it is below
-// cells, the stream's coarse sketch cells per dimension: Refit maps every
-// component to a bin of the stream's histograms.
-func checkSketchComponent(j int, b uint64, cells uint32) error {
-	if b >= uint64(cells) {
-		return fmt.Errorf("core: sketch key component %d in dimension %d, %d cells", b, j, cells)
-	}
-	return nil
-}
-
 // sketchFromCounts is the inverse of Stream.fold's rounded sketch for
-// masses that arrived from elsewhere (nil: none), every component checked
-// by checkSketchComponent. Cells go in ascending key order, so a sketch
-// built from the same counts walks (and encodes) in the same order.
-func sketchFromCounts(layout keyLayout, cells uint32, tc *flatTable) (*flatTable, error) {
-	sk := &flatTable{words: layout.words}
-	if tc == nil {
-		return sk, nil
-	}
-	if tc.words != layout.words {
-		return nil, fmt.Errorf("core: sketch keys of %d words for %d dimensions", tc.words, len(layout.bits))
-	}
-	for _, c := range tc.sorted() {
-		key := tc.key(c)
-		if key[0]&^layout.top != 0 {
-			return nil, fmt.Errorf("core: sketch key %#x wider than %d dimensions", key, len(layout.bits))
+// masses that arrived from elsewhere (nil: none), which fitsTrial has
+// checked against the stream's layout. Cells go in ascending key order,
+// so a sketch built from the same counts walks (and encodes) in the same
+// order.
+func sketchFromCounts(words int, tc *flatTable) *flatTable {
+	sk := &flatTable{words: words}
+	if tc != nil {
+		for _, c := range tc.sorted() {
+			sk.add(tc.key(c), tc.mass(c))
 		}
-		for j := range layout.bits {
-			if err := checkSketchComponent(j, layout.field(key, j), cells); err != nil {
-				return nil, err
-			}
-		}
-		sk.add(key, tc.mass(c))
 	}
-	return sk, nil
+	return sk
 }
 
 // flatTable is internal/core's one key → mass accumulator, for keys of

@@ -385,11 +385,13 @@ func formatFloat(v float64) string {
 // series identity ("name" or `name{label="value",...}`, exactly as
 // rendered) to value. Comment and blank lines are skipped. It understands
 // what WritePrometheus emits — enough for clients to diff two scrapes —
-// not every corner of the full exposition grammar.
+// not every corner of the full exposition grammar. Its line buffer
+// starts small and grows to the longest line (at most 1 MiB), so a parse
+// allocates a multiple of its input, not a fixed 64 KiB.
 func ParseExposition(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
