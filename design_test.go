@@ -219,6 +219,26 @@ var designRules = []designRule{
 		},
 	},
 	{
+		name: "one block store", section: "Projection stage (batch fit)", pr: "bins in place",
+		check: func(tr *tree) []string {
+			var bad []string
+			pools := tr.find(both(inDir("internal/core"), nonTest), selector("sync", "Pool"))
+			for _, s := range pools {
+				if s.in != "blockPool" {
+					bad = append(bad, s.String()+": internal/core pools the fit's float blocks alone (blockPool); a block's bins go over its own floats")
+				}
+			}
+			if len(pools) != 1 {
+				bad = append(bad, fmt.Sprintf("internal/core declares %d sync.Pools, not one (blockPool)", len(pools)))
+			}
+			return bad
+		},
+		breaks: []overlay{
+			{"internal/core/fit.go", "var binPool sync.Pool"},
+			{"internal/core/stream_batch.go", "type scratchPool struct{ bins sync.Pool }"},
+		},
+	},
+	{
 		name: "one wire cursor", section: "Wire formats (`internal/wire`)", pr: "wire cursor",
 		check: func(tr *tree) []string {
 			var bad []string

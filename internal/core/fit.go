@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
@@ -46,10 +47,12 @@ func projectAll(data *linalg.Matrix, cfg Config) (*projected, *projection.Batch,
 
 // binAll bins every row of proj into sets (set t takes columns
 // [t·N_rp, (t+1)·N_rp)) and keeps the bin indices in proj.bins for the
-// count and label passes. A worker bins a whole block with linalg.BinRows
-// while it is in L2, then counts the stored bins into its own count slab,
-// one row of nbins+slabPad counters per column; the slabs are summed into
-// sets at the end. Every histogram of sets has the same depth.
+// count and label passes; the floats are gone after it. A worker bins a
+// whole block with linalg.BinRows while it is in L2, over the block's own
+// floats (a view's are the caller's: its bins get a buffer), then counts
+// the stored bins into its own count slab, one row of nbins+slabPad
+// counters per column; the slabs are summed into sets at the end. Every
+// histogram of sets has the same depth.
 func binAll(proj *projected, sets []*histogram.Set, workers int) {
 	var hists []*histogram.Hist
 	for _, set := range sets {
@@ -62,15 +65,16 @@ func binAll(proj *projected, sets []*histogram.Set, workers int) {
 	nbins := hists[0].Bins()
 	stride := nbins + slabPad
 	proj.bins = make([][]uint16, len(proj.blocks))
-	proj.binBufs = make([]*[]uint16, len(proj.blocks))
 	slabs := forBlocks(proj, workers, func(slab *[]uint64, first int, rows []float64) {
 		if *slab == nil {
 			*slab = make([]uint64, len(hists)*stride)
 		}
-		b := first / blockRows
-		proj.binBufs[b] = pooledBuf[uint16](&binPool, blockRows*proj.cols)
-		out := (*proj.binBufs[b])[:len(rows)]
-		proj.bins[b] = out
+		// In place: BinRows lets dst start at rows' first byte.
+		out := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows))
+		if proj.view {
+			out = make([]uint16, len(rows))
+		}
+		proj.bins[first/blockRows] = out
 		linalg.BinRows(out, rows, proj.cols, lo, iw, nbins)
 		counts := *slab
 		for off := 0; off < len(out); off += proj.cols {
@@ -90,6 +94,7 @@ func binAll(proj *projected, sets []*histogram.Set, workers int) {
 		}
 		h.Total += uint64(proj.rows)
 	}
+	clear(proj.blocks) // the floats are bins now
 }
 
 // slabPad spaces two columns' counters in a count slab 128 bytes more

@@ -22,13 +22,11 @@ const blockRows = 1024
 // asking fit (a narrower projection used it last) is dropped.
 var blockPool sync.Pool // of *[]float64
 
-var binPool sync.Pool // of *[]uint16: blockPool's twin for binAll's bin blocks
-
-// pooledBuf takes a buffer of at least n elements from pool, or makes one.
-func pooledBuf[T any](pool *sync.Pool, n int) *[]T {
-	buf, _ := pool.Get().(*[]T)
+// pooledBuf takes a block of at least n floats from blockPool, or makes one.
+func pooledBuf(n int) *[]float64 {
+	buf, _ := blockPool.Get().(*[]float64)
 	if buf == nil || cap(*buf) < n {
-		fresh := make([]T, n)
+		fresh := make([]float64, n)
 		buf = &fresh
 	}
 	return buf
@@ -36,19 +34,20 @@ func pooledBuf[T any](pool *sync.Pool, n int) *[]T {
 
 // projected is what every pass of a fit reads: the rows×cols projected
 // points, cut into blocks of blockRows rows (the last one shorter), plus the
-// per-column range of all rows. A store made by project owns pooled blocks
-// until release; one made with no projection is a view of the caller's
-// matrix.
+// per-column range of all rows. A store made by project owns its blocks
+// (pooled ones until release); one made with no projection is a view of the
+// caller's matrix.
 type projected struct {
 	rows, cols int
-	blocks     [][]float64  // blocks[b] holds rows [b·blockRows, …), row-major
+	blocks     [][]float64  // blocks[b] holds rows [b·blockRows, …), row-major; nil once binned
 	pooled     []*[]float64 // buffers to hand back; nil for a view or a sub-block store
+	view       bool         // blocks are the caller's: never written
 	// mins/maxs are the exact per-column extrema; (+Inf, −Inf), the
 	// identities of min and max, when there are no rows.
 	mins, maxs []float64
-	// bins[b]: block b's bin indices in blocks[b]'s layout, set by binAll.
-	bins    [][]uint16
-	binBufs []*[]uint16
+	// bins[b]: block b's bin indices in blocks[b]'s layout, set by binAll
+	// over the front quarter of block b's own floats (a view's apart).
+	bins [][]uint16
 }
 
 // project multiplies data through joined into a block store and records the
@@ -68,6 +67,7 @@ func project(data *linalg.Matrix, joined *linalg.Packed, workers int) (*projecte
 	p.blocks = make([][]float64, nb)
 	switch {
 	case joined == nil:
+		p.view = true
 		for b := range p.blocks {
 			p.blocks[b] = data.Data[b*blockRows*p.cols : min((b+1)*blockRows, p.rows)*p.cols]
 		}
@@ -80,7 +80,7 @@ func project(data *linalg.Matrix, joined *linalg.Packed, workers int) (*projecte
 	default:
 		p.pooled = make([]*[]float64, nb)
 		for b := range p.blocks {
-			buf := pooledBuf[float64](&blockPool, blockRows*p.cols)
+			buf := pooledBuf(blockRows * p.cols)
 			p.pooled[b] = buf
 			p.blocks[b] = (*buf)[:(min((b+1)*blockRows, p.rows)-b*blockRows)*p.cols]
 		}
@@ -138,20 +138,17 @@ func (p *projected) release() {
 	for _, buf := range p.pooled {
 		blockPool.Put(buf)
 	}
-	for _, buf := range p.binBufs {
-		binPool.Put(buf)
-	}
-	p.pooled, p.blocks, p.binBufs, p.bins = nil, nil, nil, nil
+	p.pooled, p.blocks, p.bins = nil, nil, nil
 }
 
 // forBlocks calls fn once for every row block of p, from up to workers
 // goroutines (0 = GOMAXPROCS) that draw block indices off one atomic counter,
 // so a slow core takes fewer blocks instead of holding up a static half. fn
 // gets the accumulator of the goroutine running it (zero until fn fills it),
-// the index of the block's first row, and the block's rows. The accumulators
-// are returned for the caller to merge; which blocks fed which accumulator
-// varies from run to run, so the merge must not depend on it — integer sums
-// and exact min/max here.
+// the index of the block's first row, and the block's rows (nil once binned).
+// The accumulators are returned for the caller to merge; which blocks fed
+// which accumulator varies from run to run, so the merge must not depend on
+// it — integer sums and exact min/max here.
 func forBlocks[T any](p *projected, workers int, fn func(acc *T, lo int, rows []float64)) []T {
 	nb := len(p.blocks)
 	workers = min(linalg.Workers(workers), nb)

@@ -7,10 +7,13 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
 	"keybin2/internal/synth"
@@ -237,4 +240,95 @@ func TestEmptyRankLeavesRangesAlone(t *testing.T) {
 			t.Errorf("rank %d: labels differ once an empty rank joins", r)
 		}
 	}
+}
+
+// TestBinsOverwriteOwnedFloats: binAll writes the bins of a store project
+// owns over the front of its own blocks — pooled blocks and a store under
+// one block alike — and afterwards the store passes no float rows. A
+// view's bins lie apart from the caller's matrix, which stays as it was.
+func TestBinsOverwriteOwnedFloats(t *testing.T) {
+	rng := xrand.New(5)
+	joined := linalg.NewMatrix(12, 6)
+	for i := range joined.Data {
+		joined.Data[i] = rng.Norm()
+	}
+	for _, rows := range []int{blockRows / 2, 2*blockRows + 37} {
+		data := linalg.NewMatrix(rows, 12)
+		for i := range data.Data {
+			data.Data[i] = rng.Norm()
+		}
+		orig := slices.Clone(data.Data)
+		for _, view := range []bool{false, true} {
+			packed := linalg.Pack(joined)
+			if view {
+				packed = nil
+			}
+			proj, err := project(data, packed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			front := make([]unsafe.Pointer, len(proj.blocks))
+			for b, blk := range proj.blocks {
+				front[b] = unsafe.Pointer(&blk[0])
+			}
+			set, err := histogram.NewSet(proj.mins, proj.maxs, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binAll(proj, []*histogram.Set{set}, 2)
+			for b, bins := range proj.bins {
+				if over := unsafe.Pointer(&bins[0]) == front[b]; over == view {
+					t.Errorf("rows %d view %v: block %d's bins over its floats: %v", rows, view, b, over)
+				}
+			}
+			forBlocks(proj, 2, func(_ *struct{}, lo int, blk []float64) {
+				if blk != nil {
+					t.Errorf("rows %d view %v: the binned store passed %d floats at row %d", rows, view, len(blk), lo)
+				}
+			})
+			proj.release()
+		}
+		if !slices.Equal(bitsOf(data.Data), bitsOf(orig)) {
+			t.Fatalf("rows %d: binning changed the caller's matrix", rows)
+		}
+	}
+}
+
+// TestFitLeavesInputAlone: Fit and a 2-rank FitDistributed, projecting and
+// with NoProjection (whose store is a view of the input), leave the
+// caller's matrix bit for bit as it was.
+func TestFitLeavesInputAlone(t *testing.T) {
+	data, _ := synth.AutoMixture(3, 8, 6, 1, xrand.New(30)).Sample(3*blockRows+11, xrand.New(31))
+	orig := bitsOf(data.Data)
+	for _, noProj := range []bool{false, true} {
+		cfg := Config{Seed: 32, Trials: 2, NoProjection: noProj}
+		if _, _, err := Fit(data, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(bitsOf(data.Data), orig) {
+			t.Fatalf("NoProjection %v: Fit changed its input", noProj)
+		}
+		half := data.Rows / 2
+		shards := []*linalg.Matrix{
+			{Rows: half, Cols: data.Cols, Data: data.Data[:half*data.Cols]},
+			{Rows: data.Rows - half, Cols: data.Cols, Data: data.Data[half*data.Cols:]},
+		}
+		if _, err := mpi.RunCollect(2, func(c *mpi.Comm) (struct{}, error) {
+			_, _, err := FitDistributed(c, shards[c.Rank()], cfg)
+			return struct{}{}, err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(bitsOf(data.Data), orig) {
+			t.Fatalf("NoProjection %v: FitDistributed changed its input", noProj)
+		}
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }

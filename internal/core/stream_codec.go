@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/wire"
@@ -154,11 +153,10 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 			if err := cells.fromWire(key, r.Bytes(4*int(r.U32()))); err != nil {
 				return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 			}
-			mass := r.F64()
-			if math.IsNaN(mass) || mass < 0 {
-				return nil, nil, fmt.Errorf("core: checkpoint key mass %v", mass)
+			// A mass may be fractional (decay) but, as a fold's, below 2^53.
+			if mass := r.F64(); !(mass >= 0) || sk.mass(sk.add(key, mass)) >= exactMassLimit {
+				return nil, nil, fmt.Errorf("core: checkpoint key mass %v: a key's mass must lie in [0, 2^53)", mass)
 			}
-			sk.add(key, mass)
 		}
 		if err := sh.fitsTrial(set, sk); err != nil {
 			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)

@@ -457,12 +457,14 @@ func TestDecodeStreamRefusesForeignSketchCells(t *testing.T) {
 }
 
 // foreignCheckpoints are checkpoints of fuzzStreamConfig's shape whose
-// model or label state does not fit a stream of that config, each with a
-// word its refusal must name. Every one used to be accepted: the trial
+// model, label or sketch state does not fit a stream of that config, each
+// with a word its refusal must name. Every one used to be accepted: the trial
 // panicked the next refit's keepTrial, the wide model the first Ingest,
-// the stale nextID would hand out live labels again at a trial switch, and the
+// the stale nextID would hand out live labels again at a trial switch, the
 // models of another seed or raw width label through projections the
-// stream does not have.
+// stream does not have, and a sketch mass of +Inf or 2^53 (past the
+// exact whole counts a fold carries) made the next refit publish K 0 and
+// every merge fold of the shard fail to decode.
 func foreignCheckpoints(t testing.TB) []struct {
 	name, want string
 	b          []byte
@@ -516,6 +518,24 @@ func foreignCheckpoints(t testing.TB) []struct {
 	stale := bytes.Clone(base)
 	binary.LittleEndian.PutUint32(stale[4+4+8:], 0)
 
+	// massAt puts mass into trial 0's first sketch key record: past the
+	// model, the trial count, the set frame, the key count and the key.
+	massAt := func(mass float64) []byte {
+		r := wire.NewReader("checkpoint", base[end:])
+		r.U32() // trials
+		r.Frame()
+		if n := r.U32(); n == 0 {
+			t.Fatal("trial 0 has no sketch keys")
+		}
+		r.Bytes(4 * int(r.U32()))
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		b := bytes.Clone(base)
+		binary.LittleEndian.PutUint64(b[end+r.Off():], math.Float64bits(mass))
+		return b
+	}
+
 	seeded := fuzzStreamConfig
 	seeded.Seed = 6
 	rawer := StreamConfig{Config: Config{Seed: 5, Trials: 2, Depth: 3, TargetDims: 3}, Dims: 4,
@@ -529,6 +549,8 @@ func foreignCheckpoints(t testing.TB) []struct {
 		{"nextID below a label", "nextID", stale},
 		{"another seed", "projection", checkpoint(seeded)},
 		{"another raw width", "4×3 projection", checkpoint(rawer)},
+		{"+Inf key mass", "mass +Inf", massAt(math.Inf(1))},
+		{"2^53 key mass", "mass 9.007199254740992e+15", massAt(1 << 53)},
 	}
 }
 

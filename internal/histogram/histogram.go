@@ -126,7 +126,7 @@ func (h *Hist) BinWidth() float64 { return (h.Max - h.Min) / float64(len(h.Count
 
 // Center returns the center coordinate of finest-level bin b.
 func (h *Hist) Center(b int) float64 {
-	return h.Min + (float64(b)+0.5)*h.BinWidth()
+	return h.Min + float64((float64(b)+0.5)*h.BinWidth())
 }
 
 // Centers returns the centers of all finest-level bins.
@@ -150,7 +150,7 @@ func (h *Hist) CentersAt(d int) []float64 {
 	w := (h.Max - h.Min) / float64(n)
 	out := make([]float64, n)
 	for b := range out {
-		out[b] = h.Min + (float64(b)+0.5)*w
+		out[b] = h.Min + float64((float64(b)+0.5)*w)
 	}
 	return out
 }

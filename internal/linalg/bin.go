@@ -12,7 +12,10 @@ import "fmt"
 // on the fastest kernel the CPU runs; every kernel writes the same bins.
 // dst must hold len(rows) values, lo and iw cols each, and nbins must be in
 // [1, 65536] so every bin fits a uint16. Nothing of dst past len(rows) is
-// written.
+// written. dst may start at rows' first byte, so that the bins overwrite
+// the floats they replace: every kernel writes bin k only after it has
+// read value k, and bin k's bytes 2k and 2k+1 lie in value ⌊k/4⌋ ≤ k. No
+// other overlap of dst and rows is allowed.
 func BinRows(dst []uint16, rows []float64, cols int, lo, iw []float64, nbins int) {
 	if cols < 1 || len(rows)%cols != 0 || len(dst) < len(rows) || len(lo) < cols || len(iw) < cols || nbins < 1 || nbins > 1<<16 {
 		panic(fmt.Sprintf("linalg: BinRows of %d values %d wide into %d with %d/%d ranges and %d bins", len(rows), cols, len(dst), len(lo), len(iw), nbins))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/xrand"
@@ -138,4 +139,48 @@ func TestBinRowsShapes(t *testing.T) {
 		})
 	}
 	BinRows(nil, nil, 4, lo, iw, 1<<16) // no rows: nothing to do
+}
+
+// TestBinRowsInPlace: bins written over the first bytes of their own rows,
+// as the fit writes a block's bins over the block's floats, equal bins
+// written into a buffer apart, on every kernel this CPU runs, for cols
+// 1–40 (whole 16-column steps and every masked tail) and row counts that
+// cut into 1024-row blocks leave a short last block.
+func TestBinRowsInPlace(t *testing.T) {
+	const block = 1024
+	rng := xrand.New(19)
+	for cols := 1; cols <= 40; cols++ {
+		depth := 1 + rng.Intn(16)
+		hs, pools := binColumns(rng, cols, depth)
+		lo, iw := make([]float64, cols), make([]float64, cols)
+		for j, h := range hs {
+			lo[j], iw[j] = h.Min, h.InvWidth()
+		}
+		for _, n := range []int{1, 17, block, 2*block + 37} {
+			rows := make([]float64, n*cols)
+			for i := range rows {
+				j := i % cols
+				rows[i] = hs[j].Min + rng.Float64()*(hs[j].Max-hs[j].Min)
+				if rng.Intn(10) < 3 {
+					rows[i] = pools[j][rng.Intn(len(pools[j]))]
+				}
+			}
+			for _, k := range kernels() {
+				want := make([]uint16, len(rows))
+				binRows(k, want, rows, cols, lo, iw, hs[0].Bins())
+				work := append([]float64(nil), rows...)
+				for first := 0; first < n; first += block {
+					blk := work[first*cols : min(first+block, n)*cols]
+					in := unsafe.Slice((*uint16)(unsafe.Pointer(&blk[0])), len(blk))
+					binRows(k, in, blk, cols, lo, iw, hs[0].Bins())
+					for i, b := range in {
+						if w := want[first*cols+i]; b != w {
+							t.Fatalf("%v, %d cols, %d rows: block at row %d, value %d: bin %d in place, %d apart",
+								k, cols, n, first, i, b, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }

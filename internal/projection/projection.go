@@ -75,7 +75,7 @@ func JLDims(m int, eps float64) int {
 	if m < 2 || eps <= 0 || eps >= 1 {
 		return 1
 	}
-	d := 4 / (eps*eps/2 - eps*eps*eps/3) * math.Log(float64(m))
+	d := 4 / (float64(eps*eps/2) - float64(eps*eps*eps/3)) * math.Log(float64(m))
 	return int(math.Ceil(d))
 }
 

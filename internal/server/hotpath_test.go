@@ -85,7 +85,10 @@ func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
 
 // TestDecodeReleaseCycleAllocs pins the steady-state budget of the server
 // decode path: acquire body, stage the wire bytes, alias-decode, release.
-// After the pools are warm this must not allocate at all.
+// After the pools are warm this must not allocate at all. Under -race the
+// cycle still runs, for the race detector, but sync.Pool drops one Put in
+// four there by design, so the count is pinned in other builds only (CI
+// runs the Allocs tests once without -race).
 func TestDecodeReleaseCycleAllocs(t *testing.T) {
 	wire := EncodeBatch(hotBatch(t, 256, 16))
 	cycle := func() {
@@ -101,7 +104,7 @@ func TestDecodeReleaseCycleAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle() // warm the pools
 	}
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 && !raceEnabled {
 		t.Fatalf("decode/release cycle allocates %.1f times, want 0", allocs)
 	}
 }
