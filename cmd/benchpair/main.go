@@ -16,7 +16,10 @@
 // "same binary" when they match. Pair i runs seed+i, A then B on even
 // pairs and B then A on odd ones. A run whose last JSON line says
 // "correct":false or failed > 0 fails its pair, which then counts for
-// neither side. Each run's full output is kept under -dir/logs.
+// neither side. Each run's full output is kept under -dir/logs; a failed
+// run is listed with the CHECK FAILED lines of its log, then one line
+// names the seeds that failed on both sides (a floor that depends on the
+// seed, not on the change), and the command exits non-zero.
 //
 // Per metric and workload it prints A's and B's medians, A's quartiles,
 // the paired relative change (B−A)/A (median and quartiles), the pairs B
@@ -106,7 +109,7 @@ func run(w io.Writer, refA, refB string, workloads []string, pairs int, seed int
 	}
 
 	values := map[string]map[string][2][]float64{} // workload → metric → A, B
-	var failed []string
+	var failed []failure
 	for i := 0; i < pairs; i++ {
 		s := seed + int64(i)
 		order := []int{0, 1}
@@ -127,7 +130,7 @@ func run(w io.Writer, refA, refB string, workloads []string, pairs int, seed int
 				r, err := runBench(sides[j], args, log)
 				if err != nil {
 					ok = false
-					failed = append(failed, fmt.Sprintf("%s seed %d %s: %v (log %s)", wl, s, sides[j].name, err, log))
+					failed = append(failed, failure{wl, s, sides[j].name, err, log})
 				}
 				res[j] = r
 			}
@@ -165,13 +168,55 @@ func run(w io.Writer, refA, refB string, workloads []string, pairs int, seed int
 				wl, m, c.medA, c.medB, c.q1A, c.q3A, 100*c.dMed, 100*c.dQ1, 100*c.dQ3, c.wins, c.pairs, c.p, c.verdict)
 		}
 	}
+	if len(failed) == 0 {
+		return nil
+	}
 	for _, f := range failed {
-		fmt.Fprintln(w, "failed run:", f)
+		fmt.Fprintf(w, "failed run: %s seed %d %s: %v (log %s)\n", f.workload, f.seed, f.side, f.err, f.log)
+		out, _ := os.ReadFile(f.log)
+		for _, c := range checkFailures(out) {
+			fmt.Fprintln(w, "  ", c)
+		}
 	}
-	if len(failed) > 0 {
-		return fmt.Errorf("%d runs failed", len(failed))
+	fmt.Fprintln(w, "failed on both sides:", strings.Join(bothSides(failed), ", "))
+	return fmt.Errorf("%d runs failed", len(failed))
+}
+
+// failure is one run that did not finish correct.
+type failure struct {
+	workload string
+	seed     int64
+	side     string
+	err      error
+	log      string
+}
+
+// checkFailures returns a run's CHECK FAILED lines.
+func checkFailures(out []byte) []string {
+	var lines []string
+	for _, l := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(l, "CHECK FAILED") {
+			lines = append(lines, l)
+		}
 	}
-	return nil
+	return lines
+}
+
+// bothSides names the workload and seed of every pair whose runs failed
+// on both sides, in order, or "none".
+func bothSides(failed []failure) []string {
+	runs := map[string]int{}
+	var both []string
+	for _, f := range failed {
+		k := fmt.Sprintf("%s seed %d", f.workload, f.seed)
+		if runs[k]++; runs[k] == 2 {
+			both = append(both, k)
+		}
+	}
+	if len(both) == 0 {
+		return []string{"none"}
+	}
+	return both
 }
 
 func sortedKeys[V any](m map[string]V) []string {

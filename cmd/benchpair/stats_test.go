@@ -121,3 +121,25 @@ func TestDirections(t *testing.T) {
 		t.Fatalf("%v %v", d, err)
 	}
 }
+
+func TestFailureReport(t *testing.T) {
+	log := []byte("bench: seed=9606\nf1 0.8021 ratio\nCHECK FAILED f1_floor: f1 0.8021 < 0.90\n{\"correct\":false}\n")
+	if got := checkFailures(log); len(got) != 1 || got[0] != "CHECK FAILED f1_floor: f1 0.8021 < 0.90" {
+		t.Fatalf("checkFailures = %q", got)
+	}
+	if got := checkFailures([]byte("{\"correct\":true}\n")); len(got) != 0 {
+		t.Fatalf("checkFailures of a clean run = %q", got)
+	}
+	failed := []failure{
+		{workload: "ingest_wal_read", seed: 9606, side: "A"},
+		{workload: "fleet_routed", seed: 9606, side: "B"},
+		{workload: "ingest_wal_read", seed: 9606, side: "B"},
+		{workload: "ingest_plain", seed: 7101, side: "A"},
+	}
+	if got := strings.Join(bothSides(failed), ", "); got != "ingest_wal_read seed 9606" {
+		t.Fatalf("bothSides = %q", got)
+	}
+	if got := strings.Join(bothSides(failed[3:]), ", "); got != "none" {
+		t.Fatalf("bothSides with no pair failed twice = %q", got)
+	}
+}

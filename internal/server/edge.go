@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -77,59 +76,41 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	daemon.WriteJSON(w, status, resp)
 }
 
+// ReadRequest reads r's body with ReadBody. On failure it answers the
+// request itself — 413 for a body over limit, 400 otherwise — and returns
+// nil.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64) *Body {
+	bb, err := ReadBody(r.Body, r.ContentLength, limit)
+	if err != nil {
+		refuse(w, err)
+	}
+	return bb
+}
+
+// refuse answers a request whose body was refused: 413 for one over a
+// size limit, 400 otherwise.
+func refuse(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, ErrBodyTooLarge) || errors.Is(err, ErrBatchTooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+}
+
 // readBatch validates and decodes the request body into a pooled Batch
 // whose matrix aliases the (pooled, alignment-padded) body buffer when
 // the host allows it. The caller owns the result and must Release it —
 // the ingest path hands that duty to the writer goroutine. A nil return
 // means the response was already written.
 func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) *Batch {
-	limit := int64(batchHeaderSize + 8*s.cfg.MaxBatchPoints*s.cfg.Stream.Dims)
-	if r.ContentLength > limit {
-		http.Error(w, fmt.Sprintf("%v: body is %d bytes, limit %d", ErrBatchTooLarge, r.ContentLength, limit),
-			http.StatusRequestEntityTooLarge)
+	bb := ReadRequest(w, r, int64(batchHeaderSize+8*s.cfg.MaxBatchPoints*s.cfg.Stream.Dims))
+	if bb == nil {
 		return nil
 	}
-	var body []byte
-	var bb *bodyBuffer
-	if r.ContentLength >= 0 {
-		// Pooled read sized by Content-Length: the float block lands
-		// 8-byte aligned, which is what lets DecodeBatchAlias alias it
-		// in place instead of copying.
-		bb = acquireBody(int(r.ContentLength))
-		body = bb.b[bodyAlignPad:]
-		if _, err := io.ReadFull(r.Body, body); err != nil {
-			releaseBody(bb)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return nil
-		}
-	} else {
-		// Chunked request with no declared length: fall back to a plain
-		// bounded read; the decoder copy-decodes if alignment is off. The
-		// reader allows limit+1 bytes exactly so truncation is detectable:
-		// a body that filled the extra byte was over the limit and gets the
-		// same 413 as an oversized declared length, not a generic decode 400.
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return nil
-		}
-		if int64(len(body)) > limit {
-			http.Error(w, fmt.Sprintf("%v: chunked body exceeds %d bytes", ErrBatchTooLarge, limit),
-				http.StatusRequestEntityTooLarge)
-			return nil
-		}
-	}
-	b, err := DecodeBatchAlias(body, s.cfg.MaxBatchPoints)
+	b, err := DecodeBatchAlias(bb.Bytes(), s.cfg.MaxBatchPoints)
 	if err != nil {
-		if bb != nil {
-			releaseBody(bb)
-		}
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrBatchTooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), code)
+		bb.Release()
+		refuse(w, err)
 		return nil
 	}
 	b.body = bb
@@ -211,7 +192,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		s.duplicates.Add(1)
 		s.tel.batchDuplicate.Inc()
-		writeAck(w, me, map[string]any{"queued": 0, "duplicate": true})
+		writeAck(w, me, ack{Duplicate: true})
 		return
 	}
 	// Exact queue-full check: every enqueue holds ingestMu, so a passing
@@ -339,19 +320,28 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.accepted.Add(int64(rows))
 	s.tel.acceptedPoints.Add(int64(rows))
 	s.tel.batchAccepted.Inc()
-	writeAck(w, me, map[string]any{"queued": rows, "seq": seq})
+	writeAck(w, me, ack{Queued: rows, Seq: seq})
+}
+
+// ack is the /ingest 202 body. Its fields are in key order, so it encodes
+// to the bytes a map of the same keys gave.
+type ack struct {
+	Duplicate bool   `json:"duplicate,omitempty"`
+	Epoch     int64  `json:"epoch,omitempty"`
+	Queued    int    `json:"queued"`
+	Seq       uint64 `json:"seq,omitempty"`
 }
 
 // writeAck answers 202 with the ack body. Under a managed epoch the ack
 // carries it, so clients learn fencing news from normal traffic (and arm
 // their own tokens for zombie rejection).
-func writeAck(w http.ResponseWriter, me *role, ack map[string]any) {
+func writeAck(w http.ResponseWriter, me *role, a ack) {
 	if me.epoch > 0 {
 		w.Header().Set("X-KB2-Epoch", strconv.FormatInt(me.epoch, 10))
-		ack["epoch"] = me.epoch
+		a.Epoch = me.epoch
 	}
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(ack)
+	json.NewEncoder(w).Encode(a)
 }
 
 // failIngest answers a batch whose WAL append or durability wait failed:

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -119,16 +118,12 @@ func (s *Server) handleHistInstall(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, histInstallMaxBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body := ReadRequest(w, r, histInstallMaxBytes)
+	if body == nil {
 		return
 	}
-	if len(body) > histInstallMaxBytes {
-		http.Error(w, "model exceeds install size limit", http.StatusRequestEntityTooLarge)
-		return
-	}
-	m, err := core.DecodeModel(body)
+	m, err := core.DecodeModel(body.Bytes()) // copies what it keeps
+	body.Release()
 	if err != nil {
 		http.Error(w, "bad model: "+err.Error(), http.StatusBadRequest)
 		return

@@ -10,8 +10,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"unsafe"
 
@@ -68,8 +70,8 @@ type Batch struct {
 	M   linalg.Matrix
 	raw []byte // wire bytes (may be aliased by M.Data)
 
-	body    *bodyBuffer // pooled request body to recycle on Release (nil = caller-owned)
-	copied  []float64   // retained copy-decode scratch (alignment/endianness fallback)
+	body    *Body     // pooled request body to recycle on Release (nil = caller-owned)
+	copied  []float64 // retained copy-decode scratch (alignment/endianness fallback)
 	aliased bool
 }
 
@@ -87,7 +89,7 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // pools. The batch and its matrix must not be used afterwards.
 func (b *Batch) Release() {
 	if b.body != nil {
-		releaseBody(b.body)
+		b.body.Release()
 		b.body = nil
 	}
 	b.M = linalg.Matrix{}
@@ -96,20 +98,24 @@ func (b *Batch) Release() {
 	batchPool.Put(b)
 }
 
-// bodyBuffer is a pooled request-body buffer. The KB2B header is 12 bytes,
-// so a payload read at offset bodyAlignPad of an 8-aligned allocation puts
-// the float block at offset 16 — 8-byte aligned, which is what lets
-// DecodeBatchAlias alias it without copying.
-type bodyBuffer struct{ b []byte }
+// Body is a message body read whole by ReadBody into a pooled buffer. The
+// KB2B header is 12 bytes, so a payload read at offset bodyAlignPad of an
+// 8-aligned allocation puts the float block at offset 16 — 8-byte aligned,
+// which is what lets DecodeBatchAlias alias it without copying.
+type Body struct{ b []byte }
 
 const bodyAlignPad = 4
 
-var bodyPool = sync.Pool{New: func() any { return new(bodyBuffer) }}
+var bodyPool = sync.Pool{New: func() any { return new(Body) }}
+
+// ErrBodyTooLarge marks a body over ReadBody's limit; the HTTP layer maps
+// it to 413.
+var ErrBodyTooLarge = errors.New("server: body exceeds limit")
 
 // acquireBody returns a pooled buffer with room for n payload bytes at
 // offset bodyAlignPad.
-func acquireBody(n int) *bodyBuffer {
-	bb := bodyPool.Get().(*bodyBuffer)
+func acquireBody(n int) *Body {
+	bb := bodyPool.Get().(*Body)
 	if cap(bb.b) < bodyAlignPad+n {
 		bb.b = make([]byte, bodyAlignPad+n)
 	}
@@ -117,7 +123,38 @@ func acquireBody(n int) *bodyBuffer {
 	return bb
 }
 
-func releaseBody(bb *bodyBuffer) { bodyPool.Put(bb) }
+// Bytes is the body. Valid until Release.
+func (bb *Body) Bytes() []byte { return bb.b[bodyAlignPad:] }
+
+// Release returns the buffer to the pool; nothing may touch Bytes after.
+func (bb *Body) Release() { bodyPool.Put(bb) }
+
+// ReadBody reads a body of declared length (a Content-Length; -1 when
+// unknown) whole into a pooled buffer. A known length is one read of that
+// size, refused before anything is read when it is over limit; an unknown
+// one is refused at the first byte past limit. Both refusals wrap
+// ErrBodyTooLarge and name the limit.
+func ReadBody(rd io.Reader, length, limit int64) (*Body, error) {
+	if length > limit {
+		return nil, fmt.Errorf("%w: body is %d bytes, limit %d", ErrBodyTooLarge, length, limit)
+	}
+	var err error
+	bb := acquireBody(int(max(length, 0)))
+	if length >= 0 {
+		_, err = io.ReadFull(rd, bb.Bytes())
+	} else {
+		buf := bytes.NewBuffer(bb.b)
+		_, err = buf.ReadFrom(io.LimitReader(rd, limit+1))
+		if bb.b = buf.Bytes(); err == nil && int64(len(bb.b)-bodyAlignPad) > limit {
+			err = fmt.Errorf("%w: chunked body exceeds %d bytes", ErrBodyTooLarge, limit)
+		}
+	}
+	if err != nil {
+		bb.Release()
+		return nil, err
+	}
+	return bb, nil
+}
 
 // DecodeBatchAlias parses a binary batch with the same validation as
 // DecodeBatch, but without copying the point data when the payload can be

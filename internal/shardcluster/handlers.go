@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"keybin2/internal/client"
 	"keybin2/internal/daemon"
@@ -32,34 +34,90 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// batchPoints is a KB2B batch's point count, through the server's one
-// header parse, for per-shard distribution accounting. 0 for anything that
-// isn't a well-formed batch — the shard will reject those anyway.
-func batchPoints(body []byte) int64 {
-	_, count, _, err := server.ParseBatchHeader(body, 0)
-	if err != nil {
-		return 0
-	}
-	return int64(count)
+// outbound is a proxied request's body, read once into a pooled buffer
+// and resent unchanged by every failover attempt. The transport may still
+// be writing an attempt after Do returns (a shard can answer before it has
+// read the body) and closes that attempt's body when done, so the buffer
+// goes back to the pool only when the handler and every attempt's body
+// have let go of it.
+type outbound struct {
+	body *server.Body
+	refs atomic.Int32
 }
 
-// proxy forwards body to one shard and relays the response verbatim
+// readOutbound reads the body, bounded by maxBodyBytes. A nil return means
+// the error response was already written.
+func readOutbound(w http.ResponseWriter, req *http.Request) *outbound {
+	body := server.ReadRequest(w, req, maxBodyBytes)
+	if body == nil {
+		return nil
+	}
+	o := &outbound{body: body}
+	o.refs.Store(1) // the handler's
+	return o
+}
+
+func (o *outbound) unref() {
+	if o.refs.Add(-1) == 0 {
+		o.body.Release()
+	}
+}
+
+// attempt is http.Request.GetBody: a fresh reader over the bytes.
+func (o *outbound) attempt() (io.ReadCloser, error) {
+	o.refs.Add(1)
+	a := &attemptBody{out: o}
+	a.rd.Reset(o.body.Bytes())
+	return a, nil
+}
+
+// attemptBody is one attempt's reader. The transport may Close it while
+// its writer still holds it; the lock puts every read before that Close.
+type attemptBody struct {
+	mu  sync.Mutex
+	rd  bytes.Reader
+	out *outbound // nil once closed
+}
+
+func (a *attemptBody) Read(p []byte) (int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.out == nil {
+		return 0, net.ErrClosed
+	}
+	return a.rd.Read(p)
+}
+
+func (a *attemptBody) Close() error {
+	a.mu.Lock()
+	out := a.out
+	a.out = nil
+	a.mu.Unlock()
+	if out != nil {
+		out.unref()
+	}
+	return nil
+}
+
+// proxy forwards the body to one shard and relays the response verbatim
 // (status, headers of interest, body). Returns false on a transport
 // error, after marking the shard down — the caller picks a survivor and
 // retries with the same bytes. The router's trace context is injected
 // into the downstream request, so the shard's server-side trace joins
 // the same trace ID the caller stamped on the router.
-func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path string, body []byte, tr *obs.Trace) bool {
+func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path string, out *outbound, tr *obs.Trace) bool {
 	sp := tr.Span("proxy", obs.KV("shard", sh.url))
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.ShardTimeout)
 	defer cancel()
-	// A fresh bytes.Reader per attempt: failover retries must resend the
-	// identical body.
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+path, bytes.NewReader(body))
+	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return true // not a shard failure; don't fail over
 	}
+	// Without a ContentLength a body of this type would go out chunked.
+	preq.Body, _ = out.attempt()
+	preq.GetBody = out.attempt
+	preq.ContentLength = int64(len(out.body.Bytes()))
 	for _, h := range []string{"X-Producer", "X-Batch-Seq", "Content-Type"} {
 		if v := req.Header.Get(h); v != "" {
 			preq.Header.Set(h, v)
@@ -92,32 +150,20 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 	return true
 }
 
-// readBody reads a proxied request's body, bounded by maxBodyBytes. A
-// nil return means the error response was already written.
-func (r *Router) readBody(w http.ResponseWriter, req *http.Request) []byte {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil
-	}
-	if int64(len(body)) > maxBodyBytes {
-		http.Error(w, "batch exceeds router body limit", http.StatusRequestEntityTooLarge)
-		return nil
-	}
-	return body
-}
-
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body := r.readBody(w, req)
-	if body == nil {
+	out := readOutbound(w, req)
+	if out == nil {
 		return
 	}
+	defer out.unref()
 	producer := req.Header.Get("X-Producer")
+	// Per-shard point accounting; 0 for a malformed batch, which the shard refuses.
+	_, points, _, _ := server.ParseBatchHeader(out.body.Bytes(), 0)
 	// Join the producer's trace when it sent one — the router hop becomes a
 	// child of the client's root span, and the shard's ingest trace in turn
 	// joins this one: one trace ID, reconstructable across all three.
 	tr := daemon.StartTrace(r.tracer, req.Header, "router_ingest",
-		obs.KV("producer", producer), obs.KV("points", batchPoints(body)))
+		obs.KV("producer", producer), obs.KV("points", points))
 	defer tr.Finish()
 	// Bounded failover: at most one attempt per cluster member. Each
 	// transport failure marks its target down, so the next Lookup sees a
@@ -134,9 +180,9 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		if sh == nil {
 			break
 		}
-		if r.proxy(w, req, sh, "/ingest", body, tr) {
+		if r.proxy(w, req, sh, "/ingest", out, tr) {
 			sh.batches.Add(1)
-			sh.points.Add(batchPoints(body))
+			sh.points.Add(int64(points))
 			r.tel.proxiedBatches.Inc()
 			return
 		}
@@ -146,11 +192,12 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleLabel(w http.ResponseWriter, req *http.Request) {
-	body := r.readBody(w, req)
-	if body == nil {
+	out := readOutbound(w, req)
+	if out == nil {
 		return
 	}
-	tr := daemon.StartTrace(r.tracer, req.Header, "router_label", obs.KV("bytes", len(body)))
+	defer out.unref()
+	tr := daemon.StartTrace(r.tracer, req.Header, "router_label", obs.KV("bytes", len(out.body.Bytes())))
 	defer tr.Finish()
 	// Post-merge every shard serves the identical global model, so ANY
 	// live shard answers correctly — that indifference is the point of the
@@ -161,7 +208,7 @@ func (r *Router) handleLabel(w http.ResponseWriter, req *http.Request) {
 			break
 		}
 		sh := up[int(r.rr.Add(1))%len(up)]
-		if r.proxy(w, req, sh, "/label", body, tr) {
+		if r.proxy(w, req, sh, "/label", out, tr) {
 			sh.labels.Add(1)
 			r.tel.proxiedLabels.Inc()
 			return

@@ -3,6 +3,7 @@ package shardcluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"keybin2/internal/daemon"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
+	"keybin2/internal/server"
 )
 
 const (
@@ -394,60 +396,28 @@ func (r *Router) MergeOnce(ctx context.Context) (MergeResult, error) {
 	tr := r.tracer.Start("merge_epoch", obs.KV("shards_up", len(up)))
 	defer tr.Finish()
 	// Pull phase — concurrent, failures demote.
-	type pull struct {
-		sh    *shard
-		state []byte
-		err   error
-	}
-	pulls := make([]pull, len(up))
+	pulled := make([]*server.Body, len(up))
+	errs := make([]error, len(up))
 	var wg sync.WaitGroup
 	for i, sh := range up {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
 			sp := tr.Span("hist_pull", obs.KV("shard", sh.url))
-			defer func() { sp.End(obs.KV("ok", pulls[i].err == nil)) }()
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(cctx, http.MethodGet, sh.url+"/hist", nil)
-			if err != nil {
-				pulls[i] = pull{sh: sh, err: err}
-				return
-			}
-			tr.Context().Inject(req.Header)
-			resp, err := r.hc.Do(req)
-			if err != nil {
-				r.markDown(sh, "hist pull: "+err.Error())
-				pulls[i] = pull{sh: sh, err: err}
-				return
-			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-			resp.Body.Close()
-			if err != nil {
-				r.markDown(sh, "hist read: "+err.Error())
-				pulls[i] = pull{sh: sh, err: err}
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				// 409 = pre-warmup or draining — the shard is alive but has
-				// nothing to contribute this epoch; not a death.
-				pulls[i] = pull{sh: sh, err: fmt.Errorf("hist: %d %s", resp.StatusCode, strings.TrimSpace(string(body)))}
-				return
-			}
-			pulls[i] = pull{sh: sh, state: body}
+			pulled[i], errs[i] = r.pullHist(ctx, sh, tr.Context())
+			sp.End(obs.KV("ok", errs[i] == nil))
 		}(i, sh)
 	}
 	wg.Wait()
 
 	var states [][]byte
-	contributed := 0
-	for _, p := range pulls {
-		if p.err != nil {
-			r.logf("merge: shard %s skipped: %v", p.sh.url, p.err)
+	for i, body := range pulled {
+		if errs[i] != nil {
+			r.logf("merge: shard %s skipped: %v", up[i].url, errs[i])
 			continue
 		}
-		states = append(states, p.state)
-		contributed++
+		defer body.Release() // after the epoch; the fold copies what it keeps
+		states = append(states, body.Bytes())
 	}
 	if len(states) == 0 {
 		r.tel.mergeFailures.Inc()
@@ -495,12 +465,45 @@ func (r *Router) MergeOnce(ctx context.Context) (MergeResult, error) {
 	r.tel.mergeStateBytes.SetInt(int64(len(merged)))
 	r.tel.mergedSeen.SetInt(li.seen)
 	r.logf("merge epoch %d: %d/%d shards contributed %d points, %d clusters, installed on %d shards (%.1fms)",
-		epoch, contributed, len(up), li.seen, model.K(), installed,
+		epoch, len(states), len(up), li.seen, model.K(), installed,
 		float64(time.Since(start).Microseconds())/1000)
 	return MergeResult{
 		Epoch: epoch, Clusters: model.K(), MergedSeen: li.seen,
-		Shards: contributed, Installed: installed, StateBytes: len(merged), RunID: r.cfg.RunID,
+		Shards: len(states), Installed: installed, StateBytes: len(merged), RunID: r.cfg.RunID,
 	}, nil
+}
+
+// pullHist GETs one shard's /hist state, bounded by maxBodyBytes. A
+// transport failure marks the shard down. A refusal (409 before warm-up
+// or while draining) or a state over the limit, which is refused whole
+// and never cut short, leaves it up: it is alive, with nothing to give
+// this epoch.
+func (r *Router) pullHist(ctx context.Context, sh *shard, sc obs.SpanContext) (*server.Body, error) {
+	ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/hist", nil)
+	if err != nil {
+		return nil, err
+	}
+	sc.Inject(req.Header)
+	resp, err := r.hc.Do(req)
+	if err != nil {
+		r.markDown(sh, "hist pull: "+err.Error())
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := server.ReadBody(resp.Body, resp.ContentLength, maxBodyBytes)
+	if err != nil {
+		if !errors.Is(err, server.ErrBodyTooLarge) {
+			r.markDown(sh, "hist read: "+err.Error())
+		}
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer body.Release()
+		return nil, fmt.Errorf("hist: %d %s", resp.StatusCode, strings.TrimSpace(string(body.Bytes())))
+	}
+	return body, nil
 }
 
 // installOn ships the merged model to one shard. Transport failure marks
