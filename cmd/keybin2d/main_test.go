@@ -109,7 +109,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	rng := xrand.New(32)
 	for i := 0; i < 6; i++ {
 		batch, _ := spec.Sample(200, rng)
-		if err := c.Ingest(ctx, batch); err != nil {
+		if _, err := c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ func TestOneShotSnapshot(t *testing.T) {
 	defer ts.Close()
 
 	c := client.New(ts.URL)
-	ack, err := c.IngestTracked(context.Background(), linalg.NewMatrix(8, 3))
+	ack, err := c.Ingest(context.Background(), linalg.NewMatrix(8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,6 +284,53 @@ var designRules = []designRule{
 			{"internal/failover/supervisor.go", "func (s *Supervisor) delay() time.Duration { return time.Duration(s.prober.rng.Float64() * 0.2 * float64(s.cfg.ProbeEvery)) }"},
 		},
 	},
+	{
+		name: "one send loop", section: "Service layer (keybin2d)", pr: "ingest send loop",
+		check: func(tr *tree) []string {
+			var bad []string
+			outside := func(p string) bool {
+				return nonTest(p) && !strings.HasPrefix(p, "internal/client/") && !strings.HasPrefix(p, "bench/")
+			}
+			for _, s := range tr.find(outside, selector("client", "ErrBackpressure")) {
+				bad = append(bad, s.String()+": a 429 is retried by the client's ingestRawRetry alone; outside internal/client and bench/ no producer names client.ErrBackpressure")
+			}
+			client := both(inDir("internal/client"), nonTest)
+			if len(tr.find(client, method("Client", "ingestRawRetry"))) != 1 {
+				bad = append(bad, "internal/client declares no (*Client).ingestRawRetry: the rule lost its target")
+			}
+			if len(tr.find(client, structType("RetryPolicy"))) == 0 {
+				bad = append(bad, "internal/client declares no RetryPolicy: the rule lost its target")
+			}
+			for _, s := range tr.find(client, withFuncField(structType("RetryPolicy"))) {
+				bad = append(bad, s.String()+": RetryPolicy holds values, not hooks; the send reports its retries on IngestAck.Retries")
+			}
+			return bad
+		},
+		breaks: []overlay{
+			{"internal/chaos/ledger.go", `func (l *ledger) resend(ctx context.Context, c *client.Client, pseq uint64) (client.IngestAck, error) {
+	for attempt := 0; ; attempt++ {
+		ack, err := c.IngestSeq(ctx, l.batch(pseq), pseq)
+		if err == nil {
+			l.record(pseq, ack)
+			return ack, nil
+		}
+		var bp *client.ErrBackpressure
+		if !errors.As(err, &bp) {
+			return ack, fmt.Errorf("ingest pseq %d: %w", pseq, err)
+		}
+		if attempt > 200 {
+			return ack, fmt.Errorf("ingest pseq %d: backpressure never cleared", pseq)
+		}
+		select {
+		case <-time.After(bp.RetryAfter):
+		case <-ctx.Done():
+			return ack, ctx.Err()
+		}
+	}
+}`},
+			{"internal/client/client.go", "type RetryPolicy struct {\n\tMaxAttempts int\n\tOnRetry     func(attempt int, wait time.Duration, err error)\n}"},
+		},
+	},
 }
 
 func TestDesignRules(t *testing.T) {
@@ -617,6 +664,34 @@ func method(typ, name string) func(ast.Node) bool {
 			recv = star.X
 		}
 		return typeName(recv) == typ
+	}
+}
+
+// structType matches the declaration of the struct type name.
+func structType(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != name {
+			return false
+		}
+		_, ok = ts.Type.(*ast.StructType)
+		return ok
+	}
+}
+
+// withFuncField narrows a struct-type matcher to structs with a func-typed
+// field.
+func withFuncField(match func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		if !match(n) {
+			return false
+		}
+		for _, f := range n.(*ast.TypeSpec).Type.(*ast.StructType).Fields.List {
+			if _, ok := f.Type.(*ast.FuncType); ok {
+				return true
+			}
+		}
+		return false
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -219,6 +221,9 @@ type fakeNode struct {
 	gen     int64  // model generation on /label
 	status  int    // /ingest status
 	primary string // X-KB2-Primary on /ingest
+	busy    int64  // /ingest answers 429 this many times before status
+	// seqs, when set, receives the X-Batch-Seq of every /ingest.
+	seqs chan string
 }
 
 func (n fakeNode) start(t *testing.T) (*Proc, *client.Client) {
@@ -234,8 +239,17 @@ func (n fakeNode) start(t *testing.T) (*Proc, *client.Client) {
 		}
 		json.NewEncoder(w).Encode(client.LabelResult{Labels: labels, ModelGen: n.gen})
 	})
+	var ingests atomic.Int64
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
+		if n.seqs != nil {
+			n.seqs <- r.Header.Get("X-Batch-Seq")
+		}
+		if ingests.Add(1) <= n.busy {
+			w.Header().Set("X-Retry-After-Ms", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
 		w.Header().Set("X-KB2-Primary", n.primary)
 		w.WriteHeader(n.status)
 	})
@@ -329,6 +343,57 @@ func TestExpectRedirect(t *testing.T) {
 				t.Fatalf("expectRedirect = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLedgerSend holds the ledger's one write step to the client's
+// retrying send: a busy node is retried under the ledger's sequence and
+// the ack booked once, and a replica-set client that rotates off a
+// follower with no hint still sends the sequence the ledger chose.
+func TestLedgerSend(t *testing.T) {
+	ctx := context.Background()
+	drain := func(seqs chan string) []string {
+		var got []string
+		for len(seqs) > 0 {
+			got = append(got, <-seqs)
+		}
+		return got
+	}
+
+	// Each buffer holds every attempt its node can see in this test (three
+	// and one), with room to spare, so the handler never blocks.
+	seqs := make(chan string, 8)
+	_, c := fakeNode{busy: 2, status: http.StatusAccepted, seqs: seqs}.start(t)
+	l := heldLedger()
+	ack, err := l.send(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(seqs); !slices.Equal(got, []string{"4", "4", "4"}) {
+		t.Errorf("X-Batch-Seq of the attempts = %v, want the ledger's 4 three times", got)
+	}
+	if ack.Retries != 2 {
+		t.Errorf("ack reports %d retries, want 2", ack.Retries)
+	}
+	if l.next != 4 || l.acked != 4 || l.batches != 4 || l.points != 40 || l.dupes != 0 {
+		t.Errorf("ledger after one send over two 429s: next %d acked %d batches %d points %d dupes %d, want one more ack",
+			l.next, l.acked, l.batches, l.points, l.dupes)
+	}
+
+	follower, _ := fakeNode{status: http.StatusMisdirectedRequest}.start(t)
+	primarySeqs := make(chan string, 8)
+	primary, _ := fakeNode{status: http.StatusAccepted, seqs: primarySeqs}.start(t)
+	pool := node(follower)
+	pool.SetEndpoints(follower.URL, primary.URL)
+	l = heldLedger()
+	if _, err := l.send(ctx, pool); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(primarySeqs); !slices.Equal(got, []string{"4"}) {
+		t.Errorf("second endpoint saw X-Batch-Seq %v, want the ledger's [4]", got)
+	}
+	if l.acked != 4 {
+		t.Errorf("ledger acked %d after the rotated send, want 4", l.acked)
 	}
 }
 

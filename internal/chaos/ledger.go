@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -67,10 +66,12 @@ func Probe(dims, n int, seed int64) *linalg.Matrix {
 var wire = &http.Client{Timeout: 5 * time.Second}
 
 // node builds the harness's client for one process, under the ledger's
-// producer identity.
+// producer identity. Every harness client retries with the patience an
+// election needs: 200 attempts, 50 ms doubling to 1 s.
 func node(p *Proc) *client.Client {
 	c := client.NewWithHTTPClient(p.URL, wire)
 	c.SetProducer(producer)
+	c.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 200, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second})
 	return c
 }
 
@@ -94,46 +95,14 @@ func (l *ledger) record(pseq uint64, ack client.IngestAck) {
 	}
 }
 
-// send submits the next batch and books its ack.
-func (l *ledger) send(ctx context.Context, c *client.Client) error {
+// send submits the next batch through the client's retrying send, under
+// the sequence the ledger chose, and books its ack.
+func (l *ledger) send(ctx context.Context, c *client.Client) (client.IngestAck, error) {
 	l.next++
-	_, err := l.resend(ctx, c, l.next)
-	return err
-}
-
-// resend submits batch #pseq with bounded 429 patience and books the ack.
-func (l *ledger) resend(ctx context.Context, c *client.Client, pseq uint64) (client.IngestAck, error) {
-	for attempt := 0; ; attempt++ {
-		ack, err := c.IngestSeq(ctx, l.batch(pseq), pseq)
-		if err == nil {
-			l.record(pseq, ack)
-			return ack, nil
-		}
-		var bp *client.ErrBackpressure
-		if !errors.As(err, &bp) {
-			return ack, fmt.Errorf("ingest pseq %d: %w", pseq, err)
-		}
-		if attempt > 200 {
-			return ack, fmt.Errorf("ingest pseq %d: backpressure never cleared", pseq)
-		}
-		select {
-		case <-time.After(bp.RetryAfter):
-		case <-ctx.Done():
-			return ack, ctx.Err()
-		}
-	}
-}
-
-// sendPooled submits the next batch through a replica-set client's own
-// retry loop (the path that rides out an election) and books the ack.
-// The client numbers its batches 1, 2, 3… exactly as the ledger does, so
-// the ledger's high-water mark is the producer's.
-func (l *ledger) sendPooled(ctx context.Context, pool *client.Client) (client.IngestAck, error) {
-	ack, err := pool.IngestTracked(ctx, l.batch(l.next+1))
+	ack, err := c.IngestSeq(ctx, l.batch(l.next), l.next)
 	if err != nil {
-		return ack, err
+		return ack, fmt.Errorf("ingest pseq %d: %w", l.next, err)
 	}
-	l.next++
 	l.record(l.next, ack)
 	return ack, nil
 }
@@ -146,10 +115,11 @@ func (l *ledger) settle(ctx context.Context, c *client.Client) error {
 	if l.pending == 0 {
 		return nil
 	}
-	ack, err := l.resend(ctx, c, l.pending)
+	ack, err := c.IngestSeq(ctx, l.batch(l.pending), l.pending)
 	if err != nil {
-		return fmt.Errorf("resend: %w", err)
+		return fmt.Errorf("resend pseq %d: %w", l.pending, err)
 	}
+	l.record(l.pending, ack)
 	if l.pendAcked && !ack.Duplicate {
 		return fmt.Errorf("pseq %d was acked before the kill but re-applied after it: the WAL lost an acknowledged batch", l.pending)
 	}

@@ -195,7 +195,7 @@ func crash(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 			break
 		}
 		for i := 0; i < cfg.PerCycle; i++ {
-			if err := l.send(ctx, c); err != nil {
+			if _, err := l.send(ctx, c); err != nil {
 				return rep, fmt.Errorf("%s: %w", what, err)
 			}
 		}
@@ -294,14 +294,14 @@ func startReplicas(ctx context.Context, f *Fleet, cfg Config, dir string) (*repl
 }
 
 // loadAndKill is the prefix the replica scenarios share: PerCycle acked
-// batches through write, every node converged on them and answering the
+// batches sent through writer, every node converged on them and answering the
 // probe identically from the same model generation — the byte-identical
 // serving claim, across processes — a follower refusing a write with the
 // typed redirect, and then the chaos event: kill -9 of the primary, no
 // drain. It returns the answer the set gave before the kill.
-func (rs *replicaSet) loadAndKill(ctx context.Context, l *ledger, write func() error) (client.LabelResult, error) {
+func (rs *replicaSet) loadAndKill(ctx context.Context, l *ledger, writer *client.Client) (client.LabelResult, error) {
 	for i := 0; i < l.cfg.PerCycle; i++ {
-		if err := write(); err != nil {
+		if _, err := l.send(ctx, writer); err != nil {
 			return client.LabelResult{}, fmt.Errorf("pre-kill ingest: %w", err)
 		}
 	}
@@ -356,7 +356,7 @@ func promote(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 		if err != nil {
 			return err
 		}
-		want, err := rs.loadAndKill(ctx, l, func() error { return l.send(ctx, rs.nodes[0]) })
+		want, err := rs.loadAndKill(ctx, l, rs.nodes[0])
 		if err != nil {
 			return err
 		}
@@ -378,7 +378,7 @@ func promote(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 			return err
 		}
 		for i := 0; i < 3; i++ {
-			if err := l.send(ctx, heir); err != nil {
+			if _, err := l.send(ctx, heir); err != nil {
 				return fmt.Errorf("post-promotion ingest: %w", err)
 			}
 		}
@@ -475,18 +475,16 @@ func failoverElection(ctx context.Context, f *Fleet, cfg Config) (Report, error)
 			return err
 		}
 		old := rs.primary()
-		// The write path: endpoints = the whole replica set, generous retries.
+		// The write path: endpoints = the whole replica set.
 		pool := node(old)
 		pool.SetEndpoints(rs.urls()...)
-		pool.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 200, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second})
-		write := func() error { _, err := l.sendPooled(ctx, pool); return err }
-		if _, err := rs.loadAndKill(ctx, l, write); err != nil {
+		if _, err := rs.loadAndKill(ctx, l, pool); err != nil {
 			return err
 		}
 		killedAt := time.Now()
 
 		rctx, cancel := context.WithTimeout(ctx, resumeWindow)
-		ack, err := l.sendPooled(rctx, pool)
+		ack, err := l.send(rctx, pool)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("writes did not resume via election alone within %s: %w", resumeWindow, err)
@@ -499,7 +497,7 @@ func failoverElection(ctx context.Context, f *Fleet, cfg Config) (Report, error)
 		}
 		fmt.Fprintf(os.Stderr, "chaos: writes resumed %.0f ms after the kill at epoch %d\n", resume, epoch)
 		for i := 0; i < 3; i++ { // keep the post-election WAL moving
-			if err := write(); err != nil {
+			if _, err := l.send(ctx, pool); err != nil {
 				return fmt.Errorf("post-election ingest: %w", err)
 			}
 		}
@@ -572,7 +570,7 @@ func failoverElection(ctx context.Context, f *Fleet, cfg Config) (Report, error)
 
 		// One more acked batch through the pool, then the whole replica set —
 		// zombie included — must converge and answer the probe identically.
-		if err := write(); err != nil {
+		if _, err := l.send(ctx, pool); err != nil {
 			return fmt.Errorf("post-rejoin ingest: %w", err)
 		}
 		if err := l.converge(ctx, rs.nodes...); err != nil {

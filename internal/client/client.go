@@ -67,9 +67,9 @@ func (e *ErrStaleEpoch) Error() string {
 		e.NodeEpoch, e.RequestEpoch, e.Primary)
 }
 
-// ErrRetriesExhausted reports an Ingest that gave up after
-// RetryPolicy.MaxAttempts backpressure rejections. Unwrap yields the
-// final *ErrBackpressure, so errors.As sees both.
+// ErrRetriesExhausted reports an ingest that gave up after
+// RetryPolicy.MaxAttempts refused attempts. Unwrap yields the final
+// refusal (an *ErrBackpressure, say), so errors.As sees both.
 type ErrRetriesExhausted struct {
 	Attempts int
 	Last     error
@@ -81,9 +81,11 @@ func (e *ErrRetriesExhausted) Error() string {
 
 func (e *ErrRetriesExhausted) Unwrap() error { return e.Last }
 
-// RetryPolicy bounds Ingest's backpressure retry loop. The zero value
-// means defaults: 8 attempts, backoff starting at the daemon's hint and
-// doubling to a 5s cap, ±20% jitter.
+// RetryPolicy bounds the ingest retry loop behind Ingest and IngestSeq.
+// The zero value means defaults: 8 attempts, backoff starting at the
+// daemon's hint and doubling to a 5s cap, ±20% jitter. MaxAttempts 1
+// sends once: a refusal comes back inside ErrRetriesExhausted, whose
+// Unwrap yields it.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 8). Negative means retry until ctx expires — the old
@@ -95,8 +97,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling (default 5s).
 	MaxBackoff time.Duration
-	// OnRetry, when set, observes each scheduled retry.
-	OnRetry func(attempt int, wait time.Duration, err error)
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -131,6 +131,10 @@ type IngestAck struct {
 	// for finding the batch's span tree on the daemon's — and, through a
 	// router, the owning shard's — /trace endpoint.
 	TraceID string `json:"-"`
+	// Retries is how many times the send was retried before this answer
+	// (client-side, like TraceID): backpressure slept out and, against a
+	// replica set, endpoint rotations. 0 for a first-attempt answer.
+	Retries int `json:"-"`
 }
 
 // Client talks to one keybin2d daemon — or, with SetEndpoints, to a
@@ -179,8 +183,8 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 	return c
 }
 
-// SetRetryPolicy replaces the backpressure retry policy used by Ingest
-// and IngestTracked. Call before issuing requests.
+// SetRetryPolicy replaces the retry policy used by Ingest and IngestSeq.
+// Call before issuing requests.
 func (c *Client) SetRetryPolicy(p RetryPolicy) { c.retry = p }
 
 // SetProducer arms idempotent ingest: every tracked batch carries this
@@ -192,8 +196,8 @@ func (c *Client) SetProducer(id string) { c.producer = id }
 // Producer returns the idempotency id set with SetProducer ("" = off).
 func (c *Client) Producer() string { return c.producer }
 
-// NextBatchSeq issues the next producer batch sequence. Ingest and
-// IngestTracked call it implicitly; use it directly only with IngestSeq.
+// NextBatchSeq issues the next producer batch sequence. Ingest calls it
+// implicitly; use it directly only with IngestSeq or IngestRawSeq.
 func (c *Client) NextBatchSeq() uint64 { return c.pseq.Add(1) }
 
 // SetEndpoints points ingest at a replica set: targets rotate through the
@@ -303,33 +307,37 @@ func httpError(resp *http.Response) error {
 	return &StatusError{Code: resp.StatusCode, Status: resp.Status, Msg: strings.TrimSpace(string(msg))}
 }
 
-// IngestOnce submits one batch without retrying. A full daemon queue
-// returns *ErrBackpressure. When a producer id is set, the batch gets a
-// fresh sequence — so calling IngestOnce again with the same data is a
-// NEW batch, not an idempotent retry; retries that must dedupe go
-// through Ingest/IngestTracked or IngestSeq.
-func (c *Client) IngestOnce(ctx context.Context, batch *linalg.Matrix) error {
+// Ingest submits one batch under the client's next producer sequence
+// (untagged when no producer is set) and returns the daemon's ack (WAL
+// sequence, duplicate flag, retries). It is IngestSeq with the sequence
+// chosen by the client.
+func (c *Client) Ingest(ctx context.Context, batch *linalg.Matrix) (IngestAck, error) {
 	var pseq uint64
 	if c.producer != "" {
 		pseq = c.NextBatchSeq()
 	}
-	_, err := c.IngestSeq(ctx, batch, pseq)
-	return err
+	return c.IngestSeq(ctx, batch, pseq)
 }
 
-// IngestSeq submits one batch tagged with an explicit producer sequence
-// (0 = untagged), without retrying. Re-sending the same seq after a lost
-// ack is safe: the daemon re-acks it as a duplicate.
+// IngestSeq submits one batch tagged with a producer sequence the caller
+// chose (0 = untagged), absorbing backpressure with bounded, jittered
+// exponential backoff under the client's RetryPolicy. Every retry
+// re-sends the SAME sequence, so a daemon that accepted the batch but
+// lost the ack dedupes the re-send. This is the in-situ producer loop in
+// miniature: the simulation yields for the backoff instead of stalling
+// inside a blocked send — and gives up, loudly, instead of spinning
+// forever against a wedged daemon.
 func (c *Client) IngestSeq(ctx context.Context, batch *linalg.Matrix, pseq uint64) (IngestAck, error) {
-	return c.IngestRawSeq(ctx, server.EncodeBatch(batch), batch.Rows, pseq)
+	return c.ingestRawRetry(ctx, server.EncodeBatch(batch), batch.Rows, pseq, c.retry.withDefaults())
 }
 
-// IngestRawSeq is IngestSeq for a batch already in wire form (see
-// server.EncodeBatch). Producers that send the same batch repeatedly —
-// or that prepare batches ahead of a timed window, like the load
-// generator — encode once and resend the bytes; rows is the batch's row
-// count, used only for the fallback ack. The daemon still validates the
-// frame, so a malformed raw buffer is rejected, not mis-ingested.
+// IngestRawSeq makes ONE attempt to send a batch already in wire form
+// (see server.EncodeBatch), tagged with pseq: a full daemon queue comes
+// back as *ErrBackpressure, for the caller to pace itself. A producer
+// that owns its pacing encodes once and resends the bytes; rows is the
+// batch's row count, used only for the fallback ack. The daemon still
+// validates the frame, so a malformed raw buffer is rejected, not
+// mis-ingested.
 func (c *Client) IngestRawSeq(ctx context.Context, raw []byte, rows int, pseq uint64) (IngestAck, error) {
 	return c.ingestRawSeqTo(ctx, c.currentBase(), raw, rows, pseq)
 }
@@ -426,32 +434,11 @@ func (c *Client) jitter(wait time.Duration) time.Duration {
 	return time.Duration(float64(wait) * f)
 }
 
-// Ingest submits one batch, absorbing backpressure with bounded, jittered
-// exponential backoff (see RetryPolicy). Every retry re-sends the SAME
-// producer sequence, so a daemon that accepted the batch but lost the ack
-// dedupes the re-send. This is the in-situ producer loop in miniature:
-// the simulation yields for the backoff instead of stalling inside a
-// blocked send — and gives up, loudly, instead of spinning forever
-// against a wedged daemon.
-func (c *Client) Ingest(ctx context.Context, batch *linalg.Matrix) error {
-	_, err := c.IngestTracked(ctx, batch)
-	return err
-}
-
-// IngestTracked is Ingest returning the daemon's ack (WAL sequence,
-// duplicate flag).
-func (c *Client) IngestTracked(ctx context.Context, batch *linalg.Matrix) (IngestAck, error) {
-	var pseq uint64
-	if c.producer != "" {
-		pseq = c.NextBatchSeq()
-	}
-	return c.ingestRawRetry(ctx, server.EncodeBatch(batch), batch.Rows, pseq, c.retry.withDefaults())
-}
-
-// ingestRawRetry is the bounded-backoff send loop shared by IngestTracked
-// and the load generator, over wire bytes encoded once: retries resend
-// the same bytes. p must already have defaults applied. With a pool of
-// one only backpressure is retried, as ever. With a replica set
+// ingestRawRetry is the one retrying send: IngestSeq and the load
+// generator go through it, over wire bytes encoded once, so retries
+// resend the same bytes under the same sequence. p must already have
+// defaults applied; the answer carries the retries it took. With a pool
+// of one only backpressure is retried, as ever. With a replica set
 // (SetEndpoints) the loop additionally rotates to the next pool
 // endpoint on transport errors, unredeemed follower redirects, and
 // stale-epoch rejections — the primary re-discovery that rides out an
@@ -461,6 +448,7 @@ func (c *Client) ingestRawRetry(ctx context.Context, raw []byte, rows int, pseq 
 	for attempt := 1; ; attempt++ {
 		base := c.currentBase()
 		ack, err := c.ingestRawSeqTo(ctx, base, raw, rows, pseq)
+		ack.Retries = attempt - 1
 		if err == nil {
 			return ack, nil
 		}
@@ -493,12 +481,8 @@ func (c *Client) ingestRawRetry(ctx context.Context, raw []byte, rows int, pseq 
 		if wait > p.MaxBackoff {
 			wait = p.MaxBackoff
 		}
-		sleep := c.jitter(wait)
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, sleep, err)
-		}
 		select {
-		case <-time.After(sleep):
+		case <-time.After(c.jitter(wait)):
 		case <-ctx.Done():
 			return ack, ctx.Err()
 		}

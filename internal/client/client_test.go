@@ -71,11 +71,15 @@ func TestIngestRetriesBackpressure(t *testing.T) {
 	batch, _ := synth.AutoMixture(2, 3, 6, 1, xrand.New(1)).Sample(1, xrand.New(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := client.New(ts.URL).Ingest(ctx, batch); err != nil {
+	ack, err := client.New(ts.URL).Ingest(ctx, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("%d attempts, want 3 (two rejections + one accept)", got)
+	}
+	if ack.Retries != 2 {
+		t.Fatalf("ack reports %d retries, want 2", ack.Retries)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestIngestFollowsPrimaryHint(t *testing.T) {
 	c.SetProducer("prod-1")
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(64, xrand.New(2))
-	ack, err := c.IngestTracked(context.Background(), batch)
+	ack, err := c.Ingest(context.Background(), batch)
 	if err != nil {
 		t.Fatalf("ingest through follower hint: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestIngestNotPrimaryNoHint(t *testing.T) {
 	defer ts.Close()
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	err := client.New(ts.URL).Ingest(context.Background(), batch)
+	_, err := client.New(ts.URL).Ingest(context.Background(), batch)
 	var np *client.ErrNotPrimary
 	if !errors.As(err, &np) {
 		t.Fatalf("err = %v, want ErrNotPrimary", err)
@@ -105,7 +105,7 @@ func TestIngestHintChaseBounded(t *testing.T) {
 
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	err := client.New(a.URL).Ingest(context.Background(), batch)
+	_, err := client.New(a.URL).Ingest(context.Background(), batch)
 	var np *client.ErrNotPrimary
 	if !errors.As(err, &np) {
 		t.Fatalf("err = %v, want ErrNotPrimary", err)

@@ -73,8 +73,8 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadReport is the load generator's measurement, shaped for
-// BENCH_keybin2.json.
+// LoadReport is the load generator's measurement: keybin2load prints it
+// as its JSON report.
 type LoadReport struct {
 	Points    int `json:"points"`
 	Dims      int `json:"dims"`
@@ -83,8 +83,9 @@ type LoadReport struct {
 
 	IngestSeconds      float64 `json:"ingest_seconds"`
 	IngestPointsPerSec float64 `json:"ingest_points_per_sec"`
-	// Backpressure counts 429 rejections the ingesters absorbed by
-	// sleeping out the daemon's retry hint.
+	// Backpressure counts the retries the ingesters' sends made, the sum
+	// of their acks' Retries: 429 rejections slept out (and, against a
+	// replica set, endpoint rotations).
 	Backpressure int64 `json:"backpressure_rejections"`
 
 	QueryWorkers int `json:"query_workers"`
@@ -132,7 +133,6 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 	// fail a load run against an older or metrics-less daemon.
 	before, _ := c.Metrics(ctx)
 
-	var backpressure atomic.Int64
 	ingestCtx, stopQueries := context.WithCancel(ctx)
 	defer stopQueries()
 
@@ -203,13 +203,13 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 	}
 
 	// Ingest workers: split the volume, absorb backpressure through the
-	// client's bounded jittered retry loop (each rejection counted, not
-	// hidden). Retries reuse the batch's producer sequence, so even under
-	// heavy backpressure no batch can be double-applied.
+	// client's bounded jittered retry loop (each retry counted off the
+	// ack, not hidden). Retries reuse the batch's producer sequence, so
+	// even under heavy backpressure no batch can be double-applied.
 	pol := RetryPolicy{
 		MaxAttempts: 50, // load runs saturate on purpose; be patient, not infinite
-		OnRetry:     func(int, time.Duration, error) { backpressure.Add(1) },
 	}.withDefaults()
+	var backpressure atomic.Int64
 	start := time.Now()
 	var iwg sync.WaitGroup
 	var ingestErr atomic.Pointer[error]
@@ -225,7 +225,6 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 			// Per-worker producer: own identity, own sequence counter,
 			// shared transport (the connection pool is per-host anyway).
 			sender = NewWithHTTPClient(c.base, c.hc)
-			sender.retry = c.retry
 			sender.producer = fmt.Sprintf("%s-%d", cfg.ProducerPrefix, w)
 		}
 		iwg.Add(1)
@@ -247,6 +246,7 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 					}
 					return
 				}
+				backpressure.Add(int64(ack.Retries))
 				d := time.Since(t0)
 				slowMu.Lock()
 				if d > slowestDur {

@@ -57,7 +57,7 @@ func TestPoolRotatesOffFollower(t *testing.T) {
 	c.SetRetryPolicy(poolRetry())
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	ack, err := c.IngestTracked(context.Background(), batch)
+	ack, err := c.Ingest(context.Background(), batch)
 	if err != nil {
 		t.Fatalf("pool ingest: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestPoolRotatesOffFollower(t *testing.T) {
 		t.Fatalf("primary hits = %d, want 1", hits.Load())
 	}
 	// The cursor stuck: the next batch goes straight to the primary.
-	if _, err := c.IngestTracked(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if hits.Load() != 2 {
@@ -89,7 +89,7 @@ func TestPoolRotatesOffDeadEndpoint(t *testing.T) {
 	c.SetRetryPolicy(poolRetry())
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	ack, err := c.IngestTracked(context.Background(), batch)
+	ack, err := c.Ingest(context.Background(), batch)
 	if err != nil {
 		t.Fatalf("pool ingest across dead endpoint: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestPoolRotatesOffFencedZombie(t *testing.T) {
 	c.SetKnownEpoch(2)
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	if _, err := c.IngestTracked(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatalf("pool ingest across fenced zombie: %v", err)
 	}
 	if got := *zombieToken.Load(); got != "2" {
@@ -153,7 +153,7 @@ func TestStaleEpochIsTerminalWithoutPool(t *testing.T) {
 	c.SetKnownEpoch(7)
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	_, err := c.IngestTracked(context.Background(), batch)
+	_, err := c.Ingest(context.Background(), batch)
 	var se *client.ErrStaleEpoch
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want ErrStaleEpoch", err)
@@ -185,10 +185,10 @@ func TestAdoptEndpointOnHint(t *testing.T) {
 	c.SetRetryPolicy(poolRetry())
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	if _, err := c.IngestTracked(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.IngestTracked(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if hits.Load() != 2 {
@@ -205,7 +205,7 @@ func TestSetEndpointsEmptyRestoresSingleNode(t *testing.T) {
 	c.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 1})
 	spec := synth.AutoMixture(2, 3, 6, 1, xrand.New(1))
 	batch, _ := spec.Sample(8, xrand.New(2))
-	if _, err := c.IngestTracked(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if hits.Load() != 1 {

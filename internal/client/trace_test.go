@@ -123,7 +123,7 @@ func TestIngestTraceJoinsDaemon(t *testing.T) {
 
 	c := New(ts.URL)
 	batch := linalg.NewMatrix(4, 3)
-	ack, err := c.IngestTracked(context.Background(), batch)
+	ack, err := c.Ingest(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}

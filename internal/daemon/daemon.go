@@ -66,22 +66,20 @@ func StartTrace(tr *obs.Tracer, h http.Header, name string, attrs ...obs.Attr) *
 	return tr.Start(name, attrs...)
 }
 
-// Identity fills in whichever of a component's run id, metrics registry
-// and tracer its configuration left unset: a fresh run id, a private
-// registry (so /metrics always answers) and a ring of the given number
-// of traces stamped with the run id.
-func Identity(runID string, reg *obs.Registry, tr *obs.Tracer, traces int) (string, *obs.Registry, *obs.Tracer) {
+// Identity fills in whichever of a component's run id and tracer its
+// configuration left unset: a fresh run id and a ring of the given
+// number of traces stamped with the run id. Metrics need no defaulting:
+// every component builds its own private registry, so /metrics always
+// answers and holds that component's instruments alone.
+func Identity(runID string, tr *obs.Tracer, traces int) (string, *obs.Tracer) {
 	if runID == "" {
 		runID = obs.NewRunID()
-	}
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 	if tr == nil {
 		tr = obs.NewTracer(traces)
 		tr.SetRunID(runID)
 	}
-	return runID, reg, tr
+	return runID, tr
 }
 
 // Mux returns a mux holding the routes every daemon serves — GET

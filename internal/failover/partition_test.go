@@ -216,7 +216,7 @@ func TestPartitionElectionAndZombieFencing(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			batch, _ := spec.Sample(perBatch, rng)
-			if err := c.Ingest(ctx, batch); err != nil {
+			if _, err := c.Ingest(ctx, batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,7 +259,7 @@ func TestPartitionElectionAndZombieFencing(t *testing.T) {
 	pc.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 12, BaseBackoff: 20 * time.Millisecond})
 	pc.SetProducer("part-prod")
 	batch, _ := spec.Sample(perBatch, rng)
-	ack, err := pc.IngestTracked(ctx, batch) // producer seq 1
+	ack, err := pc.Ingest(ctx, batch) // producer seq 1
 	if err != nil {
 		t.Fatalf("pool ingest after election: %v", err)
 	}

@@ -73,8 +73,6 @@ type Config struct {
 	RecoverAfter int
 	// Logf receives decision log lines (elections, fences, verdicts).
 	Logf func(format string, args ...any)
-	// Registry receives the supervisor's metrics (default: private).
-	Registry *obs.Registry
 	// Tracer records one trace per probe-and-converge round (probe spans,
 	// election/fence outcomes) and backs GET /trace (default: fresh,
 	// capacity 128 — ~64s of history at the default cadence).
@@ -98,7 +96,7 @@ func (c Config) withDefaults() Config {
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 2
 	}
-	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 128)
+	c.RunID, c.Tracer = daemon.Identity(c.RunID, c.Tracer, 128)
 	return c
 }
 
@@ -141,7 +139,7 @@ func New(cfg Config) (*Supervisor, error) {
 			det: NewDetector(cfg.FailAfter, cfg.RecoverAfter),
 		})
 	}
-	s.tel = newSupTelemetry(cfg.Registry, s)
+	s.tel = newSupTelemetry(s)
 	return s, nil
 }
 
@@ -507,7 +505,7 @@ func (s *Supervisor) Status() Status {
 //
 //	GET /status → Status JSON (fleet view, epoch, election count)
 func (s *Supervisor) Handler() http.Handler {
-	mux := daemon.Mux(s.cfg.Registry, s.tracer, s.cfg.EnablePprof)
+	mux := daemon.Mux(s.tel.reg, s.tracer, s.cfg.EnablePprof)
 	mux.HandleFunc("/status", daemon.GET(func(w http.ResponseWriter, r *http.Request) {
 		daemon.WriteJSON(w, http.StatusOK, s.Status())
 	}))
@@ -516,15 +514,19 @@ func (s *Supervisor) Handler() http.Handler {
 
 // supTelemetry bundles the supervisor's instruments. Event counters are
 // incremented at the decision site; fleet gauges are mirrored from the
-// supervisor's state at scrape time.
+// supervisor's state at scrape time. reg is the supervisor's own
+// registry, behind GET /metrics.
 type supTelemetry struct {
+	reg       *obs.Registry
 	rounds    *obs.Counter
 	elections *obs.Counter
 	fences    *obs.Counter
 }
 
-func newSupTelemetry(reg *obs.Registry, s *Supervisor) *supTelemetry {
+func newSupTelemetry(s *Supervisor) *supTelemetry {
+	reg := obs.NewRegistry()
 	t := &supTelemetry{
+		reg: reg,
 		rounds: reg.Counter("keybin2failover_probe_rounds_total",
 			"Probe-and-converge rounds completed."),
 		elections: reg.Counter("keybin2failover_elections_total",

@@ -314,7 +314,7 @@ func TestCheckpointWritesAreFsynced(t *testing.T) {
 	srv.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := c.Ingest(ctx, crashBatch(t, 1, 300)); err != nil {
+	if _, err := c.Ingest(ctx, crashBatch(t, 1, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitSeen(ctx, 300); err != nil {
@@ -351,7 +351,7 @@ func TestCheckpointWritesAreFsynced(t *testing.T) {
 	defer hs2.Close()
 	c2 := client.New(hs2.URL)
 	srv2.Start()
-	if err := c2.Ingest(ctx, crashBatch(t, 1, 300)); err != nil {
+	if _, err := c2.Ingest(ctx, crashBatch(t, 1, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.WaitSeen(ctx, 300); err != nil {

@@ -23,7 +23,7 @@ import (
 // duplicate without being applied, making retries after a lost ack
 // idempotent.
 func (s *Server) Handler() http.Handler {
-	mux := daemon.Mux(s.cfg.Registry, s.tracer, s.cfg.EnablePprof)
+	mux := daemon.Mux(s.tel.reg, s.tracer, s.cfg.EnablePprof)
 	mux.HandleFunc("/ingest", s.instrument("ingest", daemon.POST(s.handleIngest)))
 	mux.HandleFunc("/label", s.instrument("label", daemon.POST(s.handleLabel)))
 	mux.HandleFunc("/model", s.instrument("model", daemon.GET(s.handleModel)))
@@ -190,7 +190,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		s.duplicates.Add(1)
 		s.tel.batchDuplicate.Inc()
 		writeAck(w, me, ack{Duplicate: true})
 		return
@@ -201,7 +200,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// nothing — no orphan records for unacknowledged batches.
 	if len(s.queue) == cap(s.queue) {
 		backOut()
-		s.rejected.Add(1)
 		s.tel.batchRejected.Inc()
 		// Retry-After carries whole seconds per RFC 9110, so the hint is
 		// rounded UP (minimum 1): truncation would turn a sub-second hint
@@ -317,7 +315,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.refuseWrite(w, me, reqEpoch)
 		return
 	}
-	s.accepted.Add(int64(rows))
 	s.tel.acceptedPoints.Add(int64(rows))
 	s.tel.batchAccepted.Inc()
 	writeAck(w, me, ack{Queued: rows, Seq: seq})
@@ -387,7 +384,6 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 			resp.Labels[i] = l
 		}
 	}
-	s.labeled.Add(int64(rows))
 	s.tel.labeledPoints.Add(int64(rows))
 	daemon.WriteJSON(w, http.StatusOK, resp)
 }

@@ -147,7 +147,7 @@ func TestPromoteEpochMonotone(t *testing.T) {
 
 	spec := synth.AutoMixture(3, 3, 6, 1, xrand.New(61))
 	batch, _ := spec.Sample(200, xrand.New(62))
-	if err := primary.c.Ingest(ctx, batch); err != nil {
+	if _, err := primary.c.Ingest(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.c.WaitSeen(ctx, 200); err != nil {
@@ -205,7 +205,7 @@ func TestFenceDemotesPrimaryInPlace(t *testing.T) {
 	const perBatch = 200
 	for i := 0; i < 3; i++ {
 		batch, _ := spec.Sample(perBatch, rng)
-		if err := a.c.Ingest(ctx, batch); err != nil {
+		if _, err := a.c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestFenceDemotesPrimaryInPlace(t *testing.T) {
 
 	// New writes land on B and replicate INTO the demoted A.
 	batch, _ := spec.Sample(perBatch, rng)
-	if err := b.c.Ingest(ctx, batch); err != nil {
+	if _, err := b.c.Ingest(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.c.WaitSeen(ctx, 4*perBatch); err != nil {

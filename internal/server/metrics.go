@@ -76,7 +76,8 @@ var fsyncBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 }
 
-func newTelemetry(reg *obs.Registry, runID string, fsync FsyncPolicy, follower bool) *telemetry {
+func newTelemetry(runID string, fsync FsyncPolicy, follower bool) *telemetry {
+	reg := obs.NewRegistry()
 	batches := reg.CounterVec("keybin2d_ingest_batches_total",
 		"Ingest batches by outcome: accepted, rejected_backpressure, duplicate, or error.", "result")
 	t := &telemetry{

@@ -3,14 +3,17 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"keybin2/internal/client"
 	"keybin2/internal/failover"
+	"keybin2/internal/linalg"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 	"keybin2/internal/shardcluster"
@@ -22,28 +25,47 @@ import (
 // and asserts the /metrics exposition tells the same story: accepted
 // points and batches, WAL appends/fsyncs, applied points, model version,
 // stage and HTTP latency histograms, and the build-info identity series.
+// After rejected, duplicate, label and checkpoint traffic too, /stats
+// and /metrics agree on every count the daemon keeps.
 func TestMetricsEndToEnd(t *testing.T) {
+	dir := t.TempDir()
 	srv, err := server.New(server.Config{
-		Stream: testStreamConfig(4),
-		WALDir: t.TempDir(),
-		Fsync:  "always",
+		Stream:         testStreamConfig(4),
+		WALDir:         dir,
+		Fsync:          "always",
+		CheckpointPath: filepath.Join(dir, "state.kb2s"),
+		QueueDepth:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	srv.Start()
-	defer srv.Stop(context.Background())
 
 	c := client.New(ts.URL)
 	c.SetProducer("obs-test")
 	ctx := context.Background()
 	spec := synth.AutoMixture(2, 4, 6, 1, xrand.New(1))
 	const batches, per = 3, 100
-	for i := 0; i < batches; i++ {
+	sample := func(i int) *linalg.Matrix {
 		batch, _ := spec.Sample(per, xrand.New(int64(i)))
-		if err := c.Ingest(ctx, batch); err != nil {
+		return batch
+	}
+	// The writer starts after the first batch: that batch parks in the
+	// one-slot queue, and a single-attempt send behind it is rejected.
+	if _, err := c.Ingest(ctx, sample(0)); err != nil {
+		t.Fatal(err)
+	}
+	once := client.New(ts.URL)
+	once.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 1})
+	var bp *client.ErrBackpressure
+	if _, err := once.Ingest(ctx, sample(0)); !errors.As(err, &bp) {
+		t.Fatalf("send behind a full queue: %v, want backpressure", err)
+	}
+	srv.Start()
+	defer srv.Stop(context.Background())
+	for i := 1; i < batches; i++ {
+		if _, err := c.Ingest(ctx, sample(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,6 +123,40 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if st, err := c.Stats(ctx); err != nil || st.RunID == "" {
 		t.Errorf("stats run_id missing (err=%v, stats=%+v)", err, st)
 	}
+
+	// A duplicate, a label query and the drain's final checkpoint join
+	// the traffic; each event is counted once, so /stats reads the very
+	// counters /metrics exposes.
+	if ack, err := c.IngestSeq(ctx, sample(0), 1); err != nil || !ack.Duplicate {
+		t.Fatalf("re-send of seq 1: ack %+v, err %v; want a duplicate", ack, err)
+	}
+	if _, err := c.Label(ctx, sample(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []struct {
+		stats  int64
+		series string
+	}{
+		{st.Accepted, "keybin2d_ingest_accepted_points_total"},
+		{st.RejectedBatches, `keybin2d_ingest_batches_total{result="rejected_backpressure"}`},
+		{st.DuplicateBatches, `keybin2d_ingest_batches_total{result="duplicate"}`},
+		{st.Labeled, "keybin2d_label_points_total"},
+		{st.Checkpoints, "keybin2d_checkpoints_total"},
+	} {
+		if n.stats == 0 || float64(n.stats) != m[n.series] {
+			t.Errorf("/stats counts %d where /metrics %s = %v; want the same non-zero count", n.stats, n.series, m[n.series])
+		}
+	}
 }
 
 // TestIngestTraceChain asserts each accepted batch produces one trace
@@ -127,7 +183,7 @@ func TestIngestTraceChain(t *testing.T) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 	batch, _ := spec4().Sample(32, xrand.New(2))
-	if err := c.Ingest(ctx, batch); err != nil {
+	if _, err := c.Ingest(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitSeen(ctx, 32); err != nil {

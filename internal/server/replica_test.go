@@ -101,10 +101,10 @@ func TestFollowerClusterServesIdenticalLabels(t *testing.T) {
 	const batches, perBatch = 8, 250
 	for i := 0; i < batches; i++ {
 		batch, _ := spec.Sample(perBatch, rng)
-		if err := primary.c.Ingest(ctx, batch); err != nil {
+		if _, err := primary.c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := solo.c.Ingest(ctx, batch); err != nil {
+		if _, err := solo.c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestFollowerClusterServesIdenticalLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch, _ := spec.Sample(10, rng)
-	if err := f1.c.IngestOnce(ctx, batch); err != nil {
+	if _, err := f1.c.Ingest(ctx, batch); err != nil {
 		t.Fatalf("follower ingest should follow the primary hint: %v", err)
 	}
 	if err := primary.c.WaitSeen(ctx, before.Seen+10); err != nil {
@@ -254,7 +254,7 @@ func TestFollowerResumesFromCheckpoint(t *testing.T) {
 	ingest := func(n int) {
 		for i := 0; i < n; i++ {
 			batch, _ := spec.Sample(250, rng)
-			if err := primary.c.Ingest(ctx, batch); err != nil {
+			if _, err := primary.c.Ingest(ctx, batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -411,7 +411,7 @@ func TestTailTruncationBootstrapsFollower(t *testing.T) {
 	const batches, perBatch = 12, 250
 	for i := 0; i < batches; i++ {
 		batch, _ := spec.Sample(perBatch, rng)
-		if err := primary.c.Ingest(ctx, batch); err != nil {
+		if _, err := primary.c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,9 +55,6 @@ type Config struct {
 	FS FS
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Registry receives the serving core's metrics and backs GET /metrics
-	// (default: a fresh private registry, so /metrics always answers).
-	Registry *obs.Registry
 	// Tracer stamps each accepted ingest batch with a trace recording the
 	// ingest→WAL-append→fsync→enqueue→apply→refit chain, served at
 	// GET /trace (default: a fresh 256-trace ring).
@@ -114,7 +111,7 @@ func (c Config) withDefaults() Config {
 	if c.FS == nil {
 		c.FS = OSFS
 	}
-	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 256)
+	c.RunID, c.Tracer = daemon.Identity(c.RunID, c.Tracer, 256)
 	if c.NodeID == "" {
 		c.NodeID = c.RunID
 	}
@@ -320,20 +317,17 @@ type Server struct {
 	appliedSeq       uint64
 	appliedProducers map[string]uint64
 
-	seen        atomic.Int64 // mirrors stream.Seen() after each batch
-	accepted    atomic.Int64
-	rejected    atomic.Int64
-	batches     atomic.Int64
-	duplicates  atomic.Int64
-	labeled     atomic.Int64
-	refits      atomic.Int64 // model generation: refitBase + stream.Refits()
-	refitBase   int64        // 1 when a restored checkpoint carried a model
-	checkpoints atomic.Int64
-	lastCkpt    atomic.Int64
-	coveredSeq  atomic.Uint64 // newest WAL seq covered by a durable checkpoint
-	replayedB   int64         // batches replayed from the WAL at startup
-	replayedP   int64         // points replayed
-	writerErr   atomic.Pointer[error]
+	// The accepted, rejected, duplicate, labeled and checkpoint counts
+	// live in tel's counters alone; Stats reads them there.
+	seen       atomic.Int64 // mirrors stream.Seen() after each batch
+	batches    atomic.Int64
+	refits     atomic.Int64 // model generation: refitBase + stream.Refits()
+	refitBase  int64        // 1 when a restored checkpoint carried a model
+	lastCkpt   atomic.Int64
+	coveredSeq atomic.Uint64 // newest WAL seq covered by a durable checkpoint
+	replayedB  int64         // batches replayed from the WAL at startup
+	replayedP  int64         // points replayed
+	writerErr  atomic.Pointer[error]
 }
 
 // New builds a server around a fresh stream, or — when cfg.CheckpointPath
@@ -356,7 +350,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:              cfg,
 		fs:               cfg.FS,
 		fsync:            fsyncPolicy,
-		tel:              newTelemetry(cfg.Registry, cfg.RunID, fsyncPolicy, cfg.FollowURL != ""),
+		tel:              newTelemetry(cfg.RunID, fsyncPolicy, cfg.FollowURL != ""),
 		tracer:           cfg.Tracer,
 		queue:            make(chan ingestItem, cfg.QueueDepth),
 		histC:            make(chan chan histResult),
@@ -552,15 +546,15 @@ func (s *Server) Stats() Stats {
 		MergeEpoch:         s.mergeEpoch.Load(),
 		GlobalSeen:         s.globalSeen.Load(),
 		Seen:               s.seen.Load(),
-		Accepted:           s.accepted.Load(),
-		RejectedBatches:    s.rejected.Load(),
+		Accepted:           s.tel.acceptedPoints.Value(),
+		RejectedBatches:    s.tel.batchRejected.Value(),
 		Batches:            s.batches.Load(),
-		DuplicateBatches:   s.duplicates.Load(),
-		Labeled:            s.labeled.Load(),
+		DuplicateBatches:   s.tel.batchDuplicate.Value(),
+		Labeled:            s.tel.labeledPoints.Value(),
 		Refits:             s.refits.Load(),
 		QueueLen:           len(s.queue),
 		QueueCap:           cap(s.queue),
-		Checkpoints:        s.checkpoints.Load(),
+		Checkpoints:        s.tel.ckpts.Value(),
 		LastCheckpointUnix: s.lastCkpt.Load(),
 		Draining:           draining,
 		UptimeSec:          time.Since(s.start).Seconds(),

@@ -81,12 +81,13 @@ func TestBackpressureRejects(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL)
+	c.SetRetryPolicy(client.RetryPolicy{MaxAttempts: 1}) // each Ingest is a single attempt
 
 	batch, _ := synth.AutoMixture(2, 3, 6, 1, xrand.New(1)).Sample(10, xrand.New(2))
-	if err := c.IngestOnce(context.Background(), batch); err != nil {
+	if _, err := c.Ingest(context.Background(), batch); err != nil {
 		t.Fatalf("first batch rejected: %v", err)
 	}
-	err = c.IngestOnce(context.Background(), batch)
+	_, err = c.Ingest(context.Background(), batch)
 	var bp *client.ErrBackpressure
 	if !errors.As(err, &bp) {
 		t.Fatalf("want backpressure, got %v", err)
@@ -151,7 +152,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	total := 0
 	for i := 0; i < 10; i++ {
 		batch, _ := spec.Sample(50, rng)
-		if err := c.IngestOnce(context.Background(), batch); err != nil {
+		if _, err := c.Ingest(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		total += 50
@@ -171,7 +172,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal("stats should report draining after Stop")
 	}
 	batch, _ := spec.Sample(5, rng)
-	if err := c.IngestOnce(context.Background(), batch); err == nil {
+	if _, err := c.Ingest(context.Background(), batch); err == nil {
 		t.Fatal("ingest accepted after Stop")
 	}
 }
@@ -203,7 +204,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	defer cancel()
 	for i := 0; i < 8; i++ {
 		batch, _ := spec.Sample(250, rng)
-		if err := c.Ingest(ctx, batch); err != nil {
+		if _, err := c.Ingest(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +255,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	// The restored daemon must also keep ingesting and refitting.
 	srv2.Start()
 	batch, _ := spec.Sample(500, rng)
-	if err := c2.Ingest(ctx, batch); err != nil {
+	if _, err := c2.Ingest(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.WaitSeen(ctx, 2500); err != nil {

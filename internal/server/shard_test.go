@@ -39,7 +39,7 @@ func ingestMixture(t *testing.T, c *client.Client, dims, n int, seed int64) {
 			sz = left
 		}
 		batch, _ := spec.Sample(sz, rng)
-		if err := c.Ingest(context.Background(), batch); err != nil {
+		if _, err := c.Ingest(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		left -= sz

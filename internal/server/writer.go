@@ -163,7 +163,6 @@ func (s *Server) checkpoint() {
 			s.logf("checkpoint: wal truncation: %v", err)
 		}
 	}
-	s.checkpoints.Add(1)
 	s.lastCkpt.Store(time.Now().Unix())
 	s.tel.ckpts.Inc()
 	s.tel.ckptSec.Observe(time.Since(ckptStart).Seconds())

@@ -150,10 +150,10 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 				sz = left
 			}
 			batch, _ := spec.Sample(sz, rng)
-			if err := c.Ingest(context.Background(), batch); err != nil {
+			if _, err := c.Ingest(context.Background(), batch); err != nil {
 				t.Fatalf("producer %d: %v", p, err)
 			}
-			if err := soloC.Ingest(context.Background(), batch); err != nil {
+			if _, err := soloC.Ingest(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 			left -= sz
@@ -327,7 +327,7 @@ func TestClusterShardDeathAndRejoin(t *testing.T) {
 				sz = left
 			}
 			batch, _ = spec.Sample(sz, rng)
-			if err := c.Ingest(context.Background(), batch); err != nil {
+			if _, err := c.Ingest(context.Background(), batch); err != nil {
 				t.Fatalf("producer %s: %v", producer, err)
 			}
 			left -= sz

@@ -24,7 +24,7 @@ import (
 // always land on one shard — which is what keeps the daemon's per-producer
 // sequence dedupe exact under retries. Untagged batches round-robin.
 func (r *Router) Handler() http.Handler {
-	mux := daemon.Mux(r.cfg.Registry, r.tracer, r.cfg.EnablePprof)
+	mux := daemon.Mux(r.tel.reg, r.tracer, r.cfg.EnablePprof)
 	mux.HandleFunc("/ingest", daemon.POST(r.handleIngest))
 	mux.HandleFunc("/label", daemon.POST(r.handleLabel))
 	mux.HandleFunc("/stats", daemon.GET(r.handleStats))

@@ -4,8 +4,9 @@ import "keybin2/internal/obs"
 
 // routerTelemetry is the router's own instrument set (keybin2router_*
 // series — the shards keep their keybin2d_* series; scraping both gives
-// the cluster view).
+// the cluster view), in a registry of its own that backs GET /metrics.
 type routerTelemetry struct {
+	reg             *obs.Registry
 	proxiedBatches  *obs.Counter
 	proxiedLabels   *obs.Counter
 	failovers       *obs.Counter
@@ -18,8 +19,10 @@ type routerTelemetry struct {
 	mergedSeen      *obs.Gauge
 }
 
-func newRouterTelemetry(reg *obs.Registry, runID string, r *Router) *routerTelemetry {
+func newRouterTelemetry(runID string, r *Router) *routerTelemetry {
+	reg := obs.NewRegistry()
 	t := &routerTelemetry{
+		reg: reg,
 		proxiedBatches: reg.Counter("keybin2router_proxied_batches_total",
 			"Ingest batches proxied to a shard (after any failover)."),
 		proxiedLabels: reg.Counter("keybin2router_proxied_labels_total",

@@ -51,8 +51,6 @@ type Config struct {
 	// ShardTimeout bounds every proxied or collective request to one
 	// shard (default 10s).
 	ShardTimeout time.Duration
-	// Registry backs GET /metrics (default: fresh).
-	Registry *obs.Registry
 	// Tracer records distributed traces — proxied ingest/label hops and
 	// merge epochs — and backs GET /trace (default: fresh, capacity 256).
 	Tracer *obs.Tracer
@@ -77,7 +75,7 @@ func (c Config) withDefaults() Config {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 10 * time.Second
 	}
-	c.RunID, c.Registry, c.Tracer = daemon.Identity(c.RunID, c.Registry, c.Tracer, 256)
+	c.RunID, c.Tracer = daemon.Identity(c.RunID, c.Tracer, 256)
 	return c
 }
 
@@ -191,7 +189,7 @@ func New(cfg Config) (*Router, error) {
 		ctx:    ctx,
 		cancel: cancel,
 	}
-	r.tel = newRouterTelemetry(cfg.Registry, cfg.RunID, r)
+	r.tel = newRouterTelemetry(cfg.RunID, r)
 	return r, nil
 }
 

@@ -145,7 +145,7 @@ func TestMergeTraceSpansCollective(t *testing.T) {
 	ctx := context.Background()
 	for _, u := range urls {
 		cl := client.New(u)
-		if _, err := cl.IngestTracked(ctx, linalg.NewMatrix(40, dims)); err != nil {
+		if _, err := cl.Ingest(ctx, linalg.NewMatrix(40, dims)); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.WaitSeen(ctx, 40); err != nil {
