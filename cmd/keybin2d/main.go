@@ -29,8 +29,8 @@
 //	GET  /trace   → recent pipeline traces as JSON
 //	GET  /healthz → ok (liveness)
 //	GET  /readyz  → 200 | 503 (draining or wedged WAL)
-//	GET  /wal     → framed WAL tail from ?from=<seq> (replication;
-//	               ?epoch=<e> is fenced like a write)
+//	GET  /wal     → the stored WAL records after ?from=<seq>, verbatim
+//	               (replication; ?epoch=<e> is fenced like a write)
 //	GET  /snapshot → newest checkpoint blob (follower bootstrap)
 //	POST /promote → follower → primary promotion (?epoch=<e> mints or
 //	               adopts a fencing epoch; see below)

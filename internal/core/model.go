@@ -100,16 +100,14 @@ func (m *Model) labelOfKey(key []uint64) int {
 }
 
 // Assign projects a raw point through the model's projection and labels
-// it. With NoProjection models the point is binned directly.
+// it, as a one-row AssignBatch: a point gets the label a batch holding it
+// would. With NoProjection models the point is binned directly.
 func (m *Model) Assign(x []float64) (int, error) {
-	if m.Projection == nil {
-		return m.AssignProjected(x), nil
-	}
-	proj, err := linalg.VecMul(x, m.Projection)
+	labels, err := m.AssignBatch(&linalg.Matrix{Rows: 1, Cols: len(x), Data: x}, 1)
 	if err != nil {
-		return cluster.Noise, fmt.Errorf("core: assign: %w", err)
+		return cluster.Noise, err
 	}
-	return m.AssignProjected(proj), nil
+	return labels[0], nil
 }
 
 // buildLabels orders the occupied tuples by mass (descending, ties by key

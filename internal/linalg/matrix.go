@@ -163,38 +163,6 @@ func mulRangeGeneric(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulVec computes m×v (v treated as a column vector), returning a new slice.
-func MulVec(m *Matrix, v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("%w: %dx%d × vec(%d)", ErrShape, m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), v)
-	}
-	return out, nil
-}
-
-// VecMul computes vᵀ×m (v treated as a row vector), returning a new slice of
-// length m.Cols. This is the operation used to project a single data point
-// through a projection matrix whose columns are the target directions.
-func VecMul(v []float64, m *Matrix) ([]float64, error) {
-	if m.Rows != len(v) {
-		return nil, fmt.Errorf("%w: vec(%d) × %dx%d", ErrShape, len(v), m.Rows, m.Cols)
-	}
-	out := make([]float64, m.Cols)
-	for k, vk := range v {
-		if vk == 0 {
-			continue
-		}
-		row := m.Data[k*m.Cols : (k+1)*m.Cols]
-		for j, mv := range row {
-			out[j] += float64(vk * mv)
-		}
-	}
-	return out, nil
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {

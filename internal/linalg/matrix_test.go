@@ -104,59 +104,6 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMulVecAndVecMul(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	mv, err := MulVec(m, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv[0] != 6 || mv[1] != 15 {
-		t.Fatalf("MulVec got %v", mv)
-	}
-	vm, err := VecMul([]float64{1, 1}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm[0] != 5 || vm[1] != 7 || vm[2] != 9 {
-		t.Fatalf("VecMul got %v", vm)
-	}
-	if _, err := MulVec(m, []float64{1}); err == nil {
-		t.Fatal("MulVec shape mismatch not caught")
-	}
-	if _, err := VecMul([]float64{1}, m); err == nil {
-		t.Fatal("VecMul shape mismatch not caught")
-	}
-}
-
-// Property: VecMul(v, m) equals the corresponding row of Mul for a
-// one-row matrix.
-func TestVecMulMatchesMul(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, c := 1+rng.Intn(8), 1+rng.Intn(8)
-		m := NewMatrix(n, c)
-		v := make([]float64, n)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		a := &Matrix{Rows: 1, Cols: n, Data: v}
-		want, _ := Mul(nil, a, m)
-		got, _ := VecMul(v, m)
-		for j := range got {
-			if math.Abs(got[j]-want.Data[j]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	mt := m.T()

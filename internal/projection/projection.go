@@ -140,11 +140,6 @@ func Apply(points, a *linalg.Matrix, workers int) (*linalg.Matrix, error) {
 	return linalg.ParallelMul(nil, points, a, workers)
 }
 
-// ApplyPoint projects a single point (used by streaming ingestion).
-func ApplyPoint(x []float64, a *linalg.Matrix) ([]float64, error) {
-	return linalg.VecMul(x, a)
-}
-
 // Batch bundles t independent trial projections applied in a single pass,
 // the optimization §3.4 suggests ("perform t simultaneous random
 // projections, taking M out of the t bootstrapping steps"): the t matrices

@@ -145,29 +145,6 @@ func TestApplyPreservesLengthsForRotation(t *testing.T) {
 	}
 }
 
-func TestApplyPointMatchesApply(t *testing.T) {
-	a, _ := New(Gaussian, 10, 3, xrand.New(9))
-	x := make([]float64, 10)
-	rng := xrand.New(10)
-	for i := range x {
-		x[i] = rng.Norm()
-	}
-	single, err := ApplyPoint(x, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := &linalg.Matrix{Rows: 1, Cols: 10, Data: x}
-	block, err := Apply(pts, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range single {
-		if math.Abs(single[j]-block.At(0, j)) > 1e-12 {
-			t.Fatal("ApplyPoint and Apply disagree")
-		}
-	}
-}
-
 func TestBatchEquivalentToIndividualTrials(t *testing.T) {
 	rng := xrand.New(11)
 	b, err := NewBatch(Gaussian, 25, 4, 3, rng)

@@ -365,26 +365,21 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer b.Release()
-	rows := b.M.Rows
-	resp := labelResponse{Labels: make([]int, rows)}
-	m, gen := s.servingModel()
-	if m == nil {
+	var resp labelResponse
+	if m, gen := s.servingModel(); m == nil {
+		resp.Labels = make([]int, b.M.Rows)
 		for i := range resp.Labels {
 			resp.Labels[i] = -1
 		}
 	} else {
-		resp.ModelGen = gen
-		resp.Clusters = m.K()
-		for i := 0; i < rows; i++ {
-			l, err := m.Assign(b.M.Row(i))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			resp.Labels[i] = l
+		labels, err := m.AssignBatch(&b.M, 1)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
+		resp.Labels, resp.ModelGen, resp.Clusters = labels, gen, m.K()
 	}
-	s.tel.labeledPoints.Add(int64(rows))
+	s.tel.labeledPoints.Add(int64(b.M.Rows))
 	daemon.WriteJSON(w, http.StatusOK, resp)
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -448,4 +449,34 @@ func TestFenceOwnEpochRefused(t *testing.T) {
 		t.Fatal("refused fence still fenced the node")
 	}
 	_ = client.ErrStaleEpoch{} // typed-error contract lives in the client package
+}
+
+// TestDemotedPrimaryCountsTailReconnects: a node that started as a primary
+// tails like any follower once a fence demotes it, and its failed tail
+// rounds count in /metrics as they do in /stats.
+func TestDemotedPrimaryCountsTailReconnects(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	a := startNode(t, server.Config{Stream: testStreamConfig(3), WALDir: filepath.Join(t.TempDir(), "wal")})
+	defer a.stop(t, ctx)
+	if err := a.c.Fence(ctx, 2, down.URL); err != nil {
+		t.Fatal(err)
+	}
+	for a.srv.Stats().TailReconnects == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the demoted primary never retried its tail")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	mf, err := a.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mf["keybin2d_replica_tail_reconnects_total"]; got < 1 {
+		t.Fatalf("keybin2d_replica_tail_reconnects_total = %v on a demoted primary, want >= 1", got)
+	}
 }

@@ -57,10 +57,11 @@ type telemetry struct {
 	replicaAppliedSeq *obs.Gauge
 	replicaPrimarySeq *obs.Gauge
 	replicaLagSec     *obs.Gauge
-	tailReconnects    *obs.Counter
 
 	// Failover / fencing instruments (see failover.go); always present —
-	// any node can be promoted, fenced, or demoted over its lifetime.
+	// any node can be promoted, fenced, or demoted over its lifetime, and
+	// a demoted primary tails like any follower.
+	tailReconnects    *obs.Counter
 	clusterEpochG     *obs.Gauge
 	fencedG           *obs.Gauge
 	staleEpochRejects *obs.Counter
@@ -147,6 +148,8 @@ func newTelemetry(runID string, fsync FsyncPolicy, follower bool) *telemetry {
 			"1 while this primary is fenced off the write path by a newer epoch."),
 		staleEpochRejects: reg.Counter("keybin2d_stale_epoch_rejects_total",
 			"Requests rejected with 412 stale epoch (zombie writes and fenced accepts)."),
+		tailReconnects: reg.Counter("keybin2d_replica_tail_reconnects_total",
+			"WAL tail connection attempts that followed a failure."),
 		promotions: reg.Counter("keybin2d_promotions_total",
 			"Follower-to-primary promotions completed by this process."),
 		demotions: reg.Counter("keybin2d_demotions_total",
@@ -165,8 +168,6 @@ func newTelemetry(runID string, fsync FsyncPolicy, follower bool) *telemetry {
 			"Primary's newest WAL sequence as of the replica's last tail round.")
 		t.replicaLagSec = reg.Gauge("keybin2d_replica_lag_seconds",
 			"How long the replica has been behind the primary's horizon (0 = caught up).")
-		t.tailReconnects = reg.Counter("keybin2d_replica_tail_reconnects_total",
-			"WAL tail connection attempts that followed a failure.")
 	}
 	reg.GaugeVec("keybin2d_build_info",
 		"Constant 1; labels identify this daemon incarnation.", "run_id", "fsync").

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net/http"
@@ -12,7 +13,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,25 +23,70 @@ import (
 	"keybin2/internal/linalg"
 )
 
-// kb2tRecordFrame frames one record as GET /wal does: 'R' | seq | len |
-// entry | crc32c(seq‖entry).
-func kb2tRecordFrame(seq uint64, entry []byte) []byte {
-	b := binary.LittleEndian.AppendUint64([]byte{tailFrameRecord}, seq)
-	crc := crc32.Update(crc32.Checksum(b[1:9], walCRCTable), walCRCTable, entry)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(entry)))
-	b = append(b, entry...)
-	return binary.LittleEndian.AppendUint32(b, crc)
+// storedRecords appends each entry to a fresh WAL and reads the records
+// back as the log stores them: Raw is what GET /wal ships.
+func storedRecords(tb testing.TB, entries ...[]byte) []TailRecord {
+	tb.Helper()
+	w, err := OpenWAL(WALConfig{Dir: tb.TempDir(), Fsync: FsyncNever})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer w.Close()
+	for _, e := range entries {
+		if _, err := w.Append(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cur, err := w.CursorAt(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs, _, _, err := w.ReadTail(cur, math.MaxInt)
+	if err != nil || len(recs) != len(entries) {
+		tb.Fatalf("read back %d of %d records: %v", len(recs), len(entries), err)
+	}
+	return recs
 }
 
-// kb2tBody is a whole tail response: the stream header, one 'S' frame,
-// the records, and the 'E' frame naming lastSeq.
-func kb2tBody(recs []TailRecord, lastSeq uint64) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(tailMagic), tailProtoVersion)
-	b = binary.LittleEndian.AppendUint64(append(b, tailFrameSegment), 1)
+// walBody is a GET /wal body: the records' stored bytes back to back.
+func walBody(recs ...TailRecord) []byte {
+	var b []byte
 	for _, r := range recs {
-		b = append(b, kb2tRecordFrame(r.Seq, r.Entry)...)
+		b = append(b, r.Raw...)
 	}
-	return binary.LittleEndian.AppendUint64(append(b, tailFrameEnd), lastSeq)
+	return b
+}
+
+// tailEntry is a WAL entry holding one 50×3 batch.
+func tailEntry(seed int) []byte {
+	m := linalg.NewMatrix(50, 3)
+	for i := range m.Data {
+		m.Data[i] = float64((i*7+seed)%19) - 9
+	}
+	return append(encodeWALEntryHeader(nil, "", 0), EncodeBatch(m)...)
+}
+
+// startTailFollower starts a follower of primary whose reconnect backoff
+// is short, with its log lines sent to logf; the caller stops it.
+func startTailFollower(t *testing.T, primary string, logf func(string, ...any)) *Server {
+	t.Helper()
+	srv, err := New(Config{
+		Stream: core.StreamConfig{
+			Config:    core.Config{Seed: 7, Trials: 2},
+			Dims:      3,
+			RawRanges: [][2]float64{{-12, 12}, {-12, 12}, {-12, 12}},
+			Period:    250,
+		},
+		FollowURL:        primary,
+		FollowPoll:       50 * time.Millisecond,
+		FollowMaxBackoff: 50 * time.Millisecond,
+		Logf:             logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	return srv
 }
 
 // TestFollowerRefusesTailGap: tail bytes come from another process, so
@@ -46,14 +94,8 @@ func kb2tBody(recs []TailRecord, lastSeq uint64) []byte {
 // response skips seq 2 must not move the applied horizon over the hole:
 // the round fails, and the reconnect resumes from the last applied seq.
 func TestFollowerRefusesTailGap(t *testing.T) {
-	entry := func(seed int) []byte {
-		m := linalg.NewMatrix(50, 3)
-		for i := range m.Data {
-			m.Data[i] = float64((i*7+seed)%19) - 9
-		}
-		return append(encodeWALEntryHeader(nil, "", 0), EncodeBatch(m)...)
-	}
-	recs := []TailRecord{{Seq: 1, Entry: entry(1)}, {Seq: 3, Entry: entry(3)}}
+	stored := storedRecords(t, tailEntry(1), tailEntry(2), tailEntry(3))
+	recs := []TailRecord{stored[0], stored[2]}
 	var mu sync.Mutex
 	var froms []string
 	third := make(chan struct{}) // closed by the third tail request
@@ -70,25 +112,13 @@ func TestFollowerRefusesTailGap(t *testing.T) {
 				out = append(out, rec)
 			}
 		}
-		w.Write(kb2tBody(out, 3))
+		w.Header().Set("Content-Type", walTailType)
+		w.Header().Set("X-KB2-WAL-Last-Seq", "3")
+		w.Write(walBody(out...))
 	}))
 	defer primary.Close()
 
-	srv, err := New(Config{
-		Stream: core.StreamConfig{
-			Config:    core.Config{Seed: 7, Trials: 2},
-			Dims:      3,
-			RawRanges: [][2]float64{{-12, 12}, {-12, 12}, {-12, 12}},
-			Period:    250,
-		},
-		FollowURL:        primary.URL,
-		FollowPoll:       50 * time.Millisecond,
-		FollowMaxBackoff: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
+	srv := startTailFollower(t, primary.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	defer srv.Stop(ctx)
@@ -112,35 +142,87 @@ func TestFollowerRefusesTailGap(t *testing.T) {
 	}
 }
 
-// FuzzTailFrames drives the follower's KB2T reader with arbitrary
-// response bytes: it must never panic, its entry buffer must grow with
+// TestFollowerRefusesOldTailType: a primary from before GET /wal shipped
+// stored records answers with its own framing's content type. The
+// follower must refuse the round by its type, naming both types, apply
+// nothing — not even valid records behind it — and back off to retry.
+func TestFollowerRefusesOldTailType(t *testing.T) {
+	body := walBody(storedRecords(t, tailEntry(1))...)
+	var requests atomic.Int32
+	third := make(chan struct{}) // closed by the third tail request
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1) == 3 {
+			close(third)
+		}
+		w.Header().Set("Content-Type", "application/x-kb2-tail")
+		w.Header().Set("X-KB2-WAL-Last-Seq", "1")
+		w.Write(body)
+	}))
+	defer primary.Close()
+
+	var mu sync.Mutex
+	var logs []string
+	srv := startTailFollower(t, primary.URL, func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer srv.Stop(ctx)
+
+	select {
+	case <-third:
+	case <-ctx.Done():
+		t.Fatal("the follower stopped retrying the tail")
+	}
+	st := srv.Stats()
+	if st.AppliedSeq != 0 || st.Seen != 0 {
+		t.Fatalf("applied seq %d, seen %d from a refused tail type; want 0 and 0", st.AppliedSeq, st.Seen)
+	}
+	if st.TailReconnects == 0 {
+		t.Fatal("the refused round did not go through the reconnect backoff")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "application/x-kb2-tail") && strings.Contains(l, walTailType) {
+			return
+		}
+	}
+	t.Fatalf("no log line names both application/x-kb2-tail and %s: %q", walTailType, logs)
+}
+
+// FuzzTailFrames drives the follower's GET /wal reader with arbitrary
+// response bytes: it must never panic, its record buffer must grow with
 // the bytes that arrived rather than with a length prefix's claim, and
 // every record it accepts must carry a CRC that verifies.
 func FuzzTailFrames(f *testing.F) {
-	good := kb2tBody([]TailRecord{{Seq: 1, Entry: []byte("entry-one")}, {Seq: 2}}, 2)
+	good := walBody(storedRecords(f, []byte("entry-one"), nil)...)
 	f.Add(good)
-	f.Add(kb2tBody(nil, 0))
+	f.Add([]byte{})
 	f.Add(good[:len(good)-11]) // cut mid-record
 	flipped := append([]byte(nil), good...)
-	flipped[30] ^= 0x40 // an entry byte: the CRC no longer matches
+	flipped[walRecHdrSize+8+2] ^= 0x40 // an entry byte: the CRC no longer matches
 	f.Add(flipped)
-	claim := binary.LittleEndian.AppendUint64(append(kb2tBody(nil, 0)[:8], tailFrameRecord), 1)
-	f.Add(binary.LittleEndian.AppendUint32(claim, walMaxRecord)) // 64 MiB claimed, none sent
+	claim := binary.LittleEndian.AppendUint32(nil, walMaxRecord)
+	f.Add(binary.LittleEndian.AppendUint32(claim, 0)) // 64 MiB claimed, none sent
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := newTailFrameReader(bytes.NewReader(data))
-		for i := 0; i <= len(data); i++ { // every frame consumes a byte
-			frame, err := fr.Next()
+		tr := newWALTailReader(bytes.NewReader(data))
+		for i := 0; i <= len(data); i++ { // every record consumes a byte
+			rec, err := tr.Next()
 			if err != nil {
 				return
 			}
-			if c := fr.buf.Cap(); c > 2*len(data)+4096 {
-				t.Fatalf("entry buffer of %d bytes for a %d-byte body", c, len(data))
+			if c := tr.buf.Cap(); c > 2*len(data)+4096 {
+				t.Fatalf("record buffer of %d bytes for a %d-byte body", c, len(data))
 			}
-			if frame.Kind == tailFrameRecord && !bytes.Contains(data, kb2tRecordFrame(frame.Seq, frame.Entry)) {
-				t.Fatalf("accepted seq %d without a verifying CRC", frame.Seq)
+			sum := crc32.Checksum(rec.Raw[walRecHdrSize:], walCRCTable)
+			if !bytes.Contains(data, rec.Raw) || binary.LittleEndian.Uint32(rec.Raw[4:]) != sum {
+				t.Fatalf("accepted seq %d without a verifying CRC", rec.Seq)
 			}
 		}
-		t.Fatal("reader returned more frames than the body has bytes")
+		t.Fatal("reader returned more records than the body has bytes")
 	})
 }
 

@@ -93,10 +93,7 @@ func (s *Server) followLoop() bool {
 		default:
 		}
 		if reconnecting {
-			s.tailReconnects.Add(1)
-			if s.tel.tailReconnects != nil {
-				s.tel.tailReconnects.Inc()
-			}
+			s.tel.tailReconnects.Inc()
 		}
 		err := s.tailRound(client)
 		if err == nil {
@@ -149,7 +146,8 @@ func (s *Server) tailRound(client *http.Client) error {
 
 // tailOnce performs one tail round: request records after the replica's
 // applied sequence (long-polling when caught up), apply every returned
-// record, and refresh the lag bookkeeping from the 'E' horizon frame.
+// record, and refresh the lag bookkeeping from the primary's horizon
+// (X-KB2-WAL-Last-Seq) once the whole body has arrived.
 // The round carries the replica's fencing epoch: a primary that is
 // staler than we are answers 412 and we refuse its records, and a
 // response carrying a newer epoch is adopted — fencing news travels
@@ -197,32 +195,38 @@ func (s *Server) tailOnce(ctx context.Context, client *http.Client) error {
 		return fmt.Errorf("tail: primary answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 
-	fr := newTailFrameReader(resp.Body)
+	// A primary built before the tail shipped stored records answers with
+	// another type: refuse the round before reading a byte of its body.
+	if ct := resp.Header.Get("Content-Type"); ct != walTailType {
+		return fmt.Errorf("tail: primary sent %q, want %q", ct, walTailType)
+	}
+	lastSeq, err := strconv.ParseUint(resp.Header.Get("X-KB2-WAL-Last-Seq"), 10, 64)
+	if err != nil {
+		return fmt.Errorf("tail: bad X-KB2-WAL-Last-Seq: %w", err)
+	}
+	tr := newWALTailReader(resp.Body)
 	for {
-		f, err := fr.Next()
+		rec, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return fmt.Errorf("tail: %w", err)
 		}
-		switch f.Kind {
-		case tailFrameSegment:
-			// Segment boundary metadata; nothing to do on apply.
-		case tailFrameRecord:
-			if f.Seq != s.appliedSeq+1 {
-				return fmt.Errorf("tail: record seq %d does not follow applied seq %d", f.Seq, s.appliedSeq)
-			}
-			if _, _, err := s.applyWALEntry(f.Seq, f.Entry); err != nil {
-				return fmt.Errorf("tail: apply seq %d: %w", f.Seq, err)
-			}
-		case tailFrameEnd:
-			s.primaryLastSeq.Store(f.Seq)
-			if s.appliedSeq >= f.Seq {
-				s.behindSince.Store(0)
-			} else if s.behindSince.Load() == 0 {
-				s.behindSince.Store(time.Now().UnixNano())
-			}
-			return nil
+		if rec.Seq != s.appliedSeq+1 {
+			return fmt.Errorf("tail: record seq %d does not follow applied seq %d", rec.Seq, s.appliedSeq)
+		}
+		if _, _, err := s.applyWALEntry(rec.Seq, rec.Entry); err != nil {
+			return fmt.Errorf("tail: apply seq %d: %w", rec.Seq, err)
 		}
 	}
+	s.primaryLastSeq.Store(lastSeq)
+	if s.appliedSeq >= lastSeq {
+		s.behindSince.Store(0)
+	} else if s.behindSince.Load() == 0 {
+		s.behindSince.Store(time.Now().UnixNano())
+	}
+	return nil
 }
 
 // bootstrapFromSnapshot replaces the replica's stream with the primary's

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -464,4 +465,48 @@ func TestTailTruncationBootstrapsFollower(t *testing.T) {
 	probeM, _ := spec.Sample(64, xrand.New(43))
 	probe := server.EncodeBatch(probeM)
 	sameLabels(t, rawLabel(t, primary.ts.URL, probe), rawLabel(t, f.ts.URL, probe))
+}
+
+// TestWALTailShipsStoredRecords: GET /wal is the primary's log bytes, not
+// a re-framing of them — a tail from seq 0 of a one-segment log equals
+// that segment file after its 16-byte header, byte for byte, and its
+// headers name the type and the primary's newest sequence.
+func TestWALTailShipsStoredRecords(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	walDir := filepath.Join(t.TempDir(), "wal")
+	primary := startNode(t, server.Config{Stream: testStreamConfig(3), WALDir: walDir})
+	defer primary.stop(t, ctx)
+	spec := synth.AutoMixture(3, 3, 6, 1, xrand.New(31))
+	rng := xrand.New(32)
+	for i := 0; i < 5; i++ {
+		batch, _ := spec.Sample(100, rng)
+		if _, err := primary.c.Ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := http.Get(primary.ts.URL + "/wal?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("tail → %d: %v", resp.StatusCode, err)
+	}
+	if ct, last := resp.Header.Get("Content-Type"), resp.Header.Get("X-KB2-WAL-Last-Seq"); ct != "application/x-kb2-wal" || last != "5" {
+		t.Fatalf("tail headers: Content-Type %q, X-KB2-WAL-Last-Seq %q; want application/x-kb2-wal and 5", ct, last)
+	}
+	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, found %v (%v)", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, seg[16:]) {
+		t.Fatalf("tail body (%d bytes) is not the segment's records (%d bytes)", len(body), len(seg)-16)
+	}
 }

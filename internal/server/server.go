@@ -291,7 +291,6 @@ type Server struct {
 	appliedSeqA    atomic.Uint64 // mirrors appliedSeq for readers
 	primaryLastSeq atomic.Uint64 // primary's lastSeq per the latest tail round
 	behindSince    atomic.Int64  // unix nanos the replica fell behind (0 = caught up)
-	tailReconnects atomic.Int64
 
 	// drainMu gates enqueues against shutdown: Stop takes the write lock
 	// to flip draining, after which no handler can be inside the enqueue
@@ -588,7 +587,7 @@ func (s *Server) Stats() Stats {
 	if r.kind == roleFollower {
 		st.Primary = r.primary
 		st.PrimaryLastSeq = s.primaryLastSeq.Load()
-		st.TailReconnects = s.tailReconnects.Load()
+		st.TailReconnects = s.tel.tailReconnects.Value()
 		st.ReplicaLagSeconds = s.replicaLagSeconds()
 	} else {
 		st.Promoted = s.cfg.FollowURL != ""

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -16,18 +15,15 @@ import (
 	"keybin2/internal/wire"
 )
 
-// The replication wire protocol (GET /wal?from=<seq>): one response is a
-// stream header followed by frames, little endian throughout.
+// The replication wire protocol (GET /wal?from=<seq>): the body is the
+// log's stored records after from, back to back and byte for byte as they
+// sit in the segment files (len | crc32c(seq‖entry) | seq | entry, see
+// wal.go), typed application/x-kb2-wal. X-KB2-WAL-Last-Seq carries the
+// primary's newest sequence at read time, and Content-Length bounds the
+// body, so a response cut mid-stream surfaces as an unexpected EOF.
 //
-//	header: "KB2T" | u32 version
-//	'S' frame: u64 segFirst            — the records that follow come from
-//	                                     the primary segment starting here
-//	'R' frame: u64 seq | u32 len | entry | u32 crc32c(seq||entry)
-//	'E' frame: u64 lastSeq             — end of response; the primary's
-//	                                     newest sequence at read time
-//
-// Each response is one bounded tail round: the follower applies the 'R'
-// frames, remembers the 'E' horizon, and issues the next request from its
+// Each response is one bounded tail round: the follower applies the
+// records, remembers the horizon, and issues the next request from its
 // new applied sequence. `wait` turns a caught-up request into a long poll
 // (the handler parks on the WAL's append notification), so a current
 // follower replicates with one in-flight request and no busy polling.
@@ -38,14 +34,8 @@ import (
 // answers 410 Gone with {"oldest_seq": n} — the follower must re-bootstrap
 // from GET /snapshot.
 
-const (
-	tailMagic        = "KB2T"
-	tailProtoVersion = 1
-
-	tailFrameSegment = 'S'
-	tailFrameRecord  = 'R'
-	tailFrameEnd     = 'E'
-)
+// walTailType is the content type of a GET /wal body.
+const walTailType = "application/x-kb2-wal"
 
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	wal := s.wal.Load()
@@ -123,44 +113,22 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	h := w.Header()
 	if e := s.role.Load().epoch; e > 0 {
 		// Fencing news travels with the tail: the follower adopts a newer
 		// epoch from this header without waiting for the control plane.
-		w.Header().Set("X-KB2-Epoch", strconv.FormatInt(e, 10))
+		h.Set("X-KB2-Epoch", strconv.FormatInt(e, 10))
 	}
-	w.Header().Set("Content-Type", "application/x-kb2-tail")
-	bw := bufio.NewWriterSize(w, 64<<10)
-	// Each frame's fixed fields go through fw, emptied after each write.
-	var scratch [13]byte
-	fw := wire.Writer{Buf: scratch[:0]}
-	flush := func() {
-		bw.Write(fw.Buf)
-		fw.Buf = fw.Buf[:0]
-	}
-	fw.Str(tailMagic)
-	fw.U32(tailProtoVersion)
-	flush()
-	curSeg := uint64(0)
-	haveSeg := false
+	size := 0
 	for _, rec := range recs {
-		if !haveSeg || rec.SegFirst != curSeg {
-			curSeg, haveSeg = rec.SegFirst, true
-			fw.U8(tailFrameSegment)
-			fw.U64(curSeg)
-			flush()
-		}
-		fw.U8(tailFrameRecord)
-		fw.U64(rec.Seq)
-		fw.U32(uint32(len(rec.Entry)))
-		flush()
-		bw.Write(rec.Entry)
-		fw.U32(rec.CRC) // the stored crc32c(seq‖entry)
-		flush()
+		size += len(rec.Raw)
 	}
-	fw.U8(tailFrameEnd)
-	fw.U64(lastSeq)
-	flush()
-	bw.Flush()
+	h.Set("Content-Type", walTailType)
+	h.Set("Content-Length", strconv.Itoa(size))
+	h.Set("X-KB2-WAL-Last-Seq", strconv.FormatUint(lastSeq, 10))
+	for _, rec := range recs {
+		w.Write(rec.Raw)
+	}
 }
 
 // writeTailError maps tail read failures onto the protocol: truncated
@@ -201,81 +169,44 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob)
 }
 
-// tailFrame is one decoded frame from a tail response.
-type tailFrame struct {
-	Kind byte
-	// Seq is the record's sequence ('R'), the segment's first sequence
-	// ('S'), or the primary's newest sequence ('E').
-	Seq   uint64
-	Entry []byte // 'R'; aliases the reader's buffer until the next Next
+// walTailReader reads a GET /wal body — bytes from another process, so a
+// record's length prefix is a claim, not an allocation request: the
+// record buffer grows with the bytes that actually arrive, and every
+// record goes through parseWALRecord, the decoder of every stored record.
+// Next returns io.EOF when the body ends on a record boundary; a body cut
+// mid-record surfaces io.ErrUnexpectedEOF, and the follower resumes from
+// its last applied sequence. Every record it returns passed its CRC check.
+type walTailReader struct {
+	br  *bufio.Reader
+	buf bytes.Buffer
 }
 
-// tailFrameReader decodes a tail response body — bytes from another
-// process, so a length prefix is a claim, not an allocation request: the
-// entry buffer grows with the bytes that actually arrive. Next returns
-// io.EOF after the 'E' frame's underlying stream ends; a response that
-// ends without an 'E' frame (connection cut mid-stream) surfaces
-// io.ErrUnexpectedEOF, and the follower resumes from its last applied
-// sequence. Every 'R' frame it returns passed its CRC check.
-type tailFrameReader struct {
-	br    *bufio.Reader
-	buf   bytes.Buffer
-	began bool
+func newWALTailReader(r io.Reader) *walTailReader {
+	return &walTailReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-func newTailFrameReader(r io.Reader) *tailFrameReader {
-	return &tailFrameReader{br: bufio.NewReaderSize(r, 64<<10)}
-}
-
-func (t *tailFrameReader) Next() (tailFrame, error) {
-	if !t.began {
-		var hdr [8]byte
-		if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
-			return tailFrame{}, err
-		}
-		r := wire.NewReader("tail", hdr[:])
-		if magic := r.Bytes(4); string(magic) != tailMagic {
-			return tailFrame{}, fmt.Errorf("tail: bad stream magic %q", magic)
-		}
-		if v := r.U32(); v != tailProtoVersion {
-			return tailFrame{}, fmt.Errorf("tail: protocol version %d unsupported", v)
-		}
-		t.began = true
-	}
-	kind, err := t.br.ReadByte()
-	if err != nil {
-		return tailFrame{}, err
-	}
-	f := tailFrame{Kind: kind}
-	var hdr [12]byte // u64, then the u32 entry length of an 'R' frame
-	n := 8
-	if kind == tailFrameRecord {
-		n = 12
-	} else if kind != tailFrameSegment && kind != tailFrameEnd {
-		return f, fmt.Errorf("tail: unknown frame kind %q", kind)
-	}
-	if _, err := io.ReadFull(t.br, hdr[:n]); err != nil {
-		return f, err
-	}
-	r := wire.NewReader("tail", hdr[:n])
-	if f.Seq = r.U64(); kind != tailFrameRecord {
-		return f, nil
-	}
-	size := r.U32()
-	if size > walMaxRecord {
-		return f, fmt.Errorf("tail: record of %d bytes exceeds limit", size)
+// Next returns the next record; its Entry and Raw alias the reader's
+// buffer until the following call.
+func (t *walTailReader) Next() (TailRecord, error) {
+	var hdr [walRecHdrSize]byte // len | crc
+	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
+		return TailRecord{}, err
 	}
 	t.buf.Reset()
-	if _, err := io.CopyN(&t.buf, t.br, int64(size)+4); err != nil { // entry | crc
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	t.buf.Write(hdr[:])
+	r := wire.NewReader("wal tail", hdr[:])
+	// An implausible length reads nothing more: parseWALRecord refuses it.
+	if n := r.U32(); n <= walMaxRecord {
+		if _, err := io.CopyN(&t.buf, t.br, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return TailRecord{}, err
 		}
-		return f, err
 	}
-	body := wire.NewReader("tail", t.buf.Bytes())
-	f.Entry = body.Bytes(int(size))
-	if crc32.Update(crc32.Checksum(hdr[:8], walCRCTable), walCRCTable, f.Entry) != body.U32() {
-		return f, fmt.Errorf("tail: record crc mismatch at seq %d", f.Seq)
+	rec, _, reason := parseWALRecord(t.buf.Bytes())
+	if reason != "" {
+		return TailRecord{}, fmt.Errorf("bad record: %s", reason)
 	}
-	return f, nil
+	return rec, nil
 }

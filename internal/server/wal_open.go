@@ -162,10 +162,10 @@ func (w *WAL) scanSegment(seg walSegment, prevSeq uint64, last bool) (int64, uin
 	return off, seq, nil
 }
 
-// parseWALRecord is the one decoder of a stored record: it parses the
-// record at the head of b and returns it (Entry aliasing b; SegFirst is
-// the caller's to set) with its framed size. A non-empty reason means b
-// does not start with a whole, checksummed record.
+// parseWALRecord is the one decoder of a stored record, on disk or off
+// the wire of GET /wal: it parses the record at the head of b and returns
+// it (Entry and Raw aliasing b) with its framed size. A non-empty reason
+// means b does not start with a whole, checksummed record.
 func parseWALRecord(b []byte) (TailRecord, int64, string) {
 	r := wire.NewReader("wal record", b)
 	n, crc := r.U32(), r.U32()
@@ -184,7 +184,7 @@ func parseWALRecord(b []byte) (TailRecord, int64, string) {
 	}
 	p := wire.NewReader("wal record", payload)
 	seq := p.U64()
-	return TailRecord{Seq: seq, CRC: crc, Entry: p.Bytes(p.Left())}, int64(r.Off()), ""
+	return TailRecord{Seq: seq, Entry: p.Bytes(p.Left()), Raw: b[:r.Off()]}, int64(r.Off()), ""
 }
 
 // walkSegment is the one loop over a segment image's records, shared by

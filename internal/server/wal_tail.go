@@ -41,16 +41,15 @@ type TailCursor struct {
 	Offset   int64  // byte offset of the next record within that segment
 }
 
-// TailRecord is one replicated record: its sequence, the segment it came
-// from (boundary metadata for the wire protocol), its stored checksum, and
-// the entry bytes exactly as Append stored them. Entry aliases a buffer
-// owned by the ReadTail call; it is valid only until the next ReadTail on
-// the cursor.
+// TailRecord is one replicated record: its sequence, the entry bytes
+// exactly as Append stored them, and the whole framed record (len | crc |
+// seq | entry), which GET /wal ships verbatim. Entry and Raw alias a
+// buffer owned by the ReadTail call; they are valid only until the next
+// ReadTail on the cursor.
 type TailRecord struct {
-	Seq      uint64
-	SegFirst uint64
-	CRC      uint32 // as stored: crc32c(seq‖entry), what a KB2T 'R' frame carries
-	Entry    []byte
+	Seq   uint64
+	Entry []byte
+	Raw   []byte
 }
 
 // oldestAvailableLocked returns the oldest record sequence the log still
@@ -134,7 +133,6 @@ func (w *WAL) readTail(cur TailCursor, maxBytes int, oneSegment bool) ([]TailRec
 		// half-written append; the walk stops before them.
 		end, last, reason, _ := walkSegment(blob, off, prev, seg.lastSeq, func(r TailRecord, end int64) bool {
 			if r.Seq >= cur.NextSeq {
-				r.SegFirst = seg.firstSeq
 				out = append(out, r)
 				budget -= 8 + len(r.Entry)
 				cur = TailCursor{NextSeq: r.Seq + 1, SegFirst: seg.firstSeq, Offset: end}

@@ -1,7 +1,7 @@
 // Package wire is the one cursor under every binary format that crosses a
 // process: KB2H folds, KB2M models, KB2S checkpoints, KB2B batches, WAL
-// records, entries and checkpoint metadata, KB2T tail frames, and the MPI
-// transport's frames. Every value is little endian and fixed width.
+// records (on disk and in a GET /wal body), entries and checkpoint
+// metadata, and the MPI transport's frames. Every value is little endian and fixed width.
 //
 // Reader is the only place a decoder checks bounds. Its error is sticky:
 // the first read that does not fit records an error, every later read
