@@ -48,23 +48,6 @@ func Sizes(labels []int) map[int]int {
 // NumClusters returns the number of distinct non-noise labels.
 func NumClusters(labels []int) int { return len(Sizes(labels)) }
 
-// FilterSmall relabels clusters with fewer than minSize members to Noise
-// and canonicalizes the remainder. KeyBin2 over-partitions slightly (the
-// paper reports 7–13 clusters for k=4 ground truth, the extras being "small
-// outliers from noise"), so evaluation and downstream use may drop dust.
-func FilterSmall(labels []int, minSize int) ([]int, int) {
-	sizes := Sizes(labels)
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		if l == Noise || sizes[l] < minSize {
-			out[i] = Noise
-		} else {
-			out[i] = l
-		}
-	}
-	return Canonicalize(out)
-}
-
 // Contingency is the joint count table between two labelings: Cells[a][b]
 // is the number of points labeled a by the first and b by the second.
 // Noise points are expanded into singleton clusters by the pair-counting

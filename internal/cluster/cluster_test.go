@@ -29,21 +29,6 @@ func TestSizesAndNumClusters(t *testing.T) {
 	}
 }
 
-func TestFilterSmall(t *testing.T) {
-	labels := []int{0, 0, 0, 1, 2, 2}
-	got, k := FilterSmall(labels, 2)
-	// cluster 1 (size 1) becomes noise; 0 and 2 survive, renumbered.
-	want := []int{0, 0, 0, Noise, 1, 1}
-	if !reflect.DeepEqual(got, want) || k != 2 {
-		t.Fatalf("got %v k=%d", got, k)
-	}
-	// minSize 1 keeps everything
-	got, k = FilterSmall(labels, 1)
-	if k != 3 {
-		t.Fatalf("minSize=1 k=%d", k)
-	}
-}
-
 func TestContingency(t *testing.T) {
 	a := []int{0, 0, 1, 1, Noise}
 	b := []int{7, 7, 7, 8, 8}

@@ -13,8 +13,9 @@ import (
 // trajectory (cmd/benchjson writes it to BENCH_keybin2.json) so regressions
 // in the hot path are visible across PRs.
 type KernelTimings struct {
-	// KeyAssignNsPerPoint is the fused per-point labeling kernel
-	// (bin + segment LUT + packed tuple key + label lookup).
+	// KeyAssignNsPerPoint is the label loop over projected blocks of
+	// blockRows rows: linalg.BinRows, the packed tuple keys from the
+	// stored bins through the segment tables, and the label lookup.
 	KeyAssignNsPerPoint float64 `json:"key_assign_ns_per_point"`
 	// TupleCountNsPerPoint is the fit's parallel tuple-counting pass over
 	// stored bins (one trial's columns, binned beforehand).
@@ -64,12 +65,13 @@ func MeasureKernels(data *linalg.Matrix, cfg Config, reps int) (KernelTimings, e
 	}
 	defer proj.release()
 
-	// Per-point key assignment + label lookup (the in-situ hot path).
+	// The label loop over the projected blocks (the in-situ hot path):
+	// bin a block, key its stored bins, look up each key's label.
+	bins, keys := make([]uint16, blockRows*proj.cols), make([]uint64, blockRows*model.lab.words())
+	labels := make([]int, blockRows)
 	assignBest, _ := fastest(func() error {
 		for _, rows := range proj.blocks {
-			for off := 0; off < len(rows); off += proj.cols {
-				model.AssignProjected(rows[off : off+proj.cols])
-			}
+			model.labelProjected(labels[:len(rows)/proj.cols], keys, bins, rows)
 		}
 		return nil
 	})

@@ -18,8 +18,9 @@ import (
 
 // TestStoredBinKeyIsLabelerKey is the property the fit's count and label
 // passes stand on: a point's bin as binAll stores it is Hist.Bin of its
-// float, the key ORed from its stored bins is labeler.key of its floats,
-// and that key holds the segments Result.SegmentOf gives its bins.
+// float, the key ORed from its stored bins is the key of the row binned
+// on its own (a one-row BinRows, as a query is), and that key holds the
+// segments Result.SegmentOf gives its bins.
 // Rows mix NaN, ±Inf, ±0, every bin edge and the floats either side of it,
 // each range's min and max, values far out of range and uniform draws;
 // dimensions mix collapsed ones and zero-width ranges (which histogram.New
@@ -64,7 +65,7 @@ func TestStoredBinKeyIsLabelerKey(t *testing.T) {
 		view := viewOf(data)
 		binAll(view, []*histogram.Set{set}, 3)
 		parts, collapsed := randomParts(rng, dims, set.Dims[0].Bins(), 6, 0.3)
-		lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+		lab := binLabeler(tupleLayout(parts, collapsed), set.Dims[0].Bins(), segmentField(parts, collapsed))
 		got, ref, want := make([]uint64, lab.words()), make([]uint64, lab.words()), make([]int, dims)
 		for i := 0; i < rows; i++ {
 			x, b := data.Row(i), view.bins[i/blockRows][i%blockRows*dims:][:dims]
@@ -74,9 +75,9 @@ func TestStoredBinKeyIsLabelerKey(t *testing.T) {
 				}
 			}
 			lab.binKey(got, b)
-			lab.key(ref, x)
+			lab.binKey(ref, rowBins(set, x))
 			if !slices.Equal(got, ref) {
-				t.Fatalf("trial %d row %d %v: key from stored bins %#x, labeler.key %#x", trial, i, x, got, ref)
+				t.Fatalf("trial %d row %d %v: key from stored bins %#x, from the row binned alone %#x", trial, i, x, got, ref)
 			}
 			for j, h := range set.Dims {
 				want[j] = 0

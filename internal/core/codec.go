@@ -78,7 +78,7 @@ func (m *Model) Encode() []byte {
 }
 
 // DecodeModel parses a payload produced by Model.Encode. The decoded model
-// labels points (Assign / AssignProjected) exactly like the original. Every
+// labels points (Assign / AssignBatch) exactly like the original. Every
 // cluster segment must lie below its dimension's segment count: a wider one
 // would spill into its neighbours' fields of the packed tuple key.
 func DecodeModel(b []byte) (*Model, error) {
@@ -112,6 +112,14 @@ func DecodeModel(b []byte) (*Model, error) {
 		return nil, err
 	}
 	m.Set = set
+	// Either would panic AssignBatch: a projected row holds one value per
+	// histogram, and the bin kernel stores a bin in a uint16.
+	if m.Projection != nil && m.Projection.Cols != len(set.Dims) {
+		return nil, fmt.Errorf("core: model projects to %d columns for %d histograms", m.Projection.Cols, len(set.Dims))
+	}
+	if depth := set.Dims[0].Depth; depth > maxDepth {
+		return nil, fmt.Errorf("core: model histograms of depth %d, deeper than %d", depth, maxDepth)
+	}
 	ndims := int(r.U32())
 	if r.Err() == nil && ndims != len(set.Dims) {
 		return nil, fmt.Errorf("core: model has %d partitions for %d dimensions", ndims, len(set.Dims))
@@ -168,29 +176,50 @@ func DecodeModel(b []byte) (*Model, error) {
 	// checkpoints from before the packing change label identically.
 	// Version 1 payloads carry no labels, so mass-order identity ids stand
 	// in.
-	m.lab = newLabeler(m.Set, tupleLayout(m.Parts, m.Collapsed), segmentField(m.Parts, m.Collapsed))
+	m.equip()
 	m.installLabels(labels)
 	return m, nil
 }
 
 // AssignBatch labels every row of data under the model, using workers
-// goroutines (0 = GOMAXPROCS). It is the bulk form of Assign.
+// goroutines (0 = GOMAXPROCS). It is the bulk form of Assign. A worker
+// takes up to blockRows rows at a time, projects them into a buffer from
+// blockPool (a NoProjection model reads them in place) and labels them
+// there.
 func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
-	if m.Projection == nil && data.Cols != len(m.Set.Dims) {
-		return nil, fmt.Errorf("core: assign batch: %d cols for %d model dims", data.Cols, len(m.Set.Dims))
+	cols, dims := len(m.Set.Dims), len(m.Set.Dims)
+	if m.Projection != nil {
+		dims = m.Projection.Rows
 	}
-	proj, err := project(data, m.packed, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: assign batch: %w", err)
+	if data.Cols != dims {
+		return nil, fmt.Errorf("core: assign batch: %d cols for %d model dims", data.Cols, dims)
 	}
-	defer proj.release()
-	labels := make([]int, proj.rows)
-	forBlocks(proj, workers, func(_ *struct{}, lo int, rows []float64) {
-		key := make([]uint64, m.lab.words())
-		for off := 0; off < len(rows); off += proj.cols {
-			m.lab.key(key, rows[off:off+proj.cols])
-			labels[lo+off/proj.cols] = m.labelOfKey(key)
+	labels, height := make([]int, data.Rows), min(data.Rows, blockRows)
+	type scratch struct {
+		proj *[]float64
+		bins []uint16
+		keys []uint64
+	}
+	used := forBlocks(viewStore(data), workers, func(s *scratch, lo int, raw []float64) {
+		if s.bins == nil {
+			s.bins, s.keys = make([]uint16, height*cols), make([]uint64, height*m.lab.words())
+			if m.packed != nil {
+				s.proj = pooledBuf(blockRows * cols)
+			}
 		}
+		n, x := min(blockRows, data.Rows-lo), raw
+		if s.proj != nil {
+			x = (*s.proj)[:n*cols]
+			src, dst := linalg.Matrix{Rows: n, Cols: data.Cols, Data: raw}, linalg.Matrix{Rows: n, Cols: cols, Data: x}
+			// MulPacked only fails on a shape mismatch, ruled out above.
+			_ = linalg.MulPacked(&dst, &src, m.packed, nil, nil)
+		}
+		m.labelProjected(labels[lo:lo+n], s.keys, s.bins, x)
 	})
+	for _, s := range used {
+		if s.proj != nil {
+			blockPool.Put(s.proj)
+		}
+	}
 	return labels, nil
 }

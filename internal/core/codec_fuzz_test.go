@@ -36,7 +36,17 @@ var codecs = map[string]codec{
 			if err != nil {
 				return nil, err
 			}
-			return m.Encode, nil
+			return func() []byte {
+				// Whatever decodes labels a point.
+				dims := len(m.Set.Dims)
+				if m.Projection != nil {
+					dims = m.Projection.Rows
+				}
+				if _, err := m.Assign(make([]float64, dims)); err != nil {
+					panic(err)
+				}
+				return m.Encode()
+			}, nil
 		},
 	},
 	"stream": {
@@ -123,13 +133,13 @@ func modelSeeds(t testing.TB) [][]byte {
 	at := clusterCountAt(t, enc)
 	foreign := bytes.Clone(enc)
 	binary.LittleEndian.PutUint32(foreign[at+4+8:], 1<<20)
-	return [][]byte{
+	return append([][]byte{
 		enc,
 		bare.Encode(),
 		overflow.Buf,
 		binary.LittleEndian.AppendUint32(bytes.Clone(enc[:at]), 1<<20),
 		foreign,
-	}
+	}, unlabelableModels(t, model)...)
 }
 
 // streamSeeds: a checkpoint with metadata, one without, one whose first

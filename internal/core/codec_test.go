@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
 	"keybin2/internal/synth"
 	"keybin2/internal/wire"
@@ -334,6 +335,55 @@ func TestDecodeModelRefusesForeignSegment(t *testing.T) {
 			if _, err := DecodeModel(bad); err == nil {
 				t.Fatalf("dimension %d of %d segments: segment %d decoded", j, p.Segments(), seg)
 			}
+		}
+	}
+}
+
+// unlabelableModels are two model payloads sound byte for byte that no
+// AssignBatch can label: model's with a projection of one column fewer
+// than its histograms (a projected row ends early), and a one-dimension
+// model of depth maxDepth+1 (its bins do not fit the bin kernel's uint16).
+func unlabelableModels(t testing.TB, model *Model) [][]byte {
+	t.Helper()
+	narrow := *model
+	narrow.Projection = linalg.NewMatrix(model.Projection.Rows, model.Projection.Cols-1)
+	deep, err := histogram.NewSet([]float64{0}, []float64{1}, maxDepth+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.Writer{}
+	w.Str(modelMagic)
+	w.U32(modelVersion)
+	w.U8(0) // no projection
+	w.Frame(deep.Encode())
+	w.U32(1) // one dimension, not collapsed, no cuts
+	w.U8(0)
+	w.U32(0)
+	w.U32(0) // trial
+	w.U32(0) // no clusters
+	w.F64(0) // assessment
+	w.F64(0)
+	w.F64(0)
+	w.U32(0)
+	return [][]byte{narrow.Encode(), w.Buf}
+}
+
+// TestDecodeModelRefusesWhatItCannotLabel: a projection whose columns are
+// not the histograms' count and histograms deeper than maxDepth are
+// refused, each with an error naming it. Both once decoded, and the first
+// /label on the shard that installed the first one panicked indexing past
+// a projected row.
+func TestDecodeModelRefusesWhatItCannotLabel(t *testing.T) {
+	data, _ := synth.AutoMixture(2, 4, 6, 1, xrand.New(86)).Sample(300, xrand.New(87))
+	model, _, err := Fit(data, Config{Seed: 88, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := model.Projection.Cols
+	wants := []string{fmt.Sprintf("%d columns for %d histograms", cols-1, cols), fmt.Sprintf("depth %d", maxDepth+1)}
+	for i, b := range unlabelableModels(t, model) {
+		if _, err := DecodeModel(b); err == nil || !strings.Contains(err.Error(), wants[i]) {
+			t.Fatalf("model %d: DecodeModel error %v, want one naming %q", i, err, wants[i])
 		}
 	}
 }

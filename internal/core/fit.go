@@ -146,7 +146,7 @@ type trialKeys struct {
 }
 
 func newTrialKeys(set *histogram.Set, parts []partition.Result, collapsed []bool) trialKeys {
-	lab := newLabeler(set, tupleLayout(parts, collapsed), segmentField(parts, collapsed))
+	lab := binLabeler(tupleLayout(parts, collapsed), set.Dims[0].Bins(), segmentField(parts, collapsed))
 	return trialKeys{parts: parts, collapsed: collapsed, lab: lab}
 }
 
@@ -241,7 +241,7 @@ func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, 
 // labeling kernel, the identity tuple→label map, and the trial's
 // projection matrix (none when batch is nil, i.e. NoProjection).
 func (m *Model) finish(batch *projection.Batch) {
-	m.lab = newLabeler(m.Set, tupleLayout(m.Parts, m.Collapsed), segmentField(m.Parts, m.Collapsed))
+	m.equip()
 	m.installLabels(identityLabels(len(m.Clusters)))
 	if batch != nil {
 		nrp := batch.Nrp
@@ -257,16 +257,12 @@ func (m *Model) finish(batch *projection.Batch) {
 // bins in columns [loCol, loCol+N_rp).
 func labelBins(proj *projected, loCol int, model *Model, workers int) []int {
 	labels := make([]int, proj.rows)
-	words := model.lab.words()
 	forBlocks(proj, workers, func(keys *[]uint64, lo int, _ []float64) {
 		if *keys == nil {
-			*keys = make([]uint64, blockRows*words)
+			*keys = make([]uint64, blockRows*model.lab.words())
 		}
 		blk := proj.bins[lo/blockRows]
-		model.lab.binKeys(*keys, blk, loCol, proj.cols)
-		for i := range len(blk) / proj.cols {
-			labels[lo+i] = model.labelOfKey((*keys)[i*words : (i+1)*words])
-		}
+		model.labelRows(labels[lo:lo+len(blk)/proj.cols], *keys, blk, loCol, proj.cols)
 	})
 	return labels
 }

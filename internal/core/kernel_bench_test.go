@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"keybin2/internal/linalg"
@@ -14,7 +15,7 @@ import (
 // string keys they replaced, packing bought ≥3× on tuple counting and
 // batch labelling.)
 //
-//	go test ./internal/core -bench 'TupleCount|AssignAll|LabelerKey' -benchmem
+//	go test ./internal/core -bench 'TupleCount|AssignAll' -benchmem
 
 const (
 	benchRows = 20000
@@ -91,6 +92,9 @@ func BenchmarkFit(b *testing.B) {
 	b.ReportMetric(float64(4*data.Rows)*float64(b.N)/b.Elapsed().Seconds(), "pts/s")
 }
 
+// BenchmarkAssignAll times AssignBatch: the whole kernel fixture under
+// its unprojected model, and /label-sized queries of 1, 64 and 1,024 rows
+// on one worker under a projected model of 16 dims and N_rp 6.
 func BenchmarkAssignAll(b *testing.B) {
 	data, model := benchKernelFixture(b)
 	for _, workers := range []int{1, 4} {
@@ -102,35 +106,19 @@ func BenchmarkAssignAll(b *testing.B) {
 			b.ReportMetric(nsPerPoint(b), "ns/point")
 		})
 	}
-}
-
-// BenchmarkLabelerKey isolates the steady-state per-point kernel: bin every
-// dimension, fuse bin→segment via LUT, OR the fields together. Must report
-// 0 allocs/op.
-func BenchmarkLabelerKey(b *testing.B) {
-	data, model := benchKernelFixture(b)
-	lab := model.lab
-	key := make([]uint64, lab.words())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		lab.key(key, data.Row(i%benchRows))
-		sink ^= key[0]
+	raw, _ := synth.AutoMixture(4, 16, 5, 1, xrand.New(43)).Sample(benchRows, xrand.New(44))
+	projected, _, err := Fit(raw, Config{Seed: 45, TargetDims: 6})
+	if err != nil {
+		b.Fatal(err)
 	}
-	if sink == 1 {
-		b.Log("unlikely")
-	}
-}
-
-// BenchmarkAssignProjected measures the public per-point labeling call used
-// by the in-situ path (Stream.Ingest / Model.Assign). It must be
-// allocation-free.
-func BenchmarkAssignProjected(b *testing.B) {
-	data, model := benchKernelFixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		model.AssignProjected(data.Row(i % benchRows))
+	for _, rows := range []int{1, 64, 1024} {
+		b.Run(fmt.Sprintf("query/%d", rows), func(b *testing.B) {
+			query := &linalg.Matrix{Rows: rows, Cols: raw.Cols, Data: raw.Data[:rows*raw.Cols]}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = projected.AssignBatch(query, 1)
+			}
+		})
 	}
 }
 

@@ -47,6 +47,9 @@ type Model struct {
 	lab     *labeler
 	tuples  *flatTable
 	labelOf []int
+	// binLo and binIW are each dimension's Min and InvWidth from Set: what
+	// linalg.BinRows bins a projected point by, set with lab.
+	binLo, binIW []float64
 
 	// packed is Projection laid out for linalg.MulPacked, set with it.
 	packed *linalg.Packed
@@ -80,14 +83,34 @@ func (m *Model) Describe() string {
 	return b.String()
 }
 
-// AssignProjected labels a point already expressed in the projected
-// subspace. Unknown tuples return cluster.Noise. It allocates nothing for
-// a tuple of up to four words.
-func (m *Model) AssignProjected(projected []float64) int {
-	var buf [4]uint64
-	key := keyScratch(&buf, m.lab.words())
-	m.lab.key(key, projected)
-	return m.labelOfKey(key)
+// equip builds what labels a point from the model's histograms and
+// partitions: the labeler under the tuple layout they imply, and each
+// dimension's Min and InvWidth for the bin kernel.
+func (m *Model) equip() {
+	m.lab = binLabeler(tupleLayout(m.Parts, m.Collapsed), m.Set.Dims[0].Bins(), segmentField(m.Parts, m.Collapsed))
+	for _, h := range m.Set.Dims {
+		m.binLo, m.binIW = append(m.binLo, h.Min), append(m.binIW, h.InvWidth())
+	}
+}
+
+// labelProjected labels the rows of x, points in the projected subspace:
+// it bins them into bins (room for len(x)) under the model's histograms by
+// Hist.Bin's arithmetic, then runs the label loop over those.
+func (m *Model) labelProjected(labels []int, keys []uint64, bins []uint16, x []float64) {
+	cols := len(m.binLo)
+	linalg.BinRows(bins[:len(x)], x, cols, m.binLo, m.binIW, m.Set.Dims[0].Bins())
+	m.labelRows(labels, keys, bins, 0, cols)
+}
+
+// labelRows is the one label loop: it labels len(labels) rows of stored
+// bins, row i's N_rp bins starting first+i·stride bins into bins, through
+// keys (room for len(labels) keys). Unknown tuples get cluster.Noise.
+func (m *Model) labelRows(labels []int, keys []uint64, bins []uint16, first, stride int) {
+	words := m.lab.words()
+	m.lab.binKeys(keys, bins[:len(labels)*stride], first, stride)
+	for i := range labels {
+		labels[i] = m.labelOfKey(keys[i*words : (i+1)*words])
+	}
 }
 
 // labelOfKey is the label of a tuple key, cluster.Noise for a tuple no

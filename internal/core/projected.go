@@ -40,7 +40,7 @@ func pooledBuf(n int) *[]float64 {
 type projected struct {
 	rows, cols int
 	blocks     [][]float64  // blocks[b] holds rows [b·blockRows, …), row-major; nil once binned
-	pooled     []*[]float64 // buffers to hand back; nil for a view or a sub-block store
+	pooled     []*[]float64 // buffers to hand back; nil for a view
 	view       bool         // blocks are the caller's: never written
 	// mins/maxs are the exact per-column extrema; (+Inf, −Inf), the
 	// identities of min and max, when there are no rows.
@@ -56,29 +56,13 @@ type projected struct {
 // block's product while the block is still in cache. A nil joined means no
 // projection: the store is a view of data.
 func project(data *linalg.Matrix, joined *linalg.Packed, workers int) (*projected, error) {
-	p := &projected{rows: data.Rows, cols: data.Cols}
+	p := viewStore(data)
 	if joined != nil {
 		if data.Cols != joined.Rows() {
 			return nil, fmt.Errorf("core: project %dx%d through %dx%d: %w", data.Rows, data.Cols, joined.Rows(), joined.Cols(), linalg.ErrShape)
 		}
-		p.cols = joined.Cols()
-	}
-	nb := (p.rows + blockRows - 1) / blockRows
-	p.blocks = make([][]float64, nb)
-	switch {
-	case joined == nil:
-		p.view = true
-		for b := range p.blocks {
-			p.blocks[b] = data.Data[b*blockRows*p.cols : min((b+1)*blockRows, p.rows)*p.cols]
-		}
-	case p.rows < blockRows:
-		// Less than one block (a query batch, a test): sized to fit and
-		// left to the GC, so small calls cost what they always did.
-		for b := range p.blocks { // none when there are no rows
-			p.blocks[b] = make([]float64, p.rows*p.cols)
-		}
-	default:
-		p.pooled = make([]*[]float64, nb)
+		p.cols, p.view = joined.Cols(), false
+		p.pooled = make([]*[]float64, len(p.blocks))
 		for b := range p.blocks {
 			buf := pooledBuf(blockRows * p.cols)
 			p.pooled[b] = buf
@@ -119,6 +103,17 @@ func project(data *linalg.Matrix, joined *linalg.Packed, workers int) (*projecte
 		}
 	}
 	return p, nil
+}
+
+// viewStore is a store of data's own rows, cut into blocks, with no column
+// ranges: a view, which nothing writes.
+func viewStore(data *linalg.Matrix) *projected {
+	p := &projected{rows: data.Rows, cols: data.Cols, view: true}
+	p.blocks = make([][]float64, (p.rows+blockRows-1)/blockRows)
+	for b := range p.blocks {
+		p.blocks[b] = data.Data[b*blockRows*p.cols : min((b+1)*blockRows, p.rows)*p.cols]
+	}
+	return p
 }
 
 // emptyRanges returns per-column ranges holding the identities of min and

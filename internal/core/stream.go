@@ -130,12 +130,13 @@ type Stream struct {
 	// Batch-apply scratch (stream_batch.go), reused across chunks so the
 	// steady-state ingest path allocates nothing: one projected block of
 	// blockRows rows and its bins, every projected column's bin range, the
-	// coarse key of the row being sketched, and the single-point wrapper's
-	// one-row header and label.
+	// coarse key of the row being sketched, the tuple keys of a labelled
+	// block, and the single-point wrapper's one-row header and label.
 	projBlock    []float64
 	bins         []uint16
 	binLo, binIW []float64
 	cellKey      []uint64
+	labelKeys    []uint64
 	ptHdr        linalg.Matrix
 	ptLabel      [1]int
 
@@ -514,12 +515,12 @@ func (s *Stream) stabilizeLabels(prev, next *Model) {
 	}
 	used := make(map[int]bool)
 	labels := make([]int, len(next.Clusters))
+	bins, keys, old := make([]uint16, len(prev.Set.Dims)), make([]uint64, prev.lab.words()), []int{0}
 	// Walk clusters in mass order so the heaviest clusters win contended
 	// old labels.
 	for i := range next.Clusters {
-		centroid := clusterCentroid(next, i)
-		old := prev.AssignProjected(centroid)
-		if old != cluster.Noise && !used[old] {
+		prev.labelProjected(old, keys, bins, clusterCentroid(next, i))
+		if old := old[0]; old != cluster.Noise && !used[old] {
 			labels[i] = old
 			used[old] = true
 			if old >= s.nextID {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"keybin2/internal/cluster"
@@ -143,16 +144,17 @@ func (s *Stream) applyChunk(b *linalg.Matrix, lo, n int, labels []int) {
 				h.Total += uint64(rows)
 			}
 		}
-		if labels == nil {
-			continue
-		}
-		for i := range rows {
-			if m == nil {
+		switch {
+		case labels == nil:
+		case m == nil:
+			for i := range rows {
 				labels[off+i] = cluster.Noise
-				continue
 			}
-			at := i*cols + m.Trial*nrp
-			labels[off+i] = m.AssignProjected(proj.Data[at : at+nrp])
+		default:
+			// The model's Set is a clone of its trial's (Refit), so the
+			// trial's stored bins are the model's (DecodeStreamMeta checks).
+			s.labelKeys = slices.Grow(s.labelKeys[:0], blockRows*m.lab.words())[:blockRows*m.lab.words()]
+			m.labelRows(labels[off:off+rows], s.labelKeys, bins, m.Trial*nrp, cols)
 		}
 	}
 }

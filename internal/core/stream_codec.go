@@ -166,6 +166,12 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, nil, err
 	}
+	// Arrival labels key the trial's stored bins: the model must bin alike.
+	for j := 0; model != nil && j < len(model.Set.Dims); j++ {
+		if h, live := model.Set.Dims[j], sets[model.Trial].Dims[j]; h.Min != live.Min || h.Max != live.Max {
+			return nil, nil, fmt.Errorf("core: checkpoint model: dimension %d spans [%v, %v], its trial's histograms [%v, %v]", j, h.Min, h.Max, live.Min, live.Max)
+		}
+	}
 	// Every piece fits the shape: build the stream, once. RawRanges play
 	// no part: the checkpoint carries the actual histogram ranges.
 	s, err := sh.build()

@@ -536,6 +536,24 @@ func foreignCheckpoints(t testing.TB) []struct {
 		return b
 	}
 
+	// shifted moves the model's dimension 0 half a unit up, off its
+	// trial's range: past the model's header, projection, set frame
+	// length, dimension count and depth lie its Min and Max.
+	shifted := bytes.Clone(base)
+	r := wire.NewReader("model", base[start+4:end])
+	r.Bytes(4 + 4)
+	if r.U8() == 1 {
+		r.Bytes(8 * int(r.U32()) * int(r.U32()))
+	}
+	r.Bytes(4 + 4 + 4)
+	at := start + 4 + r.Off()
+	lo, hi := r.F64(), r.F64()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	binary.LittleEndian.PutUint64(shifted[at:], math.Float64bits(lo+0.5))
+	binary.LittleEndian.PutUint64(shifted[at+8:], math.Float64bits(hi+0.5))
+
 	seeded := fuzzStreamConfig
 	seeded.Seed = 6
 	rawer := StreamConfig{Config: Config{Seed: 5, Trials: 2, Depth: 3, TargetDims: 3}, Dims: 4,
@@ -547,6 +565,7 @@ func foreignCheckpoints(t testing.TB) []struct {
 		{"model trial", "trial 7", trial},
 		{"model width", "5 histograms", wide},
 		{"nextID below a label", "nextID", stale},
+		{"model range off its trial's", "dimension 0 spans", shifted},
 		{"another seed", "projection", checkpoint(seeded)},
 		{"another raw width", "4×3 projection", checkpoint(rawer)},
 		{"+Inf key mass", "mass +Inf", massAt(math.Inf(1))},
@@ -555,15 +574,19 @@ func foreignCheckpoints(t testing.TB) []struct {
 }
 
 // TestDecodeStreamRefusesForeignModel: a checkpoint whose model or label
-// state does not fit the config is refused with an error naming what does
-// not fit, and so is one whose model projects when the config does not,
+// state does not fit the config, or whose model's ranges are not its
+// trial's, is refused with an error naming what does not fit and builds
+// no stream, and so is one whose model projects when the config does not,
 // or the other way round.
 func TestDecodeStreamRefusesForeignModel(t *testing.T) {
 	for _, c := range foreignCheckpoints(t) {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, err := DecodeStreamMeta(fuzzStreamConfig, c.b)
+			s, _, err := DecodeStreamMeta(fuzzStreamConfig, c.b)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("want an error naming %q, got %v", c.want, err)
+			}
+			if s != nil {
+				t.Fatal("a refused checkpoint built a stream")
 			}
 		})
 	}

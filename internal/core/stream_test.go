@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"keybin2/internal/cluster"
@@ -95,6 +96,17 @@ func TestStreamWithRawRangesNoWarmup(t *testing.T) {
 	}
 	if float64(labeledAfterFirstRefit)/float64(total) < 0.7 {
 		t.Fatalf("labeled %d/%d after first refit", labeledAfterFirstRefit, total)
+	}
+	// A batch inside one period (2000 to 2050 of 2400): its arrival labels,
+	// keyed from the stored bins of the model's trial (trial 3 at this seed),
+	// are the published model's labels of its rows.
+	batch, _ := spec.Sample(50, xrand.New(46))
+	arrivals := make([]int, batch.Rows)
+	if _, err := st.IngestBatchLabels(batch, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := st.Snapshot().AssignBatch(batch, 1); err != nil || !slices.Equal(arrivals, want) {
+		t.Fatalf("trial %d: arrival labels %v, the model's %v (%v)", st.Snapshot().Trial, arrivals, want, err)
 	}
 }
 

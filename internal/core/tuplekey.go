@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"keybin2/internal/histogram"
 	"keybin2/internal/partition"
 	"keybin2/internal/wire"
 )
@@ -16,8 +15,8 @@ import (
 // into a tuple key. The reference implementation built a string per point
 // per pass; here the tuple packs into W uint64 words — ⌈log₂ S⌉ bits for a
 // dimension of S segments, so a tuple of up to 64 bits (every N_rp the
-// benchmarks run) takes one word — and the bin→segment map fuses Hist.Bin
-// with Result.SegmentOf into one lookup table per dimension. The stream's
+// benchmarks run) takes one word — and Result.SegmentOf becomes one lookup
+// table per dimension over the bins linalg.BinRows stores. The stream's
 // coarse sketch cells are keys of the same kind (5 bits per dimension):
 // one layout and one count table (flatTable) serve every key of every
 // width, and one labeler builds every tuple key. Only the fold's 'S'
@@ -156,50 +155,22 @@ func (l keyLayout) fromWire(key []uint64, b []byte) error {
 	return nil
 }
 
-// keyScratch is a key of words words in buf when it fits, so a caller's
-// per-point key needs no allocation at the widths the benchmarks run.
-func keyScratch(buf *[4]uint64, words int) []uint64 {
-	if words <= len(buf) {
-		return buf[:words]
-	}
-	return make([]uint64, words)
-}
-
-// labeler is the fused per-point keying kernel under one layout: per
-// dimension, Hist.Bin's arithmetic on its Min and InvWidth, and a lookup
-// table from bin to the dimension's field, already shifted into its word.
-// Word w of a key is the OR of the tables luts[w] of the dimensions from
-// lo[w] on; a field that straddles two words has a table in each. The
-// field is a bin's segment (segmentField), replacing Result.SegmentOf's
-// binary search. key and binKey allocate nothing and branch only on range
-// clamps.
+// labeler is the fused keying kernel over stored bins under one layout:
+// per dimension, a lookup table from bin to the dimension's field, already
+// shifted into its word. Word w of a key is the OR of the tables luts[w]
+// of the dimensions from lo[w] on; a field that straddles two words has a
+// table in each. The field is a bin's segment (segmentField), replacing
+// Result.SegmentOf's binary search. Every bin it keys is one
+// linalg.BinRows wrote, so Hist.Bin's arithmetic has one copy, the bin
+// kernel's. binKey and binKeys allocate nothing and do not branch.
 type labeler struct {
 	layout keyLayout
 	lo     []int        // per word: its first dimension
 	luts   [][][]uint64 // per word, per dimension from lo on: bin → field bits
-	mins   []float64
-	invW   []float64
-	nbins  []float64 // float so the high clamp is one compare
 }
 
-// newLabeler builds the tables of layout over set's bins, field(j, b)
-// being dimension j's field for bin b, with Hist.Bin's arithmetic for key.
-func newLabeler(set *histogram.Set, layout keyLayout, field func(j, bin int) uint64) *labeler {
-	nbins := 0
-	if len(set.Dims) > 0 {
-		nbins = set.Dims[0].Bins() // a set's histograms share one depth
-	}
-	l := binLabeler(layout, nbins, field)
-	for _, h := range set.Dims {
-		l.mins = append(l.mins, h.Min)
-		l.invW = append(l.invW, h.InvWidth())
-		l.nbins = append(l.nbins, float64(h.Bins()))
-	}
-	return l
-}
-
-// binLabeler builds the tables alone, over nbins bins per dimension: a
-// labeler that keys stored bins (binKey, binKeys), not floats.
+// binLabeler builds the tables of layout over nbins bins per dimension,
+// field(j, b) being dimension j's field for bin b.
 func binLabeler(layout keyLayout, nbins int, field func(j, bin int) uint64) *labeler {
 	l := &labeler{
 		layout: layout,
@@ -252,29 +223,8 @@ func segmentField(parts []partition.Result, collapsed []bool) func(j, bin int) u
 // words is the width of the labeler's keys.
 func (l *labeler) words() int { return l.layout.words }
 
-// key writes the key of a projected point into key (len words). Out-of-range
-// values clamp into the edge bins and NaN lands in bin 0, matching Hist.Bin.
-func (l *labeler) key(key []uint64, x []float64) {
-	for w, luts := range l.luts {
-		lo := l.lo[w]
-		var acc uint64
-		for j, lut := range luts {
-			d := lo + j
-			v := (x[d] - l.mins[d]) * l.invW[d]
-			b := 0
-			if v >= l.nbins[d] {
-				b = len(lut) - 1
-			} else if v >= 0 {
-				b = int(v)
-			}
-			acc |= lut[b]
-		}
-		key[w] = acc
-	}
-}
-
-// binKey is key for a point already binned: the OR of its dimensions'
-// table entries at the stored bins.
+// binKey writes the key of a point's stored bins into key (len words):
+// the OR of its dimensions' table entries at the bins.
 func (l *labeler) binKey(key []uint64, bins []uint16) {
 	for w, luts := range l.luts {
 		key[w] = orTables(luts, bins[l.lo[w]:])

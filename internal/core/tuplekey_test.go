@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -211,16 +212,16 @@ func TestPackedVsStringTupleCounts(t *testing.T) {
 		f := labelFixture(t, seed, 3000, 4, 1)
 		k := newTrialKeys(f.set, f.parts, f.collapsed)
 		tab := countOne(f.view, k, 4)
-		// The references: labeler.key of every row's floats, and the
-		// string-keyed count.
+		// The references: the key of every row binned on its own by a
+		// one-row BinRows, and the string-keyed count.
 		want := &flatTable{words: k.lab.words()}
 		key := make([]uint64, k.lab.words())
 		for i := 0; i < f.data.Rows; i++ {
-			k.lab.key(key, f.data.Row(i))
+			k.lab.binKey(key, rowBins(f.set, f.data.Row(i)))
 			want.add(key, 1)
 		}
 		if !reflect.DeepEqual(wireMasses(tab, k.lab.layout), wireMasses(want, k.lab.layout)) {
-			t.Fatalf("seed %d: counts from stored bins differ from labeler.key's", seed)
+			t.Fatalf("seed %d: counts from stored bins differ from the one-row keys", seed)
 		}
 		if str := stringCounts(f.data, f.set, f.parts, f.collapsed); !reflect.DeepEqual(wireMasses(tab, k.lab.layout), str) {
 			t.Fatalf("seed %d: packed counts differ from the string-keyed count", seed)
@@ -228,7 +229,18 @@ func TestPackedVsStringTupleCounts(t *testing.T) {
 	}
 }
 
+// TestPackedVsStringAssignAll holds AssignBatch to the string-keyed
+// reference on unprojected models, a projected one and one whose tuples
+// take two words, at row counts either side of a block and with one and
+// three workers; the fit's labels from stored bins and one-row queries of
+// edge values agree too.
 func TestPackedVsStringAssignAll(t *testing.T) {
+	type input struct {
+		name        string
+		model       *Model
+		data, space *linalg.Matrix // the rows AssignBatch takes; the same rows in the histograms' space
+	}
+	var inputs []input
 	for _, seed := range []int64{3, 21, 77} {
 		f := labelFixture(t, seed, 2500, 3, 1)
 		set := f.set
@@ -249,8 +261,8 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 				t.Fatalf("seed %d row %d: label from stored bins %d vs %d", seed, i, fastBins[i], fast[i])
 			}
 		}
-		// Per-point assignment must agree too, including edge inputs: NaN,
-		// far out-of-range coordinates, and exact histogram boundaries.
+		// A one-row query must agree too, including edge inputs: NaN, far
+		// out-of-range coordinates, and exact histogram boundaries.
 		probe := linalg.NewMatrix(1, len(set.Dims))
 		rng := xrand.New(seed + 5)
 		for n := 0; n < 500; n++ {
@@ -268,8 +280,58 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 					probe.Data[j] = h.Min // exact lower edge
 				}
 			}
-			if a, b := model.AssignProjected(probe.Data), refLabels(model, probe)[0]; a != b {
-				t.Fatalf("seed %d probe %v: packed %d vs string %d", seed, probe.Data, a, b)
+			got, err := model.AssignBatch(probe, 1)
+			if want := refLabels(model, probe)[0]; err != nil || got[0] != want {
+				t.Fatalf("seed %d probe %v: packed %v (%v) vs string %d", seed, probe.Data, got, err, want)
+			}
+		}
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), model, f.data, f.data})
+	}
+
+	// A projected model: its queries are raw rows, the reference reads
+	// them through linalg.Mul, the product MulPacked matches bit for bit.
+	raw, _ := synth.AutoMixture(3, 12, 5, 1, xrand.New(8)).Sample(2500, xrand.New(9))
+	pm, _, err := Fit(raw, Config{Seed: 4, TargetDims: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := linalg.Mul(linalg.NewMatrix(raw.Rows, 6), raw, pm.Projection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"projected", pm, raw, space})
+
+	// N_rp 13 of 17 segments each: 65-bit tuples, two words.
+	f := labelFixture(t, 5, 2500, 13, 0)
+	for j := range f.parts {
+		cuts := make([]int, 16)
+		for i := range cuts {
+			cuts[i] = (i + 1) * 3
+		}
+		f.parts[j], f.collapsed[j] = partition.Result{Cuts: cuts}, false
+	}
+	wide, err := trialModel(f.set, f.parts, f.collapsed, countOne(f.view, newTrialKeys(f.set, f.parts, f.collapsed), 0), Config{MinClusterSize: 1, MaxClusters: 300}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.finish(nil)
+	if wide.lab.words() != 2 {
+		t.Fatalf("65-bit tuples take %d words", wide.lab.words())
+	}
+	inputs = append(inputs, input{"two words", wide, f.data, f.data})
+
+	for _, in := range inputs {
+		for _, rows := range []int{1, 1023, 1024, 1025, 2049} {
+			data := &linalg.Matrix{Rows: rows, Cols: in.data.Cols, Data: in.data.Data[:rows*in.data.Cols]}
+			want := refLabels(in.model, &linalg.Matrix{Rows: rows, Cols: in.space.Cols, Data: in.space.Data[:rows*in.space.Cols]})
+			for _, workers := range []int{1, 3} {
+				got, err := in.model.AssignBatch(data, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d rows, %d workers: AssignBatch differs from the string-keyed labels", in.name, rows, workers)
+				}
 			}
 		}
 	}
@@ -447,6 +509,18 @@ func TestModelCodecPreservesLabeling(t *testing.T) {
 	}
 }
 
+// rowBins bins one row x under set's histograms by a one-row
+// linalg.BinRows, as a one-row query is binned.
+func rowBins(set *histogram.Set, x []float64) []uint16 {
+	lo, iw := make([]float64, len(x)), make([]float64, len(x))
+	for j, h := range set.Dims {
+		lo[j], iw[j] = h.Min, h.InvWidth()
+	}
+	out := make([]uint16, len(x))
+	linalg.BinRows(out, x, len(x), lo, iw, set.Dims[0].Bins())
+	return out
+}
+
 // viewOf wraps a matrix as an unprojected store (column ranges included) for
 // tests that drive the fit passes directly.
 func viewOf(data *linalg.Matrix) *projected {
@@ -460,8 +534,8 @@ func viewOf(data *linalg.Matrix) *projected {
 // TestLabelerMatchesLayout: over random layouts of up to 40 dimensions —
 // fields of 0 to 17 bits, fields that straddle two words, fields of no
 // bits at word boundaries and above word 0 — the labeler's key of a
-// point's bins is the layout's pack of its fields, from floats and from
-// stored bins alike.
+// point's bins is the layout's pack of its fields, from bins given and
+// from bins linalg.BinRows writes for the point's floats alike.
 func TestLabelerMatchesLayout(t *testing.T) {
 	rng := xrand.New(23)
 	for trial := 0; trial < 300; trial++ {
@@ -493,7 +567,7 @@ func TestLabelerMatchesLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		field := func(j, bin int) uint64 { return uint64(bin*7919+j) & (1<<widths[j] - 1) }
-		lab := newLabeler(set, layout, field)
+		lab := binLabeler(layout, 16, field)
 		bins, x, want := make([]uint16, dims), make([]float64, dims), make([]int, dims)
 		got, fromX, ref := make([]uint64, layout.words), make([]uint64, layout.words), make([]uint64, layout.words)
 		for n := 0; n < 20; n++ {
@@ -504,9 +578,9 @@ func TestLabelerMatchesLayout(t *testing.T) {
 			}
 			layout.pack(ref, want)
 			lab.binKey(got, bins)
-			lab.key(fromX, x)
+			lab.binKey(fromX, rowBins(set, x))
 			if !slices.Equal(got, ref) || !slices.Equal(fromX, ref) {
-				t.Fatalf("widths %v bins %v: binKey %x, key %x, pack %x", widths, bins, got, fromX, ref)
+				t.Fatalf("widths %v bins %v: binKey %x, from floats %x, pack %x", widths, bins, got, fromX, ref)
 			}
 		}
 	}

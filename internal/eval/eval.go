@@ -8,7 +8,6 @@ package eval
 
 import (
 	"math"
-	"time"
 
 	"keybin2/internal/cluster"
 	"keybin2/internal/stats"
@@ -194,13 +193,6 @@ func AggregateRuns(res []RunResult) Aggregate {
 	a.F1, a.F1CI = stats.MeanCI(pick(func(r RunResult) float64 { return r.F1 }))
 	a.Seconds, a.SecondsCI = stats.MeanCI(pick(func(r RunResult) float64 { return r.Seconds }))
 	return a
-}
-
-// Timed measures fn and returns its wall-clock seconds.
-func Timed(fn func()) float64 {
-	start := time.Now()
-	fn()
-	return time.Since(start).Seconds()
 }
 
 // Evaluate bundles labels + elapsed time into a RunResult.

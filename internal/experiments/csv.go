@@ -98,20 +98,4 @@ func WriteSegmentsCSV(w io.Writer, res Figure4Result) error {
 	return cw.Error()
 }
 
-// WriteAblationCSV emits any ablation's rows generically via headers and a
-// row callback count.
-func WriteAblationCSV(w io.Writer, headers []string, n int, row func(i int) []string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(headers); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := cw.Write(row(i)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func f(v float64) string { return fmt.Sprintf("%g", v) }

@@ -365,18 +365,6 @@ func TestCSVWriters(t *testing.T) {
 	if !strings.Contains(buf.String(), "hdr") || !strings.Contains(buf.String(), "fingerprint") {
 		t.Fatalf("segments csv:\n%s", buf.String())
 	}
-
-	buf.Reset()
-	ad := AblationD(s)
-	err = WriteAblationCSV(&buf, []string{"k", "f1"}, len(ad), func(i int) []string {
-		return []string{f(float64(ad[i].SuppressBelow)), f(ad[i].F1)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != len(ad)+1 {
-		t.Fatalf("ablation csv lines %d", lines)
-	}
 }
 
 func TestVerifyShapeClaims(t *testing.T) {

@@ -90,33 +90,3 @@ func LooksNormal(centers []float64, counts []uint64, relax float64) bool {
 	}
 	return 0 <= crit
 }
-
-// KSTwoBinned returns the KS distance between two histograms defined over
-// the same bin grid. Used by tests and by streaming drift detection.
-func KSTwoBinned(countsA, countsB []uint64) float64 {
-	var totalA, totalB uint64
-	for _, c := range countsA {
-		totalA += c
-	}
-	for _, c := range countsB {
-		totalB += c
-	}
-	if totalA == 0 || totalB == 0 {
-		return 0
-	}
-	var cumA, cumB uint64
-	var d float64
-	n := len(countsA)
-	if len(countsB) < n {
-		n = len(countsB)
-	}
-	for i := 0; i < n; i++ {
-		cumA += countsA[i]
-		cumB += countsB[i]
-		diff := math.Abs(float64(cumA)/float64(totalA) - float64(cumB)/float64(totalB))
-		if diff > d {
-			d = diff
-		}
-	}
-	return d
-}

@@ -87,17 +87,3 @@ func TestLillieforsCriticalShrinks(t *testing.T) {
 		t.Fatalf("n=100 critical %v", c)
 	}
 }
-
-func TestKSTwoBinned(t *testing.T) {
-	a := []uint64{10, 10, 10, 10}
-	if d := KSTwoBinned(a, a); d != 0 {
-		t.Fatalf("identical histograms d=%v", d)
-	}
-	b := []uint64{40, 0, 0, 0}
-	if d := KSTwoBinned(a, b); d < 0.7 {
-		t.Fatalf("disjoint-ish histograms d=%v", d)
-	}
-	if d := KSTwoBinned(a, []uint64{0, 0, 0, 0}); d != 0 {
-		t.Fatalf("empty comparison d=%v", d)
-	}
-}

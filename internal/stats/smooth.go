@@ -254,52 +254,10 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the minimum of v (first occurrence), or -1
-// for empty input.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v {
-		if x < v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Prominence returns, for a valley at index i of the density curve v, the
-// smaller of the two mode heights flanking it minus the valley depth,
-// normalized by the global peak. Values near 0 indicate noise wiggles;
-// values near 1 indicate a deep separation between two strong modes.
-func Prominence(v []float64, i int) float64 {
-	if len(v) == 0 || i < 0 || i >= len(v) {
-		return 0
-	}
-	peak := v[ArgMax(v)]
-	if peak <= 0 {
-		return 0
-	}
-	leftMax := v[i]
-	for j := i - 1; j >= 0; j-- {
-		if v[j] > leftMax {
-			leftMax = v[j]
-		}
-	}
-	rightMax := v[i]
-	for j := i + 1; j < len(v); j++ {
-		if v[j] > rightMax {
-			rightMax = v[j]
-		}
-	}
-	return (math.Min(leftMax, rightMax) - v[i]) / peak
-}
-
 // RelativeDip returns, for a valley at index i, how far the density dips
 // below the *smaller* flanking mode, relative to that mode: 0 for a flat
-// wiggle, →1 for a valley reaching zero. Unlike Prominence it is invariant
-// to the mass imbalance between the two flanking clusters, so a valley next
+// wiggle, →1 for a valley reaching zero. Unlike a dip measured against the
+// global peak it is invariant to the mass imbalance between the two flanking clusters, so a valley next
 // to a small cluster is judged on its own scale rather than against the
 // global peak.
 func RelativeDip(v []float64, i int) float64 {

@@ -146,28 +146,8 @@ func TestArgMaxMin(t *testing.T) {
 	if ArgMax(v) != 1 {
 		t.Fatal("ArgMax first occurrence")
 	}
-	if ArgMin(v) != 2 {
-		t.Fatal("ArgMin")
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
+	if ArgMax(nil) != -1 {
 		t.Fatal("empty input")
-	}
-}
-
-func TestProminence(t *testing.T) {
-	// Two strong modes with a deep valley between.
-	v := []float64{0, 10, 0.5, 8, 0}
-	p := Prominence(v, 2)
-	if p < 0.7 {
-		t.Fatalf("deep valley prominence %v", p)
-	}
-	// Shallow wiggle.
-	w := []float64{0, 10, 9.5, 10, 0}
-	if q := Prominence(w, 2); q > 0.1 {
-		t.Fatalf("wiggle prominence %v", q)
-	}
-	if Prominence(nil, 0) != 0 || Prominence(v, -1) != 0 {
-		t.Fatal("degenerate prominence")
 	}
 }
 
