@@ -263,7 +263,7 @@ func BenchmarkPartition(b *testing.B) {
 	for _, method := range []partition.Method{partition.DiscreteOpt, partition.KDE, partition.Threshold} {
 		b.Run(method.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := partition.Partition(h, partition.Config{Method: method})
+				res := partition.Partition(h, method)
 				if res.Segments() < 1 {
 					b.Fatal("no segments")
 				}

@@ -125,7 +125,7 @@ var designRules = []designRule{
 		},
 		breaks: []overlay{
 			{"internal/core/stream.go", "func pickAgain(as []quality.Assessment) int { return quality.SelectBest(as) }"},
-			{"internal/core/distributed.go", "func assessAgain(cfg Config) { trialModel(nil, nil, nil, nil, cfg, 0) }"},
+			{"internal/core/distributed.go", "func assessAgain(cfg Config) { trialModel(nil, nil, nil, nil, cfg.MinClusterSize, maxClusters, 0) }"},
 			{"internal/core/fit.go", "func spawn() { go func() {}() }"},
 			{"internal/core/distributed.go", "var rankWait sync.WaitGroup"},
 		},

@@ -6,8 +6,6 @@
 // Labels are ints; the conventional noise/outlier label is -1.
 package cluster
 
-import "sort"
-
 // Noise is the label of points not assigned to any cluster.
 const Noise = -1
 
@@ -92,30 +90,4 @@ func NewContingency(a, b []int) *Contingency {
 		row[lb]++
 	}
 	return c
-}
-
-// SortedIDs returns the cluster ids of a size map in ascending order
-// (deterministic iteration for reports).
-func SortedIDs(sizes map[int]int) []int {
-	ids := make([]int, 0, len(sizes))
-	for id := range sizes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// Remap applies a permutation/renaming to labels: out[i] = mapping[l] when
-// present, otherwise Noise. Used to align distributed shard labels with the
-// coordinator's global ids.
-func Remap(labels []int, mapping map[int]int) []int {
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		if m, ok := mapping[l]; ok && l != Noise {
-			out[i] = m
-		} else {
-			out[i] = Noise
-		}
-	}
-	return out
 }

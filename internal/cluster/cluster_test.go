@@ -43,19 +43,3 @@ func TestContingency(t *testing.T) {
 		t.Fatalf("marginals %v %v", c.ASizes, c.BSizes)
 	}
 }
-
-func TestSortedIDs(t *testing.T) {
-	ids := SortedIDs(map[int]int{5: 1, 1: 2, 3: 9})
-	if !reflect.DeepEqual(ids, []int{1, 3, 5}) {
-		t.Fatalf("ids %v", ids)
-	}
-}
-
-func TestRemap(t *testing.T) {
-	labels := []int{0, 1, 2, Noise}
-	got := Remap(labels, map[int]int{0: 10, 1: 11})
-	want := []int{10, 11, Noise, Noise}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}

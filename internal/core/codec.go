@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"keybin2/internal/histogram"
 	"keybin2/internal/linalg"
@@ -183,9 +184,10 @@ func DecodeModel(b []byte) (*Model, error) {
 
 // AssignBatch labels every row of data under the model, using workers
 // goroutines (0 = GOMAXPROCS). It is the bulk form of Assign. A worker
-// takes up to blockRows rows at a time, projects them into a buffer from
-// blockPool (a NoProjection model reads them in place) and labels them
-// there.
+// takes up to blockRows rows at a time through two blocks from blockPool:
+// it projects the rows into one and bins them there in place (a
+// NoProjection model bins the caller's rows into it), and keys them in
+// the other.
 func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
 	cols, dims := len(m.Set.Dims), len(m.Set.Dims)
 	if m.Projection != nil {
@@ -194,31 +196,28 @@ func (m *Model) AssignBatch(data *linalg.Matrix, workers int) ([]int, error) {
 	if data.Cols != dims {
 		return nil, fmt.Errorf("core: assign batch: %d cols for %d model dims", data.Cols, dims)
 	}
-	labels, height := make([]int, data.Rows), min(data.Rows, blockRows)
-	type scratch struct {
-		proj *[]float64
-		bins []uint16
-		keys []uint64
-	}
+	labels, words := make([]int, data.Rows), m.lab.words()
+	type scratch struct{ block, keys *[]float64 }
 	used := forBlocks(viewStore(data), workers, func(s *scratch, lo int, raw []float64) {
-		if s.bins == nil {
-			s.bins, s.keys = make([]uint16, height*cols), make([]uint64, height*m.lab.words())
-			if m.packed != nil {
-				s.proj = pooledBuf(blockRows * cols)
-			}
+		if s.block == nil {
+			s.block, s.keys = pooledBuf(blockRows*cols), pooledBuf(blockRows*max(cols, words))
 		}
 		n, x := min(blockRows, data.Rows-lo), raw
-		if s.proj != nil {
-			x = (*s.proj)[:n*cols]
+		if m.packed != nil {
+			x = (*s.block)[:n*cols]
 			src, dst := linalg.Matrix{Rows: n, Cols: data.Cols, Data: raw}, linalg.Matrix{Rows: n, Cols: cols, Data: x}
 			// MulPacked only fails on a shape mismatch, ruled out above.
 			_ = linalg.MulPacked(&dst, &src, m.packed, nil, nil)
 		}
-		m.labelProjected(labels[lo:lo+n], s.keys, s.bins, x)
+		// BinRows lets the bins start at the projection's first byte.
+		bins := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(*s.block))), n*cols)
+		keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(*s.keys))), n*words)
+		m.labelProjected(labels[lo:lo+n], keys, bins, x)
 	})
 	for _, s := range used {
-		if s.proj != nil {
-			blockPool.Put(s.proj)
+		if s.block != nil {
+			blockPool.Put(s.block)
+			blockPool.Put(s.keys)
 		}
 	}
 	return labels, nil

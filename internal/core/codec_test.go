@@ -203,6 +203,53 @@ func TestAssignBatchMatchesFit(t *testing.T) {
 	}
 }
 
+// TestAssignBatchAllocs pins a warm /label query's allocations: the
+// labels and the bookkeeping of its blocks (the block store, the worker
+// list, the closure), never the projection, bins or keys, which live in
+// blocks from blockPool. Projected queries of 1 and 1,024 rows and an unprojected one
+// of 1,024 rows each allocate at most 5 times and at most 1 KiB beyond
+// their labels' 8 B a row.
+func TestAssignBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops a random share of what is Put")
+	}
+	raw, _ := synth.AutoMixture(4, 16, 5, 1, xrand.New(43)).Sample(4000, xrand.New(44))
+	projected, _, err := Fit(raw, Config{Seed: 45, TargetDims: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := Fit(raw, Config{Seed: 45, NoProjection: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		model *Model
+		rows  int
+	}{{"projected/1", projected, 1}, {"projected/1024", projected, 1024}, {"unprojected/1024", plain, 1024}} {
+		query := &linalg.Matrix{Rows: c.rows, Cols: raw.Cols, Data: raw.Data[:c.rows*raw.Cols]}
+		assign := func() {
+			if _, err := c.model.AssignBatch(query, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assign() // fill the pools
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			assign()
+		}
+		runtime.ReadMemStats(&after)
+		perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		allocs := testing.AllocsPerRun(runs, assign)
+		t.Logf("%s: %.0f B in %.0f allocations per query", c.name, perCall, allocs)
+		if limit := float64(8*c.rows + 1024); allocs > 5 || perCall > limit {
+			t.Errorf("%s: %.0f B in %.0f allocations per query, want at most %.0f B in 5", c.name, perCall, allocs, limit)
+		}
+	}
+}
+
 func TestModelDescribe(t *testing.T) {
 	spec := synth.AutoMixture(2, 6, 6, 1, xrand.New(92))
 	data, _ := spec.Sample(2000, xrand.New(93))

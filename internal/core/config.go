@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"keybin2/internal/partition"
 	"keybin2/internal/projection"
 )
 
@@ -32,18 +31,9 @@ type Config struct {
 	// B ≈ log₂²M bins). Validate refuses more than 16, whose bins a uint16
 	// cannot hold.
 	Depth int
-	// Partition configures the histogram partitioner.
-	Partition partition.Config
-	// CollapseRelax scales the Lilliefors critical value used to collapse
-	// uninformative dimensions; 0 selects 1.0, negative disables
-	// collapsing.
-	CollapseRelax float64
 	// MinClusterSize drops occupied key tuples with fewer points to noise
 	// (0 = max(2, M/1000)). The survivors are the reported clusters.
 	MinClusterSize int
-	// MaxClusters caps the clusters kept for assessment/assignment,
-	// retaining the most massive (0 = 256).
-	MaxClusters int
 	// Workers bounds the goroutines of a fit's projection, binning and
 	// labelling passes and of a stream's warm-up projection
 	// (0 = GOMAXPROCS). A stream's batch apply is serial whatever it says:
@@ -76,14 +66,8 @@ func (c Config) withDefaults(m, n int) Config {
 	} else if c.TargetDims <= 0 {
 		c.TargetDims = projection.TargetDims(n)
 	}
-	if c.CollapseRelax == 0 {
-		c.CollapseRelax = 1
-	}
 	if c.MinClusterSize <= 0 {
 		c.MinClusterSize = max(2, m/1000)
-	}
-	if c.MaxClusters <= 0 {
-		c.MaxClusters = 256
 	}
 	return c
 }

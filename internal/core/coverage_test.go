@@ -60,8 +60,12 @@ func TestPartitionSetAllCollapsedFallback(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		set.AddPoint([]float64{rng.Gaussian(0, 1), rng.Gaussian(0, 1)})
 	}
-	cfg := Config{CollapseRelax: 100} // collapse everything aggressively
-	parts, collapsed := partitionSet(set, cfg)
+	for j, h := range set.Dims {
+		if !partition.Collapse(h) {
+			t.Fatalf("dimension %d does not collapse: the fallback is not exercised", j)
+		}
+	}
+	parts, collapsed := partitionSet(set)
 	for j, c := range collapsed {
 		if c {
 			t.Fatalf("dimension %d still collapsed after fallback", j)
@@ -88,7 +92,7 @@ func TestAssessOnCollapsedDimensions(t *testing.T) {
 		set.AddPoint([]float64{rng.Gaussian(c, 5), rng.Gaussian(50, 10)})
 	}
 	parts := []partition.Result{
-		partition.Partition(set.Dims[0], partition.Config{}),
+		partition.Partition(set.Dims[0], partition.DiscreteOpt),
 		{}, // collapsed: no cuts
 	}
 	clusters := []quality.Cluster{

@@ -108,7 +108,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Model, [
 	layouts := make([]keyLayout, cfg.Trials)
 	for t := range keyings {
 		set := hists.trials[t].set
-		parts, collapsed := partitionSet(set, cfg)
+		parts, collapsed := partitionSet(set)
 		keyings[t] = newTrialKeys(set, parts, collapsed)
 		layouts[t] = keyings[t].lab.layout
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"keybin2/internal/histogram"
@@ -102,36 +103,23 @@ func binAll(proj *projected, sets []*histogram.Set, workers int) {
 // offset modulo 4 KB, as it does in separate power-of-two Counts arrays.
 const slabPad = 16
 
-// partitionSet collapses uninformative dimensions and partitions the rest.
-func partitionSet(set *histogram.Set, cfg Config) (parts []partition.Result, collapsed []bool) {
+// partitionSet collapses uninformative dimensions (partition.Collapse, at
+// the exact 5 % level) and partitions the rest.
+func partitionSet(set *histogram.Set) (parts []partition.Result, collapsed []bool) {
 	parts = make([]partition.Result, len(set.Dims))
 	collapsed = make([]bool, len(set.Dims))
-	levels := cfg.Partition.MultiLevels
-	if levels == 0 {
-		levels = 3
-	}
 	for j, h := range set.Dims {
-		if cfg.CollapseRelax > 0 && partition.Collapse(h, cfg.CollapseRelax) {
-			collapsed[j] = true
-			parts[j] = partition.Result{}
-			continue
+		if collapsed[j] = partition.Collapse(h); !collapsed[j] {
+			parts[j] = partition.PartitionMulti(h)
 		}
-		parts[j] = partition.PartitionMulti(h, cfg.Partition, levels)
 	}
 	// If everything collapsed (e.g. a projection where every direction
 	// looks Gaussian), fall back to partitioning all dimensions so the
 	// trial still produces an assessable model.
-	all := true
-	for _, c := range collapsed {
-		if !c {
-			all = false
-			break
-		}
-	}
-	if all && len(set.Dims) > 0 {
+	if len(set.Dims) > 0 && !slices.Contains(collapsed, false) {
 		for j, h := range set.Dims {
 			collapsed[j] = false
-			parts[j] = partition.Partition(h, cfg.Partition)
+			parts[j] = partition.Partition(h, partition.DiscreteOpt)
 		}
 	}
 	return parts, collapsed
@@ -206,7 +194,7 @@ func selectModel(trials []trialInput, cfg Config) ([]*Model, int, error) {
 	models := make([]*Model, len(trials))
 	assessments := make([]quality.Assessment, len(trials))
 	for t, in := range trials {
-		m, err := trialModel(in.set, in.parts, in.collapsed, in.tuples, cfg, t)
+		m, err := trialModel(in.set, in.parts, in.collapsed, in.tuples, cfg.MinClusterSize, maxClusters, t)
 		if err != nil {
 			return nil, 0, fmt.Errorf("trial %d: %w", t, err)
 		}
@@ -215,14 +203,19 @@ func selectModel(trials []trialInput, cfg Config) ([]*Model, int, error) {
 	return models, quality.SelectBest(assessments), nil
 }
 
-// trialModel is one trial's candidate model: its clusters and their
-// assessment, which is all model selection reads.
-func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples *flatTable, cfg Config, trial int) (*Model, error) {
+// maxClusters caps the clusters a model keeps for assessment and
+// labelling: the most massive survive, the rest are noise.
+const maxClusters = 256
+
+// trialModel is one trial's candidate model: its clusters (the most
+// massive tuples of at least minSize points, at most maxKeep of them) and
+// their assessment, which is all model selection reads.
+func trialModel(set *histogram.Set, parts []partition.Result, collapsed []bool, tuples *flatTable, minSize, maxKeep, trial int) (*Model, error) {
 	layout := tupleLayout(parts, collapsed)
 	if tuples != nil && tuples.words != layout.words {
 		return nil, fmt.Errorf("core: tuple counts keyed in %d words, the partitions' tuples take %d", tuples.words, layout.words)
 	}
-	clusters := buildLabels(tuples, layout, cfg.MinClusterSize, cfg.MaxClusters)
+	clusters := buildLabels(tuples, layout, minSize, maxKeep)
 	assessment, err := quality.Assess(set, parts, clusters)
 	if err != nil {
 		return nil, err

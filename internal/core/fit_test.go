@@ -298,30 +298,25 @@ func TestFitMaxClustersCap(t *testing.T) {
 	// survive; everything else is noise.
 	spec := synth.AutoMixture(8, 6, 8, 0.4, xrand.New(66))
 	data, _ := spec.Sample(4000, xrand.New(67))
-	model, labels, err := Fit(data, Config{Seed: 68, MaxClusters: 3})
+	view, set := binView(data, 6)
+	parts, collapsed := partitionSet(set)
+	k := newTrialKeys(set, parts, collapsed)
+	tuples := countOne(view, k, 0)
+	if all := buildLabels(tuples, k.lab.layout, 2, maxClusters); len(all) <= 3 {
+		t.Fatalf("only %d clusters before the cap: the cap is not exercised", len(all))
+	}
+	model, err := trialModel(set, parts, collapsed, tuples, 2, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	model.finish(nil)
 	if model.K() > 3 {
 		t.Fatalf("k=%d exceeds cap", model.K())
 	}
+	labels := labelBins(view, 0, model, 0)
 	for _, l := range labels {
 		if l >= 3 {
 			t.Fatalf("label %d beyond cap", l)
 		}
-	}
-}
-
-func TestFitSingleResolutionPartitioning(t *testing.T) {
-	spec := synth.AutoMixture(3, 10, 6, 1, xrand.New(69))
-	data, truth := spec.Sample(3000, xrand.New(70))
-	cfg := Config{Seed: 71}
-	cfg.Partition.MultiLevels = 1 // disable the multi-resolution search
-	_, labels, err := Fit(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, f1 := eval.PrecisionRecallF1(labels, truth); f1 < 0.6 {
-		t.Fatalf("single-resolution f1 %.3f", f1)
 	}
 }

@@ -27,13 +27,13 @@ func benchKernelFixture(b *testing.B) (*linalg.Matrix, *Model) {
 	spec := synth.AutoMixture(4, benchDims, 5, 1, xrand.New(41))
 	data, _ := spec.Sample(benchRows, xrand.New(42))
 	view, set := binView(data, 8)
-	parts, collapsed := partitionSet(set, Config{CollapseRelax: 1})
+	parts, collapsed := partitionSet(set)
 	k := newTrialKeys(set, parts, collapsed)
 	if k.lab.words() != 1 {
 		b.Fatal("bench fixture overflowed 64 bits")
 	}
 	tuples := countOne(view, k, 0)
-	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
+	model, err := trialModel(set, parts, collapsed, tuples, 2, maxClusters, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

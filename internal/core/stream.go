@@ -414,7 +414,7 @@ func (s *Stream) Refit() error {
 	cfg.MinClusterSize = s.minClusterSize()
 	trials := make([]trialInput, len(s.sets))
 	for t, set := range s.sets {
-		parts, collapsed := partitionSet(set, cfg)
+		parts, collapsed := partitionSet(set)
 		for j := range parts {
 			parts[j] = s.snapCutsToSketch(parts[j], set.Dims[j].Bins())
 		}
@@ -430,7 +430,7 @@ func (s *Stream) Refit() error {
 		return err
 	}
 	prev := s.model.Load()
-	best = keepTrial(prev, models[best].TrialAssessments, best)
+	best = keepTrial(prev, models[best].TrialAssessments, best, s.trialMargin())
 	next := models[best]
 	// Detach the new model from the live histograms before publication:
 	// trialModel aliased the trial's Set, which this stream keeps
@@ -448,13 +448,23 @@ func (s *Stream) Refit() error {
 
 // keepTrial is the stream's hysteresis, a post-step on selectModel's pick:
 // once a model is live, stay on its trial unless the pick's CH is at least
-// 1.2× the current trial's — switching trials discards label continuity,
-// so it must buy a real separability improvement.
-func keepTrial(prev *Model, assessments []quality.Assessment, best int) int {
-	if prev != nil && best != prev.Trial && assessments[best].CH < 1.2*assessments[prev.Trial].CH {
+// margin× the current trial's — switching trials discards label
+// continuity, so it must buy a real separability improvement.
+func keepTrial(prev *Model, assessments []quality.Assessment, best int, margin float64) int {
+	if prev != nil && best != prev.Trial && assessments[best].CH < margin*assessments[prev.Trial].CH {
 		return prev.Trial
 	}
 	return best
+}
+
+// trialMargin is keepTrial's margin at the stream's mass M, 1 +
+// 0.2·√(min(Period, M)/M): 1.2 up to one Period, about 1.014 at a million
+// points, so a trial the first refits picked yields once the evidence
+// favours another. It reads only the histograms, so a restored stream
+// makes the same choice.
+func (s *Stream) trialMargin() float64 {
+	mass := max(float64(s.sets[0].Total()), 1)
+	return 1 + 0.2*math.Sqrt(min(float64(s.cfg.Period), mass)/mass)
 }
 
 // sketchTuples sums trial t's sketch masses per segment tuple, keyed by

@@ -7,6 +7,7 @@ import (
 
 	"keybin2/internal/cluster"
 	"keybin2/internal/eval"
+	"keybin2/internal/linalg"
 	"keybin2/internal/mpi"
 	"keybin2/internal/quality"
 	"keybin2/internal/synth"
@@ -199,6 +200,43 @@ func TestStreamDistributedSync(t *testing.T) {
 	}
 }
 
+// TestHysteresisYieldsToEvidence feeds the serving benchmark's stream
+// (16 dims, 4 components, Trials 3, Period 5000, ranges ±12) a million
+// points from its 512-batch pool in an order whose first refits pick
+// trial 0, a 3-cluster view of the 4 components. A fixed 1.2× margin
+// kept that trial for good; the mass-scaled margin lets the evidence
+// win, and the final model is selectModel's own pick.
+func TestHysteresisYieldsToEvidence(t *testing.T) {
+	spec := synth.AutoMixture(4, 16, 6, 1, xrand.New(1))
+	rng := xrand.New(40107).Split("pool")
+	pool := make([]*linalg.Matrix, 512)
+	for i := range pool {
+		pool[i], _ = spec.Sample(1024, rng)
+	}
+	st, err := NewStream(StreamConfig{Config: Config{Seed: 4, Trials: 3}, Dims: 16,
+		RawRanges: fixedRanges(16, -12, 12), Period: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for b := range 1024 {
+		if _, err := st.IngestBatch(pool[b%len(pool)]); err != nil {
+			t.Fatal(err)
+		}
+		if m := st.Model(); first < 0 && m != nil {
+			first = m.Trial
+		}
+	}
+	if first != 0 {
+		t.Fatalf("the first refit picked trial %d: this order no longer starts on trial 0", first)
+	}
+	m := st.Model()
+	if pick := quality.SelectBest(m.TrialAssessments); m.Trial != pick {
+		t.Fatalf("after %d points the stream holds trial %d (CH %.4g); selectModel picks trial %d (CH %.4g)",
+			st.sets[0].Total(), m.Trial, m.TrialAssessments[m.Trial].CH, pick, m.TrialAssessments[pick].CH)
+	}
+}
+
 func fixedRanges(dims int, lo, hi float64) [][2]float64 {
 	out := make([][2]float64, dims)
 	for j := range out {
@@ -271,7 +309,7 @@ func TestStreamSyncRejectsDecay(t *testing.T) {
 
 // TestRefitHysteresis covers the stream's post-step on selectModel's pick:
 // the first refit takes SelectBest's pick; after that a challenger takes
-// over only at 1.2× the current trial's CH or more.
+// over only at the margin (1.2 here) times the current trial's CH or more.
 func TestRefitHysteresis(t *testing.T) {
 	as := []quality.Assessment{{CH: 10}, {CH: 11.9}, {CH: 1.2 * 10}, {CH: 30}}
 	cur := &Model{Trial: 0}
@@ -287,7 +325,7 @@ func TestRefitHysteresis(t *testing.T) {
 		{"the pick is the current trial", cur, 0, 0},
 		{"a weaker current trial loses to 1.2x", &Model{Trial: 1}, 3, 3},
 	} {
-		if got := keepTrial(tc.prev, as, tc.best); got != tc.want {
+		if got := keepTrial(tc.prev, as, tc.best, 1.2); got != tc.want {
 			t.Errorf("%s: trial %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -312,7 +350,7 @@ func TestRefitHysteresis(t *testing.T) {
 			t.Fatalf("refit %d: %d trial assessments", phase, len(m.TrialAssessments))
 		}
 		best := quality.SelectBest(m.TrialAssessments)
-		if want := keepTrial(prev, m.TrialAssessments, best); m.Trial != want {
+		if want := keepTrial(prev, m.TrialAssessments, best, st.trialMargin()); m.Trial != want {
 			t.Fatalf("refit %d: trial %d, post-step says %d", phase, m.Trial, want)
 		}
 		if prev == nil && m.Trial != best {

@@ -122,13 +122,13 @@ type labelFix struct {
 	collapsed []bool
 }
 
-func labelFixture(t *testing.T, seed int64, rows, dims int, collapseRelax float64) labelFix {
+func labelFixture(t *testing.T, seed int64, rows, dims int) labelFix {
 	t.Helper()
 	spec := synth.AutoMixture(3, dims, 5, 1, xrand.New(seed))
 	f := labelFix{}
 	f.data, _ = spec.Sample(rows, xrand.New(seed+1))
 	f.view, f.set = binView(f.data, 6)
-	f.parts, f.collapsed = partitionSet(f.set, Config{CollapseRelax: collapseRelax})
+	f.parts, f.collapsed = partitionSet(f.set)
 	return f
 }
 
@@ -209,7 +209,7 @@ func refLabels(m *Model, data *linalg.Matrix) []int {
 
 func TestPackedVsStringTupleCounts(t *testing.T) {
 	for _, seed := range []int64{1, 17, 42, 99} {
-		f := labelFixture(t, seed, 3000, 4, 1)
+		f := labelFixture(t, seed, 3000, 4)
 		k := newTrialKeys(f.set, f.parts, f.collapsed)
 		tab := countOne(f.view, k, 4)
 		// The references: the key of every row binned on its own by a
@@ -242,10 +242,10 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 	}
 	var inputs []input
 	for _, seed := range []int64{3, 21, 77} {
-		f := labelFixture(t, seed, 2500, 3, 1)
+		f := labelFixture(t, seed, 2500, 3)
 		set := f.set
 		tuples := countOne(f.view, newTrialKeys(set, f.parts, f.collapsed), 0)
-		model, err := trialModel(set, f.parts, f.collapsed, tuples, Config{MinClusterSize: 2, MaxClusters: 256}, 0)
+		model, err := trialModel(set, f.parts, f.collapsed, tuples, 2, maxClusters, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 	inputs = append(inputs, input{"projected", pm, raw, space})
 
 	// N_rp 13 of 17 segments each: 65-bit tuples, two words.
-	f := labelFixture(t, 5, 2500, 13, 0)
+	f := labelFixture(t, 5, 2500, 13)
 	for j := range f.parts {
 		cuts := make([]int, 16)
 		for i := range cuts {
@@ -310,7 +310,7 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 		}
 		f.parts[j], f.collapsed[j] = partition.Result{Cuts: cuts}, false
 	}
-	wide, err := trialModel(f.set, f.parts, f.collapsed, countOne(f.view, newTrialKeys(f.set, f.parts, f.collapsed), 0), Config{MinClusterSize: 1, MaxClusters: 300}, 0)
+	wide, err := trialModel(f.set, f.parts, f.collapsed, countOne(f.view, newTrialKeys(f.set, f.parts, f.collapsed), 0), 1, 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestPackedVsStringAssignAll(t *testing.T) {
 // TestCollapsedDimensionsEquivalence forces collapsing on and checks the
 // packed and string counts agree when some dimensions contribute no bits.
 func TestCollapsedDimensionsEquivalence(t *testing.T) {
-	f := labelFixture(t, 5, 2000, 4, 1)
+	f := labelFixture(t, 5, 2000, 4)
 	collapsed := []bool{false, true, false, true} // force two collapsed dims
 	k := newTrialKeys(f.set, f.parts, collapsed)
 	layout := k.lab.layout
@@ -387,7 +387,7 @@ func TestWideTuplePipeline(t *testing.T) {
 	if str := stringCounts(data, set, parts, collapsed); !reflect.DeepEqual(wireMasses(tuples, k.lab.layout), str) {
 		t.Fatal("two-word counts differ from the string-keyed count")
 	}
-	model, err := trialModel(set, parts, collapsed, tuples, Config{MinClusterSize: 1, MaxClusters: 1 << 20}, 0)
+	model, err := trialModel(set, parts, collapsed, tuples, 1, 1<<20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

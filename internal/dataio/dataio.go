@@ -150,14 +150,3 @@ func WriteLabeledFile(path string, m *linalg.Matrix, labels []int, header []stri
 	defer f.Close()
 	return WriteLabeled(f, m, labels, header)
 }
-
-// WriteLabels writes one label per line.
-func WriteLabels(w io.Writer, labels []int) error {
-	bw := bufio.NewWriter(w)
-	for _, l := range labels {
-		if _, err := fmt.Fprintln(bw, l); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -114,13 +114,3 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWriteLabels(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteLabels(&buf, []int{1, -1, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "1\n-1\n3\n" {
-		t.Fatalf("%q", buf.String())
-	}
-}

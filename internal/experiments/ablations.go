@@ -49,7 +49,7 @@ func AblationA(s Scale) []AblationARow {
 					}
 					var res partition.Result
 					secs, _ := timed(func() error {
-						res = partition.Partition(h, partition.Config{Method: method})
+						res = partition.Partition(h, method)
 						return nil
 					})
 					row.Seconds += secs / float64(s.Repeats)

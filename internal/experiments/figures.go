@@ -66,7 +66,7 @@ func figure1Panel(name string, pts *linalg.Matrix, truth []int) Figure1Row {
 		for _, v := range col {
 			h.Add(v)
 		}
-		if res := partition.Partition(h, partition.Config{}); len(res.Cuts) > 0 {
+		if res := partition.Partition(h, partition.DiscreteOpt); len(res.Cuts) > 0 {
 			row.Separable = true
 		}
 	}

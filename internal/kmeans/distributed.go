@@ -79,7 +79,7 @@ func FitDistributed(comm *mpi.Comm, local *linalg.Matrix, cfg Config) (*Result, 
 		// replacement is the centroid itself (freeze) rather than a local
 		// point, since ranks cannot see each other's points.
 		moved := updateCentroidsDistributed(centroids, gSums, gCounts)
-		if moved < cfg.Tol {
+		if moved < tol {
 			break
 		}
 	}

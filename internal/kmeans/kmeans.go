@@ -17,15 +17,16 @@ import (
 	"keybin2/internal/xrand"
 )
 
+// tol stops Lloyd iteration once the total centroid movement falls below
+// it.
+const tol = 1e-6
+
 // Config tunes a k-means fit.
 type Config struct {
 	// K is the number of clusters (required).
 	K int
 	// MaxIter bounds Lloyd iterations (0 = 100).
 	MaxIter int
-	// Tol stops iteration when total centroid movement falls below it
-	// (0 = 1e-6 of the data scale).
-	Tol float64
 	// Seed drives k-means++ seeding.
 	Seed int64
 	// Workers bounds assignment-phase goroutines (0 = GOMAXPROCS).
@@ -35,9 +36,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxIter <= 0 {
 		c.MaxIter = 100
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-6
 	}
 	return c
 }
@@ -65,7 +63,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Result, error) {
 		inertia = assign(data, centroids, labels, cfg.Workers)
 		sums, counts := partialSums(data, labels, cfg.K)
 		moved := updateCentroids(centroids, sums, counts, data, xrand.New(cfg.Seed+int64(iters)))
-		if moved < cfg.Tol {
+		if moved < tol {
 			break
 		}
 	}

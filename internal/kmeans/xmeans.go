@@ -13,10 +13,6 @@ import (
 // Bayesian Information Criterion. It is the natural non-parametric k-means
 // competitor to KeyBin2.
 type XConfig struct {
-	// KMin is the starting cluster count (0 selects 2).
-	KMin int
-	// KMax caps the cluster count (0 selects 16).
-	KMax int
 	// MaxIter bounds each Lloyd run (0 selects 50).
 	MaxIter int
 	// Seed drives seeding and split attempts.
@@ -25,38 +21,35 @@ type XConfig struct {
 	Workers int
 }
 
+// X-means starts at kMin clusters and stops splitting at kMax.
+const (
+	kMin = 2
+	kMax = 16
+)
+
 func (c XConfig) withDefaults() XConfig {
-	if c.KMin <= 0 {
-		c.KMin = 2
-	}
-	if c.KMax <= 0 {
-		c.KMax = 16
-	}
-	if c.KMax < c.KMin {
-		c.KMax = c.KMin
-	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 50
 	}
 	return c
 }
 
-// FitX runs X-means: start at KMin, then repeatedly try to split each
+// FitX runs X-means: start at kMin, then repeatedly try to split each
 // cluster in two and keep splits whose local BIC improves, refitting
-// globally after each round, until no split survives or KMax is reached.
+// globally after each round, until no split survives or kMax is reached.
 func FitX(data *linalg.Matrix, cfg XConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if data.Rows < cfg.KMin {
-		return nil, fmt.Errorf("kmeans: %d points for kmin %d", data.Rows, cfg.KMin)
+	if data.Rows < kMin {
+		return nil, fmt.Errorf("kmeans: %d points for kmin %d", data.Rows, kMin)
 	}
-	k := cfg.KMin
+	k := kMin
 	res, err := Fit(data, Config{K: k, MaxIter: cfg.MaxIter, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed + 1)
 
-	for round := 0; k < cfg.KMax; round++ {
+	for round := 0; k < kMax; round++ {
 		// Gather members per cluster.
 		members := make([][]int, k)
 		for i, l := range res.Labels {
@@ -66,7 +59,7 @@ func FitX(data *linalg.Matrix, cfg XConfig) (*Result, error) {
 		var newCentroids [][]float64
 		for c := 0; c < k; c++ {
 			rows := members[c]
-			if len(rows) < 4 || k+splits >= cfg.KMax {
+			if len(rows) < 4 || k+splits >= kMax {
 				newCentroids = append(newCentroids, append([]float64(nil), res.Centroids.Row(c)...))
 				continue
 			}
@@ -112,7 +105,7 @@ func refineFrom(data, centroids *linalg.Matrix, cfg XConfig) *Result {
 		inertia = assign(data, centroids, labels, cfg.Workers)
 		sums, counts := partialSums(data, labels, centroids.Rows)
 		moved := updateCentroids(centroids, sums, counts, data, xrand.New(cfg.Seed+int64(iters)))
-		if moved < 1e-6 {
+		if moved < tol {
 			break
 		}
 	}

@@ -42,19 +42,20 @@ func TestFitXStopsAtUnimodal(t *testing.T) {
 }
 
 func TestFitXRespectsKMax(t *testing.T) {
-	spec := synth.AutoMixture(8, 6, 8, 0.5, xrand.New(26))
-	data, _ := spec.Sample(4000, xrand.New(27))
-	res, err := FitX(data, XConfig{KMax: 5, Seed: 28})
+	// More components than kMax: the splits stop at the cap.
+	spec := synth.AutoMixture(24, 6, 8, 0.5, xrand.New(26))
+	data, _ := spec.Sample(6000, xrand.New(27))
+	res, err := FitX(data, XConfig{Seed: 28})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := cluster.NumClusters(res.Labels); k > 5 {
-		t.Fatalf("k=%d exceeds KMax=5", k)
+	if k := cluster.NumClusters(res.Labels); k != kMax {
+		t.Fatalf("k=%d on 24 components, want the cap %d", k, kMax)
 	}
 }
 
 func TestFitXValidation(t *testing.T) {
-	if _, err := FitX(linalg.NewMatrix(1, 2), XConfig{KMin: 4}); err == nil {
+	if _, err := FitX(linalg.NewMatrix(1, 2), XConfig{}); err == nil {
 		t.Fatal("too few points must fail")
 	}
 }

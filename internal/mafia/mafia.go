@@ -28,41 +28,32 @@ import (
 // the non-convergence mode the paper observed with GPUMAFIA.
 var ErrBudget = errors.New("mafia: candidate lattice exceeded work budget (did not converge)")
 
+// The adaptive grid's and the lattice's constants.
+const (
+	// alpha is the density threshold multiplier: an adaptive bin is dense
+	// when its point count exceeds alpha × the uniform expectation (the
+	// MAFIA paper's default).
+	alpha = 1.5
+	// fineBins is the resolution of the initial per-dimension histogram.
+	fineBins = 100
+	// mergeTol merges adjacent fine bins whose densities differ by less
+	// than this fraction of the dimension's peak.
+	mergeTol = 0.2
+	// maxSubspaceDims caps the dimensionality of reported subspace
+	// clusters.
+	maxSubspaceDims = 6
+)
+
 // Config tunes a MAFIA fit.
 type Config struct {
-	// Alpha is the density threshold multiplier: an adaptive bin is dense
-	// when its point count exceeds Alpha × the uniform expectation
-	// (0 selects 1.5, the MAFIA paper's default).
-	Alpha float64
-	// FineBins is the resolution of the initial per-dimension histogram
-	// (0 selects 100).
-	FineBins int
-	// MergeTol merges adjacent fine bins whose densities differ by less
-	// than this fraction of the dimension's peak (0 selects 0.2).
-	MergeTol float64
 	// MaxCandidates bounds the total candidate dense units considered
 	// before aborting with ErrBudget (0 selects 100000).
 	MaxCandidates int
-	// MaxSubspaceDims caps the dimensionality of reported subspace
-	// clusters (0 selects 6).
-	MaxSubspaceDims int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 {
-		c.Alpha = 1.5
-	}
-	if c.FineBins <= 0 {
-		c.FineBins = 100
-	}
-	if c.MergeTol <= 0 {
-		c.MergeTol = 0.2
-	}
 	if c.MaxCandidates <= 0 {
 		c.MaxCandidates = 100000
-	}
-	if c.MaxSubspaceDims <= 0 {
-		c.MaxSubspaceDims = 6
 	}
 	return c
 }
@@ -110,7 +101,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Result, error) {
 	// Adaptive grids per dimension.
 	grids := make([][]adaptiveBin, n)
 	for j := 0; j < n; j++ {
-		grids[j] = adaptiveGrid(data.Col(j), cfg)
+		grids[j] = adaptiveGrid(data.Col(j))
 	}
 
 	// Precompute each point's adaptive bin per dimension.
@@ -137,7 +128,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Result, error) {
 	totalCandidates := len(current)
 
 	// Bottom-up lattice: join level-k units sharing k−1 (dim, bin) pairs.
-	for level := 2; level <= cfg.MaxSubspaceDims && len(current) > 1; level++ {
+	for level := 2; level <= maxSubspaceDims && len(current) > 1; level++ {
 		candidates := make(map[string]unit)
 		for a := 0; a < len(current); a++ {
 			for b := a + 1; b < len(current); b++ {
@@ -170,7 +161,7 @@ func Fit(data *linalg.Matrix, cfg Config) (*Result, error) {
 					expected *= (b.hi - b.lo) / span
 				}
 			}
-			if float64(count) > cfg.Alpha*expected && count > 0 {
+			if float64(count) > alpha*expected && count > 0 {
 				next = append(next, u)
 			}
 		}
@@ -188,15 +179,15 @@ func Fit(data *linalg.Matrix, cfg Config) (*Result, error) {
 }
 
 // adaptiveGrid builds a dimension's adaptive bins: a fine histogram whose
-// adjacent bins merge while their densities stay within MergeTol of the
+// adjacent bins merge while their densities stay within mergeTol of the
 // peak-scaled difference, then a density test against the uniform
 // expectation.
-func adaptiveGrid(col []float64, cfg Config) []adaptiveBin {
+func adaptiveGrid(col []float64) []adaptiveBin {
 	lo, hi := linalg.MinMax(col)
 	if !(hi > lo) {
 		hi = lo + 1
 	}
-	nb := cfg.FineBins
+	nb := fineBins
 	w := (hi - lo) / float64(nb)
 	counts := make([]int, nb)
 	for _, v := range col {
@@ -215,7 +206,7 @@ func adaptiveGrid(col []float64, cfg Config) []adaptiveBin {
 			peak = c
 		}
 	}
-	tol := cfg.MergeTol * float64(peak)
+	tol := mergeTol * float64(peak)
 
 	var grid []adaptiveBin
 	start := 0
@@ -234,7 +225,7 @@ func adaptiveGrid(col []float64, cfg Config) []adaptiveBin {
 	m := len(col)
 	for i := range grid {
 		expected := float64(m) * (grid[i].hi - grid[i].lo) / (hi - lo)
-		grid[i].dense = float64(grid[i].count) > cfg.Alpha*expected
+		grid[i].dense = float64(grid[i].count) > alpha*expected
 	}
 	// Ensure full coverage for locateBin.
 	grid[len(grid)-1].hi = hi + 1e-9

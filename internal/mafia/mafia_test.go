@@ -145,7 +145,7 @@ func TestAdaptiveGridCoverage(t *testing.T) {
 	for i := range col {
 		col[i] = rng.Gaussian(0, 1)
 	}
-	grid := adaptiveGrid(col, Config{}.withDefaults())
+	grid := adaptiveGrid(col)
 	// Every value must locate into a bin, and counts must sum to len(col).
 	total := 0
 	for _, b := range grid {
@@ -160,13 +160,13 @@ func TestAdaptiveGridCoverage(t *testing.T) {
 			t.Fatalf("value %v located to bin [%v,%v)", v, grid[idx].lo, grid[idx].hi)
 		}
 	}
-	// The merge step must actually merge: far fewer bins than FineBins.
+	// The merge step must actually merge: far fewer bins than fineBins.
 	if len(grid) >= 100 {
 		t.Fatalf("adaptive grid has %d bins (no merging)", len(grid))
 	}
 	// Constant column: degenerate range handled.
 	constant := make([]float64, 100)
-	g2 := adaptiveGrid(constant, Config{}.withDefaults())
+	g2 := adaptiveGrid(constant)
 	if len(g2) == 0 {
 		t.Fatal("constant column grid empty")
 	}

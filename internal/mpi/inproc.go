@@ -17,11 +17,15 @@ type world struct {
 	dead map[int]bool // ranks that aborted
 }
 
+// send holds w.mu across the liveness check and the put, so a send racing
+// the target's Abort either lands before abort marks the rank dead or
+// sees it dead: it never finds the mailbox Abort closed after marking
+// it. put never blocks, and abort releases w.mu before it takes any
+// mailbox lock, so the lock order is one way.
 func (w *world) send(to int, msg message) error {
 	w.mu.Lock()
-	dead := w.dead[to]
-	w.mu.Unlock()
-	if dead {
+	defer w.mu.Unlock()
+	if w.dead[to] {
 		return fmt.Errorf("mpi: send to rank %d: %w", to, RankFailedError{Rank: to})
 	}
 	return w.boxes[to].put(msg)

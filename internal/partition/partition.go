@@ -50,45 +50,28 @@ func (m Method) String() string {
 	}
 }
 
-// Config tunes a partitioner. The zero value selects the paper's defaults.
-type Config struct {
-	// Method picks the algorithm (default DiscreteOpt).
-	Method Method
-	// Window is the smoothing / regression window in bins; 0 derives
-	// w = ⌈√B⌉ from the histogram size per §3.2.
-	Window int
-	// MinProminence filters valley candidates: a valley must dip below the
-	// smaller of its two flanking modes by at least this fraction of that
-	// mode (see stats.RelativeDip). 0 selects 0.3.
-	MinProminence float64
-	// MaxCuts caps the number of cuts per dimension (0 selects 15, i.e. at
-	// most 16 primary clusters per dimension).
-	MaxCuts int
-	// DensityThreshold is the Threshold method's cut level as a fraction
-	// of peak density (0 selects 0.2).
-	DensityThreshold float64
-	// KDEBandwidth overrides the KDE method's bandwidth (0 = Silverman).
-	KDEBandwidth float64
-	// MultiLevels is the number of resolutions PartitionMulti searches
-	// (0 selects 3, per the paper's "2 to 4 histograms per dimension
-	// suffice"; 1 disables the multi-resolution search).
-	MultiLevels int
-}
+// The partitioner's constants. The smoothing window w = ⌈√B⌉ (derived per
+// call from the histogram's B bins) and the three resolutions
+// PartitionMulti searches are §3.2's ("2 to 4 histograms per dimension
+// suffice"); the other three are this reproduction's.
+const (
+	// minProminence filters valley candidates: a valley must dip below
+	// the smaller of its two flanking modes by at least this fraction of
+	// that mode (see stats.RelativeDip).
+	minProminence = 0.3
+	// maxCuts caps the cuts per dimension: at most 16 primary clusters.
+	maxCuts = 15
+	// densityThreshold is the Threshold method's cut level as a fraction
+	// of peak density.
+	densityThreshold = 0.2
+	// levels is the number of resolutions PartitionMulti searches.
+	levels = 3
+)
 
-func (c Config) withDefaults(nbins int) Config {
-	if c.Window <= 0 {
-		c.Window = int(math.Ceil(math.Sqrt(float64(nbins))))
-	}
-	if c.MinProminence <= 0 {
-		c.MinProminence = 0.3
-	}
-	if c.MaxCuts <= 0 {
-		c.MaxCuts = 15
-	}
-	if c.DensityThreshold <= 0 {
-		c.DensityThreshold = 0.2
-	}
-	return c
+// window is the smoothing / regression window for a histogram of nbins
+// bins: w = ⌈√B⌉ (§3.2).
+func window(nbins int) int {
+	return int(math.Ceil(math.Sqrt(float64(nbins))))
 }
 
 // Result describes the partition of one dimension.
@@ -129,9 +112,9 @@ func (r Result) Ranges(nbins int) [][2]int {
 	return out
 }
 
-// Partition partitions a histogram's finest level with cfg.
-func Partition(h *histogram.Hist, cfg Config) Result {
-	return PartitionCounts(h.Counts, cfg)
+// Partition partitions a histogram's finest level with method m.
+func Partition(h *histogram.Hist, m Method) Result {
+	return PartitionCounts(h.Counts, m)
 }
 
 // PartitionMulti implements §3.2's multi-resolution search: "bins that are
@@ -140,13 +123,10 @@ func Partition(h *histogram.Hist, cfg Config) Result {
 // histograms with different bin sizes." It partitions the histogram at
 // `levels` consecutive depths (the finest and progressively halved
 // resolutions), maps every candidate cut set back onto the finest grid, and
-// keeps the one with the best dispersion score there. levels <= 1 falls
-// back to the single-resolution Partition.
-func PartitionMulti(h *histogram.Hist, cfg Config, levels int) Result {
-	best := Partition(h, cfg)
-	if levels <= 1 {
-		return best
-	}
+// keeps the one with the best dispersion score there. Every level runs
+// DiscreteOpt.
+func PartitionMulti(h *histogram.Hist) Result {
+	best := Partition(h, DiscreteOpt)
 	density := make([]float64, len(h.Counts))
 	for i, c := range h.Counts {
 		density[i] = float64(c)
@@ -157,7 +137,7 @@ func PartitionMulti(h *histogram.Hist, cfg Config, levels int) Result {
 		if depth < 3 {
 			break
 		}
-		coarse := PartitionCounts(h.LevelCounts(depth), cfg)
+		coarse := PartitionCounts(h.LevelCounts(depth), DiscreteOpt)
 		if len(coarse.Cuts) == 0 {
 			continue
 		}
@@ -177,8 +157,8 @@ func PartitionMulti(h *histogram.Hist, cfg Config, levels int) Result {
 
 // PartitionCounts partitions a raw count vector. This is the operation the
 // coordinator runs on each merged global histogram.
-func PartitionCounts(counts []uint64, cfg Config) Result {
-	cfg = cfg.withDefaults(len(counts))
+func PartitionCounts(counts []uint64, m Method) Result {
+	w := window(len(counts))
 	density := make([]float64, len(counts))
 	var total float64
 	for i, c := range counts {
@@ -190,13 +170,13 @@ func PartitionCounts(counts []uint64, cfg Config) Result {
 	}
 
 	var smoothed []float64
-	switch cfg.Method {
+	switch m {
 	case KDE:
 		centers := make([]float64, len(counts))
 		for i := range centers {
 			centers[i] = float64(i)
 		}
-		smoothed = stats.KDEBinned(centers, counts, cfg.KDEBandwidth)
+		smoothed = stats.KDEBinned(centers, counts)
 		// rescale to count units so prominence thresholds are comparable
 		var s float64
 		for _, v := range smoothed {
@@ -208,31 +188,32 @@ func PartitionCounts(counts []uint64, cfg Config) Result {
 			}
 		}
 	default:
-		smoothed = stats.MovingAverageCounts(counts, cfg.Window)
+		smoothed = stats.MovingAverageCounts(counts, w)
 	}
 
-	if cfg.Method == Threshold {
-		return thresholdCuts(smoothed, cfg)
+	if m == Threshold {
+		return thresholdCuts(smoothed, densityThreshold)
 	}
 
-	candidates := valleyCandidates(smoothed, cfg)
+	candidates := valleyCandidates(smoothed, w)
 	if len(candidates) == 0 {
 		return Result{Smoothed: smoothed}
 	}
-	cuts, score := optimizeCuts(density, candidates, cfg.MaxCuts)
+	cuts, score := optimizeCuts(density, candidates, maxCuts)
 	return Result{Cuts: cuts, Smoothed: smoothed, Score: score}
 }
 
 // valleyCandidates finds prominent local minima of the smoothed density by
 // locating −→+ zero crossings of the locally regressed first derivative and
-// confirming them with the second derivative and a prominence filter.
-func valleyCandidates(smoothed []float64, cfg Config) []int {
-	slopes := stats.LocalSlopes(smoothed, cfg.Window)
+// confirming them with the second derivative and a prominence filter, all
+// over windows of w bins.
+func valleyCandidates(smoothed []float64, w int) []int {
+	slopes := stats.LocalSlopes(smoothed, w)
 	crossings := stats.ZeroCrossings(slopes, +1)
 	var out []int
 	for _, i := range crossings {
 		// Refine to the literal minimum bin near the crossing.
-		lo, hi := i-cfg.Window, i+cfg.Window
+		lo, hi := i-w, i+w
 		if lo < 0 {
 			lo = 0
 		}
@@ -249,10 +230,10 @@ func valleyCandidates(smoothed []float64, cfg Config) []int {
 		// and enough prominence to be more than noise. The curvature is
 		// only needed at the candidate bins, so the second-derivative fit
 		// runs on demand instead of over the whole array.
-		if stats.LocalSlopeAt(slopes, cfg.Window, best) < 0 {
+		if stats.LocalSlopeAt(slopes, w, best) < 0 {
 			continue
 		}
-		if stats.RelativeDip(smoothed, best) < cfg.MinProminence {
+		if stats.RelativeDip(smoothed, best) < minProminence {
 			continue
 		}
 		if len(out) > 0 && out[len(out)-1] == best {
@@ -351,12 +332,12 @@ func scoreCuts(density []float64, cuts []int) float64 {
 // whose smoothed density is below threshold·peak separates two clusters;
 // the cut is placed at the run's center. Runs touching the histogram edges
 // do not cut (they are empty margins, not separations).
-func thresholdCuts(smoothed []float64, cfg Config) Result {
+func thresholdCuts(smoothed []float64, threshold float64) Result {
 	peak := smoothed[stats.ArgMax(smoothed)]
 	if peak <= 0 {
 		return Result{Smoothed: smoothed}
 	}
-	level := cfg.DensityThreshold * peak
+	level := threshold * peak
 	var cuts []int
 	runStart := -1
 	for i, v := range smoothed {
@@ -373,8 +354,8 @@ func thresholdCuts(smoothed []float64, cfg Config) Result {
 			runStart = -1
 		}
 	}
-	if len(cuts) > cfg.MaxCuts {
-		cuts = cuts[:cfg.MaxCuts]
+	if len(cuts) > maxCuts {
+		cuts = cuts[:maxCuts]
 	}
 	density := smoothed
 	return Result{Cuts: cuts, Smoothed: smoothed, Score: scoreCuts(density, cuts)}
@@ -399,11 +380,8 @@ func insertSorted(s []int, v int) []int {
 
 // Collapse reports whether a dimension's histogram should be collapsed —
 // it carries no clustering structure because its distribution is
-// indistinguishable from a single Gaussian (Lilliefors KS test, §3.1).
-// relax scales the critical value; 0 selects 1 (the exact 5% level).
-func Collapse(h *histogram.Hist, relax float64) bool {
-	if relax <= 0 {
-		relax = 1
-	}
-	return stats.LooksNormal(h.Centers(), h.Counts, relax)
+// indistinguishable from a single Gaussian (Lilliefors KS test at the
+// exact 5 % level, §3.1).
+func Collapse(h *histogram.Hist) bool {
+	return stats.LooksNormal(h.Centers(), h.Counts, 1)
 }

@@ -23,7 +23,7 @@ func bumpHist(t *testing.T, depth int, n int, centers []float64, std float64, se
 
 func TestBimodalOneCut(t *testing.T) {
 	h := bumpHist(t, 7, 20000, []float64{25, 75}, 5, 1) // 128 bins
-	res := Partition(h, Config{})
+	res := Partition(h, DiscreteOpt)
 	if res.Segments() != 2 {
 		t.Fatalf("segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -40,7 +40,7 @@ func TestBimodalOneCut(t *testing.T) {
 
 func TestTrimodalTwoCuts(t *testing.T) {
 	h := bumpHist(t, 7, 30000, []float64{15, 50, 85}, 4, 2)
-	res := Partition(h, Config{})
+	res := Partition(h, DiscreteOpt)
 	if res.Segments() != 3 {
 		t.Fatalf("segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -51,7 +51,7 @@ func TestTrimodalTwoCuts(t *testing.T) {
 
 func TestUnimodalNoCut(t *testing.T) {
 	h := bumpHist(t, 7, 20000, []float64{50}, 8, 3)
-	res := Partition(h, Config{})
+	res := Partition(h, DiscreteOpt)
 	if res.Segments() != 1 {
 		t.Fatalf("unimodal data got cuts %v", res.Cuts)
 	}
@@ -59,14 +59,14 @@ func TestUnimodalNoCut(t *testing.T) {
 
 func TestEmptyAndTinyHistograms(t *testing.T) {
 	h := histogram.New(0, 1, 5)
-	res := Partition(h, Config{})
+	res := Partition(h, DiscreteOpt)
 	if res.Segments() != 1 || res.Score != 0 {
 		t.Fatalf("empty histogram: %+v", res)
 	}
 	tiny := histogram.New(0, 1, 1) // 2 bins, below the minimum
 	tiny.Add(0.2)
 	tiny.Add(0.8)
-	if res := Partition(tiny, Config{}); res.Segments() != 1 {
+	if res := Partition(tiny, DiscreteOpt); res.Segments() != 1 {
 		t.Fatal("tiny histogram must stay unpartitioned")
 	}
 }
@@ -79,7 +79,7 @@ func TestNoiseRobustness(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.Add(rng.Uniform(0, 100))
 	}
-	res := Partition(h, Config{})
+	res := Partition(h, DiscreteOpt)
 	if res.Segments() != 2 {
 		t.Fatalf("noisy bimodal: segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -103,7 +103,7 @@ func TestSegmentOf(t *testing.T) {
 
 func TestKDEMethodFindsBimodal(t *testing.T) {
 	h := bumpHist(t, 7, 20000, []float64{25, 75}, 5, 6)
-	res := Partition(h, Config{Method: KDE})
+	res := Partition(h, KDE)
 	if res.Segments() != 2 {
 		t.Fatalf("KDE method: segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -111,7 +111,7 @@ func TestKDEMethodFindsBimodal(t *testing.T) {
 
 func TestThresholdMethod(t *testing.T) {
 	h := bumpHist(t, 7, 20000, []float64{25, 75}, 4, 7)
-	res := Partition(h, Config{Method: Threshold})
+	res := Partition(h, Threshold)
 	if res.Segments() != 2 {
 		t.Fatalf("threshold method: segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -133,8 +133,8 @@ func TestThresholdFailsOnUnevenDensity(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		h.Add(rng.Gaussian(70, 9)) // broad, low bump
 	}
-	opt := Partition(h, Config{})
-	thr := Partition(h, Config{Method: Threshold, DensityThreshold: 0.02})
+	opt := Partition(h, DiscreteOpt)
+	thr := thresholdCuts(opt.Smoothed, 0.02) // Threshold's smoothing, a lower level
 	if opt.Segments() != 2 {
 		t.Fatalf("discrete-opt should split uneven bimodal, cuts %v", opt.Cuts)
 	}
@@ -148,26 +148,30 @@ func TestThresholdFailsOnUnevenDensity(t *testing.T) {
 }
 
 func TestMaxCutsCap(t *testing.T) {
-	// Many bumps but MaxCuts=1 must cap the cut count.
+	// Many bumps but a cap of 1 must cap the cut count.
 	h := bumpHist(t, 8, 40000, []float64{10, 30, 50, 70, 90}, 3, 9)
-	res := Partition(h, Config{MaxCuts: 1})
-	if len(res.Cuts) != 1 {
-		t.Fatalf("MaxCuts=1 got %v", res.Cuts)
-	}
-	full := Partition(h, Config{})
+	full := Partition(h, DiscreteOpt)
 	if full.Segments() != 5 {
 		t.Fatalf("five bumps: segments %d cuts %v", full.Segments(), full.Cuts)
+	}
+	density := make([]float64, len(h.Counts))
+	for i, c := range h.Counts {
+		density[i] = float64(c)
+	}
+	cuts, _ := optimizeCuts(density, valleyCandidates(full.Smoothed, window(h.Bins())), 1)
+	if len(cuts) != 1 {
+		t.Fatalf("maxCuts=1 got %v", cuts)
 	}
 }
 
 func TestCollapseDecision(t *testing.T) {
 	// A plain Gaussian dimension should collapse; a bimodal one must not.
 	gauss := bumpHist(t, 7, 20000, []float64{50}, 8, 10)
-	if !Collapse(gauss, 3) {
-		t.Fatal("unimodal Gaussian should collapse with relaxed threshold")
+	if !Collapse(gauss) {
+		t.Fatal("unimodal Gaussian should collapse")
 	}
 	bimodal := bumpHist(t, 7, 20000, []float64{25, 75}, 5, 11)
-	if Collapse(bimodal, 1) {
+	if Collapse(bimodal) {
 		t.Fatal("bimodal dimension must not collapse")
 	}
 }
@@ -199,8 +203,8 @@ func TestMethodString(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	h := bumpHist(t, 7, 10000, []float64{25, 75}, 5, 13)
-	a := Partition(h, Config{})
-	b := Partition(h, Config{})
+	a := Partition(h, DiscreteOpt)
+	b := Partition(h, DiscreteOpt)
 	if len(a.Cuts) != len(b.Cuts) {
 		t.Fatal("nondeterministic partition")
 	}
@@ -225,7 +229,7 @@ func TestPartitionMultiRecoversCoarseStructure(t *testing.T) {
 		}
 		h.Add(rng.Gaussian(c, 8))
 	}
-	res := PartitionMulti(h, Config{}, 4)
+	res := PartitionMulti(h)
 	if res.Segments() != 2 {
 		t.Fatalf("segments %d cuts %v", res.Segments(), res.Cuts)
 	}
@@ -236,13 +240,10 @@ func TestPartitionMultiRecoversCoarseStructure(t *testing.T) {
 
 func TestPartitionMultiFallsBackToSingle(t *testing.T) {
 	h := bumpHist(t, 7, 20000, []float64{25, 75}, 5, 22)
-	single := Partition(h, Config{})
-	multi1 := PartitionMulti(h, Config{}, 1)
-	if len(single.Cuts) != len(multi1.Cuts) {
-		t.Fatal("levels=1 must equal single-resolution partition")
-	}
-	// Multi must never be worse than single under the shared score.
-	multi := PartitionMulti(h, Config{}, 3)
+	single := Partition(h, DiscreteOpt)
+	// Multi keeps the single-resolution cuts unless a coarser level
+	// scores better: it is never worse under the shared score.
+	multi := PartitionMulti(h)
 	if multi.Score < single.Score {
 		t.Fatalf("multi score %v below single %v", multi.Score, single.Score)
 	}
@@ -252,7 +253,7 @@ func TestPartitionMultiCutMapping(t *testing.T) {
 	// Cuts chosen at a coarse level must land on odd finest indices
 	// (segment boundaries aligned with the hierarchy).
 	h := bumpHist(t, 8, 30000, []float64{20, 80}, 6, 23)
-	res := PartitionMulti(h, Config{}, 4)
+	res := PartitionMulti(h)
 	for _, c := range res.Cuts {
 		if c < 0 || c >= h.Bins()-1 {
 			t.Fatalf("cut %d out of range", c)

@@ -21,8 +21,8 @@ func buildTrial(t *testing.T, pts [][2]float64) (*histogram.Set, []partition.Res
 		set.AddPoint([]float64{p[0], p[1]})
 	}
 	parts := []partition.Result{
-		partition.Partition(set.Dims[0], partition.Config{}),
-		partition.Partition(set.Dims[1], partition.Config{}),
+		partition.Partition(set.Dims[0], partition.DiscreteOpt),
+		partition.Partition(set.Dims[1], partition.DiscreteOpt),
 	}
 	counts := map[[2]int]uint64{}
 	for _, p := range pts {

@@ -8,7 +8,7 @@ import (
 func TestKDEBinnedUnimodal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	centers, counts := binGaussian(rng, 10000, 50, 0, 1, 0)
-	dens := KDEBinned(centers, counts, 0)
+	dens := KDEBinned(centers, counts)
 	peak := ArgMax(dens)
 	// Peak should be near the center bin (x≈0).
 	if centers[peak] < -0.5 || centers[peak] > 0.5 {
@@ -28,7 +28,7 @@ func TestKDEBinnedUnimodal(t *testing.T) {
 func TestKDEBinnedBimodalValley(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	centers, counts := binGaussian(rng, 20000, 80, 0, 1, 10)
-	dens := KDEBinned(centers, counts, 0.5)
+	dens := KDEBinned(centers, counts)
 	// Find the valley between the two modes: density near x=5 should be
 	// well below both mode densities.
 	var valleyIdx int
@@ -45,12 +45,12 @@ func TestKDEBinnedBimodalValley(t *testing.T) {
 }
 
 func TestKDEDegenerate(t *testing.T) {
-	out := KDEBinned([]float64{1, 2}, []uint64{0, 0}, 0)
+	out := KDEBinned([]float64{1, 2}, []uint64{0, 0})
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatal("empty histogram should give zero density")
 	}
 	// Zero spread: falls back to raw counts.
-	out = KDEBinned([]float64{1, 2}, []uint64{5, 0}, 0)
+	out = KDEBinned([]float64{1, 2}, []uint64{5, 0})
 	if out[0] != 5 || out[1] != 0 {
 		t.Fatalf("degenerate spread: %v", out)
 	}

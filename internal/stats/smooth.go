@@ -201,26 +201,6 @@ func LocalSlopeAt(v []float64, width, i int) float64 {
 	return (float64(n*sxy) - float64(sx*sy)) / den
 }
 
-// Diff returns the first discrete difference of v: out[i] = v[i+1]-v[i],
-// with len(out) == len(v)-1 (empty for len(v) < 2).
-func Diff(v []float64) []float64 {
-	if len(v) < 2 {
-		return nil
-	}
-	out := make([]float64, len(v)-1)
-	for i := range out {
-		out[i] = v[i+1] - v[i]
-	}
-	return out
-}
-
-// SecondDerivative estimates v” via the slopes of the LocalSlopes curve:
-// differentiating the locally fitted first derivative identifies inflection
-// points (regions of sudden change) per §3.2.
-func SecondDerivative(v []float64, width int) []float64 {
-	return LocalSlopes(LocalSlopes(v, width), width)
-}
-
 // ZeroCrossings returns the indices i where v changes sign between i and
 // i+1 in the requested direction: dir > 0 finds −→+ crossings (density
 // valleys when v is a first derivative), dir < 0 finds +→− crossings

@@ -101,30 +101,6 @@ func TestLocalSlopesSignsOnParabola(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9})
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("Diff=%v", got)
-	}
-	if Diff([]float64{1}) != nil {
-		t.Fatal("short input")
-	}
-}
-
-func TestSecondDerivativeOnParabola(t *testing.T) {
-	// y = x^2 has constant positive second derivative.
-	v := make([]float64, 30)
-	for i := range v {
-		v[i] = float64(i * i)
-	}
-	dd := SecondDerivative(v, 5)
-	for i := 5; i < 25; i++ {
-		if dd[i] <= 0 {
-			t.Fatalf("interior second derivative at %d = %v", i, dd[i])
-		}
-	}
-}
-
 func TestZeroCrossings(t *testing.T) {
 	v := []float64{-2, -1, 1, 2, -1, -3, 2}
 	up := ZeroCrossings(v, 1)
