@@ -182,7 +182,7 @@ func BenchmarkProjection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.ParallelMul(nil, data, batch.Joined, 0); err != nil {
+		if _, err := linalg.Mul(nil, data, batch.Joined); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,12 @@
 //	benchtab -exp all                        # everything, scaled sizes
 //	benchtab -exp table1 -full               # Table 1 at paper scale
 //	benchtab -exp table2,figure3 -seed 7
+//	benchtab -exp headline -full -points 40000   # the headline design point alone
 //
 // Experiments: table1, table2, table3, figure1, figure2, figure3, figure4,
-// ablationA, ablationB, ablationC, all.
+// ablationA, ablationB, ablationC, ablationD, all, and headline, which all
+// leaves out: one KeyBin2 fit at the last rung of the dimension ladder on
+// every rank of Table 1.
 //
 // Default sizing keeps the paper's experimental design (the same dimension
 // ladder, process doubling, methods, and metrics) at sizes that finish in
@@ -121,6 +124,12 @@ func main() {
 	}
 	if all || want["ablationd"] {
 		fmt.Println(experiments.RenderAblationD(experiments.AblationD(scale)))
+		ran++
+	}
+	if want["headline"] {
+		res, err := experiments.Headline(scale)
+		exitOn(err)
+		fmt.Println(experiments.RenderHeadline(res))
 		ran++
 	}
 	if *verify {

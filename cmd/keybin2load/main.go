@@ -7,21 +7,13 @@
 //
 //	keybin2load -addr http://127.0.0.1:7420 [-points 100000] [-dims 16]
 //	            [-batch 512] [-ingesters 4] [-query-workers 2] [-seed 1]
-//	            [-o -] [-probe labels.json] [-no-load]
-//	            [-read-addrs URL,URL] [-cluster] [-producer-prefix load]
+//	            [-o -] [-read-addrs URL,URL] [-producer-prefix load]
 //
-// -cluster points the run at a keybin2router instead of a daemon: each
-// ingest worker gets its own producer identity (so the router's hash
-// ring spreads them across shards) and the report gains a per-shard
-// distribution block — batches/points per shard and the ring's balance
-// coefficient.
-//
-// -probe exercises restart consistency: it labels a deterministic probe
-// batch and writes the labels to the given file — or, when the file
-// already exists, compares against the stored labels and exits nonzero on
-// any mismatch. Run with -probe before killing the daemon and again (with
-// -no-load) after restarting from its checkpoint to assert the restored
-// model labels identically.
+// -read-addrs splits the label queries across -addr and the given
+// followers. -producer-prefix gives each ingest worker its own producer
+// identity; a keybin2router partitions by producer, so that is what
+// spreads the workers across its shards (its GET /stats, or keybin2top
+// -router, shows the spread).
 //
 // Chaos: -scenario NAME runs one row of the internal/chaos scenario table
 // — the same table `go test ./internal/chaos` runs at its smallest size —
@@ -68,10 +60,7 @@ func main() {
 		queryW  = flag.Int("query-workers", 2, "concurrent /label workers during ingest")
 		seed    = flag.Int64("seed", 1, "synthetic data seed")
 		out     = flag.String("o", "-", "load report JSON path ('-' for stdout)")
-		probe   = flag.String("probe", "", "probe-labels file: write if absent, compare if present")
-		noLoad  = flag.Bool("no-load", false, "skip the load phase (probe/stats only)")
 		timeout = flag.Duration("timeout", 10*time.Minute, "overall deadline")
-		probeN  = flag.Int("probe-points", 256, "points in the consistency probe")
 
 		scenario     = flag.String("scenario", "", "chaos mode: run this internal/chaos scenario ("+strings.Join(chaos.Names(), " | ")+") instead of a load")
 		cycles       = flag.Int("cycles", 1, "with -scenario crash | promote | failover: kill cycles")
@@ -81,8 +70,7 @@ func main() {
 		fsync        = flag.String("fsync", "always", "with -scenario: WAL fsync policy of the spawned daemons")
 		replicas     = flag.Int("replicas", 2, "with -scenario: follower replicas per replica set")
 		readAddrs    = flag.String("read-addrs", "", "comma-separated follower base URLs; label queries split across them and -addr")
-		clusterMode  = flag.Bool("cluster", false, "-addr is a keybin2router: tag each ingester as its own producer and report the per-shard distribution")
-		prodPrefix   = flag.String("producer-prefix", "", "per-worker producer id prefix (default with -cluster: \"load\"); spreads workers across a router's hash ring")
+		prodPrefix   = flag.String("producer-prefix", "", "per-worker producer id prefix; spreads workers across a router's hash ring")
 	)
 	flag.Parse()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -105,99 +93,27 @@ func main() {
 		return
 	}
 
-	c := client.New(*addr)
-	if !*noLoad {
-		var reads []string
-		if *readAddrs != "" {
-			reads = strings.Split(*readAddrs, ",")
-		}
-		prefix := *prodPrefix
-		if prefix == "" && *clusterMode {
-			prefix = "load" // a router partitions by producer; workers need distinct ids
-		}
-		rep, err := client.RunLoad(ctx, c, client.LoadConfig{
-			Points: *points, Dims: *dims, BatchSize: *batch,
-			Ingesters: *ingest, QueryWorkers: *queryW, Seed: *seed,
-			ReadAddrs: reads, ProducerPrefix: prefix,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "keybin2load:", err)
-			os.Exit(1)
-		}
-		full := loadOutput{LoadReport: rep}
-		if *clusterMode {
-			cl, err := clusterDistribution(ctx, *addr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "keybin2load: cluster stats:", err)
-			} else {
-				full.Cluster = cl
-			}
-		}
-		enc, _ := json.MarshalIndent(full, "", "  ")
-		enc = append(enc, '\n')
-		if *out == "-" {
-			os.Stdout.Write(enc)
-		} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "keybin2load:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "ingest %.0f pts/s, query p50 %.2f ms p99 %.2f ms, %d refits, %d clusters\n",
-			rep.IngestPointsPerSec, rep.QueryP50Ms, rep.QueryP99Ms, rep.FinalRefits, rep.FinalClusters)
-		if full.Cluster != nil {
-			fmt.Fprintf(os.Stderr, "cluster: %d/%d shards up, merge epoch %d, ring balance cv %.3f\n",
-				full.Cluster.ShardsUp, full.Cluster.Shards, full.Cluster.MergeEpoch, full.Cluster.BalanceCV)
-		}
+	var reads []string
+	if *readAddrs != "" {
+		reads = strings.Split(*readAddrs, ",")
 	}
-	if *probe != "" {
-		if err := runProbe(ctx, c, *probe, *dims, *probeN, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "keybin2load:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// probeRecord pins a deterministic batch's labels to disk so a second run
-// can assert the daemon (possibly restarted from a checkpoint) still
-// labels the same points the same way.
-type probeRecord struct {
-	Seed     int64 `json:"seed"`
-	Dims     int   `json:"dims"`
-	Labels   []int `json:"labels"`
-	ModelGen int64 `json:"model_gen"`
-}
-
-func runProbe(ctx context.Context, c *client.Client, path string, dims, n int, seed int64) error {
-	res, err := c.Label(ctx, chaos.Probe(dims, n, seed))
+	rep, err := client.RunLoad(ctx, client.New(*addr), client.LoadConfig{
+		Points: *points, Dims: *dims, BatchSize: *batch,
+		Ingesters: *ingest, QueryWorkers: *queryW, Seed: *seed,
+		ReadAddrs: reads, ProducerPrefix: *prodPrefix,
+	})
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "keybin2load:", err)
+		os.Exit(1)
 	}
-	if prev, err := os.ReadFile(path); err == nil {
-		var want probeRecord
-		if err := json.Unmarshal(prev, &want); err != nil {
-			return fmt.Errorf("probe file %s: %w", path, err)
-		}
-		if want.Seed != seed || want.Dims != dims || len(want.Labels) != len(res.Labels) {
-			return fmt.Errorf("probe file %s was written with different flags", path)
-		}
-		mismatch := 0
-		for i := range want.Labels {
-			if want.Labels[i] != res.Labels[i] {
-				mismatch++
-			}
-		}
-		if mismatch > 0 {
-			return fmt.Errorf("probe: %d of %d labels changed across restart (gen %d → %d)",
-				mismatch, len(want.Labels), want.ModelGen, res.ModelGen)
-		}
-		fmt.Fprintf(os.Stderr, "probe: %d labels consistent (gen %d → %d)\n",
-			len(want.Labels), want.ModelGen, res.ModelGen)
-		return nil
+	enc, _ := json.MarshalIndent(rep, "", "  ")
+	enc = append(enc, '\n')
+	if *out == "-" {
+		os.Stdout.Write(enc)
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "keybin2load:", err)
+		os.Exit(1)
 	}
-	rec := probeRecord{Seed: seed, Dims: dims, Labels: res.Labels, ModelGen: res.ModelGen}
-	enc, _ := json.MarshalIndent(rec, "", "  ")
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "probe: wrote %d labels (gen %d) to %s\n", len(res.Labels), res.ModelGen, path)
-	return nil
+	fmt.Fprintf(os.Stderr, "ingest %.0f pts/s, query p50 %.2f ms p99 %.2f ms, %d refits, %d clusters\n",
+		rep.IngestPointsPerSec, rep.QueryP50Ms, rep.QueryP99Ms, rep.FinalRefits, rep.FinalClusters)
 }

@@ -48,15 +48,15 @@ func newLedger(cfg Config) *ledger {
 	return &ledger{
 		cfg:      cfg,
 		spec:     synth.AutoMixture(4, cfg.Dims, 6, 1, xrand.New(cfg.Seed)),
-		probe:    Probe(cfg.Dims, 256, cfg.Seed),
+		probe:    probe(cfg.Dims, 256, cfg.Seed),
 		patience: 30 * time.Second,
 	}
 }
 
-// Probe is the fixed batch every label-consistency check labels. It is
-// derived from the seed alone, so any process with equal arguments —
-// keybin2load -probe included — regenerates identical points.
-func Probe(dims, n int, seed int64) *linalg.Matrix {
+// probe is the fixed batch every label-consistency check labels. It is
+// derived from the seed alone, so any process with equal arguments
+// regenerates identical points.
+func probe(dims, n int, seed int64) *linalg.Matrix {
 	batch, _ := synth.AutoMixture(4, dims, 6, 1, xrand.New(seed)).Sample(n, xrand.New(seed+7))
 	return batch
 }

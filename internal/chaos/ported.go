@@ -23,19 +23,18 @@ import (
 // load pushes n points through the daemon or router at url with the load
 // generator (label queries hammering alongside) and credits the ledger:
 // RunLoad returns only once every batch is acked.
-func (l *ledger) load(ctx context.Context, url string, n int, lc client.LoadConfig) (client.LoadReport, error) {
+func (l *ledger) load(ctx context.Context, url string, n int, lc client.LoadConfig) error {
 	lc.Points, lc.Dims, lc.BatchSize = n, l.cfg.Dims, l.cfg.Batch
 	// The load's connections are closed when it ends, as a load generator
 	// process exiting would: a connection the transport dialed and never
 	// used holds a draining server's Shutdown for five seconds.
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
 	defer hc.CloseIdleConnections()
-	rep, err := client.RunLoad(ctx, client.NewWithHTTPClient(url, hc), lc)
-	if err != nil {
-		return rep, fmt.Errorf("load of %d points at %s: %w", n, url, err)
+	if _, err := client.RunLoad(ctx, client.NewWithHTTPClient(url, hc), lc); err != nil {
+		return fmt.Errorf("load of %d points at %s: %w", n, url, err)
 	}
 	l.points += int64(n)
-	return rep, nil
+	return nil
 }
 
 // scrape fetches a node's /metrics and fails unless it has every series of
@@ -97,14 +96,9 @@ func restart(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 
 	// The load runs beside the scrapes; it is joined before anything
 	// returns, so no request outlives the scenario.
-	type loaded struct {
-		rep client.LoadReport
-		err error
-	}
-	done := make(chan loaded, 1)
+	done := make(chan error, 1)
 	go func() {
-		r, err := l.load(ctx, primary.URL, cfg.Points, client.LoadConfig{Seed: cfg.Seed, ReadAddrs: []string{follower.URL}})
-		done <- loaded{r, err}
+		done <- l.load(ctx, primary.URL, cfg.Points, client.LoadConfig{Seed: cfg.Seed, ReadAddrs: []string{follower.URL}})
 	}()
 	var midLoad float64
 	scrapes := func() error {
@@ -133,15 +127,19 @@ func restart(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 		return err
 	}
 	scrapeErr := scrapes()
-	ld := <-done
+	loadErr := <-done
 	if scrapeErr != nil {
 		return rep, fmt.Errorf("mid-load: %w", scrapeErr)
 	}
-	if ld.err != nil {
-		return rep, ld.err
+	if loadErr != nil {
+		return rep, loadErr
 	}
-	if ld.rep.ReadEndpoints != 2 {
-		return rep, fmt.Errorf("load read from %d endpoints, want primary + follower", ld.rep.ReadEndpoints)
+	// Nothing but the load has labelled yet: each node's own count says
+	// whether it served the load's reads.
+	for who, c := range map[string]*client.Client{"primary": pc, "follower": fc} {
+		if st, err := c.Stats(ctx); err != nil || st.Labeled == 0 {
+			return rep, fmt.Errorf("the %s served none of the load's reads (labeled %d, err %v)", who, st.Labeled, err)
+		}
 	}
 
 	if err := l.converge(ctx, fc); err != nil {
@@ -205,7 +203,7 @@ func supervisor(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 		return rep, err
 	}
 	old := rs.primary()
-	if _, err := l.load(ctx, old.URL, cfg.Points, client.LoadConfig{Seed: cfg.Seed}); err != nil {
+	if err := l.load(ctx, old.URL, cfg.Points, client.LoadConfig{Seed: cfg.Seed}); err != nil {
 		return rep, err
 	}
 	if err := l.converge(ctx, rs.nodes[1:]...); err != nil {
@@ -223,7 +221,7 @@ func supervisor(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 	if heirProc == nil {
 		return rep, fmt.Errorf("supervisor elected %q, which is no member of the set", st.Primary)
 	}
-	if _, err := l.load(ctx, heirProc.URL, cfg.Points/4, client.LoadConfig{Seed: cfg.Seed + 1}); err != nil {
+	if err := l.load(ctx, heirProc.URL, cfg.Points/4, client.LoadConfig{Seed: cfg.Seed + 1}); err != nil {
 		return rep, fmt.Errorf("writes through the elected primary: %w", err)
 	}
 	if err := l.converge(ctx, heir); err != nil {
@@ -307,7 +305,7 @@ func shards(ctx context.Context, f *Fleet, cfg Config) (Report, error) {
 	// how many shards took none of them or are down.
 	var cs shardcluster.ClusterStats
 	routed := func(n int, prefix string, seed int64) (points int64, idle, down int, err error) {
-		if _, err = l.load(ctx, router.URL, n, client.LoadConfig{Seed: seed, Ingesters: 32, ProducerPrefix: prefix}); err != nil {
+		if err = l.load(ctx, router.URL, n, client.LoadConfig{Seed: seed, Ingesters: 32, ProducerPrefix: prefix}); err != nil {
 			return
 		}
 		err = call(ctx, "GET", router.URL+"/stats", &cs)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,13 +87,11 @@ type LoadReport struct {
 	// replica set, endpoint rotations).
 	Backpressure int64 `json:"backpressure_rejections"`
 
-	QueryWorkers int `json:"query_workers"`
-	// ReadEndpoints is how many nodes served label queries (1 + replicas).
-	ReadEndpoints int     `json:"read_endpoints,omitempty"`
-	Queries       int64   `json:"queries"`
-	QueryP50Ms    float64 `json:"query_p50_ms"`
-	QueryP95Ms    float64 `json:"query_p95_ms"`
-	QueryP99Ms    float64 `json:"query_p99_ms"`
+	QueryWorkers int     `json:"query_workers"`
+	Queries      int64   `json:"queries"`
+	QueryP50Ms   float64 `json:"query_p50_ms"`
+	QueryP95Ms   float64 `json:"query_p95_ms"`
+	QueryP99Ms   float64 `json:"query_p99_ms"`
 
 	FinalSeen     int64 `json:"final_seen"`
 	FinalRefits   int64 `json:"final_refits"`
@@ -107,13 +104,6 @@ type LoadReport struct {
 	// time went, span by span.
 	SlowestIngestMs    float64 `json:"slowest_ingest_ms"`
 	SlowestIngestTrace string  `json:"slowest_ingest_trace,omitempty"`
-
-	// MetricsDelta holds, for every monotone (_total) series on /metrics,
-	// the increase observed across the load run — the daemon's own account
-	// of what the run did (batches by outcome, WAL appends/fsyncs, refit
-	// activity). Nil when the daemon predates /metrics or a scrape failed;
-	// the load numbers above are measured client-side and stand alone.
-	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
 }
 
 // RunLoad ingests cfg.Points synthetic points through c while concurrently
@@ -128,10 +118,6 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 		Ingesters: cfg.Ingesters, QueryWorkers: cfg.QueryWorkers,
 	}
 	spec := synth.AutoMixture(loadComponents, cfg.Dims, 6, 1, xrand.New(cfg.Seed))
-
-	// Tolerant pre-scrape: metric deltas are a bonus, never a reason to
-	// fail a load run against an older or metrics-less daemon.
-	before, _ := c.Metrics(ctx)
 
 	ingestCtx, stopQueries := context.WithCancel(ctx)
 	defer stopQueries()
@@ -177,7 +163,6 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 	for _, addr := range cfg.ReadAddrs {
 		readers = append(readers, New(addr))
 	}
-	rep.ReadEndpoints = len(readers)
 	var qwg sync.WaitGroup
 	latCh := make(chan []float64, cfg.QueryWorkers)
 	var queryErr atomic.Pointer[error]
@@ -297,32 +282,7 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 	rep.FinalSeen = st.Seen
 	rep.FinalRefits = st.Refits
 	rep.FinalClusters = st.Clusters
-	if before != nil {
-		if after, err := c.Metrics(ctx); err == nil {
-			rep.MetricsDelta = metricsDelta(before, after)
-		}
-	}
 	return rep, nil
-}
-
-// metricsDelta keeps the increase of every counter (_total-suffixed)
-// series between two scrapes. Gauges and histogram buckets are skipped:
-// their point-in-time values don't subtract meaningfully.
-func metricsDelta(before, after map[string]float64) map[string]float64 {
-	d := make(map[string]float64)
-	for k, v := range after {
-		name := k
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		if !strings.HasSuffix(name, "_total") {
-			continue
-		}
-		if dv := v - before[k]; dv > 0 {
-			d[k] = dv
-		}
-	}
-	return d
 }
 
 // percentile returns the p-quantile of sorted values (nearest-rank).

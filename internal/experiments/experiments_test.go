@@ -267,6 +267,30 @@ func TestAblationCTrafficFlat(t *testing.T) {
 	}
 }
 
+func TestHeadlineRunsLastRungOnEveryRank(t *testing.T) {
+	s := tiny()
+	r, err := Headline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Ranks != 2 || r.PointsPerRank != 600 || r.Dims != 80 {
+		t.Fatalf("design point %+v", r)
+	}
+	if r.Run.F1 < 0.5 || r.Run.Seconds <= 0 || r.TrafficBytes <= 0 {
+		t.Fatalf("run %+v", r)
+	}
+	again, err := Headline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Run.F1 != r.Run.F1 || again.TrafficBytes != r.TrafficBytes {
+		t.Fatalf("not deterministic per seed: %+v then %+v", r, again)
+	}
+	if out := RenderHeadline(r); !strings.Contains(out, "2 ranks × 600 points × 80 dims") {
+		t.Fatalf("render:\n%s", out)
+	}
+}
+
 func TestScalePresets(t *testing.T) {
 	d, p := Default(), Paper()
 	if d.PointsPerProc >= p.PointsPerProc || d.Repeats >= p.Repeats {

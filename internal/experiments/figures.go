@@ -43,7 +43,7 @@ func Figure1(s Scale) []Figure1Row {
 		if err != nil {
 			continue
 		}
-		proj, err := projection.Apply(data, mat, s.Workers)
+		proj, err := linalg.Mul(nil, data, mat)
 		if err != nil {
 			continue
 		}

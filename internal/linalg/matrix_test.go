@@ -159,37 +159,6 @@ func TestMulTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestParallelMulMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewMatrix(257, 33)
-	b := NewMatrix(33, 9)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	serial, err := Mul(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 0} {
-		par, err := ParallelMul(nil, a, b, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !Equal(serial, par, 1e-9) {
-			t.Fatalf("workers=%d: parallel result differs", workers)
-		}
-	}
-}
-
-func TestParallelMulShapeError(t *testing.T) {
-	if _, err := ParallelMul(nil, NewMatrix(64, 3), NewMatrix(4, 2), 4); !errors.Is(err, ErrShape) {
-		t.Fatalf("got %v, want ErrShape", err)
-	}
-}
-
 func TestStringSmallAndLarge(t *testing.T) {
 	small, _ := FromRows([][]float64{{1, 2}})
 	if s := small.String(); s == "" {

@@ -123,9 +123,9 @@ func TestMulKernelBitIdentical(t *testing.T) {
 							}
 						}
 					}
-					// Two ranges, as ParallelMul and the block store split
-					// them, the later one first: a row written past column c
-					// would clobber the start of a row already in place.
+					// Two ranges, as the block store splits them, the
+					// later one first: a row written past column c would
+					// clobber the start of a row already in place.
 					mid := s.rows / 3
 					got, tail := guarded(s.rows, s.c)
 					mulRangeWith(k, got, a, b, mid, s.rows)

@@ -134,12 +134,6 @@ func New(kind Kind, n, nrp int, rng *xrand.Stream) (*linalg.Matrix, error) {
 	}
 }
 
-// Apply projects the row-major points matrix (m×n) through a (n×nrp),
-// returning the m×nrp projected points. workers <= 0 uses GOMAXPROCS.
-func Apply(points, a *linalg.Matrix, workers int) (*linalg.Matrix, error) {
-	return linalg.ParallelMul(nil, points, a, workers)
-}
-
 // Batch bundles t independent trial projections applied in a single pass,
 // the optimization §3.4 suggests ("perform t simultaneous random
 // projections, taking M out of the t bootstrapping steps"): the t matrices

@@ -133,7 +133,7 @@ func TestApplyPreservesLengthsForRotation(t *testing.T) {
 	for i := range pts.Data {
 		pts.Data[i] = rng.Norm()
 	}
-	proj, err := Apply(pts, a, 2)
+	proj, err := linalg.Mul(nil, pts, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestBatchEquivalentToIndividualTrials(t *testing.T) {
 	for i := range pts.Data {
 		pts.Data[i] = prng.Norm()
 	}
-	joined, err := linalg.ParallelMul(nil, pts, b.Joined, 2)
+	joined, err := linalg.Mul(nil, pts, b.Joined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBatchEquivalentToIndividualTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := Apply(pts, m1, 1)
+	solo, err := linalg.Mul(nil, pts, m1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -480,3 +480,35 @@ func TestDemotedPrimaryCountsTailReconnects(t *testing.T) {
 		t.Fatalf("keybin2d_replica_tail_reconnects_total = %v on a demoted primary, want >= 1", got)
 	}
 }
+
+// TestDemotedPrimaryExportsReplicaGauges holds a primary that a fence
+// demotes into a follower to the replica gauges a node born a follower
+// exports: its /stats reports a replica lag, so its /metrics must too.
+func TestDemotedPrimaryExportsReplicaGauges(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	a := startNode(t, server.Config{Stream: testStreamConfig(3), WALDir: filepath.Join(t.TempDir(), "wal")})
+	defer a.stop(t, ctx)
+	if err := a.c.Fence(ctx, 2, down.URL); err != nil {
+		t.Fatal(err)
+	}
+	for a.srv.Stats().Role != "follower" {
+		if ctx.Err() != nil {
+			t.Fatal("the fenced primary never became a follower")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	mf, err := a.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"keybin2d_replica_applied_seq", "keybin2d_replica_primary_last_seq", "keybin2d_replica_lag_seconds"} {
+		if _, ok := mf[name]; !ok {
+			t.Errorf("a demoted primary's /metrics has no %s", name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync/atomic"
 	"time"
 
 	"keybin2/internal/obs"
@@ -52,11 +53,10 @@ type telemetry struct {
 	histInstallSec *obs.Histogram
 	mergeEpoch     *obs.Gauge
 
-	// Replica instruments; nil unless the daemon started as a follower
-	// (they keep reporting after promotion — the history is the point).
-	replicaAppliedSeq *obs.Gauge
-	replicaPrimarySeq *obs.Gauge
-	replicaLagSec     *obs.Gauge
+	// Replica instruments; nil until the node first becomes a follower,
+	// at boot or by demotion (they keep reporting after promotion — the
+	// history is the point).
+	replica atomic.Pointer[replicaGauges]
 
 	// Failover / fencing instruments (see failover.go); always present —
 	// any node can be promoted, fenced, or demoted over its lifetime, and
@@ -77,7 +77,12 @@ var fsyncBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 }
 
-func newTelemetry(runID string, fsync FsyncPolicy, follower bool) *telemetry {
+// replicaGauges are a follower's tail horizon and staleness bound.
+type replicaGauges struct {
+	appliedSeq, primarySeq, lagSec *obs.Gauge
+}
+
+func newTelemetry(runID string, fsync FsyncPolicy) *telemetry {
 	reg := obs.NewRegistry()
 	batches := reg.CounterVec("keybin2d_ingest_batches_total",
 		"Ingest batches by outcome: accepted, rejected_backpressure, duplicate, or error.", "result")
@@ -161,18 +166,27 @@ func newTelemetry(runID string, fsync FsyncPolicy, follower bool) *telemetry {
 		httpSec: reg.HistogramVec("keybin2d_http_request_seconds",
 			"HTTP request latency by endpoint.", nil, "endpoint"),
 	}
-	if follower {
-		t.replicaAppliedSeq = reg.Gauge("keybin2d_replica_applied_seq",
-			"Newest primary WAL sequence this replica has applied to its stream.")
-		t.replicaPrimarySeq = reg.Gauge("keybin2d_replica_primary_last_seq",
-			"Primary's newest WAL sequence as of the replica's last tail round.")
-		t.replicaLagSec = reg.Gauge("keybin2d_replica_lag_seconds",
-			"How long the replica has been behind the primary's horizon (0 = caught up).")
-	}
 	reg.GaugeVec("keybin2d_build_info",
 		"Constant 1; labels identify this daemon incarnation.", "run_id", "fsync").
 		With(runID, string(fsync)).Set(1)
 	return t
+}
+
+// exportReplica registers the replica gauges. transition calls it on
+// every change that leaves the node a follower; registration is
+// idempotent, so two racing calls store the same gauges.
+func (t *telemetry) exportReplica() {
+	if t.replica.Load() != nil {
+		return
+	}
+	t.replica.Store(&replicaGauges{
+		appliedSeq: t.reg.Gauge("keybin2d_replica_applied_seq",
+			"Newest primary WAL sequence this replica has applied to its stream."),
+		primarySeq: t.reg.Gauge("keybin2d_replica_primary_last_seq",
+			"Primary's newest WAL sequence as of the replica's last tail round."),
+		lagSec: t.reg.Gauge("keybin2d_replica_lag_seconds",
+			"How long the replica has been behind the primary's horizon (0 = caught up)."),
+	})
 }
 
 // installCollect registers the scrape-time hook that mirrors server state
@@ -197,10 +211,10 @@ func (t *telemetry) installCollect(s *Server) {
 			t.walSegments.SetInt(int64(ws.Segments))
 			t.walBytes.SetInt(ws.Bytes)
 		}
-		if t.replicaAppliedSeq != nil {
-			t.replicaAppliedSeq.SetInt(int64(s.appliedSeqA.Load()))
-			t.replicaPrimarySeq.SetInt(int64(s.primaryLastSeq.Load()))
-			t.replicaLagSec.Set(s.replicaLagSeconds())
+		if g := t.replica.Load(); g != nil {
+			g.appliedSeq.SetInt(int64(s.appliedSeqA.Load()))
+			g.primarySeq.SetInt(int64(s.primaryLastSeq.Load()))
+			g.lagSec.Set(s.replicaLagSeconds())
 		}
 		r := s.role.Load()
 		t.clusterEpochG.SetInt(r.epoch)

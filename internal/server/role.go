@@ -182,6 +182,9 @@ func (s *Server) transition(c roleChange) (prev, now role, err error) {
 		if !s.role.CompareAndSwap(old, &next) {
 			continue // a concurrent change won; judge c against its result
 		}
+		if next.kind == roleFollower {
+			s.tel.exportReplica()
+		}
 		if old == nil {
 			return prev, next, nil
 		}

@@ -349,7 +349,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:              cfg,
 		fs:               cfg.FS,
 		fsync:            fsyncPolicy,
-		tel:              newTelemetry(cfg.RunID, fsyncPolicy, cfg.FollowURL != ""),
+		tel:              newTelemetry(cfg.RunID, fsyncPolicy),
 		tracer:           cfg.Tracer,
 		queue:            make(chan ingestItem, cfg.QueueDepth),
 		histC:            make(chan chan histResult),
